@@ -20,7 +20,6 @@ func main() {
 	hobbies := flag.Int("hobbies", 3, "extra hobbies per guest")
 	hobbyCount := flag.Int("hobby-count", 8, "size of the hobby universe")
 	workers := flag.Int("workers", 4, "parallel workers")
-	sequential := flag.Bool("sequential-redaction", false, "use sequential redaction semantics (E8)")
 	seed := flag.Int64("seed", 1, "party seed")
 	flag.Parse()
 
@@ -29,9 +28,8 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := parulel.NewEngine(prog, parulel.Config{
-		Workers:             *workers,
-		MaxCycles:           100 * (*guests + 2),
-		SequentialRedaction: *sequential,
+		Workers:   *workers,
+		MaxCycles: 100 * (*guests + 2),
 	})
 	if err := workload.Manners(eng, *guests, *hobbies, *hobbyCount, *seed); err != nil {
 		log.Fatal(err)
@@ -57,6 +55,5 @@ func main() {
 	fmt.Printf("\nphases: match %.1f%%  redact %.1f%%  fire %.1f%%  apply %.1f%%\n",
 		res.MatchPct, res.RedactPct, res.FirePct, res.ApplyPct)
 	fmt.Println("seating is inherently serial (one guest per cycle); the cost that")
-	fmt.Println("grows with the guest list is the candidate JOIN and its redaction —")
-	fmt.Println("compare -sequential-redaction for the E8 semantics.")
+	fmt.Println("grows with the guest list is the candidate JOIN and its redaction.")
 }

@@ -34,8 +34,6 @@ var Experiments = map[string]func(w io.Writer, quick bool) error{
 	"e4":  E4,
 	"e5":  E5,
 	"e6":  E6,
-	"e7":  E7,
-	"e8":  E8,
 	"e9":  E9,
 	"e10": E10,
 	"e11": E11,
@@ -44,8 +42,10 @@ var Experiments = map[string]func(w io.Writer, quick bool) error{
 }
 
 // Order lists experiment ids in presentation order. (e12 is the serving
-// benchmark, driven separately by `parbench -serve`.)
-var Order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14"}
+// benchmark, driven separately by `parbench -serve`; e7 and e8 ablated the
+// per-cycle redaction joiner and were retired with it — EXPERIMENTS.md
+// keeps their last numbers.)
+var Order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e9", "e10", "e11", "e13", "e14"}
 
 // loader populates an engine's working memory.
 type loader func(ins workload.Inserter) error
@@ -432,116 +432,6 @@ func E5(w io.Writer, quick bool) error {
 		}
 		m, r, f, a := res.Stats.Breakdown()
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%d\n", spec.name, m, r, f, a, res.Cycles)
-	}
-	return tw.Flush()
-}
-
-// E7 — Table 5 (ablation): the redactor's equality-join hash index. With
-// the index, each meta pattern probes only the same-bucket candidates
-// (e.g. same pool); without it, tuple enumeration is nested-loop over
-// the surviving conflict set. The redaction-heavy workloads show the
-// gap; it widens with conflict-set size.
-func E7(w io.Writer, quick bool) error {
-	fmt.Fprintln(w, "E7 (Table 5, ablation) — redaction hash-join index on/off")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tindex\twall\tredact-share")
-	pools, orders, guests := 120, 80, 24
-	if quick {
-		pools, orders, guests = 40, 30, 10
-	}
-	specs := []workloadSpec{
-		{fmt.Sprintf("alexsys(%dx%d)", pools, orders), programs.Alexsys,
-			func(i workload.Inserter) error { return workload.Alexsys(i, pools, orders, 1) }},
-		{fmt.Sprintf("manners(%d)", guests), programs.Manners,
-			func(i workload.Inserter) error { return workload.Manners(i, guests, 3, 8, 1) }},
-	}
-	for _, spec := range specs {
-		for _, disable := range []bool{false, true} {
-			prog, err := programs.Load(spec.prog)
-			if err != nil {
-				return err
-			}
-			var redactPct float64
-			d, err := minTime(reps(quick), func() (func() error, error) {
-				e := core.New(prog, core.Options{
-					Workers: 4, MaxCycles: 1 << 20,
-					DisableRedactionIndex: disable,
-				})
-				if err := spec.load(e); err != nil {
-					return nil, err
-				}
-				return func() error {
-					res, err := e.Run()
-					if err == nil {
-						_, redactPct, _, _ = res.Stats.Breakdown()
-					}
-					return err
-				}, nil
-			})
-			if err != nil {
-				return err
-			}
-			label := "on"
-			if disable {
-				label = "off"
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%v\t%.1f%%\n", spec.name, label, d.Round(time.Microsecond), redactPct)
-		}
-	}
-	return tw.Flush()
-}
-
-// E8 — Table 6 (ablation): synchronous vs sequential redaction semantics.
-// Synchronous redaction (the default) applies every meta match at once
-// and can over-kill — an instantiation dies even when its killer dies in
-// the same pass — which serializes work across extra cycles. Sequential
-// semantics applies meta-rules in order with immediate effect, sparing
-// transitive victims: more firings per cycle, fewer cycles.
-func E8(w io.Writer, quick bool) error {
-	fmt.Fprintln(w, "E8 (Table 6, ablation) — synchronous vs sequential redaction")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tsemantics\tcycles\tfirings\tredactions\twall")
-	pools, orders, guests := 150, 100, 32
-	if quick {
-		pools, orders, guests = 40, 30, 12
-	}
-	specs := []workloadSpec{
-		{fmt.Sprintf("alexsys(%dx%d)", pools, orders), programs.Alexsys,
-			func(i workload.Inserter) error { return workload.Alexsys(i, pools, orders, 1) }},
-		{fmt.Sprintf("manners(%d)", guests), programs.Manners,
-			func(i workload.Inserter) error { return workload.Manners(i, guests, 3, 8, 1) }},
-	}
-	for _, spec := range specs {
-		for _, sequential := range []bool{false, true} {
-			prog, err := programs.Load(spec.prog)
-			if err != nil {
-				return err
-			}
-			var res core.Result
-			d, err := minTime(reps(quick), func() (func() error, error) {
-				e := core.New(prog, core.Options{
-					Workers: 4, MaxCycles: 1 << 20,
-					SequentialRedaction: sequential,
-				})
-				if err := spec.load(e); err != nil {
-					return nil, err
-				}
-				return func() error {
-					var err error
-					res, err = e.Run()
-					return err
-				}, nil
-			})
-			if err != nil {
-				return err
-			}
-			label := "synchronous"
-			if sequential {
-				label = "sequential"
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%v\n",
-				spec.name, label, res.Cycles, res.Firings, res.Redactions, d.Round(time.Microsecond))
-		}
 	}
 	return tw.Flush()
 }

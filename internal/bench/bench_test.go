@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parulel/internal/compile"
 )
 
 // TestExperimentsRunQuick executes every experiment at quick size and
@@ -17,8 +19,6 @@ func TestExperimentsRunQuick(t *testing.T) {
 		"e4":  "matcher",
 		"e5":  "redact%",
 		"e6":  "over-allocated-orders",
-		"e7":  "redact-share",
-		"e8":  "semantics",
 		"e9":  "strategy",
 		"e10": "beta-tokens",
 	}
@@ -63,5 +63,26 @@ func TestPotential(t *testing.T) {
 	}
 	if p := potential([]time.Duration{6, 2}); p != (8.0 / 6.0) {
 		t.Errorf("skewed potential = %v, want %v", p, 8.0/6.0)
+	}
+}
+
+// TestSuiteRowPhasesWithinWall: a suite row's four phase times are parts
+// of its wall time, so they may not sum to more than it. They did when the
+// wall came from the fastest repetition and the phases from the last one
+// (the "959 ms of redact inside a 777 ms wall" row of BENCH_after.json);
+// three repetitions at quick size give a slower last repetition every
+// chance to show.
+func TestSuiteRowPhasesWithinWall(t *testing.T) {
+	doc, err := runSuite(true, 3, compile.EvalBytecode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != len(suite(true))*len(jsonConfigs) {
+		t.Fatalf("%d rows, want one per workload and configuration", len(doc.Results))
+	}
+	for _, r := range doc.Results {
+		if phases := r.MatchNS + r.RedactNS + r.FireNS + r.ApplyNS; phases <= 0 || phases > r.WallNS {
+			t.Errorf("%s [%s w=%d]: phases sum to %d ns, wall is %d ns", r.Workload, r.Matcher, r.Workers, phases, r.WallNS)
+		}
 	}
 }

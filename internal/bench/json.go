@@ -96,6 +96,14 @@ var jsonConfigs = []struct {
 // RunJSON measures the standard workload suite under the given expression
 // backend and returns the document.
 func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
+	return runSuite(quick, reps(quick), mode)
+}
+
+// runSuite is RunJSON with the repetition count explicit. Every number of
+// a row — wall time, phase times, counters, worker balance — comes from
+// one and the same repetition, the fastest, so a row's phases always sum
+// to at most its wall time.
+func runSuite(quick bool, reps int, mode compile.EvalMode) (*JSONDoc, error) {
 	doc := &JSONDoc{
 		Schema:      "parulel-bench/v1",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -110,7 +118,8 @@ func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
 		for _, cfg := range jsonConfigs {
 			var last *core.Engine
 			var lastRes core.Result
-			wall, err := minTime(reps(quick), func() (func() error, error) {
+			var wall time.Duration
+			for rep := 0; rep < reps; rep++ {
 				prog, err := programs.Load(spec.prog)
 				if err != nil {
 					return nil, err
@@ -124,15 +133,15 @@ func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
 				if err := spec.load(e); err != nil {
 					return nil, err
 				}
-				last = e
-				return func() error {
-					res, err := e.Run()
-					lastRes = res
-					return err
-				}, nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s [%s w=%d]: %w", spec.name, cfg.matcher, cfg.workers, err)
+				start := time.Now()
+				res, err := e.Run()
+				d := time.Since(start)
+				if err != nil {
+					return nil, fmt.Errorf("%s [%s w=%d]: %w", spec.name, cfg.matcher, cfg.workers, err)
+				}
+				if last == nil || d < wall {
+					last, lastRes, wall = e, res, d
+				}
 			}
 			m, r, f, a := lastRes.Stats.Totals()
 			matchWork, _ := last.WorkerWork()

@@ -35,6 +35,7 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 		fmt.Fprintf(w, "%s — per-rule match attribution\n", spec.name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintln(tw, "matcher\trule\tmatch-ms\tmatch%\ttokens\tprobes\tinsts\tfires\t")
+		var footers []string
 		for _, m := range matchers {
 			prog, err := programs.Load(spec.prog)
 			if err != nil {
@@ -44,8 +45,26 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 			if err := spec.load(e); err != nil {
 				return err
 			}
-			if _, err := e.Run(); err != nil {
-				return err
+			// Step by step, to catch the meta level at its largest: it holds
+			// one stored meta-match per matching tuple of eligible
+			// instantiations, which is quadratic for a meta-rule with no
+			// equality join between its patterns.
+			var peak match.MemStats
+			for {
+				progress, err := e.Step()
+				if err != nil {
+					return err
+				}
+				if _, meta := e.MemStats(); meta.ConflictSet >= peak.ConflictSet {
+					peak = meta
+				}
+				if !progress {
+					break
+				}
+			}
+			if prog.Meta != nil {
+				footers = append(footers, fmt.Sprintf("%s meta level at its peak: %d images, %d tokens, %d stored meta-matches",
+					m.name, peak.AlphaItems, peak.BetaTokens, peak.ConflictSet))
 			}
 			profs := e.RuleProfiles()
 			var totalNS int64
@@ -83,6 +102,9 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 		}
 		if err := tw.Flush(); err != nil {
 			return err
+		}
+		for _, f := range footers {
+			fmt.Fprintln(w, f)
 		}
 	}
 	return nil

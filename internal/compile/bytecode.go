@@ -95,7 +95,11 @@ const vmMaxOperand = 1<<16 - 1
 // program. Called once at the end of Compile, so nothing is re-lowered
 // per match/fire cycle.
 func lowerProgram(p *Program) {
-	for _, r := range p.Rules {
+	rules := p.Rules
+	if p.Meta != nil {
+		rules = append(rules[:len(rules):len(rules)], p.Meta.Rules...)
+	}
+	for _, r := range rules {
 		for _, ce := range r.CEs {
 			for _, f := range ce.Filters {
 				f.code = lowerExpr(f)

@@ -78,6 +78,7 @@ func Compile(src *lang.Program) (*Program, error) {
 		m.Index = len(p.MetaRules)
 		p.MetaRules = append(p.MetaRules, m)
 	}
+	p.Meta = lowerMetaRules(p)
 	lowerProgram(p)
 	return p, nil
 }

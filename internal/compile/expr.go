@@ -105,6 +105,33 @@ type Env interface {
 	MetaPrecedes(pat, pat2 int) bool
 }
 
+// VecEnv is the Env of LHS filter tests: references index a vector of
+// matched WMEs, one per positive condition element; there are no locals
+// and no meta context. It is used by pointer: a matcher keeps one per join
+// point and re-points Vec at each candidate, so that handing it to Eval
+// boxes nothing, and the VM recognizes it and reads Vec directly.
+type VecEnv struct {
+	Vec []*wm.WME
+}
+
+// Ref returns the referenced field value.
+func (e *VecEnv) Ref(r VarRef) wm.Value { return e.Vec[r.CE].Fields[r.Field] }
+
+// Local panics: LHS tests cannot reference RHS locals.
+func (e *VecEnv) Local(int) wm.Value { panic("compile: LHS test referenced an RHS local") }
+
+// MetaVal panics: LHS tests have no meta context.
+func (e *VecEnv) MetaVal(int, VarRef) wm.Value { panic("compile: not a meta context") }
+
+// MetaTag panics: LHS tests have no meta context.
+func (e *VecEnv) MetaTag(int) int64 { panic("compile: not a meta context") }
+
+// MetaRuleName panics: LHS tests have no meta context.
+func (e *VecEnv) MetaRuleName(int) string { panic("compile: not a meta context") }
+
+// MetaPrecedes panics: LHS tests have no meta context.
+func (e *VecEnv) MetaPrecedes(int, int) bool { panic("compile: not a meta context") }
+
 // EvalError is an expression runtime error (type mismatch, division by
 // zero). It carries the failing operator for diagnosis.
 type EvalError struct {

@@ -24,7 +24,10 @@ type Program struct {
 	Schema    *wm.Schema
 	Rules     []*Rule
 	MetaRules []*MetaRule
-	Facts     []InitialFact
+	// Meta is MetaRules lowered onto the match network — what the engine
+	// runs. nil when the program has no meta-rules.
+	Meta  *MetaLevel
+	Facts []InitialFact
 	// Temporal is the compiled temporal specification (nil when the
 	// program declares no ttl or window forms).
 	Temporal *Temporal

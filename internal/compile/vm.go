@@ -19,11 +19,16 @@ var framePool = sync.Pool{
 	},
 }
 
-// run executes the code against env with a pooled register frame. The
-// steady state allocates nothing: registers are written before they are
-// read (by construction of the lowering), so frames are reused without
-// clearing.
+// run executes the code against env. Nearly every expression needs only
+// a few registers and runs in a frame on the goroutine's stack; wider ones
+// take a pooled frame. Either way the steady state allocates nothing:
+// registers are written before they are read (by construction of the
+// lowering), so pooled frames are reused without clearing.
 func (c *code) run(env Env) (wm.Value, error) {
+	var small [8]wm.Value
+	if c.nregs <= len(small) {
+		return c.exec(small[:c.nregs], env)
+	}
 	fp := framePool.Get().(*[]wm.Value)
 	r := *fp
 	if cap(r) < c.nregs {
@@ -38,6 +43,12 @@ func (c *code) run(env Env) (wm.Value, error) {
 }
 
 func (c *code) exec(r []wm.Value, env Env) (wm.Value, error) {
+	// Filter tests — the bulk of all evaluation — read their references
+	// straight out of the matched-WME vector instead of through env.
+	var vec []*wm.WME
+	if ve, ok := env.(*VecEnv); ok {
+		vec = ve.Vec
+	}
 	ins := c.ins
 	pc := 0
 	for pc < len(ins) {
@@ -47,7 +58,11 @@ func (c *code) exec(r []wm.Value, env Env) (wm.Value, error) {
 		case opConst:
 			r[in.a] = c.consts[in.b]
 		case opRef:
-			r[in.a] = env.Ref(c.refs[in.b])
+			if ref := c.refs[in.b]; vec != nil {
+				r[in.a] = vec[ref.CE].Fields[ref.Field]
+			} else {
+				r[in.a] = env.Ref(ref)
+			}
 		case opLocal:
 			r[in.a] = env.Local(int(in.b))
 		case opMetaRef:

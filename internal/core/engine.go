@@ -3,10 +3,11 @@
 //
 //  1. MATCH: the pending working-memory delta is applied to every worker's
 //     matcher partition in parallel, producing the conflict set.
-//  2. REDACT: the programmer's meta-rules run to a fixed point in
-//     synchronous rounds, deleting (redacting) instantiations that must
-//     not fire together — this replaces OPS5's built-in serial conflict
-//     resolution with programmable, set-oriented conflict resolution.
+//  2. REDACT: the programmer's meta-rules — rules over the conflict set,
+//     matched incrementally like any others (redact.go) — delete
+//     (redact) instantiations that must not fire together. This replaces
+//     OPS5's built-in serial conflict resolution with programmable,
+//     set-oriented conflict resolution.
 //  3. FIRE: every surviving instantiation fires; right-hand sides are
 //     evaluated in parallel across the workers, with effects buffered.
 //  4. APPLY: the buffered effects are reconciled deterministically into
@@ -41,7 +42,8 @@ type Options struct {
 	// Workers is the number of parallel workers for match and fire. Rules
 	// are partitioned round-robin across workers. Values < 1 mean 1.
 	Workers int
-	// Matcher builds each worker's match network. Default: rete.New.
+	// Matcher builds each worker's match network, and the meta-rules' own.
+	// Default: rete.New.
 	Matcher match.Factory
 	// Output receives `(write …)` text. Default: io.Discard.
 	Output io.Writer
@@ -53,16 +55,6 @@ type Options struct {
 	// Tracer interface for the callback order). Every call site is
 	// nil-checked, so leaving it nil costs one branch per event.
 	Tracer Tracer
-	// DisableRedactionIndex turns off the redactor's equality-join hash
-	// index, forcing nested-loop meta-rule matching (ablation E7).
-	DisableRedactionIndex bool
-	// SequentialRedaction switches redaction from the default synchronous
-	// semantics (all meta matches against the full eligible set apply at
-	// once; mutual redactions kill both) to sequential semantics
-	// (meta-rules apply in declaration order with immediate effect, so a
-	// redacted instantiation cannot justify later redactions). Explored
-	// by ablation E8.
-	SequentialRedaction bool
 	// Partition selects how rules are distributed over workers (ablation
 	// E9). The choice changes only load balance, never results.
 	Partition Partition
@@ -70,11 +62,11 @@ type Options struct {
 	// during checkpoint recovery, where the restored working memory
 	// already contains them (under their original time tags).
 	NoInitialFacts bool
-	// EvalMode selects the expression backend for RHS actions and
-	// meta-rule predicates: the bytecode VM (the zero value, the default)
-	// or the tree-walking interpreter (compile.EvalInterp). The matchers
-	// carry their own copy via rete.Options/treat.Options — set both from
-	// the same flag (the facade's Config.EvalMode does).
+	// EvalMode selects the expression backend for RHS actions: the
+	// bytecode VM (the zero value, the default) or the tree-walking
+	// interpreter (compile.EvalInterp). The matchers carry their own copy
+	// via rete.Options/treat.Options — set both from the same flag (the
+	// facade's Config.EvalMode does).
 	EvalMode compile.EvalMode
 }
 
@@ -187,9 +179,10 @@ type Engine struct {
 	// eligible is the reused scratch for Step's eligible-set construction;
 	// it never escapes a cycle.
 	eligible []*match.Instantiation
-	redact   *redactor
-	result   Result
-	halted   bool
+	// meta is the redaction state; nil for a program without meta-rules.
+	meta   *metaLevel
+	result Result
+	halted bool
 	// activity counts instantiations entering the conflict set per rule,
 	// feeding the copy-and-constrain advisor (copycon.Advise).
 	activity map[string]int
@@ -229,11 +222,11 @@ func New(prog *compile.Program, opts Options) *Engine {
 		opts:        opts,
 		conflictSet: make(map[match.Key]*match.Instantiation),
 		fired:       make(map[match.Key]bool),
-		redact:      newRedactor(prog.MetaRules, opts.Workers, opts.DisableRedactionIndex, opts.SequentialRedaction, opts.EvalMode),
 		result:      Result{Stats: &stats.Run{}},
 		activity:    make(map[string]int),
 		fires:       make(map[string]int),
 	}
+	e.meta = newMetaLevel(prog, opts.Matcher, e.fired)
 	// Distribute rules across workers. Workers with no rules are dropped
 	// so tiny programs don't pay for idle goroutines.
 	parts := partitionRules(prog.Rules, opts.Workers, opts.Partition)
@@ -407,8 +400,10 @@ func (e *Engine) Step() (bool, error) {
 	e.applyDelta(e.takePending())
 	cyc.Match = time.Since(t0)
 
-	// Eligible = conflict set minus refraction. The scratch slice is
-	// reused across cycles; survivors alias it only within this Step.
+	// Eligible = conflict set minus refraction, in no particular order:
+	// redaction is order-blind, and only what survives it needs the
+	// deterministic order. The scratch slice is reused across cycles;
+	// survivors alias it only within this Step.
 	eligible := e.eligible[:0]
 	for k, in := range e.conflictSet {
 		if !e.fired[k] {
@@ -416,20 +411,27 @@ func (e *Engine) Step() (bool, error) {
 		}
 	}
 	e.eligible = eligible
-	match.SortInstantiations(eligible)
 	cyc.ConflictSize = len(eligible)
 	if tr != nil {
 		tr.PhaseEnd(PhaseMatch, cyc.Match)
 		tr.InstantiationsFound(len(e.conflictSet), len(eligible))
 	}
 	if len(eligible) == 0 {
+		// Quiescent: nothing eligible entered, but what left still has
+		// images to drop.
+		e.meta.sync()
 		return false, nil
 	}
 
-	// REDACT: meta-rule fixpoint.
+	// REDACT: feed the eligible set's delta to the meta level; whatever
+	// no meta-match redacts survives. One round is the fixpoint.
 	t0 = time.Now()
-	survivors, rounds, redacted := e.redact.run(eligible)
+	survivors, redacted := e.meta.survivors(eligible)
 	cyc.Redact = time.Since(t0)
+	rounds := 0
+	if redacted > 0 {
+		rounds = 1
+	}
 	cyc.Redacted = redacted
 	e.result.Redactions += redacted
 	e.result.RedactionRounds += rounds
@@ -437,6 +439,8 @@ func (e *Engine) Step() (bool, error) {
 		tr.PhaseEnd(PhaseRedact, cyc.Redact)
 		tr.Redacted(redacted, rounds, len(survivors))
 	}
+	// Firing order fixes commit order, and with it time tags and output.
+	match.SortInstantiations(survivors)
 
 	if len(survivors) == 0 {
 		// Everything was redacted: treat as quiescence to avoid spinning
@@ -464,6 +468,7 @@ func (e *Engine) Step() (bool, error) {
 	for _, in := range survivors {
 		e.fired[in.Key()] = true
 		e.fires[in.Rule.Name]++
+		e.meta.leave(in)
 	}
 	if tr != nil {
 		tr.PhaseEnd(PhaseFire, cyc.Fire)
@@ -535,10 +540,12 @@ func (e *Engine) applyDelta(delta wm.Delta) {
 		for _, in := range w.changes.Removed {
 			delete(e.conflictSet, in.Key())
 			delete(e.fired, in.Key())
+			e.meta.leave(in)
 		}
 		for _, in := range w.changes.Added {
 			e.conflictSet[in.Key()] = in
 			e.activity[in.Rule.Name]++
+			e.meta.enter(in)
 		}
 		w.changes = match.Changes{}
 	}
@@ -569,10 +576,12 @@ func (e *Engine) RuleFires() map[string]int {
 // matcher (for matchers implementing match.RuleProfiler — RETE and TREAT
 // both do) with the engine's own per-rule firing counts. Rules are
 // returned sorted by attributed match time, then firings, then name, so
-// the first entries are the copy-and-constrain candidates. Match time is
-// only attributed when the matcher was built with profiling enabled
-// (rete.Options.Profile / treat.Options.Profile); the activity counters
-// (tokens, probes, instantiations) are always maintained.
+// the first entries are the copy-and-constrain candidates; after them
+// comes one row per meta-rule, in declaration order, from the meta level's
+// matcher (its Insts are meta-matches found; meta-rules never fire). Match
+// time is only attributed when the matcher was built with profiling
+// enabled (rete.Options.Profile / treat.Options.Profile); the activity
+// counters (tokens, probes, instantiations) are always maintained.
 func (e *Engine) RuleProfiles() []match.RuleProfile {
 	agg := make(map[string]*match.RuleProfile)
 	get := func(name string) *match.RuleProfile {
@@ -613,7 +622,30 @@ func (e *Engine) RuleProfiles() []match.RuleProfile {
 		}
 		return a.Rule < b.Rule
 	})
+	if e.meta != nil {
+		if rp, ok := e.meta.matcher.(match.RuleProfiler); ok {
+			out = append(out, rp.RuleProfiles()...)
+		}
+	}
 	return out
+}
+
+// MemStats reports the match-state sizes of the object level, summed over
+// the workers' matchers, and of the meta level: images held in alpha
+// memories, partial meta-matches (RETE only) and stored meta-matches. A
+// meta-rule without an equality join between its patterns stores a
+// meta-match per pair of eligible instantiations that passes its tests.
+func (e *Engine) MemStats() (object, meta match.MemStats) {
+	for _, w := range e.workers {
+		ms := w.matcher.MemStats()
+		object.AlphaItems += ms.AlphaItems
+		object.BetaTokens += ms.BetaTokens
+		object.ConflictSet += ms.ConflictSet
+	}
+	if e.meta != nil {
+		meta = e.meta.matcher.MemStats()
+	}
+	return object, meta
 }
 
 // WorkerWork returns each worker's accumulated match and fire busy time.

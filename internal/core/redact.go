@@ -1,266 +1,159 @@
 package core
 
 import (
-	"sync"
-
 	"parulel/internal/compile"
 	"parulel/internal/match"
 	"parulel/internal/wm"
 )
 
-// redactor runs the meta-rule redaction fixpoint.
+// metaLevel runs the program's meta-rules as ordinary incremental match.
 //
-// Semantics (synchronous): every meta-rule is matched against the eligible
-// set; all redactions justified by those matches apply simultaneously, so
-// the outcome is independent of meta-rule ordering and tuple enumeration
-// order, and two instantiations that each justify redacting the other both
-// die — meta-rule programs break such ties with `(tag …)` or
-// `(precedes …)`.
+// PARULEL's meta-rules are rules whose working memory is the conflict set.
+// compile.MetaLevel lowers each one to an ordinary rule over per-rule
+// image templates; here every *eligible* instantiation (in the conflict
+// set, not refracted) of a rule some meta-pattern names has one image WME
+// in a match network of its own, built by the same factory as the object
+// level's. The engine feeds that network the eligible set's delta each
+// cycle, and the network's conflict set is the set of live meta-matches.
+// Each image counts the live meta-matches that redact it.
 //
-// Because meta patterns have no negation over the conflict set, matching
-// is monotone in the instantiation set: removing instantiations can only
-// remove matches, never create them. Any tuple matching the post-round
-// survivors also matched the full set, and its redaction target was
-// already deleted — so the synchronous-round fixpoint is reached after
-// exactly one round, and the redactor runs a single pass.
+// Semantics (synchronous): all redactions justified by matches against
+// the full eligible set apply at once, so the outcome is independent of
+// meta-rule and enumeration order, and two instantiations that each
+// justify redacting the other both die — meta-rule programs break such
+// ties with `(tag …)` or `(precedes …)`. The survivors are therefore the
+// eligible instantiations with a count of zero.
 //
-// Under synchronous semantics the pass parallelizes: matches are a pure
-// function of the eligible set and the dead-set is a union, so tuple
-// enumeration is striped across the engine's workers by the first
-// pattern's candidates. Sequential semantics (E8) is inherently serial —
-// each match's immediate effect feeds the next — and always runs on one
-// goroutine.
-type redactor struct {
-	metas []*compile.MetaRule
-	// workers bounds the goroutines used for the synchronous pass.
-	workers int
-	// noIndex disables the equality-join hash index (ablation experiment
-	// E7) and forces nested-loop tuple enumeration.
-	noIndex bool
-	// sequential switches to the alternative semantics explored by E8:
-	// meta-rules apply in declaration order with immediate effect, so a
-	// redacted instantiation can no longer justify later redactions.
-	// Synchronous semantics can over-kill (two instantiations that each
-	// justify redacting the other both die); sequential semantics keeps
-	// the first and spares everything it dominates transitively.
-	sequential bool
-	// evalMode is the backend for meta-rule test expressions.
-	evalMode compile.EvalMode
+// One round is the fixpoint: meta patterns have no negation, so matching
+// is monotone in the eligible set. Any tuple matching among the survivors
+// also matched in the full set, and its target was already redacted.
+//
+// All of this state is derived from the conflict set and the refraction
+// set: it is rebuilt by the first match phase after a restore and never
+// persisted.
+type metaLevel struct {
+	prog *compile.MetaLevel
+	// rules[i].Redacts lists the condition elements of prog.Rules[i] whose
+	// matched images a match of that rule redacts.
+	rules   []*compile.MetaRule
+	matcher match.Matcher
+	// fired is the engine's refraction set, read to keep restored, already
+	// refracted instantiations out of the meta level.
+	fired  map[match.Key]bool
+	lastID int64
+	images map[match.Key]*image
+	byWME  map[*wm.WME]*image
+	// redacted counts images with a non-zero kill count.
+	redacted int
+	// entered and left queue the eligible set's changes between redact
+	// phases: instantiations that entered the conflict set, and ones that
+	// left it or fired.
+	entered, left []*match.Instantiation
 }
 
-func newRedactor(metas []*compile.MetaRule, workers int, noIndex, sequential bool, evalMode compile.EvalMode) *redactor {
-	if workers < 1 {
-		workers = 1
-	}
-	return &redactor{metas: metas, workers: workers, noIndex: noIndex, sequential: sequential, evalMode: evalMode}
+// image is the meta-level state of one reified instantiation.
+type image struct {
+	wme   *wm.WME
+	kills int
 }
 
-// parallelThreshold is the pattern-0 candidate count below which striping
-// the enumeration is not worth the goroutine overhead.
-const parallelThreshold = 64
-
-// run computes the surviving instantiations, the number of rounds (0 or
-// 1), and the number of redacted instantiations.
-func (r *redactor) run(eligible []*match.Instantiation) ([]*match.Instantiation, int, int) {
-	if len(r.metas) == 0 || len(eligible) == 0 {
-		return eligible, 0, 0
+func newMetaLevel(prog *compile.Program, factory match.Factory, fired map[match.Key]bool) *metaLevel {
+	if prog.Meta == nil {
+		return nil
 	}
-	dead := make(map[match.Key]bool)
-	byRule := make(map[*compile.Rule][]*match.Instantiation)
+	return &metaLevel{
+		prog:    prog.Meta,
+		rules:   prog.MetaRules,
+		matcher: factory(prog.Meta.Rules),
+		fired:   fired,
+		images:  make(map[match.Key]*image),
+		byWME:   make(map[*wm.WME]*image),
+	}
+}
+
+// reifies reports whether instantiations of in's rule have images. A nil
+// metaLevel (a program without meta-rules) reifies nothing.
+func (m *metaLevel) reifies(in *match.Instantiation) bool {
+	return m != nil && m.prog.Images[in.Rule.Index] != nil
+}
+
+func (m *metaLevel) enter(in *match.Instantiation) {
+	if m.reifies(in) {
+		m.entered = append(m.entered, in)
+	}
+}
+
+func (m *metaLevel) leave(in *match.Instantiation) {
+	if m.reifies(in) {
+		m.left = append(m.left, in)
+	}
+}
+
+// sync brings the meta level up to date with the queued changes: images
+// of departed instantiations are retracted, entrants are reified unless
+// refracted (only a restored refraction set can name an entrant), and the
+// resulting meta-match changes adjust the kill counts.
+func (m *metaLevel) sync() {
+	if m == nil || len(m.left)+len(m.entered) == 0 {
+		return
+	}
+	var delta wm.Delta
+	for _, in := range m.left {
+		// An instantiation that fired and then left was queued twice.
+		if img := m.images[in.Key()]; img != nil {
+			delta.Removed = append(delta.Removed, img.wme)
+			delete(m.images, in.Key())
+		}
+	}
+	for _, in := range m.entered {
+		if m.fired[in.Key()] {
+			continue
+		}
+		m.lastID++
+		img := &image{wme: m.prog.Images[in.Rule.Index].Reify(m.lastID, in.WMEs)}
+		m.images[in.Key()] = img
+		m.byWME[img.wme] = img
+		delta.Added = append(delta.Added, img.wme)
+	}
+	m.left, m.entered = m.left[:0], m.entered[:0]
+
+	ch := m.matcher.Apply(delta)
+	for _, mm := range ch.Removed {
+		for _, ce := range m.rules[mm.Rule.Index].Redacts {
+			img := m.byWME[mm.WMEs[ce]]
+			if img.kills--; img.kills == 0 {
+				m.redacted--
+			}
+		}
+	}
+	for _, mm := range ch.Added {
+		for _, ce := range m.rules[mm.Rule.Index].Redacts {
+			img := m.byWME[mm.WMEs[ce]]
+			if img.kills++; img.kills == 1 {
+				m.redacted++
+			}
+		}
+	}
+	// Retracting an image retracted every meta-match on it, so its count
+	// is back to zero by now.
+	for _, w := range delta.Removed {
+		delete(m.byWME, w)
+	}
+}
+
+// survivors syncs the meta level and returns the eligible instantiations
+// no live meta-match redacts, with the number redacted.
+func (m *metaLevel) survivors(eligible []*match.Instantiation) ([]*match.Instantiation, int) {
+	m.sync()
+	if m == nil || m.redacted == 0 {
+		return eligible, 0
+	}
+	out := make([]*match.Instantiation, 0, len(eligible)-m.redacted)
 	for _, in := range eligible {
-		byRule[in.Rule] = append(byRule[in.Rule], in)
+		if m.reifies(in) && m.images[in.Key()].kills > 0 {
+			continue
+		}
+		out = append(out, in)
 	}
-	for _, m := range r.metas {
-		states := r.buildStates(m, byRule)
-		switch {
-		case r.sequential, r.workers == 1, len(states[0].cands) < parallelThreshold:
-			r.matchMeta(m, states, 0, 1, dead)
-		default:
-			// Stripe pattern-0 candidates across workers; each collects a
-			// local dead-set; the union is order-independent.
-			w := r.workers
-			locals := make([]map[match.Key]bool, w)
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					locals[k] = make(map[match.Key]bool)
-					r.matchMeta(m, states, k, w, locals[k])
-				}(k)
-			}
-			wg.Wait()
-			for _, l := range locals {
-				for key := range l {
-					dead[key] = true
-				}
-			}
-		}
-	}
-	if len(dead) == 0 {
-		return eligible, 0, 0
-	}
-	survivors := eligible[:0:0]
-	for _, in := range eligible {
-		if !dead[in.Key()] {
-			survivors = append(survivors, in)
-		}
-	}
-	return survivors, 1, len(eligible) - len(survivors)
-}
-
-// patState holds one pattern's pre-filtered candidates and optional
-// equality-join index. States are built once per meta-rule and shared
-// read-only across the striped goroutines.
-type patState struct {
-	cands   []*match.Instantiation
-	eqTest  *compile.MetaJoinTest
-	index   map[wm.Value][]*match.Instantiation
-	restIdx int // index of eqTest within JoinTests, -1 if none
-}
-
-// buildStates pre-filters each pattern's candidates by its constant,
-// disjunction and intra-instantiation tests, and builds a hash index on
-// the pattern's first equality join test (the common case — e.g. "same
-// pool") to avoid quadratic blowup on large conflict sets.
-func (r *redactor) buildStates(m *compile.MetaRule, byRule map[*compile.Rule][]*match.Instantiation) []patState {
-	states := make([]patState, len(m.Patterns))
-	for i, p := range m.Patterns {
-		var cands []*match.Instantiation
-		for _, in := range byRule[p.Rule] {
-			if metaAlphaPasses(p, in) {
-				cands = append(cands, in)
-			}
-		}
-		st := patState{cands: cands, restIdx: -1}
-		if !r.noIndex {
-			for j := range p.JoinTests {
-				if p.JoinTests[j].Op == compile.OpEq {
-					st.eqTest = &p.JoinTests[j]
-					st.restIdx = j
-					break
-				}
-			}
-		}
-		if st.eqTest != nil {
-			st.index = make(map[wm.Value][]*match.Instantiation, len(cands))
-			for _, in := range cands {
-				k := in.Binding(st.eqTest.Ref)
-				st.index[k] = append(st.index[k], in)
-			}
-		}
-		states[i] = st
-	}
-	return states
-}
-
-// matchMeta enumerates the tuples of distinct instantiations matching the
-// meta-rule's patterns whose pattern-0 candidate index ≡ stripe (mod
-// strides), recording redaction targets in dead. Under synchronous
-// semantics every match's targets are recorded but matching keeps using
-// the full set; under sequential semantics (always stripe 0 of 1) dead
-// instantiations are skipped and a completed match kills its targets
-// immediately.
-func (r *redactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]bool) {
-	tuple := make([]*match.Instantiation, len(m.Patterns))
-	used := make(map[match.Key]bool, len(m.Patterns))
-	var choose func(i int)
-	choose = func(i int) {
-		if i == len(m.Patterns) {
-			if r.sequential {
-				// Immediate effect: a tuple only matches if all its
-				// members are still alive at this point.
-				for _, in := range tuple {
-					if dead[in.Key()] {
-						return
-					}
-				}
-			}
-			env := metaEnv{tuple: tuple}
-			for _, t := range m.Tests {
-				v, err := r.evalMode.Eval(t, env)
-				if err != nil || !v.Truthy() {
-					return
-				}
-			}
-			for _, pi := range m.Redacts {
-				dead[tuple[pi].Key()] = true
-			}
-			return
-		}
-		st := &states[i]
-		p := m.Patterns[i]
-		cands := st.cands
-		if i == 0 && strides > 1 {
-			// Striped share of the outermost loop.
-			share := make([]*match.Instantiation, 0, len(cands)/strides+1)
-			for j := stripe; j < len(cands); j += strides {
-				share = append(share, cands[j])
-			}
-			cands = share
-		}
-		if st.eqTest != nil {
-			probe := tuple[st.eqTest.OtherPat].Binding(st.eqTest.OtherRef)
-			cands = st.index[probe]
-		}
-	cand:
-		for _, in := range cands {
-			if used[in.Key()] {
-				continue // patterns bind distinct instantiations
-			}
-			if r.sequential && dead[in.Key()] {
-				continue
-			}
-			for j, jt := range p.JoinTests {
-				if j == st.restIdx {
-					continue // satisfied by the index probe
-				}
-				if !jt.Op.Apply(in.Binding(jt.Ref), tuple[jt.OtherPat].Binding(jt.OtherRef)) {
-					continue cand
-				}
-			}
-			tuple[i] = in
-			used[in.Key()] = true
-			choose(i + 1)
-			delete(used, in.Key())
-			tuple[i] = nil
-		}
-	}
-	choose(0)
-}
-
-// metaAlphaPasses checks a pattern's per-instantiation tests.
-func metaAlphaPasses(p *compile.InstPattern, in *match.Instantiation) bool {
-	for _, t := range p.ConstTests {
-		if !t.Op.Apply(in.Binding(t.Ref), t.Val) {
-			return false
-		}
-	}
-	for _, t := range p.DisjTests {
-		if !t.Matches(in.Binding(t.Ref)) {
-			return false
-		}
-	}
-	for _, t := range p.IntraTests {
-		if !t.Op.Apply(in.Binding(t.Ref), in.Binding(t.OtherRef)) {
-			return false
-		}
-	}
-	return true
-}
-
-// metaEnv implements compile.Env for meta-rule test evaluation.
-type metaEnv struct {
-	tuple []*match.Instantiation
-}
-
-func (m metaEnv) Ref(compile.VarRef) wm.Value { panic("core: meta test has no object context") }
-func (m metaEnv) Local(int) wm.Value          { panic("core: meta test has no object context") }
-func (m metaEnv) MetaVal(pat int, ref compile.VarRef) wm.Value {
-	return m.tuple[pat].Binding(ref)
-}
-func (m metaEnv) MetaTag(pat int) int64       { return m.tuple[pat].Tag() }
-func (m metaEnv) MetaRuleName(pat int) string { return m.tuple[pat].Rule.Name }
-func (m metaEnv) MetaPrecedes(pat, pat2 int) bool {
-	return m.tuple[pat].Compare(m.tuple[pat2]) < 0
+	return out, m.redacted
 }

@@ -1,0 +1,393 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"parulel/internal/compile"
+	"parulel/internal/match"
+	"parulel/internal/wm"
+)
+
+// oracleRedactor is the per-cycle redaction joiner the engine used before
+// meta-rules were lowered onto the match network (redact.go), kept as the
+// differential oracle: it re-derives every meta-match from scratch from
+// the eligible set and the unlowered compile.MetaRule, sharing nothing
+// with the lowering, the matchers' joins or the kill counts.
+//
+// Semantics (synchronous): every meta-rule is matched against the eligible
+// set; all redactions justified by those matches apply simultaneously, so
+// the outcome is independent of meta-rule ordering and tuple enumeration
+// order, and two instantiations that each justify redacting the other both
+// die.
+//
+// It also keeps the two ablations it carried: the nested-loop path without
+// the equality index (E7) and the sequential semantics (E8) — meta-rules
+// apply in declaration order with immediate effect, so a redacted
+// instantiation cannot justify later redactions. Sequential semantics is
+// inherently serial and always runs on one goroutine.
+type oracleRedactor struct {
+	metas []*compile.MetaRule
+	// workers bounds the goroutines used for the synchronous pass.
+	workers int
+	// noIndex disables the equality-join hash index (ablation experiment
+	// E7) and forces nested-loop tuple enumeration.
+	noIndex bool
+	// sequential switches to the alternative semantics explored by E8:
+	// meta-rules apply in declaration order with immediate effect, so a
+	// redacted instantiation can no longer justify later redactions.
+	// Synchronous semantics can over-kill (two instantiations that each
+	// justify redacting the other both die); sequential semantics keeps
+	// the first and spares everything it dominates transitively.
+	sequential bool
+	// evalMode is the backend for meta-rule test expressions.
+	evalMode compile.EvalMode
+}
+
+// newOracle builds the synchronous, indexed oracle for a program; tests
+// flip noIndex and sequential on the result.
+func newOracle(prog *compile.Program, workers int) *oracleRedactor {
+	if workers < 1 {
+		workers = 1
+	}
+	return &oracleRedactor{metas: prog.MetaRules, workers: workers}
+}
+
+// parallelThreshold is the pattern-0 candidate count below which striping
+// the enumeration is not worth the goroutine overhead.
+const parallelThreshold = 64
+
+// run computes the surviving instantiations, the number of rounds (0 or
+// 1), and the number of redacted instantiations.
+func (r *oracleRedactor) run(eligible []*match.Instantiation) ([]*match.Instantiation, int, int) {
+	if len(r.metas) == 0 || len(eligible) == 0 {
+		return eligible, 0, 0
+	}
+	dead := make(map[match.Key]bool)
+	byRule := make(map[*compile.Rule][]*match.Instantiation)
+	for _, in := range eligible {
+		byRule[in.Rule] = append(byRule[in.Rule], in)
+	}
+	for _, m := range r.metas {
+		states := r.buildStates(m, byRule)
+		switch {
+		case r.sequential, r.workers == 1, len(states[0].cands) < parallelThreshold:
+			r.matchMeta(m, states, 0, 1, dead)
+		default:
+			// Stripe pattern-0 candidates across workers; each collects a
+			// local dead-set; the union is order-independent.
+			w := r.workers
+			locals := make([]map[match.Key]bool, w)
+			var wg sync.WaitGroup
+			for k := 0; k < w; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					locals[k] = make(map[match.Key]bool)
+					r.matchMeta(m, states, k, w, locals[k])
+				}(k)
+			}
+			wg.Wait()
+			for _, l := range locals {
+				for key := range l {
+					dead[key] = true
+				}
+			}
+		}
+	}
+	if len(dead) == 0 {
+		return eligible, 0, 0
+	}
+	survivors := eligible[:0:0]
+	for _, in := range eligible {
+		if !dead[in.Key()] {
+			survivors = append(survivors, in)
+		}
+	}
+	return survivors, 1, len(eligible) - len(survivors)
+}
+
+// patState holds one pattern's pre-filtered candidates and optional
+// equality-join index. States are built once per meta-rule and shared
+// read-only across the striped goroutines.
+type patState struct {
+	cands   []*match.Instantiation
+	eqTest  *compile.MetaJoinTest
+	index   map[wm.Value][]*match.Instantiation
+	restIdx int // index of eqTest within JoinTests, -1 if none
+}
+
+// buildStates pre-filters each pattern's candidates by its constant,
+// disjunction and intra-instantiation tests, and builds a hash index on
+// the pattern's first equality join test (the common case — e.g. "same
+// pool") to avoid quadratic blowup on large conflict sets.
+func (r *oracleRedactor) buildStates(m *compile.MetaRule, byRule map[*compile.Rule][]*match.Instantiation) []patState {
+	states := make([]patState, len(m.Patterns))
+	for i, p := range m.Patterns {
+		var cands []*match.Instantiation
+		for _, in := range byRule[p.Rule] {
+			if metaAlphaPasses(p, in) {
+				cands = append(cands, in)
+			}
+		}
+		st := patState{cands: cands, restIdx: -1}
+		if !r.noIndex {
+			for j := range p.JoinTests {
+				if p.JoinTests[j].Op == compile.OpEq {
+					st.eqTest = &p.JoinTests[j]
+					st.restIdx = j
+					break
+				}
+			}
+		}
+		if st.eqTest != nil {
+			st.index = make(map[wm.Value][]*match.Instantiation, len(cands))
+			for _, in := range cands {
+				k := in.Binding(st.eqTest.Ref)
+				st.index[k] = append(st.index[k], in)
+			}
+		}
+		states[i] = st
+	}
+	return states
+}
+
+// matchMeta enumerates the tuples of distinct instantiations matching the
+// meta-rule's patterns whose pattern-0 candidate index ≡ stripe (mod
+// strides), recording redaction targets in dead. Under synchronous
+// semantics every match's targets are recorded but matching keeps using
+// the full set; under sequential semantics (always stripe 0 of 1) dead
+// instantiations are skipped and a completed match kills its targets
+// immediately.
+func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]bool) {
+	tuple := make([]*match.Instantiation, len(m.Patterns))
+	used := make(map[match.Key]bool, len(m.Patterns))
+	var choose func(i int)
+	choose = func(i int) {
+		if i == len(m.Patterns) {
+			if r.sequential {
+				// Immediate effect: a tuple only matches if all its
+				// members are still alive at this point.
+				for _, in := range tuple {
+					if dead[in.Key()] {
+						return
+					}
+				}
+			}
+			env := metaEnv{tuple: tuple}
+			for _, t := range m.Tests {
+				v, err := r.evalMode.Eval(t, env)
+				if err != nil || !v.Truthy() {
+					return
+				}
+			}
+			for _, pi := range m.Redacts {
+				dead[tuple[pi].Key()] = true
+			}
+			return
+		}
+		st := &states[i]
+		p := m.Patterns[i]
+		cands := st.cands
+		if i == 0 && strides > 1 {
+			// Striped share of the outermost loop.
+			share := make([]*match.Instantiation, 0, len(cands)/strides+1)
+			for j := stripe; j < len(cands); j += strides {
+				share = append(share, cands[j])
+			}
+			cands = share
+		}
+		if st.eqTest != nil {
+			probe := tuple[st.eqTest.OtherPat].Binding(st.eqTest.OtherRef)
+			cands = st.index[probe]
+		}
+	cand:
+		for _, in := range cands {
+			if used[in.Key()] {
+				continue // patterns bind distinct instantiations
+			}
+			if r.sequential && dead[in.Key()] {
+				continue
+			}
+			for j, jt := range p.JoinTests {
+				if j == st.restIdx {
+					continue // satisfied by the index probe
+				}
+				if !jt.Op.Apply(in.Binding(jt.Ref), tuple[jt.OtherPat].Binding(jt.OtherRef)) {
+					continue cand
+				}
+			}
+			tuple[i] = in
+			used[in.Key()] = true
+			choose(i + 1)
+			delete(used, in.Key())
+			tuple[i] = nil
+		}
+	}
+	choose(0)
+}
+
+// metaAlphaPasses checks a pattern's per-instantiation tests.
+func metaAlphaPasses(p *compile.InstPattern, in *match.Instantiation) bool {
+	for _, t := range p.ConstTests {
+		if !t.Op.Apply(in.Binding(t.Ref), t.Val) {
+			return false
+		}
+	}
+	for _, t := range p.DisjTests {
+		if !t.Matches(in.Binding(t.Ref)) {
+			return false
+		}
+	}
+	for _, t := range p.IntraTests {
+		if !t.Op.Apply(in.Binding(t.Ref), in.Binding(t.OtherRef)) {
+			return false
+		}
+	}
+	return true
+}
+
+// metaEnv implements compile.Env for meta-rule test evaluation.
+type metaEnv struct {
+	tuple []*match.Instantiation
+}
+
+func (m metaEnv) Ref(compile.VarRef) wm.Value { panic("core: meta test has no object context") }
+func (m metaEnv) Local(int) wm.Value          { panic("core: meta test has no object context") }
+func (m metaEnv) MetaVal(pat int, ref compile.VarRef) wm.Value {
+	return m.tuple[pat].Binding(ref)
+}
+func (m metaEnv) MetaTag(pat int) int64       { return m.tuple[pat].Tag() }
+func (m metaEnv) MetaRuleName(pat int) string { return m.tuple[pat].Rule.Name }
+func (m metaEnv) MetaPrecedes(pat, pat2 int) bool {
+	return m.tuple[pat].Compare(m.tuple[pat2]) < 0
+}
+
+// observeStep runs one engine cycle and reconstructs, from the refraction
+// set before it and the engine's state after it, the eligible set the
+// cycle's redact phase saw and the survivors it let fire: eligible is the
+// conflict set minus what was refracted going in (a match phase only ever
+// removes refraction entries), and the survivors are the eligible
+// instantiations refracted coming out.
+func observeStep(t *testing.T, e *Engine) (eligible, survivors []*match.Instantiation, progress bool) {
+	t.Helper()
+	before := make(map[match.Key]bool, len(e.fired))
+	for k := range e.fired {
+		before[k] = true
+	}
+	progress, err := e.Step()
+	if err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	for k, in := range e.conflictSet {
+		if before[k] {
+			continue
+		}
+		eligible = append(eligible, in)
+		if e.fired[k] {
+			survivors = append(survivors, in)
+		}
+	}
+	match.SortInstantiations(eligible)
+	match.SortInstantiations(survivors)
+	return eligible, survivors, progress
+}
+
+// sameInstantiations reports whether two sorted instantiation lists hold
+// the same keys.
+func sameInstantiations(a, b []*match.Instantiation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key() != b[i].Key() {
+			return false
+		}
+	}
+	return true
+}
+
+// runAgainstOracle runs e to quiescence, checking every cycle that the
+// engine fired exactly the instantiations the oracle keeps from the same
+// eligible set (and redacted as many), and that one round is the oracle's
+// fixpoint: redacting the survivors again removes nothing.
+func runAgainstOracle(t *testing.T, e *Engine, oracle *oracleRedactor) {
+	t.Helper()
+	for cycle := 1; ; cycle++ {
+		redactedBefore := e.result.Redactions
+		eligible, survivors, progress := observeStep(t, e)
+		want, _, redacted := oracle.run(eligible)
+		if !sameInstantiations(want, survivors) {
+			t.Fatalf("cycle %d: engine fired %v of eligible %v, oracle keeps %v", cycle, survivors, eligible, want)
+		}
+		if got := e.result.Redactions - redactedBefore; got != redacted {
+			t.Fatalf("cycle %d: engine counted %d redactions, oracle %d", cycle, got, redacted)
+		}
+		if again, _, n := oracle.run(want); n != 0 || !sameInstantiations(again, want) {
+			t.Fatalf("cycle %d: a second round redacted %d more of %v", cycle, n, want)
+		}
+		if !progress {
+			return
+		}
+		if cycle > 1<<16 {
+			t.Fatal("no quiescence")
+		}
+	}
+}
+
+// oracleEngine is an Engine whose redact phase is the oracle's: the cycle
+// skeleton of Engine.Step over the same match, fire and commit code, with
+// the meta level switched off. It exists to run whole programs under the
+// sequential semantics, which the engine no longer offers.
+type oracleEngine struct {
+	*Engine
+	oracle *oracleRedactor
+}
+
+func newOracleEngine(prog *compile.Program, opts Options) *oracleEngine {
+	e := New(prog, opts)
+	e.meta = nil
+	return &oracleEngine{Engine: e, oracle: newOracle(prog, opts.Workers)}
+}
+
+func (e *oracleEngine) run(t *testing.T) Result {
+	t.Helper()
+	for !e.halted {
+		e.applyDelta(e.takePending())
+		var eligible []*match.Instantiation
+		for k, in := range e.conflictSet {
+			if !e.fired[k] {
+				eligible = append(eligible, in)
+			}
+		}
+		if len(eligible) == 0 {
+			break
+		}
+		match.SortInstantiations(eligible)
+		survivors, rounds, redacted := e.oracle.run(eligible)
+		e.result.Redactions += redacted
+		e.result.RedactionRounds += rounds
+		e.result.Cycles++
+		if len(survivors) == 0 {
+			break
+		}
+		effects, err := e.fireAll(survivors)
+		if err != nil {
+			t.Fatalf("fire: %v", err)
+		}
+		for _, in := range survivors {
+			e.fired[in.Key()] = true
+		}
+		e.result.Firings += len(survivors)
+		delta, conflicts, halted, err := e.commit(effects)
+		if err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		e.result.WriteConflicts += conflicts
+		e.pending, e.halted, e.result.Halted = delta, halted, halted
+		if e.result.Cycles > 1<<16 {
+			t.Fatal("no quiescence")
+		}
+	}
+	return e.result
+}

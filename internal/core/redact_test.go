@@ -3,10 +3,12 @@ package core
 import (
 	"testing"
 
+	"parulel/internal/compile"
 	"parulel/internal/wm"
 )
 
-// The chain program distinguishes the two redaction semantics: with
+// The chain program distinguishes the engine's synchronous redaction from
+// the sequential semantics only the test oracle still implements: with
 // tokens 1, 2, 3 the meta-rule justifies "1 kills 2" and "2 kills 3".
 //
 //   - synchronous: both matches apply at once → 2 and 3 die, only 1 fires;
@@ -24,6 +26,13 @@ const chainRedactionProgram = `
   (redact <j>))
 (wm (item ^n 1) (item ^n 2) (item ^n 3))
 `
+
+// sequentialEngine runs prog under the oracle's sequential semantics.
+func sequentialEngine(prog *compile.Program, opts Options) *oracleEngine {
+	e := newOracleEngine(prog, opts)
+	e.oracle.sequential = true
+	return e
+}
 
 func outValues(t *testing.T, e *Engine) []int64 {
 	t.Helper()
@@ -58,9 +67,9 @@ func TestSynchronousRedactionOverKills(t *testing.T) {
 
 func TestSequentialRedactionSparesTransitiveVictims(t *testing.T) {
 	prog := compileOK(t, chainRedactionProgram)
-	e := New(prog, Options{MaxCycles: 10, SequentialRedaction: true})
-	res := runOK(t, e)
-	got := outValues(t, e)
+	e := sequentialEngine(prog, Options{MaxCycles: 10})
+	res := e.run(t)
+	got := outValues(t, e.Engine)
 	if len(got) != 3 {
 		t.Fatalf("outs: %v", got)
 	}
@@ -90,8 +99,8 @@ func TestSequentialRedactionMutualKeepsFirst(t *testing.T) {
   (redact <j>))
 (wm (a ^x 1) (a ^x 2))
 `)
-	e := New(prog, Options{MaxCycles: 10, SequentialRedaction: true})
-	res := runOK(t, e)
+	e := sequentialEngine(prog, Options{MaxCycles: 10})
+	res := e.run(t)
 	// Cycle 1: tuple (1,2) kills 2; tuple (2,1) skipped (2 dead) → 1
 	// fires. Cycle 2: 2 fires alone.
 	if res.Firings != 2 || res.Redactions != 1 {
@@ -106,8 +115,8 @@ func TestSequentialRedactionMutualKeepsFirst(t *testing.T) {
 func TestSequentialRedactionDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) string {
 		prog := compileOK(t, chainRedactionProgram)
-		e := New(prog, Options{Workers: workers, MaxCycles: 10, SequentialRedaction: true})
-		runOK(t, e)
+		e := sequentialEngine(prog, Options{Workers: workers, MaxCycles: 10})
+		e.run(t)
 		s := ""
 		for _, w := range e.Memory().Snapshot() {
 			s += w.String() + "\n"
@@ -139,23 +148,31 @@ func TestRedactionConflictFreedomBothSemantics(t *testing.T) {
   (redact <j>))
 (wm (pool ^id 1 ^state free) (order ^id 1) (order ^id 2) (order ^id 3))
 `
-	for _, sequential := range []bool{false, true} {
-		e := New(compileOK(t, src), Options{MaxCycles: 10, SequentialRedaction: sequential})
-		res := runOK(t, e)
+	runs := map[string]func() (*Engine, Result){
+		"synchronous (the engine)": func() (*Engine, Result) {
+			e := New(compileOK(t, src), Options{MaxCycles: 10})
+			return e, runOK(t, e)
+		},
+		"sequential (the oracle)": func() (*Engine, Result) {
+			e := sequentialEngine(compileOK(t, src), Options{MaxCycles: 10})
+			return e.Engine, e.run(t)
+		},
+	}
+	for name, run := range runs {
+		e, res := run()
 		if res.WriteConflicts != 0 {
-			t.Errorf("sequential=%v: write conflicts = %d, want 0", sequential, res.WriteConflicts)
+			t.Errorf("%s: write conflicts = %d, want 0", name, res.WriteConflicts)
 		}
 		pools := e.Memory().OfTemplate("pool")
 		if len(pools) != 1 || pools[0].Fields[1] != wm.Int(1) {
-			t.Errorf("sequential=%v: pool state %v, want order 1", sequential, pools)
+			t.Errorf("%s: pool state %v, want order 1", name, pools)
 		}
 	}
 }
 
-func TestParallelRedactionMatchesSerial(t *testing.T) {
-	// Synchronous redaction striped over workers must be identical to the
-	// single-goroutine result on a conflict-heavy workload large enough
-	// to cross the parallel threshold.
+func TestRedactionIdenticalAcrossWorkers(t *testing.T) {
+	// The meta level sees the same eligible set whatever the worker
+	// count, so a conflict-heavy workload must redact identically.
 	load := func(e *Engine) {
 		for p := int64(0); p < 30; p++ {
 			if _, err := e.Insert("pool", map[string]wm.Value{"id": wm.Int(p), "state": wm.Sym("free")}); err != nil {
@@ -205,9 +222,7 @@ func TestParallelRedactionMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: counters differ: %+v vs %+v", w, res, refRes)
 		}
 	}
-	// The conflict set (30 pools × 20 orders = 600 proposals) is above
-	// the parallel threshold, so the striped path actually ran.
 	if refRes.Redactions == 0 {
-		t.Fatal("workload produced no redactions; threshold test is vacuous")
+		t.Fatal("workload produced no redactions; the test is vacuous")
 	}
 }

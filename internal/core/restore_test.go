@@ -2,11 +2,17 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"parulel/internal/compile"
+	"parulel/internal/match/treat"
+	"parulel/internal/programs"
 	"parulel/internal/snapshot"
 	"parulel/internal/wm"
+	"parulel/internal/workload"
 )
 
 // restoreSrc exercises everything restore must preserve: multi-CE joins
@@ -60,7 +66,13 @@ func insertItems(t *testing.T, e *Engine, from, to int) {
 // restored under their original tags, then refraction keys and counters.
 func transplant(t *testing.T, src *Engine, prog *compile.Program, workers int) *Engine {
 	t.Helper()
-	dst := New(prog, Options{Workers: workers, NoInitialFacts: true})
+	return transplantWith(t, src, prog, Options{Workers: workers})
+}
+
+func transplantWith(t *testing.T, src *Engine, prog *compile.Program, opts Options) *Engine {
+	t.Helper()
+	opts.NoInitialFacts = true
+	dst := New(prog, opts)
 	for _, w := range src.Memory().Snapshot() {
 		fields := make(map[string]wm.Value, len(w.Fields))
 		for i, attr := range w.Tmpl.Attrs {
@@ -185,5 +197,115 @@ func TestReplayStepsVerifiesCycleCount(t *testing.T) {
 	// The engine is quiescent now; demanding one more cycle must error.
 	if err := replayed.ReplaySteps(1); err == nil {
 		t.Fatal("over-replay should report divergence")
+	}
+}
+
+// cycleLog records, per committed cycle, what redaction did and what
+// fired: "cycle: redacted=n survivors=m rule×count …".
+type cycleLog struct {
+	cur   string
+	lines []string
+}
+
+func (l *cycleLog) CycleStart(n int)              { l.cur = fmt.Sprintf("%d:", n) }
+func (l *cycleLog) PhaseEnd(Phase, time.Duration) {}
+func (l *cycleLog) InstantiationsFound(_, el int) { l.cur += fmt.Sprintf(" eligible=%d", el) }
+func (l *cycleLog) Redacted(red, _, surv int) {
+	l.cur += fmt.Sprintf(" redacted=%d survivors=%d", red, surv)
+}
+func (l *cycleLog) RuleFired(rule string, n int) { l.cur += fmt.Sprintf(" %s×%d", rule, n) }
+func (l *cycleLog) Commit(int, int, bool)        { l.lines = append(l.lines, l.cur) }
+
+// TestRestoreMidRunRebuildsRedactionState: the meta level — images, stored
+// meta-matches, kill counts — is never persisted; the first match phase
+// after a restore rebuilds it from the restored working memory and
+// refraction set. Pausing at every cycle boundary of a redaction-heavy run,
+// transplanting the replayable state into a fresh engine (on the other
+// matcher, with another worker count) and continuing must reproduce the
+// uninterrupted run exactly: per-cycle eligible, redacted and fired counts,
+// the counters, and the final snapshot byte for byte.
+//
+// The third program is the sharp case: its fired instantiations stay in
+// the conflict set, refracted, and its meta-rule would let any of them
+// redact everything after it — so a restore that reified refracted
+// instantiations would stall the run.
+func TestRestoreMidRunRebuildsRedactionState(t *testing.T) {
+	persistent := compileOK(t, `
+(literalize item n)
+(literalize out n)
+(rule emit (item ^n <n>) --> (make out ^n <n>))
+(metarule one-at-a-time
+  [<i> (emit ^n <a>)]
+  [<j> (emit ^n <b>)]
+  (test (< <a> <b>))
+-->
+  (redact <j>))
+`)
+	load := func(name string) *compile.Program {
+		prog, err := programs.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	cases := []struct {
+		name string
+		prog *compile.Program
+		load func(workload.Inserter) error
+	}{
+		{"alexsys", load(programs.Alexsys), func(i workload.Inserter) error { return workload.Alexsys(i, 20, 16, 1) }},
+		{"manners", load(programs.Manners), func(i workload.Inserter) error { return workload.Manners(i, 10, 2, 4, 1) }},
+		{"persistent", persistent, func(i workload.Inserter) error {
+			for n := int64(0); n < 6; n++ {
+				if _, err := i.Insert("item", map[string]wm.Value{"n": wm.Int(n)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var whole cycleLog
+			ref := New(tc.prog, Options{Workers: 2, MaxCycles: 1 << 12, Tracer: &whole})
+			if err := tc.load(ref); err != nil {
+				t.Fatal(err)
+			}
+			want := runOK(t, ref)
+			if want.Redactions == 0 || want.Cycles < 3 {
+				t.Fatalf("run too tame to test anything: %+v", want)
+			}
+			refracted := 0
+			for pause := 1; pause < want.Cycles; pause++ {
+				var head, tail cycleLog
+				orig := New(tc.prog, Options{Workers: 2, MaxCycles: 1 << 12, Tracer: &head})
+				if err := tc.load(orig); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < pause; i++ {
+					if _, err := orig.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				refracted += len(orig.FiredKeys())
+				restored := transplantWith(t, orig, tc.prog, Options{Workers: 3, Matcher: treat.New, MaxCycles: 1 << 12, Tracer: &tail})
+				got := runOK(t, restored)
+				if got.Cycles != want.Cycles || got.Firings != want.Firings || got.Redactions != want.Redactions || got.WriteConflicts != want.WriteConflicts {
+					t.Fatalf("pause=%d: restored run ended at %+v, uninterrupted at %+v", pause, got, want)
+				}
+				if lines := append(head.lines, tail.lines...); !reflect.DeepEqual(lines, whole.lines) {
+					t.Fatalf("pause=%d: cycle log diverged\n got: %q\nwant: %q", pause, lines, whole.lines)
+				}
+				if a, b := snapshotText(t, ref), snapshotText(t, restored); a != b {
+					t.Fatalf("pause=%d: snapshots differ\n-- uninterrupted --\n%s\n-- restored --\n%s", pause, a, b)
+				}
+				if restored.meta == nil || len(restored.meta.images) != len(ref.meta.images) {
+					t.Fatalf("pause=%d: restored engine ends with %d images, uninterrupted with %d", pause, len(restored.meta.images), len(ref.meta.images))
+				}
+			}
+			if refracted == 0 {
+				t.Fatal("no pause point had a non-empty refraction set")
+			}
+		})
 	}
 }

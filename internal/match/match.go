@@ -10,7 +10,7 @@ package match
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"parulel/internal/compile"
@@ -161,7 +161,9 @@ func (in *Instantiation) String() string {
 }
 
 // Changes reports the conflict-set delta produced by one working-memory
-// delta.
+// delta: what entered and what left, each in no particular order
+// (consumers fold them into keyed sets; SortInstantiations imposes the
+// deterministic order where one is needed).
 type Changes struct {
 	Added   []*Instantiation
 	Removed []*Instantiation
@@ -229,41 +231,12 @@ type Matcher interface {
 // treat.New satisfy this signature.
 type Factory func(rules []*compile.Rule) Matcher
 
-// EvalEnv adapts a WME vector to the expression evaluation environment for
-// LHS filter tests (no locals, no meta context). The zero value is not
-// usable; construct with the vector to evaluate against.
-type EvalEnv struct {
-	Vec []*wm.WME
-}
-
-// Ref returns the referenced field value.
-func (e EvalEnv) Ref(r compile.VarRef) wm.Value { return e.Vec[r.CE].Fields[r.Field] }
-
-// Local panics: LHS tests cannot reference RHS locals.
-func (e EvalEnv) Local(int) wm.Value { panic("match: LHS test referenced an RHS local") }
-
-// MetaVal panics: LHS tests have no meta context.
-func (e EvalEnv) MetaVal(int, compile.VarRef) wm.Value { panic("match: not a meta context") }
-
-// MetaTag panics: LHS tests have no meta context.
-func (e EvalEnv) MetaTag(int) int64 { panic("match: not a meta context") }
-
-// MetaRuleName panics: LHS tests have no meta context.
-func (e EvalEnv) MetaRuleName(int) string { panic("match: not a meta context") }
-
-// MetaPrecedes panics: LHS tests have no meta context.
-func (e EvalEnv) MetaPrecedes(int, int) bool { panic("match: not a meta context") }
-
-// EvalFilters evaluates a CE's filter expressions against a WME vector
+// EvalFilters evaluates a CE's filter expressions against env's WME vector
 // under the given execution mode (bytecode VM or tree walker). A filter
 // that errors at runtime (e.g. comparing incompatible values fed by a
 // weakly constrained pattern) counts as a failed test, matching OPS5
 // practice of treating predicate failure as no-match.
-func EvalFilters(ce *compile.CondElem, vec []*wm.WME, mode compile.EvalMode) bool {
-	if len(ce.Filters) == 0 {
-		return true
-	}
-	env := EvalEnv{Vec: vec}
+func EvalFilters(ce *compile.CondElem, env *compile.VecEnv, mode compile.EvalMode) bool {
 	for _, f := range ce.Filters {
 		v, err := mode.Eval(f, env)
 		if err != nil || !v.Truthy() {
@@ -275,5 +248,5 @@ func EvalFilters(ce *compile.CondElem, vec []*wm.WME, mode compile.EvalMode) boo
 
 // SortInstantiations sorts a slice in the deterministic total order.
 func SortInstantiations(ins []*Instantiation) {
-	sort.Slice(ins, func(i, j int) bool { return ins[i].Compare(ins[j]) < 0 })
+	slices.SortFunc(ins, (*Instantiation).Compare)
 }

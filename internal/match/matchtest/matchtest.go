@@ -295,7 +295,7 @@ func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
 				// The oracle deliberately stays on the tree-walking
 				// interpreter, so conformance runs compare the matchers'
 				// bytecode path against an independent backend.
-				if match.EvalFilters(ce, vec[:ce.PosIndex+1], compile.EvalInterp) {
+				if match.EvalFilters(ce, &compile.VecEnv{Vec: vec[:ce.PosIndex+1]}, compile.EvalInterp) {
 					walk(ceIdx + 1)
 				}
 				vec[ce.PosIndex] = nil

@@ -39,6 +39,9 @@ type ruleProf struct {
 	tokens  uint64
 	probes  uint64
 	insts   uint64
+	// losing counts the tokens this rule is losing to the WME removal in
+	// progress (Network.removeWME); zero between removals.
+	losing int
 }
 
 // Network is a RETE network over a partition of rules. It implements
@@ -53,11 +56,10 @@ type Network struct {
 	// Per-WME bookkeeping (WMEs are shared across partitions, so RETE
 	// state cannot live on the WME itself).
 	wmeAlpha      map[*wm.WME][]*alphaMem
-	wmeTokens     map[*wm.WME][]*token
+	wmeTokens     map[*wm.WME]*token // head of the list through token.wnext
 	wmeNegResults map[*wm.WME][]*negJoinResult
 
-	conflictSet map[match.Key]*match.Instantiation
-	coll        *match.ChangeCollector
+	coll *match.ChangeCollector
 
 	betaMems []*betaMem
 	negNodes []*negativeNode
@@ -67,6 +69,9 @@ type Network struct {
 	// partition. profile gates the timing attribution only.
 	profs   []*ruleProf
 	profile bool
+
+	// losers is removeWME's scratch list of the rules losing tokens.
+	losers []*ruleProf
 
 	// delStack is the reused traversal stack of deleteTokenAndDescendants,
 	// so deep token chains neither recurse nor reallocate per deletion.
@@ -92,9 +97,8 @@ func NewWithOptions(rules []*compile.Rule, opts Options) match.Matcher {
 		alphaByTmpl:   make(map[*wm.Template][]*alphaMem),
 		alphaBySig:    make(map[string]*alphaMem),
 		wmeAlpha:      make(map[*wm.WME][]*alphaMem),
-		wmeTokens:     make(map[*wm.WME][]*token),
+		wmeTokens:     make(map[*wm.WME]*token),
 		wmeNegResults: make(map[*wm.WME][]*negJoinResult),
-		conflictSet:   make(map[match.Key]*match.Instantiation),
 		coll:          match.NewChangeCollector(),
 		profile:       opts.Profile,
 	}
@@ -129,7 +133,7 @@ func (n *Network) alpha(ce *compile.CondElem) *alphaMem {
 	if am, ok := n.alphaBySig[sig]; ok {
 		return am
 	}
-	am := &alphaMem{rep: ce, wmes: make(wmeSet)}
+	am := &alphaMem{rep: ce}
 	n.alphaBySig[sig] = am
 	n.alphaByTmpl[ce.Tmpl] = append(n.alphaByTmpl[ce.Tmpl], am)
 	return am
@@ -164,10 +168,10 @@ func (n *Network) eqJoinTest(ce *compile.CondElem) int {
 func (n *Network) addRule(r *compile.Rule) {
 	prof := &ruleProf{name: r.Name}
 	n.profs = append(n.profs, prof)
-	top := &betaMem{net: n, tokens: make(tokenSet), prof: prof}
+	top := &betaMem{net: n, prof: prof}
 	n.betaMems = append(n.betaMems, top)
 	dummy := &token{vec: nil, owner: top}
-	top.tokens[dummy] = struct{}{}
+	top.tokens.add(dummy)
 
 	cur := top
 	for i, ce := range r.CEs {
@@ -175,11 +179,11 @@ func (n *Network) addRule(r *compile.Rule) {
 		var child node
 		var collector *betaMem
 		if last {
-			prod := &productionNode{net: n, rule: r, insts: make(map[*token]*match.Instantiation), prof: prof}
+			prod := &productionNode{net: n, rule: r, prof: prof}
 			n.prods = append(n.prods, prod)
 			child = prod
 		} else {
-			collector = &betaMem{net: n, tokens: make(tokenSet), prof: prof}
+			collector = &betaMem{net: n, prof: prof}
 			n.betaMems = append(n.betaMems, collector)
 			child = collector
 		}
@@ -190,7 +194,6 @@ func (n *Network) addRule(r *compile.Rule) {
 				net:    n,
 				amem:   am,
 				ce:     ce,
-				tokens: make(tokenSet),
 				child:  child,
 				eqTest: eq,
 				prof:   prof,
@@ -198,14 +201,14 @@ func (n *Network) addRule(r *compile.Rule) {
 			if eq >= 0 {
 				jt := &ce.JoinTests[eq]
 				neg.alphaIdx = am.indexField(jt.Field)
-				neg.tokensByVal = make(map[wm.Value]tokenSet)
+				neg.tokensByVal = make(valueIndex[*token])
 			}
 			n.negNodes = append(n.negNodes, neg)
 			cur.succs = append(cur.succs, neg)
 			am.attach(neg)
 			// Flow the existing tokens (initially just the dummy) through
 			// the new node.
-			for t := range cur.tokens {
+			for _, t := range cur.tokens.all() {
 				neg.leftActivate(t)
 			}
 		} else {
@@ -217,7 +220,7 @@ func (n *Network) addRule(r *compile.Rule) {
 			}
 			cur.succs = append(cur.succs, j)
 			am.attach(j)
-			for t := range cur.tokens {
+			for _, t := range cur.tokens.all() {
 				j.leftActivate(t)
 			}
 		}
@@ -271,17 +274,34 @@ func (n *Network) removeWME(w *wm.WME) {
 	delete(n.wmeAlpha, w)
 
 	// 2. Delete every token built on this WME, cascading to descendants.
-	// A token's whole subtree lives in one rule's chain, so the deletion
-	// cascade is attributable to the owner's rule.
-	for _, t := range n.wmeTokens[w] {
+	// A token's whole subtree lives in one rule's chain, so a deletion
+	// cascade belongs to the owner's rule. The WME's tokens interleave
+	// rule by rule, and a clock read costs more than deleting a token, so
+	// the whole removal is timed once and split over the rules by the
+	// number of tokens each loses here.
+	var t0 time.Time
+	if n.profile {
+		t0 = time.Now()
+	}
+	lost := 0
+	for t := n.wmeTokens[w]; t != nil; t = t.wnext {
 		if n.profile && !t.dead && t.owner != nil {
-			prof := t.owner.profOf()
-			t0 := time.Now()
-			n.deleteTokenAndDescendants(t)
-			prof.matchNS += int64(time.Since(t0))
-		} else {
-			n.deleteTokenAndDescendants(t)
+			p := t.owner.profOf()
+			if p.losing == 0 {
+				n.losers = append(n.losers, p)
+			}
+			p.losing++
+			lost++
 		}
+		n.deleteTokenAndDescendants(t)
+	}
+	if lost > 0 {
+		elapsed := int64(time.Since(t0))
+		for _, p := range n.losers {
+			p.matchNS += elapsed * int64(p.losing) / int64(lost)
+			p.losing = 0
+		}
+		n.losers = n.losers[:0]
 	}
 	delete(n.wmeTokens, w)
 
@@ -328,9 +348,10 @@ func (n *Network) deleteTokenAndDescendants(t *token) {
 			continue
 		}
 		cur.dead = true
-		stack = append(stack, cur.children...)
-		cur.children = nil
-		cur.parent = nil
+		for c := cur.child; c != nil; c = c.next {
+			stack = append(stack, c)
+		}
+		cur.child, cur.next, cur.prev, cur.parent = nil, nil, nil, nil
 		if cur.owner != nil {
 			cur.owner.removeToken(cur)
 			cur.owner = nil
@@ -342,16 +363,18 @@ func (n *Network) deleteTokenAndDescendants(t *token) {
 // deleteDescendants removes a token's subtree but keeps the token itself
 // (used by negative nodes when an absence stops holding).
 func (n *Network) deleteDescendants(t *token) {
-	for len(t.children) > 0 {
-		n.deleteTokenAndDescendants(t.children[len(t.children)-1])
+	for t.child != nil {
+		n.deleteTokenAndDescendants(t.child)
 	}
 }
 
 // ConflictSet returns the current instantiations in deterministic order.
 func (n *Network) ConflictSet() []*match.Instantiation {
-	out := make([]*match.Instantiation, 0, len(n.conflictSet))
-	for _, in := range n.conflictSet {
-		out = append(out, in)
+	var out []*match.Instantiation
+	for _, p := range n.prods {
+		for _, t := range p.tokens {
+			out = append(out, t.inst)
+		}
 	}
 	match.SortInstantiations(out)
 	return out
@@ -379,15 +402,17 @@ func (n *Network) MemStats() match.MemStats {
 	var ms match.MemStats
 	for _, am := range n.alphaByTmpl {
 		for _, a := range am {
-			ms.AlphaItems += len(a.wmes)
+			ms.AlphaItems += a.wmes.len()
 		}
 	}
 	for _, b := range n.betaMems {
-		ms.BetaTokens += len(b.tokens)
+		ms.BetaTokens += b.tokens.len()
 	}
 	for _, neg := range n.negNodes {
-		ms.BetaTokens += len(neg.tokens)
+		ms.BetaTokens += neg.tokens.len()
 	}
-	ms.ConflictSet = len(n.conflictSet)
+	for _, p := range n.prods {
+		ms.ConflictSet += len(p.tokens)
+	}
 	return ms
 }

@@ -28,32 +28,50 @@ import (
 // far. Tokens propagated by negative nodes carry a nil wme (they assert
 // the *absence* of a match and add no element to the vector).
 type token struct {
-	parent   *token
-	wme      *wm.WME // nil for the dummy top token and for negative-node children
-	owner    node    // the node whose memory holds this token
-	children []*token
-	// vec is the positive-CE WME vector accumulated so far (shared prefix
-	// copies; small and short-lived).
+	parent *token
+	wme    *wm.WME // nil for the dummy top token and for negative-node children
+	wnext  *token  // next token built on wme (Network.wmeTokens)
+	owner  node    // the node whose memory holds this token
+	// child heads the list of this token's children, linked through next
+	// and prev, so that adding a child and unhooking one are O(1) and
+	// allocate nothing however wide the fan-out.
+	child, next, prev *token
+	// vec is the positive-CE WME vector accumulated so far. buf backs it
+	// for the short vectors nearly every rule has, making a token one
+	// allocation.
 	vec []*wm.WME
+	buf [4]*wm.WME
 	// nresults, for tokens held in a negative node's memory, counts WMEs
 	// currently matching the negated pattern; the token's children exist
 	// iff nresults == 0.
 	nresults int
+	// inst and slot, for tokens held by a production node, are the
+	// token's instantiation and its position in the node's token list.
+	inst *match.Instantiation
+	slot int
 	// dead marks tokens already deleted, so stale entries in the per-WME
 	// indexes are skipped when consumed.
 	dead bool
 }
 
-func (t *token) addChild(c *token) { t.children = append(t.children, c) }
-func (t *token) dropChild(c *token) {
-	for i, x := range t.children {
-		if x == c {
-			last := len(t.children) - 1
-			t.children[i] = t.children[last]
-			t.children = t.children[:last]
-			return
-		}
+func (t *token) addChild(c *token) {
+	c.next = t.child
+	if t.child != nil {
+		t.child.prev = c
 	}
+	t.child = c
+}
+
+func (t *token) dropChild(c *token) {
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		t.child = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	}
+	c.next, c.prev = nil, nil
 }
 
 // node is a beta-layer node that can receive tokens from above and WME
@@ -76,115 +94,96 @@ type rightNode interface {
 	rightRemove(w *wm.WME)
 }
 
-// wmeSet is one hash-index bucket of an alpha memory.
-type wmeSet = map[*wm.WME]struct{}
-
-// tokenSet is one hash-index bucket of a beta/negative memory.
-type tokenSet = map[*token]struct{}
-
 // alphaMem is an alpha memory: the set of WMEs passing one CE's constant
 // and intra-element tests. Alpha memories are shared between structurally
 // identical CEs of the partition's rules.
 type alphaMem struct {
 	// rep is a representative CE carrying the alpha tests.
 	rep   *compile.CondElem
-	wmes  wmeSet
+	wmes  set[*wm.WME]
 	succs []rightNode
 	// byField holds one value index per field some attached node
-	// equality-joins on: byField[f][v] is the subset of wmes whose field f
-	// equals v. Registered at build time, maintained on every add/remove.
-	byField map[int]map[wm.Value]wmeSet
+	// equality-joins on: the subset of wmes whose field equals each value.
+	// Registered at build time, maintained on every add/remove.
+	byField []alphaIndex
+}
+
+type alphaIndex struct {
+	field int
+	idx   valueIndex[*wm.WME]
 }
 
 // indexField registers (or returns the existing) value index over field f,
 // backfilling it from the current memory contents.
-func (am *alphaMem) indexField(f int) map[wm.Value]wmeSet {
-	if idx, ok := am.byField[f]; ok {
-		return idx
+func (am *alphaMem) indexField(f int) valueIndex[*wm.WME] {
+	for _, ai := range am.byField {
+		if ai.field == f {
+			return ai.idx
+		}
 	}
-	if am.byField == nil {
-		am.byField = make(map[int]map[wm.Value]wmeSet)
+	idx := make(valueIndex[*wm.WME])
+	for _, w := range am.wmes.all() {
+		idx.add(w.Fields[f], w)
 	}
-	idx := make(map[wm.Value]wmeSet)
-	for w := range am.wmes {
-		addWMEBucket(idx, w.Fields[f], w)
-	}
-	am.byField[f] = idx
+	am.byField = append(am.byField, alphaIndex{field: f, idx: idx})
 	return idx
 }
 
 func (am *alphaMem) add(w *wm.WME) {
-	am.wmes[w] = struct{}{}
-	for f, idx := range am.byField {
-		addWMEBucket(idx, w.Fields[f], w)
+	am.wmes.add(w)
+	for _, ai := range am.byField {
+		ai.idx.add(w.Fields[ai.field], w)
 	}
 }
 
 func (am *alphaMem) remove(w *wm.WME) {
-	delete(am.wmes, w)
-	for f, idx := range am.byField {
-		dropWMEBucket(idx, w.Fields[f], w)
+	am.wmes.remove(w)
+	for _, ai := range am.byField {
+		ai.idx.remove(w.Fields[ai.field], w)
 	}
 }
-
-func addWMEBucket(idx map[wm.Value]wmeSet, v wm.Value, w *wm.WME) {
-	b := idx[v]
-	if b == nil {
-		b = make(wmeSet)
-		idx[v] = b
-	}
-	b[w] = struct{}{}
-}
-
-func dropWMEBucket(idx map[wm.Value]wmeSet, v wm.Value, w *wm.WME) {
-	if b := idx[v]; b != nil {
-		delete(b, w)
-		if len(b) == 0 {
-			delete(idx, v)
-		}
-	}
-}
-
-// betaKey identifies a beta-memory index: the binding at (positive CE,
-// field) of each stored token's vector.
-type betaKey struct{ ce, field int }
 
 // betaMem stores tokens and forwards them to its child nodes.
 type betaMem struct {
 	net    *Network
-	tokens tokenSet
+	tokens set[*token]
 	succs  []node
 	// byVal holds one value index per (ce, field) binding some successor
 	// join node equality-tests against.
-	byVal map[betaKey]map[wm.Value]tokenSet
+	byVal []betaIndex
 	prof  *ruleProf
+}
+
+// betaIndex indexes a beta memory's tokens by the binding at (positive
+// CE, field) of each token's vector.
+type betaIndex struct {
+	ce, field int
+	idx       valueIndex[*token]
 }
 
 func (b *betaMem) profOf() *ruleProf { return b.prof }
 
 // indexOn registers (or returns the existing) token index on the binding
 // at (ce, field), backfilling from current contents.
-func (b *betaMem) indexOn(ce, field int) map[wm.Value]tokenSet {
-	k := betaKey{ce, field}
-	if idx, ok := b.byVal[k]; ok {
-		return idx
+func (b *betaMem) indexOn(ce, field int) valueIndex[*token] {
+	for _, bi := range b.byVal {
+		if bi.ce == ce && bi.field == field {
+			return bi.idx
+		}
 	}
-	if b.byVal == nil {
-		b.byVal = make(map[betaKey]map[wm.Value]tokenSet)
+	idx := make(valueIndex[*token])
+	for _, t := range b.tokens.all() {
+		idx.add(t.vec[ce].Fields[field], t)
 	}
-	idx := make(map[wm.Value]tokenSet)
-	for t := range b.tokens {
-		addTokenBucket(idx, t.vec[ce].Fields[field], t)
-	}
-	b.byVal[k] = idx
+	b.byVal = append(b.byVal, betaIndex{ce: ce, field: field, idx: idx})
 	return idx
 }
 
 func (b *betaMem) leftActivate(t *token) {
 	t.owner = b
-	b.tokens[t] = struct{}{}
-	for k, idx := range b.byVal {
-		addTokenBucket(idx, t.vec[k.ce].Fields[k.field], t)
+	b.tokens.add(t)
+	for _, bi := range b.byVal {
+		bi.idx.add(t.vec[bi.ce].Fields[bi.field], t)
 	}
 	for _, s := range b.succs {
 		s.leftActivate(t)
@@ -192,27 +191,9 @@ func (b *betaMem) leftActivate(t *token) {
 }
 
 func (b *betaMem) removeToken(t *token) {
-	delete(b.tokens, t)
-	for k, idx := range b.byVal {
-		dropTokenBucket(idx, t.vec[k.ce].Fields[k.field], t)
-	}
-}
-
-func addTokenBucket(idx map[wm.Value]tokenSet, v wm.Value, t *token) {
-	b := idx[v]
-	if b == nil {
-		b = make(tokenSet)
-		idx[v] = b
-	}
-	b[t] = struct{}{}
-}
-
-func dropTokenBucket(idx map[wm.Value]tokenSet, v wm.Value, t *token) {
-	if b := idx[v]; b != nil {
-		delete(b, t)
-		if len(b) == 0 {
-			delete(idx, v)
-		}
+	b.tokens.remove(t)
+	for _, bi := range b.byVal {
+		bi.idx.remove(t.vec[bi.ce].Fields[bi.field], t)
 	}
 }
 
@@ -232,12 +213,12 @@ type joinNode struct {
 	// alphaIdx / betaIdx are the probe indexes when eqTest >= 0: the alpha
 	// memory's WMEs by the tested field, and the parent beta memory's
 	// tokens by the joined binding.
-	alphaIdx map[wm.Value]wmeSet
-	betaIdx  map[wm.Value]tokenSet
-	// scratch is a reused WME vector for filter evaluation; the vector
-	// handed to EvalFilters never escapes it.
-	scratch []*wm.WME
-	prof    *ruleProf
+	alphaIdx valueIndex[*wm.WME]
+	betaIdx  valueIndex[*token]
+	// env is the reused filter-evaluation environment; its vector never
+	// escapes EvalFilters.
+	env  compile.VecEnv
+	prof *ruleProf
 }
 
 func (j *joinNode) profOf() *ruleProf { return j.prof }
@@ -258,33 +239,33 @@ func (j *joinNode) passes(t *token, w *wm.WME) bool {
 	}
 	if len(j.ce.Filters) > 0 {
 		// Filters need the vector including this WME; reuse the node's
-		// scratch buffer rather than allocating per candidate.
-		j.scratch = append(append(j.scratch[:0], t.vec...), w)
-		return match.EvalFilters(j.ce, j.scratch, j.net.opts.EvalMode)
+		// buffer rather than allocating per candidate.
+		j.env.Vec = append(append(j.env.Vec[:0], t.vec...), w)
+		return match.EvalFilters(j.ce, &j.env, j.net.opts.EvalMode)
 	}
 	return true
 }
 
 func (j *joinNode) propagate(t *token, w *wm.WME) {
 	j.prof.tokens++
-	vec := append(append(make([]*wm.WME, 0, len(t.vec)+1), t.vec...), w)
-	nt := &token{parent: t, wme: w, vec: vec}
+	nt := &token{parent: t, wme: w, wnext: j.net.wmeTokens[w]}
+	nt.vec = append(append(nt.buf[:0], t.vec...), w)
 	t.addChild(nt)
-	j.net.wmeTokens[w] = append(j.net.wmeTokens[w], nt)
+	j.net.wmeTokens[w] = nt
 	j.child.leftActivate(nt)
 }
 
 func (j *joinNode) leftActivate(t *token) {
 	if j.eqTest >= 0 {
 		jt := &j.ce.JoinTests[j.eqTest]
-		for w := range j.alphaIdx[t.vec[jt.OtherCE].Fields[jt.OtherField]] {
+		for _, w := range j.alphaIdx[t.vec[jt.OtherCE].Fields[jt.OtherField]].all() {
 			if j.passes(t, w) {
 				j.propagate(t, w)
 			}
 		}
 		return
 	}
-	for w := range j.amem.wmes {
+	for _, w := range j.amem.wmes.all() {
 		if j.passes(t, w) {
 			j.propagate(t, w)
 		}
@@ -299,14 +280,14 @@ func (j *joinNode) removeToken(*token) {
 func (j *joinNode) rightAdd(w *wm.WME) {
 	if j.eqTest >= 0 {
 		jt := &j.ce.JoinTests[j.eqTest]
-		for t := range j.betaIdx[w.Fields[jt.Field]] {
+		for _, t := range j.betaIdx[w.Fields[jt.Field]].all() {
 			if j.passes(t, w) {
 				j.propagate(t, w)
 			}
 		}
 		return
 	}
-	for t := range j.parent.tokens {
+	for _, t := range j.parent.tokens.all() {
 		if j.passes(t, w) {
 			j.propagate(t, w)
 		}
@@ -328,13 +309,13 @@ type negativeNode struct {
 	net    *Network
 	amem   *alphaMem
 	ce     *compile.CondElem
-	tokens tokenSet
+	tokens set[*token]
 	child  node
 	// eqTest / alphaIdx mirror joinNode's hash-join state; tokensByVal
 	// indexes this node's own token memory by the joined binding.
 	eqTest      int
-	alphaIdx    map[wm.Value]wmeSet
-	tokensByVal map[wm.Value]tokenSet
+	alphaIdx    valueIndex[*wm.WME]
+	tokensByVal valueIndex[*token]
 	prof        *ruleProf
 }
 
@@ -381,11 +362,11 @@ func (n *negativeNode) leftActivate(t *token) {
 	n.prof.tokens++
 	nt := &token{parent: t, vec: t.vec, owner: n}
 	t.addChild(nt)
-	n.tokens[nt] = struct{}{}
+	n.tokens.add(nt)
 	if n.eqTest >= 0 {
 		v := n.probeValue(nt)
-		addTokenBucket(n.tokensByVal, v, nt)
-		for w := range n.alphaIdx[v] {
+		n.tokensByVal.add(v, nt)
+		for _, w := range n.alphaIdx[v].all() {
 			if n.passes(nt, w) {
 				nt.nresults++
 				jr := &negJoinResult{owner: nt, wme: w, node: n}
@@ -393,7 +374,7 @@ func (n *negativeNode) leftActivate(t *token) {
 			}
 		}
 	} else {
-		for w := range n.amem.wmes {
+		for _, w := range n.amem.wmes.all() {
 			if n.passes(nt, w) {
 				nt.nresults++
 				jr := &negJoinResult{owner: nt, wme: w, node: n}
@@ -407,9 +388,9 @@ func (n *negativeNode) leftActivate(t *token) {
 }
 
 func (n *negativeNode) removeToken(t *token) {
-	delete(n.tokens, t)
+	n.tokens.remove(t)
 	if n.eqTest >= 0 {
-		dropTokenBucket(n.tokensByVal, n.probeValue(t), t)
+		n.tokensByVal.remove(n.probeValue(t), t)
 	}
 	// This token's join results stay in the per-WME index; they are
 	// filtered out via the dead flag when consumed (Network.removeWME).
@@ -428,14 +409,14 @@ func (n *negativeNode) blockToken(t *token, w *wm.WME) {
 func (n *negativeNode) rightAdd(w *wm.WME) {
 	if n.eqTest >= 0 {
 		jt := &n.ce.JoinTests[n.eqTest]
-		for t := range n.tokensByVal[w.Fields[jt.Field]] {
+		for _, t := range n.tokensByVal[w.Fields[jt.Field]].all() {
 			if n.passes(t, w) {
 				n.blockToken(t, w)
 			}
 		}
 		return
 	}
-	for t := range n.tokens {
+	for _, t := range n.tokens.all() {
 		if n.passes(t, w) {
 			n.blockToken(t, w)
 		}
@@ -447,13 +428,15 @@ func (n *negativeNode) rightRemove(*wm.WME) {
 }
 
 // productionNode terminates a rule's chain and maintains its
-// instantiations.
+// instantiations; the network's conflict set is the union over its
+// production nodes.
 type productionNode struct {
 	net  *Network
 	rule *compile.Rule
-	// insts maps tokens to their instantiations for O(1) retraction.
-	insts map[*token]*match.Instantiation
-	prof  *ruleProf
+	// tokens lists the complete matches; each carries its instantiation
+	// and its index here, for O(1) retraction.
+	tokens []*token
+	prof   *ruleProf
 }
 
 func (p *productionNode) profOf() *ruleProf { return p.prof }
@@ -461,18 +444,17 @@ func (p *productionNode) profOf() *ruleProf { return p.prof }
 func (p *productionNode) leftActivate(t *token) {
 	p.prof.insts++
 	t.owner = p
-	in := match.NewInstantiation(p.rule, t.vec)
-	p.insts[t] = in
-	p.net.conflictSet[in.Key()] = in
-	p.net.coll.Add(in)
+	t.inst = match.NewInstantiation(p.rule, t.vec)
+	t.slot = len(p.tokens)
+	p.tokens = append(p.tokens, t)
+	p.net.coll.Add(t.inst)
 }
 
 func (p *productionNode) removeToken(t *token) {
-	in, ok := p.insts[t]
-	if !ok {
-		return
-	}
-	delete(p.insts, t)
-	delete(p.net.conflictSet, in.Key())
-	p.net.coll.Remove(in)
+	last := p.tokens[len(p.tokens)-1]
+	p.tokens[t.slot] = last
+	last.slot = t.slot
+	p.tokens[len(p.tokens)-1] = nil
+	p.tokens = p.tokens[:len(p.tokens)-1]
+	p.net.coll.Remove(t.inst)
 }

@@ -73,8 +73,10 @@ type Treat struct {
 	// profile gates per-rule match-time attribution (the counters inside
 	// each ruleState's prof are always maintained).
 	profile bool
-	// evalMode is the filter-expression backend (Options.EvalMode).
+	// evalMode is the filter-expression backend (Options.EvalMode); env is
+	// the reused environment filters are evaluated in.
 	evalMode compile.EvalMode
+	env      compile.VecEnv
 }
 
 var _ match.Matcher = (*Treat)(nil)
@@ -414,7 +416,8 @@ func (t *Treat) joinFrom(rs *ruleState, ceIdx int, vec []*wm.WME, seedPos int, s
 			}
 		}
 		vec[p] = w
-		if match.EvalFilters(ce, vec[:p+1], t.evalMode) {
+		t.env.Vec = vec[:p+1]
+		if match.EvalFilters(ce, &t.env, t.evalMode) {
 			rs.prof.tokens++
 			t.joinFrom(rs, ceIdx+1, vec, seedPos, seed, negSeed)
 		}

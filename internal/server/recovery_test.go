@@ -401,3 +401,109 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 		t.Fatalf("deleted session recovered after restart: status %d", st)
 	}
 }
+
+// TestRehydrationRebuildsRedactionState: the engine's meta level (images of
+// eligible instantiations, stored meta-matches, kill counts) is derived
+// state — no checkpoint or log record carries it. A session evicted between
+// two runs and rehydrated from its checkpoint must continue exactly like a
+// control that stayed resident: same per-run cycles, firings and
+// redactions, same snapshot.
+//
+// In the first program fired instantiations stay in the conflict set,
+// refracted, and the meta-rule would let any of them redact every later
+// one: rehydration that reified the restored refraction set would fire
+// nothing in the second run. alexsys is the redaction-bound builtin.
+func TestRehydrationRebuildsRedactionState(t *testing.T) {
+	const persistentSrc = `
+(literalize item n)
+(literalize out n)
+(rule emit (item ^n <n>) --> (make out ^n <n>))
+(metarule one-at-a-time
+  [<i> (emit ^n <a>)]
+  [<j> (emit ^n <b>)]
+  (test (< <a> <b>))
+-->
+  (redact <j>))
+`
+	ints := func(template string, rows ...map[string]int64) assertRequest {
+		var req assertRequest
+		for _, row := range rows {
+			f := factPayload{Template: template, Fields: map[string]jsonValue{}}
+			for k, v := range row {
+				f.Fields[k] = jsonValue{V: wm.Int(v)}
+			}
+			req.Facts = append(req.Facts, f)
+		}
+		return req
+	}
+	items := func(from, to int64) assertRequest {
+		var rows []map[string]int64
+		for n := from; n < to; n++ {
+			rows = append(rows, map[string]int64{"n": n})
+		}
+		return ints("item", rows...)
+	}
+	alexsysFacts := func(pools, orders [2]int64) []assertRequest {
+		var ps, os assertRequest
+		for p := pools[0]; p < pools[1]; p++ {
+			ps.Facts = append(ps.Facts, factPayload{Template: "pool", Fields: map[string]jsonValue{
+				"id": {V: wm.Int(p)}, "amount": {V: wm.Int(20 + 7*p%60)}, "status": {V: wm.Sym("free")}}})
+		}
+		for o := orders[0]; o < orders[1]; o++ {
+			os.Facts = append(os.Facts, factPayload{Template: "order", Fields: map[string]jsonValue{
+				"id": {V: wm.Int(o)}, "lo": {V: wm.Int(15 + 5*o%40)}, "hi": {V: wm.Int(45 + 5*o%40)}, "filled": {V: wm.Sym("no")}}})
+		}
+		return []assertRequest{ps, os}
+	}
+	cases := []struct {
+		name   string
+		create createSessionRequest
+		phases [2][]assertRequest
+	}{
+		{"persistent", createSessionRequest{Source: persistentSrc}, [2][]assertRequest{{items(0, 6)}, {items(6, 10)}}},
+		{"alexsys", createSessionRequest{Program: "alexsys"}, [2][]assertRequest{
+			alexsysFacts([2]int64{0, 12}, [2]int64{0, 6}), alexsysFacts([2]int64{12, 20}, [2]int64{6, 16})}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{DataDir: t.TempDir(), MaxSessions: 2, CheckpointEvery: 1})
+			drive := func(url string, phase []assertRequest) runResponse {
+				for _, req := range phase {
+					if st := call(t, "POST", url+"/facts", req, nil); st != http.StatusOK {
+						t.Fatalf("assert: status %d", st)
+					}
+				}
+				return runSession(t, url)
+			}
+			control := ts.URL + "/api/v1/sessions/" + createSession(t, ts.URL, tc.create).ID
+			want1 := drive(control, tc.phases[0])
+			want2 := drive(control, tc.phases[1])
+			wantSnap := exportSnapshot(t, control)
+			if want1.Redactions == 0 || want2.Redactions == 0 || want2.Firings == 0 {
+				t.Fatalf("runs too tame to test anything: %+v then %+v", want1, want2)
+			}
+
+			subject := createSession(t, ts.URL, tc.create) // pool now full
+			url := ts.URL + "/api/v1/sessions/" + subject.ID
+			if got := drive(url, tc.phases[0]); got.Cycles != want1.Cycles || got.Firings != want1.Firings || got.Redactions != want1.Redactions {
+				t.Fatalf("first run differs before any eviction: %+v vs %+v", got, want1)
+			}
+			// Two more sessions push the subject (and the control) out.
+			createSession(t, ts.URL, createSessionRequest{Source: boundedSrc})
+			createSession(t, ts.URL, createSessionRequest{Source: boundedSrc})
+			s.mu.Lock()
+			_, live := s.sessions[subject.ID]
+			s.mu.Unlock()
+			if live {
+				t.Fatal("subject session not evicted")
+			}
+			got2 := drive(url, tc.phases[1]) // rehydrates
+			if got2.Cycles != want2.Cycles || got2.Firings != want2.Firings || got2.Redactions != want2.Redactions || got2.WMSize != want2.WMSize {
+				t.Fatalf("second run after rehydration: %+v, resident control: %+v", got2, want2)
+			}
+			if gotSnap := exportSnapshot(t, url); gotSnap != wantSnap {
+				t.Fatalf("snapshot after rehydration differs:\n-- got --\n%s\n-- want --\n%s", gotSnap, wantSnap)
+			}
+		})
+	}
+}

@@ -13,13 +13,14 @@ import (
 )
 
 // matrixConfigs samples the engine configuration space: worker counts,
-// matchers, redaction semantics and partition strategies.
+// matchers (for the object level and the meta level alike) and partition
+// strategies.
 func matrixConfigs() []core.Options {
 	return []core.Options{
 		{Workers: 1, Matcher: rete.New, MaxCycles: 1 << 16},
 		{Workers: 4, Matcher: treat.New, MaxCycles: 1 << 16, Partition: core.PartitionLPT},
-		{Workers: 4, Matcher: rete.New, MaxCycles: 1 << 16, SequentialRedaction: true, Partition: core.PartitionBlock},
-		{Workers: 8, Matcher: treat.New, MaxCycles: 1 << 16, DisableRedactionIndex: true},
+		{Workers: 4, Matcher: rete.New, MaxCycles: 1 << 16, Partition: core.PartitionBlock},
+		{Workers: 8, Matcher: treat.New, MaxCycles: 1 << 16},
 	}
 }
 
@@ -28,16 +29,11 @@ func configName(o core.Options) string {
 	if reflect.ValueOf(o.Matcher).Pointer() == reflect.ValueOf(match.Factory(treat.New)).Pointer() {
 		matcher = "treat"
 	}
-	sem := "sync"
-	if o.SequentialRedaction {
-		sem = "seq"
-	}
-	return fmt.Sprintf("w%d-%s-%s-%v", o.Workers, matcher, sem, o.Partition)
+	return fmt.Sprintf("w%d-%s-%v", o.Workers, matcher, o.Partition)
 }
 
 // TestConfigurationMatrix runs every workload under every sampled
-// configuration and validates the domain invariants. The exact winners
-// may differ between redaction semantics, but validity must not.
+// configuration and validates the domain invariants.
 func TestConfigurationMatrix(t *testing.T) {
 	for _, opts := range matrixConfigs() {
 		opts := opts

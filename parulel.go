@@ -232,9 +232,6 @@ type Config struct {
 	Tracer Tracer
 	// Partition selects the rule distribution strategy (PARULEL only).
 	Partition Partition
-	// SequentialRedaction selects the sequential redaction semantics
-	// (PARULEL only); see docs/LANGUAGE.md §5.
-	SequentialRedaction bool
 	// EvalMode selects the expression backend (bytecode VM by default).
 	EvalMode EvalMode
 }
@@ -281,15 +278,14 @@ func NewEngine(p *Program, cfg Config) *Engine {
 		})}
 	default:
 		return &Engine{par: core.New(p.compiled, core.Options{
-			Workers:             cfg.Workers,
-			Matcher:             cfg.factory(),
-			Output:              cfg.Output,
-			MaxCycles:           cfg.MaxCycles,
-			Trace:               cfg.Trace,
-			Tracer:              cfg.Tracer,
-			Partition:           cfg.Partition,
-			SequentialRedaction: cfg.SequentialRedaction,
-			EvalMode:            cfg.EvalMode,
+			Workers:   cfg.Workers,
+			Matcher:   cfg.factory(),
+			Output:    cfg.Output,
+			MaxCycles: cfg.MaxCycles,
+			Trace:     cfg.Trace,
+			Tracer:    cfg.Tracer,
+			Partition: cfg.Partition,
+			EvalMode:  cfg.EvalMode,
 		})}
 	}
 }
