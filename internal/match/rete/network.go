@@ -2,6 +2,7 @@ package rete
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,11 +18,12 @@ type Options struct {
 	// path. Exists for ablation measurements (experiment E11); production
 	// callers should leave it false.
 	DisableJoinIndex bool
-	// Profile attributes match time per rule: every top-level beta
-	// activation (and token-deletion cascade) is timed and charged to the
-	// owning rule's profile, at the cost of two clock reads per
-	// activation. The activity counters (tokens, probes, instantiations)
-	// are maintained regardless; Profile only gates the timing.
+	// Profile attributes match time per rule: the addition or removal of
+	// each WME is timed, at the cost of two monotonic clock reads, and the
+	// time split over the rules it activated in proportion to the work —
+	// tokens built, join candidates tested, tokens deleted — each did for
+	// it. The activity counters (tokens, probes, instantiations) are
+	// maintained regardless; Profile only gates the timing.
 	Profile bool
 	// EvalMode selects the filter-expression backend: the bytecode VM
 	// (the zero value, the default) or the tree-walking interpreter
@@ -39,9 +41,10 @@ type ruleProf struct {
 	tokens  uint64
 	probes  uint64
 	insts   uint64
-	// losing counts the tokens this rule is losing to the WME removal in
-	// progress (Network.removeWME); zero between removals.
-	losing int
+	// lost counts the tokens deleted from the rule's memories. paid is how
+	// much of the rule's work — tokens+probes+lost — matchNS has been
+	// charged for, and due is Network.charge's scratch.
+	lost, paid, due uint64
 }
 
 // Network is a RETE network over a partition of rules. It implements
@@ -53,11 +56,12 @@ type Network struct {
 	alphaByTmpl map[*wm.Template][]*alphaMem
 	alphaBySig  map[string]*alphaMem
 
-	// Per-WME bookkeeping (WMEs are shared across partitions, so RETE
-	// state cannot live on the WME itself).
-	wmeAlpha      map[*wm.WME][]*alphaMem
-	wmeTokens     map[*wm.WME]*token // head of the list through token.wnext
-	wmeNegResults map[*wm.WME][]*negJoinResult
+	// recs holds the record of every WME some alpha memory holds (WMEs are
+	// shared across partitions, so RETE state cannot live on the WME
+	// itself). It is consulted once per WME addition and removal.
+	recs map[*wm.WME]*wmeRec
+	// matched is addWME's scratch list of the alpha memories a WME passes.
+	matched []*alphaMem
 
 	coll *match.ChangeCollector
 
@@ -66,12 +70,13 @@ type Network struct {
 	prods    []*productionNode
 
 	// profs holds one profile per rule, in declaration order of the
-	// partition. profile gates the timing attribution only.
+	// partition. profile gates the timing attribution only: epoch is when
+	// the Apply in progress began and clock how far into it the last lap
+	// ended.
 	profs   []*ruleProf
 	profile bool
-
-	// losers is removeWME's scratch list of the rules losing tokens.
-	losers []*ruleProf
+	epoch   time.Time
+	clock   time.Duration
 
 	// delStack is the reused traversal stack of deleteTokenAndDescendants,
 	// so deep token chains neither recurse nor reallocate per deletion.
@@ -92,15 +97,13 @@ func Factory(opts Options) match.Factory {
 // NewWithOptions builds a RETE network for the given rules.
 func NewWithOptions(rules []*compile.Rule, opts Options) match.Matcher {
 	n := &Network{
-		rules:         rules,
-		opts:          opts,
-		alphaByTmpl:   make(map[*wm.Template][]*alphaMem),
-		alphaBySig:    make(map[string]*alphaMem),
-		wmeAlpha:      make(map[*wm.WME][]*alphaMem),
-		wmeTokens:     make(map[*wm.WME]*token),
-		wmeNegResults: make(map[*wm.WME][]*negJoinResult),
-		coll:          match.NewChangeCollector(),
-		profile:       opts.Profile,
+		rules:       rules,
+		opts:        opts,
+		alphaByTmpl: make(map[*wm.Template][]*alphaMem),
+		alphaBySig:  make(map[string]*alphaMem),
+		recs:        make(map[*wm.WME]*wmeRec),
+		coll:        match.NewChangeCollector(),
+		profile:     opts.Profile,
 	}
 	for _, r := range rules {
 		n.addRule(r)
@@ -143,13 +146,17 @@ func (n *Network) alpha(ce *compile.CondElem) *alphaMem {
 // so that, within a rule chain, deeper nodes are right-activated first —
 // the standard RETE ordering that prevents duplicate propagation when one
 // WME feeds two join levels through a shared alpha memory.
-func (am *alphaMem) attach(rn rightNode) {
+func (am *alphaMem) attach(rn rightNode, prof *ruleProf) {
 	am.succs = append([]rightNode{rn}, am.succs...)
+	if !slices.Contains(am.profs, prof) {
+		am.profs = append(am.profs, prof)
+	}
 }
 
 // eqJoinTest picks the equality join test the hash indexes are built on:
-// the first OpEq test (strict equality — exactly map-key equality over
-// wm.Value). Returns -1 when the CE has none or indexing is disabled.
+// the first OpEq test (strict equality — == over wm.Value, which is the
+// value indexes' key equality). Returns -1 when the CE has none or indexing
+// is disabled.
 func (n *Network) eqJoinTest(ce *compile.CondElem) int {
 	if n.opts.DisableJoinIndex {
 		return -1
@@ -168,61 +175,57 @@ func (n *Network) eqJoinTest(ce *compile.CondElem) int {
 func (n *Network) addRule(r *compile.Rule) {
 	prof := &ruleProf{name: r.Name}
 	n.profs = append(n.profs, prof)
-	top := &betaMem{net: n, prof: prof}
-	n.betaMems = append(n.betaMems, top)
-	dummy := &token{vec: nil, owner: top}
-	top.tokens.add(dummy)
+	// newMem makes the beta memory that the node of CE next reads. A join
+	// node with an equality test reads it by the joined binding, so the
+	// memory is bucketed by that; anything else gets a list.
+	newMem := func(next int) *betaMem {
+		b := &betaMem{net: n, prof: prof}
+		if ce := r.CEs[next]; !ce.Negated {
+			if eq := n.eqJoinTest(ce); eq >= 0 {
+				b.mem = bucketedBy(&ce.JoinTests[eq])
+			}
+		}
+		n.betaMems = append(n.betaMems, b)
+		return b
+	}
+	cur := newMem(0)
+	cur.mem.add(&token{owner: cur})
 
-	cur := top
 	for i, ce := range r.CEs {
-		last := i == len(r.CEs)-1
 		var child node
 		var collector *betaMem
-		if last {
+		if i == len(r.CEs)-1 {
 			prod := &productionNode{net: n, rule: r, prof: prof}
 			n.prods = append(n.prods, prod)
 			child = prod
 		} else {
-			collector = &betaMem{net: n, prof: prof}
-			n.betaMems = append(n.betaMems, collector)
+			collector = newMem(i + 1)
 			child = collector
 		}
 		am := n.alpha(ce)
 		eq := n.eqJoinTest(ce)
+		var alphaIdx *valueIndex[*wmeRec]
+		if eq >= 0 {
+			alphaIdx = am.indexField(ce.JoinTests[eq].Field)
+		}
+		var succ rightNode
 		if ce.Negated {
-			neg := &negativeNode{
-				net:    n,
-				amem:   am,
-				ce:     ce,
-				child:  child,
-				eqTest: eq,
-				prof:   prof,
-			}
+			neg := &negativeNode{net: n, amem: am, ce: ce, child: child, eqTest: eq, alphaIdx: alphaIdx, prof: prof}
 			if eq >= 0 {
-				jt := &ce.JoinTests[eq]
-				neg.alphaIdx = am.indexField(jt.Field)
-				neg.tokensByVal = make(valueIndex[*token])
+				neg.mem = bucketedBy(&ce.JoinTests[eq])
 			}
 			n.negNodes = append(n.negNodes, neg)
-			cur.succs = append(cur.succs, neg)
-			am.attach(neg)
-			// Flow the existing tokens (initially just the dummy) through
-			// the new node.
-			for _, t := range cur.tokens.all() {
-				neg.leftActivate(t)
-			}
+			succ = neg
 		} else {
-			j := &joinNode{net: n, parent: cur, amem: am, ce: ce, child: child, eqTest: eq, prof: prof}
-			if eq >= 0 {
-				jt := &ce.JoinTests[eq]
-				j.alphaIdx = am.indexField(jt.Field)
-				j.betaIdx = cur.indexOn(jt.OtherCE, jt.OtherField)
-			}
-			cur.succs = append(cur.succs, j)
-			am.attach(j)
-			for _, t := range cur.tokens.all() {
-				j.leftActivate(t)
-			}
+			succ = &joinNode{net: n, parent: cur, amem: am, ce: ce, child: child, eqTest: eq, alphaIdx: alphaIdx, prof: prof}
+		}
+		cur.succs = append(cur.succs, succ)
+		am.attach(succ, prof)
+		// Flow the existing tokens through the new node: the dummy, and
+		// below leading negated CEs the tokens it has already produced.
+		// They bind nothing, so the memory holding them is never indexed.
+		for _, t := range cur.mem.list {
+			succ.leftActivate(t)
 		}
 		cur = collector
 	}
@@ -233,6 +236,9 @@ func (n *Network) addRule(r *compile.Rule) {
 // one delta (e.g. created by one WME and retracted by a later WME's
 // negative match).
 func (n *Network) Apply(delta wm.Delta) match.Changes {
+	if n.profile {
+		n.epoch, n.clock = time.Now(), 0
+	}
 	for _, w := range delta.Removed {
 		n.removeWME(w)
 	}
@@ -242,86 +248,123 @@ func (n *Network) Apply(delta wm.Delta) match.Changes {
 	return n.coll.Take()
 }
 
-func (n *Network) addWME(w *wm.WME) {
-	for _, am := range n.alphaByTmpl[w.Tmpl] {
-		if !am.rep.MatchesAlpha(w) {
-			continue
-		}
-		am.add(w)
-		n.wmeAlpha[w] = append(n.wmeAlpha[w], am)
-		// Each right activation cascades only through its own rule's
-		// private beta chain, so timing the top-level call attributes the
-		// whole subtree to that rule.
-		if n.profile {
-			for _, s := range am.succs {
-				t0 := time.Now()
-				s.rightAdd(w)
-				s.profOf().matchNS += int64(time.Since(t0))
+// lap returns the time since the previous lap of this Apply, at the cost
+// of one monotonic clock read.
+func (n *Network) lap() int64 {
+	now := time.Since(n.epoch)
+	d := now - n.clock
+	n.clock = now
+	return int64(d)
+}
+
+// charge splits the lap just ended, spent adding or removing r's WME,
+// over the rules that did the work. Only rules with a node on one of the
+// WME's alpha memories can have: a right activation, a token built on the
+// WME and a negative join result all start there, and their cascades stay
+// in the rule's private beta chain. The activations of one WME interleave
+// rule by rule, and a clock read costs more than building a token — a
+// time.Now and time.Since around every activation, as the profile used to
+// take, were 5–6% of a waltz run — so the WME is timed once and the time
+// split by work counts.
+func (n *Network) charge(r *wmeRec) {
+	elapsed := float64(n.lap())
+	var total uint64
+	for i := range r.mems {
+		for _, p := range r.mems[i].am.profs {
+			if d := p.tokens + p.probes + p.lost - p.paid; d > 0 {
+				p.due = d
+				p.paid += d
+				total += d
 			}
-		} else {
-			for _, s := range am.succs {
-				s.rightAdd(w)
+		}
+	}
+	// A rule on two of the memories is due nothing the second time round.
+	for i := range r.mems {
+		for _, p := range r.mems[i].am.profs {
+			if p.due > 0 {
+				p.matchNS += int64(elapsed * float64(p.due) / float64(total))
+				p.due = 0
 			}
 		}
 	}
 }
 
-func (n *Network) removeWME(w *wm.WME) {
-	// 1. Remove from alpha memories so in-flight joins no longer see it.
-	for _, am := range n.wmeAlpha[w] {
-		am.remove(w)
+func (n *Network) addWME(w *wm.WME) {
+	matched, npos := n.matched[:0], 0
+	for _, am := range n.alphaByTmpl[w.Tmpl] {
+		if am.rep.MatchesAlpha(w) {
+			matched = append(matched, am)
+			npos += 1 + len(am.byField)
+		}
 	}
-	delete(n.wmeAlpha, w)
+	n.matched = matched
+	if len(matched) == 0 {
+		return
+	}
+	if n.profile {
+		n.lap() // the alpha tests are no rule's
+	}
+	r := &wmeRec{wme: w}
+	n.recs[w] = r
+	r.mems = fit(r.memBuf[:], len(matched))
+	pos := fit(r.posBuf[:], npos)
+	for i, am := range matched {
+		m := &r.mems[i]
+		m.am, m.pos, pos = am, pos[:1+len(am.byField)], pos[1+len(am.byField):]
+		// A memory's successors are activated before the WME enters the
+		// next memory: a token they build must not find the WME there
+		// ahead of that memory's own right activation.
+		am.add(r, m)
+		for _, s := range am.succs {
+			s.rightAdd(r)
+		}
+	}
+	if n.profile {
+		n.charge(r)
+	}
+}
+
+// fit returns n elements of buf, or of a new slice when buf is too short.
+func fit[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+func (n *Network) removeWME(w *wm.WME) {
+	r := n.recs[w]
+	if r == nil {
+		return
+	}
+	delete(n.recs, w)
+
+	// 1. Remove from alpha memories so in-flight joins no longer see it.
+	for i := range r.mems {
+		r.mems[i].am.remove(r, &r.mems[i])
+	}
 
 	// 2. Delete every token built on this WME, cascading to descendants.
-	// A token's whole subtree lives in one rule's chain, so a deletion
-	// cascade belongs to the owner's rule. The WME's tokens interleave
-	// rule by rule, and a clock read costs more than deleting a token, so
-	// the whole removal is timed once and split over the rules by the
-	// number of tokens each loses here.
-	var t0 time.Time
 	if n.profile {
-		t0 = time.Now()
+		n.lap()
 	}
-	lost := 0
-	for t := n.wmeTokens[w]; t != nil; t = t.wnext {
-		if n.profile && !t.dead && t.owner != nil {
-			p := t.owner.profOf()
-			if p.losing == 0 {
-				n.losers = append(n.losers, p)
-			}
-			p.losing++
-			lost++
-		}
+	for t := r.tokens; t != nil; t = t.wnext {
 		n.deleteTokenAndDescendants(t)
 	}
-	if lost > 0 {
-		elapsed := int64(time.Since(t0))
-		for _, p := range n.losers {
-			p.matchNS += elapsed * int64(p.losing) / int64(lost)
-			p.losing = 0
-		}
-		n.losers = n.losers[:0]
-	}
-	delete(n.wmeTokens, w)
 
 	// 3. Negative join results: the blocked tokens may become unblocked.
-	for _, jr := range n.wmeNegResults[w] {
-		if jr.owner.dead {
+	for _, jr := range r.neg {
+		if jr.owner.dead() {
 			continue
 		}
 		jr.owner.nresults--
 		if jr.owner.nresults == 0 {
-			if n.profile {
-				t0 := time.Now()
-				jr.node.propagate(jr.owner)
-				jr.node.prof.matchNS += int64(time.Since(t0))
-			} else {
-				jr.node.propagate(jr.owner)
-			}
+			jr.node.propagate(jr.owner)
 		}
 	}
-	delete(n.wmeNegResults, w)
+	if n.profile {
+		n.charge(r)
+	}
 }
 
 // deleteTokenAndDescendants removes a token and its whole subtree,
@@ -332,7 +375,7 @@ func (n *Network) removeWME(w *wm.WME) {
 // token trees deep enough that recursion risks unbounded goroutine stack
 // growth.
 func (n *Network) deleteTokenAndDescendants(t *token) {
-	if t.dead {
+	if t.dead() {
 		return
 	}
 	// Unhook the root from its (still live) parent; every descendant's
@@ -344,10 +387,9 @@ func (n *Network) deleteTokenAndDescendants(t *token) {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if cur.dead {
+		if cur.dead() {
 			continue
 		}
-		cur.dead = true
 		for c := cur.child; c != nil; c = c.next {
 			stack = append(stack, c)
 		}
@@ -356,6 +398,7 @@ func (n *Network) deleteTokenAndDescendants(t *token) {
 			cur.owner.removeToken(cur)
 			cur.owner = nil
 		}
+		cur.slot = deadSlot
 	}
 	n.delStack = stack[:0]
 }
@@ -372,7 +415,7 @@ func (n *Network) deleteDescendants(t *token) {
 func (n *Network) ConflictSet() []*match.Instantiation {
 	var out []*match.Instantiation
 	for _, p := range n.prods {
-		for _, t := range p.tokens {
+		for _, t := range p.mem.list {
 			out = append(out, t.inst)
 		}
 	}
@@ -402,17 +445,17 @@ func (n *Network) MemStats() match.MemStats {
 	var ms match.MemStats
 	for _, am := range n.alphaByTmpl {
 		for _, a := range am {
-			ms.AlphaItems += a.wmes.len()
+			ms.AlphaItems += len(a.wmes)
 		}
 	}
 	for _, b := range n.betaMems {
-		ms.BetaTokens += b.tokens.len()
+		ms.BetaTokens += b.mem.len()
 	}
 	for _, neg := range n.negNodes {
-		ms.BetaTokens += neg.tokens.len()
+		ms.BetaTokens += neg.mem.len()
 	}
 	for _, p := range n.prods {
-		ms.ConflictSet += len(p.tokens)
+		ms.ConflictSet += p.mem.len()
 	}
 	return ms
 }

@@ -7,10 +7,18 @@
 // Join and negative nodes with at least one equality join test are
 // hash-indexed (Doorenbos' "memory indexing"): the alpha memory keeps a
 // per-field value index and the parent beta memory (or the negative node's
-// own token memory) an index on the corresponding token binding, so each
-// activation probes one bucket instead of scanning the whole opposite
+// own token memory) is bucketed by the corresponding token binding, so
+// each activation probes one bucket instead of scanning the whole opposite
 // memory. Nodes without an equality test keep the nested-loop path, and
 // Options.DisableJoinIndex forces it everywhere for ablation measurements.
+//
+// The memories use no Go maps. Membership is intrusive: a token records
+// its position in the one memory that holds it, and everything the network
+// knows about a WME — the alpha memories holding it and where, the tokens
+// built on it, the negative join results it causes — hangs off one
+// network-private record (wmeRec) that alpha memories and their indexes
+// hold in place of the *wm.WME. WMEs themselves are shared, read-only,
+// between the networks of different workers; nothing is written to them.
 //
 // Each Network instance owns a partition of rules and is used by exactly
 // one goroutine; the PARULEL engine achieves match parallelism by running
@@ -19,19 +27,20 @@
 package rete
 
 import (
+	"slices"
+
 	"parulel/internal/compile"
 	"parulel/internal/match"
 	"parulel/internal/wm"
 )
 
 // token is a partial match: a chain of WMEs, one per positive CE joined so
-// far. Tokens propagated by negative nodes carry a nil wme (they assert
-// the *absence* of a match and add no element to the vector).
+// far. Tokens propagated by negative nodes add no element to the vector
+// (they assert the *absence* of a match).
 type token struct {
 	parent *token
-	wme    *wm.WME // nil for the dummy top token and for negative-node children
-	wnext  *token  // next token built on wme (Network.wmeTokens)
-	owner  node    // the node whose memory holds this token
+	wnext  *token // next token built on the same WME (wmeRec.tokens)
+	owner  node   // the node whose memory holds this token
 	// child heads the list of this token's children, linked through next
 	// and prev, so that adding a child and unhooking one are O(1) and
 	// allocate nothing however wide the fan-out.
@@ -41,18 +50,25 @@ type token struct {
 	// allocation.
 	vec []*wm.WME
 	buf [4]*wm.WME
+	// inst, for tokens held by a production node, is the token's
+	// instantiation.
+	inst *match.Instantiation
+	// slot is the token's position in its owner's memory: in the list, or
+	// in its bucket when the memory is indexed. It is deadSlot once the
+	// token is deleted, so stale entries in the per-WME lists are skipped
+	// when consumed.
+	slot int32
 	// nresults, for tokens held in a negative node's memory, counts WMEs
 	// currently matching the negated pattern; the token's children exist
 	// iff nresults == 0.
-	nresults int
-	// inst and slot, for tokens held by a production node, are the
-	// token's instantiation and its position in the node's token list.
-	inst *match.Instantiation
-	slot int
-	// dead marks tokens already deleted, so stale entries in the per-WME
-	// indexes are skipped when consumed.
-	dead bool
+	nresults int32
 }
+
+const deadSlot = -1
+
+func (t *token) dead() bool { return t.slot == deadSlot }
+
+func (t *token) keyAt(ce, field int) wm.Value { return t.vec[ce].Fields[field] }
 
 func (t *token) addChild(c *token) {
 	c.next = t.child
@@ -74,24 +90,154 @@ func (t *token) dropChild(c *token) {
 	c.next, c.prev = nil, nil
 }
 
-// node is a beta-layer node that can receive tokens from above and WME
-// (right) activations from an alpha memory.
+// tokenMem is the token store of a beta memory, negative node or
+// production node: a dense list, or — when the node reading it
+// equality-joins — the buckets of a value index and nothing else. Which
+// is fixed when the network is built. Either way token.slot is the
+// token's position, so removal looks nothing up.
+type tokenMem struct {
+	list    []*token
+	idx     valueIndex[*token]
+	indexed bool
+}
+
+// bucketedBy returns an empty memory bucketed by the token-side binding of
+// an equality join test.
+func bucketedBy(jt *compile.JoinTest) tokenMem {
+	return tokenMem{indexed: true, idx: valueIndex[*token]{ce: jt.OtherCE, field: jt.OtherField}}
+}
+
+func (m *tokenMem) len() int {
+	if m.indexed {
+		return m.idx.n
+	}
+	return len(m.list)
+}
+
+func (m *tokenMem) add(t *token) {
+	if m.indexed {
+		t.slot = int32(m.idx.add(t))
+		return
+	}
+	t.slot = int32(len(m.list))
+	m.list = append(m.list, t)
+}
+
+func (m *tokenMem) remove(t *token) {
+	if m.indexed {
+		if moved, ok := m.idx.remove(t, int(t.slot)); ok {
+			moved.slot = t.slot
+		}
+		return
+	}
+	last := len(m.list) - 1
+	moved := m.list[last]
+	m.list[t.slot] = moved
+	moved.slot = t.slot
+	m.list[last] = nil
+	m.list = m.list[:last]
+}
+
+// wmeRec is everything one network knows about one WME. WMEs are shared
+// between the networks of different workers and never written to, so each
+// network keeps its own record, found through Network.recs once per WME
+// addition and removal; alpha memories and tokens reach it by pointer.
+type wmeRec struct {
+	wme *wm.WME
+	// mems lists the alpha memories holding the WME and where.
+	mems []membership
+	// tokens heads the list, through token.wnext, of the tokens whose last
+	// element is this WME, and neg lists the negative-node tokens the WME
+	// blocks. A token deleted from above stays on both until the WME goes
+	// or, so that a long-lived WME joined with short-lived ones does not
+	// collect them for ever, until the dead outnumber the living: ntokens
+	// counts the list and is checked against sweepAt, neg is swept when
+	// it would have to grow.
+	tokens           *token
+	neg              []negJoinResult
+	ntokens, sweepAt int32
+	// memBuf and posBuf back mems and its positions for a WME in a couple
+	// of alpha memories, which nearly every WME is, making a record one
+	// allocation.
+	memBuf [2]membership
+	posBuf [4]int32
+}
+
+func (r *wmeRec) keyAt(_, field int) wm.Value { return r.wme.Fields[field] }
+
+// addToken puts t, just built on r's WME, on its token list.
+func (r *wmeRec) addToken(t *token) {
+	if r.ntokens >= r.sweepAt {
+		r.ntokens = 0
+		for p := &r.tokens; *p != nil; {
+			if (*p).dead() {
+				*p = (*p).wnext
+			} else {
+				r.ntokens++
+				p = &(*p).wnext
+			}
+		}
+		r.sweepAt = 2*r.ntokens + 8
+	}
+	t.wnext = r.tokens
+	r.tokens = t
+	r.ntokens++
+}
+
+// addNeg records that r's WME blocks the negative node's token t.
+func (r *wmeRec) addNeg(t *token, n *negativeNode) {
+	if len(r.neg) == cap(r.neg) {
+		live := r.neg[:0]
+		for _, jr := range r.neg {
+			if !jr.owner.dead() {
+				live = append(live, jr)
+			}
+		}
+		clear(r.neg[len(live):])
+		if r.neg = live; 2*len(live) > cap(live) {
+			r.neg = slices.Grow(live, cap(live))
+		}
+	}
+	r.neg = append(r.neg, negJoinResult{owner: t, node: n})
+}
+
+// membership is a WME's place in one alpha memory: pos[0] is its position
+// in the memory's list, pos[1+k] its position in its bucket of the
+// memory's k-th field index.
+type membership struct {
+	am  *alphaMem
+	pos []int32
+}
+
+// in returns r's membership of am.
+func (r *wmeRec) in(am *alphaMem) *membership {
+	for i := range r.mems {
+		if r.mems[i].am == am {
+			return &r.mems[i]
+		}
+	}
+	panic("rete: WME record is not in the alpha memory")
+}
+
+// negJoinResult records that a WME matches a negative node's token.
+type negJoinResult struct {
+	owner *token
+	node  *negativeNode
+}
+
+// node is a beta-layer node that can receive tokens from above.
 type node interface {
 	// leftActivate receives a new token from the parent node.
 	leftActivate(t *token)
 	// removeToken removes a token from this node's memory (cascade
 	// deletion has already handled its children).
 	removeToken(t *token)
-	// profOf returns the owning rule's profile. Beta-layer nodes are
-	// private to one rule's chain, so the mapping is total.
-	profOf() *ruleProf
 }
 
 // rightNode additionally receives alpha-memory activations.
 type rightNode interface {
 	node
-	rightAdd(w *wm.WME)
-	rightRemove(w *wm.WME)
+	rightAdd(r *wmeRec)
 }
 
 // alphaMem is an alpha memory: the set of WMEs passing one CE's constant
@@ -100,101 +246,72 @@ type rightNode interface {
 type alphaMem struct {
 	// rep is a representative CE carrying the alpha tests.
 	rep   *compile.CondElem
-	wmes  set[*wm.WME]
+	wmes  []*wmeRec
 	succs []rightNode
+	// profs lists the rules with a node among succs, each once.
+	profs []*ruleProf
 	// byField holds one value index per field some attached node
 	// equality-joins on: the subset of wmes whose field equals each value.
 	// Registered at build time, maintained on every add/remove.
-	byField []alphaIndex
+	byField []*valueIndex[*wmeRec]
 }
 
-type alphaIndex struct {
-	field int
-	idx   valueIndex[*wm.WME]
-}
-
-// indexField registers (or returns the existing) value index over field f,
-// backfilling it from the current memory contents.
-func (am *alphaMem) indexField(f int) valueIndex[*wm.WME] {
-	for _, ai := range am.byField {
-		if ai.field == f {
-			return ai.idx
+// indexField registers (or returns the existing) value index over field f.
+// Indexes are registered while the network is built, before any WME.
+func (am *alphaMem) indexField(f int) *valueIndex[*wmeRec] {
+	for _, ix := range am.byField {
+		if ix.field == f {
+			return ix
 		}
 	}
-	idx := make(valueIndex[*wm.WME])
-	for _, w := range am.wmes.all() {
-		idx.add(w.Fields[f], w)
-	}
-	am.byField = append(am.byField, alphaIndex{field: f, idx: idx})
-	return idx
+	ix := &valueIndex[*wmeRec]{field: f}
+	am.byField = append(am.byField, ix)
+	return ix
 }
 
-func (am *alphaMem) add(w *wm.WME) {
-	am.wmes.add(w)
-	for _, ai := range am.byField {
-		ai.idx.add(w.Fields[ai.field], w)
-	}
-}
-
-func (am *alphaMem) remove(w *wm.WME) {
-	am.wmes.remove(w)
-	for _, ai := range am.byField {
-		ai.idx.remove(w.Fields[ai.field], w)
+// add appends r to the memory and its indexes, recording the positions in
+// m, r's membership of this memory.
+func (am *alphaMem) add(r *wmeRec, m *membership) {
+	m.pos[0] = int32(len(am.wmes))
+	am.wmes = append(am.wmes, r)
+	for k, ix := range am.byField {
+		m.pos[1+k] = int32(ix.add(r))
 	}
 }
 
-// betaMem stores tokens and forwards them to its child nodes.
+func (am *alphaMem) remove(r *wmeRec, m *membership) {
+	last := len(am.wmes) - 1
+	moved := am.wmes[last]
+	am.wmes[m.pos[0]] = moved
+	moved.in(am).pos[0] = m.pos[0]
+	am.wmes[last] = nil
+	am.wmes = am.wmes[:last]
+	for k, ix := range am.byField {
+		if moved, ok := ix.remove(r, int(m.pos[1+k])); ok {
+			moved.in(am).pos[1+k] = m.pos[1+k]
+		}
+	}
+}
+
+// betaMem stores tokens and forwards them to its child node.
 type betaMem struct {
-	net    *Network
-	tokens set[*token]
-	succs  []node
-	// byVal holds one value index per (ce, field) binding some successor
-	// join node equality-tests against.
-	byVal []betaIndex
+	net   *Network
+	mem   tokenMem
+	succs []node
 	prof  *ruleProf
-}
-
-// betaIndex indexes a beta memory's tokens by the binding at (positive
-// CE, field) of each token's vector.
-type betaIndex struct {
-	ce, field int
-	idx       valueIndex[*token]
-}
-
-func (b *betaMem) profOf() *ruleProf { return b.prof }
-
-// indexOn registers (or returns the existing) token index on the binding
-// at (ce, field), backfilling from current contents.
-func (b *betaMem) indexOn(ce, field int) valueIndex[*token] {
-	for _, bi := range b.byVal {
-		if bi.ce == ce && bi.field == field {
-			return bi.idx
-		}
-	}
-	idx := make(valueIndex[*token])
-	for _, t := range b.tokens.all() {
-		idx.add(t.vec[ce].Fields[field], t)
-	}
-	b.byVal = append(b.byVal, betaIndex{ce: ce, field: field, idx: idx})
-	return idx
 }
 
 func (b *betaMem) leftActivate(t *token) {
 	t.owner = b
-	b.tokens.add(t)
-	for _, bi := range b.byVal {
-		bi.idx.add(t.vec[bi.ce].Fields[bi.field], t)
-	}
+	b.mem.add(t)
 	for _, s := range b.succs {
 		s.leftActivate(t)
 	}
 }
 
 func (b *betaMem) removeToken(t *token) {
-	b.tokens.remove(t)
-	for _, bi := range b.byVal {
-		bi.idx.remove(t.vec[bi.ce].Fields[bi.field], t)
-	}
+	b.prof.lost++
+	b.mem.remove(t)
 }
 
 // joinNode joins tokens from its parent beta memory with WMEs from its
@@ -208,25 +325,21 @@ type joinNode struct {
 	ce     *compile.CondElem
 	child  node // betaMem, negativeNode or productionNode
 	// eqTest is the index within ce.JoinTests of the equality test the
-	// hash indexes are built on, or -1 for the nested-loop path.
-	eqTest int
-	// alphaIdx / betaIdx are the probe indexes when eqTest >= 0: the alpha
-	// memory's WMEs by the tested field, and the parent beta memory's
-	// tokens by the joined binding.
-	alphaIdx valueIndex[*wm.WME]
-	betaIdx  valueIndex[*token]
+	// hash indexes are built on, or -1 for the nested-loop path. When it is
+	// set, the parent memory is bucketed by the joined binding and
+	// alphaIdx is the alpha memory's index over the tested field.
+	eqTest   int
+	alphaIdx *valueIndex[*wmeRec]
 	// env is the reused filter-evaluation environment; its vector never
 	// escapes EvalFilters.
 	env  compile.VecEnv
 	prof *ruleProf
 }
 
-func (j *joinNode) profOf() *ruleProf { return j.prof }
-
 // passes applies the CE's join tests and filters to a candidate pair. The
 // equality test the hash indexes are built on (eqTest) is skipped: both
 // activation paths reach passes only through an index probe on exactly
-// that test's value, and map-key equality coincides with OpEq.
+// that test's value, and the index's key equality is OpEq's.
 func (j *joinNode) passes(t *token, w *wm.WME) bool {
 	j.prof.probes++
 	for i, jt := range j.ce.JoinTests {
@@ -246,28 +359,24 @@ func (j *joinNode) passes(t *token, w *wm.WME) bool {
 	return true
 }
 
-func (j *joinNode) propagate(t *token, w *wm.WME) {
+func (j *joinNode) propagate(t *token, r *wmeRec) {
 	j.prof.tokens++
-	nt := &token{parent: t, wme: w, wnext: j.net.wmeTokens[w]}
-	nt.vec = append(append(nt.buf[:0], t.vec...), w)
+	nt := &token{parent: t}
+	nt.vec = append(append(nt.buf[:0], t.vec...), r.wme)
 	t.addChild(nt)
-	j.net.wmeTokens[w] = nt
+	r.addToken(nt)
 	j.child.leftActivate(nt)
 }
 
 func (j *joinNode) leftActivate(t *token) {
+	cands := j.amem.wmes
 	if j.eqTest >= 0 {
 		jt := &j.ce.JoinTests[j.eqTest]
-		for _, w := range j.alphaIdx[t.vec[jt.OtherCE].Fields[jt.OtherField]].all() {
-			if j.passes(t, w) {
-				j.propagate(t, w)
-			}
-		}
-		return
+		cands = j.alphaIdx.get(t.vec[jt.OtherCE].Fields[jt.OtherField])
 	}
-	for _, w := range j.amem.wmes.all() {
-		if j.passes(t, w) {
-			j.propagate(t, w)
+	for _, r := range cands {
+		if j.passes(t, r.wme) {
+			j.propagate(t, r)
 		}
 	}
 }
@@ -277,54 +386,34 @@ func (j *joinNode) removeToken(*token) {
 	// memories, negative nodes and production nodes.)
 }
 
-func (j *joinNode) rightAdd(w *wm.WME) {
+func (j *joinNode) rightAdd(r *wmeRec) {
+	cands := j.parent.mem.list
 	if j.eqTest >= 0 {
-		jt := &j.ce.JoinTests[j.eqTest]
-		for _, t := range j.betaIdx[w.Fields[jt.Field]].all() {
-			if j.passes(t, w) {
-				j.propagate(t, w)
-			}
-		}
-		return
+		cands = j.parent.mem.idx.get(r.wme.Fields[j.ce.JoinTests[j.eqTest].Field])
 	}
-	for _, t := range j.parent.tokens.all() {
-		if j.passes(t, w) {
-			j.propagate(t, w)
+	for _, t := range cands {
+		if j.passes(t, r.wme) {
+			j.propagate(t, r)
 		}
 	}
-}
-
-func (j *joinNode) rightRemove(*wm.WME) {
-	// Token deletion is driven by the network's wmeTokens index; join
-	// nodes need no right-removal work of their own.
 }
 
 // negativeNode implements negated condition elements. It stores the tokens
 // flowing through it; a token's children exist exactly while no WME in the
 // alpha memory matches it. Join results are tracked per (token, wme) pair
-// via the network's wmeNegResults index. Like join nodes, a negative node
-// with an equality join test probes a value index over the alpha memory
-// and keeps its own tokens indexed by the joined binding.
+// on the WME's record. Like join nodes, a negative node with an equality
+// join test probes a value index over the alpha memory and keeps its own
+// tokens bucketed by the joined binding.
 type negativeNode struct {
-	net    *Network
-	amem   *alphaMem
-	ce     *compile.CondElem
-	tokens set[*token]
-	child  node
-	// eqTest / alphaIdx mirror joinNode's hash-join state; tokensByVal
-	// indexes this node's own token memory by the joined binding.
-	eqTest      int
-	alphaIdx    valueIndex[*wm.WME]
-	tokensByVal valueIndex[*token]
-	prof        *ruleProf
-}
-
-func (n *negativeNode) profOf() *ruleProf { return n.prof }
-
-type negJoinResult struct {
-	owner *token
-	wme   *wm.WME
-	node  *negativeNode
+	net   *Network
+	amem  *alphaMem
+	ce    *compile.CondElem
+	mem   tokenMem
+	child node
+	// eqTest / alphaIdx mirror joinNode's hash-join state.
+	eqTest   int
+	alphaIdx *valueIndex[*wmeRec]
+	prof     *ruleProf
 }
 
 // passes applies the negated CE's join tests, skipping the indexed
@@ -343,15 +432,9 @@ func (n *negativeNode) passes(t *token, w *wm.WME) bool {
 }
 
 func (n *negativeNode) propagate(t *token) {
-	nt := &token{parent: t, wme: nil, vec: t.vec}
+	nt := &token{parent: t, vec: t.vec}
 	t.addChild(nt)
 	n.child.leftActivate(nt)
-}
-
-// probeValue is the token-side binding of the indexed equality test.
-func (n *negativeNode) probeValue(t *token) wm.Value {
-	jt := &n.ce.JoinTests[n.eqTest]
-	return t.vec[jt.OtherCE].Fields[jt.OtherField]
 }
 
 func (n *negativeNode) leftActivate(t *token) {
@@ -362,24 +445,16 @@ func (n *negativeNode) leftActivate(t *token) {
 	n.prof.tokens++
 	nt := &token{parent: t, vec: t.vec, owner: n}
 	t.addChild(nt)
-	n.tokens.add(nt)
+	n.mem.add(nt)
+	cands := n.amem.wmes
 	if n.eqTest >= 0 {
-		v := n.probeValue(nt)
-		n.tokensByVal.add(v, nt)
-		for _, w := range n.alphaIdx[v].all() {
-			if n.passes(nt, w) {
-				nt.nresults++
-				jr := &negJoinResult{owner: nt, wme: w, node: n}
-				n.net.wmeNegResults[w] = append(n.net.wmeNegResults[w], jr)
-			}
-		}
-	} else {
-		for _, w := range n.amem.wmes.all() {
-			if n.passes(nt, w) {
-				nt.nresults++
-				jr := &negJoinResult{owner: nt, wme: w, node: n}
-				n.net.wmeNegResults[w] = append(n.net.wmeNegResults[w], jr)
-			}
+		jt := &n.ce.JoinTests[n.eqTest]
+		cands = n.alphaIdx.get(nt.vec[jt.OtherCE].Fields[jt.OtherField])
+	}
+	for _, r := range cands {
+		if n.passes(nt, r.wme) {
+			nt.nresults++
+			r.addNeg(nt, n)
 		}
 	}
 	if nt.nresults == 0 {
@@ -388,43 +463,28 @@ func (n *negativeNode) leftActivate(t *token) {
 }
 
 func (n *negativeNode) removeToken(t *token) {
-	n.tokens.remove(t)
+	n.prof.lost++
+	n.mem.remove(t)
+	// This token's join results stay on the WMEs' records; they are
+	// skipped when consumed (Network.removeWME) or swept (wmeRec.addNeg).
+}
+
+func (n *negativeNode) rightAdd(r *wmeRec) {
+	cands := n.mem.list
 	if n.eqTest >= 0 {
-		n.tokensByVal.remove(n.probeValue(t), t)
+		cands = n.mem.idx.get(r.wme.Fields[n.ce.JoinTests[n.eqTest].Field])
 	}
-	// This token's join results stay in the per-WME index; they are
-	// filtered out via the dead flag when consumed (Network.removeWME).
-}
-
-func (n *negativeNode) blockToken(t *token, w *wm.WME) {
-	if t.nresults == 0 {
-		// Absence no longer holds: retract descendants.
-		n.net.deleteDescendants(t)
-	}
-	t.nresults++
-	jr := &negJoinResult{owner: t, wme: w, node: n}
-	n.net.wmeNegResults[w] = append(n.net.wmeNegResults[w], jr)
-}
-
-func (n *negativeNode) rightAdd(w *wm.WME) {
-	if n.eqTest >= 0 {
-		jt := &n.ce.JoinTests[n.eqTest]
-		for _, t := range n.tokensByVal[w.Fields[jt.Field]].all() {
-			if n.passes(t, w) {
-				n.blockToken(t, w)
-			}
+	for _, t := range cands {
+		if !n.passes(t, r.wme) {
+			continue
 		}
-		return
-	}
-	for _, t := range n.tokens.all() {
-		if n.passes(t, w) {
-			n.blockToken(t, w)
+		if t.nresults == 0 {
+			// Absence no longer holds: retract descendants.
+			n.net.deleteDescendants(t)
 		}
+		t.nresults++
+		r.addNeg(t, n)
 	}
-}
-
-func (n *negativeNode) rightRemove(*wm.WME) {
-	// Handled centrally via wmeNegResults in Network.removeWME.
 }
 
 // productionNode terminates a rule's chain and maintains its
@@ -433,28 +493,21 @@ func (n *negativeNode) rightRemove(*wm.WME) {
 type productionNode struct {
 	net  *Network
 	rule *compile.Rule
-	// tokens lists the complete matches; each carries its instantiation
-	// and its index here, for O(1) retraction.
-	tokens []*token
-	prof   *ruleProf
+	// mem lists the complete matches; each carries its instantiation.
+	mem  tokenMem
+	prof *ruleProf
 }
-
-func (p *productionNode) profOf() *ruleProf { return p.prof }
 
 func (p *productionNode) leftActivate(t *token) {
 	p.prof.insts++
 	t.owner = p
 	t.inst = match.NewInstantiation(p.rule, t.vec)
-	t.slot = len(p.tokens)
-	p.tokens = append(p.tokens, t)
+	p.mem.add(t)
 	p.net.coll.Add(t.inst)
 }
 
 func (p *productionNode) removeToken(t *token) {
-	last := p.tokens[len(p.tokens)-1]
-	p.tokens[t.slot] = last
-	last.slot = t.slot
-	p.tokens[len(p.tokens)-1] = nil
-	p.tokens = p.tokens[:len(p.tokens)-1]
+	p.prof.lost++
+	p.mem.remove(t)
 	p.net.coll.Remove(t.inst)
 }

@@ -2,6 +2,7 @@ package rete_test
 
 import (
 	"testing"
+	"time"
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
@@ -229,6 +230,60 @@ func TestReteMemStats(t *testing.T) {
 	// chain of 4 nodes: instantiations (0,1,2),(1,2,3)
 	if ms.ConflictSet != 2 {
 		t.Errorf("conflict set = %d, want 2", ms.ConflictSet)
+	}
+}
+
+// TestReteProfileCharging checks the split of match time over rules: the
+// time goes to the rules that worked, in proportion; a rule on two of a
+// WME's alpha memories, or twice on one, is charged once; the charges
+// never add up to more than the time that passed.
+func TestReteProfileCharging(t *testing.T) {
+	prog := compileOK(t, `
+(literalize item id group)
+(literalize other id)
+(rule pairs
+  (item ^id <a> ^group <g>)
+  (item ^id (<> <a>) ^group <g>)
+-->
+  (halt))
+(rule both
+  (item ^id <a> ^group g0)
+  (item ^id <a>)
+-->
+  (halt))
+(rule idle
+  (other ^id <a>)
+  (item ^id <a>)
+-->
+  (halt))
+`)
+	n := rete.NewWithOptions(prog.Rules, rete.Options{Profile: true})
+	mem := wm.NewMemory(prog.Schema)
+	var items []*wm.WME
+	for i := 0; i < 300; i++ {
+		items = append(items, insert(t, mem, "item", map[string]wm.Value{"id": wm.Int(int64(i)), "group": wm.Sym("g0")}))
+	}
+	start := time.Now()
+	n.Apply(wm.Delta{Added: items})
+	n.Apply(wm.Delta{Removed: items})
+	wall := time.Since(start).Nanoseconds()
+
+	prof := map[string]match.RuleProfile{}
+	var charged int64
+	for _, p := range n.(match.RuleProfiler).RuleProfiles() {
+		prof[p.Rule] = p
+		charged += p.MatchNS
+	}
+	// pairs builds ~45k tokens, both 600, idle none: its activations find
+	// an empty memory.
+	if prof["idle"].Tokens != 0 || prof["idle"].MatchNS >= prof["both"].MatchNS {
+		t.Errorf("a rule that built nothing was charged like one that did: idle %+v, both %+v", prof["idle"], prof["both"])
+	}
+	if prof["both"].MatchNS <= 0 || prof["pairs"].MatchNS < 10*prof["both"].MatchNS {
+		t.Errorf("charges do not follow the work: pairs %+v, both %+v", prof["pairs"], prof["both"])
+	}
+	if charged > wall || charged < wall/4 {
+		t.Errorf("charged %d ns of %d ns spent in Apply", charged, wall)
 	}
 }
 

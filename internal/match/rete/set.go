@@ -1,104 +1,191 @@
 package rete
 
-import "parulel/internal/wm"
+import (
+	"hash/maphash"
+	"math"
 
-// set is an unordered set with dense storage. Members sit in a slice —
-// one append to add, a plain loop to range over — and, once there are
-// enough of them that scanning for the one to remove would show, in a
-// position index as well. Nearly every set in a network is small (one
-// bucket of a hash-join index), and the large ones (a whole memory under a
-// join with no equality test) are ranged over far more than they are
-// edited.
-//
-// A set must not change while it is being ranged over. The network's
-// structure guarantees it: alpha memories change only between
-// activations, and a node's activation adds and removes tokens only in
-// memories downstream of the one it is reading.
-type set[T comparable] struct {
-	items []T
-	pos   map[T]int // nil until len(items) exceeds setScan
-}
+	"parulel/internal/wm"
+)
 
-// setScan is the size up to which removal scans the slice.
-const setScan = 16
-
-// all returns the members; nil-safe, so an absent bucket ranges as empty.
-func (s *set[T]) all() []T {
-	if s == nil {
-		return nil
-	}
-	return s.items
-}
-
-func (s *set[T]) len() int { return len(s.all()) }
-
-// add inserts x, which must not be a member already.
-func (s *set[T]) add(x T) {
-	s.items = append(s.items, x)
-	if s.pos != nil {
-		s.pos[x] = len(s.items) - 1
-	} else if len(s.items) > setScan {
-		s.pos = make(map[T]int, 2*len(s.items))
-		for i, y := range s.items {
-			s.pos[y] = i
-		}
-	}
-}
-
-// remove deletes x if it is a member, moving the last member into its
-// place.
-func (s *set[T]) remove(x T) {
-	i := -1
-	if s.pos != nil {
-		p, ok := s.pos[x]
-		if !ok {
-			return
-		}
-		i = p
-		delete(s.pos, x)
-	} else {
-		for j, y := range s.items {
-			if y == x {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return
-		}
-	}
-	last := len(s.items) - 1
-	if i != last {
-		s.items[i] = s.items[last]
-		if s.pos != nil {
-			s.pos[s.items[i]] = i
-		}
-	}
-	var zero T
-	s.items[last] = zero
-	s.items = s.items[:last]
-	if last == 0 {
-		s.pos = nil
-	}
+// keyed is what a hash-join index holds: tokens and WME records. A member
+// can say which value it carries at an index's position, so the index
+// stores no keys of its own.
+type keyed interface {
+	comparable
+	// keyAt returns the member's value at (positive CE, field); WME records
+	// ignore the CE.
+	keyAt(ce, field int) wm.Value
 }
 
 // valueIndex is a hash-join index: the members of a memory bucketed by the
-// value each carries at the indexed position. Empty buckets are dropped.
-type valueIndex[T comparable] map[wm.Value]*set[T]
-
-func (ix valueIndex[T]) add(v wm.Value, x T) {
-	b := ix[v]
-	if b == nil {
-		b = &set[T]{}
-		ix[v] = b
-	}
-	b.add(x)
+// value each carries at (ce, field). It is an open-addressed table with
+// linear probing whose slots hold a 64-bit hash and the bucket's members;
+// a bucket's key is read back from its first member. The zero value with
+// ce and field set is an empty index and owns no memory.
+//
+// Members are stored densely in each bucket and removed by position: add
+// returns where the member went, the owner keeps that (token.slot, a WME
+// record's membership), and remove reports which member it moved into the
+// hole so the owner can update that one's position. Nothing is looked up
+// by member, so there is no position map.
+//
+// A bucket must not change while it is being ranged over. The network's
+// structure guarantees it: alpha memories change only between
+// activations, and a node's activation adds and removes tokens only in
+// memories downstream of the one it is reading.
+type valueIndex[T keyed] struct {
+	ce, field int
+	slots     []bucket[T] // length zero or a power of two
+	live      int         // buckets in use
+	dead      int         // tombstones
+	n         int         // members over all buckets
 }
 
-func (ix valueIndex[T]) remove(v wm.Value, x T) {
-	if b := ix[v]; b != nil {
-		if b.remove(x); len(b.items) == 0 {
-			delete(ix, v)
+type bucket[T keyed] struct {
+	hash  uint64 // hashEmpty, hashTomb, or hashValue of the members' key
+	items []T
+}
+
+// Slot states. hashValue never returns either.
+const (
+	hashEmpty = 0
+	hashTomb  = 1
+	hashMin   = 2
+)
+
+const minSlots = 8
+
+var hashSeed = maphash.MakeSeed()
+
+// hashValue hashes v consistently with ==, the equality of an OpEq join
+// test: +0.0 and -0.0 are equal and hash alike; values of different kinds
+// are never equal, whatever their payloads, and the kind is mixed in so
+// that Int 3, Float 3.0, Sym "3" and Str "3" do not pile up in one chain.
+// NaN is unequal to itself, so what it hashes to does not matter.
+func hashValue(v wm.Value) uint64 {
+	var h uint64
+	switch v.Kind {
+	case wm.KindInt:
+		h = uint64(v.I)
+	case wm.KindFloat:
+		if v.F != 0 {
+			h = math.Float64bits(v.F)
 		}
+	case wm.KindSym, wm.KindStr:
+		h = maphash.String(hashSeed, v.S)
+	}
+	h = (h + uint64(v.Kind)) * 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	if h < hashMin {
+		h += hashMin
+	}
+	return h
+}
+
+// get returns the members whose key equals v; the slice aliases the bucket.
+func (ix *valueIndex[T]) get(v wm.Value) []T {
+	if ix.live == 0 {
+		return nil
+	}
+	h := hashValue(v)
+	mask := len(ix.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		b := &ix.slots[i]
+		if b.hash == h && b.items[0].keyAt(ix.ce, ix.field) == v {
+			return b.items
+		}
+		if b.hash == hashEmpty {
+			return nil
+		}
+	}
+}
+
+// add files x under its key and returns its position in the bucket.
+func (ix *valueIndex[T]) add(x T) int {
+	if (ix.live+ix.dead+1)*4 > len(ix.slots)*3 {
+		ix.rehash()
+	}
+	v := x.keyAt(ix.ce, ix.field)
+	h := hashValue(v)
+	mask := len(ix.slots) - 1
+	tomb := -1
+	ix.n++
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		b := &ix.slots[i]
+		switch {
+		case b.hash == h && b.items[0].keyAt(ix.ce, ix.field) == v:
+			b.items = append(b.items, x)
+			return len(b.items) - 1
+		case b.hash == hashTomb && tomb < 0:
+			tomb = i
+		case b.hash == hashEmpty:
+			if tomb >= 0 {
+				b = &ix.slots[tomb]
+				ix.dead--
+			}
+			b.hash, b.items = h, []T{x}
+			ix.live++
+			return 0
+		}
+	}
+}
+
+// remove takes x out of position pos of its bucket, moving the bucket's
+// last member into the hole; moved is that member when there was one to
+// move. The bucket is found by hash and identity, not by key equality, so
+// a member keyed by NaN — which no probe can reach — is still removable.
+// Removing the last member leaves a tombstone; removing the index's last
+// member releases the table.
+func (ix *valueIndex[T]) remove(x T, pos int) (moved T, ok bool) {
+	h := hashValue(x.keyAt(ix.ce, ix.field))
+	mask := len(ix.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		if ix.live == 0 || ix.slots[i].hash == hashEmpty {
+			panic("rete: index remove of a non-member")
+		}
+		b := &ix.slots[i]
+		if b.hash != h || pos >= len(b.items) || b.items[pos] != x {
+			continue
+		}
+		ix.n--
+		var zero T
+		last := len(b.items) - 1
+		if last == 0 {
+			b.hash, b.items = hashTomb, nil
+			ix.live--
+			ix.dead++
+			if ix.live == 0 {
+				ix.slots, ix.dead = nil, 0
+			}
+			return zero, false
+		}
+		moved = b.items[last]
+		b.items[pos] = moved
+		b.items[last] = zero
+		b.items = b.items[:last]
+		return moved, pos != last
+	}
+}
+
+// rehash rebuilds the table at a size fitted to the live buckets, which
+// drops every tombstone: the table doubles when it is full of buckets and
+// stays or shrinks when it is full of tombstones.
+func (ix *valueIndex[T]) rehash() {
+	size := minSlots
+	for size < 2*(ix.live+1) {
+		size *= 2
+	}
+	old := ix.slots
+	ix.slots, ix.dead = make([]bucket[T], size), 0
+	mask := size - 1
+	for _, b := range old {
+		if b.hash < hashMin {
+			continue
+		}
+		i := int(b.hash) & mask
+		for ix.slots[i].hash != hashEmpty {
+			i = (i + 1) & mask
+		}
+		ix.slots[i] = b
 	}
 }

@@ -1,68 +1,410 @@
 package rete
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"parulel/internal/compile"
+	"parulel/internal/programs"
 	"parulel/internal/wm"
 )
 
-// TestSetAgainstMap drives a set and a map with the same random adds and
-// removes, across the size at which the set starts indexing positions and
-// back down to empty, and requires the same membership throughout.
-func TestSetAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var s set[int]
-	ref := map[int]bool{}
-	check := func(step int) {
-		t.Helper()
-		if s.len() != len(ref) {
-			t.Fatalf("step %d: %d members, want %d", step, s.len(), len(ref))
+// member is an index member for the model test: it carries its key and,
+// the way tokens and WME records do, its own position in its bucket.
+type member struct {
+	id  int
+	key wm.Value
+	pos int
+}
+
+func (m *member) keyAt(_, _ int) wm.Value { return m.key }
+
+// indexModel is the reference the value index is tested against: a Go map
+// from key to bucket, with the same append / move-the-last-into-the-hole
+// discipline, so bucket order has to agree too. A Go map cannot find a NaN
+// key again, which is exactly the semantics wanted (no probe reaches such a
+// member), so NaN-keyed members are only counted.
+type indexModel struct {
+	buckets map[wm.Value][]*member
+	nan     int
+}
+
+func isNaN(v wm.Value) bool { return v.Kind == wm.KindFloat && v.F != v.F }
+
+func (mo *indexModel) add(m *member) {
+	if isNaN(m.key) {
+		mo.nan++
+		return
+	}
+	mo.buckets[m.key] = append(mo.buckets[m.key], m)
+}
+
+func (mo *indexModel) remove(m *member) {
+	if isNaN(m.key) {
+		mo.nan--
+		return
+	}
+	b := mo.buckets[m.key]
+	i := slices.Index(b, m)
+	b[i] = b[len(b)-1]
+	if b = b[:len(b)-1]; len(b) == 0 {
+		delete(mo.buckets, m.key)
+	} else {
+		mo.buckets[m.key] = b
+	}
+}
+
+// checkIndex compares the index with the model: every model bucket is what
+// a probe returns, member positions are the ones the owner was told, and
+// the counters add up.
+func checkIndex(t *testing.T, step int, ix *valueIndex[*member], mo *indexModel, probes []wm.Value) {
+	t.Helper()
+	members := mo.nan
+	for k, want := range mo.buckets {
+		got := ix.get(k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: bucket %v holds %d members, model %d (or in another order)", step, k, len(got), len(want))
 		}
-		seen := map[int]bool{}
-		for _, x := range s.all() {
-			if !ref[x] || seen[x] {
-				t.Fatalf("step %d: stray or repeated member %d", step, x)
+		for i, m := range got {
+			if m.pos != i {
+				t.Fatalf("step %d: member %d of bucket %v believes it is at %d, is at %d", step, m.id, k, m.pos, i)
 			}
-			seen[x] = true
+		}
+		members += len(want)
+	}
+	for _, k := range probes {
+		if _, present := mo.buckets[k]; !present && !isNaN(k) && len(ix.get(k)) != 0 {
+			t.Fatalf("step %d: probe of absent key %v found %d members", step, k, len(ix.get(k)))
+		}
+		if isNaN(k) && ix.get(k) != nil {
+			t.Fatalf("step %d: a NaN probe found members", step)
 		}
 	}
-	for step := 0; step < 5000; step++ {
-		x := rng.Intn(3 * setScan)
-		grow := (step/500)%2 == 0 // alternate growing and shrinking phases
-		switch {
-		case !ref[x] && (grow || rng.Intn(4) == 0):
-			s.add(x)
-			ref[x] = true
+	if ix.n != members || ix.live != len(mo.buckets)+mo.nan {
+		t.Fatalf("step %d: index counts %d members in %d buckets, model %d in %d", step, ix.n, ix.live, members, len(mo.buckets)+mo.nan)
+	}
+	used := 0
+	for _, b := range ix.slots {
+		if b.hash >= hashMin {
+			used++
+		} else if b.items != nil {
+			t.Fatalf("step %d: a free slot holds members", step)
+		}
+	}
+	if used != ix.live || (ix.live+ix.dead)*4 > len(ix.slots)*3 {
+		t.Fatalf("step %d: %d slots in use, live=%d dead=%d of %d", step, used, ix.live, ix.dead, len(ix.slots))
+	}
+}
+
+// keyCases are the keys whose hashing and equality the Go map used to give
+// for free: the two zeros are one key, NaN is no key, and a number, its
+// float, its symbol and its string are four. Nil and Int -1 both hash to a
+// slot sentinel before hashValue steps off it.
+var keyCases = []wm.Value{
+	wm.Float(0), wm.Float(math.Copysign(0, -1)), wm.Float(math.NaN()),
+	wm.Int(3), wm.Float(3), wm.Sym("3"), wm.Str("3"),
+	wm.Nil(), wm.Int(-1), wm.Int(0), wm.Sym(""), wm.Str(""),
+}
+
+// TestValueIndexAgainstMap drives a value index and the map model with the
+// same random adds and removes and compares them after every step, through
+// growth over many distinct keys, deletion to empty and re-insertion, and
+// churn over a bounded key set, where tombstones have to be reused or
+// reclaimed rather than accumulate.
+func TestValueIndexAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ix := &valueIndex[*member]{}
+	mo := &indexModel{buckets: map[wm.Value][]*member{}}
+	var live []*member
+	nextID, step := 0, 0
+
+	add := func(k wm.Value) {
+		m := &member{id: nextID, key: k}
+		nextID++
+		m.pos = ix.add(m)
+		mo.add(m)
+		live = append(live, m)
+	}
+	remove := func(i int) {
+		m := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		if moved, ok := ix.remove(m, m.pos); ok {
+			moved.pos = m.pos
+		}
+		mo.remove(m)
+	}
+	randomKey := func(distinct int) wm.Value {
+		switch k := rng.Intn(distinct + len(keyCases)); {
+		case k < len(keyCases):
+			return keyCases[k]
+		case k%3 == 0:
+			return wm.Sym(fmt.Sprintf("s%d", k))
+		case k%3 == 1:
+			return wm.Float(float64(k) / 2)
 		default:
-			s.remove(x) // often not a member: must be a no-op then
-			delete(ref, x)
+			return wm.Int(int64(k))
 		}
-		check(step)
 	}
-	for x := range ref {
-		s.remove(x)
+	probes := func(distinct int) []wm.Value {
+		out := append([]wm.Value(nil), keyCases...)
+		for i := 0; i < 8; i++ {
+			out = append(out, randomKey(distinct))
+		}
+		return out
 	}
-	if s.len() != 0 || s.pos != nil {
-		t.Fatalf("emptied set still holds %d members (index dropped: %v)", s.len(), s.pos == nil)
+	run := func(steps, distinct int, pAdd float64) {
+		for i := 0; i < steps; i++ {
+			if len(live) == 0 || rng.Float64() < pAdd {
+				add(randomKey(distinct))
+			} else {
+				remove(rng.Intn(len(live)))
+			}
+			step++
+			checkIndex(t, step, ix, mo, probes(distinct))
+		}
 	}
-	var absent *set[int]
-	if absent.len() != 0 || len(absent.all()) != 0 {
-		t.Fatal("a nil set must range as empty")
+	empty := func() {
+		for len(live) > 0 {
+			remove(rng.Intn(len(live)))
+			step++
+			checkIndex(t, step, ix, mo, keyCases)
+		}
+		if ix.slots != nil || ix.live != 0 || ix.dead != 0 || ix.n != 0 {
+			t.Fatalf("emptied index keeps a table of %d slots (live=%d dead=%d n=%d)", len(ix.slots), ix.live, ix.dead, ix.n)
+		}
 	}
 
-	// A value index drops a bucket with its last member.
-	ix := valueIndex[int]{}
-	ix.add(wm.Int(1), 10)
-	ix.add(wm.Int(1), 11)
-	ix.add(wm.Int(2), 20)
-	ix.remove(wm.Int(1), 10)
-	ix.remove(wm.Int(3), 30) // no such bucket
-	if len(ix) != 2 || ix[wm.Int(1)].len() != 1 {
-		t.Fatalf("index after removals: %v", ix)
+	run(3000, 2000, 0.8) // growth: hundreds of distinct keys
+	if len(ix.slots) < 256 {
+		t.Fatalf("table did not grow: %d slots for %d buckets", len(ix.slots), ix.live)
 	}
-	ix.remove(wm.Int(1), 11)
-	if _, kept := ix[wm.Int(1)]; kept || len(ix) != 1 {
-		t.Fatalf("empty bucket kept: %v", ix)
+	run(3000, 2000, 0.3) // and back down
+	empty()
+	run(500, 40, 0.7) // re-insert into the released index
+	empty()
+
+	// Churn: a bounded number of live buckets over an unbounded key
+	// sequence. Every key is added once and removed for good, so each
+	// removal leaves a tombstone no later key matches; the table must stay
+	// the size the live set needs.
+	for i := 0; i < 20000; i++ {
+		add(wm.Int(int64(1000 + i)))
+		if len(live) > 24 {
+			remove(rng.Intn(len(live)))
+		}
+		if len(ix.slots) > 64 {
+			t.Fatalf("round %d: %d slots for %d live buckets (dead=%d): tombstones are not reclaimed", i, len(ix.slots), ix.live, ix.dead)
+		}
+		if i%97 == 0 {
+			step++
+			checkIndex(t, step, ix, mo, keyCases)
+		}
+	}
+	empty()
+}
+
+// TestValueIndexKeyCases states the agreement between hashValue and ==
+// that the index relies on.
+func TestValueIndexKeyCases(t *testing.T) {
+	posZero, negZero, nan := wm.Float(0), wm.Float(math.Copysign(0, -1)), wm.Float(math.NaN())
+	if posZero != negZero || hashValue(posZero) != hashValue(negZero) {
+		t.Fatal("+0.0 and -0.0 are == and must hash alike")
+	}
+	for _, v := range append(keyCases, wm.Int(math.MinInt64), wm.Int(math.MaxInt64), wm.Float(math.Inf(1))) {
+		if h := hashValue(v); h < hashMin {
+			t.Fatalf("hashValue(%v) = %d is a slot sentinel", v, h)
+		}
+	}
+
+	ix := &valueIndex[*member]{}
+	add := func(k wm.Value) *member {
+		m := &member{key: k}
+		m.pos = ix.add(m)
+		return m
+	}
+	z1, z2 := add(posZero), add(negZero)
+	if got := ix.get(negZero); len(got) != 2 || got[0] != z1 || got[1] != z2 {
+		t.Fatalf("the two zeros must share a bucket, got %d members", len(got))
+	}
+	four := []*member{add(wm.Int(3)), add(wm.Float(3)), add(wm.Sym("3")), add(wm.Str("3"))}
+	for _, m := range four {
+		if got := ix.get(m.key); len(got) != 1 || got[0] != m {
+			t.Fatalf("%v (kind %v) must be a key of its own, probe found %d members", m.key, m.key.Kind, len(got))
+		}
+	}
+	n1, n2 := add(nan), add(nan)
+	if ix.get(nan) != nil {
+		t.Fatal("NaN equals nothing: a probe must not reach NaN-keyed members")
+	}
+	if n1.pos != 0 || n2.pos != 0 || ix.live != 7 {
+		t.Fatalf("each NaN-keyed member needs a bucket of its own (live=%d)", ix.live)
+	}
+	// ...but both are removable, in either order, by identity.
+	ix.remove(n2, n2.pos)
+	ix.remove(n1, n1.pos)
+	for _, m := range append(four, z2, z1) {
+		if moved, ok := ix.remove(m, m.pos); ok {
+			moved.pos = m.pos
+		}
+	}
+	if ix.n != 0 || ix.slots != nil {
+		t.Fatalf("index not empty after removing everything: n=%d, %d slots", ix.n, len(ix.slots))
+	}
+}
+
+// indexSlots sums the table sizes of every value index in the network.
+func (n *Network) indexSlots() int {
+	slots := 0
+	for _, ams := range n.alphaByTmpl {
+		for _, am := range ams {
+			for _, ix := range am.byField {
+				slots += len(ix.slots)
+			}
+		}
+	}
+	for _, b := range n.betaMems {
+		slots += len(b.mem.idx.slots)
+	}
+	for _, neg := range n.negNodes {
+		slots += len(neg.mem.idx.slots)
+	}
+	return slots
+}
+
+// TestFreshNetworkOwnsNoIndexTables guards the cost of an idle session and
+// of a cold create: a network built for any builtin, object or meta level,
+// has allocated no index table before its first WME.
+func TestFreshNetworkOwnsNoIndexTables(t *testing.T) {
+	for _, name := range programs.All() {
+		prog, err := programs.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := [][]*compile.Rule{prog.Rules}
+		if prog.Meta != nil {
+			levels = append(levels, prog.Meta.Rules)
+		}
+		for _, rules := range levels {
+			n := NewWithOptions(rules, Options{Profile: true}).(*Network)
+			if n.indexSlots() != 0 || len(n.recs) != 0 {
+				t.Errorf("%s: a fresh network of %d rules owns %d index slots and %d WME records", name, len(rules), n.indexSlots(), len(n.recs))
+			}
+		}
+	}
+}
+
+// TestNetworkChurn keeps one network alive through 100k assert/retract
+// rounds over a bounded live set whose join keys never repeat, beside two
+// WMEs that stay — a long-lived ingest session. State sizes must return to
+// the baseline, no WME record may outlive its WME, the index tables must
+// stay the size the live set needs however many keys have passed through
+// them, and the records of the two WMEs that stay must not collect the
+// tokens and join results of everything that has passed by.
+func TestNetworkChurn(t *testing.T) {
+	prog, err := compile.CompileSource(`
+(literalize item id group kind)
+(literalize tag  id label)
+(literalize hold id)
+(literalize mode on)
+(literalize ban  kind)
+(rule tagged
+  (item ^id <i> ^group <g>)
+  (tag  ^id <i> ^label <l>)
+  - (hold ^id <i>)
+-->
+  (halt))
+(rule paired
+  (item ^id <i> ^group <g>)
+  (item ^id (<> <i>) ^group <g>)
+-->
+  (halt))
+(rule moded
+  (item ^id <i>)
+  (mode ^on yes)
+-->
+  (halt))
+(rule allowed
+  (item ^id <i> ^kind <k>)
+  - (ban ^kind <k>)
+-->
+  (halt))
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewWithOptions(prog.Rules, Options{Profile: true}).(*Network)
+	mem := wm.NewMemory(prog.Schema)
+	base := n.MemStats()
+	insert := func(tmpl string, fields map[string]wm.Value) *wm.WME {
+		w, err := mem.Insert(tmpl, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	stay := []*wm.WME{
+		insert("mode", map[string]wm.Value{"on": wm.Sym("yes")}),
+		insert("ban", map[string]wm.Value{"kind": wm.Sym("k")}),
+	}
+	n.Apply(wm.Delta{Added: stay})
+
+	const window = 16
+	var live [][]*wm.WME
+	maxSlots, maxTokens := 0, 0
+	rounds := 100000
+	if testing.Short() {
+		rounds = 5000
+	}
+	for i := 0; i < rounds; i++ {
+		id := wm.Int(int64(i))
+		added := []*wm.WME{
+			insert("item", map[string]wm.Value{"id": id, "group": wm.Int(int64(i / 4)), "kind": wm.Sym("k")}),
+			insert("tag", map[string]wm.Value{"id": id, "label": wm.Sym("l")}),
+		}
+		if i%3 == 0 {
+			added = append(added, insert("hold", map[string]wm.Value{"id": id}))
+		}
+		delta := wm.Delta{Added: added}
+		live = append(live, added)
+		if len(live) > window {
+			delta.Removed = live[0]
+			live = live[1:]
+			for _, w := range delta.Removed {
+				mem.Remove(w.Time)
+			}
+		}
+		n.Apply(delta)
+		maxSlots = max(maxSlots, n.indexSlots())
+		maxTokens = max(maxTokens, n.MemStats().BetaTokens)
+	}
+	// 16 rounds of at most 3 WMEs live at once: a few dozen buckets per
+	// index, eight indexes.
+	if maxSlots > 8*128 {
+		t.Fatalf("index tables grew to %d slots over a live set of %d rounds", maxSlots, window)
+	}
+	if maxTokens > 40*window {
+		t.Fatalf("token memories grew to %d tokens over a live set of %d rounds", maxTokens, window)
+	}
+	for _, w := range stay {
+		r, listed := n.recs[w], 0
+		for tok := r.tokens; tok != nil; tok = tok.wnext {
+			listed++
+		}
+		if listed > 4*window || len(r.neg) > 4*window {
+			t.Fatalf("%v lists %d tokens and %d join results after %d rounds with %d items live", w, listed, len(r.neg), rounds, window)
+		}
+	}
+	for _, ws := range append(live, stay) {
+		n.Apply(wm.Delta{Removed: ws})
+	}
+	if ms := n.MemStats(); ms != base {
+		t.Fatalf("state after retracting everything %+v, baseline %+v", ms, base)
+	}
+	if len(n.recs) != 0 || n.indexSlots() != 0 {
+		t.Fatalf("%d WME records and %d index slots outlive their WMEs", len(n.recs), n.indexSlots())
 	}
 }
