@@ -45,26 +45,24 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 			if err := spec.load(e); err != nil {
 				return err
 			}
-			// Step by step, to catch the meta level at its largest: it holds
-			// one stored meta-match per matching tuple of eligible
-			// instantiations, which is quadratic for a meta-rule with no
-			// equality join between its patterns.
-			var peak match.MemStats
+			// Step by step, to catch the meta level at its largest: the
+			// images of the eligible instantiations, once per meta-pattern
+			// memory holding them, which is all it keeps.
+			peak := 0
 			for {
 				progress, err := e.Step()
 				if err != nil {
 					return err
 				}
-				if _, meta := e.MemStats(); meta.ConflictSet >= peak.ConflictSet {
-					peak = meta
-				}
+				_, meta := e.MemStats()
+				peak = max(peak, meta.AlphaItems)
 				if !progress {
 					break
 				}
 			}
 			if prog.Meta != nil {
-				footers = append(footers, fmt.Sprintf("%s meta level at its peak: %d images, %d tokens, %d stored meta-matches",
-					m.name, peak.AlphaItems, peak.BetaTokens, peak.ConflictSet))
+				footers = append(footers, fmt.Sprintf("%s meta level at its peak: %d images in pattern memories, no tokens, no stored meta-matches",
+					m.name, peak))
 			}
 			profs := e.RuleProfiles()
 			var totalNS int64

@@ -52,6 +52,7 @@ const (
 	opMetaTag                // r[a] = Int(env.MetaTag(b))
 	opMetaRule               // r[a] = Sym(env.MetaRuleName(b))
 	opMetaPrec               // r[a] = Bool(env.MetaPrecedes(b, c))
+	opRefPrec                // r[a] = Bool(the b fields from refs[c] precede the b from refs[c+1])
 	opJump                   // pc = b
 	opJumpFalsy              // if !r[a].Truthy() { pc = b }
 	opJumpTruthy             // if r[a].Truthy() { pc = b }
@@ -224,6 +225,11 @@ func (l *lowerer) lower(e *Expr, dst int) bool {
 		l.emit(opMetaRule, d, l.operand(e.Pat), 0)
 	case EMetaPrec:
 		l.emit(opMetaPrec, d, l.operand(e.Pat), l.operand(e.Pat2))
+	case ERefPrec:
+		// The two refs sit side by side in the table, so they are not
+		// interned.
+		l.refs = append(l.refs, e.Ref, e.MetaVar)
+		l.emit(opRefPrec, d, l.operand(e.Len), l.operand(len(l.refs)-2))
 	case ECall:
 		if !l.lowerCall(e, dst) {
 			return false

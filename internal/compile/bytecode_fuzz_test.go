@@ -41,7 +41,11 @@ func (g *exprGen) gen(depth int) *Expr {
 	case 0, 1:
 		return c(paletteAt(int(g.byte())))
 	case 2:
-		return &Expr{Kind: ERef, Ref: VarRef{CE: int(g.byte()) % 4, Field: int(g.byte()) % 4}}
+		ref := func() VarRef { return VarRef{CE: int(g.byte()) % 4, Field: int(g.byte()) % 4} }
+		if g.byte()%3 == 0 {
+			return &Expr{Kind: ERefPrec, Ref: ref(), MetaVar: ref(), Len: int(g.byte()) % 4}
+		}
+		return &Expr{Kind: ERef, Ref: ref()}
 	case 3:
 		return &Expr{Kind: ELocal, Local: int(g.byte()) % 8}
 	case 4:
@@ -91,6 +95,7 @@ func FuzzBytecodeEval(f *testing.F) {
 	f.Add([]byte{6, 7, 2, 0, 11, 0, 8, 6, 2, 2, 0, 6, 0})   // boolean nesting
 	f.Add([]byte{8, 8, 1, 0, 11, 0, 13, 2, 1, 1, 3, 2, 5})  // symcat mix
 	f.Add([]byte{4, 0, 1, 2, 4, 3, 1, 4, 2, 9, 1, 0, 0, 1}) // meta ops
+	f.Add([]byte{6, 6, 0, 2, 0, 1, 2, 1, 1, 2, 0, 1})       // lowered precedes under or
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &exprGen{data: data}
 		e := g.gen(4)

@@ -125,6 +125,15 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 		{"meta-tag", &Expr{Kind: EMetaTag, Pat: 2}},
 		{"meta-rule", &Expr{Kind: EMetaRule, Pat: 1}},
 		{"meta-prec", &Expr{Kind: EMetaPrec, Pat: 0, Pat2: 1}},
+		// Palette runs: CE 0 from field 1 is 7 -3 2, CE 1 from field 8 is
+		// 7 -3 2 again (the palette has 14 entries), so the first differing
+		// pair decides and equal runs do not precede.
+		{"ref-prec-first-pair", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 2}, MetaVar: VarRef{CE: 0, Field: 1}, Len: 2}},
+		{"ref-prec-later-pair", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 8}, Len: 3}},
+		{"ref-prec-equal-runs", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 8}, Len: 2}},
+		{"ref-prec-mixed-kinds", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 3}, MetaVar: VarRef{CE: 0, Field: 4}, Len: 6}},
+		{"ref-prec-empty", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 0, Field: 2}}},
+		{"ref-prec-in-call", call(BAnd, c(i(1)), &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 2}, MetaVar: VarRef{CE: 0, Field: 1}, Len: 1})},
 		{"nested", call(BIf,
 			call(BAnd, call(BLt, &Expr{Kind: ERef, Ref: VarRef{CE: 0, Field: 1}}, c(i(100))), call(BNot, c(s("false")))),
 			call(BAdd, call(BMul, c(i(3)), c(i(4))), call(BMod, call(BHash, c(s("k"))), c(i(8)))),
@@ -239,4 +248,44 @@ func BenchmarkEvalExpr(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRefPrecedes checks the lowered `precedes` node against the order it
+// stands for — the lexicographic order of two time-tag vectors — on both
+// backends and through both kinds of environment, including tags a float
+// comparison would confuse.
+func TestRefPrecedes(t *testing.T) {
+	tmpl := &wm.Template{Name: "img", Attrs: []string{"x", ".t0", ".t1"}}
+	img := func(t0, t1 int64) *wm.WME {
+		return &wm.WME{Tmpl: tmpl, Fields: []wm.Value{wm.Sym("x"), wm.Int(t0), wm.Int(t1)}}
+	}
+	const big = 1 << 60
+	e := &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 1}, Len: 2}
+	root := call(BOr, c(wm.Bool(false)), e) // a call root, so that it is lowered
+	root.code = lowerExpr(root)
+	if root.code == nil {
+		t.Fatal("not lowered")
+	}
+	for _, tc := range []struct {
+		a, b [2]int64
+		want bool
+	}{
+		{[2]int64{1, 9}, [2]int64{2, 0}, true},
+		{[2]int64{2, 0}, [2]int64{1, 9}, false},
+		{[2]int64{3, 4}, [2]int64{3, 5}, true},
+		{[2]int64{3, 5}, [2]int64{3, 5}, false},
+		{[2]int64{big, 1}, [2]int64{big + 1, 0}, true},
+		{[2]int64{big + 1, 0}, [2]int64{big, 1}, false},
+	} {
+		vec := &VecEnv{Vec: []*wm.WME{img(tc.a[0], tc.a[1]), img(tc.b[0], tc.b[1])}}
+		for name, got := range map[string]func() (wm.Value, error){
+			"interp":  func() (wm.Value, error) { return Eval(e, vec) },
+			"vm":      func() (wm.Value, error) { return EvalBytecode.Eval(root, vec) },
+			"generic": func() (wm.Value, error) { return Eval(e, struct{ Env }{vec}) },
+		} {
+			if v, err := got(); err != nil || v.Truthy() != tc.want {
+				t.Errorf("%v precedes %v on %s: %v, %v; want %v", tc.a, tc.b, name, v, err, tc.want)
+			}
+		}
+	}
 }

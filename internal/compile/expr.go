@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -20,6 +21,7 @@ const (
 	EMetaTag           // meta-rule: (tag <i>) — recency of instantiation i
 	EMetaRule          // meta-rule: (rulename <i>)
 	EMetaPrec          // meta-rule: (precedes <i> <j>) — deterministic total order
+	ERefPrec           // lowered (precedes <i> <j>): two runs of fields, compared lexicographically
 )
 
 // Builtin enumerates expression builtins.
@@ -64,10 +66,10 @@ var builtinNames = map[string]Builtin{
 // Expr is a compiled expression tree node.
 type Expr struct {
 	Kind  ExprKind
+	Op    Builtin  // ECall; beside Kind, so that the two share a word
 	Val   wm.Value // EConst
-	Ref   VarRef   // ERef
+	Ref   VarRef   // ERef; ERefPrec: the first field of the left run
 	Local int      // ELocal
-	Op    Builtin  // ECall
 	Args  []*Expr  // ECall
 	// Meta fields: Pat indexes the meta-rule's instantiation patterns;
 	// MetaVar is the object-rule variable reference within instantiation
@@ -75,6 +77,10 @@ type Expr struct {
 	Pat     int
 	Pat2    int
 	MetaVar VarRef
+	// ERefPrec compares the Len fields starting at Ref with the Len fields
+	// starting at MetaVar — the field an EMetaRef needs and a lowered node
+	// does not — so that every node of every program is no larger for it.
+	Len int
 
 	// code is the lowered bytecode for this expression when it is a root
 	// (a filter, action expression or meta test), attached once by
@@ -158,11 +164,45 @@ func Eval(e *Expr, env Env) (wm.Value, error) {
 		return wm.Sym(env.MetaRuleName(e.Pat)), nil
 	case EMetaPrec:
 		return wm.Bool(env.MetaPrecedes(e.Pat, e.Pat2)), nil
+	case ERefPrec:
+		return wm.Bool(refsPrecede(env, e.Ref, e.MetaVar, e.Len)), nil
 	case ECall:
 		return evalCall(e, env)
 	default:
 		return wm.Value{}, &EvalError{Op: "?", Msg: fmt.Sprintf("bad expr kind %d", e.Kind)}
 	}
+}
+
+// refsPrecede reports whether the n fields starting at a come before the n
+// fields starting at b: lexicographically, each pair in the relational
+// operators' order except that two ints compare as ints, which is exact
+// where the operators' float comparison is not. It is what
+// `(precedes <i> <j>)` between two instantiations of one rule lowers to,
+// over the two images' time-tag vectors; both backends evaluate it here.
+func refsPrecede(env Env, a, b VarRef, n int) bool {
+	if ve, ok := env.(*VecEnv); ok {
+		x, y := ve.Vec[a.CE].Fields[a.Field:a.Field+n], ve.Vec[b.CE].Fields[b.Field:b.Field+n]
+		for k := range x {
+			if c := fieldCompare(x[k], y[k]); c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	}
+	for k := 0; k < n; k++ {
+		x, y := env.Ref(VarRef{CE: a.CE, Field: a.Field + k}), env.Ref(VarRef{CE: b.CE, Field: b.Field + k})
+		if c := fieldCompare(x, y); c != 0 {
+			return c < 0
+		}
+	}
+	return false
+}
+
+func fieldCompare(x, y wm.Value) int {
+	if x.Kind == wm.KindInt && y.Kind == wm.KindInt {
+		return cmp.Compare(x.I, y.I)
+	}
+	return predCompare(x, y)
 }
 
 func evalCall(e *Expr, env Env) (wm.Value, error) {

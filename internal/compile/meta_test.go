@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"slices"
 	"testing"
 
 	"parulel/internal/wm"
@@ -47,8 +48,8 @@ func TestLowerMetaRules(t *testing.T) {
 	if _, inObjectSchema := p.Schema.Lookup("bid"); inObjectSchema {
 		t.Error("image template leaked into the program's schema")
 	}
-	// bid: variables a, o, p in name order, then .id, .tag, .t0, .t1.
-	want := []string{"a", "o", "p", ".id", ".tag", ".t0", ".t1"}
+	// bid: variables a, o, p in name order, then .tag, .t0, .t1.
+	want := []string{"a", "o", "p", ".tag", ".t0", ".t1"}
 	if got := bid.Tmpl.Attrs; len(got) != len(want) {
 		t.Fatalf("bid image attrs %v, want %v", got, want)
 	} else {
@@ -73,14 +74,11 @@ func TestLowerMetaRules(t *testing.T) {
 	if len(ce1.DisjTests) != 1 || ce1.DisjTests[0].Field != 1 || len(ce1.DisjTests[0].Vals) != 2 {
 		t.Errorf("disjunction test: %+v", ce1.DisjTests)
 	}
-	// The equality join on <p> first (the matchers index on it), then the
-	// distinctness inequality on .id.
-	wantJoins := []JoinTest{
-		{Field: 2, Op: OpEq, OtherCE: 0, OtherField: 2},
-		{Field: 3, Op: OpNe, OtherCE: 0, OtherField: 3},
-	}
-	if len(ce1.JoinTests) != 2 || ce1.JoinTests[0] != wantJoins[0] || ce1.JoinTests[1] != wantJoins[1] {
-		t.Errorf("join tests: %+v, want %+v", ce1.JoinTests, wantJoins)
+	// The equality join on <p>, and nothing for "<i> is not <j>": that is
+	// the join plans' (TestMetaJoinPlans).
+	wantJoin := JoinTest{Field: 2, Op: OpEq, OtherCE: 0, OtherField: 2}
+	if len(ce1.JoinTests) != 1 || ce1.JoinTests[0] != wantJoin {
+		t.Errorf("join tests: %+v, want %+v", ce1.JoinTests, wantJoin)
 	}
 	if len(ce0.JoinTests) != 0 {
 		t.Errorf("first pattern has join tests: %+v", ce0.JoinTests)
@@ -89,8 +87,15 @@ func TestLowerMetaRules(t *testing.T) {
 	if len(ce0.Filters) != 1 || len(ce1.Filters) != 1 {
 		t.Fatalf("filters: %d on pattern 0, %d on pattern 1", len(ce0.Filters), len(ce1.Filters))
 	}
+	// precedes within one rule is one node over the two time-tag runs (bid
+	// has two positive condition elements); as a leaf it stays on the tree
+	// walker, like every leaf root.
+	wantPrec := Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 4}, MetaVar: VarRef{CE: 1, Field: 4}, Len: 2}
+	if got := *ce1.Filters[0]; got.Kind != wantPrec.Kind || got.Ref != wantPrec.Ref || got.MetaVar != wantPrec.MetaVar || got.Len != wantPrec.Len {
+		t.Errorf("precedes lowered to %+v, want %+v", got, wantPrec)
+	}
 	for _, f := range []*Expr{ce0.Filters[0], ce1.Filters[0]} {
-		if f.code == nil {
+		if f.Kind == ECall && f.code == nil {
 			t.Error("lowered filter was not compiled to bytecode")
 		}
 		var walk func(e *Expr)
@@ -146,14 +151,117 @@ func TestImageReify(t *testing.T) {
 	mem := wm.NewMemory(p.Schema)
 	order, _ := mem.Insert("order", map[string]wm.Value{"id": wm.Int(7)})
 	pool, _ := mem.Insert("pool", map[string]wm.Value{"id": wm.Int(3), "amount": wm.Int(50)})
-	w := p.Meta.Images[0].Reify(9, []*wm.WME{pool, order})
-	want := []wm.Value{wm.Int(50), wm.Int(7), wm.Int(3), wm.Int(9), wm.Int(pool.Time), wm.Int(pool.Time), wm.Int(order.Time)}
-	if w.Time != 9 || w.Tmpl != p.Meta.Images[0].Tmpl || len(w.Fields) != len(want) {
-		t.Fatalf("image: %v", w)
+	w := p.Meta.Images[0].Reify([]*wm.WME{pool, order})
+	want := []wm.Value{wm.Int(50), wm.Int(7), wm.Int(3), wm.Int(pool.Time), wm.Int(pool.Time), wm.Int(order.Time)}
+	if w.Time != pool.Time || w.Tmpl != p.Meta.Images[0].Tmpl || len(w.Fields) != len(want) {
+		t.Fatalf("image: %v", &w)
 	}
 	for i := range want {
 		if w.Fields[i] != want[i] {
 			t.Errorf("field %s = %v, want %v", w.Tmpl.Attrs[i], w.Fields[i], want[i])
 		}
 	}
+}
+
+// TestMetaJoinPlans checks the plans compiled beside the lowering: which
+// pattern a join seeded at each pattern binds next, through which index,
+// which tests are left for the step, where filters run, and what the
+// leave-side pruning is told about victims.
+func TestMetaJoinPlans(t *testing.T) {
+	p, err := CompileSource(lowerSrc + `
+(metarule chain
+  [<i> (bid ^p <p> ^a <a>)]
+  [<j> (ask ^o <o>)]
+  [<k> (bid ^p <p> ^o <o> ^a (> <a>))]
+-->
+  (redact <i> <k>))
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml := p.Meta
+	if len(ml.Patterns) != 7 {
+		t.Fatalf("%d patterns, want 2 + 2 + 3", len(ml.Patterns))
+	}
+	for i, pat := range ml.Patterns {
+		if pat.ID != i || pat.CE != ml.Rules[pat.Rule].CEs[pat.Pat] {
+			t.Fatalf("pattern %d: %+v", i, pat)
+		}
+	}
+	// Image fields — bid: a 0, o 1, p 2; ask: o 0.
+	const a, o, pp = 0, 1, 2
+	bid, ask := ml.Images[0], ml.Images[1]
+	pats := func(im *Image) (ids []int) {
+		for _, pat := range im.Patterns {
+			ids = append(ids, pat.ID)
+		}
+		return ids
+	}
+	if got := pats(bid); !slices.Equal(got, []int{0, 1, 2, 4, 6}) {
+		t.Errorf("patterns over bid: %v", got)
+	}
+	if got := pats(ask); !slices.Equal(got, []int{3, 5}) {
+		t.Errorf("patterns over ask: %v", got)
+	}
+	// Every pattern's memory is indexed on exactly the field its plans
+	// probe, on both sides of each equality test; chain's last pattern is
+	// probed on p from <i> and on o from <j>.
+	wantIndexed := [][]int{{pp}, {pp}, {o}, {0}, {pp}, {0}, {pp, o}}
+	pos := map[*Image]int{}
+	for i, pat := range ml.Patterns {
+		if !slices.Equal(pat.Indexed, wantIndexed[i]) {
+			t.Errorf("pattern %d indexed on %v, want %v", i, pat.Indexed, wantIndexed[i])
+		}
+		im := ml.Images[p.MetaRules[pat.Rule].Patterns[pat.Pat].Rule.Index]
+		if pat.Pos != pos[im] {
+			t.Errorf("pattern %d: positions start at %d, want %d", i, pat.Pos, pos[im])
+		}
+		pos[im] += 1 + len(pat.Indexed)
+	}
+	if bid.NumPos != pos[bid] || ask.NumPos != pos[ask] || bid.NumPos != 11 || ask.NumPos != 4 {
+		t.Errorf("position vectors: bid %d, ask %d", bid.NumPos, ask.NumPos)
+	}
+
+	type step struct {
+		pat, index   int
+		from         VarRef
+		tests        []MetaTest
+		distinct     []int
+		filters      int
+		victim, last bool
+	}
+	check := func(name string, j MetaJoin, seedFilters int, want ...step) {
+		t.Helper()
+		if len(j.Filters) != seedFilters || len(j.Steps) != len(want) {
+			t.Fatalf("%s: %d seed filters and %d steps, want %d and %d", name, len(j.Filters), len(j.Steps), seedFilters, len(want))
+		}
+		for i, w := range want {
+			s := j.Steps[i]
+			if s.Pat.Pat != w.pat || s.Index != w.index || s.From != w.from || !slices.Equal(s.Tests, w.tests) ||
+				!slices.Equal(s.Distinct, w.distinct) || len(s.Filters) != w.filters || s.Victim != w.victim || s.LastVictim != w.last {
+				t.Errorf("%s step %d: %+v, want %+v", name, i, s, w)
+			}
+		}
+	}
+	// same-pool: (tag <i>) filters on the seed when that is <i>, and with
+	// precedes once both are bound when it is <j>.
+	check("same-pool/i", ml.Patterns[0].Seed, 1,
+		step{pat: 1, index: 0, from: VarRef{CE: 0, Field: pp}, distinct: []int{0}, filters: 1, victim: true, last: true})
+	check("same-pool/j", ml.Patterns[1].Seed, 0,
+		step{pat: 0, index: 0, from: VarRef{CE: 1, Field: pp}, distinct: []int{1}, filters: 2, last: true})
+	// across: the constant filter needs nothing bound.
+	check("across/i", ml.Patterns[2].Seed, 1,
+		step{pat: 1, index: 0, from: VarRef{CE: 0, Field: o}, victim: true, last: true})
+	// chain: from <i>, <j> has nothing to be probed with until <k> is
+	// bound, so <k> goes first; the order test on a is left for its step.
+	gt := MetaTest{Ref: VarRef{CE: 2, Field: a}, Op: OpGt, Other: VarRef{CE: 0, Field: a}}
+	check("chain/i", ml.Patterns[4].Seed, 0,
+		step{pat: 2, index: 0, from: VarRef{CE: 0, Field: pp}, tests: []MetaTest{gt}, distinct: []int{0}, victim: true, last: true},
+		step{pat: 1, index: 0, from: VarRef{CE: 2, Field: o}, last: true})
+	check("chain/j", ml.Patterns[5].Seed, 0,
+		step{pat: 2, index: 1, from: VarRef{CE: 1, Field: 0}, victim: true},
+		step{pat: 0, index: 0, from: VarRef{CE: 2, Field: pp}, tests: []MetaTest{gt}, distinct: []int{2}, victim: true, last: true})
+	check("chain/k", ml.Patterns[6].Seed, 0,
+		step{pat: 0, index: 0, from: VarRef{CE: 2, Field: pp}, tests: []MetaTest{gt}, distinct: []int{2}, victim: true, last: true},
+		step{pat: 1, index: 0, from: VarRef{CE: 2, Field: o}, last: true})
 }

@@ -73,6 +73,8 @@ func (c *code) exec(r []wm.Value, env Env) (wm.Value, error) {
 			r[in.a] = wm.Sym(env.MetaRuleName(int(in.b)))
 		case opMetaPrec:
 			r[in.a] = wm.Bool(env.MetaPrecedes(int(in.b), int(in.c)))
+		case opRefPrec:
+			r[in.a] = wm.Bool(refsPrecede(env, c.refs[in.c], c.refs[in.c+1], int(in.b)))
 		case opJump:
 			pc = int(in.b)
 		case opJumpFalsy:

@@ -4,7 +4,8 @@
 //  1. MATCH: the pending working-memory delta is applied to every worker's
 //     matcher partition in parallel, producing the conflict set.
 //  2. REDACT: the programmer's meta-rules — rules over the conflict set,
-//     matched incrementally like any others (redact.go) — delete
+//     matched incrementally by a matcher of their own that stores no
+//     matches, only a kill count per instantiation (redact.go) — delete
 //     (redact) instantiations that must not fire together. This replaces
 //     OPS5's built-in serial conflict resolution with programmable,
 //     set-oriented conflict resolution.
@@ -42,8 +43,9 @@ type Options struct {
 	// Workers is the number of parallel workers for match and fire. Rules
 	// are partitioned round-robin across workers. Values < 1 mean 1.
 	Workers int
-	// Matcher builds each worker's match network, and the meta-rules' own.
-	// Default: rete.New.
+	// Matcher builds each worker's match network. It reaches the object
+	// level only: meta-rules run on the one meta level of redact.go
+	// whatever matches the object rules. Default: rete.New.
 	Matcher match.Factory
 	// Output receives `(write …)` text. Default: io.Discard.
 	Output io.Writer
@@ -62,11 +64,11 @@ type Options struct {
 	// during checkpoint recovery, where the restored working memory
 	// already contains them (under their original time tags).
 	NoInitialFacts bool
-	// EvalMode selects the expression backend for RHS actions: the
-	// bytecode VM (the zero value, the default) or the tree-walking
-	// interpreter (compile.EvalInterp). The matchers carry their own copy
-	// via rete.Options/treat.Options — set both from the same flag (the
-	// facade's Config.EvalMode does).
+	// EvalMode selects the expression backend for RHS actions and for
+	// meta-rule tests: the bytecode VM (the zero value, the default) or the
+	// tree-walking interpreter (compile.EvalInterp). The matchers carry
+	// their own copy via rete.Options/treat.Options — set both from the
+	// same flag (the facade's Config.EvalMode does).
 	EvalMode compile.EvalMode
 }
 
@@ -226,7 +228,7 @@ func New(prog *compile.Program, opts Options) *Engine {
 		activity:    make(map[string]int),
 		fires:       make(map[string]int),
 	}
-	e.meta = newMetaLevel(prog, opts.Matcher, e.fired)
+	e.meta = newMetaLevel(prog, opts.EvalMode, e.fired)
 	// Distribute rules across workers. Workers with no rules are dropped
 	// so tiny programs don't pay for idle goroutines.
 	parts := partitionRules(prog.Rules, opts.Workers, opts.Partition)
@@ -428,6 +430,7 @@ func (e *Engine) Step() (bool, error) {
 	t0 = time.Now()
 	survivors, redacted := e.meta.survivors(eligible)
 	cyc.Redact = time.Since(t0)
+	e.meta.charge(cyc.Redact)
 	rounds := 0
 	if redacted > 0 {
 		rounds = 1
@@ -577,9 +580,11 @@ func (e *Engine) RuleFires() map[string]int {
 // both do) with the engine's own per-rule firing counts. Rules are
 // returned sorted by attributed match time, then firings, then name, so
 // the first entries are the copy-and-constrain candidates; after them
-// comes one row per meta-rule, in declaration order, from the meta level's
-// matcher (its Insts are meta-matches found; meta-rules never fire). Match
-// time is only attributed when the matcher was built with profiling
+// comes one row per meta-rule, in declaration order, from the meta level:
+// Probes are the candidates its joins tested, Insts the tuples found as
+// instantiations became eligible, MatchNS its share by probes of the redact
+// phases' time; it builds no tokens and meta-rules never fire. Object-level
+// match time is only attributed when the matcher was built with profiling
 // enabled (rete.Options.Profile / treat.Options.Profile); the activity
 // counters (tokens, probes, instantiations) are always maintained.
 func (e *Engine) RuleProfiles() []match.RuleProfile {
@@ -623,18 +628,17 @@ func (e *Engine) RuleProfiles() []match.RuleProfile {
 		return a.Rule < b.Rule
 	})
 	if e.meta != nil {
-		if rp, ok := e.meta.matcher.(match.RuleProfiler); ok {
-			out = append(out, rp.RuleProfiles()...)
-		}
+		out = append(out, e.meta.ruleProfiles()...)
 	}
 	return out
 }
 
 // MemStats reports the match-state sizes of the object level, summed over
-// the workers' matchers, and of the meta level: images held in alpha
-// memories, partial meta-matches (RETE only) and stored meta-matches. A
-// meta-rule without an equality join between its patterns stores a
-// meta-match per pair of eligible instantiations that passes its tests.
+// the workers' matchers, and of the meta level: AlphaItems counts the
+// images of eligible instantiations, once per meta-pattern memory holding
+// them. The meta level keeps neither partial nor complete meta-matches, so
+// its BetaTokens and ConflictSet are zero and its size is linear in the
+// eligible set whatever the meta-rules join on.
 func (e *Engine) MemStats() (object, meta match.MemStats) {
 	for _, w := range e.workers {
 		ms := w.matcher.MemStats()
@@ -643,7 +647,7 @@ func (e *Engine) MemStats() (object, meta match.MemStats) {
 		object.ConflictSet += ms.ConflictSet
 	}
 	if e.meta != nil {
-		meta = e.meta.matcher.MemStats()
+		meta = e.meta.memStats()
 	}
 	return object, meta
 }

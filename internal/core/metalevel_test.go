@@ -1,0 +1,526 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"parulel/internal/compile"
+	"parulel/internal/match"
+	"parulel/internal/wm"
+)
+
+// checkMetaLevel checks, between syncs, that the meta level's parts agree:
+// every image is in exactly the memories whose alpha tests it passes, at
+// the positions it has recorded, in every index of those memories; nothing
+// is flagged or queued; and the redacted counter counts.
+func checkMetaLevel(t testing.TB, m *metaLevel) {
+	t.Helper()
+	if n := len(m.left) + len(m.entered) + len(m.leavers); n != 0 {
+		t.Fatalf("%d instantiations still queued after a sync", n)
+	}
+	held := 0
+	for i := range m.mems {
+		mem := &m.mems[i]
+		if mem.leaving != 0 {
+			t.Fatalf("pattern %d: %d members still counted as leaving", i, mem.leaving)
+		}
+		for at, img := range mem.list {
+			if m.images[img.in.Key()] != img {
+				t.Fatalf("pattern %d holds an image that is not its instantiation's (%v)", i, img.in)
+			}
+			if int(img.pos[mem.pat.Pos]) != at {
+				t.Fatalf("pattern %d: image %v believes it is at %d, is at %d", i, img.in, img.pos[mem.pat.Pos], at)
+			}
+			for k := range mem.idx {
+				key := img.wme.Fields[mem.pat.Indexed[k]]
+				if key != key {
+					continue // NaN: no probe reaches it
+				}
+				b, p := mem.idx[k].Get(key), int(img.pos[mem.pat.Pos+1+k])
+				if p >= len(b) || b[p] != img {
+					t.Fatalf("pattern %d, index %d: image %v is not at %d of its bucket of %d", i, k, img.in, p, len(b))
+				}
+			}
+		}
+		for k := range mem.idx {
+			if mem.idx[k].Len() != len(mem.list) {
+				t.Fatalf("pattern %d, index %d holds %d members, the memory %d", i, k, mem.idx[k].Len(), len(mem.list))
+			}
+		}
+		held += len(mem.list)
+	}
+	redacted, fits := 0, 0
+	for key, img := range m.images {
+		if img.in.Key() != key || img.leaving || img.kills < 0 {
+			t.Fatalf("image %v: filed under another key, flagged as leaving, or counted below zero (%d)", img.in, img.kills)
+		}
+		if img.kills > 0 {
+			redacted++
+		}
+		for _, p := range m.patterns(img) {
+			fit := p.CE.MatchesAlpha(&img.wme)
+			if fit != (img.pos[p.Pos] >= 0) {
+				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, recorded position %d", img.in, p.ID, fit, img.pos[p.Pos])
+			}
+			if fit {
+				fits++
+			}
+		}
+	}
+	if fits != held {
+		t.Fatalf("the memories hold %d images, the images fit %d patterns", held, fits)
+	}
+	if redacted != m.redacted {
+		t.Fatalf("%d images have a kill count, the meta level says %d", redacted, m.redacted)
+	}
+}
+
+// checkKills compares every image's kill count with a recount from scratch
+// by the oracle joiner over the same eligible set, and explain's account of
+// each count with the count.
+func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*match.Instantiation) (tuples int) {
+	t.Helper()
+	want := oracle.kills(eligible)
+	if len(m.images) != len(eligible) {
+		t.Fatalf("%d images for %d eligible instantiations", len(m.images), len(eligible))
+	}
+	mentionsOnce := true
+	for _, r := range m.rules {
+		for i, v := range r.Redacts {
+			for _, u := range r.Redacts[:i] {
+				mentionsOnce = mentionsOnce && u != v
+			}
+		}
+	}
+	for _, in := range eligible {
+		img := m.images[in.Key()]
+		if img == nil || img.in != in {
+			t.Fatalf("%v: no image, or the image of an instantiation that has left", in)
+		}
+		if int(img.kills) != want[in.Key()] {
+			t.Fatalf("%v: kill count %d, a recount finds %d", in, img.kills, want[in.Key()])
+		}
+		tuples += want[in.Key()]
+		explained := 0
+		for _, r := range m.explain(in) {
+			if r.tuples == 0 {
+				t.Fatalf("%v: empty explanation %+v", in, r)
+			}
+			explained += r.tuples
+		}
+		if explained > int(img.kills) || mentionsOnce && explained != int(img.kills) || (explained == 0) != (img.kills == 0) {
+			t.Fatalf("%v: explain accounts for %d tuples, the kill count is %d", in, explained, img.kills)
+		}
+	}
+	got, redacted := m.survivors(eligible)
+	keep, _, n := oracle.run(eligible)
+	if redacted != n || !sameInstantiations(got, keep) {
+		t.Fatalf("survivors %v (%d redacted), oracle keeps %v (%d)", got, redacted, keep, n)
+	}
+	return tuples
+}
+
+// metaLevelCases are the shapes the oracle differential cannot tell from a
+// drifting count: it compares survivors, and a count that is off by one
+// hides until it crosses zero.
+var metaLevelCases = []struct{ name, metas string }{
+	{"mutual-kill", `
+(metarule duel [<i> (take ^k <k>)] [<j> (take ^k <k>)] --> (redact <j>))`},
+	{"killer-and-victim", `
+(metarule both [<i> (take ^k <k> ^a <a>)] [<j> (take ^k <k> ^a (> <a>))] --> (redact <i> <j>))`},
+	{"duplicate-victim", `
+(metarule twice [<i> (take ^a <a>)] [<j> (drop ^a <a>)] --> (redact <i> <i>))`},
+	{"equality-free", `
+(metarule lowest [<i> (take ^a <a>)] [<j> (take ^a <b>)] (test (or (< <a> <b>) (and (= <a> <b>) (precedes <i> <j>)))) --> (redact <j>))`},
+	{"two-leavers-one-tuple", `
+(metarule triple [<i> (take ^k <k>)] [<j> (take ^k <k>)] [<l> (drop ^k <k>)] (test (precedes <i> <j>)) --> (redact <l>))
+(metarule triangle [<i> (take ^a <a>)] [<j> (take ^b <a>)] [<l> (take ^k <a>)] --> (redact <i> <l>))`},
+	{"alpha-tests", `
+(metarule picky [<i> (take ^k 1 ^a <a>)] [<j> (take ^k << 0 1 >> ^a <a> ^b (< 2))] [<l> (drop ^a (<> <a>))] (test (< (tag <i>) (tag <l>))) --> (redact <j> <l>))`},
+	{"single-pattern", `
+(metarule never [<i> (take ^k 2)] --> (redact <i>))
+(metarule middle [<i> (drop ^k <k>)] [<j> (take ^a <k>)] [<l> (drop ^b <k>)] --> (redact <j>))`},
+}
+
+const metaLevelRules = `
+(literalize item k a b)
+(literalize part k a b)
+(rule take (item ^k <k> ^a <a> ^b <b>) --> (remove 1))
+(rule drop (part ^k <k> ^a <a> ^b <b>) --> (remove 1))
+`
+
+// driveMetaLevel feeds one program's meta level random batches of
+// instantiations entering and leaving, the way the engine queues them —
+// what fired or left first, then what entered — and after every sync checks
+// the structure and every kill count. Batches take in the cases an engine
+// run produces rarely or in one order only: most or all of the eligible
+// set leaving at once, two leavers in one tuple, an instantiation queued to
+// leave twice, one that leaves and comes back under the same key within a
+// sync, one that fires and stays in the conflict set, and entrants a
+// restored refraction set already names. It returns how many tuples the
+// recounts found.
+func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples int) {
+	t.Helper()
+	prog, err := compile.CompileSource(src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	fired := make(map[match.Key]bool)
+	mode := []compile.EvalMode{compile.EvalBytecode, compile.EvalInterp}[seed%2]
+	m := newMetaLevel(prog, mode, fired)
+	oracle := newOracle(prog, 1)
+	oracle.evalMode = mode
+	mem := wm.NewMemory(prog.Schema)
+	var pool []*match.Instantiation
+	for _, r := range prog.Rules {
+		if prog.Meta.Images[r.Index] == nil {
+			continue
+		}
+		for i := 0; i < 9; i++ {
+			fields := []wm.Value{wm.Int(int64(rng.Intn(3))), wm.Int(int64(rng.Intn(3))), wm.Int(int64(rng.Intn(3)))}
+			pool = append(pool, match.NewInstantiation(r, []*wm.WME{mem.InsertFields(r.CEs[0].Tmpl, fields)}))
+		}
+	}
+	present := make(map[match.Key]*match.Instantiation)
+	for round := 0; round < rounds; round++ {
+		var left, entered []*match.Instantiation
+		turnover := []float64{0.15, 0.5, 1}[rng.Intn(3)]
+		for _, in := range pool {
+			if rng.Float64() >= turnover {
+				continue
+			}
+			k := in.Key()
+			switch cur := present[k]; {
+			case cur == nil:
+				entered = append(entered, in)
+				present[k] = in
+				if rng.Intn(8) == 0 {
+					fired[k] = true // as restored: in the conflict set, not eligible
+				}
+			case !fired[k] && rng.Intn(4) == 0:
+				fired[k] = true // fires, and stays in the conflict set
+				left = append(left, cur)
+			default:
+				left = append(left, cur)
+				delete(present, k)
+				delete(fired, k)
+				switch rng.Intn(4) {
+				case 0:
+					left = append(left, cur)
+				case 1:
+					again := match.NewInstantiation(in.Rule, in.WMEs)
+					entered = append(entered, again)
+					present[k] = again
+				}
+			}
+		}
+		for _, in := range left {
+			m.leave(in)
+		}
+		for _, in := range entered {
+			m.enter(in)
+		}
+		m.sync()
+		checkMetaLevel(t, m)
+		var eligible []*match.Instantiation
+		for k, in := range present {
+			if !fired[k] {
+				eligible = append(eligible, in)
+			}
+		}
+		match.SortInstantiations(eligible)
+		tuples += checkKills(t, m, oracle, eligible)
+		checkMetaLevel(t, m) // explain and survivors changed nothing
+	}
+	return tuples
+}
+
+// TestMetaLevelKillCounts is the model-based test of the lazy meta level:
+// the model is the oracle joiner's recount from scratch.
+func TestMetaLevelKillCounts(t *testing.T) {
+	for i, tc := range metaLevelCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				if driveMetaLevel(t, metaLevelRules+tc.metas, seed+int64(10*i), 60) == 0 {
+					t.Fatal("no tuple ever matched: the case tests nothing")
+				}
+			}
+		})
+	}
+	t.Run("generated", func(t *testing.T) {
+		const seeds = 60
+		matching := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			src := genMetaProgram(rand.New(rand.NewSource(seed)))
+			if driveMetaLevel(t, src, seed, 25) > 0 {
+				matching++
+			}
+			if t.Failed() {
+				t.Fatalf("seed %d:\n%s", seed, src)
+			}
+		}
+		if matching < seeds/2 {
+			t.Errorf("only %d of %d generated programs ever matched a tuple", matching, seeds)
+		}
+	})
+}
+
+// TestMetaLevelChurn keeps one meta level alive through 100k rounds of an
+// instantiation entering and an old one leaving, over join keys that never
+// repeat, beside two images that stay and are redacted by whatever passes.
+// Memories, index tables and counts must come back to where they started
+// and no image may outlive its instantiation.
+func TestMetaLevelChurn(t *testing.T) {
+	prog := compileOK(t, `
+(literalize item group rank)
+(rule take (item ^group <g> ^rank <r>) --> (remove 1))
+(metarule best-of-group
+  [<i> (take ^g <g> ^r <r1>)]
+  [<j> (take ^g <g> ^r <r2>)]
+  (test (< <r1> <r2>))
+-->
+  (redact <j>))
+(metarule outranked
+  [<i> (take ^r <r1>)]
+  [<j> (take ^g 0 ^r <r2>)]
+  (test (> <r1> <r2>))
+-->
+  (redact <j>))
+`)
+	fired := make(map[match.Key]bool)
+	m := newMetaLevel(prog, compile.EvalBytecode, fired)
+	oracle := newOracle(prog, 1)
+	mem := wm.NewMemory(prog.Schema)
+	take := prog.Rules[0]
+	inst := func(group, rank int) *match.Instantiation {
+		w := mem.InsertFields(take.CEs[0].Tmpl, []wm.Value{wm.Int(int64(group)), wm.Int(int64(rank))})
+		return match.NewInstantiation(take, []*wm.WME{w})
+	}
+	slots := func() (n int) {
+		for i := range m.mems {
+			for k := range m.mems[i].idx {
+				n += m.mems[i].idx[k].Slots()
+			}
+		}
+		return n
+	}
+	if base := m.memStats(); base != (match.MemStats{}) || slots() != 0 {
+		t.Fatalf("a fresh meta level holds %+v and %d index slots", base, slots())
+	}
+	stay := []*match.Instantiation{inst(0, 3), inst(0, 5)}
+	for _, in := range stay {
+		m.enter(in)
+	}
+	m.sync()
+	base := m.memStats()
+	baseKills := []int32{m.images[stay[0].Key()].kills, m.images[stay[1].Key()].kills}
+	if baseKills[0] != 1 || baseKills[1] != 1 { // the second outranks the first, the first is the best of the group
+		t.Fatalf("the two that stay start with kill counts %v, want [1 1]", baseKills)
+	}
+
+	const window = 16
+	rounds := 100000
+	if testing.Short() {
+		rounds = 5000
+	}
+	var live []*match.Instantiation
+	maxSlots, maxHeld := 0, 0
+	for i := 0; i < rounds; i++ {
+		// Two to a group, so best-of-group matches; ranks pass the stayers'.
+		in := inst(1+i/2, i%9)
+		live = append(live, in)
+		m.enter(in)
+		if len(live) > window {
+			m.leave(live[0])
+			mem.Remove(live[0].WMEs[0].Time)
+			live = live[1:]
+		}
+		m.sync()
+		maxSlots, maxHeld = max(maxSlots, slots()), max(maxHeld, m.memStats().AlphaItems)
+		if i%997 == 0 {
+			checkMetaLevel(t, m)
+			checkKills(t, m, oracle, append(append([]*match.Instantiation(nil), stay...), live...))
+		}
+	}
+	// Three indexed memories (outranked joins on nothing), at most window+2
+	// buckets each.
+	if maxSlots > 3*64 {
+		t.Fatalf("index tables grew to %d slots over %d live images", maxSlots, window+2)
+	}
+	if maxHeld > 4*(window+3) {
+		t.Fatalf("the memories grew to %d images over %d live ones", maxHeld, window+2)
+	}
+	for _, in := range live {
+		m.leave(in)
+	}
+	m.sync()
+	checkMetaLevel(t, m)
+	if ms := m.memStats(); ms != base || len(m.images) != len(stay) {
+		t.Fatalf("with the passers-by gone the meta level holds %+v and %d images, started with %+v and %d", ms, len(m.images), base, len(stay))
+	}
+	for i, in := range stay {
+		if got := m.images[in.Key()].kills; got != baseKills[i] {
+			t.Fatalf("%v: kill count %d after the churn, %d before", in, got, baseKills[i])
+		}
+	}
+	for _, in := range stay {
+		m.leave(in)
+	}
+	m.sync()
+	if ms := m.memStats(); ms != (match.MemStats{}) || len(m.images) != 0 || slots() != 0 || m.redacted != 0 {
+		t.Fatalf("emptied meta level holds %+v, %d images, %d index slots, %d redacted", ms, len(m.images), slots(), m.redacted)
+	}
+}
+
+const equalityFreeProgram = `
+(literalize item n)
+(rule take (item ^n <n>) --> (remove 1))
+(metarule lowest
+  [<i> (take ^n <a>)]
+  [<j> (take ^n <b>)]
+  (test (< <a> <b>))
+-->
+  (redact <j>))
+`
+
+// TestMetaLevelAllocationBudget holds the meta level to what it may
+// allocate: a constant per image — the image, its WME and field vector, and
+// its share of the growth of the key map, the two memories and the queues —
+// and nothing per meta-match. Under a meta-rule with no equality join n
+// images match n(n-1)/2 tuples, so anything kept or allocated per tuple
+// shows as growth in the per-image figure from 64 to 256 images; 256 is the
+// instance that cost 8 MB while meta-matches were stored.
+func TestMetaLevelAllocationBudget(t *testing.T) {
+	prog := compileOK(t, equalityFreeProgram)
+	mem := wm.NewMemory(prog.Schema)
+	take := prog.Rules[0]
+	var pool []*match.Instantiation
+	for i := 0; i < 256; i++ {
+		w := mem.InsertFields(take.CEs[0].Tmpl, []wm.Value{wm.Int(int64(i))})
+		pool = append(pool, match.NewInstantiation(take, []*wm.WME{w}))
+	}
+	cycle := func(n int) *metaLevel {
+		m := newMetaLevel(prog, compile.EvalBytecode, nil)
+		for _, in := range pool[:n] {
+			m.enter(in)
+		}
+		m.sync()
+		if got, want := m.profs[0].insts, uint64(n*(n-1)/2); got != want || m.redacted != n-1 {
+			t.Fatalf("%d images: %d tuples found and %d redacted, want %d and %d", n, got, m.redacted, want, n-1)
+		}
+		return m
+	}
+	const perImage, bytesPerImage = 6.0, 768
+	var prev float64
+	for _, n := range []int{64, 128, 256} {
+		allocs := testing.AllocsPerRun(5, func() {
+			m := cycle(n)
+			for _, in := range pool[:n] {
+				m.leave(in)
+			}
+			m.sync()
+		})
+		if allocs > perImage*float64(n) {
+			t.Errorf("%d images: %.0f allocations, %.1f per image, budget %.1f", n, allocs, allocs/float64(n), perImage)
+		}
+		if prev > 0 && allocs > 2*prev+16 {
+			t.Errorf("%d images allocate %.0f, half as many %.0f: more than linear, something is allocated per meta-match", n, allocs, prev)
+		}
+		prev = allocs
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := cycle(n)
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > bytesPerImage*uint64(n) {
+			t.Errorf("%d images: %d bytes allocated, %d per image, budget %d", n, bytes, bytes/uint64(n), bytesPerImage)
+		}
+		// Resident state: every image in both patterns' memories, nothing
+		// else anywhere.
+		if ms := m.memStats(); ms != (match.MemStats{AlphaItems: 2 * n}) {
+			t.Errorf("%d images: meta level holds %+v, want %d memory entries and nothing else", n, ms, 2*n)
+		}
+	}
+}
+
+// TestEngineMetaMemStatsLinear is the same bound seen from outside: after a
+// cycle on n eligible instantiations under an equality-free meta-rule the
+// engine reports at most 2n resident meta-level items — each image in the
+// memories of the two patterns — and no tokens or stored meta-matches.
+func TestEngineMetaMemStatsLinear(t *testing.T) {
+	prog := compileOK(t, equalityFreeProgram)
+	for _, n := range []int{64, 128, 256} {
+		e := New(prog, Options{MaxCycles: 4})
+		for i := 0; i < n; i++ {
+			if _, err := e.Insert("item", map[string]wm.Value{"n": wm.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if res := e.CurrentResult(); res.Firings != 1 || res.Redactions != n-1 {
+			t.Fatalf("n=%d: %+v, want one firing and the rest redacted", n, res)
+		}
+		_, meta := e.MemStats()
+		if meta.AlphaItems > 2*n || meta.BetaTokens != 0 || meta.ConflictSet != 0 {
+			t.Errorf("n=%d: meta level reports %+v, want at most %d images and nothing else", n, meta, 2*n)
+		}
+		var found, probes uint64
+		for _, p := range e.RuleProfiles() {
+			if p.Rule == "lowest" {
+				found, probes = p.Insts, p.Probes
+				if p.Tokens != 0 || p.MatchNS <= 0 {
+					t.Errorf("n=%d: meta row %+v, want no tokens and some match time", n, p)
+				}
+			}
+		}
+		if want := uint64(n * (n - 1) / 2); found != want || probes < want {
+			t.Errorf("n=%d: meta row counts %d tuples in %d probes, want %d tuples", n, found, probes, want)
+		}
+	}
+}
+
+func TestExplainRedaction(t *testing.T) {
+	prog := compileOK(t, `
+(literalize item k n)
+(rule take (item ^k <k> ^n <n>) --> (halt))
+(metarule lowest-in-group
+  [<i> (take ^k <k> ^n <a>)]
+  [<j> (take ^k <k> ^n <b>)]
+  (test (< <a> <b>))
+-->
+  (redact <j>))
+(metarule never-seven
+  [<i> (take ^n 7)]
+-->
+  (redact <i>))
+(wm (item ^k 1 ^n 1) (item ^k 1 ^n 2) (item ^k 1 ^n 7) (item ^k 2 ^n 7))
+`)
+	e := New(prog, Options{MaxCycles: 10})
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	explain := func(tag int64) string {
+		for _, in := range e.ConflictSet() {
+			if in.WMEs[0].Time == tag {
+				return fmt.Sprint(e.explainRedaction(in))
+			}
+		}
+		t.Fatalf("no instantiation on element %d", tag)
+		return ""
+	}
+	for tag, want := range map[int64]string{
+		1: "[]", // fired
+		2: "[redacted by lowest-in-group with take [1]]",
+		3: "[redacted by lowest-in-group with take [1] (first of 2 matches) redacted by never-seven]",
+		4: "[redacted by never-seven]",
+	} {
+		if got := explain(tag); got != want {
+			t.Errorf("instantiation on element %d: %s, want %s", tag, got, want)
+		}
+	}
+}

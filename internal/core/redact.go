@@ -1,21 +1,31 @@
 package core
 
 import (
+	"slices"
+	"time"
+
 	"parulel/internal/compile"
 	"parulel/internal/match"
+	"parulel/internal/valueindex"
 	"parulel/internal/wm"
 )
 
-// metaLevel runs the program's meta-rules as ordinary incremental match.
+// metaLevel runs the program's meta-rules as a lazy, counting match.
 //
 // PARULEL's meta-rules are rules whose working memory is the conflict set.
-// compile.MetaLevel lowers each one to an ordinary rule over per-rule
-// image templates; here every *eligible* instantiation (in the conflict
-// set, not refracted) of a rule some meta-pattern names has one image WME
-// in a match network of its own, built by the same factory as the object
-// level's. The engine feeds that network the eligible set's delta each
-// cycle, and the network's conflict set is the set of live meta-matches.
-// Each image counts the live meta-matches that redact it.
+// compile.MetaLevel lowers each one to condition elements over per-rule
+// image templates and compiles a join plan per pattern; here every
+// *eligible* instantiation (in the conflict set, not refracted) of a rule
+// some meta-pattern names has one image, held in the memory of each pattern
+// whose alpha tests it passes. A memory is hash-indexed on the fields its
+// equality join tests read. Nothing else is stored: no partial match, no
+// meta-match. An image that enters is joined, seeded at each pattern it
+// fits, against the other patterns' memories, and every tuple found adds
+// one to the kill count of each image the tuple redacts; an image that
+// leaves runs the same joins and takes those kills back. The engine feeds
+// the eligible set's delta each cycle. This is how a CHR constraint store
+// executes an active constraint — partners are found through the store's
+// indexes and forgotten — and TREAT without its conflict set.
 //
 // Semantics (synchronous): all redactions justified by matches against
 // the full eligible set apply at once, so the outcome is independent of
@@ -33,42 +43,125 @@ import (
 // persisted.
 type metaLevel struct {
 	prog *compile.MetaLevel
-	// rules[i].Redacts lists the condition elements of prog.Rules[i] whose
-	// matched images a match of that rule redacts.
-	rules   []*compile.MetaRule
-	matcher match.Matcher
+	// rules[i].Redacts lists the patterns of prog.Rules[i] whose matched
+	// images a match of that rule redacts.
+	rules []*compile.MetaRule
+	mode  compile.EvalMode
 	// fired is the engine's refraction set, read to keep restored, already
 	// refracted instantiations out of the meta level.
 	fired  map[match.Key]bool
-	lastID int64
 	images map[match.Key]*image
-	byWME  map[*wm.WME]*image
+	// mems[p.ID] is the memory of pattern p.
+	mems []imageMem
 	// redacted counts images with a non-zero kill count.
 	redacted int
 	// entered and left queue the eligible set's changes between redact
 	// phases: instantiations that entered the conflict set, and ones that
 	// left it or fired.
 	entered, left []*match.Instantiation
+	// leavers is sync's scratch list of the images of left.
+	leavers []*image
+	// tuple is the tuple a join is enumerating, indexed by pattern, and
+	// env.Vec the same tuple as image WMEs, for the filters.
+	tuple []*image
+	env   compile.VecEnv
+	// visit, when set, receives each tuple a join completes in place of
+	// the kill counts (explain).
+	visit func()
+	profs []metaProf
+}
+
+// metaProf accumulates one meta-rule's activity. paid is how many of its
+// probes matchNS has been charged for.
+type metaProf struct {
+	matchNS             int64
+	probes, insts, paid uint64
 }
 
 // image is the meta-level state of one reified instantiation.
 type image struct {
-	wme   *wm.WME
-	kills int
+	wme wm.WME
+	in  *match.Instantiation
+	// kills counts the tuples that redact the image, once per mention in
+	// their rule's redact list.
+	kills int32
+	// leaving flags an image of the batch a sync is retracting: its count
+	// no longer matters, and a tuple all of whose victims are leaving is
+	// not worth enumerating.
+	leaving bool
+	// pos records where the image is in each memory that may hold it, laid
+	// out by compile.MetaPattern.Pos; pos[p.Pos] is -1 when the image fails
+	// p's alpha tests. posBuf backs it for an image named by a few
+	// patterns, which nearly every image is, in the image's allocation.
+	pos    []int32
+	posBuf [8]int32
 }
 
-func newMetaLevel(prog *compile.Program, factory match.Factory, fired map[match.Key]bool) *metaLevel {
+// KeyAt returns the image field an index is built on.
+func (img *image) KeyAt(_, field int) wm.Value { return img.wme.Fields[field] }
+
+// imageMem is the memory of one pattern: the images that pass its alpha
+// tests, and one value index per field in pat.Indexed.
+type imageMem struct {
+	pat  *compile.MetaPattern
+	list []*image
+	idx  []valueindex.Index[*image]
+	// leaving counts the members flagged as leaving.
+	leaving int
+}
+
+func (mem *imageMem) add(img *image) {
+	pos := img.pos[mem.pat.Pos:]
+	pos[0] = int32(len(mem.list))
+	mem.list = append(mem.list, img)
+	for k := range mem.idx {
+		pos[1+k] = int32(mem.idx[k].Add(img))
+	}
+}
+
+func (mem *imageMem) remove(img *image) {
+	off := mem.pat.Pos
+	pos := img.pos[off:]
+	last := len(mem.list) - 1
+	moved := mem.list[last]
+	mem.list[pos[0]] = moved
+	moved.pos[off] = pos[0]
+	mem.list[last] = nil
+	mem.list = mem.list[:last]
+	for k := range mem.idx {
+		if moved, ok := mem.idx[k].Remove(img, int(pos[1+k])); ok {
+			moved.pos[off+1+k] = pos[1+k]
+		}
+	}
+}
+
+func newMetaLevel(prog *compile.Program, mode compile.EvalMode, fired map[match.Key]bool) *metaLevel {
 	if prog.Meta == nil {
 		return nil
 	}
-	return &metaLevel{
-		prog:    prog.Meta,
-		rules:   prog.MetaRules,
-		matcher: factory(prog.Meta.Rules),
-		fired:   fired,
-		images:  make(map[match.Key]*image),
-		byWME:   make(map[*wm.WME]*image),
+	m := &metaLevel{
+		prog:   prog.Meta,
+		rules:  prog.MetaRules,
+		mode:   mode,
+		fired:  fired,
+		images: make(map[match.Key]*image),
+		mems:   make([]imageMem, len(prog.Meta.Patterns)),
+		profs:  make([]metaProf, len(prog.Meta.Rules)),
 	}
+	width := 0
+	for i, p := range prog.Meta.Patterns {
+		m.mems[i].pat = p
+		if len(p.Indexed) > 0 {
+			m.mems[i].idx = make([]valueindex.Index[*image], len(p.Indexed))
+			for k, f := range p.Indexed {
+				m.mems[i].idx[k].Field = f
+			}
+		}
+		width = max(width, p.Pat+1)
+	}
+	m.tuple = make([]*image, width)
+	m.env.Vec = make([]*wm.WME, width)
+	return m
 }
 
 // reifies reports whether instantiations of in's rule have images. A nil
@@ -89,60 +182,179 @@ func (m *metaLevel) leave(in *match.Instantiation) {
 	}
 }
 
-// sync brings the meta level up to date with the queued changes: images
-// of departed instantiations are retracted, entrants are reified unless
-// refracted (only a restored refraction set can name an entrant), and the
-// resulting meta-match changes adjust the kill counts.
+// sync brings the meta level up to date with the queued changes. The
+// images of departed instantiations are flagged, then taken out of their
+// memories one by one, each giving back the kills it justified on images
+// that stay; entrants are reified unless refracted (only a restored
+// refraction set can name an entrant), joined and filed. One image at a
+// time on both sides, so a tuple holding two images of a batch is found at
+// the first to leave, or the last to enter, and nowhere else.
 func (m *metaLevel) sync() {
 	if m == nil || len(m.left)+len(m.entered) == 0 {
 		return
 	}
-	var delta wm.Delta
 	for _, in := range m.left {
 		// An instantiation that fired and then left was queued twice.
-		if img := m.images[in.Key()]; img != nil {
-			delta.Removed = append(delta.Removed, img.wme)
-			delete(m.images, in.Key())
+		img := m.images[in.Key()]
+		if img == nil {
+			continue
 		}
+		delete(m.images, in.Key())
+		img.leaving = true
+		if img.kills > 0 {
+			m.redacted--
+		}
+		for _, p := range m.patterns(img) {
+			if img.pos[p.Pos] >= 0 {
+				m.mems[p.ID].leaving++
+			}
+		}
+		m.leavers = append(m.leavers, img)
 	}
+	for i, img := range m.leavers {
+		for _, p := range m.patterns(img) {
+			if img.pos[p.Pos] >= 0 {
+				mem := &m.mems[p.ID]
+				mem.remove(img)
+				mem.leaving--
+				m.join(p, img, -1)
+			}
+		}
+		m.leavers[i] = nil
+	}
+	m.leavers = m.leavers[:0]
 	for _, in := range m.entered {
 		if m.fired[in.Key()] {
 			continue
 		}
-		m.lastID++
-		img := &image{wme: m.prog.Images[in.Rule.Index].Reify(m.lastID, in.WMEs)}
+		im := m.prog.Images[in.Rule.Index]
+		img := &image{wme: im.Reify(in.WMEs), in: in}
+		if img.pos = img.posBuf[:]; im.NumPos > len(img.posBuf) {
+			img.pos = make([]int32, im.NumPos)
+		}
 		m.images[in.Key()] = img
-		m.byWME[img.wme] = img
-		delta.Added = append(delta.Added, img.wme)
+		for _, p := range im.Patterns {
+			if !p.CE.MatchesAlpha(&img.wme) {
+				img.pos[p.Pos] = -1
+				continue
+			}
+			m.join(p, img, +1)
+			m.mems[p.ID].add(img)
+		}
 	}
+	clear(m.left)
+	clear(m.entered)
 	m.left, m.entered = m.left[:0], m.entered[:0]
+}
 
-	ch := m.matcher.Apply(delta)
-	for _, mm := range ch.Removed {
-		for _, ce := range m.rules[mm.Rule.Index].Redacts {
-			img := m.byWME[mm.WMEs[ce]]
-			if img.kills--; img.kills == 0 {
-				m.redacted--
+// patterns returns the patterns over img's template.
+func (m *metaLevel) patterns(img *image) []*compile.MetaPattern {
+	return m.prog.Images[img.in.Rule.Index].Patterns
+}
+
+// join enumerates the tuples of p's meta-rule that hold img at p and adds
+// sign to the kill count of every image they redact: +1 for an image
+// entering, -1 for one leaving. A leaving image's own count is dropped with
+// it, so the join is skipped when no other image it could redact stays.
+func (m *metaLevel) join(p *compile.MetaPattern, img *image, sign int32) {
+	if sign < 0 && !m.victimStays(&p.Seed) {
+		return
+	}
+	m.tuple[p.Pat], m.env.Vec[p.Pat] = img, &img.wme
+	for _, ce := range p.Seed.Filters {
+		if !match.EvalFilters(ce, &m.env, m.mode) {
+			return
+		}
+	}
+	m.extend(p.Rule, p.Seed.Steps, sign > 0, sign)
+}
+
+// victimStays reports whether some memory a step of j takes a redacted
+// image from holds an image that is not leaving.
+func (m *metaLevel) victimStays(j *compile.MetaJoin) bool {
+	for i := range j.Steps {
+		if st := &j.Steps[i]; st.Victim {
+			if mem := &m.mems[st.Pat.ID]; len(mem.list) > mem.leaving {
+				return true
 			}
 		}
 	}
-	for _, mm := range ch.Added {
-		for _, ce := range m.rules[mm.Rule.Index].Redacts {
-			img := m.byWME[mm.WMEs[ce]]
-			if img.kills++; img.kills == 1 {
-				m.redacted++
+	return false
+}
+
+// extend binds the patterns of steps, one a level, to every combination of
+// images that passes the tests. stay says that some image the tuple so far
+// redacts is not leaving; while none is, a candidate after which none can
+// be is skipped untested.
+func (m *metaLevel) extend(rule int, steps []compile.MetaStep, stay bool, sign int32) {
+	if len(steps) == 0 {
+		m.found(rule, sign)
+		return
+	}
+	st := &steps[0]
+	mem := &m.mems[st.Pat.ID]
+	vec := m.env.Vec
+	cands := mem.list
+	if st.Index >= 0 {
+		cands = mem.idx[st.Index].Get(vec[st.From.CE].Fields[st.From.Field])
+	}
+	prof := &m.profs[rule]
+	q := st.Pat.Pat
+cand:
+	for _, c := range cands {
+		stays := stay || st.Victim && !c.leaving
+		if !stays && st.LastVictim {
+			continue
+		}
+		for _, d := range st.Distinct {
+			if m.tuple[d] == c {
+				continue cand
 			}
 		}
+		prof.probes++
+		m.tuple[q], vec[q] = c, &c.wme
+		for i := range st.Tests {
+			t := &st.Tests[i]
+			if !t.Op.Apply(vec[t.Ref.CE].Fields[t.Ref.Field], vec[t.Other.CE].Fields[t.Other.Field]) {
+				continue cand
+			}
+		}
+		for _, ce := range st.Filters {
+			if !match.EvalFilters(ce, &m.env, m.mode) {
+				continue cand
+			}
+		}
+		m.extend(rule, steps[1:], stays, sign)
 	}
-	// Retracting an image retracted every meta-match on it, so its count
-	// is back to zero by now.
-	for _, w := range delta.Removed {
-		delete(m.byWME, w)
+}
+
+// found applies the tuple just completed: sign on the count of every image
+// it redacts that is not leaving.
+func (m *metaLevel) found(rule int, sign int32) {
+	if m.visit != nil {
+		m.visit()
+		return
+	}
+	if sign > 0 {
+		m.profs[rule].insts++
+	}
+	for _, v := range m.rules[rule].Redacts {
+		img := m.tuple[v]
+		if img.leaving {
+			continue
+		}
+		img.kills += sign
+		switch {
+		case sign > 0 && img.kills == 1:
+			m.redacted++
+		case sign < 0 && img.kills == 0:
+			m.redacted--
+		}
 	}
 }
 
 // survivors syncs the meta level and returns the eligible instantiations
-// no live meta-match redacts, with the number redacted.
+// no tuple redacts, with the number redacted.
 func (m *metaLevel) survivors(eligible []*match.Instantiation) ([]*match.Instantiation, int) {
 	m.sync()
 	if m == nil || m.redacted == 0 {
@@ -156,4 +368,99 @@ func (m *metaLevel) survivors(eligible []*match.Instantiation) ([]*match.Instant
 		out = append(out, in)
 	}
 	return out, m.redacted
+}
+
+// charge attributes d, the time of a redact phase, to the meta-rules in
+// proportion to the candidates each has tested since the last charge — the
+// way the match network splits a lap over its rules, and for the same
+// reason: a clock read costs more than a probe.
+func (m *metaLevel) charge(d time.Duration) {
+	if m == nil {
+		return
+	}
+	var total uint64
+	for i := range m.profs {
+		total += m.profs[i].probes - m.profs[i].paid
+	}
+	if total == 0 {
+		return
+	}
+	for i := range m.profs {
+		p := &m.profs[i]
+		p.matchNS += int64(float64(d) * float64(p.probes-p.paid) / float64(total))
+		p.paid = p.probes
+	}
+}
+
+// ruleProfiles returns one row per meta-rule, in declaration order. Insts
+// counts the tuples found as images entered; nothing is built for them, so
+// Tokens stays zero.
+func (m *metaLevel) ruleProfiles() []match.RuleProfile {
+	out := make([]match.RuleProfile, len(m.profs))
+	for i, p := range m.profs {
+		out[i] = match.RuleProfile{Rule: m.rules[i].Name, MatchNS: p.matchNS, Probes: p.probes, Insts: p.insts}
+	}
+	return out
+}
+
+// memStats reports the images held, once per pattern memory holding them.
+// That is all the state there is: linear in the eligible set whatever the
+// meta-rules join on.
+func (m *metaLevel) memStats() match.MemStats {
+	var ms match.MemStats
+	for i := range m.mems {
+		ms.AlphaItems += len(m.mems[i].list)
+	}
+	return ms
+}
+
+// redaction is one meta-rule's case against an instantiation.
+type redaction struct {
+	rule string
+	// with is the rest of the first tuple that redacts it — first in the
+	// instantiation order, pattern by pattern — and tuples how many do.
+	with   []*match.Instantiation
+	tuples int
+}
+
+// explain returns, per meta-rule in declaration order, the tuples that
+// redacted the instantiation in at the last sync, found by running its
+// image's joins again. Nothing is kept for this during a run.
+func (m *metaLevel) explain(in *match.Instantiation) []redaction {
+	if !m.reifies(in) {
+		return nil
+	}
+	img := m.images[in.Key()]
+	if img == nil || img.kills == 0 {
+		return nil
+	}
+	var out []redaction
+	// The joins run here are no part of the run's profile.
+	profs := slices.Clone(m.profs)
+	defer func() { m.visit, m.profs = nil, profs }()
+	for _, p := range m.patterns(img) {
+		if img.pos[p.Pos] < 0 || !slices.Contains(m.rules[p.Rule].Redacts, p.Pat) {
+			continue
+		}
+		name := m.rules[p.Rule].Name
+		width := len(m.prog.Rules[p.Rule].CEs)
+		m.visit = func() {
+			if len(out) == 0 || out[len(out)-1].rule != name {
+				out = append(out, redaction{rule: name})
+			}
+			r := &out[len(out)-1]
+			r.tuples++
+			var with []*match.Instantiation
+			for i, other := range m.tuple[:width] {
+				if i != p.Pat {
+					with = append(with, other.in)
+				}
+			}
+			if r.with == nil || slices.CompareFunc(with, r.with, (*match.Instantiation).Compare) < 0 {
+				r.with = with
+			}
+		}
+		m.join(p, img, +1)
+	}
+	return out
 }

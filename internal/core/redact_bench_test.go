@@ -1,10 +1,11 @@
-package core_test
+package core
 
 import (
 	"testing"
 	"time"
 
-	"parulel/internal/core"
+	"parulel/internal/compile"
+	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/programs"
 	"parulel/internal/workload"
@@ -14,45 +15,181 @@ import (
 // tracer does.
 type phaseSum struct{ phase [4]time.Duration }
 
-func (p *phaseSum) CycleStart(int)                          {}
-func (p *phaseSum) PhaseEnd(ph core.Phase, d time.Duration) { p.phase[ph] += d }
-func (p *phaseSum) InstantiationsFound(int, int)            {}
-func (p *phaseSum) Redacted(int, int, int)                  {}
-func (p *phaseSum) RuleFired(string, int)                   {}
-func (p *phaseSum) Commit(int, int, bool)                   {}
+func (p *phaseSum) CycleStart(int)                     {}
+func (p *phaseSum) PhaseEnd(ph Phase, d time.Duration) { p.phase[ph] += d }
+func (p *phaseSum) InstantiationsFound(int, int)       {}
+func (p *phaseSum) Redacted(int, int, int)             {}
+func (p *phaseSum) RuleFired(string, int)              {}
+func (p *phaseSum) Commit(int, int, bool)              {}
 
-// BenchmarkRedactionBound runs the repository benchmark's alexsys_run
-// instance (40 pools × 32 orders, seed 1) and its waltz_run instance
-// (32 cubes) on a bare engine configured the way a server session is, and
-// reports the per-phase times next to ns/op and allocations.
+// redactionInstances are the engine-level instances EXPERIMENTS.md tables:
+// the repository benchmark's alexsys_run (40 pools × 32 orders, seed 1) and
+// waltz_run (32 cubes) instances first, then a larger alexsys, the programs
+// whose firings replace the conflict set every cycle (manners, quickstart),
+// the small-conflict-set ones (circuit, closure) and one without meta-rules.
+var redactionInstances = []struct {
+	name, prog string
+	load       func(workload.Inserter) error
+}{
+	{"alexsys", programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 32, 1) }},
+	{"waltz", programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 32) }},
+	{"alexsys150x100", programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 150, 100, 1) }},
+	{"manners64", programs.Manners, func(i workload.Inserter) error { return workload.Manners(i, 64, 3, 8, 1) }},
+	{"manners16", programs.Manners, func(i workload.Inserter) error { return workload.Manners(i, 16, 3, 8, 1) }},
+	{"quickstart40", programs.Quickstart, func(i workload.Inserter) error { return workload.People(i, 40) }},
+	{"circuit-bus", programs.Circuit, func(i workload.Inserter) error { return workload.GenBusCircuit(8, 10, 12, 1).Insert(i) }},
+	{"closure", programs.Closure, func(i workload.Inserter) error { return workload.LayeredDAG(i, 5, 4, 2, 1) }},
+	{"life", programs.Life, func(i workload.Inserter) error {
+		return workload.LifeGrid(i, 8, 8, workload.LifeRandom(8, 8, 0.4, 1), 4)
+	}},
+}
+
+// BenchmarkRedactionBound runs each instance to quiescence on a bare engine
+// configured the way a server session is (RETE, per-rule profiling on) at
+// four workers and at one, and reports the per-phase times next to ns/op
+// and allocations. The oracle arm is the same engine at four workers with
+// the per-cycle joiner of redact_oracle_test.go in place of the meta level:
+// what redaction cost before it was incremental, and the bar for programs
+// whose conflict set turns over every cycle.
 func BenchmarkRedactionBound(b *testing.B) {
-	for _, wl := range []struct {
-		name, prog string
-		load       func(workload.Inserter) error
-	}{
-		{"alexsys", programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 32, 1) }},
-		{"waltz", programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 32) }},
-	} {
+	for _, wl := range redactionInstances {
+		prog, err := programs.Load(wl.prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []struct {
+			name    string
+			workers int
+			oracle  bool
+		}{{"w4", 4, false}, {"w1", 1, false}, {"oracle", 4, true}} {
+			b.Run(wl.name+"/"+arm.name, func(b *testing.B) {
+				var ph phaseSum
+				opts := Options{Workers: arm.workers, MaxCycles: 1 << 20, Tracer: &ph,
+					Matcher: rete.Factory(rete.Options{Profile: true})}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if arm.oracle {
+						e := newOracleEngine(prog, opts)
+						if err := wl.load(e); err != nil {
+							b.Fatal(err)
+						}
+						e.run(b)
+						ph.phase[PhaseRedact] += e.redactTime
+						continue
+					}
+					e := New(prog, opts)
+					if err := wl.load(e); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := e.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				names := []string{"match-ns/op", "redact-ns/op", "fire-ns/op", "apply-ns/op"}
+				if arm.oracle {
+					names = []string{PhaseRedact: "redact-ns/op"} // the skeleton times nothing else
+				}
+				for p, name := range names {
+					if name != "" {
+						b.ReportMetric(float64(ph.phase[p].Nanoseconds())/float64(b.N), name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// eligibleDelta is what one redact phase was fed: the instantiations that
+// stopped being eligible since the last one, those that became eligible,
+// and the eligible set they add up to.
+type eligibleDelta struct {
+	left, entered, eligible []*match.Instantiation
+}
+
+// recordEligible runs a builtin to quiescence and returns the delta stream
+// its meta level was fed, reconstructed from the eligible sets the redact
+// phases saw.
+func recordEligible(tb testing.TB, builtin string, load func(workload.Inserter) error) (*compile.Program, []eligibleDelta) {
+	tb.Helper()
+	prog, err := programs.Load(builtin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := New(prog, Options{MaxCycles: 1 << 20})
+	if err := load(e); err != nil {
+		tb.Fatal(err)
+	}
+	var stream []eligibleDelta
+	prev := map[match.Key]*match.Instantiation{}
+	for progress := true; progress; {
+		var eligible []*match.Instantiation
+		eligible, _, progress = observeStep(tb, e)
+		d := eligibleDelta{eligible: eligible}
+		cur := make(map[match.Key]*match.Instantiation, len(eligible))
+		for _, in := range eligible {
+			cur[in.Key()] = in
+			if prev[in.Key()] == nil {
+				d.entered = append(d.entered, in)
+			}
+		}
+		for k, in := range prev {
+			if cur[k] == nil {
+				d.left = append(d.left, in)
+			}
+		}
+		match.SortInstantiations(d.left)
+		stream = append(stream, d)
+		prev = cur
+	}
+	return prog, stream
+}
+
+// BenchmarkMetaLevel replays onto a fresh meta level per iteration the
+// eligible-set deltas of three engine runs: alexsys_run's instance, where
+// instantiations stay eligible for cycles, and manners(64) and
+// quickstart(40), where every cycle replaces them all. One op is the whole
+// stream; ns/probe is the figure to compare across them, and leave-probes
+// says how many of the probes were spent taking kills back.
+func BenchmarkMetaLevel(b *testing.B) {
+	for _, wl := range redactionInstances {
+		switch wl.name {
+		case "alexsys", "manners64", "quickstart40":
+		default:
+			continue
+		}
+		prog, stream := recordEligible(b, wl.prog, wl.load)
 		b.Run(wl.name, func(b *testing.B) {
-			prog, err := programs.Load(wl.prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ph phaseSum
 			b.ReportAllocs()
+			var probes, leaveProbes, tuples uint64
 			for i := 0; i < b.N; i++ {
-				e := core.New(prog, core.Options{Workers: 4, MaxCycles: 1 << 20, Tracer: &ph,
-					Matcher: rete.Factory(rete.Options{Profile: true})})
-				if err := wl.load(e); err != nil {
-					b.Fatal(err)
+				m := newMetaLevel(prog, compile.EvalBytecode, nil)
+				sum := func() (n uint64) {
+					for _, p := range m.profs {
+						n += p.probes
+					}
+					return n
 				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
+				for _, d := range stream {
+					for _, in := range d.left {
+						m.leave(in)
+					}
+					before := sum()
+					m.sync() // what left goes first in any case
+					leaveProbes += sum() - before
+					for _, in := range d.entered {
+						m.enter(in)
+					}
+					m.survivors(d.eligible)
+				}
+				probes += sum()
+				for _, p := range m.profs {
+					tuples += p.insts
 				}
 			}
-			for p, name := range []string{"match-ns/op", "redact-ns/op", "fire-ns/op", "apply-ns/op"} {
-				b.ReportMetric(float64(ph.phase[p].Nanoseconds())/float64(b.N), name)
-			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+			b.ReportMetric(float64(leaveProbes)/float64(b.N), "leave-probes/op")
+			b.ReportMetric(float64(tuples)/float64(b.N), "tuples/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
 		})
 	}
 }

@@ -15,8 +15,9 @@ import (
 	"parulel/internal/workload"
 )
 
-// redactionMatchers is the matcher axis of the redaction grid: whichever
-// network the session runs its object rules on also runs its meta-rules.
+// redactionMatchers is the matcher axis of the redaction grid: the meta
+// level is the same under either, but what it is fed — the order
+// instantiations enter and leave in — is the object-level matcher's.
 var redactionMatchers = []struct {
 	name    string
 	factory match.Factory
@@ -167,8 +168,8 @@ func checkGenerated(t *testing.T, src string) (redactions int) {
 	return redactions
 }
 
-// TestRedactionGeneratedMetaRules property-tests the lowering on generated
-// meta-rule programs: the engine agrees with the oracle cycle by cycle, and
+// TestRedactionGeneratedMetaRules property-tests the lowering and the join
+// plans on generated meta-rule programs: the engine agrees with the oracle cycle by cycle, and
 // (inside runAgainstOracle) one round is the fixpoint — re-running the
 // oracle on the survivors redacts nothing.
 func TestRedactionGeneratedMetaRules(t *testing.T) {
@@ -392,16 +393,19 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 			}
 		}
 		// The survivors of this cycle were refracted after the redact
-		// phase and leave at the next; until then their images stand.
-		if len(e.meta.images) < eligibleNamed || len(e.meta.images) != len(e.meta.byWME) {
-			t.Fatalf("cycle %d: %d images (%d by WME) for %d eligible instantiations of named rules",
-				e.result.Cycles, len(e.meta.images), len(e.meta.byWME), eligibleNamed)
+		// phase; their images go at the next sync, which leaves exactly
+		// the eligible instantiations of named rules.
+		e.meta.sync()
+		if len(e.meta.images) != eligibleNamed {
+			t.Fatalf("cycle %d: %d images for %d eligible instantiations of named rules",
+				e.result.Cycles, len(e.meta.images), eligibleNamed)
 		}
 		for _, img := range e.meta.images {
 			if !named[img.wme.Tmpl.Name] {
 				t.Fatalf("image of unnamed rule %s", img.wme.Tmpl.Name)
 			}
 		}
+		checkMetaLevel(t, e.meta)
 		if !progress {
 			break
 		}
@@ -409,8 +413,8 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 	if !sawCornerPair {
 		t.Fatal("corner-pair never matched: the test measures nothing")
 	}
-	if len(e.meta.images) != 0 || len(e.meta.byWME) != 0 {
-		t.Errorf("at quiescence %d images (%d by WME) remain", len(e.meta.images), len(e.meta.byWME))
+	if ms := e.meta.memStats(); len(e.meta.images) != 0 || ms.AlphaItems != 0 {
+		t.Errorf("at quiescence %d images remain, %d in the pattern memories", len(e.meta.images), ms.AlphaItems)
 	}
 
 	// Allocation: entering and leaving an instantiation of an unnamed rule

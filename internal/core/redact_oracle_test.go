@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
@@ -10,10 +11,10 @@ import (
 )
 
 // oracleRedactor is the per-cycle redaction joiner the engine used before
-// meta-rules were lowered onto the match network (redact.go), kept as the
-// differential oracle: it re-derives every meta-match from scratch from
+// meta-rules were lowered and matched incrementally (redact.go), kept as
+// the differential oracle: it re-derives every meta-match from scratch from
 // the eligible set and the unlowered compile.MetaRule, sharing nothing
-// with the lowering, the matchers' joins or the kill counts.
+// with the lowering, the join plans or the kill counts.
 //
 // Semantics (synchronous): every meta-rule is matched against the eligible
 // set; all redactions justified by those matches apply simultaneously, so
@@ -63,7 +64,24 @@ func (r *oracleRedactor) run(eligible []*match.Instantiation) ([]*match.Instanti
 	if len(r.metas) == 0 || len(eligible) == 0 {
 		return eligible, 0, 0
 	}
-	dead := make(map[match.Key]bool)
+	dead := r.kills(eligible)
+	if len(dead) == 0 {
+		return eligible, 0, 0
+	}
+	survivors := eligible[:0:0]
+	for _, in := range eligible {
+		if dead[in.Key()] == 0 {
+			survivors = append(survivors, in)
+		}
+	}
+	return survivors, 1, len(eligible) - len(survivors)
+}
+
+// kills counts, per redacted instantiation, the matching tuples that redact
+// it, once per mention in the meta-rule's redact list — what the meta
+// level's kill counts must equal.
+func (r *oracleRedactor) kills(eligible []*match.Instantiation) map[match.Key]int {
+	dead := make(map[match.Key]int)
 	byRule := make(map[*compile.Rule][]*match.Instantiation)
 	for _, in := range eligible {
 		byRule[in.Rule] = append(byRule[in.Rule], in)
@@ -77,34 +95,25 @@ func (r *oracleRedactor) run(eligible []*match.Instantiation) ([]*match.Instanti
 			// Stripe pattern-0 candidates across workers; each collects a
 			// local dead-set; the union is order-independent.
 			w := r.workers
-			locals := make([]map[match.Key]bool, w)
+			locals := make([]map[match.Key]int, w)
 			var wg sync.WaitGroup
 			for k := 0; k < w; k++ {
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
-					locals[k] = make(map[match.Key]bool)
+					locals[k] = make(map[match.Key]int)
 					r.matchMeta(m, states, k, w, locals[k])
 				}(k)
 			}
 			wg.Wait()
 			for _, l := range locals {
-				for key := range l {
-					dead[key] = true
+				for key, n := range l {
+					dead[key] += n
 				}
 			}
 		}
 	}
-	if len(dead) == 0 {
-		return eligible, 0, 0
-	}
-	survivors := eligible[:0:0]
-	for _, in := range eligible {
-		if !dead[in.Key()] {
-			survivors = append(survivors, in)
-		}
-	}
-	return survivors, 1, len(eligible) - len(survivors)
+	return dead
 }
 
 // patState holds one pattern's pre-filtered candidates and optional
@@ -154,12 +163,12 @@ func (r *oracleRedactor) buildStates(m *compile.MetaRule, byRule map[*compile.Ru
 
 // matchMeta enumerates the tuples of distinct instantiations matching the
 // meta-rule's patterns whose pattern-0 candidate index ≡ stripe (mod
-// strides), recording redaction targets in dead. Under synchronous
+// strides), counting redaction targets in dead. Under synchronous
 // semantics every match's targets are recorded but matching keeps using
 // the full set; under sequential semantics (always stripe 0 of 1) dead
 // instantiations are skipped and a completed match kills its targets
 // immediately.
-func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]bool) {
+func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]int) {
 	tuple := make([]*match.Instantiation, len(m.Patterns))
 	used := make(map[match.Key]bool, len(m.Patterns))
 	var choose func(i int)
@@ -169,7 +178,7 @@ func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, strip
 				// Immediate effect: a tuple only matches if all its
 				// members are still alive at this point.
 				for _, in := range tuple {
-					if dead[in.Key()] {
+					if dead[in.Key()] > 0 {
 						return
 					}
 				}
@@ -182,7 +191,7 @@ func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, strip
 				}
 			}
 			for _, pi := range m.Redacts {
-				dead[tuple[pi].Key()] = true
+				dead[tuple[pi].Key()]++
 			}
 			return
 		}
@@ -206,7 +215,7 @@ func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, strip
 			if used[in.Key()] {
 				continue // patterns bind distinct instantiations
 			}
-			if r.sequential && dead[in.Key()] {
+			if r.sequential && dead[in.Key()] > 0 {
 				continue
 			}
 			for j, jt := range p.JoinTests {
@@ -269,7 +278,7 @@ func (m metaEnv) MetaPrecedes(pat, pat2 int) bool {
 // conflict set minus what was refracted going in (a match phase only ever
 // removes refraction entries), and the survivors are the eligible
 // instantiations refracted coming out.
-func observeStep(t *testing.T, e *Engine) (eligible, survivors []*match.Instantiation, progress bool) {
+func observeStep(t testing.TB, e *Engine) (eligible, survivors []*match.Instantiation, progress bool) {
 	t.Helper()
 	before := make(map[match.Key]bool, len(e.fired))
 	for k := range e.fired {
@@ -342,6 +351,8 @@ func runAgainstOracle(t *testing.T, e *Engine, oracle *oracleRedactor) {
 type oracleEngine struct {
 	*Engine
 	oracle *oracleRedactor
+	// redactTime accumulates the time spent in the oracle (benchmarks).
+	redactTime time.Duration
 }
 
 func newOracleEngine(prog *compile.Program, opts Options) *oracleEngine {
@@ -350,7 +361,7 @@ func newOracleEngine(prog *compile.Program, opts Options) *oracleEngine {
 	return &oracleEngine{Engine: e, oracle: newOracle(prog, opts.Workers)}
 }
 
-func (e *oracleEngine) run(t *testing.T) Result {
+func (e *oracleEngine) run(t testing.TB) Result {
 	t.Helper()
 	for !e.halted {
 		e.applyDelta(e.takePending())
@@ -364,7 +375,9 @@ func (e *oracleEngine) run(t *testing.T) Result {
 			break
 		}
 		match.SortInstantiations(eligible)
+		t0 := time.Now()
 		survivors, rounds, redacted := e.oracle.run(eligible)
+		e.redactTime += time.Since(t0)
 		e.result.Redactions += redacted
 		e.result.RedactionRounds += rounds
 		e.result.Cycles++

@@ -8,8 +8,9 @@ import (
 
 // Explain writes a human-readable listing of a conflict set: each
 // instantiation's rule, refraction status, matched elements and variable
-// bindings. fired may be nil.
-func Explain(w io.Writer, ins []*Instantiation, fired map[Key]bool) error {
+// bindings, and whatever lines notes — when not nil — has to add about it.
+// fired may be nil.
+func Explain(w io.Writer, ins []*Instantiation, fired map[Key]bool, notes func(*Instantiation) []string) error {
 	if _, err := fmt.Fprintf(w, "conflict set: %d instantiation(s)\n", len(ins)); err != nil {
 		return err
 	}
@@ -20,6 +21,13 @@ func Explain(w io.Writer, ins []*Instantiation, fired map[Key]bool) error {
 		}
 		if _, err := fmt.Fprintf(w, "%s  [%s]\n", in, status); err != nil {
 			return err
+		}
+		if notes != nil {
+			for _, note := range notes(in) {
+				if _, err := fmt.Fprintf(w, "  %s\n", note); err != nil {
+					return err
+				}
+			}
 		}
 		for i, wme := range in.WMEs {
 			if _, err := fmt.Fprintf(w, "  %d: %s\n", i+1, wme); err != nil {

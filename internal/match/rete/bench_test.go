@@ -42,8 +42,8 @@ func (t tap) Apply(d wm.Delta) match.Changes {
 }
 
 // record runs a builtin on a one-worker engine to quiescence and returns
-// the delta streams of its meta-level and object-level networks.
-func record(tb testing.TB, builtin string, load func(workload.Inserter) error) (meta, object *stream) {
+// the delta stream of its match network.
+func record(tb testing.TB, builtin string, load func(workload.Inserter) error) *stream {
 	tb.Helper()
 	prog, err := programs.Load(builtin)
 	if err != nil {
@@ -61,10 +61,10 @@ func record(tb testing.TB, builtin string, load func(workload.Inserter) error) (
 	if _, err := e.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if len(streams) != 2 {
-		tb.Fatalf("%s: %d networks, want the meta level's and one worker's", builtin, len(streams))
+	if len(streams) != 1 {
+		tb.Fatalf("%s: %d networks, want one worker's", builtin, len(streams))
 	}
-	return streams[0], streams[1] // the engine builds the meta level first
+	return streams[0]
 }
 
 // joinChain is a four-deep equality join over one template, fed a ring in
@@ -116,20 +116,18 @@ func tokensOf(m match.Matcher) (tokens uint64) {
 
 // BenchmarkNetworkApply replays, onto a fresh network per iteration and
 // with profiling on as a server session has it, the deltas of the
-// repository benchmark's two engine-bound instances — waltz_run's object
-// level and alexsys_run's meta level, which is the same network fed
-// conflict-set images — and a synthetic deep join. One op is the whole
-// stream; ns/token is the figure to compare across the three.
+// repository benchmark's match-bound instance, waltz_run, and a synthetic
+// deep join. One op is the whole stream; ns/token is the figure to compare
+// across the two. (alexsys_run's time is in the meta level, which is not a
+// match network: BenchmarkMetaLevel in internal/core replays that.)
 func BenchmarkNetworkApply(b *testing.B) {
-	_, waltz := record(b, programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 32) })
-	alexsysMeta, _ := record(b, programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 32, 1) })
+	waltz := record(b, programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 32) })
 	for _, bc := range []struct {
 		name string
 		s    *stream
 		opts rete.Options
 	}{
 		{"waltz32", waltz, rete.Options{Profile: true}},
-		{"alexsys40x32-meta", alexsysMeta, rete.Options{Profile: true}},
 		{"joinchain", joinChain(b), rete.Options{Profile: true}},
 		// What the per-rule clock costs: the first row without it.
 		{"waltz32-noprofile", waltz, rete.Options{}},
@@ -153,7 +151,7 @@ func BenchmarkNetworkApply(b *testing.B) {
 // nothing per probe. Measured: 3.09 allocations per token with the join
 // indexes (the map-backed memories took 4.06), 2.13 without.
 func TestApplyAllocationBudget(t *testing.T) {
-	_, waltz := record(t, programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 8) })
+	waltz := record(t, programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 8) })
 	tokens := tokensOf(waltz.replay(rete.Options{}))
 	if tokens < 2000 {
 		t.Fatalf("waltz(8) built %d tokens; the instance has changed", tokens)

@@ -8,6 +8,7 @@ import (
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
+	"parulel/internal/valueindex"
 	"parulel/internal/wm"
 )
 
@@ -204,7 +205,7 @@ func (n *Network) addRule(r *compile.Rule) {
 		}
 		am := n.alpha(ce)
 		eq := n.eqJoinTest(ce)
-		var alphaIdx *valueIndex[*wmeRec]
+		var alphaIdx *valueindex.Index[*wmeRec]
 		if eq >= 0 {
 			alphaIdx = am.indexField(ce.JoinTests[eq].Field)
 		}

@@ -31,6 +31,7 @@ import (
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
+	"parulel/internal/valueindex"
 	"parulel/internal/wm"
 )
 
@@ -68,7 +69,7 @@ const deadSlot = -1
 
 func (t *token) dead() bool { return t.slot == deadSlot }
 
-func (t *token) keyAt(ce, field int) wm.Value { return t.vec[ce].Fields[field] }
+func (t *token) KeyAt(ce, field int) wm.Value { return t.vec[ce].Fields[field] }
 
 func (t *token) addChild(c *token) {
 	c.next = t.child
@@ -97,26 +98,26 @@ func (t *token) dropChild(c *token) {
 // token's position, so removal looks nothing up.
 type tokenMem struct {
 	list    []*token
-	idx     valueIndex[*token]
+	idx     valueindex.Index[*token]
 	indexed bool
 }
 
 // bucketedBy returns an empty memory bucketed by the token-side binding of
 // an equality join test.
 func bucketedBy(jt *compile.JoinTest) tokenMem {
-	return tokenMem{indexed: true, idx: valueIndex[*token]{ce: jt.OtherCE, field: jt.OtherField}}
+	return tokenMem{indexed: true, idx: valueindex.Index[*token]{CE: jt.OtherCE, Field: jt.OtherField}}
 }
 
 func (m *tokenMem) len() int {
 	if m.indexed {
-		return m.idx.n
+		return m.idx.Len()
 	}
 	return len(m.list)
 }
 
 func (m *tokenMem) add(t *token) {
 	if m.indexed {
-		t.slot = int32(m.idx.add(t))
+		t.slot = int32(m.idx.Add(t))
 		return
 	}
 	t.slot = int32(len(m.list))
@@ -125,7 +126,7 @@ func (m *tokenMem) add(t *token) {
 
 func (m *tokenMem) remove(t *token) {
 	if m.indexed {
-		if moved, ok := m.idx.remove(t, int(t.slot)); ok {
+		if moved, ok := m.idx.Remove(t, int(t.slot)); ok {
 			moved.slot = t.slot
 		}
 		return
@@ -163,7 +164,7 @@ type wmeRec struct {
 	posBuf [4]int32
 }
 
-func (r *wmeRec) keyAt(_, field int) wm.Value { return r.wme.Fields[field] }
+func (r *wmeRec) KeyAt(_, field int) wm.Value { return r.wme.Fields[field] }
 
 // addToken puts t, just built on r's WME, on its token list.
 func (r *wmeRec) addToken(t *token) {
@@ -253,18 +254,18 @@ type alphaMem struct {
 	// byField holds one value index per field some attached node
 	// equality-joins on: the subset of wmes whose field equals each value.
 	// Registered at build time, maintained on every add/remove.
-	byField []*valueIndex[*wmeRec]
+	byField []*valueindex.Index[*wmeRec]
 }
 
 // indexField registers (or returns the existing) value index over field f.
 // Indexes are registered while the network is built, before any WME.
-func (am *alphaMem) indexField(f int) *valueIndex[*wmeRec] {
+func (am *alphaMem) indexField(f int) *valueindex.Index[*wmeRec] {
 	for _, ix := range am.byField {
-		if ix.field == f {
+		if ix.Field == f {
 			return ix
 		}
 	}
-	ix := &valueIndex[*wmeRec]{field: f}
+	ix := &valueindex.Index[*wmeRec]{Field: f}
 	am.byField = append(am.byField, ix)
 	return ix
 }
@@ -275,7 +276,7 @@ func (am *alphaMem) add(r *wmeRec, m *membership) {
 	m.pos[0] = int32(len(am.wmes))
 	am.wmes = append(am.wmes, r)
 	for k, ix := range am.byField {
-		m.pos[1+k] = int32(ix.add(r))
+		m.pos[1+k] = int32(ix.Add(r))
 	}
 }
 
@@ -287,7 +288,7 @@ func (am *alphaMem) remove(r *wmeRec, m *membership) {
 	am.wmes[last] = nil
 	am.wmes = am.wmes[:last]
 	for k, ix := range am.byField {
-		if moved, ok := ix.remove(r, int(m.pos[1+k])); ok {
+		if moved, ok := ix.Remove(r, int(m.pos[1+k])); ok {
 			moved.in(am).pos[1+k] = m.pos[1+k]
 		}
 	}
@@ -329,7 +330,7 @@ type joinNode struct {
 	// set, the parent memory is bucketed by the joined binding and
 	// alphaIdx is the alpha memory's index over the tested field.
 	eqTest   int
-	alphaIdx *valueIndex[*wmeRec]
+	alphaIdx *valueindex.Index[*wmeRec]
 	// env is the reused filter-evaluation environment; its vector never
 	// escapes EvalFilters.
 	env  compile.VecEnv
@@ -372,7 +373,7 @@ func (j *joinNode) leftActivate(t *token) {
 	cands := j.amem.wmes
 	if j.eqTest >= 0 {
 		jt := &j.ce.JoinTests[j.eqTest]
-		cands = j.alphaIdx.get(t.vec[jt.OtherCE].Fields[jt.OtherField])
+		cands = j.alphaIdx.Get(t.vec[jt.OtherCE].Fields[jt.OtherField])
 	}
 	for _, r := range cands {
 		if j.passes(t, r.wme) {
@@ -389,7 +390,7 @@ func (j *joinNode) removeToken(*token) {
 func (j *joinNode) rightAdd(r *wmeRec) {
 	cands := j.parent.mem.list
 	if j.eqTest >= 0 {
-		cands = j.parent.mem.idx.get(r.wme.Fields[j.ce.JoinTests[j.eqTest].Field])
+		cands = j.parent.mem.idx.Get(r.wme.Fields[j.ce.JoinTests[j.eqTest].Field])
 	}
 	for _, t := range cands {
 		if j.passes(t, r.wme) {
@@ -412,7 +413,7 @@ type negativeNode struct {
 	child node
 	// eqTest / alphaIdx mirror joinNode's hash-join state.
 	eqTest   int
-	alphaIdx *valueIndex[*wmeRec]
+	alphaIdx *valueindex.Index[*wmeRec]
 	prof     *ruleProf
 }
 
@@ -449,7 +450,7 @@ func (n *negativeNode) leftActivate(t *token) {
 	cands := n.amem.wmes
 	if n.eqTest >= 0 {
 		jt := &n.ce.JoinTests[n.eqTest]
-		cands = n.alphaIdx.get(nt.vec[jt.OtherCE].Fields[jt.OtherField])
+		cands = n.alphaIdx.Get(nt.vec[jt.OtherCE].Fields[jt.OtherField])
 	}
 	for _, r := range cands {
 		if n.passes(nt, r.wme) {
@@ -472,7 +473,7 @@ func (n *negativeNode) removeToken(t *token) {
 func (n *negativeNode) rightAdd(r *wmeRec) {
 	cands := n.mem.list
 	if n.eqTest >= 0 {
-		cands = n.mem.idx.get(r.wme.Fields[n.ce.JoinTests[n.eqTest].Field])
+		cands = n.mem.idx.Get(r.wme.Fields[n.ce.JoinTests[n.eqTest].Field])
 	}
 	for _, t := range cands {
 		if !n.passes(t, r.wme) {

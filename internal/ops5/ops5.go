@@ -205,7 +205,7 @@ func (e *Engine) ExplainConflictSet(w io.Writer) error {
 		ins = append(ins, in)
 	}
 	match.SortInstantiations(ins)
-	return match.Explain(w, ins, e.fired)
+	return match.Explain(w, ins, e.fired, nil)
 }
 
 // selectInstantiation applies refraction and the configured strategy.

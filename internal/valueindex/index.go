@@ -1,4 +1,8 @@
-package rete
+// Package valueindex is the one hash-join index of the tree: the members
+// of a memory bucketed by a wm.Value each of them carries. The RETE network
+// indexes its alpha memories and token memories with it (internal/match/rete)
+// and the meta level its image memories (internal/core/redact.go).
+package valueindex
 
 import (
 	"hash/maphash"
@@ -7,41 +11,42 @@ import (
 	"parulel/internal/wm"
 )
 
-// keyed is what a hash-join index holds: tokens and WME records. A member
-// can say which value it carries at an index's position, so the index
-// stores no keys of its own.
-type keyed interface {
+// Keyed is what an index holds: tokens, WME records, conflict-set images.
+// A member can say which value it carries at an index's position, so the
+// index stores no keys of its own.
+type Keyed interface {
 	comparable
-	// keyAt returns the member's value at (positive CE, field); WME records
-	// ignore the CE.
-	keyAt(ce, field int) wm.Value
+	// KeyAt returns the member's value at (positive CE, field); members
+	// that are one WME ignore the CE.
+	KeyAt(ce, field int) wm.Value
 }
 
-// valueIndex is a hash-join index: the members of a memory bucketed by the
-// value each carries at (ce, field). It is an open-addressed table with
+// Index is a hash-join index: the members of a memory bucketed by the
+// value each carries at (CE, Field). It is an open-addressed table with
 // linear probing whose slots hold a 64-bit hash and the bucket's members;
 // a bucket's key is read back from its first member. The zero value with
-// ce and field set is an empty index and owns no memory.
+// CE and Field set is an empty index and owns no memory.
 //
-// Members are stored densely in each bucket and removed by position: add
+// Members are stored densely in each bucket and removed by position: Add
 // returns where the member went, the owner keeps that (token.slot, a WME
-// record's membership), and remove reports which member it moved into the
-// hole so the owner can update that one's position. Nothing is looked up
-// by member, so there is no position map.
+// record's membership, an image's positions), and Remove reports which
+// member it moved into the hole so the owner can update that one's
+// position. Nothing is looked up by member, so there is no position map.
 //
-// A bucket must not change while it is being ranged over. The network's
-// structure guarantees it: alpha memories change only between
+// A bucket must not change while it is being ranged over. The owners'
+// structure guarantees it: RETE's alpha memories change only between
 // activations, and a node's activation adds and removes tokens only in
-// memories downstream of the one it is reading.
-type valueIndex[T keyed] struct {
-	ce, field int
+// memories downstream of the one it is reading; the meta level joins an
+// image against its memories before it adds it and after it removes it.
+type Index[T Keyed] struct {
+	CE, Field int
 	slots     []bucket[T] // length zero or a power of two
 	live      int         // buckets in use
 	dead      int         // tombstones
 	n         int         // members over all buckets
 }
 
-type bucket[T keyed] struct {
+type bucket[T Keyed] struct {
 	hash  uint64 // hashEmpty, hashTomb, or hashValue of the members' key
 	items []T
 }
@@ -82,8 +87,14 @@ func hashValue(v wm.Value) uint64 {
 	return h
 }
 
-// get returns the members whose key equals v; the slice aliases the bucket.
-func (ix *valueIndex[T]) get(v wm.Value) []T {
+// Len returns the number of members over all buckets.
+func (ix *Index[T]) Len() int { return ix.n }
+
+// Slots returns the size of the table, which is zero for an empty index.
+func (ix *Index[T]) Slots() int { return len(ix.slots) }
+
+// Get returns the members whose key equals v; the slice aliases the bucket.
+func (ix *Index[T]) Get(v wm.Value) []T {
 	if ix.live == 0 {
 		return nil
 	}
@@ -91,7 +102,7 @@ func (ix *valueIndex[T]) get(v wm.Value) []T {
 	mask := len(ix.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		b := &ix.slots[i]
-		if b.hash == h && b.items[0].keyAt(ix.ce, ix.field) == v {
+		if b.hash == h && b.items[0].KeyAt(ix.CE, ix.Field) == v {
 			return b.items
 		}
 		if b.hash == hashEmpty {
@@ -100,12 +111,12 @@ func (ix *valueIndex[T]) get(v wm.Value) []T {
 	}
 }
 
-// add files x under its key and returns its position in the bucket.
-func (ix *valueIndex[T]) add(x T) int {
+// Add files x under its key and returns its position in the bucket.
+func (ix *Index[T]) Add(x T) int {
 	if (ix.live+ix.dead+1)*4 > len(ix.slots)*3 {
 		ix.rehash()
 	}
-	v := x.keyAt(ix.ce, ix.field)
+	v := x.KeyAt(ix.CE, ix.Field)
 	h := hashValue(v)
 	mask := len(ix.slots) - 1
 	tomb := -1
@@ -113,7 +124,7 @@ func (ix *valueIndex[T]) add(x T) int {
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		b := &ix.slots[i]
 		switch {
-		case b.hash == h && b.items[0].keyAt(ix.ce, ix.field) == v:
+		case b.hash == h && b.items[0].KeyAt(ix.CE, ix.Field) == v:
 			b.items = append(b.items, x)
 			return len(b.items) - 1
 		case b.hash == hashTomb && tomb < 0:
@@ -130,18 +141,18 @@ func (ix *valueIndex[T]) add(x T) int {
 	}
 }
 
-// remove takes x out of position pos of its bucket, moving the bucket's
+// Remove takes x out of position pos of its bucket, moving the bucket's
 // last member into the hole; moved is that member when there was one to
 // move. The bucket is found by hash and identity, not by key equality, so
 // a member keyed by NaN — which no probe can reach — is still removable.
 // Removing the last member leaves a tombstone; removing the index's last
 // member releases the table.
-func (ix *valueIndex[T]) remove(x T, pos int) (moved T, ok bool) {
-	h := hashValue(x.keyAt(ix.ce, ix.field))
+func (ix *Index[T]) Remove(x T, pos int) (moved T, ok bool) {
+	h := hashValue(x.KeyAt(ix.CE, ix.Field))
 	mask := len(ix.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		if ix.live == 0 || ix.slots[i].hash == hashEmpty {
-			panic("rete: index remove of a non-member")
+			panic("valueindex: remove of a non-member")
 		}
 		b := &ix.slots[i]
 		if b.hash != h || pos >= len(b.items) || b.items[pos] != x {
@@ -170,7 +181,7 @@ func (ix *valueIndex[T]) remove(x T, pos int) (moved T, ok bool) {
 // rehash rebuilds the table at a size fitted to the live buckets, which
 // drops every tombstone: the table doubles when it is full of buckets and
 // stays or shrinks when it is full of tombstones.
-func (ix *valueIndex[T]) rehash() {
+func (ix *Index[T]) rehash() {
 	size := minSlots
 	for size < 2*(ix.live+1) {
 		size *= 2

@@ -1,4 +1,4 @@
-package rete
+package valueindex
 
 import (
 	"fmt"
@@ -7,8 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"parulel/internal/compile"
-	"parulel/internal/programs"
 	"parulel/internal/wm"
 )
 
@@ -20,7 +18,7 @@ type member struct {
 	pos int
 }
 
-func (m *member) keyAt(_, _ int) wm.Value { return m.key }
+func (m *member) KeyAt(_, _ int) wm.Value { return m.key }
 
 // indexModel is the reference the value index is tested against: a Go map
 // from key to bucket, with the same append / move-the-last-into-the-hole
@@ -60,11 +58,11 @@ func (mo *indexModel) remove(m *member) {
 // checkIndex compares the index with the model: every model bucket is what
 // a probe returns, member positions are the ones the owner was told, and
 // the counters add up.
-func checkIndex(t *testing.T, step int, ix *valueIndex[*member], mo *indexModel, probes []wm.Value) {
+func checkIndex(t *testing.T, step int, ix *Index[*member], mo *indexModel, probes []wm.Value) {
 	t.Helper()
 	members := mo.nan
 	for k, want := range mo.buckets {
-		got := ix.get(k)
+		got := ix.Get(k)
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: bucket %v holds %d members, model %d (or in another order)", step, k, len(got), len(want))
 		}
@@ -76,10 +74,10 @@ func checkIndex(t *testing.T, step int, ix *valueIndex[*member], mo *indexModel,
 		members += len(want)
 	}
 	for _, k := range probes {
-		if _, present := mo.buckets[k]; !present && !isNaN(k) && len(ix.get(k)) != 0 {
-			t.Fatalf("step %d: probe of absent key %v found %d members", step, k, len(ix.get(k)))
+		if _, present := mo.buckets[k]; !present && !isNaN(k) && len(ix.Get(k)) != 0 {
+			t.Fatalf("step %d: probe of absent key %v found %d members", step, k, len(ix.Get(k)))
 		}
-		if isNaN(k) && ix.get(k) != nil {
+		if isNaN(k) && ix.Get(k) != nil {
 			t.Fatalf("step %d: a NaN probe found members", step)
 		}
 	}
@@ -116,7 +114,7 @@ var keyCases = []wm.Value{
 // reclaimed rather than accumulate.
 func TestValueIndexAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	ix := &valueIndex[*member]{}
+	ix := &Index[*member]{}
 	mo := &indexModel{buckets: map[wm.Value][]*member{}}
 	var live []*member
 	nextID, step := 0, 0
@@ -124,7 +122,7 @@ func TestValueIndexAgainstMap(t *testing.T) {
 	add := func(k wm.Value) {
 		m := &member{id: nextID, key: k}
 		nextID++
-		m.pos = ix.add(m)
+		m.pos = ix.Add(m)
 		mo.add(m)
 		live = append(live, m)
 	}
@@ -132,7 +130,7 @@ func TestValueIndexAgainstMap(t *testing.T) {
 		m := live[i]
 		live[i] = live[len(live)-1]
 		live = live[:len(live)-1]
-		if moved, ok := ix.remove(m, m.pos); ok {
+		if moved, ok := ix.Remove(m, m.pos); ok {
 			moved.pos = m.pos
 		}
 		mo.remove(m)
@@ -220,191 +218,38 @@ func TestValueIndexKeyCases(t *testing.T) {
 		}
 	}
 
-	ix := &valueIndex[*member]{}
+	ix := &Index[*member]{}
 	add := func(k wm.Value) *member {
 		m := &member{key: k}
-		m.pos = ix.add(m)
+		m.pos = ix.Add(m)
 		return m
 	}
 	z1, z2 := add(posZero), add(negZero)
-	if got := ix.get(negZero); len(got) != 2 || got[0] != z1 || got[1] != z2 {
+	if got := ix.Get(negZero); len(got) != 2 || got[0] != z1 || got[1] != z2 {
 		t.Fatalf("the two zeros must share a bucket, got %d members", len(got))
 	}
 	four := []*member{add(wm.Int(3)), add(wm.Float(3)), add(wm.Sym("3")), add(wm.Str("3"))}
 	for _, m := range four {
-		if got := ix.get(m.key); len(got) != 1 || got[0] != m {
+		if got := ix.Get(m.key); len(got) != 1 || got[0] != m {
 			t.Fatalf("%v (kind %v) must be a key of its own, probe found %d members", m.key, m.key.Kind, len(got))
 		}
 	}
 	n1, n2 := add(nan), add(nan)
-	if ix.get(nan) != nil {
+	if ix.Get(nan) != nil {
 		t.Fatal("NaN equals nothing: a probe must not reach NaN-keyed members")
 	}
 	if n1.pos != 0 || n2.pos != 0 || ix.live != 7 {
 		t.Fatalf("each NaN-keyed member needs a bucket of its own (live=%d)", ix.live)
 	}
 	// ...but both are removable, in either order, by identity.
-	ix.remove(n2, n2.pos)
-	ix.remove(n1, n1.pos)
+	ix.Remove(n2, n2.pos)
+	ix.Remove(n1, n1.pos)
 	for _, m := range append(four, z2, z1) {
-		if moved, ok := ix.remove(m, m.pos); ok {
+		if moved, ok := ix.Remove(m, m.pos); ok {
 			moved.pos = m.pos
 		}
 	}
 	if ix.n != 0 || ix.slots != nil {
 		t.Fatalf("index not empty after removing everything: n=%d, %d slots", ix.n, len(ix.slots))
-	}
-}
-
-// indexSlots sums the table sizes of every value index in the network.
-func (n *Network) indexSlots() int {
-	slots := 0
-	for _, ams := range n.alphaByTmpl {
-		for _, am := range ams {
-			for _, ix := range am.byField {
-				slots += len(ix.slots)
-			}
-		}
-	}
-	for _, b := range n.betaMems {
-		slots += len(b.mem.idx.slots)
-	}
-	for _, neg := range n.negNodes {
-		slots += len(neg.mem.idx.slots)
-	}
-	return slots
-}
-
-// TestFreshNetworkOwnsNoIndexTables guards the cost of an idle session and
-// of a cold create: a network built for any builtin, object or meta level,
-// has allocated no index table before its first WME.
-func TestFreshNetworkOwnsNoIndexTables(t *testing.T) {
-	for _, name := range programs.All() {
-		prog, err := programs.Load(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		levels := [][]*compile.Rule{prog.Rules}
-		if prog.Meta != nil {
-			levels = append(levels, prog.Meta.Rules)
-		}
-		for _, rules := range levels {
-			n := NewWithOptions(rules, Options{Profile: true}).(*Network)
-			if n.indexSlots() != 0 || len(n.recs) != 0 {
-				t.Errorf("%s: a fresh network of %d rules owns %d index slots and %d WME records", name, len(rules), n.indexSlots(), len(n.recs))
-			}
-		}
-	}
-}
-
-// TestNetworkChurn keeps one network alive through 100k assert/retract
-// rounds over a bounded live set whose join keys never repeat, beside two
-// WMEs that stay — a long-lived ingest session. State sizes must return to
-// the baseline, no WME record may outlive its WME, the index tables must
-// stay the size the live set needs however many keys have passed through
-// them, and the records of the two WMEs that stay must not collect the
-// tokens and join results of everything that has passed by.
-func TestNetworkChurn(t *testing.T) {
-	prog, err := compile.CompileSource(`
-(literalize item id group kind)
-(literalize tag  id label)
-(literalize hold id)
-(literalize mode on)
-(literalize ban  kind)
-(rule tagged
-  (item ^id <i> ^group <g>)
-  (tag  ^id <i> ^label <l>)
-  - (hold ^id <i>)
--->
-  (halt))
-(rule paired
-  (item ^id <i> ^group <g>)
-  (item ^id (<> <i>) ^group <g>)
--->
-  (halt))
-(rule moded
-  (item ^id <i>)
-  (mode ^on yes)
--->
-  (halt))
-(rule allowed
-  (item ^id <i> ^kind <k>)
-  - (ban ^kind <k>)
--->
-  (halt))
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := NewWithOptions(prog.Rules, Options{Profile: true}).(*Network)
-	mem := wm.NewMemory(prog.Schema)
-	base := n.MemStats()
-	insert := func(tmpl string, fields map[string]wm.Value) *wm.WME {
-		w, err := mem.Insert(tmpl, fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	stay := []*wm.WME{
-		insert("mode", map[string]wm.Value{"on": wm.Sym("yes")}),
-		insert("ban", map[string]wm.Value{"kind": wm.Sym("k")}),
-	}
-	n.Apply(wm.Delta{Added: stay})
-
-	const window = 16
-	var live [][]*wm.WME
-	maxSlots, maxTokens := 0, 0
-	rounds := 100000
-	if testing.Short() {
-		rounds = 5000
-	}
-	for i := 0; i < rounds; i++ {
-		id := wm.Int(int64(i))
-		added := []*wm.WME{
-			insert("item", map[string]wm.Value{"id": id, "group": wm.Int(int64(i / 4)), "kind": wm.Sym("k")}),
-			insert("tag", map[string]wm.Value{"id": id, "label": wm.Sym("l")}),
-		}
-		if i%3 == 0 {
-			added = append(added, insert("hold", map[string]wm.Value{"id": id}))
-		}
-		delta := wm.Delta{Added: added}
-		live = append(live, added)
-		if len(live) > window {
-			delta.Removed = live[0]
-			live = live[1:]
-			for _, w := range delta.Removed {
-				mem.Remove(w.Time)
-			}
-		}
-		n.Apply(delta)
-		maxSlots = max(maxSlots, n.indexSlots())
-		maxTokens = max(maxTokens, n.MemStats().BetaTokens)
-	}
-	// 16 rounds of at most 3 WMEs live at once: a few dozen buckets per
-	// index, eight indexes.
-	if maxSlots > 8*128 {
-		t.Fatalf("index tables grew to %d slots over a live set of %d rounds", maxSlots, window)
-	}
-	if maxTokens > 40*window {
-		t.Fatalf("token memories grew to %d tokens over a live set of %d rounds", maxTokens, window)
-	}
-	for _, w := range stay {
-		r, listed := n.recs[w], 0
-		for tok := r.tokens; tok != nil; tok = tok.wnext {
-			listed++
-		}
-		if listed > 4*window || len(r.neg) > 4*window {
-			t.Fatalf("%v lists %d tokens and %d join results after %d rounds with %d items live", w, listed, len(r.neg), rounds, window)
-		}
-	}
-	for _, ws := range append(live, stay) {
-		n.Apply(wm.Delta{Removed: ws})
-	}
-	if ms := n.MemStats(); ms != base {
-		t.Fatalf("state after retracting everything %+v, baseline %+v", ms, base)
-	}
-	if len(n.recs) != 0 || n.indexSlots() != 0 {
-		t.Fatalf("%d WME records and %d index slots outlive their WMEs", len(n.recs), n.indexSlots())
 	}
 }

@@ -180,7 +180,9 @@ const (
 	OPS5MEA
 )
 
-// MatcherKind selects the incremental match algorithm.
+// MatcherKind selects the incremental match algorithm for object rules.
+// Meta-rules are matched by the PARULEL engine's own meta level whichever
+// is chosen.
 type MatcherKind uint8
 
 // Matcher kinds.
@@ -342,7 +344,9 @@ func (e *Engine) RuleActivity() map[string]int {
 }
 
 // Explain writes a human-readable listing of the current conflict set
-// (rules, matched elements, bindings, refraction status).
+// (rules, matched elements, bindings, refraction status and, for the
+// PARULEL engine, which meta-rules redacted an instantiation at the last
+// redact phase and with which others).
 func (e *Engine) Explain(w io.Writer) error {
 	if e.seq != nil {
 		return e.seq.ExplainConflictSet(w)
