@@ -188,11 +188,7 @@ func VerifySessionDir(dir string) *Report {
 	}
 	for i := range scanRes.Records {
 		rec := &scanRes.Records[i]
-		leaf, lerr := wal.RecordLeafHex(rec)
-		if lerr != nil {
-			r.add(Error, CodeWALUnreadable, fmt.Sprintf("frame seq %d: %v", rec.Seq, lerr))
-			continue
-		}
+		leaf := wal.RecordLeafHex(rec)
 		if ei, ok := entryAt[rec.Seq]; ok {
 			if info.Entries[ei].Leaf != leaf {
 				r.add(Error, CodeFrameMismatch,

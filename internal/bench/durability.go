@@ -150,8 +150,8 @@ func RunDurability(quick bool) (*DurabilityDoc, error) {
 
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			fields := map[string]wm.Value{"id": wm.Int(int64(i))}
-			if _, err := e.Insert("req", fields); err != nil {
+			id := wm.Int(int64(i))
+			if _, err := e.Insert("req", map[string]wm.Value{"id": id}); err != nil {
 				return nil, err
 			}
 			before := e.Counters()
@@ -162,7 +162,7 @@ func RunDurability(quick bool) (*DurabilityDoc, error) {
 			if p.on {
 				if err := log.Append(&wal.Record{
 					Op:    wal.OpAssert,
-					Facts: []wal.Fact{{Template: "req", Fields: wal.EncodeFields(fields)}},
+					Facts: []wal.Fact{{Template: "req", Fields: wal.Fields{{Name: "id", Value: id}}}},
 				}); err != nil {
 					return nil, err
 				}

@@ -179,6 +179,7 @@ func (c *Client) Close() {
 type ReplStream struct {
 	pc      *peerConn
 	session string
+	buf     []byte // SendRecord's encode buffer
 	// Target is the member the stream is attached to.
 	Target Member
 }
@@ -209,7 +210,8 @@ func (c *Client) OpenReplStream(m Member, session string, st SessionState) (*Rep
 // carries the producing request's trace context so the replica's apply
 // work joins the distributed trace.
 func (r *ReplStream) SendRecord(rec *wal.Record, trace string) error {
-	_, err := r.pc.send(frameRecord, recordEnvelope{Record: *rec, Trace: trace})
+	r.buf = appendRecordEnvelope(r.buf[:0], rec, trace)
+	_, err := r.pc.send(frameRecord, r.buf)
 	return err
 }
 

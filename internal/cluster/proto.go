@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"parulel/internal/jsonlex"
 	"parulel/internal/wal"
 )
 
@@ -169,6 +170,20 @@ func readAck(r io.Reader) (Ack, error) {
 type recordEnvelope struct {
 	wal.Record
 	Trace string `json:"trace,omitempty"`
+}
+
+// appendRecordEnvelope appends the envelope's encoding: the log's own
+// canonical payload for rec (wal.Record.AppendJSON — what the replica's
+// log will write too) with the trace member, when there is one, spliced
+// in before the closing brace.
+func appendRecordEnvelope(dst []byte, rec *wal.Record, trace string) []byte {
+	dst = rec.AppendJSON(dst)
+	if trace == "" {
+		return dst
+	}
+	dst = append(dst[:len(dst)-1], `,"trace":`...)
+	dst = jsonlex.AppendString(dst, trace)
+	return append(dst, '}')
 }
 
 // decodeRecord decodes a Record frame payload, returning the record and

@@ -30,8 +30,10 @@ func WriteState(w io.Writer, st SessionState) error {
 			return err
 		}
 	}
+	var buf []byte
 	for i := range st.Tail {
-		if err := writeJSONFrame(w, frameRecord, &st.Tail[i]); err != nil {
+		buf = appendRecordEnvelope(buf[:0], &st.Tail[i], "")
+		if err := WriteFrame(w, frameRecord, buf); err != nil {
 			return err
 		}
 	}

@@ -23,36 +23,42 @@ import (
 )
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !readJSON(w, r, &req) {
+	sc, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Ops) == 0 {
+	defer sc.release()
+	if err := sc.scanBatch(); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	ops := sc.ops
+	if len(ops) == 0 {
 		writeError(w, http.StatusBadRequest, "ops is required")
 		return
 	}
 	containsRun := false
-	for i, op := range req.Ops {
-		switch op.Op {
+	for i := range ops {
+		switch op := &ops[i]; op.kind {
 		case "assert":
-			if len(op.Facts) == 0 {
+			if len(op.facts) == 0 {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: assert requires facts", i))
 				return
 			}
 		case "retract":
-			if op.Template == "" {
+			if op.template == "" {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: retract requires template", i))
 				return
 			}
 		case "run":
 			containsRun = true
 		case "tick":
-			if op.Ticks < 0 {
+			if op.ticks < 0 {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: ticks must be non-negative", i))
 				return
 			}
 		default:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: unknown op %q (want assert, retract, run or tick)", i, op.Op))
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: unknown op %q (want assert, retract, run or tick)", i, op.kind))
 			return
 		}
 	}
@@ -79,87 +85,58 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.withSession(w, r, func(sess *session) {
-		// Schema validation needs the engine, hence the session slot.
-		schema := sess.eng.Memory().Schema()
-		checkFields := func(i int, template string, fields map[string]jsonValue) bool {
-			tmpl, ok := schema.Lookup(template)
-			if !ok {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: unknown template %q", i, template))
-				return false
-			}
-			for attr := range fields {
-				if _, ok := tmpl.AttrIndex(attr); !ok {
-					writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: template %s has no attribute %q", i, template, attr))
-					return false
-				}
-			}
-			return true
-		}
-		for i, op := range req.Ops {
-			switch op.Op {
+		// Schema validation needs the engine, hence the session slot. Every
+		// assert op's facts are staged here, in op order, and inserted from
+		// the staging area when execution reaches the op.
+		staged := sc.staged[:0]
+		for i := range ops {
+			var err error
+			switch op := &ops[i]; op.kind {
 			case "assert":
-				for _, f := range op.Facts {
-					if !checkFields(i, f.Template, f.Fields) {
-						return
-					}
-					if f.TTL < 0 {
-						writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: ttl must be non-negative", i))
-						return
-					}
-				}
+				staged, _, err = sess.stage(staged, op.facts)
 			case "retract":
-				if !checkFields(i, op.Template, op.Fields) {
-					return
-				}
+				_, err = sess.retractPositions(op.template, op.fields)
+			}
+			if err != nil {
+				sc.staged = staged
+				writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err))
+				return
 			}
 		}
+		sc.staged = staged
 
 		// Execute, collecting the would-be WAL records instead of appending
 		// them one by one; they land in a single OpBatch frame at the end.
 		batchSp := s.startSpan(r.Context(), stageBatch)
-		batchSp.SetAttr("ops", strconv.Itoa(len(req.Ops)))
+		batchSp.SetAttr("ops", strconv.Itoa(len(ops)))
 		defer batchSp.End()
-		var recs []wal.Record
 		sink := func(rec *wal.Record) bool {
-			recs = append(recs, *rec)
+			sc.recs = append(sc.recs, *rec)
 			return true
 		}
-		results := make([]batchOpResult, 0, len(req.Ops))
+		results := make([]batchOpResult, 0, len(ops))
 		applied := 0
-		for _, op := range req.Ops {
-			result := batchOpResult{Op: op.Op}
-			switch op.Op {
+		for i := range ops {
+			op := &ops[i]
+			result := batchOpResult{Op: op.kind}
+			switch op.kind {
 			case "assert":
-				inserted := make([]wal.Fact, 0, len(op.Facts))
-				for j, f := range op.Facts {
-					fields := toFields(f.Fields)
-					el, err := sess.eng.Insert(f.Template, fields)
-					if err != nil {
-						result.Error = fmt.Sprintf("fact %d: %v", j, err)
-						break
-					}
-					if f.TTL > 0 {
-						sess.clock.SetTTL(el, f.TTL)
-					}
-					inserted = append(inserted, wal.Fact{Template: f.Template, Fields: wal.EncodeFields(fields), TTL: f.TTL})
-				}
-				result.Count = len(inserted)
-				if len(inserted) > 0 {
-					sink(&wal.Record{Op: wal.OpAssert, Facts: inserted})
-				}
+				sess.insert(staged[:len(op.facts)])
+				staged = staged[len(op.facts):]
+				result.Count = len(op.facts)
+				sink(&wal.Record{Op: wal.OpAssert, Facts: op.facts})
 			case "retract":
-				fields := toFields(op.Fields)
-				n, err := sess.retractMatching(op.Template, fields)
+				n, err := sess.retractMatching(op.template, op.fields)
 				if err != nil {
 					result.Error = err.Error()
 					break
 				}
 				result.Count = n
 				if n > 0 {
-					sink(&wal.Record{Op: wal.OpRetract, Template: op.Template, Fields: wal.EncodeFields(fields), Count: n})
+					sink(&wal.Record{Op: wal.OpRetract, Template: op.template, Fields: op.fields, Count: n})
 				}
 			case "run":
-				timeout := s.clampTimeout(op.TimeoutMS)
+				timeout := s.clampTimeout(op.timeoutMS)
 				ctx, cancel := context.WithTimeout(r.Context(), timeout)
 				// admitForce, not admit: the batch as a whole passed
 				// admission at the mutation layer; rejecting one of its ops
@@ -176,7 +153,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					result.Error = out.err.Error()
 				}
 			case "tick":
-				n := op.Ticks
+				n := op.ticks
 				if n == 0 {
 					n = 1
 				}
@@ -202,7 +179,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.batchObserved(applied)
 
-		if len(recs) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: recs}) {
+		if len(sc.recs) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs}) {
 			writeError(w, http.StatusInternalServerError, "batch applied in memory but not durably logged")
 			return
 		}

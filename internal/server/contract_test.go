@@ -8,12 +8,15 @@ package server
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"parulel/internal/wal"
 	"parulel/internal/wm"
 )
 
@@ -384,5 +387,91 @@ func TestObservabilityNotBlockedWhenSaturated(t *testing.T) {
 	}
 	if m.Jobs.Active < 1 {
 		t.Fatalf("jobs active: %+v", m.Jobs)
+	}
+}
+
+// TestRejectedFactsApplyNothing: on every endpoint that takes facts, a
+// rejection — 400, or the in-band error line on /stream — means nothing
+// happened. Working memory, the clock and the session's log are as they
+// were, also when the fact at fault comes after valid ones (which /facts
+// and snapshot import used to insert, and log, before answering 400).
+func TestRejectedFactsApplyNothing(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir, Fsync: wal.PolicyAlways})
+	info := createSession(t, ts.URL, createSessionRequest{Source: contractSrc})
+	url := ts.URL + "/api/v1/sessions/" + info.ID
+	if st := call(t, "POST", url+"/facts", assertRequest{Facts: []factPayload{itemFact("seed")}}, nil); st != http.StatusOK {
+		t.Fatalf("seeding: status %d", st)
+	}
+	type state struct {
+		wm, records int
+		tick        int64
+	}
+	observe := func() state {
+		res, err := wal.ScanFile(filepath.Join(dir, "sessions", info.ID, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := getInfo(t, url)
+		return state{got.WMSize, len(res.Records), got.Tick}
+	}
+	before := observe()
+	if before.wm != 1 || before.records != 2 {
+		t.Fatalf("seeded session: %+v", before)
+	}
+
+	const good = `{"template":"item","fields":{"k":"a","state":"new"}}`
+	bad := []struct{ name, fact, wantErr string }{
+		{"unknown template", `{"template":"ghost","fields":{"k":"b"}}`, `fact 1: unknown template "ghost"`},
+		{"unknown attribute", `{"template":"item","fields":{"k":"b","bogus":1}}`, `fact 1: template item has no attribute "bogus"`},
+		{"negative ttl", `{"template":"item","fields":{"k":"c"},"ttl":-1}`, `fact 1: ttl must be non-negative`},
+	}
+	for _, c := range bad {
+		facts := `[` + good + `,` + c.fact + `]`
+		for _, ep := range []struct{ path, body, wantErr string }{
+			{"/facts", `{"facts":` + facts + `}`, c.wantErr},
+			{"/batch", `{"ops":[{"op":"assert","facts":[` + good + `]},{"op":"assert","facts":` + facts + `}]}`,
+				strings.Replace(c.wantErr, "fact 1:", "op 1:", 1)},
+			{"/stream", `{"facts":[` + good + `]}` + "\n" + `{"facts":` + facts + `}` + "\n", c.wantErr},
+		} {
+			resp := postRaw(t, url+ep.path, ep.body, "")
+			body, _ := io.ReadAll(resp.Body)
+			if ep.path == "/stream" {
+				// The first frame is valid and stands; the second is refused whole.
+				lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+				if resp.StatusCode != http.StatusOK || len(lines) != 2 || !strings.Contains(lines[1], strings.ReplaceAll(c.wantErr, `"`, `\"`)) {
+					t.Fatalf("%s, %s: status %d, body %s", ep.path, c.name, resp.StatusCode, body)
+				}
+				before.wm, before.records, before.tick = before.wm+1, before.records+1, before.tick+1
+			} else if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), strings.ReplaceAll(ep.wantErr, `"`, `\"`)) {
+				t.Fatalf("%s, %s: status %d, body %s; want 400 with %q", ep.path, c.name, resp.StatusCode, body, ep.wantErr)
+			}
+			if after := observe(); after != before {
+				t.Fatalf("%s, %s: the rejected request changed the session: %+v, was %+v", ep.path, c.name, after, before)
+			}
+		}
+	}
+	for _, c := range []struct{ name, text string }{
+		{"unknown template", "(wm (item ^k a ^state new) (ghost ^k b))"},
+		{"unknown attribute", "(wm (item ^k a ^state new) (item ^k b ^bogus 1))"},
+	} {
+		resp := postRaw(t, url+"/snapshot", c.text, "")
+		if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fact 1: ") {
+			t.Fatalf("snapshot import, %s: status %d, body %s", c.name, resp.StatusCode, body)
+		}
+		if after := observe(); after != before {
+			t.Fatalf("snapshot import, %s: the rejected request changed the session: %+v, was %+v", c.name, after, before)
+		}
+	}
+	// And an accepted one on each still lands whole.
+	if st := call(t, "POST", url+"/facts", assertRequest{Facts: []factPayload{itemFact("x"), itemFact("y")}}, nil); st != http.StatusOK {
+		t.Fatalf("valid assert after the rejections: status %d", st)
+	}
+	if resp := postRaw(t, url+"/snapshot", "(wm (item ^k z ^state new))", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid import after the rejections: status %d", resp.StatusCode)
+	}
+	before.wm, before.records = before.wm+3, before.records+2
+	if after := observe(); after != before {
+		t.Fatalf("after two valid requests: %+v, want %+v", after, before)
 	}
 }

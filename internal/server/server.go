@@ -16,7 +16,6 @@
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -26,6 +25,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -903,64 +903,64 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
-	var req assertRequest
-	if !readJSON(w, r, &req) {
+	sc, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	defer sc.release()
+	op, err := sc.scanOne(assertKeys)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	s.withSession(w, r, func(sess *session) {
-		n := 0
-		inserted := make([]wal.Fact, 0, len(req.Facts))
-		for _, f := range req.Facts {
-			if f.TTL < 0 {
-				if len(inserted) > 0 {
-					s.persist(r.Context(), sess, &wal.Record{Op: wal.OpAssert, Facts: inserted})
-				}
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("fact %d: ttl must be non-negative", n))
-				return
-			}
-			fields := toFields(f.Fields)
-			el, err := sess.eng.Insert(f.Template, fields)
-			if err != nil {
-				// The successfully inserted prefix is part of the session's
-				// history and must be logged even though the request fails.
-				if len(inserted) > 0 {
-					s.persist(r.Context(), sess, &wal.Record{Op: wal.OpAssert, Facts: inserted})
-				}
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("fact %d: %v", n, err))
-				return
-			}
-			if f.TTL > 0 {
-				sess.clock.SetTTL(el, f.TTL)
-			}
-			inserted = append(inserted, wal.Fact{Template: f.Template, Fields: wal.EncodeFields(fields), TTL: f.TTL})
-			n++
-		}
-		if len(inserted) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpAssert, Facts: inserted}) {
-			writeError(w, http.StatusInternalServerError, "facts asserted in memory but not durably logged")
-			return
-		}
-		writeJSON(w, http.StatusOK, countResponse{Count: n, WMSize: sess.eng.Memory().Len()})
+		s.assertFacts(w, r, sess, sc, op.facts, &wal.Record{Op: wal.OpAssert, Facts: op.facts},
+			"facts asserted in memory but not durably logged")
 	})
 }
 
-func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
-	var req retractRequest
-	if !readJSON(w, r, &req) {
+// assertFacts is the body of the two endpoints that only add facts,
+// /facts and snapshot import: stage everything, insert everything, log
+// rec, answer with the count. A fact that does not resolve is a 400 with
+// nothing inserted and nothing logged. Caller holds the slot.
+func (s *Server) assertFacts(w http.ResponseWriter, r *http.Request, sess *session, sc *factScanner, facts []wal.Fact, rec *wal.Record, lostMsg string) {
+	staged, bad, err := sess.stage(sc.staged[:0], facts)
+	sc.staged = staged
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("fact %d: %v", bad, err))
 		return
 	}
-	if req.Template == "" {
+	sess.insert(staged)
+	if len(facts) > 0 && !s.persist(r.Context(), sess, rec) {
+		writeError(w, http.StatusInternalServerError, lostMsg)
+		return
+	}
+	writeJSON(w, http.StatusOK, countResponse{Count: len(facts), WMSize: sess.eng.Memory().Len()})
+}
+
+func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
+	sc, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	defer sc.release()
+	op, err := sc.scanOne(retractKeys)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if op.template == "" {
 		writeError(w, http.StatusBadRequest, "template is required")
 		return
 	}
 	s.withSession(w, r, func(sess *session) {
-		fields := toFields(req.Fields)
-		n, err := sess.retractMatching(req.Template, fields)
+		n, err := sess.retractMatching(op.template, op.fields)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if n > 0 {
-			rec := wal.Record{Op: wal.OpRetract, Template: req.Template, Fields: wal.EncodeFields(fields), Count: n}
+			rec := wal.Record{Op: wal.OpRetract, Template: op.template, Fields: op.fields, Count: n}
 			if !s.persist(r.Context(), sess, &rec) {
 				writeError(w, http.StatusInternalServerError, "facts retracted in memory but not durably logged")
 				return
@@ -1242,8 +1242,10 @@ func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 		mem := sess.eng.Memory()
-		wmes := mem.Snapshot()
-		if template != "" {
+		var wmes []*wm.WME
+		if template == "" {
+			wmes = mem.Snapshot()
+		} else {
 			if _, ok := mem.Schema().Lookup(template); !ok {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown template %q", template))
 				return
@@ -1254,11 +1256,21 @@ func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) {
 		if limit > 0 && len(wmes) > limit {
 			wmes = wmes[:limit]
 		}
-		facts := make([]factPayload, len(wmes))
+		sc := scanners.Get().(*factScanner)
+		defer sc.release()
+		out := append(sc.out[:0], `{"total":`...)
+		out = strconv.AppendInt(out, int64(total), 10)
+		out = append(out, `,"facts":[`...)
 		for i, el := range wmes {
-			facts[i] = encodeFact(el)
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = appendWireFact(out, el)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"total": total, "facts": facts})
+		sc.out = append(out, "]}\n"...)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(sc.out) // a failed write is the client's disconnect
 	})
 }
 
@@ -1273,54 +1285,37 @@ func (s *Server) handleSnapshotExport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshotImport(w http.ResponseWriter, r *http.Request) {
+	sc, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	defer sc.release()
+	// Parse into the scanner's staging form first: like every other way in,
+	// an import that names an unknown template inserts nothing.
+	text := sc.body.String()
+	if _, err := snapshot.Read(strings.NewReader(text), stager{sc}); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	s.withSession(w, r, func(sess *session) {
-		// Parse into a staging list first: an insert that fails halfway
-		// must not leave working memory holding facts the log never saw.
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		var st stager
-		if _, err := snapshot.Read(bytes.NewReader(body), &st); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		n := 0
-		inserted := make([]wal.Fact, 0, len(st.facts))
-		for _, f := range st.facts {
-			if _, err := sess.eng.Insert(f.template, f.fields); err != nil {
-				if len(inserted) > 0 {
-					s.persist(r.Context(), sess, &wal.Record{Op: wal.OpAssert, Facts: inserted})
-				}
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("fact %d: %v", n, err))
-				return
-			}
-			inserted = append(inserted, wal.Fact{Template: f.template, Fields: wal.EncodeFields(f.fields)})
-			n++
-		}
-		if n > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpImport, Text: string(body), Count: n}) {
-			writeError(w, http.StatusInternalServerError, "facts imported in memory but not durably logged")
-			return
-		}
-		writeJSON(w, http.StatusOK, countResponse{Count: n, WMSize: sess.eng.Memory().Len()})
+		s.assertFacts(w, r, sess, sc, sc.facts, &wal.Record{Op: wal.OpImport, Text: text, Count: len(sc.facts)},
+			"facts imported in memory but not durably logged")
 	})
 }
 
-// stager implements snapshot.Inserter by collecting parsed facts without
-// touching working memory.
-type stager struct {
-	facts []struct {
-		template string
-		fields   map[string]wm.Value
-	}
-}
+// stager implements snapshot.Inserter by collecting the parsed facts in a
+// scanner, in the form a scanned request body takes, without touching
+// working memory.
+type stager struct{ sc *factScanner }
 
-func (st *stager) Insert(template string, fields map[string]wm.Value) (*wm.WME, error) {
-	st.facts = append(st.facts, struct {
-		template string
-		fields   map[string]wm.Value
-	}{template, fields})
+func (st stager) Insert(template string, fields map[string]wm.Value) (*wm.WME, error) {
+	sc := st.sc
+	lo := len(sc.fields)
+	for name, v := range fields {
+		sc.fields = append(sc.fields, wal.Field{Name: name, Value: v})
+	}
+	run := wal.Canonical(sc.fields[lo:])
+	sc.facts = append(sc.facts, wal.Fact{Template: template, Fields: run[:len(run):len(run)]})
 	return nil, nil
 }
 

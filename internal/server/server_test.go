@@ -525,34 +525,3 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
-
-func TestJSONValueRoundTrip(t *testing.T) {
-	vals := []wm.Value{
-		wm.Nil(), wm.Int(42), wm.Int(-1), wm.Float(2.5), wm.Float(3),
-		wm.Sym("hello"), wm.Str("a string"), wm.Bool(true),
-	}
-	for _, v := range vals {
-		b, err := json.Marshal(jsonValue{v})
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var back jsonValue
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", b, err)
-		}
-		if !back.V.Equal(v) {
-			t.Errorf("round trip %v -> %s -> %v", v, b, back.V)
-		}
-	}
-	// Typed input forms.
-	var tv jsonValue
-	if err := json.Unmarshal([]byte(`{"float": 2}`), &tv); err != nil || tv.V != wm.Float(2) {
-		t.Errorf(`{"float": 2} = %v, %v`, tv.V, err)
-	}
-	if err := json.Unmarshal([]byte(`{"str": "s"}`), &tv); err != nil || tv.V != wm.Str("s") {
-		t.Errorf(`{"str": "s"} = %v, %v`, tv.V, err)
-	}
-	if err := json.Unmarshal([]byte(`{"bogus": 1}`), &tv); err == nil {
-		t.Error("unknown typed key should fail")
-	}
-}

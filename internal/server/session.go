@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"parulel/internal/match/treat"
 	"parulel/internal/obs"
 	"parulel/internal/temporal"
+	"parulel/internal/wal"
 	"parulel/internal/wm"
 )
 
@@ -205,31 +207,88 @@ func (s *session) profileDeltas() []match.RuleProfile {
 	return deltas
 }
 
+// stagedFact is one fact resolved against the schema: its template, its
+// positional field vector, ready for Engine.InsertFields, and its TTL
+// override.
+type stagedFact struct {
+	tmpl *wm.Template
+	vals []wm.Value
+	ttl  int64
+}
+
+// stage and insert are the one way facts enter a session, whichever
+// endpoint or log record they arrive by. stage resolves every fact —
+// template, attribute names to positions, TTL sign — appending to dst
+// and touching nothing else, so a caller validates a whole request
+// before insert applies any of it: an error means nothing happened. On
+// error it also reports which fact was at fault. Caller holds the slot.
+func (s *session) stage(dst []stagedFact, facts []wal.Fact) ([]stagedFact, int, error) {
+	schema := s.eng.Memory().Schema()
+	var tmpl *wm.Template
+	for i := range facts {
+		f := &facts[i]
+		if tmpl == nil || tmpl.Name != f.Template { // runs of one template are the rule
+			var ok bool
+			if tmpl, ok = schema.Lookup(f.Template); !ok {
+				return dst, i, fmt.Errorf("unknown template %q", f.Template)
+			}
+		}
+		vals := make([]wm.Value, tmpl.Arity())
+		for _, fl := range f.Fields {
+			pos, ok := tmpl.AttrIndex(fl.Name)
+			if !ok {
+				return dst, i, fmt.Errorf("template %s has no attribute %q", f.Template, fl.Name)
+			}
+			vals[pos] = fl.Value
+		}
+		if f.TTL < 0 {
+			return dst, i, errors.New("ttl must be non-negative")
+		}
+		dst = append(dst, stagedFact{tmpl, vals, f.TTL})
+	}
+	return dst, 0, nil
+}
+
+// insert puts staged facts into working memory, per-fact lifetime
+// overrides included.
+func (s *session) insert(staged []stagedFact) {
+	for _, st := range staged {
+		el := s.eng.InsertFields(st.tmpl, st.vals)
+		if st.ttl > 0 {
+			s.clock.SetTTL(el, st.ttl)
+		}
+	}
+}
+
+// retractPositions resolves a retract's template and the positions of
+// the attributes it constrains, in fields order.
+func (s *session) retractPositions(template string, fields wal.Fields) ([]int, error) {
+	tmpl, ok := s.eng.Memory().Schema().Lookup(template)
+	if !ok {
+		return nil, fmt.Errorf("unknown template %q", template)
+	}
+	pos := make([]int, len(fields))
+	for i, f := range fields {
+		if pos[i], ok = tmpl.AttrIndex(f.Name); !ok {
+			return nil, fmt.Errorf("template %s has no attribute %q", template, f.Name)
+		}
+	}
+	return pos, nil
+}
+
 // retractMatching removes every live WME of the template whose fields
 // strictly equal all given values; attributes not listed are wildcards.
 // Caller holds the slot.
-func (s *session) retractMatching(template string, fields map[string]wm.Value) (int, error) {
-	tmpl, ok := s.eng.Memory().Schema().Lookup(template)
-	if !ok {
-		return 0, fmt.Errorf("unknown template %q", template)
-	}
-	type cond struct {
-		idx int
-		val wm.Value
-	}
-	conds := make([]cond, 0, len(fields))
-	for attr, v := range fields {
-		i, ok := tmpl.AttrIndex(attr)
-		if !ok {
-			return 0, fmt.Errorf("template %s has no attribute %q", template, attr)
-		}
-		conds = append(conds, cond{i, v})
+func (s *session) retractMatching(template string, fields wal.Fields) (int, error) {
+	pos, err := s.retractPositions(template, fields)
+	if err != nil {
+		return 0, err
 	}
 	n := 0
 	for _, w := range s.eng.Memory().OfTemplate(template) {
 		matchAll := true
-		for _, c := range conds {
-			if !w.Fields[c.idx].Equal(c.val) {
+		for i, p := range pos {
+			if !w.Fields[p].Equal(fields[i].Value) {
 				matchAll = false
 				break
 			}

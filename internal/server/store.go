@@ -640,28 +640,17 @@ func replay(sess *session, rec *wal.Record) error {
 	case wal.OpCreate:
 		return nil // consumed as session metadata
 	case wal.OpAssert:
-		for i, f := range rec.Facts {
-			fields, err := wal.DecodeFields(f.Fields)
-			if err != nil {
-				return err
-			}
-			el, err := sess.eng.Insert(f.Template, fields)
-			if err != nil {
-				return fmt.Errorf("fact %d: %w", i, err)
-			}
-			if f.TTL > 0 {
-				// Re-apply the per-fact lifetime override so replayed ticks
-				// expire this fact exactly when the original ticks did.
-				sess.clock.SetTTL(el, f.TTL)
-			}
+		// The same stage-then-insert as the request that logged the record,
+		// per-fact lifetime overrides included, so replayed ticks expire
+		// each fact exactly when the original ticks did.
+		staged, bad, err := sess.stage(make([]stagedFact, 0, len(rec.Facts)), rec.Facts)
+		if err != nil {
+			return fmt.Errorf("fact %d: %w", bad, err)
 		}
+		sess.insert(staged)
 		return nil
 	case wal.OpRetract:
-		fields, err := wal.DecodeFields(rec.Fields)
-		if err != nil {
-			return err
-		}
-		n, err := sess.retractMatching(rec.Template, fields)
+		n, err := sess.retractMatching(rec.Template, rec.Fields)
 		if err != nil {
 			return err
 		}

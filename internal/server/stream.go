@@ -28,16 +28,6 @@ import (
 	"parulel/internal/wal"
 )
 
-// streamFrame is one NDJSON request line. Ticks is the number of clock
-// advances after the frame's facts land: absent means 1 (the common
-// case — a frame is a unit of stream time), 0 suppresses the tick.
-type streamFrame struct {
-	Facts     []factPayload `json:"facts,omitempty"`
-	Ticks     *int64        `json:"ticks,omitempty"`
-	Run       bool          `json:"run,omitempty"`
-	TimeoutMS int64         `json:"timeout_ms,omitempty"`
-}
-
 // streamFrameResult is one NDJSON response line. Frame counts from 1;
 // an Error line is terminal and may carry frame 0 when the very first
 // line failed to parse.
@@ -51,6 +41,11 @@ type streamFrameResult struct {
 	Error    string       `json:"error,omitempty"`
 }
 
+// handleStream reads one frame object per request line (or several lines):
+// "facts" as in /facts, "ticks" — the number of clock advances after the
+// frame's facts land: absent means 1 (the common case — a frame is a unit
+// of stream time), 0 suppresses the tick — "run" and "timeout_ms". Any
+// other key fails the frame.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// A stream may run the engine, so the whole request registers as
 	// active work: shutdown waits for it, a draining server refuses it.
@@ -72,7 +67,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	s.withSessionGate(w, r, s.metrics.streamRejectedObserved, func(sess *session) {
-		schema := sess.eng.Memory().Schema()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		// The exchange is full-duplex: result lines go out while request
 		// frames are still arriving. Without this, the HTTP/1 server
@@ -82,7 +76,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		rc := http.NewResponseController(w)
 		_ = rc.EnableFullDuplex()
 		enc := json.NewEncoder(w)
+		// encoding/json only frames the stream — one raw value per frame,
+		// wherever its line breaks fall; the fact scanner reads the frame.
 		dec := json.NewDecoder(r.Body)
+		sc := scanners.Get().(*factScanner)
+		defer sc.release()
+		var raw json.RawMessage
 		frame := 0
 		var frameSp *reqSpan
 		emit := func(res streamFrameResult) {
@@ -100,11 +99,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 
 		for {
-			var f streamFrame
-			if err := dec.Decode(&f); err != nil {
-				if errors.Is(err, io.EOF) {
-					return
-				}
+			raw = raw[:0]
+			err := dec.Decode(&raw)
+			if errors.Is(err, io.EOF) {
+				return
+			}
+			var f *scanOp
+			if err == nil {
+				sc.reset(raw)
+				f, err = sc.scanOne(frameKeys)
+			}
+			if err != nil {
+				// Nothing of a frame that does not scan is applied, and the
+				// clock does not move: an unknown key is a typo, not an
+				// empty frame.
 				fail("bad frame: %v", err)
 				return
 			}
@@ -116,69 +124,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 			// Structural validation before anything is applied, mirroring
 			// the batch handler's two-phase contract per frame.
-			ok := true
-			for j, fp := range f.Facts {
-				tmpl, found := schema.Lookup(fp.Template)
-				if !found {
-					fail("fact %d: unknown template %q", j, fp.Template)
-					ok = false
-					break
-				}
-				for attr := range fp.Fields {
-					if _, found := tmpl.AttrIndex(attr); !found {
-						fail("fact %d: template %s has no attribute %q", j, fp.Template, attr)
-						ok = false
-						break
-					}
-				}
-				if ok && fp.TTL < 0 {
-					fail("fact %d: ttl must be non-negative", j)
-					ok = false
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
+			staged, bad, err := sess.stage(sc.staged[:0], f.facts)
+			sc.staged = staged
+			if err != nil {
+				fail("fact %d: %v", bad, err)
 				return
 			}
-			if f.Ticks != nil && *f.Ticks < 0 {
+			if f.hasTicks && f.ticks < 0 {
 				fail("ticks must be non-negative")
 				return
 			}
 
-			var recs []wal.Record
 			sink := func(rec *wal.Record) bool {
-				recs = append(recs, *rec)
+				sc.recs = append(sc.recs, *rec)
 				return true
 			}
-
-			inserted := make([]wal.Fact, 0, len(f.Facts))
-			for j, fp := range f.Facts {
-				fields := toFields(fp.Fields)
-				el, err := sess.eng.Insert(fp.Template, fields)
-				if err != nil {
-					if len(inserted) > 0 {
-						sink(&wal.Record{Op: wal.OpAssert, Facts: inserted})
-						s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: recs})
-					}
-					fail("fact %d: %v", j, err)
-					return
-				}
-				if fp.TTL > 0 {
-					sess.clock.SetTTL(el, fp.TTL)
-				}
-				inserted = append(inserted, wal.Fact{Template: fp.Template, Fields: wal.EncodeFields(fields), TTL: fp.TTL})
-			}
-			if len(inserted) > 0 {
-				sink(&wal.Record{Op: wal.OpAssert, Facts: inserted})
+			sess.insert(staged)
+			if len(f.facts) > 0 {
+				sink(&wal.Record{Op: wal.OpAssert, Facts: f.facts})
 			}
 
 			ticks := int64(1)
-			if f.Ticks != nil {
-				ticks = *f.Ticks
+			if f.hasTicks {
+				ticks = f.ticks
 			}
-			res := streamFrameResult{Asserted: len(inserted), Tick: sess.clock.Now()}
+			res := streamFrameResult{Asserted: len(f.facts), Tick: sess.clock.Now()}
 			tick0 := time.Now()
 			for k := int64(0); k < ticks; k++ {
 				t := sess.clock.Tick()
@@ -190,8 +160,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				s.recordSpan(r.Context(), frameSp.ID(), stageTick, time.Since(tick0))
 			}
 
-			if f.Run {
-				timeout := s.clampTimeout(f.TimeoutMS)
+			if f.run {
+				timeout := s.clampTimeout(f.timeoutMS)
 				ctx, cancel := context.WithTimeout(r.Context(), timeout)
 				ticket := s.runQueue.admitForce(sess.id)
 				s.metrics.runStarted()
@@ -204,19 +174,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				if out.err != nil {
 					// The frame's mutations and committed cycles stand; log
 					// them, report the error, end the stream.
-					if len(recs) > 0 {
-						s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: recs})
+					if len(sc.recs) > 0 {
+						s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs})
 					}
 					fail("run: %v", out.err)
 					return
 				}
 			}
 
-			if len(recs) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: recs}) {
+			if len(sc.recs) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs}) {
 				fail("frame applied in memory but not durably logged")
 				return
 			}
-			s.metrics.streamFrameObserved(len(inserted))
+			s.metrics.streamFrameObserved(len(f.facts))
 			s.metrics.ticksObserved(ticks, res.Expired)
 			emit(res)
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -198,6 +199,53 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 	if got := getInfo(t, url); got.Tick != 4 {
 		t.Fatalf("session tick %d after terminated stream, want 4", got.Tick)
+	}
+}
+
+// TestStreamUnknownFrameKey: a frame with a key the endpoint does not
+// know is a typo, not an empty frame. It used to pass for one — the
+// stream's decoder alone did not reject unknown keys — and an empty frame
+// still advances the clock by the default tick, which can expire facts.
+// Now it answers an in-band error like /facts and /batch answer 400:
+// nothing applied, no tick, nothing logged, stream over.
+func TestStreamUnknownFrameKey(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	info := createSession(t, ts.URL, createSessionRequest{Source: temporalSrc})
+	url := ts.URL + "/api/v1/sessions/" + info.ID
+	records := func() int {
+		res, err := wal.ScanFile(filepath.Join(dir, "sessions", info.ID, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Records)
+	}
+
+	// One ev fact, absorbed at tick 1, due to expire two ticks later.
+	lines := streamCall(t, url, []byte(`{"facts":[{"template":"ev","fields":{"n":1,"state":"idle"}}]}`+"\n"))
+	if len(lines) != 1 || lines[0].Error != "" || lines[0].Tick != 1 {
+		t.Fatalf("first frame: %+v", lines)
+	}
+	logged, live := records(), lines[0].WMSize // the fact and its window aggregate
+
+	for _, typo := range []string{
+		`{"fact":[{"template":"ev","fields":{"n":2,"state":"idle"}}]}`,
+		`{"facts":[{"template":"ev","field":{"n":2}}]}`,
+		`{"facts":[],"tick":0}`,
+	} {
+		// The typo'd frame comes first and a valid one follows: the stream
+		// must end at the typo.
+		body := typo + "\n" + `{"facts":[{"template":"ev","fields":{"n":3,"state":"idle"}}]}` + "\n"
+		lines = streamCall(t, url, []byte(body))
+		if len(lines) != 1 || !strings.Contains(lines[0].Error, "unknown field") || lines[0].Frame != 0 {
+			t.Fatalf("%s: want one in-band unknown-field error line, got %+v", typo, lines)
+		}
+		if got := getInfo(t, url); got.Tick != 1 || got.WMSize != live {
+			t.Fatalf("%s: tick %d, wm %d after the refused frame; want 1, %d (no tick, nothing expired or asserted)", typo, got.Tick, got.WMSize, live)
+		}
+		if got := records(); got != logged {
+			t.Fatalf("%s: %d log records, was %d", typo, got, logged)
+		}
 	}
 }
 

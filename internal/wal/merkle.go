@@ -119,13 +119,9 @@ func LeafHash(seq uint64, payload []byte) [sha256.Size]byte {
 // RecordLeafHex re-derives a scanned record's leaf hash from its
 // canonical encoding; audits use it to compare frames against ledger
 // entries.
-func RecordLeafHex(rec *Record) (string, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return "", err
-	}
-	h := LeafHash(rec.Seq, payload)
-	return hex.EncodeToString(h[:]), nil
+func RecordLeafHex(rec *Record) string {
+	h := LeafHash(rec.Seq, rec.AppendJSON(nil))
+	return hex.EncodeToString(h[:])
 }
 
 func interiorHash(left, right [sha256.Size]byte) [sha256.Size]byte {
@@ -637,24 +633,19 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 		lastEntrySeq = led.t.seqs[n-1]
 	}
 	matched := 0 // entries confirmed against a frame or the commit
+	var payload []byte
 	for ri := range recs {
 		rec := &recs[ri]
 		i := sort.Search(len(led.t.seqs), func(i int) bool { return led.t.seqs[i] >= rec.Seq })
 		switch {
 		case i < len(led.t.seqs) && led.t.seqs[i] == rec.Seq:
-			payload, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
+			payload = rec.AppendJSON(payload[:0])
 			if LeafHash(rec.Seq, payload) != led.t.leaves[i] {
 				return fmt.Errorf("%w: seq %d", ErrLedgerMismatch, rec.Seq)
 			}
 			matched++
 		case rec.Seq > lastEntrySeq:
-			payload, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
+			payload = rec.AppendJSON(payload[:0])
 			led.observeLocked(rec.Seq, payload)
 			lastEntrySeq = rec.Seq
 		default:

@@ -18,9 +18,8 @@
 package wal
 
 import (
-	"fmt"
-	"math"
-	"strconv"
+	"slices"
+	"strings"
 
 	"parulel/internal/wm"
 )
@@ -65,7 +64,10 @@ const (
 
 // Record is one logged operation. Exactly the fields relevant to Op are
 // populated; the rest stay at their zero values and are elided from the
-// JSON payload.
+// JSON payload. The struct tags describe the payload and keep
+// encoding/json usable on a Record (it yields the same bytes), but the
+// log itself writes with AppendJSON and reads with the matching decoder
+// in codec.go.
 type Record struct {
 	Seq uint64 `json:"seq"`
 	Op  string `json:"op"`
@@ -82,9 +84,9 @@ type Record struct {
 	Facts []Fact `json:"facts,omitempty"`
 
 	// OpRetract.
-	Template string           `json:"template,omitempty"`
-	Fields   map[string]Value `json:"fields,omitempty"`
-	Count    int              `json:"count,omitempty"`
+	Template string `json:"template,omitempty"`
+	Fields   Fields `json:"fields,omitempty"`
+	Count    int    `json:"count,omitempty"`
 
 	// OpRun.
 	Cycles int  `json:"cycles,omitempty"`
@@ -110,81 +112,48 @@ type Record struct {
 // TTL ticks after the temporal clock absorbs it. Replay re-applies the
 // same override, so expiry reproduces identically after recovery.
 type Fact struct {
-	Template string           `json:"template"`
-	Fields   map[string]Value `json:"fields,omitempty"`
-	TTL      int64            `json:"ttl,omitempty"`
+	Template string `json:"template"`
+	Fields   Fields `json:"fields,omitempty"`
+	TTL      int64  `json:"ttl,omitempty"`
 }
 
-// Value is the log's exact encoding of a wm.Value. Floats are stored as
-// their IEEE-754 bit pattern so every value — including ones whose
-// decimal rendering would lose precision or has no literal form (NaN,
-// ±Inf) — survives a round trip byte-identically.
-type Value struct {
-	K string `json:"k"`           // "n" nil, "i" int, "f" float, "s" symbol, "t" string
-	I int64  `json:"i,omitempty"` // KindInt payload
-	F string `json:"f,omitempty"` // KindFloat payload: Float64bits, decimal
-	S string `json:"s,omitempty"` // KindSym / KindStr payload
+// Field is one named attribute value of a fact.
+type Field struct {
+	Name  string
+	Value wm.Value
 }
 
-// EncodeValue converts a wm.Value into its log form.
-func EncodeValue(v wm.Value) Value {
-	switch v.Kind {
-	case wm.KindInt:
-		return Value{K: "i", I: v.I}
-	case wm.KindFloat:
-		return Value{K: "f", F: strconv.FormatUint(math.Float64bits(v.F), 10)}
-	case wm.KindSym:
-		return Value{K: "s", S: v.S}
-	case wm.KindStr:
-		return Value{K: "t", S: v.S}
-	default:
-		return Value{K: "n"}
-	}
-}
+// Fields is the one form a fact's attribute values take between the
+// socket and the log: (name, value) pairs in ascending name order, no
+// name twice — the order the payload's object keys are written in. An
+// attribute given as an explicit nil is kept (presence is part of the
+// record); an attribute not named is absent. The facts of one request or
+// one record are sub-slices of a single flat array.
+type Fields []Field
 
-// DecodeValue converts a logged value back into a wm.Value.
-func DecodeValue(v Value) (wm.Value, error) {
-	switch v.K {
-	case "n":
-		return wm.Nil(), nil
-	case "i":
-		return wm.Int(v.I), nil
-	case "f":
-		bits, err := strconv.ParseUint(v.F, 10, 64)
-		if err != nil {
-			return wm.Value{}, fmt.Errorf("wal: bad float bits %q: %w", v.F, err)
+// Canonical puts run into Fields order in place — sorted by name, the
+// last of several values for one name winning, as in a JSON object
+// decoded into a map — and returns the possibly shorter result. A run
+// already in order, which is what a well-behaved client and the log's
+// own encoder send, costs one pass.
+func Canonical(run []Field) Fields {
+	ordered := true
+	for i := 1; i < len(run); i++ {
+		if run[i-1].Name >= run[i].Name {
+			ordered = false
+			break
 		}
-		return wm.Float(math.Float64frombits(bits)), nil
-	case "s":
-		return wm.Sym(v.S), nil
-	case "t":
-		return wm.Str(v.S), nil
-	default:
-		return wm.Value{}, fmt.Errorf("wal: unknown value kind %q", v.K)
 	}
-}
-
-// EncodeFields converts an attribute→value map into log form.
-func EncodeFields(fields map[string]wm.Value) map[string]Value {
-	if fields == nil {
-		return nil
+	if ordered {
+		return run
 	}
-	out := make(map[string]Value, len(fields))
-	for k, v := range fields {
-		out[k] = EncodeValue(v)
+	slices.SortStableFunc(run, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
+	out := run[:0]
+	for i, f := range run {
+		if i+1 < len(run) && run[i+1].Name == f.Name {
+			continue
+		}
+		out = append(out, f)
 	}
 	return out
-}
-
-// DecodeFields converts a logged field map back into engine form.
-func DecodeFields(fields map[string]Value) (map[string]wm.Value, error) {
-	out := make(map[string]wm.Value, len(fields))
-	for k, v := range fields {
-		dv, err := DecodeValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("wal: field %s: %w", k, err)
-		}
-		out[k] = dv
-	}
-	return out, nil
 }

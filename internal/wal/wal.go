@@ -3,7 +3,6 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +10,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"parulel/internal/jsonlex"
 )
 
 // Frame layout: [payload length, uint32 LE][CRC32 (IEEE) of payload,
@@ -24,6 +25,10 @@ const frameHeader = 8
 // file is treated as corruption rather than an allocation request — the
 // length field of a torn frame is attacker/garbage-controlled.
 const maxRecordBytes = 64 << 20
+
+// maxKeptFrame bounds the encode buffer a Log keeps between appends, so
+// one unusually large record does not stay pinned for the log's lifetime.
+const maxKeptFrame = 256 << 10
 
 // Policy selects when appended records are fsynced to stable storage.
 type Policy uint8
@@ -137,6 +142,10 @@ type Log struct {
 	// ledger entry implies a durable frame under always/group policies.
 	ledger *Ledger
 
+	// frame is the buffer every append encodes into, header first; nothing
+	// keeps a reference past appendLocked (the ledger hashes at once).
+	frame []byte
+
 	flushStop chan struct{}
 	flushDone chan struct{}
 	groupWake chan struct{}
@@ -204,6 +213,8 @@ func scan(f *os.File) (ScanResult, uint64, int64, error) {
 		lastSeq  uint64
 		header   [frameHeader]byte
 		validEnd int64
+		payload  []byte // reused: a decoded record keeps no view of it
+		dec      = decoder{names: new(jsonlex.Interner)}
 	)
 	for {
 		if _, err := io.ReadFull(rd, header[:]); err != nil {
@@ -214,7 +225,10 @@ func scan(f *os.File) (ScanResult, uint64, int64, error) {
 		if n == 0 || n > maxRecordBytes {
 			break
 		}
-		payload := make([]byte, n)
+		if int(n) > cap(payload) {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
 		if _, err := io.ReadFull(rd, payload); err != nil {
 			break
 		}
@@ -222,7 +236,7 @@ func scan(f *os.File) (ScanResult, uint64, int64, error) {
 			break
 		}
 		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err := dec.decode(payload, &rec); err != nil {
 			break
 		}
 		if rec.Seq <= lastSeq {
@@ -260,14 +274,13 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 		}
 		l.seq = rec.Seq
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("wal: encoding record: %w", err)
+	frame := rec.AppendJSON(append(l.frame[:0], make([]byte, frameHeader)...))
+	if cap(frame) <= maxKeptFrame {
+		l.frame = frame
 	}
-	frame := make([]byte, frameHeader+len(payload))
+	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}

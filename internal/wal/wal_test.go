@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,11 +30,11 @@ func sampleRecords() []Record {
 	return []Record{
 		{Op: OpCreate, Program: "quickstart", Source: "(literalize a x)", Workers: 4, Matcher: "rete", MaxCycles: 100},
 		{Op: OpAssert, Facts: []Fact{
-			{Template: "a", Fields: map[string]Value{"x": EncodeValue(wm.Int(7))}},
-			{Template: "a", Fields: map[string]Value{"x": EncodeValue(wm.Sym("hello"))}},
+			{Template: "a", Fields: Fields{{"x", wm.Int(7)}}},
+			{Template: "a", Fields: Fields{{"x", wm.Sym("hello")}}},
 		}},
 		{Op: OpRun, Cycles: 12, Halted: false},
-		{Op: OpRetract, Template: "a", Fields: map[string]Value{"x": EncodeValue(wm.Int(7))}, Count: 1},
+		{Op: OpRetract, Template: "a", Fields: Fields{{"x", wm.Int(7)}}, Count: 1},
 		{Op: OpImport, Text: "(wm (a ^x 3))"},
 	}
 }
@@ -233,8 +234,16 @@ func TestValueCodecExact(t *testing.T) {
 		wm.Float(math.Inf(-1)), wm.Float(math.SmallestNonzeroFloat64),
 		wm.Sym("x"), wm.Sym("a b c"), wm.Str(""), wm.Str("line\nbreak"),
 	}
+	roundTrip := func(v wm.Value) (wm.Value, error) {
+		rec := Record{Seq: 1, Op: OpRetract, Template: "a", Fields: Fields{{"x", v}}}
+		back, err := decodePayload(rec.AppendJSON(nil))
+		if err != nil || len(back.Fields) != 1 {
+			return wm.Value{}, fmt.Errorf("decoded %+v, %v", back, err)
+		}
+		return back.Fields[0].Value, nil
+	}
 	for _, v := range vals {
-		back, err := DecodeValue(EncodeValue(v))
+		back, err := roundTrip(v)
 		if err != nil {
 			t.Fatalf("decode %v: %v", v, err)
 		}
@@ -244,11 +253,11 @@ func TestValueCodecExact(t *testing.T) {
 	}
 	// NaN != NaN under ==; compare bit patterns.
 	nan := wm.Float(math.NaN())
-	back, err := DecodeValue(EncodeValue(nan))
+	back, err := roundTrip(nan)
 	if err != nil || back.Kind != wm.KindFloat || math.Float64bits(back.F) != math.Float64bits(nan.F) {
 		t.Errorf("NaN round trip failed: %#v, %v", back, err)
 	}
-	if _, err := DecodeValue(Value{K: "bogus"}); err == nil {
+	if _, err := decodePayload([]byte(`{"seq":1,"op":"retract","fields":{"x":{"k":"bogus"}}}`)); err == nil {
 		t.Error("unknown kind should fail to decode")
 	}
 }

@@ -10,10 +10,16 @@ import (
 // declaration time; patterns and actions address fields by attribute name,
 // which the compiler resolves to positions.
 type Template struct {
-	Name  string
-	Attrs []string
-	index map[string]int
+	Name   string
+	Attrs  []string
+	index  map[string]int
+	byName []int
 }
+
+// ByName returns the attribute positions in attribute-name order — the
+// order the sorted keys of a JSON object put them in — resolved once at
+// declaration like the positions themselves. Callers must not modify it.
+func (t *Template) ByName() []int { return t.byName }
 
 // AttrIndex returns the field position of the named attribute.
 func (t *Template) AttrIndex(attr string) (int, bool) {
@@ -57,7 +63,9 @@ func (s *Schema) Declare(name string, attrs ...string) (*Template, error) {
 			return nil, fmt.Errorf("wm: template %q: duplicate attribute %q", name, a)
 		}
 		t.index[a] = i
+		t.byName = append(t.byName, i)
 	}
+	sort.Slice(t.byName, func(i, j int) bool { return t.Attrs[t.byName[i]] < t.Attrs[t.byName[j]] })
 	s.templates[name] = t
 	return t, nil
 }
