@@ -1,11 +1,11 @@
 // Benchmarks, one family per experiment of the reconstructed evaluation
 // (DESIGN.md §3). Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// cmd/parbench prints the corresponding tables/figures; these benchmarks
-// exercise the same code paths under the testing.B harness and attach the
-// relevant counters as custom metrics.
+// Each attaches the counters its table in EXPERIMENTS.md reports as custom
+// metrics. E10, E11 and the group-commit table are benchmarks beside the
+// code they measure (internal/reorder, internal/match/rete, internal/wal).
 package parulel
 
 import (
@@ -149,6 +149,22 @@ func potential(work []time.Duration) float64 {
 		return 1
 	}
 	return float64(sum) / float64(max)
+}
+
+func TestPotential(t *testing.T) {
+	for _, tc := range []struct {
+		work []time.Duration
+		want float64
+	}{
+		{nil, 1},
+		{[]time.Duration{4, 4, 4, 4}, 4},
+		{[]time.Duration{8, 0, 0, 0}, 1},
+		{[]time.Duration{6, 2}, 8.0 / 6.0},
+	} {
+		if got := potential(tc.work); got != tc.want {
+			t.Errorf("potential(%v) = %v, want %v", tc.work, got, tc.want)
+		}
+	}
 }
 
 // --- E3: copy-and-constrain split factor ---

@@ -6,8 +6,7 @@
 //	parulel list                      list embedded programs
 //
 // Run flags select the engine (-engine parulel|ops5-lex|ops5-mea), the
-// matcher (-matcher rete|treat), the expression backend (-eval
-// bytecode|interp), worker count, cycle limit, and tracing.
+// matcher (-matcher rete|treat), worker count, cycle limit, and tracing.
 package main
 
 import (
@@ -68,7 +67,6 @@ func (f *traceFlag) IsBoolFlag() bool { return true }
 type runOpts struct {
 	engine    string
 	matcher   string
-	eval      string
 	workers   int
 	maxCycles int
 	trace     traceFlag
@@ -87,7 +85,6 @@ func runFlags(errW io.Writer) (*flag.FlagSet, *runOpts) {
 	fs.SetOutput(errW)
 	fs.StringVar(&o.engine, "engine", "parulel", "engine: parulel, ops5-lex, ops5-mea")
 	fs.StringVar(&o.matcher, "matcher", "rete", "match algorithm: rete, treat")
-	fs.StringVar(&o.eval, "eval", "bytecode", "expression backend: bytecode, interp")
 	fs.IntVar(&o.workers, "workers", 4, "parallel workers (parulel engine)")
 	fs.IntVar(&o.maxCycles, "max-cycles", 100000, "abort after this many cycles (0 = unlimited)")
 	fs.Var(&o.trace, "trace", "print a line per cycle; -trace=FILE.jsonl instead writes structured cycle events as JSONL")
@@ -173,17 +170,12 @@ func cmdRun(args []string, out, errW io.Writer) error {
 	if err != nil {
 		return err
 	}
-	evalMode, err := parulel.ParseEvalMode(o.eval)
-	if err != nil {
-		return err
-	}
 	cfg := parulel.Config{
 		Engine:    engine,
 		Matcher:   matcher,
 		Workers:   o.workers,
 		Output:    out,
 		MaxCycles: o.maxCycles,
-		EvalMode:  evalMode,
 	}
 	var traceFile *os.File
 	var traceJSONL *obs.JSONLWriter

@@ -27,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"parulel"
 	"parulel/internal/cluster"
 	"parulel/internal/server"
 	"parulel/internal/wal"
@@ -44,7 +43,6 @@ func main() {
 	runTimeout := flag.Duration("run-timeout", 30*time.Second, "default per-run deadline")
 	maxRunTimeout := flag.Duration("max-run-timeout", 5*time.Minute, "cap on client-requested run deadlines")
 	workers := flag.Int("workers", 4, "default match/fire workers per session engine")
-	evalFlag := flag.String("eval", "bytecode", "expression backend for session engines: bytecode, interp")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs")
 	dataDir := flag.String("data-dir", "", "durability root: write-ahead logs + checkpoints under <dir>/sessions (empty = sessions are memory-only)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, group, interval or never")
@@ -85,10 +83,6 @@ func main() {
 	if err != nil {
 		fatal("bad -fsync policy", err)
 	}
-	evalMode, err := parulel.ParseEvalMode(*evalFlag)
-	if err != nil {
-		fatal("bad -eval mode", err)
-	}
 	var clusterCfg *cluster.Config
 	if *clusterNode != "" || *clusterPeers != "" {
 		if *clusterNode == "" || *clusterPeers == "" {
@@ -119,7 +113,6 @@ func main() {
 		DefaultRunTimeout:    *runTimeout,
 		MaxRunTimeout:        *maxRunTimeout,
 		DefaultWorkers:       *workers,
-		EvalMode:             evalMode,
 		DataDir:              *dataDir,
 		Fsync:                policy,
 		FsyncInterval:        *fsyncInterval,

@@ -80,5 +80,5 @@ func main() {
 		fmt.Printf("%-9s rules=%-3d hits=%-6d\n", label, len(p.Rules()), eng.FactCount("hit"))
 	}
 	fmt.Printf("\nthe split program distributes rule %q over %d workers; run\n", adv.Rule, *workers)
-	fmt.Println("`go run ./cmd/parbench -exp e3` for the measured scaling table.")
+	fmt.Println("`go test -run '^$' -bench 'E3$' .` for the measured scaling by split factor.")
 }

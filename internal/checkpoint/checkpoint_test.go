@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -98,6 +99,52 @@ func TestWriteReadRestoreRoundTrip(t *testing.T) {
 	}
 	if res.Cycles != e.Counters().Cycles || res.Firings != e.Counters().Firings {
 		t.Fatalf("restored engine did extra work: %+v vs %+v", res, e.Counters())
+	}
+}
+
+// TestArbitraryStringsSurviveCheckpoint: a checkpoint of a working memory
+// holding any byte string reads back, and restores to, Equal values — a
+// string the body's writer escaped and its reader could not read used to
+// make the session's next checkpoint unreadable.
+func TestArbitraryStringsSurviveCheckpoint(t *testing.T) {
+	const noteSrc = "(literalize note text)"
+	strs := []string{"a\rb", "bell\a", "nul\x00", "u\u2028x", "\xff\xfe", "\u2029\U000e0001", "plain"}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 500; i++ {
+		s := make([]byte, rng.Intn(10))
+		rng.Read(s)
+		strs = append(strs, string(s))
+	}
+	prog, err := compile.CompileSource(noteSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.New(prog, core.Options{})
+	for _, s := range strs {
+		if _, err := e.Insert("note", map[string]wm.Value{"text": wm.Str(s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{Program: "p", Source: noteSrc}, e.Memory()); err != nil {
+		t.Fatal(err)
+	}
+	h, facts, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := core.New(prog, core.Options{NoInitialFacts: true})
+	if err := Restore(restored, h, facts); err != nil {
+		t.Fatal(err)
+	}
+	got := restored.Memory().Snapshot()
+	if len(got) != len(strs) {
+		t.Fatalf("%d facts restored, checkpointed %d", len(got), len(strs))
+	}
+	for i, s := range strs {
+		if !got[i].Fields[0].Equal(wm.Str(s)) {
+			t.Errorf("string %q restored as %v", s, got[i].Fields[0])
+		}
 	}
 }
 

@@ -2,37 +2,14 @@ package compile
 
 import "parulel/internal/wm"
 
-// EvalMode selects the expression execution backend. The zero value is
-// EvalBytecode: every root expression the compiler emits (alpha/join
-// filters, RHS action expressions, meta-rule predicates) is lowered to
-// register bytecode at program-build time and executed by the VM in vm.go.
-// EvalInterp forces the tree-walking interpreter (Eval), retained as the
-// semantic reference and as the fallback for expressions built outside
-// Compile (which carry no code).
-type EvalMode uint8
-
-// Eval modes.
-const (
-	// EvalBytecode executes lowered register bytecode (the default).
-	EvalBytecode EvalMode = iota
-	// EvalInterp walks the expression tree (the reference interpreter).
-	EvalInterp
-)
-
-// String names the mode for flags, logs and bench output.
-func (m EvalMode) String() string {
-	if m == EvalInterp {
-		return "interp"
-	}
-	return "bytecode"
-}
-
-// Eval evaluates a compiled expression under the mode. Bytecode mode falls
-// back to the tree walker for expressions that were never lowered (hand
-// built, or lowering hit an encoding limit); the two backends agree on
-// values and on error text, so the fallback is invisible to callers.
-func (m EvalMode) Eval(e *Expr, env Env) (wm.Value, error) {
-	if m == EvalBytecode && e.code != nil {
+// Eval evaluates a root expression the way it was built: an expression
+// Compile lowered (lowerProgram) runs its register bytecode on the VM of
+// vm.go; one that carries none — a leaf root, an expression built outside
+// Compile or by CompileUnlowered, or one past an encoding limit — goes to
+// the tree walker, the package-level Eval. The two agree on values and on
+// error text, so which one ran is invisible to callers.
+func (e *Expr) Eval(env Env) (wm.Value, error) {
+	if e.code != nil {
 		return e.code.run(env)
 	}
 	return Eval(e, env)
@@ -129,7 +106,7 @@ func lowerProgram(p *Program) {
 func lowerExpr(e *Expr) *code {
 	// Leaf roots (constants, references, meta lookups) are a single
 	// switch arm in the tree walker; the VM's register-frame setup can
-	// only lose there, so they keep the interpreter path in both modes.
+	// only lose there, so they stay on the tree walker.
 	if e.Kind != ECall {
 		return nil
 	}

@@ -86,8 +86,8 @@ func (g *exprGen) gen(depth int) *Expr {
 
 // FuzzBytecodeEval holds the bytecode VM to the tree-walking interpreter:
 // for any well-typed expression the two backends must produce the same
-// value, or the same error text. This is the contract that lets bytecode
-// be the default EvalMode with the interpreter as a fallback.
+// value, or the same error text. This is the contract that lets an
+// expression run whichever of the two it was built for.
 func FuzzBytecodeEval(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 0, 1, 1, 2})                      // (add const const)
 	f.Add([]byte{9, 6, 0, 3, 1, 4, 2, 1, 0})                // cmp over arith

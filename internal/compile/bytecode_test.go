@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"parulel/internal/lang"
 	"parulel/internal/wm"
 )
 
@@ -146,10 +147,11 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 }
 
 // TestCompileAttachesBytecode verifies that every root expression of a
-// compiled program carries lowered code, so bytecode mode never silently
-// interprets compiler output.
+// compiled program carries lowered code, so nothing Compile emits is
+// silently interpreted, and that CompileUnlowered's copy of the same
+// program carries none.
 func TestCompileAttachesBytecode(t *testing.T) {
-	prog, err := CompileSource(`
+	ast, err := lang.Parse(`
 (literalize item id score flag)
 (rule bump
   <x> <- (item ^id <i> ^score <s> ^flag on)
@@ -168,56 +170,76 @@ func TestCompileAttachesBytecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	roots := func(prog *Program, check func(where string, x *Expr)) {
+		rules := prog.Rules
+		if prog.Meta != nil {
+			rules = append(rules[:len(rules):len(rules)], prog.Meta.Rules...)
+		}
+		for _, r := range rules {
+			for _, ce := range r.CEs {
+				for _, f := range ce.Filters {
+					check("rule "+r.Name+" filter", f)
+				}
+			}
+			for _, a := range r.Actions {
+				for j := range a.Slots {
+					check("rule "+r.Name+" slot", a.Slots[j].Expr)
+				}
+				for _, x := range a.Exprs {
+					check("rule "+r.Name+" action", x)
+				}
+			}
+		}
+		for _, m := range prog.MetaRules {
+			for _, x := range m.Tests {
+				check("metarule "+m.Name+" test", x)
+			}
+		}
+	}
+	prog, err := Compile(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Call roots must carry bytecode; leaf roots (plain refs, constants)
 	// deliberately stay on the tree walker, which is already optimal for
 	// a single node.
-	calls, leaves := 0, 0
-	check := func(where string, x *Expr) {
+	calls := 0
+	roots(prog, func(where string, x *Expr) {
 		if x.Kind == ECall {
 			calls++
 			if x.code == nil {
 				t.Errorf("%s: call expr not lowered", where)
 			}
-		} else {
-			leaves++
-			if x.code != nil {
-				t.Errorf("%s: leaf expr unexpectedly lowered", where)
-			}
+		} else if x.code != nil {
+			t.Errorf("%s: leaf expr unexpectedly lowered", where)
 		}
-	}
-	for _, r := range prog.Rules {
-		for _, ce := range r.CEs {
-			for _, f := range ce.Filters {
-				check("rule "+r.Name+" filter", f)
-			}
-		}
-		for _, a := range r.Actions {
-			for j := range a.Slots {
-				check("rule "+r.Name+" slot", a.Slots[j].Expr)
-			}
-			for _, x := range a.Exprs {
-				check("rule "+r.Name+" action", x)
-			}
-		}
-	}
-	for _, m := range prog.MetaRules {
-		for _, x := range m.Tests {
-			check("metarule "+m.Name+" test", x)
-		}
-	}
+	})
 	if calls == 0 {
 		t.Fatal("no call expressions found — the program under test is wrong")
 	}
+	ref, err := CompileUnlowered(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCalls := 0
+	roots(ref, func(where string, x *Expr) {
+		if x.Kind == ECall {
+			refCalls++
+		}
+		if x.code != nil {
+			t.Errorf("%s: unlowered program carries bytecode", where)
+		}
+	})
+	if refCalls != calls {
+		t.Errorf("unlowered program has %d call roots, the lowered one %d", refCalls, calls)
+	}
 }
 
-func TestEvalModeFallsBackWithoutCode(t *testing.T) {
+func TestEvalFallsBackWithoutCode(t *testing.T) {
 	e := call(BAdd, c(wm.Int(2)), c(wm.Int(3))) // hand-built: no code attached
-	v, err := EvalBytecode.Eval(e, vmEnv{})
+	v, err := e.Eval(vmEnv{})
 	if err != nil || v != wm.Int(5) {
 		t.Fatalf("fallback eval = %v, %v; want 5", v, err)
-	}
-	if EvalBytecode.String() != "bytecode" || EvalInterp.String() != "interp" {
-		t.Fatalf("mode names: %q, %q", EvalBytecode, EvalInterp)
 	}
 }
 
@@ -280,7 +302,7 @@ func TestRefPrecedes(t *testing.T) {
 		vec := &VecEnv{Vec: []*wm.WME{img(tc.a[0], tc.a[1]), img(tc.b[0], tc.b[1])}}
 		for name, got := range map[string]func() (wm.Value, error){
 			"interp":  func() (wm.Value, error) { return Eval(e, vec) },
-			"vm":      func() (wm.Value, error) { return EvalBytecode.Eval(root, vec) },
+			"vm":      func() (wm.Value, error) { return root.Eval(vec) },
 			"generic": func() (wm.Value, error) { return Eval(e, struct{ Env }{vec}) },
 		} {
 			if v, err := got(); err != nil || v.Truthy() != tc.want {

@@ -19,8 +19,24 @@ func cerrf(pos lang.Pos, format string, args ...any) *CompileError {
 	return &CompileError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Compile performs semantic analysis of a parsed program.
+// Compile performs semantic analysis of a parsed program and lowers every
+// root expression of the result to bytecode.
 func Compile(src *lang.Program) (*Program, error) {
+	p, err := analyze(src)
+	if err != nil {
+		return nil, err
+	}
+	lowerProgram(p)
+	return p, nil
+}
+
+// CompileUnlowered builds the program Compile builds and attaches no
+// bytecode, so every expression in it runs on the tree walker. It is the
+// reference the differential tests hold a compiled program to, and nothing
+// outside tests calls it.
+func CompileUnlowered(src *lang.Program) (*Program, error) { return analyze(src) }
+
+func analyze(src *lang.Program) (*Program, error) {
 	p := &Program{
 		Schema: wm.NewSchema(),
 		byName: make(map[string]*Rule),
@@ -79,7 +95,6 @@ func Compile(src *lang.Program) (*Program, error) {
 		p.MetaRules = append(p.MetaRules, m)
 	}
 	p.Meta = lowerMetaRules(p)
-	lowerProgram(p)
 	return p, nil
 }
 

@@ -84,8 +84,8 @@ type Expr struct {
 
 	// code is the lowered bytecode for this expression when it is a root
 	// (a filter, action expression or meta test), attached once by
-	// lowerProgram at the end of Compile. nil means "not lowered":
-	// EvalMode.Eval then falls back to the tree walker.
+	// lowerProgram at the end of Compile. nil means "not lowered": the
+	// Eval method then goes to the tree walker.
 	code *code
 }
 
@@ -147,7 +147,9 @@ type EvalError struct {
 
 func (e *EvalError) Error() string { return fmt.Sprintf("eval %s: %s", e.Op, e.Msg) }
 
-// Eval evaluates a compiled expression.
+// Eval evaluates a compiled expression by walking its tree: the reference
+// semantics, and what the Eval method falls back to for an expression that
+// carries no bytecode.
 func Eval(e *Expr, env Env) (wm.Value, error) {
 	switch e.Kind {
 	case EConst:

@@ -128,7 +128,7 @@ func TestLowerMetaRules(t *testing.T) {
 	if eq := and.Args[1]; eq.Args[0].Kind != EConst || eq.Args[0].Val != wm.Sym("ask") {
 		t.Errorf("rulename should be a constant: %+v", eq.Args[0])
 	}
-	if v, err := EvalBytecode.Eval(and, &VecEnv{}); err != nil || !v.Truthy() {
+	if v, err := and.Eval(&VecEnv{}); err != nil || !v.Truthy() {
 		t.Errorf("constant filter evaluates to %v, %v", v, err)
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"parulel/internal/compile"
 	"parulel/internal/core"
+	"parulel/internal/lang"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/match/treat"
@@ -18,23 +19,45 @@ import (
 )
 
 // matcherConfigs is the {RETE, TREAT} × {index on, index off} ×
-// {bytecode, interp} grid the differential tests sweep. Results must be
-// bit-identical across all eight: the hash-join indexes, the compact
-// instantiation keys and the bytecode compilation of expressions are
-// pure optimizations.
+// {lowered, unlowered program} grid the differential tests sweep. Results
+// must be bit-identical across all eight: the hash-join indexes, the
+// compact instantiation keys and the bytecode compilation of expressions
+// are pure optimizations.
 var matcherConfigs = []struct {
 	name    string
 	factory match.Factory
-	eval    compile.EvalMode
+	prog    int // which of compileBoth's two programs the arm runs
 }{
-	{"rete-indexed-bytecode", rete.Factory(rete.Options{}), compile.EvalBytecode},
-	{"rete-indexed-interp", rete.Factory(rete.Options{EvalMode: compile.EvalInterp}), compile.EvalInterp},
-	{"rete-noindex-bytecode", rete.Factory(rete.Options{DisableJoinIndex: true}), compile.EvalBytecode},
-	{"rete-noindex-interp", rete.Factory(rete.Options{DisableJoinIndex: true, EvalMode: compile.EvalInterp}), compile.EvalInterp},
-	{"treat-indexed-bytecode", treat.Factory(treat.Options{}), compile.EvalBytecode},
-	{"treat-indexed-interp", treat.Factory(treat.Options{EvalMode: compile.EvalInterp}), compile.EvalInterp},
-	{"treat-noindex-bytecode", treat.Factory(treat.Options{DisableJoinIndex: true}), compile.EvalBytecode},
-	{"treat-noindex-interp", treat.Factory(treat.Options{DisableJoinIndex: true, EvalMode: compile.EvalInterp}), compile.EvalInterp},
+	{"rete-indexed-bytecode", rete.New, lowered},
+	{"rete-indexed-interp", rete.New, unlowered},
+	{"rete-noindex-bytecode", rete.Factory(rete.Options{DisableJoinIndex: true}), lowered},
+	{"rete-noindex-interp", rete.Factory(rete.Options{DisableJoinIndex: true}), unlowered},
+	{"treat-indexed-bytecode", treat.New, lowered},
+	{"treat-indexed-interp", treat.New, unlowered},
+	{"treat-noindex-bytecode", treat.Factory(treat.Options{DisableJoinIndex: true}), lowered},
+	{"treat-noindex-interp", treat.Factory(treat.Options{DisableJoinIndex: true}), unlowered},
+}
+
+const (
+	lowered   = iota // compile.Compile: call expressions run as bytecode
+	unlowered        // compile.CompileUnlowered: everything on the tree walker
+)
+
+// compileBoth compiles src both ways, indexed by the constants above.
+func compileBoth(t *testing.T, src string) [2]*compile.Program {
+	t.Helper()
+	ast, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progs [2]*compile.Program
+	if progs[lowered], err = compile.Compile(ast); err != nil {
+		t.Fatal(err)
+	}
+	if progs[unlowered], err = compile.CompileUnlowered(ast); err != nil {
+		t.Fatal(err)
+	}
+	return progs
 }
 
 // firingTracer records the per-cycle rule-firing sequence (RuleFired
@@ -62,10 +85,10 @@ type outcome struct {
 	firing                                 []string // "cycle:rule:count" sequence
 }
 
-func runOutcome(t *testing.T, prog *compile.Program, load func(workload.Inserter) error, f match.Factory, mode compile.EvalMode) outcome {
+func runOutcome(t *testing.T, prog *compile.Program, load func(workload.Inserter) error, f match.Factory) outcome {
 	t.Helper()
 	tr := &firingTracer{}
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, EvalMode: mode, Tracer: tr})
+	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, Tracer: tr})
 	if err := load(e); err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +164,14 @@ func TestMatcherDifferentialEmbeddedPrograms(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.prog, func(t *testing.T) {
-			prog, err := programs.Load(tc.prog)
+			src, err := programs.Source(tc.prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := runOutcome(t, prog, tc.load, matcherConfigs[0].factory, matcherConfigs[0].eval)
+			progs := compileBoth(t, src)
+			base := runOutcome(t, progs[matcherConfigs[0].prog], tc.load, matcherConfigs[0].factory)
 			for _, cfg := range matcherConfigs[1:] {
-				diffOutcomes(t, cfg.name, base, runOutcome(t, prog, tc.load, cfg.factory, cfg.eval))
+				diffOutcomes(t, cfg.name, base, runOutcome(t, progs[cfg.prog], tc.load, cfg.factory))
 			}
 		})
 	}
@@ -177,20 +201,23 @@ func TestMatcherDifferentialGeneratedJoinChains(t *testing.T) {
 	for _, depth := range []int{2, 4, 6} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
-			prog, err := compile.CompileSource(filteredJoinChain(depth))
-			if err != nil {
-				t.Fatal(err)
-			}
+			progs := compileBoth(t, filteredJoinChain(depth))
 			facts := workload.JoinChainFacts(10, depth, 2, 1)
-			tmpl := prog.Schema.MustLookup("rec")
 
 			// Drive the matchers directly (the join-chain program has no
 			// actions): build up, then churn, comparing conflict sets after
-			// every delta.
-			mem := wm.NewMemory(prog.Schema)
+			// every delta. A template is matched by identity, so each
+			// program's matchers are fed from a memory over its own schema;
+			// the two memories see one history and hand out the same tags.
+			var mems [2]*wm.Memory
+			var tmpls [2]*wm.Template
+			for i, p := range progs {
+				mems[i] = wm.NewMemory(p.Schema)
+				tmpls[i] = p.Schema.MustLookup("rec")
+			}
 			ms := make([]match.Matcher, len(matcherConfigs))
 			for i, cfg := range matcherConfigs {
-				ms[i] = cfg.factory(prog.Rules)
+				ms[i] = cfg.factory(progs[cfg.prog].Rules)
 			}
 			check := func(step string) {
 				t.Helper()
@@ -209,22 +236,33 @@ func TestMatcherDifferentialGeneratedJoinChains(t *testing.T) {
 					}
 				}
 			}
-			apply := func(d wm.Delta) {
-				for _, m := range ms {
+			apply := func(removed, added [2]*wm.WME) {
+				for i, m := range ms {
+					p := matcherConfigs[i].prog
+					d := wm.Delta{Added: []*wm.WME{added[p]}}
+					if removed[p] != nil {
+						d.Removed = []*wm.WME{removed[p]}
+					}
 					m.Apply(d)
 				}
 			}
+			insert := func(fields []wm.Value) (ws [2]*wm.WME) {
+				for i := range ws {
+					ws[i] = mems[i].InsertFields(tmpls[i], fields)
+				}
+				return ws
+			}
 
-			wmes := make([]*wm.WME, 0, len(facts))
+			wmes := make([][2]*wm.WME, 0, len(facts))
 			for k, fields := range facts {
-				vec := make([]wm.Value, tmpl.Arity())
+				vec := make([]wm.Value, tmpls[0].Arity())
 				for attr, v := range fields {
-					idx, _ := tmpl.AttrIndex(attr)
+					idx, _ := tmpls[0].AttrIndex(attr)
 					vec[idx] = v
 				}
-				w := mem.InsertFields(tmpl, vec)
-				wmes = append(wmes, w)
-				apply(wm.Delta{Added: []*wm.WME{w}})
+				ws := insert(vec)
+				wmes = append(wmes, ws)
+				apply([2]*wm.WME{}, ws)
 				if k%13 == 0 {
 					check(fmt.Sprintf("build %d", k))
 				}
@@ -232,10 +270,11 @@ func TestMatcherDifferentialGeneratedJoinChains(t *testing.T) {
 			check("built")
 			for i := 0; i < len(wmes); i += 5 {
 				old := wmes[i]
-				mem.Remove(old.Time)
-				nw := mem.InsertFields(old.Tmpl, old.Fields)
-				apply(wm.Delta{Removed: []*wm.WME{old}, Added: []*wm.WME{nw}})
-				wmes[i] = nw
+				for p := range old {
+					mems[p].Remove(old[p].Time)
+				}
+				wmes[i] = insert(old[0].Fields)
+				apply(old, wmes[i])
 				check(fmt.Sprintf("churn %d", i))
 			}
 		})

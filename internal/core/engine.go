@@ -57,77 +57,18 @@ type Options struct {
 	// Tracer interface for the callback order). Every call site is
 	// nil-checked, so leaving it nil costs one branch per event.
 	Tracer Tracer
-	// Partition selects how rules are distributed over workers (ablation
-	// E9). The choice changes only load balance, never results.
-	Partition Partition
 	// NoInitialFacts skips queueing the program's `(wm …)` facts. Set
 	// during checkpoint recovery, where the restored working memory
 	// already contains them (under their original time tags).
 	NoInitialFacts bool
-	// EvalMode selects the expression backend for RHS actions and for
-	// meta-rule tests: the bytecode VM (the zero value, the default) or the
-	// tree-walking interpreter (compile.EvalInterp). The matchers carry
-	// their own copy via rete.Options/treat.Options — set both from the
-	// same flag (the facade's Config.EvalMode does).
-	EvalMode compile.EvalMode
 }
 
-// Partition is a rule-to-worker distribution strategy.
-type Partition uint8
-
-// Partition strategies.
-const (
-	// PartitionRoundRobin deals rules to workers in declaration order.
-	PartitionRoundRobin Partition = iota
-	// PartitionBlock gives each worker a contiguous block of rules —
-	// the worst case when expensive rules cluster together in the source.
-	PartitionBlock
-	// PartitionLPT assigns each rule, in decreasing static cost order
-	// (LHS specificity as the proxy), to the least-loaded worker —
-	// classic longest-processing-time balancing.
-	PartitionLPT
-)
-
-func (p Partition) String() string {
-	switch p {
-	case PartitionBlock:
-		return "block"
-	case PartitionLPT:
-		return "lpt"
-	default:
-		return "round-robin"
-	}
-}
-
-// partitionRules distributes rules over n workers per the strategy.
-func partitionRules(rules []*compile.Rule, n int, strategy Partition) [][]*compile.Rule {
+// partitionRules deals rules to n workers round-robin, in declaration
+// order. The assignment changes only load balance, never results.
+func partitionRules(rules []*compile.Rule, n int) [][]*compile.Rule {
 	parts := make([][]*compile.Rule, n)
-	switch strategy {
-	case PartitionBlock:
-		per := (len(rules) + n - 1) / n
-		for i, r := range rules {
-			w := i / per
-			parts[w] = append(parts[w], r)
-		}
-	case PartitionLPT:
-		order := make([]*compile.Rule, len(rules))
-		copy(order, rules)
-		sort.SliceStable(order, func(i, j int) bool { return order[i].Specificity > order[j].Specificity })
-		load := make([]int, n)
-		for _, r := range order {
-			w := 0
-			for k := 1; k < n; k++ {
-				if load[k] < load[w] {
-					w = k
-				}
-			}
-			parts[w] = append(parts[w], r)
-			load[w] += r.Specificity
-		}
-	default: // round-robin
-		for i, r := range rules {
-			parts[i%n] = append(parts[i%n], r)
-		}
+	for i, r := range rules {
+		parts[i%n] = append(parts[i%n], r)
 	}
 	return parts
 }
@@ -228,10 +169,10 @@ func New(prog *compile.Program, opts Options) *Engine {
 		activity:    make(map[string]int),
 		fires:       make(map[string]int),
 	}
-	e.meta = newMetaLevel(prog, opts.EvalMode, e.fired)
+	e.meta = newMetaLevel(prog, e.fired)
 	// Distribute rules across workers. Workers with no rules are dropped
 	// so tiny programs don't pay for idle goroutines.
-	parts := partitionRules(prog.Rules, opts.Workers, opts.Partition)
+	parts := partitionRules(prog.Rules, opts.Workers)
 	for _, part := range parts {
 		if len(part) == 0 {
 			continue

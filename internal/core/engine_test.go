@@ -566,48 +566,3 @@ func TestExplainConflictSet(t *testing.T) {
 		}
 	}
 }
-
-func TestPartitionStrategies(t *testing.T) {
-	prog := compileOK(t, determinismProgram)
-	rules := prog.Rules
-	for _, strategy := range []Partition{PartitionRoundRobin, PartitionBlock, PartitionLPT} {
-		parts := partitionRules(rules, 3, strategy)
-		seen := map[string]bool{}
-		total := 0
-		for _, part := range parts {
-			for _, r := range part {
-				if seen[r.Name] {
-					t.Errorf("%v: rule %s assigned twice", strategy, r.Name)
-				}
-				seen[r.Name] = true
-				total++
-			}
-		}
-		if total != len(rules) {
-			t.Errorf("%v: %d rules assigned, want %d", strategy, total, len(rules))
-		}
-	}
-	// Block keeps declaration order contiguous.
-	parts := partitionRules(rules, 2, PartitionBlock)
-	if len(parts[0]) == 0 || parts[0][0] != rules[0] {
-		t.Error("block partition should start with the first rule")
-	}
-	// LPT puts the most specific rule on a worker by itself first.
-	parts = partitionRules(rules, len(rules), PartitionLPT)
-	if parts[0][0].Specificity < parts[1][0].Specificity {
-		t.Error("LPT should assign in decreasing specificity")
-	}
-	if PartitionRoundRobin.String() != "round-robin" || PartitionBlock.String() != "block" || PartitionLPT.String() != "lpt" {
-		t.Error("Partition.String wrong")
-	}
-}
-
-func TestPartitionStrategiesSameResults(t *testing.T) {
-	ref := finalState(t, compileOK(t, determinismProgram), Options{Workers: 4, MaxCycles: 50})
-	for _, strategy := range []Partition{PartitionBlock, PartitionLPT} {
-		got := finalState(t, compileOK(t, determinismProgram), Options{Workers: 4, MaxCycles: 50, Partition: strategy})
-		if got != ref {
-			t.Errorf("partition %v changed results", strategy)
-		}
-	}
-}

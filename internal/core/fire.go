@@ -53,9 +53,8 @@ func (e *ruleEnv) MetaPrecedes(int, int) bool { panic("core: object rule RHS has
 // inner action loop never rebuilds the environment (and, under the
 // bytecode backend, allocates nothing at all beyond the effects).
 type fireFrame struct {
-	env  ruleEnv
-	out  bytes.Buffer
-	mode compile.EvalMode
+	env ruleEnv
+	out bytes.Buffer
 }
 
 // reset points the frame at the next instantiation. Locals are cleared:
@@ -83,7 +82,7 @@ func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 	nw := len(e.workers)
 	if nw == 1 || len(survivors) == 1 {
 		t0 := time.Now()
-		frame := &fireFrame{mode: e.opts.EvalMode}
+		frame := &fireFrame{}
 		for i, in := range survivors {
 			effects[i] = fireOne(in, frame)
 		}
@@ -95,7 +94,7 @@ func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 			go func(wk int) {
 				defer wg.Done()
 				t0 := time.Now()
-				frame := &fireFrame{mode: e.opts.EvalMode}
+				frame := &fireFrame{}
 				for i := wk; i < len(survivors); i += nw {
 					effects[i] = fireOne(survivors[i], frame)
 				}
@@ -123,7 +122,7 @@ func fireOne(in *match.Instantiation, f *fireFrame) effect {
 		case compile.ActMake:
 			fields := make([]wm.Value, a.Tmpl.Arity())
 			for _, s := range a.Slots {
-				v, err := f.mode.Eval(s.Expr, env)
+				v, err := s.Expr.Eval(env)
 				if err != nil {
 					eff.err = err
 					return eff
@@ -135,7 +134,7 @@ func fireOne(in *match.Instantiation, f *fireFrame) effect {
 			old := in.WMEs[a.Target]
 			fields := append([]wm.Value(nil), old.Fields...)
 			for _, s := range a.Slots {
-				v, err := f.mode.Eval(s.Expr, env)
+				v, err := s.Expr.Eval(env)
 				if err != nil {
 					eff.err = err
 					return eff
@@ -154,7 +153,7 @@ func fireOne(in *match.Instantiation, f *fireFrame) effect {
 				env.locals[a.Local] = wm.Sym(fmt.Sprintf("g%s/%d", in.KeyString(), a.Local))
 				continue
 			}
-			v, err := f.mode.Eval(a.Exprs[0], env)
+			v, err := a.Exprs[0].Eval(env)
 			if err != nil {
 				eff.err = err
 				return eff
@@ -162,7 +161,7 @@ func fireOne(in *match.Instantiation, f *fireFrame) effect {
 			env.locals[a.Local] = v
 		case compile.ActWrite:
 			for _, x := range a.Exprs {
-				v, err := f.mode.Eval(x, env)
+				v, err := x.Eval(env)
 				if err != nil {
 					eff.err = err
 					return eff

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parulel/internal/compile"
+	"parulel/internal/lang"
 	"parulel/internal/match"
 	"parulel/internal/wm"
 )
@@ -163,16 +164,24 @@ const metaLevelRules = `
 // recounts found.
 func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples int) {
 	t.Helper()
-	prog, err := compile.CompileSource(src)
+	ast, err := lang.Parse(src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	// Odd seeds run the unlowered program: meta level and oracle alike on
+	// the tree walker.
+	build := compile.Compile
+	if seed%2 == 1 {
+		build = compile.CompileUnlowered
+	}
+	prog, err := build(ast)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	fired := make(map[match.Key]bool)
-	mode := []compile.EvalMode{compile.EvalBytecode, compile.EvalInterp}[seed%2]
-	m := newMetaLevel(prog, mode, fired)
+	m := newMetaLevel(prog, fired)
 	oracle := newOracle(prog, 1)
-	oracle.evalMode = mode
 	mem := wm.NewMemory(prog.Schema)
 	var pool []*match.Instantiation
 	for _, r := range prog.Rules {
@@ -291,7 +300,7 @@ func TestMetaLevelChurn(t *testing.T) {
   (redact <j>))
 `)
 	fired := make(map[match.Key]bool)
-	m := newMetaLevel(prog, compile.EvalBytecode, fired)
+	m := newMetaLevel(prog, fired)
 	oracle := newOracle(prog, 1)
 	mem := wm.NewMemory(prog.Schema)
 	take := prog.Rules[0]
@@ -403,7 +412,7 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 		pool = append(pool, match.NewInstantiation(take, []*wm.WME{w}))
 	}
 	cycle := func(n int) *metaLevel {
-		m := newMetaLevel(prog, compile.EvalBytecode, nil)
+		m := newMetaLevel(prog, nil)
 		for _, in := range pool[:n] {
 			m.enter(in)
 		}

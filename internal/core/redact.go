@@ -46,7 +46,6 @@ type metaLevel struct {
 	// rules[i].Redacts lists the patterns of prog.Rules[i] whose matched
 	// images a match of that rule redacts.
 	rules []*compile.MetaRule
-	mode  compile.EvalMode
 	// fired is the engine's refraction set, read to keep restored, already
 	// refracted instantiations out of the meta level.
 	fired  map[match.Key]bool
@@ -135,14 +134,13 @@ func (mem *imageMem) remove(img *image) {
 	}
 }
 
-func newMetaLevel(prog *compile.Program, mode compile.EvalMode, fired map[match.Key]bool) *metaLevel {
+func newMetaLevel(prog *compile.Program, fired map[match.Key]bool) *metaLevel {
 	if prog.Meta == nil {
 		return nil
 	}
 	m := &metaLevel{
 		prog:   prog.Meta,
 		rules:  prog.MetaRules,
-		mode:   mode,
 		fired:  fired,
 		images: make(map[match.Key]*image),
 		mems:   make([]imageMem, len(prog.Meta.Patterns)),
@@ -262,7 +260,7 @@ func (m *metaLevel) join(p *compile.MetaPattern, img *image, sign int32) {
 	}
 	m.tuple[p.Pat], m.env.Vec[p.Pat] = img, &img.wme
 	for _, ce := range p.Seed.Filters {
-		if !match.EvalFilters(ce, &m.env, m.mode) {
+		if !match.EvalFilters(ce, &m.env) {
 			return
 		}
 	}
@@ -320,7 +318,7 @@ cand:
 			}
 		}
 		for _, ce := range st.Filters {
-			if !match.EvalFilters(ce, &m.env, m.mode) {
+			if !match.EvalFilters(ce, &m.env) {
 				continue cand
 			}
 		}

@@ -162,7 +162,7 @@ func BenchmarkMetaLevel(b *testing.B) {
 			b.ReportAllocs()
 			var probes, leaveProbes, tuples uint64
 			for i := 0; i < b.N; i++ {
-				m := newMetaLevel(prog, compile.EvalBytecode, nil)
+				m := newMetaLevel(prog, nil)
 				sum := func() (n uint64) {
 					for _, p := range m.profs {
 						n += p.probes

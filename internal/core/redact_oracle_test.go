@@ -41,8 +41,6 @@ type oracleRedactor struct {
 	// justify redacting the other both die); sequential semantics keeps
 	// the first and spares everything it dominates transitively.
 	sequential bool
-	// evalMode is the backend for meta-rule test expressions.
-	evalMode compile.EvalMode
 }
 
 // newOracle builds the synchronous, indexed oracle for a program; tests
@@ -185,7 +183,7 @@ func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, strip
 			}
 			env := metaEnv{tuple: tuple}
 			for _, t := range m.Tests {
-				v, err := r.evalMode.Eval(t, env)
+				v, err := t.Eval(env)
 				if err != nil || !v.Truthy() {
 					return
 				}

@@ -3,7 +3,7 @@ package core_test
 // Differential coverage for the temporal subsystem: a streamed workload
 // with TTL expiry and window aggregates must produce bit-identical
 // firing sequences and final working memory across the full
-// {RETE, TREAT} × {index on, off} × {bytecode, interp} grid. Expiry is
+// {RETE, TREAT} × {index on, off} × {lowered, unlowered program} grid. Expiry is
 // an engine-driven retract, so a matcher that mishandles removals (or an
 // eval backend that mis-scores a window test) would diverge here.
 
@@ -24,10 +24,10 @@ import (
 // per frame, plus a per-fact TTL override on every fifth transaction —
 // then drains the stream with six empty ticks so everything expirable
 // expires.
-func runTemporalOutcome(t *testing.T, prog *compile.Program, f match.Factory, mode compile.EvalMode) (outcome, int, int64) {
+func runTemporalOutcome(t *testing.T, prog *compile.Program, f match.Factory) (outcome, int, int64) {
 	t.Helper()
 	tr := &firingTracer{}
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, EvalMode: mode, Tracer: tr})
+	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, Tracer: tr})
 	m := temporal.New(prog, e)
 
 	var out outcome
@@ -75,11 +75,8 @@ func runTemporalOutcome(t *testing.T, prog *compile.Program, f match.Factory, mo
 // all eight matcher/index/eval configurations: identical firing
 // sequences, final working memory, expiry counts and clock values.
 func TestTemporalDifferentialGrid(t *testing.T) {
-	prog, err := compile.CompileSource(workload.FraudStreamProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, baseExpired, baseNow := runTemporalOutcome(t, prog, matcherConfigs[0].factory, matcherConfigs[0].eval)
+	progs := compileBoth(t, workload.FraudStreamProgram)
+	base, baseExpired, baseNow := runTemporalOutcome(t, progs[matcherConfigs[0].prog], matcherConfigs[0].factory)
 	if baseExpired == 0 {
 		t.Fatal("no facts expired; the temporal dimension of this test is vacuous")
 	}
@@ -87,7 +84,7 @@ func TestTemporalDifferentialGrid(t *testing.T) {
 		t.Fatal("empty baseline run; test is vacuous")
 	}
 	for _, cfg := range matcherConfigs[1:] {
-		got, gotExpired, gotNow := runTemporalOutcome(t, prog, cfg.factory, cfg.eval)
+		got, gotExpired, gotNow := runTemporalOutcome(t, progs[cfg.prog], cfg.factory)
 		if gotExpired != baseExpired {
 			t.Fatalf("%s: expired %d facts, want %d", cfg.name, gotExpired, baseExpired)
 		}

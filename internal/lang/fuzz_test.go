@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"strconv"
 	"testing"
 )
 
@@ -42,9 +43,12 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzLexer: the lexer must terminate and never panic on any input.
+// FuzzLexer: the lexer must terminate and never panic on any input, and
+// any string it reads must read back from its strconv.Quote form — the
+// form wm.Value.String, and so every snapshot and checkpoint, writes.
 func FuzzLexer(f *testing.F) {
-	for _, s := range []string{"", "(a ^b <c> 1.5 \"x\")", "<<>>", ";;;", "-->--><-"} {
+	for _, s := range []string{"", "(a ^b <c> 1.5 \"x\")", "<<>>", ";;;", "-->--><-",
+		`"a\rb"`, `"bell\a"`, `"nul\x00"`, `"u\u2028x"`, "\"raw\r\xff\u2028\""} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -53,6 +57,13 @@ func FuzzLexer(f *testing.F) {
 			tok, err := lx.Next()
 			if err != nil || tok.Kind == TokEOF {
 				return
+			}
+			if tok.Kind != TokString {
+				continue
+			}
+			back, err := LexAll(strconv.Quote(tok.Text))
+			if err != nil || len(back) != 2 || back[0].Kind != TokString || back[0].Text != tok.Text {
+				t.Fatalf("string %q does not read back from %s: %v, %v", tok.Text, strconv.Quote(tok.Text), back, err)
 			}
 		}
 		t.Fatalf("lexer did not terminate on %q", src)

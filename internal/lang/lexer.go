@@ -16,7 +16,8 @@ import (
 //     `<>`, `<-` (longest match).
 //   - `-->` is the rule arrow.
 //   - Numbers: optional sign, digits, optional fraction/exponent.
-//   - `"…"` is a string with `\"` `\\` `\n` `\t` escapes.
+//   - `"…"` is a string with Go's escapes (`\"` `\\` `\n` `\t` `\r` `\xHH`
+//     `\uHHHH` …): every one strconv.Quote writes.
 //   - Anything else contiguous is a symbol (`+`, `-`, `>=`, `free`, …).
 type Lexer struct {
 	src  string
@@ -222,18 +223,20 @@ func (lx *Lexer) lexString(pos Pos) (Token, error) {
 			if lx.off >= len(lx.src) {
 				return Token{}, errf(pos, "lex: unterminated escape in string")
 			}
-			e := lx.advance()
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return Token{}, errf(pos, "lex: unknown escape \\%c in string", e)
+			// Every escape strconv.Quote writes, since that is how
+			// wm.Value.String — and so every snapshot and checkpoint —
+			// quotes a string.
+			r, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.off-1:], '"')
+			if err != nil {
+				return Token{}, errf(pos, "lex: unknown escape \\%c in string", lx.peek())
+			}
+			for lx.off < len(lx.src)-len(tail) {
+				lx.advance()
+			}
+			if multibyte {
+				b.WriteRune(r)
+			} else {
+				b.WriteByte(byte(r))
 			}
 			continue
 		}

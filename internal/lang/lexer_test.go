@@ -101,8 +101,11 @@ func TestLexArrowVsMinus(t *testing.T) {
 }
 
 func TestLexStringsAndEscapes(t *testing.T) {
-	toks := lexOK(t, `"hello world" "a\"b" "tab\there" "nl\n" "back\\slash"`)
-	want := []string{"hello world", `a"b`, "tab\there", "nl\n", `back\slash`}
+	toks := lexOK(t, `"hello world" "a\"b" "tab\there" "nl\n" "back\\slash"`+
+		// the rest of what strconv.Quote writes
+		` "cr\rlf" "bell\a\b\f\v" "nul\x00del\x7f" "ls\u2028" "byte\xff" "tag\U000e0001"`)
+	want := []string{"hello world", `a"b`, "tab\there", "nl\n", `back\slash`,
+		"cr\rlf", "bell\a\b\f\v", "nul\x00del\x7f", "ls\u2028", "byte\xff", "tag\U000e0001"}
 	for i, w := range want {
 		if toks[i].Kind != TokString || toks[i].Text != w {
 			t.Errorf("string %d = %q, want %q", i, toks[i].Text, w)
@@ -134,6 +137,10 @@ func TestLexErrors(t *testing.T) {
 	bad := []string{
 		`"unterminated`,
 		`"bad \q escape"`,
+		`"bad \xZZ escape"`,
+		`"short \u12"`,
+		`"single \' quote"`,
+		`"trailing \`,
 		`^ foo`,
 		"\x01",
 	}

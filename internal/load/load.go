@@ -5,9 +5,8 @@
 // surface real clients use — so its numbers are end-to-end (routing, JSON,
 // admission control, WAL, engine), not engine microbenchmarks.
 //
-// It is used three ways: by cmd/parload (standalone CLI), by
-// `parbench -serve` (recording server-level numbers into BENCH_*.json),
-// and by the server's soak tests.
+// It is used two ways: by cmd/parload (standalone CLI) and by the
+// repository benchmark (benchmark/).
 package load
 
 import (

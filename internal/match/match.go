@@ -183,9 +183,8 @@ type MemStats struct {
 }
 
 // RuleProfile attributes match-layer activity to one rule. It is the unit
-// of the per-rule profiles served at /metrics and printed by
-// `parbench -ruleprofile`; Fires is filled in by the engine (the match
-// layer never sees firings).
+// of the per-rule profiles served at /metrics; Fires is filled in by the
+// engine (the match layer never sees firings).
 type RuleProfile struct {
 	Rule string `json:"rule"`
 	// MatchNS is the match time attributed to this rule's join work
@@ -231,14 +230,13 @@ type Matcher interface {
 // treat.New satisfy this signature.
 type Factory func(rules []*compile.Rule) Matcher
 
-// EvalFilters evaluates a CE's filter expressions against env's WME vector
-// under the given execution mode (bytecode VM or tree walker). A filter
-// that errors at runtime (e.g. comparing incompatible values fed by a
-// weakly constrained pattern) counts as a failed test, matching OPS5
+// EvalFilters evaluates a CE's filter expressions against env's WME vector.
+// A filter that errors at runtime (e.g. comparing incompatible values fed
+// by a weakly constrained pattern) counts as a failed test, matching OPS5
 // practice of treating predicate failure as no-match.
-func EvalFilters(ce *compile.CondElem, env *compile.VecEnv, mode compile.EvalMode) bool {
+func EvalFilters(ce *compile.CondElem, env *compile.VecEnv) bool {
 	for _, f := range ce.Filters {
-		v, err := mode.Eval(f, env)
+		v, err := f.Eval(env)
 		if err != nil || !v.Truthy() {
 			return false
 		}

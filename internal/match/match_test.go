@@ -170,11 +170,11 @@ func TestEvalFiltersErrorMeansNoMatch(t *testing.T) {
 	num, _ := mem.Insert("a", map[string]wm.Value{"x": wm.Int(5)})
 	sym, _ := mem.Insert("a", map[string]wm.Value{"x": wm.Sym("oops")})
 	ce := prog.Rules[0].CEs[0]
-	if !EvalFilters(ce, &compile.VecEnv{Vec: []*wm.WME{num}}, compile.EvalBytecode) {
+	if !EvalFilters(ce, &compile.VecEnv{Vec: []*wm.WME{num}}) {
 		t.Error("numeric WME should pass the filter")
 	}
 	// (+ oops 1) errors at eval time; that counts as a failed test.
-	if EvalFilters(ce, &compile.VecEnv{Vec: []*wm.WME{sym}}, compile.EvalBytecode) {
+	if EvalFilters(ce, &compile.VecEnv{Vec: []*wm.WME{sym}}) {
 		t.Error("eval error must mean no-match")
 	}
 }

@@ -292,10 +292,10 @@ func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
 					continue
 				}
 				vec[ce.PosIndex] = w
-				// The oracle deliberately stays on the tree-walking
-				// interpreter, so conformance runs compare the matchers'
-				// bytecode path against an independent backend.
-				if match.EvalFilters(ce, &compile.VecEnv{Vec: vec[:ce.PosIndex+1]}, compile.EvalInterp) {
+				// The oracle calls the tree walker itself, so conformance
+				// runs compare the matchers' bytecode against an
+				// independent evaluator. An erroring filter is no match.
+				if filtersPass(ce, &compile.VecEnv{Vec: vec[:ce.PosIndex+1]}) {
 					walk(ceIdx + 1)
 				}
 				vec[ce.PosIndex] = nil
@@ -304,6 +304,15 @@ func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
 		walk(0)
 	}
 	return out
+}
+
+func filtersPass(ce *compile.CondElem, env *compile.VecEnv) bool {
+	for _, f := range ce.Filters {
+		if v, err := compile.Eval(f, env); err != nil || !v.Truthy() {
+			return false
+		}
+	}
+	return true
 }
 
 func negOK(ce *compile.CondElem, w *wm.WME, vec []*wm.WME) bool {

@@ -131,6 +131,9 @@ func BenchmarkNetworkApply(b *testing.B) {
 		{"joinchain", joinChain(b), rete.Options{Profile: true}},
 		// What the per-rule clock costs: the first row without it.
 		{"waltz32-noprofile", waltz, rete.Options{}},
+		// What the hash-join indexes buy (EXPERIMENTS.md E11): the first
+		// row with every join and negative node on the nested-loop path.
+		{"waltz32-noindex", waltz, rete.Options{Profile: true, DisableJoinIndex: true}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -16,8 +16,9 @@ import (
 type Options struct {
 	// DisableJoinIndex turns off the hash-join indexes over alpha and beta
 	// memories, forcing every join and negative node onto the nested-loop
-	// path. Exists for ablation measurements (experiment E11); production
-	// callers should leave it false.
+	// path: the reference arm of the differential grid
+	// (internal/core/differential_test.go) and of BenchmarkNetworkApply.
+	// No binary and no facade field sets it.
 	DisableJoinIndex bool
 	// Profile attributes match time per rule: the addition or removal of
 	// each WME is timed, at the cost of two monotonic clock reads, and the
@@ -26,11 +27,6 @@ type Options struct {
 	// it. The activity counters (tokens, probes, instantiations) are
 	// maintained regardless; Profile only gates the timing.
 	Profile bool
-	// EvalMode selects the filter-expression backend: the bytecode VM
-	// (the zero value, the default) or the tree-walking interpreter
-	// (compile.EvalInterp, the reference semantics and the E13 ablation
-	// baseline).
-	EvalMode compile.EvalMode
 }
 
 // ruleProf accumulates one rule's match-layer activity. Every beta-layer

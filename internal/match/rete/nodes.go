@@ -10,7 +10,8 @@
 // own token memory) is bucketed by the corresponding token binding, so
 // each activation probes one bucket instead of scanning the whole opposite
 // memory. Nodes without an equality test keep the nested-loop path, and
-// Options.DisableJoinIndex forces it everywhere for ablation measurements.
+// Options.DisableJoinIndex forces it everywhere, as the differential tests'
+// reference.
 //
 // The memories use no Go maps. Membership is intrusive: a token records
 // its position in the one memory that holds it, and everything the network
@@ -355,7 +356,7 @@ func (j *joinNode) passes(t *token, w *wm.WME) bool {
 		// Filters need the vector including this WME; reuse the node's
 		// buffer rather than allocating per candidate.
 		j.env.Vec = append(append(j.env.Vec[:0], t.vec...), w)
-		return match.EvalFilters(j.ce, &j.env, j.net.opts.EvalMode)
+		return match.EvalFilters(j.ce, &j.env)
 	}
 	return true
 }

@@ -17,7 +17,7 @@
 // Alpha memories of CEs with an equality join test carry a hash index by
 // the tested field's value, so seeded joins probe one bucket per level
 // instead of scanning the whole memory (Options.DisableJoinIndex restores
-// the scan for ablation).
+// the scan, as the differential tests' reference).
 //
 // The classic trade-off reproduced by experiment E4: cheaper memory and
 // cheap removals, but join work is repeated on every addition, which loses
@@ -35,18 +35,15 @@ import (
 // Options configures a Treat matcher.
 type Options struct {
 	// DisableJoinIndex turns off the per-CE alpha-memory value indexes,
-	// forcing seeded joins to scan whole alpha memories (ablation E11).
+	// forcing seeded joins to scan whole alpha memories: the reference arm
+	// of the differential grid (internal/core/differential_test.go). No
+	// binary and no facade field sets it.
 	DisableJoinIndex bool
 	// Profile attributes match time per rule: each rule's slice of every
 	// addWME/removeWME pass is timed and charged to the rule's profile.
 	// The activity counters (tokens, probes, instantiations) are
 	// maintained regardless; Profile only gates the timing.
 	Profile bool
-	// EvalMode selects the filter-expression backend: the bytecode VM
-	// (the zero value, the default) or the tree-walking interpreter
-	// (compile.EvalInterp, the reference semantics and the E13 ablation
-	// baseline).
-	EvalMode compile.EvalMode
 }
 
 // ruleProf accumulates one rule's match-layer activity.
@@ -73,10 +70,8 @@ type Treat struct {
 	// profile gates per-rule match-time attribution (the counters inside
 	// each ruleState's prof are always maintained).
 	profile bool
-	// evalMode is the filter-expression backend (Options.EvalMode); env is
-	// the reused environment filters are evaluated in.
-	evalMode compile.EvalMode
-	env      compile.VecEnv
+	// env is the reused environment filters are evaluated in.
+	env compile.VecEnv
 }
 
 var _ match.Matcher = (*Treat)(nil)
@@ -115,7 +110,6 @@ func NewWithOptions(rules []*compile.Rule, opts Options) match.Matcher {
 		byWME:       make(map[*wm.WME]map[match.Key]*match.Instantiation),
 		coll:        match.NewChangeCollector(),
 		profile:     opts.Profile,
-		evalMode:    opts.EvalMode,
 	}
 	for _, r := range rules {
 		rs := &ruleState{
@@ -417,7 +411,7 @@ func (t *Treat) joinFrom(rs *ruleState, ceIdx int, vec []*wm.WME, seedPos int, s
 		}
 		vec[p] = w
 		t.env.Vec = vec[:p+1]
-		if match.EvalFilters(ce, &t.env, t.evalMode) {
+		if match.EvalFilters(ce, &t.env) {
 			rs.prof.tokens++
 			t.joinFrom(rs, ceIdx+1, vec, seedPos, seed, negSeed)
 		}

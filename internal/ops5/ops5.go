@@ -52,9 +52,6 @@ type Options struct {
 	Matcher   match.Factory // default rete.New
 	Output    io.Writer     // default io.Discard
 	MaxCycles int           // 0 = unlimited
-	// EvalMode selects the RHS expression backend (bytecode VM by
-	// default; compile.EvalInterp for the tree walker).
-	EvalMode compile.EvalMode
 }
 
 // Result summarizes a run. In OPS5 one cycle fires one instantiation, so
@@ -306,7 +303,7 @@ func (e *Engine) fire(in *match.Instantiation, cyc *stats.Cycle) (bool, error) {
 		case compile.ActMake:
 			fields := make([]wm.Value, a.Tmpl.Arity())
 			for _, s := range a.Slots {
-				v, err := e.opts.EvalMode.Eval(s.Expr, ev)
+				v, err := s.Expr.Eval(ev)
 				if err != nil {
 					return false, fmt.Errorf("ops5: firing %s: %w", in, err)
 				}
@@ -318,7 +315,7 @@ func (e *Engine) fire(in *match.Instantiation, cyc *stats.Cycle) (bool, error) {
 			old := in.WMEs[a.Target]
 			fields := append([]wm.Value(nil), old.Fields...)
 			for _, s := range a.Slots {
-				v, err := e.opts.EvalMode.Eval(s.Expr, ev)
+				v, err := s.Expr.Eval(ev)
 				if err != nil {
 					return false, fmt.Errorf("ops5: firing %s: %w", in, err)
 				}
@@ -340,14 +337,14 @@ func (e *Engine) fire(in *match.Instantiation, cyc *stats.Cycle) (bool, error) {
 				ev.locals[a.Local] = wm.Sym(fmt.Sprintf("g%s/%d", in.KeyString(), a.Local))
 				continue
 			}
-			v, err := e.opts.EvalMode.Eval(a.Exprs[0], ev)
+			v, err := a.Exprs[0].Eval(ev)
 			if err != nil {
 				return false, fmt.Errorf("ops5: firing %s: %w", in, err)
 			}
 			ev.locals[a.Local] = v
 		case compile.ActWrite:
 			for _, x := range a.Exprs {
-				v, err := e.opts.EvalMode.Eval(x, ev)
+				v, err := x.Eval(ev)
 				if err != nil {
 					return false, fmt.Errorf("ops5: firing %s: %w", in, err)
 				}

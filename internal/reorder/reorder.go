@@ -2,7 +2,7 @@
 // optimization: condition elements of a rule are rearranged
 // most-constrained-first so that beta-level joins see small intermediate
 // results. OPS5 programmers did this by hand; PARULEL-era compilers did
-// it statically, which is what this pass reproduces (experiment E10
+// it statically, which is what this pass reproduces (BenchmarkReorder
 // measures the effect on a deliberately badly ordered program).
 //
 // The pass is source-to-source (like copycon): it permutes a rule's LHS

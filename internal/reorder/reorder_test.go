@@ -281,3 +281,56 @@ func TestReorderBuiltinProgramsStillWork(t *testing.T) {
 		}
 	}
 }
+
+// badJoinOrder is EXPERIMENTS.md E10's program: the unselective item×item
+// cross product joins before the highly selective anchor.
+const badJoinOrder = `
+(literalize item   g v)
+(literalize anchor id g h)
+(literalize hit    x y)
+(rule cross
+  (item ^g <x>)
+  (item ^g <y>)
+  (anchor ^id 7 ^g <x> ^h <y>)
+-->
+  (make hit ^x <x> ^y <y>))
+`
+
+// BenchmarkReorder is E10: the rule above matched in source order, which
+// builds the cross product in the beta network, and after Program has
+// hoisted the constant-constrained anchor to the front.
+func BenchmarkReorder(b *testing.B) {
+	const items = 400
+	for _, variant := range []struct {
+		name    string
+		reorder bool
+	}{{"source-order", false}, {"reordered", true}} {
+		ast, err := lang.Parse(badJoinOrder)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if variant.reorder {
+			ast = Program(ast)
+		}
+		prog, err := compile.Compile(ast)
+		if err != nil {
+			b.Fatal(err)
+		}
+		itemT, anchorT := prog.Schema.MustLookup("item"), prog.Schema.MustLookup("anchor")
+		b.Run(variant.name, func(b *testing.B) {
+			var beta int
+			for i := 0; i < b.N; i++ {
+				m := rete.New(prog.Rules)
+				mem := wm.NewMemory(prog.Schema)
+				for k := 0; k < items; k++ {
+					w := mem.InsertFields(itemT, []wm.Value{wm.Int(int64(k % 3)), wm.Int(int64(k))})
+					m.Apply(wm.Delta{Added: []*wm.WME{w}})
+				}
+				w := mem.InsertFields(anchorT, []wm.Value{wm.Int(7), wm.Int(1), wm.Int(2)})
+				m.Apply(wm.Delta{Added: []*wm.WME{w}})
+				beta = m.MemStats().BetaTokens
+			}
+			b.ReportMetric(float64(beta), "beta-tokens")
+		})
+	}
+}

@@ -587,7 +587,7 @@ func TestFactPathAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanReplay := func() {
-		sess, err := newSession("r", "waltz", prog, 1, "", compile.EvalBytecode, 0, 0, 8, s.start, false)
+		sess, err := newSession("r", "waltz", prog, 1, "", 0, 0, 8, s.start, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,7 +602,7 @@ func TestFactPathAllocationBudget(t *testing.T) {
 		}
 	}
 	newOnly := func() {
-		if _, err := newSession("r", "waltz", prog, 1, "", compile.EvalBytecode, 0, 0, 8, s.start, false); err != nil {
+		if _, err := newSession("r", "waltz", prog, 1, "", 0, 0, 8, s.start, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -757,7 +757,7 @@ func BenchmarkFactPath(b *testing.B) {
 			m := factMeter{b: b}
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				sess, err := newSession("r", "p", prog, 1, "", compile.EvalBytecode, 0, 0, 8, s.start, false)
+				sess, err := newSession("r", "p", prog, 1, "", 0, 0, 8, s.start, false)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -377,9 +377,6 @@ type clusterSample struct {
 // metricsPayload is the /metrics response body.
 type metricsPayload struct {
 	UptimeMS int64 `json:"uptime_ms"`
-	// EvalMode names the expression backend every session engine runs
-	// with ("bytecode" or "interp").
-	EvalMode string `json:"eval_mode"`
 	Sessions struct {
 		Live      int    `json:"live"`
 		Created   uint64 `json:"created"`

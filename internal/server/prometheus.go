@@ -75,9 +75,6 @@ func writePrometheus(w io.Writer, m metricsPayload) {
 
 	p.gauge("parulel_uptime_seconds", "Time since the server started.", float64(m.UptimeMS)/1e3)
 
-	p.header("parulel_eval_mode", "Expression backend in use (constant 1, mode in the label).", "gauge")
-	p.value("parulel_eval_mode", `mode="`+promEscape(m.EvalMode)+`"`, 1)
-
 	p.gauge("parulel_sessions_live", "Sessions currently resident in the pool.", float64(m.Sessions.Live))
 	p.counter("parulel_sessions_created_total", "Sessions ever created.", float64(m.Sessions.Created))
 	p.counter("parulel_sessions_evicted_total", "Sessions evicted by LRU pressure.", float64(m.Sessions.Evicted))

@@ -271,6 +271,39 @@ func TestCheckpointRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointRecoversEscapedString: a string fact holding a byte the
+// snapshot writer escapes beyond `\n \t \" \\` (here a carriage return)
+// is checkpointed, the data directory reopened, and the string served back.
+// The checkpoint used to be unreadable: its writer quoted what its reader
+// could not lex.
+func TestCheckpointRecoversEscapedString(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 1}
+	tsA := startCrashable(t, cfg)
+	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc})
+	urlA := tsA.URL + "/api/v1/sessions/" + info.ID
+	note := wm.Str("a\rb")
+	if st := call(t, "POST", urlA+"/facts", assertRequest{Facts: []factPayload{{Template: "log", Fields: map[string]jsonValue{
+		"n": {V: wm.Int(1)}, "note": {V: note},
+	}}}}, nil); st != http.StatusOK {
+		t.Fatalf("assert: status %d", st)
+	}
+	if _, err := os.Stat(filepath.Join(cfg.DataDir, "sessions", info.ID, "checkpoint")); err != nil {
+		t.Fatalf("no checkpoint written: %v", err)
+	}
+	tsA.Close()
+
+	_, tsB := newTestServer(t, cfg)
+	var wmResp struct {
+		Facts []factPayload `json:"facts"`
+	}
+	if st := call(t, "GET", tsB.URL+"/api/v1/sessions/"+info.ID+"/wm", nil, &wmResp); st != http.StatusOK {
+		t.Fatalf("wm after reopen: status %d", st)
+	}
+	if len(wmResp.Facts) != 1 || !wmResp.Facts[0].Fields["note"].V.Equal(note) {
+		t.Fatalf("recovered working memory %+v, want one log fact with note %v", wmResp.Facts, note)
+	}
+}
+
 // TestRecoverMutateCrashRecover: regression for the post-checkpoint
 // sequence restart. A checkpoint empties the log, so when a restart
 // reopens it the scan finds nothing and the sequence counter would start

@@ -79,9 +79,6 @@ type Config struct {
 	// DefaultWorkers is the per-engine worker count when the client names
 	// none. Default 4; clamped to [1, 64].
 	DefaultWorkers int
-	// EvalMode selects the expression backend for every session engine
-	// (bytecode VM by default; compile.EvalInterp for the tree walker).
-	EvalMode compile.EvalMode
 	// MaxBodyBytes bounds request bodies. Default 4 MiB.
 	MaxBodyBytes int64
 	// MaxOutputBytes bounds captured `(write …)` output per run. Default 64 KiB.
@@ -701,7 +698,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	p := s.metrics.snapshot(time.Since(s.start), live, active, onDisk, queued, inflight, s.jobs.activeCount(), cl)
-	p.EvalMode = s.cfg.EvalMode.String()
 	w.Header().Set("Cache-Control", "no-cache")
 	if format == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -808,7 +804,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	sess, err := newSession(id, name, prog, workers, req.Matcher, s.cfg.EvalMode, maxCycles, s.cfg.MaxOutputBytes, s.cfg.TraceCycles, time.Now(), false)
+	sess, err := newSession(id, name, prog, workers, req.Matcher, maxCycles, s.cfg.MaxOutputBytes, s.cfg.TraceCycles, time.Now(), false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -136,16 +136,16 @@ func (s *session) info(lastUsed time.Time) sessionInfo {
 // fresh engine with a capped output buffer. restore skips the program's
 // initial facts: a checkpointed working memory already contains them
 // under their original time tags.
-func newSession(id, programName string, prog *compile.Program, workers int, matcherName string, evalMode compile.EvalMode, maxCycles, outputCap, traceCycles int, now time.Time, restore bool) (*session, error) {
+func newSession(id, programName string, prog *compile.Program, workers int, matcherName string, maxCycles, outputCap, traceCycles int, now time.Time, restore bool) (*session, error) {
 	// Server sessions always run with per-rule profiling on: the timing
 	// cost is a few clock reads per delta, and /metrics per-rule
 	// attribution is the product surface.
 	var factory match.Factory
 	switch matcherName {
 	case "", "rete":
-		matcherName, factory = "rete", rete.Factory(rete.Options{Profile: true, EvalMode: evalMode})
+		matcherName, factory = "rete", rete.Factory(rete.Options{Profile: true})
 	case "treat":
-		factory = treat.Factory(treat.Options{Profile: true, EvalMode: evalMode})
+		factory = treat.Factory(treat.Options{Profile: true})
 	default:
 		return nil, fmt.Errorf("unknown matcher %q (want rete or treat)", matcherName)
 	}
@@ -159,7 +159,6 @@ func newSession(id, programName string, prog *compile.Program, workers int, matc
 		MaxCycles:      maxCycles,
 		NoInitialFacts: restore,
 		Tracer:         obs.Multi(trace, phases),
-		EvalMode:       evalMode,
 	})
 	return &session{
 		id:       id,

@@ -556,7 +556,7 @@ func (s *Server) loadSession(ctx context.Context, id string) (*session, error) {
 	// A checkpointed WM already contains the program's initial facts under
 	// their original tags; log-only recovery replants them exactly as the
 	// original creation did.
-	sess, err := newSession(id, meta.Program, prog, meta.Workers, meta.Matcher, s.cfg.EvalMode,
+	sess, err := newSession(id, meta.Program, prog, meta.Workers, meta.Matcher,
 		meta.MaxCycles, s.cfg.MaxOutputBytes, s.cfg.TraceCycles, created, haveCkpt)
 	if err != nil {
 		return nil, err

@@ -18,6 +18,7 @@ import (
 
 	"parulel/internal/wal"
 	"parulel/internal/wm"
+	"parulel/internal/workload"
 )
 
 // temporalSrc: ev facts live two ticks (the finish rule's modify restarts
@@ -199,6 +200,63 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 	if got := getInfo(t, url); got.Tick != 4 {
 		t.Fatalf("session tick %d after terminated stream, want 4", got.Tick)
+	}
+}
+
+// TestStreamBoundedWM is EXPERIMENTS.md E14 as an assertion: however many
+// facts stream through a durable session, TTL expiry holds working memory
+// to what a few ticks' worth of arrivals occupy. A transaction lives its
+// six-tick TTL plus the tick its settling restarts the TTL on; the window
+// aggregates and flags (one each per card at most) fit in the bound's last
+// frame's worth.
+func TestStreamBoundedWM(t *testing.T) {
+	const frames, perFrame, cards, ttl = 200, 50, 8, 6
+	const bound = (ttl + 2) * perFrame
+	_, ts := newTestServer(t, Config{DataDir: t.TempDir()})
+	info := createSession(t, ts.URL, createSessionRequest{Source: workload.FraudStreamProgram})
+	url := ts.URL + "/api/v1/sessions/" + info.ID
+
+	streamed, expired, peak, final := 0, 0, 0, 0
+	for base := 0; base < frames; base += 20 { // 20 frames a request, one tick + run per frame
+		var body bytes.Buffer
+		enc := json.NewEncoder(&body)
+		for f := base; f < base+20; f++ {
+			var facts []factPayload
+			for _, fields := range workload.FraudTxns(f, perFrame, cards, 1) {
+				wire := make(map[string]jsonValue, len(fields))
+				for k, v := range fields {
+					wire[k] = jsonValue{V: v}
+				}
+				facts = append(facts, factPayload{Template: "txn", Fields: wire})
+			}
+			if err := enc.Encode(map[string]any{"facts": facts, "run": true, "timeout_ms": 10000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, line := range streamCall(t, url, body.Bytes()) {
+			if line.Error != "" {
+				t.Fatalf("frame %d: %s", base+line.Frame, line.Error)
+			}
+			streamed += line.Asserted
+			expired += line.Expired
+			peak, final = max(peak, line.WMSize), line.WMSize
+		}
+	}
+	t.Logf("streamed %d, expired %d, peak wm %d, final wm %d (bound %d)", streamed, expired, peak, final, bound)
+	if streamed != frames*perFrame || expired == 0 {
+		t.Fatalf("streamed %d facts (want %d), %d expired", streamed, frames*perFrame, expired)
+	}
+	if peak > bound || final > bound {
+		t.Errorf("working memory peaked at %d and ended at %d with %d facts streamed; TTL expiry should hold it to %d", peak, final, streamed, bound)
+	}
+	var live struct {
+		Total int `json:"total"`
+	}
+	if st := call(t, "GET", url+"/wm?template=txn&limit=1", nil, &live); st != http.StatusOK {
+		t.Fatalf("wm: status %d", st)
+	}
+	if live.Total != streamed-expired {
+		t.Errorf("%d live transactions, want streamed %d − expired %d = %d", live.Total, streamed, expired, streamed-expired)
 	}
 }
 

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"parulel/internal/core"
 	"parulel/internal/programs"
@@ -101,6 +103,56 @@ func TestWriteAllValueKinds(t *testing.T) {
 	for i := range want.Fields {
 		if got[0].Fields[i] != want.Fields[i] {
 			t.Errorf("field %d: %v != %v", i, got[0].Fields[i], want.Fields[i])
+		}
+	}
+}
+
+// TestArbitraryStringsRoundTrip: any byte string a fact can hold — control
+// bytes, invalid UTF-8, line separators, unprintable runes — is written in
+// a form Read reads back to an Equal value. The first four made a session's
+// next checkpoint unreadable while the lexer knew only `\n \t \" \\`.
+func TestArbitraryStringsRoundTrip(t *testing.T) {
+	strs := []string{"a\rb", "bell\a", "nul\x00", "u\u2028x"}
+	for b := 0; b < 256; b++ {
+		strs = append(strs, string([]byte{byte(b)}))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		var s []byte
+		for n := rng.Intn(8); n > 0; n-- {
+			if rng.Intn(2) == 0 {
+				s = append(s, byte(rng.Intn(256)))
+			} else {
+				s = utf8.AppendRune(s, rune(rng.Intn(utf8.MaxRune+1)))
+			}
+		}
+		strs = append(strs, string(s))
+	}
+	schema := wm.NewSchema()
+	if _, err := schema.Declare("t", "a"); err != nil {
+		t.Fatal(err)
+	}
+	mem := wm.NewMemory(schema)
+	for _, s := range strs {
+		if _, err := mem.Insert("t", map[string]wm.Value{"a": wm.Str(s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, mem); err != nil {
+		t.Fatal(err)
+	}
+	back := wm.NewMemory(schema)
+	if _, err := Read(bytes.NewReader(buf.Bytes()), memInserter{back}); err != nil {
+		t.Fatalf("read back: %v", err)
+	}
+	got := back.Snapshot()
+	if len(got) != len(strs) {
+		t.Fatalf("%d facts read back, wrote %d", len(got), len(strs))
+	}
+	for i, s := range strs {
+		if !got[i].Fields[0].Equal(wm.Str(s)) {
+			t.Errorf("string %q read back as %v", s, got[i].Fields[0])
 		}
 	}
 }

@@ -5,26 +5,9 @@ import (
 	"time"
 )
 
-// This file holds the aggregation layer over raw Cycle records: merging
-// runs, percentile summaries, and fixed-bucket latency histograms. The
-// server's /metrics endpoint is the primary consumer; the benchmark
-// harness reuses the totals.
-
-// Merge appends the cycles of every other run into r, in order. The
-// sources are not modified.
-func (r *Run) Merge(others ...*Run) {
-	for _, o := range others {
-		if o == nil {
-			continue
-		}
-		r.Cycles = append(r.Cycles, o.Cycles...)
-	}
-}
-
-// Clone returns a deep copy of the run.
-func (r *Run) Clone() *Run {
-	return &Run{Cycles: append([]Cycle(nil), r.Cycles...)}
-}
+// This file holds the aggregation layer over raw Cycle records:
+// percentile summaries and fixed-bucket latency histograms. The server's
+// /metrics endpoint is the consumer.
 
 // Truncate drops the oldest cycles until at most n remain, bounding the
 // memory held by a long-lived aggregator.
@@ -185,6 +168,3 @@ func (h *Hist) Total() uint64 {
 	}
 	return n
 }
-
-// NonZero reports whether the histogram has any samples.
-func (h *Hist) NonZero() bool { return h.Total() > 0 }

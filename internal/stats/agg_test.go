@@ -22,32 +22,6 @@ func mkRun(n int, base time.Duration) *Run {
 	return r
 }
 
-func TestMergeAndTotals(t *testing.T) {
-	a := mkRun(3, time.Millisecond)
-	b := mkRun(2, time.Millisecond)
-	a.Merge(b, nil, &Run{})
-	if len(a.Cycles) != 5 {
-		t.Fatalf("merged cycles = %d, want 5", len(a.Cycles))
-	}
-	m, _, _, _ := a.Totals()
-	// 1+2+3 from a, 1+2 from b = 9ms of match time.
-	if m != 9*time.Millisecond {
-		t.Fatalf("match total = %v, want 9ms", m)
-	}
-	if len(b.Cycles) != 2 {
-		t.Fatal("Merge must not modify its source")
-	}
-}
-
-func TestClone(t *testing.T) {
-	a := mkRun(2, time.Millisecond)
-	c := a.Clone()
-	c.Add(Cycle{})
-	if len(a.Cycles) != 2 || len(c.Cycles) != 3 {
-		t.Fatalf("clone shares storage: a=%d c=%d", len(a.Cycles), len(c.Cycles))
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	a := mkRun(10, time.Millisecond)
 	a.Truncate(4)
@@ -116,7 +90,7 @@ func TestSummarize(t *testing.T) {
 
 func TestHist(t *testing.T) {
 	h := NewHist()
-	if h.NonZero() {
+	if h.Total() != 0 {
 		t.Fatal("fresh histogram should be empty")
 	}
 	h.Observe(500 * time.Nanosecond) // bucket 0 (≤1µs)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -383,4 +384,48 @@ func TestIntervalFsyncFailureLatches(t *testing.T) {
 		t.Fatalf("append after latched always-policy failure: %v", err)
 	}
 	l2.Close()
+}
+
+// BenchmarkSharedLogAppend is the comparison docs/SERVER.md's group-commit
+// section rests on: goroutines appending to one log under fsync=always and
+// fsync=group, one op an acknowledged append. always pays a flush per
+// append whatever the concurrency; group coalesces the appenders parked at
+// one moment into a cohort flush, so appends/fsync grows with their number.
+func BenchmarkSharedLogAppend(b *testing.B) {
+	for _, pol := range []Policy{PolicyAlways, PolicyGroup} {
+		for _, appenders := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/appenders=%d", pol, appenders), func(b *testing.B) {
+				var fsyncs atomic.Int64
+				l, _, err := Open(filepath.Join(b.TempDir(), "wal.log"), Options{
+					Policy:  pol,
+					OnFsync: func(time.Duration) { fsyncs.Add(1) },
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer l.Close()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < appenders; g++ {
+					n := b.N / appenders
+					if g < b.N%appenders {
+						n++
+					}
+					wg.Add(1)
+					go func(g, n int) {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							if err := l.Append(&Record{Op: OpRun, Cycles: g<<20 | i}); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(g, n)
+				}
+				wg.Wait()
+				b.StopTimer()
+				b.ReportMetric(float64(b.N)/float64(fsyncs.Load()), "appends/fsync")
+			})
+		}
+	}
 }

@@ -74,8 +74,7 @@ func GenCircuit(width, depth int, contended bool, seed int64) *Circuit {
 // bus with `drivers` rival gates, so the one-driver-per-wire meta-rule
 // arbitrates drivers² instantiation pairs per wire per level. This is
 // the redaction-heavy regime: meta-rule predicate evaluation (not
-// matching) dominates the cycle, which is what the E13 eval-mode
-// ablation stresses.
+// matching) dominates the cycle.
 func GenBusCircuit(width, depth, drivers int, seed int64) *Circuit {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Circuit{Inputs: make(map[int64]int64), Depth: depth}

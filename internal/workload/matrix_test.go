@@ -12,14 +12,13 @@ import (
 	"parulel/internal/programs"
 )
 
-// matrixConfigs samples the engine configuration space: worker counts,
-// matchers (for the object level and the meta level alike) and partition
-// strategies.
+// matrixConfigs samples the engine configuration space: worker counts
+// and object-level matchers.
 func matrixConfigs() []core.Options {
 	return []core.Options{
 		{Workers: 1, Matcher: rete.New, MaxCycles: 1 << 16},
-		{Workers: 4, Matcher: treat.New, MaxCycles: 1 << 16, Partition: core.PartitionLPT},
-		{Workers: 4, Matcher: rete.New, MaxCycles: 1 << 16, Partition: core.PartitionBlock},
+		{Workers: 4, Matcher: treat.New, MaxCycles: 1 << 16},
+		{Workers: 4, Matcher: rete.New, MaxCycles: 1 << 16},
 		{Workers: 8, Matcher: treat.New, MaxCycles: 1 << 16},
 	}
 }
@@ -29,7 +28,7 @@ func configName(o core.Options) string {
 	if reflect.ValueOf(o.Matcher).Pointer() == reflect.ValueOf(match.Factory(treat.New)).Pointer() {
 		matcher = "treat"
 	}
-	return fmt.Sprintf("w%d-%s-%v", o.Workers, matcher, o.Partition)
+	return fmt.Sprintf("w%d-%s", o.Workers, matcher)
 }
 
 // TestConfigurationMatrix runs every workload under every sampled

@@ -1,7 +1,7 @@
 package workload
 
-// Stream workloads for the temporal subsystem: continuous fact arrival
-// with TTL expiry and sliding-window rules. Both generators are frame
+// The stream workload for the temporal subsystem: continuous fact arrival
+// with TTL expiry and sliding-window rules. The generator is frame
 // oriented — one frame is the unit of stream time (one temporal tick) —
 // and fully deterministic given (seed, frame), so a replayed or
 // restarted stream regenerates identical facts.
@@ -56,45 +56,6 @@ func FraudTxns(frame, count, cards int, seed int64) []map[string]wm.Value {
 			"card":   wm.Sym(fmt.Sprintf("card-%03d", card)),
 			"amount": wm.Int(int64(1 + rng.Intn(500))),
 			"state":  wm.Sym("new"),
-		}
-	}
-	return out
-}
-
-// EventMonitorProgram is the sensor-monitoring stream application:
-// readings live four ticks, a per-sensor window aggregates the last
-// five readings, and a sensor whose windowed maximum crosses the
-// threshold raises an alarm that auto-clears by TTL ten ticks later —
-// the alarm lifecycle is driven entirely by the temporal clock.
-const EventMonitorProgram = `
-(literalize reading id sensor val)
-(literalize alarm sensor peak)
-(ttl reading 4)
-(ttl alarm 10)
-(window sensorwin reading ^key sensor ^last 5 ^val val)
-(rule raise-alarm
-  (sensorwin ^key <s> ^max <m>)
-  (test (> <m> 95))
-  - (alarm ^sensor <s>)
--->
-  (make alarm ^sensor <s> ^peak <m>))
-`
-
-// EventReadings returns one frame of the monitor stream: `count`
-// readings over `sensors` sensors, values mostly in [0, 90] with a
-// deterministic ~3% of spikes above the alarm threshold.
-func EventReadings(frame, count, sensors int, seed int64) []map[string]wm.Value {
-	rng := rand.New(rand.NewSource(seed + int64(frame)*6151))
-	out := make([]map[string]wm.Value, count)
-	for i := range out {
-		val := int64(rng.Intn(91))
-		if rng.Intn(32) == 0 {
-			val = int64(96 + rng.Intn(20))
-		}
-		out[i] = map[string]wm.Value{
-			"id":     wm.Int(int64(frame*count + i)),
-			"sensor": wm.Sym(fmt.Sprintf("sensor-%02d", rng.Intn(sensors))),
-			"val":    wm.Int(val),
 		}
 	}
 	return out

@@ -10,7 +10,6 @@ import (
 func TestStreamProgramsCompile(t *testing.T) {
 	for name, src := range map[string]string{
 		"fraud": workload.FraudStreamProgram,
-		"event": workload.EventMonitorProgram,
 	} {
 		if _, err := compile.CompileSource(src); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -143,7 +143,7 @@ func (p *Program) Advise(activity map[string]int) (Advice, error) {
 // Optimize applies the join-ordering pass: each rule's condition
 // elements are rearranged most-constrained-first (docs/LANGUAGE.md and
 // internal/reorder describe the constraints and the tie-breaking
-// caveat). Experiment E10 measures the effect.
+// caveat). BenchmarkReorder in internal/reorder measures the effect.
 func (p *Program) Optimize() (*Program, error) {
 	ast := reorder.Program(p.ast)
 	compiled, err := compile.Compile(ast)
@@ -191,29 +191,6 @@ const (
 	TREAT
 )
 
-// EvalMode selects the expression-evaluation backend used for alpha
-// tests, join filters, RHS actions and meta-rule tests. The bytecode
-// register VM is the default; the tree-walking interpreter remains as
-// the reference backend (experiment E13 compares the two).
-type EvalMode = compile.EvalMode
-
-// Evaluation backends.
-const (
-	EvalBytecode = compile.EvalBytecode
-	EvalInterp   = compile.EvalInterp
-)
-
-// Partition selects the rule-to-worker distribution strategy (PARULEL
-// engine): core semantics are unaffected, only load balance changes.
-type Partition = core.Partition
-
-// Partition strategies.
-const (
-	PartitionRoundRobin = core.PartitionRoundRobin
-	PartitionBlock      = core.PartitionBlock
-	PartitionLPT        = core.PartitionLPT
-)
-
 // Tracer receives structured per-cycle callbacks from the PARULEL
 // engine (cycle boundaries, phase durations, redaction outcomes, rule
 // firings, commits). The callback contract — ordering, the quiescence
@@ -232,17 +209,13 @@ type Config struct {
 	// Tracer receives structured cycle events (PARULEL only); it composes
 	// with Trace, which stays a human-readable text log.
 	Tracer Tracer
-	// Partition selects the rule distribution strategy (PARULEL only).
-	Partition Partition
-	// EvalMode selects the expression backend (bytecode VM by default).
-	EvalMode EvalMode
 }
 
 func (c Config) factory() match.Factory {
 	if c.Matcher == TREAT {
-		return treat.Factory(treat.Options{EvalMode: c.EvalMode})
+		return treat.New
 	}
-	return rete.Factory(rete.Options{EvalMode: c.EvalMode})
+	return rete.New
 }
 
 // Result summarizes a run.
@@ -276,7 +249,6 @@ func NewEngine(p *Program, cfg Config) *Engine {
 			Matcher:   cfg.factory(),
 			Output:    cfg.Output,
 			MaxCycles: cfg.MaxCycles,
-			EvalMode:  cfg.EvalMode,
 		})}
 	default:
 		return &Engine{par: core.New(p.compiled, core.Options{
@@ -286,8 +258,6 @@ func NewEngine(p *Program, cfg Config) *Engine {
 			MaxCycles: cfg.MaxCycles,
 			Trace:     cfg.Trace,
 			Tracer:    cfg.Tracer,
-			Partition: cfg.Partition,
-			EvalMode:  cfg.EvalMode,
 		})}
 	}
 }
@@ -436,17 +406,5 @@ func ParseMatcherKind(s string) (MatcherKind, error) {
 		return TREAT, nil
 	default:
 		return 0, fmt.Errorf("parulel: unknown matcher %q (want rete or treat)", s)
-	}
-}
-
-// ParseEvalMode converts a CLI flag value.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch s {
-	case "bytecode":
-		return EvalBytecode, nil
-	case "interp":
-		return EvalInterp, nil
-	default:
-		return 0, fmt.Errorf("parulel: unknown eval mode %q (want bytecode or interp)", s)
 	}
 }
