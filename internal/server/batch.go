@@ -66,22 +66,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// A batch with run ops is an engine run for drain purposes: shutdown
 	// must wait for it, and a draining server must not start it.
 	if containsRun {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
+		if !s.beginWork(w) {
 			return
 		}
-		s.active++
-		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			s.active--
-			if s.draining && s.active == 0 {
-				close(s.idle)
-			}
-			s.mu.Unlock()
-		}()
+		defer s.endWork()
 	}
 
 	s.withSession(w, r, func(sess *session) {
@@ -110,10 +98,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		batchSp := s.startSpan(r.Context(), stageBatch)
 		batchSp.SetAttr("ops", strconv.Itoa(len(ops)))
 		defer batchSp.End()
-		sink := func(rec *wal.Record) bool {
-			sc.recs = append(sc.recs, *rec)
-			return true
-		}
 		results := make([]batchOpResult, 0, len(ops))
 		applied := 0
 		for i := range ops {
@@ -124,7 +108,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				sess.insert(staged[:len(op.facts)])
 				staged = staged[len(op.facts):]
 				result.Count = len(op.facts)
-				sink(&wal.Record{Op: wal.OpAssert, Facts: op.facts})
+				sc.collect(&wal.Record{Op: wal.OpAssert, Facts: op.facts})
 			case "retract":
 				n, err := sess.retractMatching(op.template, op.fields)
 				if err != nil {
@@ -133,43 +117,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}
 				result.Count = n
 				if n > 0 {
-					sink(&wal.Record{Op: wal.OpRetract, Template: op.template, Fields: op.fields, Count: n})
+					sc.collect(&wal.Record{Op: wal.OpRetract, Template: op.template, Fields: op.fields, Count: n})
 				}
 			case "run":
-				timeout := s.clampTimeout(op.timeoutMS)
-				ctx, cancel := context.WithTimeout(r.Context(), timeout)
-				// admitForce, not admit: the batch as a whole passed
-				// admission at the mutation layer; rejecting one of its ops
-				// mid-flight would break the prefix contract.
-				ticket := s.runQueue.admitForce(sess.id)
-				s.metrics.runStarted()
-				out := s.driveRun(ctx, sess, ticket, sink)
-				ticket.done()
-				cancel()
-				resp := out.resp
-				result.Run = &resp
-				s.countRunOutcome(out)
+				out := s.runOp(r.Context(), sess, op.timeoutMS, sc.collect)
+				result.Run = &out.resp
 				if out.err != nil {
 					result.Error = out.err.Error()
 				}
 			case "tick":
-				n := op.ticks
-				if n == 0 {
-					n = 1
-				}
-				expired := 0
-				tick0 := time.Now()
-				for k := int64(0); k < n; k++ {
-					res := sess.clock.Tick()
-					expired += res.Expired
-					result.Tick = res.Now
-					// One record per tick: replay re-executes each advance and
-					// verifies the clock value and expiry count it produced.
-					sink(&wal.Record{Op: wal.OpTick, Tick: res.Now, Count: res.Expired})
-				}
-				result.Count = expired
-				s.recordSpan(r.Context(), batchSp.ID(), stageTick, time.Since(tick0))
-				s.metrics.ticksObserved(n, expired)
+				result.Tick, result.Count = s.advanceClock(r.Context(), sess, batchSp.ID(), max(op.ticks, 1), sc.collect)
 			}
 			results = append(results, result)
 			if result.Error != "" {
@@ -177,9 +134,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			applied++
 		}
-		s.metrics.batchObserved(applied)
+		s.metrics.inc(&s.metrics.Batches.Batches)
+		s.metrics.add(&s.metrics.Batches.Ops, uint64(applied))
 
-		if len(sc.recs) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs}) {
+		if !s.persistCollected(r.Context(), sess, sc) {
 			writeError(w, http.StatusInternalServerError, "batch applied in memory but not durably logged")
 			return
 		}
@@ -191,15 +149,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// clampTimeout resolves a client-requested run timeout against the
-// configured default and ceiling.
-func (s *Server) clampTimeout(ms int64) time.Duration {
-	timeout := s.cfg.DefaultRunTimeout
-	if ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
+// collect is the recordSink of a request that logs one frame for all it
+// did — a batch, or one stream frame — and persistCollected appends what
+// it gathered as a single OpBatch record: nothing gathered, nothing logged.
+func (sc *factScanner) collect(rec *wal.Record) bool {
+	sc.recs = append(sc.recs, *rec)
+	return true
+}
+
+func (s *Server) persistCollected(ctx context.Context, sess *session, sc *factScanner) bool {
+	return len(sc.recs) == 0 || s.persist(ctx, sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs})
+}
+
+// advanceClock ticks the session's temporal clock n times and returns the
+// clock value it reached and the facts that expired on the way. Each tick
+// is one record: replay re-executes every advance and verifies the clock
+// value and expiry count it produced. parent is the span the tick time
+// hangs under.
+func (s *Server) advanceClock(ctx context.Context, sess *session, parent string, n int64, sink recordSink) (now int64, expired int) {
+	now = sess.clock.Now()
+	if n == 0 {
+		return now, 0
 	}
-	if timeout > s.cfg.MaxRunTimeout {
-		timeout = s.cfg.MaxRunTimeout
+	t0 := time.Now()
+	for k := int64(0); k < n; k++ {
+		res := sess.clock.Tick()
+		now, expired = res.Now, expired+res.Expired
+		sink(&wal.Record{Op: wal.OpTick, Tick: res.Now, Count: res.Expired})
 	}
-	return timeout
+	s.recordSpan(ctx, parent, stageTick, time.Since(t0))
+	s.metrics.add(&s.metrics.Stream.Ticks, uint64(n))
+	s.metrics.add(&s.metrics.Stream.Expired, uint64(expired))
+	return now, expired
 }

@@ -105,7 +105,7 @@ func (s *Server) startCluster(cfg cluster.Config) error {
 		return cs.client.Ping(m, cs.snapshotOverrides())
 	})
 	s.cluster = cs
-	s.metrics.enableCluster(cfg.Node)
+	s.metrics.Cluster = &clusterPayload{Node: cfg.Node}
 	s.cfg.Logger.Info("cluster mode up",
 		"node", cfg.Node, "members", len(cfg.Members), "peer_addr", ln.Addr().String(),
 		"replication", cfg.Replication, "redirect", cfg.Redirect)
@@ -201,7 +201,7 @@ func (s *Server) routed(h http.HandlerFunc) http.HandlerFunc {
 		case owner == "":
 			writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("no live owner for session %q", id))
 		case cs.cfg.Redirect:
-			s.metrics.clusterRedirected()
+			s.metrics.inc(&s.metrics.Cluster.Redirected)
 			http.Redirect(w, r, cs.members[owner].PublicURL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 		default:
 			s.forward(w, r, cs.members[owner])
@@ -213,7 +213,7 @@ func (s *Server) routed(h http.HandlerFunc) http.HandlerFunc {
 // body was already bounded by MaxBytesReader.
 func (s *Server) forward(w http.ResponseWriter, r *http.Request, m cluster.Member) {
 	cs := s.cluster
-	s.metrics.clusterProxied()
+	s.metrics.inc(&s.metrics.Cluster.Proxied)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
@@ -296,7 +296,7 @@ func (s *Server) adoptIfNeeded(ctx context.Context, id string) error {
 		}
 		return err
 	}
-	s.metrics.clusterPromotion()
+	s.metrics.inc(&s.metrics.Cluster.Promotions)
 	mv := cluster.Moved{Session: id, Target: cs.cfg.Node, Seq: cs.nextMoveSeq(id)}
 	cs.setOverride(mv)
 	s.broadcastMoved(mv)
@@ -376,27 +376,6 @@ func (s *Server) broadcastDrop(id string) {
 	}
 }
 
-// dropLocalSession discards this node's copy of a session whose ownership
-// moved elsewhere: pool entry, on-disk state, jobs. The bytes are stale —
-// the new owner's copy is the session.
-func (s *Server) dropLocalSession(id string) {
-	s.mu.Lock()
-	if sess, ok := s.sessions[id]; ok {
-		if sess.repl != nil {
-			sess.repl.Close()
-			sess.repl = nil
-		}
-		s.evictLocked(sess)
-	}
-	s.mu.Unlock()
-	if s.store.has(id) {
-		if err := s.store.remove(id); err != nil {
-			s.cfg.Logger.Error("dropping moved session", "session_id", id, "err", err)
-		}
-	}
-	s.jobs.dropSession(id)
-}
-
 // ---- replication (primary side) ----
 
 // replicate makes rec durable on the session's replica. A nil rec means
@@ -412,10 +391,7 @@ func (s *Server) replicate(ctx context.Context, sess *session, rec *wal.Record) 
 	if cs == nil || cs.cfg.Replication == cluster.ReplOff || sess.dur == nil {
 		return true
 	}
-	if s.replicateRecord(ctx, sess, rec) || cs.cfg.Replication == cluster.ReplAsync {
-		return true
-	}
-	return false
+	return s.replicateRecord(ctx, sess, rec) || cs.cfg.Replication == cluster.ReplAsync
 }
 
 // replicateRecord sends rec on the session's live replication stream,
@@ -428,10 +404,14 @@ func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Re
 	ackSp := s.startSpan(ctx, stageReplAck)
 	defer ackSp.End()
 	for attempt := 0; attempt < 2; attempt++ {
-		if sess.repl == nil {
+		stream := sess.repl.Load()
+		if stream == nil {
+			if sess.closed.Load() {
+				return false // deleted, or moved away, under us: no replica should outlive it
+			}
 			target, ok := cs.replicaTarget(sess.id, failed)
 			if !ok {
-				s.metrics.clusterUnprotected()
+				s.metrics.inc(&s.metrics.Cluster.ReplUnprotected)
 				s.log(ctx).Warn("no live replica target; proceeding unreplicated", "session_id", sess.id)
 				return true
 			}
@@ -440,17 +420,22 @@ func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Re
 				s.log(ctx).Error("reading session state for replication", "session_id", sess.id, "err", err)
 				return false
 			}
-			stream, err := cs.client.OpenReplStream(target, sess.id, st)
+			stream, err = cs.client.OpenReplStream(target, sess.id, st)
 			if err != nil {
 				failed[target.Name] = true
 				cs.mship.ReportFailure(target.Name)
-				s.metrics.clusterReplFailure()
+				s.metrics.inc(&s.metrics.Cluster.ReplFailures)
 				s.log(ctx).Warn("replica attach failed", "session_id", sess.id, "target", target.Name, "err", err)
 				continue
 			}
-			sess.repl = stream
-			s.metrics.clusterReplStream()
-			s.metrics.clusterReplRecord()
+			sess.repl.Store(stream)
+			if sess.closed.Load() {
+				// Evicted under us (deleted, or its ownership moved) before
+				// the store: closeFiles saw no stream, so closing it is ours.
+				stream.Close()
+			}
+			s.metrics.inc(&s.metrics.Cluster.ReplStreams)
+			s.metrics.inc(&s.metrics.Cluster.ReplRecords)
 			ackSp.SetAttr("target", target.Name)
 			ackSp.SetAttr("attach", "1")
 			return true
@@ -460,18 +445,17 @@ func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Re
 			// succeeded before this call).
 			return true
 		}
-		if err := sess.repl.SendRecord(rec, s.traceString(ctx, ackSp.ID())); err != nil {
-			name := sess.repl.Target.Name
+		name := stream.Target.Name
+		if err := stream.SendRecord(rec, s.traceString(ctx, ackSp.ID())); err != nil {
 			failed[name] = true
 			cs.mship.ReportFailure(name)
-			s.metrics.clusterReplFailure()
+			s.metrics.inc(&s.metrics.Cluster.ReplFailures)
 			s.log(ctx).Warn("replication send failed", "session_id", sess.id, "target", name, "err", err)
-			sess.repl.Close()
-			sess.repl = nil
+			sess.dropRepl(stream)
 			continue
 		}
-		s.metrics.clusterReplRecord()
-		ackSp.SetAttr("target", sess.repl.Target.Name)
+		s.metrics.inc(&s.metrics.Cluster.ReplRecords)
+		ackSp.SetAttr("target", name)
 		return true
 	}
 	return false
@@ -483,22 +467,21 @@ func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Re
 // mutation re-attaches with a full state sync that includes this
 // checkpoint. Caller holds the session slot.
 func (s *Server) replicateCheckpoint(ctx context.Context, sess *session) {
-	cs := s.cluster
-	if cs == nil || sess.repl == nil || sess.dur == nil {
+	stream := sess.repl.Load()
+	if stream == nil || sess.dur == nil {
 		return
 	}
 	image, err := os.ReadFile(filepath.Join(sess.dur.dir, checkpointFile))
 	if err == nil {
-		err = sess.repl.SendCheckpoint(image)
+		err = stream.SendCheckpoint(image)
 	}
 	if err == nil {
-		err = sess.repl.SendReset()
+		err = stream.SendReset()
 	}
 	if err != nil {
-		s.metrics.clusterReplFailure()
+		s.metrics.inc(&s.metrics.Cluster.ReplFailures)
 		s.log(ctx).Warn("checkpoint replication failed; stream dropped", "session_id", sess.id, "err", err)
-		sess.repl.Close()
-		sess.repl = nil
+		sess.dropRepl(stream)
 	}
 }
 
@@ -575,7 +558,15 @@ func (r *serverReplica) PutCheckpoint(image []byte) error {
 	if r.closed {
 		return errReplicaFenced
 	}
-	return writeFileSync(r.dir, checkpointFile, image)
+	return replaceFile(r.dir, checkpointFile, writeBytes(image))
+}
+
+// writeBytes is replaceFile's writer for an image already in memory.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 func (r *serverReplica) Reset() error {
@@ -639,31 +630,6 @@ func (cs *clusterState) replicaCount() int {
 		}
 	}
 	return n
-}
-
-// writeFileSync atomically replaces dir/name: temp file, fsync, rename,
-// fsync the directory — the same discipline as durable.checkpoint.
-func writeFileSync(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, name))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
 }
 
 // ---- peer protocol backend ----
@@ -730,7 +696,7 @@ func (b *clusterBackend) InstallMigrated(id string, st cluster.SessionState, tra
 	}
 	install := func() error {
 		if st.Checkpoint != nil {
-			if err := writeFileSync(dir, checkpointFile, st.Checkpoint); err != nil {
+			if err := replaceFile(dir, checkpointFile, writeBytes(st.Checkpoint)); err != nil {
 				return err
 			}
 		}
@@ -754,7 +720,7 @@ func (b *clusterBackend) InstallMigrated(id string, st cluster.SessionState, tra
 		return err
 	}
 	s.store.markKnown(id)
-	s.metrics.clusterMigratedIn()
+	s.metrics.inc(&s.metrics.Cluster.MigrationsIn)
 	return nil
 }
 
@@ -765,7 +731,7 @@ func (b *clusterBackend) HandleMoved(mv cluster.Moved) {
 	}
 	if mv.Target != cs.cfg.Node {
 		// Ownership went elsewhere; any local copy is stale.
-		b.s.dropLocalSession(mv.Session)
+		b.s.dropLocalSession(context.Background(), mv.Session)
 	}
 }
 
@@ -792,17 +758,11 @@ func (b *clusterBackend) DropReplica(id string) error {
 // route. On any pre-cutover error the session stays here, untouched.
 func (s *Server) migrateSession(ctx context.Context, id string, target cluster.Member) error {
 	cs := s.cluster
-	sess, err := s.sessionByID(ctx, id)
+	sess, err := s.holdSession(ctx, id, 0)
 	if err != nil {
 		return err
 	}
-	if err := sess.acquire(ctx); err != nil {
-		return fmt.Errorf("waiting for the session: %w", err)
-	}
 	defer sess.release()
-	if sess.closed.Load() {
-		return errors.New("session was evicted while the move waited; retry")
-	}
 	if sess.dur == nil {
 		return errors.New("session has no durable state to migrate")
 	}
@@ -825,27 +785,18 @@ func (s *Server) migrateSession(ctx context.Context, id string, target cluster.M
 	mv := cluster.Moved{Session: id, Target: target.Name, Seq: cs.nextMoveSeq(id)}
 	cs.setOverride(mv)
 	var oldReplica string
-	if sess.repl != nil {
-		oldReplica = sess.repl.Target.Name
-		sess.repl.Close()
-		sess.repl = nil
+	if stream := sess.repl.Load(); stream != nil {
+		oldReplica = stream.Target.Name
+		sess.dropRepl(stream)
 	}
-	s.mu.Lock()
-	if cur, ok := s.sessions[id]; ok {
-		s.evictLocked(cur)
-	}
-	s.mu.Unlock()
-	if err := s.store.remove(id); err != nil {
-		s.log(ctx).Error("removing migrated session's files", "session_id", id, "err", err)
-	}
-	s.jobs.dropSession(id)
+	s.dropLocalSession(ctx, id)
 	s.broadcastMoved(mv)
 	if oldReplica != "" && oldReplica != target.Name {
 		if m, ok := cs.members[oldReplica]; ok {
 			go func() { _ = cs.client.SendDrop(m, id) }()
 		}
 	}
-	s.metrics.clusterMigratedOut()
+	s.metrics.inc(&s.metrics.Cluster.MigrationsOut)
 	s.log(ctx).Info("session migrated out",
 		"session_id", id, "target", target.Name,
 		"checkpoint_bytes", len(st.Checkpoint), "tail_records", len(st.Tail),

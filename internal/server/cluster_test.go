@@ -8,6 +8,7 @@ package server
 // ride on.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -19,11 +20,13 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parulel/internal/cluster"
 	"parulel/internal/wal"
+	"parulel/internal/wm"
 )
 
 // testCluster is n paruleld servers wired into one cluster over real
@@ -549,5 +552,109 @@ func TestClusterKillNodeMidSoak(t *testing.T) {
 		if lost > 0 {
 			t.Logf("session %s: %d acked facts lost, %d present", sessID, lost, len(keys))
 		}
+	}
+}
+
+// ackGate wraps a node's peer listener so a test can park a replication
+// stream mid-send: once armed, the node's next write on a connection
+// opened for replication — the ack of the frame it just took — waits for
+// release, and parked reports that it is waiting.
+type ackGate struct {
+	net.Listener
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func newAckGate(ln net.Listener) *ackGate {
+	return &ackGate{Listener: ln, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *ackGate) Accept() (net.Conn, error) {
+	c, err := g.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
+// gatedConn is read and written by its one peer-server handler goroutine.
+type gatedConn struct {
+	net.Conn
+	g     *ackGate
+	hello []byte // what arrived before the first write: the hello frame
+	wrote bool
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if !c.wrote {
+		c.hello = append(c.hello, p[:n]...)
+	}
+	return n, err
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.wrote = true
+	if bytes.Contains(c.hello, []byte(`"purpose":"replicate"`)) && c.g.armed.CompareAndSwap(true, false) {
+		c.g.parked <- struct{}{}
+		<-c.g.release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestClusterSessionClosedMidReplication: deleting a session, or dropping
+// it because its ownership moved, evicts it without its slot — while the
+// slot holder may be parked inside a replication send. The evicting side
+// closes the stream; the holder sees the send fail, detaches and answers.
+// Run under -race: the two sides used to share sess.repl unsynchronized,
+// and the holder dereferenced the pointer the evictor had just cleared.
+func TestClusterSessionClosedMidReplication(t *testing.T) {
+	for name, closeSession := range map[string]func(t *testing.T, tc *testCluster, id string){
+		"delete": func(t *testing.T, tc *testCluster, id string) {
+			if st, err := tryCall("DELETE", tc.url("n0")+"/api/v1/sessions/"+id, nil); err != nil || st != http.StatusOK {
+				t.Errorf("delete: status %d, %v", st, err)
+			}
+		},
+		"ownership moved": func(_ *testing.T, tc *testCluster, id string) {
+			(&clusterBackend{tc.servers["n0"]}).HandleMoved(cluster.Moved{Session: id, Target: "n1", Seq: 1})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var gate *ackGate
+			tc := newTestCluster(t, 2, func(name string, cfg *Config) {
+				if name == "n1" {
+					gate = newAckGate(cfg.Cluster.PeerListener)
+					cfg.Cluster.PeerListener = gate
+				}
+			})
+			defer close(gate.release) // before the cluster's cleanup waits on n1's peer handlers
+			info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
+			url := tc.url("n0") + "/api/v1/sessions/" + info.ID
+			assertTasks(t, url, 0, 1) // attaches the stream to n1
+
+			gate.armed.Store(true)
+			answered := make(chan error, 1)
+			go func() {
+				var req assertRequest
+				req.Facts = append(req.Facts, factPayload{Template: "task", Fields: map[string]jsonValue{"n": {V: wm.Int(1)}}})
+				_, err := tryCall("POST", url+"/facts", req)
+				answered <- err
+			}()
+			select {
+			case <-gate.parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the replicated mutation never reached the follower")
+			}
+			closeSession(t, tc, info.ID)
+			select {
+			case err := <-answered:
+				if err != nil {
+					t.Fatalf("the parked mutation got no answer (its handler died?): %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("closing the session did not unpark the replication send")
+			}
+		})
 	}
 }

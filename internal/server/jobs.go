@@ -237,15 +237,15 @@ func (s *Server) foldRecoveredJobs(sessID string, statuses map[string]string) {
 		}
 		j := &job{id: id, session: sessID, status: status, created: time.Now(), finished: time.Now()}
 		if s.jobs.add(j) && status == jobInterrupted {
-			s.metrics.jobFinished(jobInterrupted)
+			s.metrics.inc(&s.metrics.Jobs.Interrupted)
 		}
 	}
 }
 
 // startAsyncRun answers POST /run?async=1: register the job, log its
-// queued marker, kick off the runner and reply 202. releaseActive is the
-// caller's drain-accounting release, handed to the runner goroutine.
-func (s *Server) startAsyncRun(w http.ResponseWriter, r *http.Request, sess *session, ticket *runTicket, timeout time.Duration, releaseActive func()) {
+// queued marker, kick off the runner and reply 202. The runner goroutine
+// takes over the caller's ticket and drain registration (endWork).
+func (s *Server) startAsyncRun(w http.ResponseWriter, r *http.Request, sess *session, ticket *runTicket, timeout time.Duration) {
 	// The runner outlives the request, so it gets a fresh context — but
 	// one carrying the request's trace and id, so the job's spans and log
 	// lines join the originating trace. The timings accumulator is fresh:
@@ -268,43 +268,27 @@ func (s *Server) startAsyncRun(w http.ResponseWriter, r *http.Request, sess *ses
 	for !s.jobs.add(j) {
 		j.id = newJobID()
 	}
-	s.metrics.jobCreated()
+	s.metrics.inc(&s.metrics.Jobs.Created)
 	s.appendJobMarker(r.Context(), sess, j.id, jobQueued)
 	s.log(r.Context()).Info("job queued", "job_id", j.id, "session_id", sess.id, "timeout", timeout.String())
-	go s.runJob(ctx, cancel, j, ticket, releaseActive)
+	go s.runJob(ctx, cancel, j, ticket)
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // runJob is the async runner: session slot → driveRun → terminal state.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, ticket *runTicket, releaseActive func()) {
-	defer releaseActive()
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, ticket *runTicket) {
+	defer s.endWork()
 	defer ticket.done()
 	defer cancel()
-	s.metrics.runStarted()
+	s.metrics.inc(&s.metrics.Runs.Started)
 
-	// Session slot first, run-queue slots per slice inside driveRun — the
-	// same lock order as every other path. An eviction while queued is
-	// healed by re-fetching (which rehydrates under durability).
-	var sess *session
-	for attempt := 0; ; attempt++ {
-		var err error
-		sess, err = s.sessionByID(ctx, j.session)
-		if err != nil {
-			s.finishJob(ctx, nil, j, runOutcome{err: fmt.Errorf("%w: %w", core.ErrCanceled, err), persisted: true})
-			return
+	sess, err := s.holdSession(ctx, j.session, 0)
+	if err != nil {
+		if !errors.Is(err, errNoSession) && !errors.Is(err, errEvicted) {
+			err = fmt.Errorf("waiting for the session: %w", err)
 		}
-		if err := sess.acquire(ctx); err != nil {
-			s.finishJob(ctx, nil, j, runOutcome{err: fmt.Errorf("%w: waiting for the session: %w", core.ErrCanceled, err), persisted: true})
-			return
-		}
-		if !sess.closed.Load() {
-			break
-		}
-		sess.release()
-		if s.store == nil || attempt > 0 {
-			s.finishJob(ctx, nil, j, runOutcome{err: fmt.Errorf("%w: session was evicted", core.ErrCanceled), persisted: true})
-			return
-		}
+		s.finishJob(ctx, nil, j, runOutcome{err: fmt.Errorf("%w: %w", core.ErrCanceled, err), persisted: true})
+		return
 	}
 	defer sess.release()
 
@@ -320,36 +304,30 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 }
 
 // finishJob maps a run outcome onto the job's terminal state, logs the
-// terminal WAL marker and bumps the metrics. sess may be nil when the job
-// never reached its session.
+// terminal WAL marker and bumps the run and job counters. sess may be nil
+// when the job never reached its session.
 func (s *Server) finishJob(ctx context.Context, sess *session, j *job, out runOutcome) {
-	var (
-		status string
-		msg    string
-	)
+	var status, msg string
+	counter := &s.metrics.Jobs.Errors
+	s.countRunOutcome(out)
 	switch {
 	case out.err == nil && !out.persisted:
-		s.metrics.runError()
 		status, msg = jobError, "run committed in memory but not durably logged"
 	case out.err == nil:
-		s.metrics.runCompleted()
-		status = jobDone
+		status, counter = jobDone, &s.metrics.Jobs.Done
 	case errors.Is(out.err, context.DeadlineExceeded):
-		s.metrics.runTimeout()
-		status = jobDone
+		status, counter = jobDone, &s.metrics.Jobs.Done
 		msg = fmt.Sprintf("run exceeded its deadline; %d cycles committed, session still usable", out.resp.Cycles)
 	case errors.Is(out.err, context.Canceled):
-		s.metrics.runCanceled()
 		j.mu.Lock()
 		by := j.cancelBy
 		j.mu.Unlock()
 		if by == "drain" {
-			status, msg = jobInterrupted, "server drained mid-job"
+			status, msg, counter = jobInterrupted, "server drained mid-job", &s.metrics.Jobs.Interrupted
 		} else {
-			status, msg = jobCanceled, "canceled"
+			status, msg, counter = jobCanceled, "canceled", &s.metrics.Jobs.Canceled
 		}
 	default:
-		s.metrics.runError()
 		status, msg = jobError, out.err.Error()
 	}
 
@@ -366,7 +344,7 @@ func (s *Server) finishJob(ctx context.Context, sess *session, j *job, out runOu
 	j.mu.Unlock()
 	// One span for the job's whole life, queued wait included.
 	s.recordSpan(ctx, "", stageJobRun, time.Since(created))
-	s.metrics.jobFinished(status)
+	s.metrics.inc(counter)
 	if sess != nil {
 		s.appendJobMarker(ctx, sess, j.id, status)
 	}

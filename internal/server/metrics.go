@@ -1,7 +1,35 @@
 package server
 
+// Every /metrics series is declared once, as a field of metricsPayload:
+// the `json` tag is its key in the JSON document, and `prom`, `kind` and
+// `help` are its Prometheus family, how the field reads, and the HELP
+// text. The collector holds one metricsPayload and bumps it in place; the
+// JSON view is that struct encoded, and the Prometheus view (text
+// exposition 0.0.4, at the end of this file) is a walk over the same
+// struct reading the tags — so the views cannot disagree, neither holds
+// per-series code, and adding a series is one tagged field and its bump
+// site. metrics_test.go holds every field to this grammar:
+//
+// Kinds: counter and gauge are the integer as it stands; counter_ns and
+// gauge_ms are a time in the unit the JSON key names, exposed in seconds;
+// histogram is a phasePayload, or a map of them with one `label` value
+// each (`label:"name=a,b"` fixes their order). `prom:"-"` marks a
+// JSON-only field. An untagged struct is a section, and a nil section
+// pointer (durability, cluster) drops out of both views. A slice of
+// structs is a table: each tagged field of the row type is a family with
+// one sample per row, labelled by the row's first field. Families render
+// in declaration order, except that one marked `,first` leads its
+// section. Counters end in _total, and histograms follow the
+// cumulative-bucket contract: an explicit +Inf bucket, _sum and _count.
+
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"io"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -9,152 +37,234 @@ import (
 	"parulel/internal/stats"
 )
 
-// collector aggregates engine cycle records and server counters across
-// every session, live or evicted. Percentiles are computed over a bounded
-// sliding window of the newest cycle records (metricsWindow); totals and
-// histograms cover the server's whole lifetime.
-type collector struct {
-	mu sync.Mutex
-
-	// Lifetime totals.
-	cycles      uint64
-	fired       uint64
-	redacted    uint64
-	maxConflict int
-	phaseTotals [4]time.Duration // match, redact, fire, apply
-	hists       [4]*stats.Hist
-
-	// Sliding window for percentiles.
-	window    stats.Run
-	windowCap int
-
-	// Per-rule match/fire activity, folded as deltas after each run. The
-	// map is capped at maxRuleSeries names to bound /metrics cardinality;
-	// activity on rules beyond the cap is counted in rulesDropped.
-	rules        map[string]*match.RuleProfile
-	rulesDropped uint64
-
-	// Per-stage request latency (queue wait, WAL append, fsync,
-	// replication ack, engine run, …), fed by the span store's OnRecord
-	// hook. Stage names form a small fixed set, so the map stays bounded.
-	stages map[string]*stageAgg
-
-	// Run/session counters.
-	runsStarted, runsCompleted, runTimeouts, runsCanceled, runErrors   uint64
-	sessionsCreated, sessionsEvicted, sessionsExpired, sessionsDeleted uint64
-
-	// Admission-control counters.
-	runsRejected      uint64 // runs refused with 429 (run queue full)
-	mutationsRejected uint64 // mutations refused with 429 (session queue full)
-
-	// Async-job counters.
-	jobsCreated, jobsDone, jobsCanceled, jobsInterrupted, jobsErrors uint64
-
-	// Batch counters.
-	batches  uint64 // batch requests served
-	batchOps uint64 // ops applied across all batches
-
-	// Stream/temporal counters.
-	streamFrames   uint64 // NDJSON frames applied across all stream requests
-	streamFacts    uint64 // facts asserted via stream frames
-	streamRejected uint64 // stream requests refused with 429
-	ticks          uint64 // temporal clock advances (batch tick ops + frames)
-	expiredFacts   uint64 // facts retracted by TTL expiry
-
-	// Durability counters; durEnabled gates the payload section.
-	durEnabled         bool
-	foundOnBoot        int
-	walRecords         uint64
-	walBytes           uint64
-	fsyncs             uint64
-	fsyncTotal         time.Duration
-	fsyncHist          *stats.Hist
-	checkpoints        uint64
-	checkpointErrors   uint64
-	checkpointTotal    time.Duration
-	sessionsRehydrated uint64
-	recoveryFailures   uint64
-	walTruncations     uint64
-	walTruncatedBytes  uint64
-	groupCommits       uint64 // batched flushes issued under fsync=group
-	groupedAppends     uint64 // appends those flushes made durable
-
-	// Cluster counters; clusterNode gates the payload section.
-	clusterNode     string
-	proxied         uint64 // requests proxied to their owning node
-	redirected      uint64 // requests answered with a 307 to the owner
-	replStreams     uint64 // replication streams attached (incl. re-attaches)
-	replRecords     uint64 // WAL records acknowledged by a replica
-	replFailures    uint64 // replication sends/attaches that failed
-	replUnprotected uint64 // mutations acked with no live replica target
-	migrationsIn    uint64
-	migrationsOut   uint64
-	promotions      uint64 // replicas promoted to primary (failovers)
+// metricsPayload is the /metrics response body and the series registry.
+type metricsPayload struct {
+	UptimeMS int64 `json:"uptime_ms" prom:"parulel_uptime_seconds" kind:"gauge_ms" help:"Time since the server started."`
+	Sessions struct {
+		Live      int    `json:"live" prom:"parulel_sessions_live" kind:"gauge" help:"Sessions currently resident in the pool."`
+		Created   uint64 `json:"created" prom:"parulel_sessions_created_total" kind:"counter" help:"Sessions ever created."`
+		Evicted   uint64 `json:"evicted" prom:"parulel_sessions_evicted_total" kind:"counter" help:"Sessions evicted by LRU pressure."`
+		Expired   uint64 `json:"expired" prom:"parulel_sessions_expired_total" kind:"counter" help:"Sessions expired by the idle TTL."`
+		Deleted   uint64 `json:"deleted" prom:"parulel_sessions_deleted_total" kind:"counter" help:"Sessions deleted by clients."`
+		Recovered uint64 `json:"recovered" prom:"parulel_sessions_recovered_total" kind:"counter" help:"Sessions rehydrated from disk."`
+	} `json:"sessions"`
+	Runs struct {
+		Started   uint64 `json:"started" prom:"parulel_runs_started_total" kind:"counter" help:"Engine runs started."`
+		Completed uint64 `json:"completed" prom:"parulel_runs_completed_total" kind:"counter" help:"Engine runs completed to quiescence or halt."`
+		Timeouts  uint64 `json:"timeouts" prom:"parulel_runs_timeout_total" kind:"counter" help:"Engine runs that hit their deadline."`
+		Canceled  uint64 `json:"canceled" prom:"parulel_runs_canceled_total" kind:"counter" help:"Engine runs canceled by the client."`
+		Errors    uint64 `json:"errors" prom:"parulel_runs_error_total" kind:"counter" help:"Engine runs that failed."`
+		Active    int    `json:"active" prom:"parulel_runs_active,first" kind:"gauge" help:"Engine runs currently executing or queued."`
+	} `json:"runs"`
+	Admission struct {
+		RunQueueLen       int    `json:"run_queue_len" prom:"parulel_run_queue_len" kind:"gauge" help:"Runs currently waiting for an engine slot."`
+		RunsInflight      int    `json:"runs_inflight" prom:"parulel_runs_inflight" kind:"gauge" help:"Admitted runs (executing or queued)."`
+		RunsRejected      uint64 `json:"runs_rejected" prom:"parulel_runs_rejected_total" kind:"counter" help:"Runs fast-failed with 429 by the admission cap."`
+		MutationsRejected uint64 `json:"mutations_rejected" prom:"parulel_mutations_rejected_total" kind:"counter" help:"Mutations fast-failed with 429 by a full session queue."`
+	} `json:"admission"`
+	Jobs struct {
+		Created     uint64 `json:"created" prom:"parulel_jobs_created_total" kind:"counter" help:"Async jobs ever created."`
+		Done        uint64 `json:"done" prom:"parulel_jobs_done_total" kind:"counter" help:"Async jobs finished successfully (including deadline expiries)."`
+		Canceled    uint64 `json:"canceled" prom:"parulel_jobs_canceled_total" kind:"counter" help:"Async jobs canceled by clients."`
+		Interrupted uint64 `json:"interrupted" prom:"parulel_jobs_interrupted_total" kind:"counter" help:"Async jobs interrupted by shutdown or crash."`
+		Errors      uint64 `json:"errors" prom:"parulel_jobs_error_total" kind:"counter" help:"Async jobs that failed."`
+		Active      int    `json:"active" prom:"parulel_jobs_active,first" kind:"gauge" help:"Async jobs currently queued or running."`
+	} `json:"jobs"`
+	Batches struct {
+		Batches uint64 `json:"batches" prom:"parulel_batches_total" kind:"counter" help:"Batch requests served."`
+		Ops     uint64 `json:"ops" prom:"parulel_batch_ops_total" kind:"counter" help:"Batch operations applied."`
+	} `json:"batches"`
+	Stream struct { // and the temporal clock, which batch tick ops advance too
+		Frames   uint64 `json:"frames" prom:"parulel_stream_frames_total" kind:"counter" help:"NDJSON stream frames applied."`
+		Facts    uint64 `json:"facts" prom:"parulel_stream_facts_total" kind:"counter" help:"Facts asserted via stream frames."`
+		Rejected uint64 `json:"rejected" prom:"parulel_stream_rejected_total" kind:"counter" help:"Stream requests fast-failed with 429."`
+		Ticks    uint64 `json:"ticks" prom:"parulel_temporal_ticks_total" kind:"counter" help:"Temporal clock advances."`
+		Expired  uint64 `json:"expired" prom:"parulel_temporal_expired_total" kind:"counter" help:"Facts retracted by TTL expiry."`
+	} `json:"stream"`
+	Engine struct {
+		Cycles          uint64                   `json:"cycles" prom:"parulel_engine_cycles_total" kind:"counter" help:"Committed engine cycles across all sessions."`
+		Fired           uint64                   `json:"fired" prom:"parulel_engine_fired_total" kind:"counter" help:"Instantiations fired across all sessions."`
+		Redacted        uint64                   `json:"redacted" prom:"parulel_engine_redacted_total" kind:"counter" help:"Instantiations redacted by meta-rules."`
+		MaxConflictSize int                      `json:"max_conflict_size" prom:"parulel_engine_max_conflict_size" kind:"gauge" help:"Largest pre-redaction conflict set observed."`
+		HistBoundsNS    []int64                  `json:"hist_bounds_ns" prom:"-"`
+		Phases          map[string]*phasePayload `json:"phases" prom:"parulel_engine_phase_seconds" kind:"histogram" label:"phase=match,redact,fire,apply" help:"Per-cycle phase latency by engine phase."`
+		Window          stats.Summary            `json:"window" prom:"-"` // percentiles over the newest metricsWindow cycle records
+		// Rules is ordered by match time (then fires, then name) and capped
+		// at maxRuleSeries rows.
+		Rules        []ruleSeries `json:"rules" label:"rule"`
+		RulesDropped uint64       `json:"rules_dropped_series,omitempty" prom:"parulel_rule_series_dropped_total" kind:"counter" help:"Per-rule profile folds dropped by the series cap."`
+	} `json:"engine"`
+	// Stages is request latency by span stage (a small fixed set of names).
+	Stages     map[string]*phasePayload `json:"stages,omitempty" prom:"parulel_stage_seconds" kind:"histogram" label:"stage" help:"Request-stage latency by traced serving stage."`
+	Durability *durabilityPayload       `json:"durability,omitempty"`
+	Cluster    *clusterPayload          `json:"cluster,omitempty"`
 }
 
-// metricsWindow is the default number of cycle records retained for
-// percentile computation (~a few MB at most).
-const metricsWindow = 65536
+// phasePayload is one latency histogram over stats.HistBounds (the last
+// bucket is the overflow), with the total observed time beside it.
+type phasePayload struct {
+	TotalNS   int64    `json:"total_ns"`
+	HistCount uint64   `json:"hist_count"`
+	Hist      []uint64 `json:"hist"`
+}
 
-// maxRuleSeries caps the number of distinct rule names tracked in the
-// per-rule profile aggregate (and hence the /metrics label cardinality).
-const maxRuleSeries = 256
+func newHist() *phasePayload { return &phasePayload{Hist: make([]uint64, len(stats.HistBounds)+1)} }
+
+func (p *phasePayload) observe(d time.Duration) {
+	p.TotalNS += d.Nanoseconds()
+	p.HistCount++
+	(&stats.Hist{Counts: p.Hist}).Observe(d)
+}
+
+func cloneHists(m map[string]*phasePayload) map[string]*phasePayload {
+	out := make(map[string]*phasePayload, len(m))
+	for name, h := range m {
+		c := *h
+		c.Hist = slices.Clone(h.Hist)
+		out[name] = &c
+	}
+	return out
+}
+
+// fsyncPayload is a phasePayload under the durability section's flat
+// keys; the two types convert, so one histogram serves both shapes.
+type fsyncPayload struct {
+	TotalNS   int64    `json:"fsync_total_ns"`
+	HistCount uint64   `json:"fsync_hist_count"`
+	Hist      []uint64 `json:"fsync_hist"`
+}
+
+// ruleSeries is one engine.rules row: match.RuleProfile's fields and JSON
+// keys, with the per-rule families declared on them.
+type ruleSeries struct {
+	Rule    string `json:"rule" prom:"-"`
+	MatchNS int64  `json:"match_ns" prom:"parulel_rule_match_seconds_total" kind:"counter_ns" help:"Match time attributed to each rule's join work."`
+	Tokens  uint64 `json:"tokens" prom:"parulel_rule_tokens_total" kind:"counter" help:"Partial matches materialized per rule."`
+	Probes  uint64 `json:"probes" prom:"parulel_rule_probes_total" kind:"counter" help:"Join candidates tested per rule."`
+	Insts   uint64 `json:"insts" prom:"parulel_rule_instantiations_total" kind:"counter" help:"Instantiations added to the conflict set per rule."`
+	Fires   uint64 `json:"fires" prom:"parulel_rule_fires_total" kind:"counter" help:"Instantiations fired per rule."`
+}
+
+// durabilityPayload is the /metrics durability section, present only
+// when the server runs with a data directory.
+type durabilityPayload struct {
+	WALRecords        uint64 `json:"wal_records" prom:"parulel_wal_records_total" kind:"counter" help:"WAL records appended."`
+	WALBytes          uint64 `json:"wal_bytes" prom:"parulel_wal_bytes_total" kind:"counter" help:"WAL bytes appended."`
+	Fsyncs            uint64 `json:"fsyncs" prom:"-"` // fsync_hist_count under its older key
+	fsyncPayload      `prom:"parulel_wal_fsync_seconds" kind:"histogram" help:"WAL fsync latency."`
+	Checkpoints       uint64 `json:"checkpoints" prom:"parulel_checkpoints_total" kind:"counter" help:"Checkpoints written."`
+	CheckpointErrors  uint64 `json:"checkpoint_errors" prom:"parulel_checkpoint_errors_total" kind:"counter" help:"Checkpoint attempts that failed."`
+	CheckpointTotalNS uint64 `json:"checkpoint_total_ns" prom:"parulel_checkpoint_seconds_total" kind:"counter_ns" help:"Time spent writing checkpoints."`
+	SessionsOnDisk    int    `json:"sessions_on_disk" prom:"parulel_sessions_on_disk" kind:"gauge" help:"Session directories currently on disk."`
+	FoundOnBoot       int    `json:"sessions_found_on_boot" prom:"parulel_sessions_found_on_boot" kind:"gauge" help:"Recoverable session directories found when the server started."`
+	Rehydrated        uint64 `json:"sessions_rehydrated" prom:"-"` // sessions.recovered, where the durability reader looks
+	RecoveryFailures  uint64 `json:"recovery_failures" prom:"parulel_recovery_failures_total" kind:"counter" help:"Session recoveries that failed."`
+	WALTruncations    uint64 `json:"wal_tail_truncations" prom:"parulel_wal_tail_truncations_total" kind:"counter" help:"Torn WAL tails dropped during recovery."`
+	WALTruncatedBytes uint64 `json:"wal_tail_truncated_bytes" prom:"parulel_wal_tail_truncated_bytes_total" kind:"counter" help:"Bytes of torn WAL tail dropped during recovery."`
+	GroupCommits      uint64 `json:"group_commits" prom:"parulel_wal_group_commits_total" kind:"counter" help:"Batched flushes issued under fsync=group."`
+	GroupedAppends    uint64 `json:"grouped_appends" prom:"parulel_wal_grouped_appends_total" kind:"counter" help:"Appends made durable by group-commit flushes."`
+}
+
+// clusterPayload is the /metrics cluster section, present only when the
+// node runs in cluster mode.
+type clusterPayload struct {
+	Node            string `json:"node" prom:"-"`
+	MembersTotal    int    `json:"members_total" prom:"parulel_cluster_members" kind:"gauge" help:"Configured cluster members."`
+	MembersUp       int    `json:"members_up" prom:"parulel_cluster_members_up" kind:"gauge" help:"Cluster members currently considered up."`
+	Proxied         uint64 `json:"proxied_requests" prom:"parulel_cluster_proxied_requests_total" kind:"counter" help:"Session requests proxied to their owner node."`
+	Redirected      uint64 `json:"redirected_requests" prom:"parulel_cluster_redirected_requests_total" kind:"counter" help:"Session requests answered with a 307 to their owner node."`
+	ReplStreams     uint64 `json:"repl_streams_opened" prom:"parulel_cluster_repl_streams_opened_total" kind:"counter" help:"Replication streams opened to follower nodes."`
+	ReplRecords     uint64 `json:"repl_records_sent" prom:"parulel_cluster_repl_records_sent_total" kind:"counter" help:"WAL records streamed to followers."`
+	ReplFailures    uint64 `json:"repl_send_failures" prom:"parulel_cluster_repl_send_failures_total" kind:"counter" help:"Replication sends that failed and forced a stream reset."`
+	ReplUnprotected uint64 `json:"repl_unprotected_mutations" prom:"parulel_cluster_repl_unprotected_mutations_total" kind:"counter" help:"Mutations acked without a live replica (no follower reachable)."`
+	ReplicaSessions int    `json:"replica_sessions" prom:"parulel_cluster_replica_sessions" kind:"gauge" help:"Follower session replicas currently held on this node."`
+	MigrationsIn    uint64 `json:"migrations_in" prom:"parulel_cluster_migrations_in_total" kind:"counter" help:"Sessions migrated onto this node."`
+	MigrationsOut   uint64 `json:"migrations_out" prom:"parulel_cluster_migrations_out_total" kind:"counter" help:"Sessions migrated off this node."`
+	Promotions      uint64 `json:"promotions" prom:"parulel_cluster_promotions_total" kind:"counter" help:"Replica sessions promoted to primary after owner failure."`
+	RouteOverrides  int    `json:"route_overrides" prom:"parulel_cluster_route_overrides" kind:"gauge" help:"Session route overrides currently active."`
+}
+
+// metricsWindow is the number of cycle records retained for the
+// engine.window percentiles (a few MB at most); maxRuleSeries caps the
+// distinct rule names in engine.rules, and so the label cardinality.
+const (
+	metricsWindow = 65536
+	maxRuleSeries = 256
+)
 
 var phaseNames = [4]string{"match", "redact", "fire", "apply"}
 
-// stageAgg is one serving-path stage's latency aggregate.
-type stageAgg struct {
-	total time.Duration
-	hist  *stats.Hist
+// collector aggregates engine cycle records and server counters across
+// every session, live or evicted, in the payload it embeds: callers bump
+// a counter with inc or add and name the field, c.inc(&c.Runs.Started).
+// The durability and cluster sections are allocated by New when those
+// subsystems start. Gauges sampled at scrape time (sessions.live,
+// runs.active, …) stay zero here; handleMetrics fills the snapshot's.
+type collector struct {
+	mu sync.Mutex
+	metricsPayload
+	window stats.Run              // newest cycle records, for engine.window
+	rules  map[string]*ruleSeries // engine.rules by rule name
 }
 
 func newCollector() *collector {
-	c := &collector{
-		windowCap: metricsWindow,
-		fsyncHist: stats.NewHist(),
-		rules:     make(map[string]*match.RuleProfile),
-		stages:    make(map[string]*stageAgg),
+	c := &collector{rules: make(map[string]*ruleSeries)}
+	for _, b := range stats.HistBounds {
+		c.Engine.HistBoundsNS = append(c.Engine.HistBoundsNS, b.Nanoseconds())
 	}
-	for i := range c.hists {
-		c.hists[i] = stats.NewHist()
+	c.Engine.Phases = make(map[string]*phasePayload, len(phaseNames))
+	for _, name := range phaseNames {
+		c.Engine.Phases[name] = newHist()
 	}
+	c.Stages = make(map[string]*phasePayload)
 	return c
+}
+
+// inc and add bump one counter of the embedded payload (each takes the
+// lock; contention is negligible next to a rule-engine run).
+func (c *collector) inc(f *uint64) { c.add(f, 1) }
+
+func (c *collector) add(f *uint64, n uint64) {
+	c.mu.Lock()
+	*f += n
+	c.mu.Unlock()
 }
 
 // observe folds freshly produced cycle records into the aggregate.
 func (c *collector) observe(cycles []stats.Cycle) {
-	if len(cycles) == 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := &c.Engine
 	for _, cyc := range cycles {
-		c.cycles++
-		c.fired += uint64(cyc.Fired)
-		c.redacted += uint64(cyc.Redacted)
-		if cyc.ConflictSize > c.maxConflict {
-			c.maxConflict = cyc.ConflictSize
-		}
+		e.Cycles++
+		e.Fired += uint64(cyc.Fired)
+		e.Redacted += uint64(cyc.Redacted)
+		e.MaxConflictSize = max(e.MaxConflictSize, cyc.ConflictSize)
 		for i, d := range [4]time.Duration{cyc.Match, cyc.Redact, cyc.Fire, cyc.Apply} {
-			c.phaseTotals[i] += d
-			c.hists[i].Observe(d)
+			e.Phases[phaseNames[i]].observe(d)
 		}
 	}
 	c.window.Cycles = append(c.window.Cycles, cycles...)
-	c.window.Truncate(c.windowCap)
+	c.window.Truncate(metricsWindow)
 }
 
-// stageObserved folds one completed span's duration into its stage's
-// latency aggregate. Wired to the span store's OnRecord hook.
+// stageObserved folds one completed span into its stage's histogram (the
+// span store's OnRecord hook), fsyncObserved one WAL fsync (wal.Options'
+// OnFsync).
 func (c *collector) stageObserved(stage string, d time.Duration) {
 	c.mu.Lock()
-	agg := c.stages[stage]
-	if agg == nil {
-		agg = &stageAgg{hist: stats.NewHist()}
-		c.stages[stage] = agg
+	defer c.mu.Unlock()
+	h := c.Stages[stage]
+	if h == nil {
+		h = newHist()
+		c.Stages[stage] = h
 	}
-	agg.total += d
-	agg.hist.Observe(d)
+	h.observe(d)
+}
+
+func (c *collector) fsyncObserved(d time.Duration) {
+	c.mu.Lock()
+	(*phasePayload)(&c.Durability.fsyncPayload).observe(d)
 	c.mu.Unlock()
 }
 
@@ -163,20 +273,17 @@ func (c *collector) stageObserved(stage string, d time.Duration) {
 // new rule name — so the caller can log one warning instead of silently
 // truncating attribution.
 func (c *collector) observeRules(deltas []match.RuleProfile) (firstDrop bool) {
-	if len(deltas) == 0 {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wasZero := c.rulesDropped == 0
+	dropped := c.Engine.RulesDropped
 	for _, d := range deltas {
 		agg := c.rules[d.Rule]
 		if agg == nil {
 			if len(c.rules) >= maxRuleSeries {
-				c.rulesDropped++
+				c.Engine.RulesDropped++
 				continue
 			}
-			agg = &match.RuleProfile{Rule: d.Rule}
+			agg = &ruleSeries{Rule: d.Rule}
 			c.rules[d.Rule] = agg
 		}
 		agg.MatchNS += d.MatchNS
@@ -185,384 +292,153 @@ func (c *collector) observeRules(deltas []match.RuleProfile) (firstDrop bool) {
 		agg.Insts += d.Insts
 		agg.Fires += d.Fires
 	}
-	return wasZero && c.rulesDropped > 0
+	return dropped == 0 && c.Engine.RulesDropped > 0
 }
 
-// counter bumps (each takes the lock; contention is negligible next to a
-// rule-engine run).
-func (c *collector) runStarted()     { c.bump(&c.runsStarted) }
-func (c *collector) runCompleted()   { c.bump(&c.runsCompleted) }
-func (c *collector) runTimeout()     { c.bump(&c.runTimeouts) }
-func (c *collector) runCanceled()    { c.bump(&c.runsCanceled) }
-func (c *collector) runError()       { c.bump(&c.runErrors) }
-func (c *collector) sessionCreated() { c.bump(&c.sessionsCreated) }
-func (c *collector) sessionEvicted() { c.bump(&c.sessionsEvicted) }
-func (c *collector) sessionExpired() { c.bump(&c.sessionsExpired) }
-func (c *collector) sessionDeleted() { c.bump(&c.sessionsDeleted) }
-
-func (c *collector) runRejected()      { c.bump(&c.runsRejected) }
-func (c *collector) mutationRejected() { c.bump(&c.mutationsRejected) }
-func (c *collector) jobCreated()       { c.bump(&c.jobsCreated) }
-
-// jobFinished attributes a terminal job state to its counter.
-func (c *collector) jobFinished(status string) {
-	switch status {
-	case jobDone:
-		c.bump(&c.jobsDone)
-	case jobCanceled:
-		c.bump(&c.jobsCanceled)
-	case jobInterrupted:
-		c.bump(&c.jobsInterrupted)
-	default:
-		c.bump(&c.jobsErrors)
-	}
-}
-
-// batchObserved records one served batch and how many ops it applied.
-func (c *collector) batchObserved(ops int) {
-	c.mu.Lock()
-	c.batches++
-	c.batchOps += uint64(ops)
-	c.mu.Unlock()
-}
-
-// streamFrameObserved records one applied stream frame and its fact count.
-func (c *collector) streamFrameObserved(facts int) {
-	c.mu.Lock()
-	c.streamFrames++
-	c.streamFacts += uint64(facts)
-	c.mu.Unlock()
-}
-
-func (c *collector) streamRejectedObserved() { c.bump(&c.streamRejected) }
-
-// ticksObserved records temporal clock advances and the facts they expired.
-func (c *collector) ticksObserved(n int64, expired int) {
-	c.mu.Lock()
-	c.ticks += uint64(n)
-	c.expiredFacts += uint64(expired)
-	c.mu.Unlock()
-}
-
-func (c *collector) bump(f *uint64) {
-	c.mu.Lock()
-	*f++
-	c.mu.Unlock()
-}
-
-// Durability observations. walAppend and fsyncObserved are handed to
-// wal.Options as callbacks; the rest are called by the store glue.
-func (c *collector) enableDurability(foundOnBoot int) {
-	c.mu.Lock()
-	c.durEnabled = true
-	c.foundOnBoot = foundOnBoot
-	c.mu.Unlock()
-}
-
-func (c *collector) walAppend(n int) {
-	c.mu.Lock()
-	c.walRecords++
-	c.walBytes += uint64(n)
-	c.mu.Unlock()
-}
-
-func (c *collector) fsyncObserved(d time.Duration) {
-	c.mu.Lock()
-	c.fsyncs++
-	c.fsyncTotal += d
-	c.fsyncHist.Observe(d)
-	c.mu.Unlock()
-}
-
-func (c *collector) groupCommitObserved(cohort int) {
-	c.mu.Lock()
-	c.groupCommits++
-	c.groupedAppends += uint64(cohort)
-	c.mu.Unlock()
-}
-
-func (c *collector) checkpointDone(d time.Duration, err error) {
-	c.mu.Lock()
-	if err != nil {
-		c.checkpointErrors++
-	} else {
-		c.checkpoints++
-		c.checkpointTotal += d
-	}
-	c.mu.Unlock()
-}
-
-func (c *collector) sessionRehydrated() { c.bump(&c.sessionsRehydrated) }
-func (c *collector) recoveryFailed()    { c.bump(&c.recoveryFailures) }
-
-// Cluster observations.
-func (c *collector) enableCluster(node string) {
-	c.mu.Lock()
-	c.clusterNode = node
-	c.mu.Unlock()
-}
-
-func (c *collector) clusterProxied()     { c.bump(&c.proxied) }
-func (c *collector) clusterRedirected()  { c.bump(&c.redirected) }
-func (c *collector) clusterReplStream()  { c.bump(&c.replStreams) }
-func (c *collector) clusterReplRecord()  { c.bump(&c.replRecords) }
-func (c *collector) clusterReplFailure() { c.bump(&c.replFailures) }
-func (c *collector) clusterUnprotected() { c.bump(&c.replUnprotected) }
-func (c *collector) clusterMigratedIn()  { c.bump(&c.migrationsIn) }
-func (c *collector) clusterMigratedOut() { c.bump(&c.migrationsOut) }
-func (c *collector) clusterPromotion()   { c.bump(&c.promotions) }
-
-func (c *collector) walTruncated(n int64) {
-	c.mu.Lock()
-	c.walTruncations++
-	c.walTruncatedBytes += uint64(n)
-	c.mu.Unlock()
-}
-
-// phasePayload is one phase's slice of the /metrics document.
-type phasePayload struct {
-	TotalNS   int64    `json:"total_ns"`
-	HistCount uint64   `json:"hist_count"`
-	Hist      []uint64 `json:"hist"`
-}
-
-// durabilityPayload is the /metrics durability section, present only
-// when the server runs with a data directory.
-type durabilityPayload struct {
-	WALRecords     uint64 `json:"wal_records"`
-	WALBytes       uint64 `json:"wal_bytes"`
-	Fsyncs         uint64 `json:"fsyncs"`
-	FsyncTotalNS   int64  `json:"fsync_total_ns"`
-	FsyncHistCount uint64 `json:"fsync_hist_count"`
-	// FsyncHist buckets follow engine.hist_bounds_ns.
-	FsyncHist         []uint64 `json:"fsync_hist"`
-	Checkpoints       uint64   `json:"checkpoints"`
-	CheckpointErrors  uint64   `json:"checkpoint_errors"`
-	CheckpointTotalNS int64    `json:"checkpoint_total_ns"`
-	SessionsOnDisk    int      `json:"sessions_on_disk"`
-	FoundOnBoot       int      `json:"sessions_found_on_boot"`
-	Rehydrated        uint64   `json:"sessions_rehydrated"`
-	RecoveryFailures  uint64   `json:"recovery_failures"`
-	WALTruncations    uint64   `json:"wal_tail_truncations"`
-	WALTruncatedBytes uint64   `json:"wal_tail_truncated_bytes"`
-	GroupCommits      uint64   `json:"group_commits"`
-	GroupedAppends    uint64   `json:"grouped_appends"`
-}
-
-// clusterPayload is the /metrics cluster section, present only when the
-// node runs in cluster mode.
-type clusterPayload struct {
-	Node            string `json:"node"`
-	MembersTotal    int    `json:"members_total"`
-	MembersUp       int    `json:"members_up"`
-	Proxied         uint64 `json:"proxied_requests"`
-	Redirected      uint64 `json:"redirected_requests"`
-	ReplStreams     uint64 `json:"repl_streams_opened"`
-	ReplRecords     uint64 `json:"repl_records_sent"`
-	ReplFailures    uint64 `json:"repl_send_failures"`
-	ReplUnprotected uint64 `json:"repl_unprotected_mutations"`
-	ReplicaSessions int    `json:"replica_sessions"`
-	MigrationsIn    uint64 `json:"migrations_in"`
-	MigrationsOut   uint64 `json:"migrations_out"`
-	Promotions      uint64 `json:"promotions"`
-	RouteOverrides  int    `json:"route_overrides"`
-}
-
-// clusterSample carries the point-in-time cluster gauges the caller reads
-// under the cluster state's own locks.
-type clusterSample struct {
-	membersTotal, membersUp, replicaSessions, routeOverrides int
-}
-
-// metricsPayload is the /metrics response body.
-type metricsPayload struct {
-	UptimeMS int64 `json:"uptime_ms"`
-	Sessions struct {
-		Live      int    `json:"live"`
-		Created   uint64 `json:"created"`
-		Evicted   uint64 `json:"evicted"`
-		Expired   uint64 `json:"expired"`
-		Deleted   uint64 `json:"deleted"`
-		Recovered uint64 `json:"recovered"`
-	} `json:"sessions"`
-	Runs struct {
-		Started   uint64 `json:"started"`
-		Completed uint64 `json:"completed"`
-		Timeouts  uint64 `json:"timeouts"`
-		Canceled  uint64 `json:"canceled"`
-		Errors    uint64 `json:"errors"`
-		Active    int    `json:"active"`
-	} `json:"runs"`
-	// Admission reports the backpressure layer: current run-queue
-	// occupancy and the fast-fail counters.
-	Admission struct {
-		RunQueueLen       int    `json:"run_queue_len"`
-		RunsInflight      int    `json:"runs_inflight"`
-		RunsRejected      uint64 `json:"runs_rejected"`
-		MutationsRejected uint64 `json:"mutations_rejected"`
-	} `json:"admission"`
-	Jobs struct {
-		Created     uint64 `json:"created"`
-		Done        uint64 `json:"done"`
-		Canceled    uint64 `json:"canceled"`
-		Interrupted uint64 `json:"interrupted"`
-		Errors      uint64 `json:"errors"`
-		Active      int    `json:"active"`
-	} `json:"jobs"`
-	Batches struct {
-		Batches uint64 `json:"batches"`
-		Ops     uint64 `json:"ops"`
-	} `json:"batches"`
-	// Stream reports the continuous-ingest pipeline and the temporal
-	// clock: frames and facts absorbed, 429-rejected stream requests,
-	// clock advances and TTL-expired facts.
-	Stream struct {
-		Frames   uint64 `json:"frames"`
-		Facts    uint64 `json:"facts"`
-		Rejected uint64 `json:"rejected"`
-		Ticks    uint64 `json:"ticks"`
-		Expired  uint64 `json:"expired"`
-	} `json:"stream"`
-	Engine struct {
-		Cycles          uint64                  `json:"cycles"`
-		Fired           uint64                  `json:"fired"`
-		Redacted        uint64                  `json:"redacted"`
-		MaxConflictSize int                     `json:"max_conflict_size"`
-		HistBoundsNS    []int64                 `json:"hist_bounds_ns"`
-		Phases          map[string]phasePayload `json:"phases"`
-		// Window holds percentiles over the newest cycle records.
-		Window stats.Summary `json:"window"`
-		// Rules attributes match and fire activity per rule, ordered by
-		// match time (then fires, then name). RulesDropped counts folds
-		// lost to the series cap (the engine.rules.dropped_series counter).
-		Rules        []match.RuleProfile `json:"rules"`
-		RulesDropped uint64              `json:"rules_dropped_series,omitempty"`
-	} `json:"engine"`
-	// Stages holds per-stage request latency histograms (ingress, queue
-	// wait, WAL append, fsync, replication ack, engine run, …) fed by the
-	// distributed-tracing span store. Buckets follow engine.hist_bounds_ns.
-	Stages     map[string]phasePayload `json:"stages,omitempty"`
-	Durability *durabilityPayload      `json:"durability,omitempty"`
-	Cluster    *clusterPayload         `json:"cluster,omitempty"`
-}
-
-// snapshot renders the aggregate. live, active, onDisk, queued, inflight,
-// jobsActive and cl are sampled by the caller under the relevant mutexes;
-// cl is nil outside cluster mode.
-func (c *collector) snapshot(uptime time.Duration, live, active, onDisk, queued, inflight, jobsActive int, cl *clusterSample) metricsPayload {
+// snapshot returns the aggregate as a document of its own: the window
+// summarized, the rule table sorted, the second keys filled, and nothing
+// shared with the collector.
+func (c *collector) snapshot() metricsPayload {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var p metricsPayload
-	p.UptimeMS = uptime.Milliseconds()
-	p.Sessions.Live = live
-	p.Sessions.Created = c.sessionsCreated
-	p.Sessions.Evicted = c.sessionsEvicted
-	p.Sessions.Expired = c.sessionsExpired
-	p.Sessions.Deleted = c.sessionsDeleted
-	p.Sessions.Recovered = c.sessionsRehydrated
-	p.Runs.Started = c.runsStarted
-	p.Runs.Completed = c.runsCompleted
-	p.Runs.Timeouts = c.runTimeouts
-	p.Runs.Canceled = c.runsCanceled
-	p.Runs.Errors = c.runErrors
-	p.Runs.Active = active
-	p.Admission.RunQueueLen = queued
-	p.Admission.RunsInflight = inflight
-	p.Admission.RunsRejected = c.runsRejected
-	p.Admission.MutationsRejected = c.mutationsRejected
-	p.Jobs.Created = c.jobsCreated
-	p.Jobs.Done = c.jobsDone
-	p.Jobs.Canceled = c.jobsCanceled
-	p.Jobs.Interrupted = c.jobsInterrupted
-	p.Jobs.Errors = c.jobsErrors
-	p.Jobs.Active = jobsActive
-	p.Batches.Batches = c.batches
-	p.Batches.Ops = c.batchOps
-	p.Stream.Frames = c.streamFrames
-	p.Stream.Facts = c.streamFacts
-	p.Stream.Rejected = c.streamRejected
-	p.Stream.Ticks = c.ticks
-	p.Stream.Expired = c.expiredFacts
-	p.Engine.Cycles = c.cycles
-	p.Engine.Fired = c.fired
-	p.Engine.Redacted = c.redacted
-	p.Engine.MaxConflictSize = c.maxConflict
-	p.Engine.HistBoundsNS = make([]int64, len(stats.HistBounds))
-	for i, b := range stats.HistBounds {
-		p.Engine.HistBoundsNS[i] = b.Nanoseconds()
-	}
-	p.Engine.Phases = make(map[string]phasePayload, 4)
-	for i, name := range phaseNames {
-		p.Engine.Phases[name] = phasePayload{
-			TotalNS:   c.phaseTotals[i].Nanoseconds(),
-			HistCount: c.hists[i].Total(),
-			Hist:      append([]uint64(nil), c.hists[i].Counts...),
-		}
-	}
+	p := c.metricsPayload
+	p.Engine.Phases, p.Stages = cloneHists(p.Engine.Phases), cloneHists(p.Stages)
 	p.Engine.Window = c.window.Summarize()
-	p.Engine.Rules = make([]match.RuleProfile, 0, len(c.rules))
+	p.Engine.Rules = make([]ruleSeries, 0, len(c.rules))
 	for _, agg := range c.rules {
 		p.Engine.Rules = append(p.Engine.Rules, *agg)
 	}
-	sort.Slice(p.Engine.Rules, func(i, j int) bool {
-		a, b := p.Engine.Rules[i], p.Engine.Rules[j]
-		if a.MatchNS != b.MatchNS {
-			return a.MatchNS > b.MatchNS
-		}
-		if a.Fires != b.Fires {
-			return a.Fires > b.Fires
-		}
-		return a.Rule < b.Rule
+	slices.SortFunc(p.Engine.Rules, func(a, b ruleSeries) int {
+		return cmp.Or(cmp.Compare(b.MatchNS, a.MatchNS), cmp.Compare(b.Fires, a.Fires), cmp.Compare(a.Rule, b.Rule))
 	})
-	p.Engine.RulesDropped = c.rulesDropped
-	if len(c.stages) > 0 {
-		p.Stages = make(map[string]phasePayload, len(c.stages))
-		for name, agg := range c.stages {
-			p.Stages[name] = phasePayload{
-				TotalNS:   agg.total.Nanoseconds(),
-				HistCount: agg.hist.Total(),
-				Hist:      append([]uint64(nil), agg.hist.Counts...),
+	if p.Durability != nil {
+		d := *p.Durability
+		d.Hist = slices.Clone(d.Hist)
+		d.Fsyncs, d.Rehydrated = d.HistCount, p.Sessions.Recovered
+		p.Durability = &d
+	}
+	if p.Cluster != nil {
+		cl := *p.Cluster
+		p.Cluster = &cl
+	}
+	return p
+}
+
+// ---- the Prometheus view ----
+
+// series is one declared family, as its field's tags state it.
+type series struct{ name, help, kind string }
+
+// kinds maps a kind to its TYPE line and, for the scalar ones, the
+// divisor that brings the field to the exposition's unit.
+var kinds = map[string]struct {
+	typ string
+	div float64
+}{"counter": {"counter", 1}, "gauge": {"gauge", 1}, "counter_ns": {"counter", 1e9}, "gauge_ms": {"gauge", 1e3}, "histogram": {typ: "histogram"}}
+
+// declared reads field i's declaration off t. first reports the `,first`
+// mark; a JSON-only field comes back as "-".
+func declared(t reflect.Type, i int) (s series, first bool) {
+	tag := t.Field(i).Tag
+	name, opt, _ := strings.Cut(tag.Get("prom"), ",")
+	return series{name, tag.Get("help"), tag.Get("kind")}, opt == "first"
+}
+
+// promWriter writes exposition lines; a failed write is the scraper's
+// disconnect.
+type promWriter struct{ w io.Writer }
+
+func (p promWriter) header(s series) {
+	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", s.name, s.help, s.name, kinds[s.kind].typ)
+}
+
+// value writes one sample; labels is "" or complete pairs. 'g' keeps
+// integers integral and never emits NaN/Inf for the finite inputs the
+// collector produces.
+func (p promWriter) value(name, labels string, v float64) {
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(p.w, "%s%s %s\n", name, labels, strconv.FormatFloat(v, 'g', -1, 64))
+}
+
+// scalar samples one integer field in the exposition's unit.
+func (p promWriter) scalar(s series, labels string, f reflect.Value) {
+	p.value(s.name, labels, f.Convert(reflect.TypeOf(float64(0))).Float()/kinds[s.kind].div)
+}
+
+// promLabel renders one label pair, escaping the value per the format.
+func promLabel(name, value string) string { return name + `="` + promEscaper.Replace(value) + `"` }
+
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// histogram renders one cumulative-bucket histogram from a phasePayload
+// (or a struct that converts to one): total time, count, buckets. labels
+// is "" or pairs each followed by a comma.
+func (p promWriter) histogram(name, labels string, h reflect.Value) {
+	sumNS, total, counts := h.Field(0).Int(), h.Field(1).Uint(), h.Field(2)
+	cum := uint64(0)
+	for i, b := range stats.HistBounds {
+		cum += counts.Index(i).Uint()
+		le := strconv.FormatFloat(float64(b.Nanoseconds())/1e9, 'g', -1, 64)
+		p.value(name+"_bucket", labels+`le="`+le+`"`, float64(cum))
+	}
+	p.value(name+"_bucket", labels+`le="+Inf"`, float64(total))
+	p.value(name+"_sum", strings.TrimSuffix(labels, ","), float64(sumNS)/1e9)
+	p.value(name+"_count", strings.TrimSuffix(labels, ","), float64(total))
+}
+
+// fields renders the declared fields of one payload struct, in two
+// passes: the families marked `,first`, then the rest.
+func (p promWriter) fields(v reflect.Value) {
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < v.NumField(); i++ {
+			s, first := declared(v.Type(), i)
+			f := v.Field(i)
+			if f.Kind() == reflect.Pointer && !f.IsNil() {
+				f = f.Elem()
+			}
+			label, order, _ := strings.Cut(v.Type().Field(i).Tag.Get("label"), "=")
+			switch {
+			case first != (pass == 0) || f.Kind() == reflect.Pointer:
+				// not this pass's, or a section that is switched off
+			case s.name == "" && f.Kind() == reflect.Struct:
+				p.fields(f)
+			case s.name == "" && label != "": // a table: one family per column, one sample per row
+				for c := 1; c < f.Type().Elem().NumField() && f.Len() > 0; c++ {
+					col, _ := declared(f.Type().Elem(), c)
+					p.header(col)
+					for r := 0; r < f.Len(); r++ {
+						p.scalar(col, promLabel(label, f.Index(r).Field(0).String()), f.Index(r).Field(c))
+					}
+				}
+			case s.name == "" || s.name == "-":
+				// JSON only
+			case s.kind != "histogram":
+				p.header(s)
+				p.scalar(s, "", f)
+			case f.Kind() != reflect.Map:
+				p.header(s)
+				p.histogram(s.name, "", f)
+			case f.Len() > 0:
+				keys := strings.Split(order, ",")
+				if order == "" {
+					keys = keys[:0]
+					for _, k := range f.MapKeys() {
+						keys = append(keys, k.String())
+					}
+					slices.Sort(keys)
+				}
+				p.header(s)
+				for _, k := range keys {
+					p.histogram(s.name, promLabel(label, k)+",", f.MapIndex(reflect.ValueOf(k)).Elem())
+				}
 			}
 		}
 	}
-	if c.durEnabled {
-		p.Durability = &durabilityPayload{
-			WALRecords:        c.walRecords,
-			WALBytes:          c.walBytes,
-			Fsyncs:            c.fsyncs,
-			FsyncTotalNS:      c.fsyncTotal.Nanoseconds(),
-			FsyncHistCount:    c.fsyncHist.Total(),
-			FsyncHist:         append([]uint64(nil), c.fsyncHist.Counts...),
-			Checkpoints:       c.checkpoints,
-			CheckpointErrors:  c.checkpointErrors,
-			CheckpointTotalNS: c.checkpointTotal.Nanoseconds(),
-			SessionsOnDisk:    onDisk,
-			FoundOnBoot:       c.foundOnBoot,
-			Rehydrated:        c.sessionsRehydrated,
-			RecoveryFailures:  c.recoveryFailures,
-			WALTruncations:    c.walTruncations,
-			WALTruncatedBytes: c.walTruncatedBytes,
-			GroupCommits:      c.groupCommits,
-			GroupedAppends:    c.groupedAppends,
-		}
-	}
-	if c.clusterNode != "" && cl != nil {
-		p.Cluster = &clusterPayload{
-			Node:            c.clusterNode,
-			MembersTotal:    cl.membersTotal,
-			MembersUp:       cl.membersUp,
-			Proxied:         c.proxied,
-			Redirected:      c.redirected,
-			ReplStreams:     c.replStreams,
-			ReplRecords:     c.replRecords,
-			ReplFailures:    c.replFailures,
-			ReplUnprotected: c.replUnprotected,
-			ReplicaSessions: cl.replicaSessions,
-			MigrationsIn:    c.migrationsIn,
-			MigrationsOut:   c.migrationsOut,
-			Promotions:      c.promotions,
-			RouteOverrides:  cl.routeOverrides,
-		}
-	}
-	return p
+}
+
+// writePrometheus renders the metrics snapshot in exposition format.
+func writePrometheus(w io.Writer, m metricsPayload) {
+	promWriter{w}.fields(reflect.ValueOf(m))
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -217,14 +218,23 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 	worker(func() {
 		c.observeRules([]match.RuleProfile{{Rule: "r1", MatchNS: 10, Fires: 1}, {Rule: "r2", Tokens: 3}})
 	})
-	worker(func() { c.snapshot(time.Second, 1, 0, 0, 0, 0, 0, nil) })
-	worker(func() { c.sessionEvicted(); c.sessionCreated() })
+	worker(func() { c.stageObserved("wal.append", time.Microsecond) })
+	worker(func() {
+		// A scrape renders both views from its snapshot while folds go on.
+		p := c.snapshot()
+		writeJSON(httptest.NewRecorder(), http.StatusOK, p)
+		writePrometheus(io.Discard, p)
+	})
+	worker(func() { c.inc(&c.Sessions.Evicted); c.add(&c.Batches.Ops, 3) })
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	p := c.snapshot(time.Second, 0, 0, 0, 0, 0, 0, nil)
-	if p.Engine.Cycles == 0 || len(p.Engine.Rules) != 2 {
-		t.Fatalf("collector lost data: cycles=%d rules=%+v", p.Engine.Cycles, p.Engine.Rules)
+	p := c.snapshot()
+	if p.Engine.Cycles == 0 || len(p.Engine.Rules) != 2 || p.Sessions.Evicted == 0 || p.Batches.Ops != 3*p.Sessions.Evicted {
+		t.Fatalf("collector lost data: cycles=%d rules=%+v sessions=%+v batches=%+v", p.Engine.Cycles, p.Engine.Rules, p.Sessions, p.Batches)
+	}
+	if hc := p.Engine.Phases["match"].HistCount; hc != p.Engine.Cycles || p.Stages["wal.append"].HistCount == 0 {
+		t.Fatalf("histograms lost data: match hist_count=%d of %d cycles, stages=%+v", hc, p.Engine.Cycles, p.Stages)
 	}
 }
 

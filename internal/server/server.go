@@ -32,7 +32,6 @@ import (
 
 	"parulel/internal/cluster"
 	"parulel/internal/compile"
-	"parulel/internal/core"
 	"parulel/internal/obs"
 	"parulel/internal/programs"
 	"parulel/internal/snapshot"
@@ -252,13 +251,14 @@ func New(cfg Config) (*Server, error) {
 		s.metrics.stageObserved(sp.Stage, time.Duration(sp.DurNS))
 	}
 	if cfg.DataDir != "" {
+		m := s.metrics
 		walOpts := wal.Options{
 			Policy:        cfg.Fsync,
 			Interval:      cfg.FsyncInterval,
 			GroupWait:     cfg.FsyncWait,
-			OnAppend:      s.metrics.walAppend,
-			OnFsync:       s.metrics.fsyncObserved,
-			OnGroupCommit: s.metrics.groupCommitObserved,
+			OnAppend:      func(n int) { m.inc(&m.Durability.WALRecords); m.add(&m.Durability.WALBytes, uint64(n)) },
+			OnFsync:       m.fsyncObserved,
+			OnGroupCommit: func(n int) { m.inc(&m.Durability.GroupCommits); m.add(&m.Durability.GroupedAppends, uint64(n)) },
 		}
 		st, maxID, err := openStore(cfg.DataDir, walOpts, !cfg.DisableMerkle)
 		if err != nil {
@@ -266,7 +266,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.store = st
 		s.nextID = maxID // never reuse a recoverable session's id
-		s.metrics.enableDurability(st.count())
+		m.Durability = &durabilityPayload{FoundOnBoot: st.count(), fsyncPayload: fsyncPayload(*newHist())}
 		if n := st.count(); n > 0 {
 			cfg.Logger.Info("durability: recoverable sessions found", "count", n, "data_dir", cfg.DataDir)
 		}
@@ -439,16 +439,15 @@ func (s *Server) Close(ctx context.Context) error {
 	s.mu.Unlock()
 	s.cancelAllJobs("drain")
 	<-s.janitorDone
+	var err error
 	select {
 	case <-s.idle:
-		s.closeLogs()
-		s.stopCluster()
-		return nil
 	case <-ctx.Done():
-		s.closeLogs()
-		s.stopCluster()
-		return fmt.Errorf("server: drain interrupted with runs in flight: %w", ctx.Err())
+		err = fmt.Errorf("server: drain interrupted with runs in flight: %w", ctx.Err())
 	}
+	s.closeLogs()
+	s.stopCluster()
+	return err
 }
 
 // closeLogs flushes and closes every live session's log, so a graceful
@@ -457,14 +456,20 @@ func (s *Server) closeLogs() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sess := range s.sessions {
-		if sess.repl != nil {
-			sess.repl.Close()
-			sess.repl = nil
-		}
-		if sess.dur != nil {
-			if err := sess.dur.close(); err != nil {
-				s.cfg.Logger.Error("closing wal", "session_id", sess.id, "err", err)
-			}
+		s.closeFiles(sess)
+	}
+}
+
+// closeFiles closes a session's replication stream and its log, keeping
+// the files. It does not need the slot: the holder's next send or append
+// fails, and it detaches or reports the mutation as not durable.
+func (s *Server) closeFiles(sess *session) {
+	if stream := sess.repl.Load(); stream != nil {
+		stream.Close()
+	}
+	if sess.dur != nil {
+		if err := sess.dur.close(); err != nil {
+			s.cfg.Logger.Error("closing wal", "session_id", sess.id, "err", err)
 		}
 	}
 }
@@ -498,7 +503,7 @@ func (s *Server) sweep(now time.Time) {
 		}
 		if !sess.busy() {
 			s.evictLocked(sess)
-			s.metrics.sessionExpired()
+			s.metrics.inc(&s.metrics.Sessions.Expired)
 			s.cfg.Logger.Info("session expired",
 				"session_id", sess.id,
 				"idle", now.Sub(sess.lastUsed).Round(time.Millisecond).String(),
@@ -515,15 +520,28 @@ func (s *Server) evictLocked(sess *session) {
 	delete(s.sessions, sess.id)
 	s.lru.Remove(sess.elem)
 	sess.elem = nil
-	if sess.repl != nil {
-		sess.repl.Close()
-		sess.repl = nil
+	s.closeFiles(sess)
+}
+
+// dropLocalSession discards this node's copy of a session — pool entry,
+// on-disk state, jobs — because a client deleted it or its ownership moved
+// elsewhere (the new owner's copy is then the session; these bytes are
+// stale). It reports whether there was anything to discard.
+func (s *Server) dropLocalSession(ctx context.Context, id string) bool {
+	s.mu.Lock()
+	sess, live := s.sessions[id]
+	if live {
+		s.evictLocked(sess)
 	}
-	if sess.dur != nil {
-		if err := sess.dur.close(); err != nil {
-			s.cfg.Logger.Error("closing wal", "session_id", sess.id, "err", err)
+	s.mu.Unlock()
+	onDisk := s.store != nil && s.store.has(id)
+	if onDisk {
+		if err := s.store.remove(id); err != nil {
+			s.log(ctx).Error("removing data dir", "session_id", id, "err", err)
 		}
 	}
+	s.jobs.dropSession(id)
+	return live || onDisk
 }
 
 // recoverableNote annotates eviction log lines with the session's fate:
@@ -556,13 +574,20 @@ func (s *Server) insertLocked(sess *session) error {
 			return errors.New("session pool full and all sessions busy")
 		}
 		s.evictLocked(victim)
-		s.metrics.sessionEvicted()
+		s.metrics.inc(&s.metrics.Sessions.Evicted)
 		s.cfg.Logger.Info("session evicted", "session_id", victim.id, "reason", "pool full", "fate", recoverableNote(victim))
 	}
 	sess.elem = s.lru.PushFront(sess)
 	s.sessions[sess.id] = sess
 	return nil
 }
+
+// holdSession's refusals. sessionByID's errors wrap errNoSession.
+var (
+	errNoSession = errors.New("no session")
+	errEvicted   = errors.New("session was evicted")
+	errQueueFull = errors.New("mutation queue is full")
+)
 
 // sessionByID finds a session and marks it used, transparently rehydrating
 // it from disk when it was evicted or belongs to a previous process.
@@ -580,11 +605,11 @@ func (s *Server) sessionByID(ctx context.Context, id string) (*session, error) {
 			return sess, nil
 		}
 		if s.store == nil || draining || attempt > 0 || !s.store.has(id) {
-			return nil, fmt.Errorf("no session %q", id)
+			return nil, fmt.Errorf("%w %q", errNoSession, id)
 		}
 		if err := s.rehydrate(ctx, id); err != nil {
 			s.log(ctx).Error("session recovery failed", "session_id", id, "err", err)
-			return nil, fmt.Errorf("no session %q (recovery failed: %v)", id, err)
+			return nil, fmt.Errorf("%w %q (recovery failed: %v)", errNoSession, id, err)
 		}
 	}
 }
@@ -600,56 +625,95 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 	return sess
 }
 
-// withSession acquires the session slot under the request context and runs
-// fn while holding it, after passing the per-session mutation-queue gate:
-// when MutationQueueDepth requests already hold or await the slot, the
-// request fast-fails with 429 instead of queueing unboundedly. A session
-// evicted while the request waited for the slot is looked up again once —
-// with durability on, the re-lookup rehydrates it instead of answering 410.
-func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(sess *session)) {
-	s.withSessionGate(w, r, nil, fn)
+// holdSession returns session id with its slot held; the caller releases
+// it. Every path to the engine takes the slot here: session slot first,
+// engine slots per slice inside driveRun. A session evicted while the
+// caller waited for the slot is looked up once more — with durability on,
+// the re-lookup rehydrates it. depth > 0 applies the mutation-queue gate:
+// when that many requests already hold or await the slot the call fails
+// with errQueueFull instead of queueing, and on success the caller also
+// owns one count of sess.waiters. The other errors are sessionByID's
+// (errNoSession), errEvicted, and ctx's own when it ends during the wait.
+func (s *Server) holdSession(ctx context.Context, id string, depth int) (*session, error) {
+	for attempt := 0; ; attempt++ {
+		sess, err := s.sessionByID(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		if depth > 0 && int(sess.waiters.Add(1)) > depth {
+			sess.waiters.Add(-1)
+			return nil, errQueueFull
+		}
+		waitSp := s.startSpan(ctx, stageSessionWait)
+		err = sess.acquire(ctx)
+		waitSp.End()
+		if err == nil {
+			if !sess.closed.Load() {
+				return sess, nil
+			}
+			sess.release()
+			err = errEvicted
+		}
+		if depth > 0 {
+			sess.waiters.Add(-1)
+		}
+		if !errors.Is(err, errEvicted) || s.store == nil || attempt > 0 {
+			return nil, err
+		}
+	}
 }
 
-// withSessionGate is withSession with an extra hook invoked when the
-// mutation-queue gate rejects the request (the stream handler counts
-// those separately).
-func (s *Server) withSessionGate(w http.ResponseWriter, r *http.Request, onReject func(), fn func(sess *session)) {
-	for attempt := 0; ; attempt++ {
-		sess := s.lookup(w, r)
-		if sess == nil {
-			return
+// withSession runs fn holding the session slot under the request context,
+// behind the per-session mutation-queue gate (Config.MutationQueueDepth).
+// It reports whether the gate refused the request, which the stream
+// handler counts separately.
+func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(sess *session)) (refused bool) {
+	id, depth := r.PathValue("id"), s.cfg.MutationQueueDepth
+	sess, err := s.holdSession(r.Context(), id, depth)
+	switch {
+	case err == nil:
+		if depth > 0 {
+			defer sess.waiters.Add(-1)
 		}
-		if depth := s.cfg.MutationQueueDepth; depth > 0 && int(sess.waiters.Add(1)) > depth {
-			sess.waiters.Add(-1)
-			s.metrics.mutationRejected()
-			if onReject != nil {
-				onReject()
-			}
-			writeRetryAfter(w, fmt.Sprintf("session %s mutation queue is full (depth %d)", sess.id, depth))
-			return
-		}
-		waitSp := s.startSpan(r.Context(), stageSessionWait)
-		err := sess.acquire(r.Context())
-		waitSp.End()
-		if err != nil {
-			sess.waiters.Add(-1)
-			writeError(w, http.StatusServiceUnavailable, "session busy: "+err.Error())
-			return
-		}
-		if sess.closed.Load() {
-			sess.release()
-			sess.waiters.Add(-1)
-			if s.store != nil && attempt == 0 {
-				continue
-			}
-			writeError(w, http.StatusGone, "session was evicted")
-			return
-		}
-		defer sess.waiters.Add(-1)
 		defer sess.release()
 		fn(sess)
-		return
+	case errors.Is(err, errQueueFull):
+		refused = true
+		s.metrics.inc(&s.metrics.Admission.MutationsRejected)
+		writeRetryAfter(w, fmt.Sprintf("session %s %v (depth %d)", id, err, depth))
+	case errors.Is(err, errNoSession):
+		writeError(w, http.StatusNotFound, err.Error())
+	case errors.Is(err, errEvicted):
+		writeError(w, http.StatusGone, err.Error())
+	default:
+		writeError(w, http.StatusServiceUnavailable, "session busy: "+err.Error())
 	}
+	return refused
+}
+
+// beginWork registers a request that may run the engine for graceful
+// drain: Close waits for it, and a draining server refuses it — false
+// means the 503 has been written. The caller owes one endWork.
+func (s *Server) beginWork(w http.ResponseWriter) bool {
+	s.mu.Lock()
+	draining := s.draining
+	if !draining {
+		s.active++
+	}
+	s.mu.Unlock()
+	if draining {
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	}
+	return !draining
+}
+
+func (s *Server) endWork() {
+	s.mu.Lock()
+	s.active--
+	if s.draining && s.active == 0 {
+		close(s.idle)
+	}
+	s.mu.Unlock()
 }
 
 // writeRetryAfter answers 429 with the backpressure contract's header.
@@ -677,27 +741,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotAcceptable, fmt.Sprintf("unknown format %q (want json or prometheus)", format))
 		return
 	}
+	// The collector holds the counters and histograms; the gauges are
+	// sampled here, each under the lock that guards it.
+	p := s.metrics.snapshot()
+	p.UptimeMS = time.Since(s.start).Milliseconds()
 	s.mu.Lock()
-	live, active := len(s.sessions), s.active
+	p.Sessions.Live, p.Runs.Active = len(s.sessions), s.active
 	s.mu.Unlock()
-	onDisk := 0
-	if s.store != nil {
-		onDisk = s.store.count()
+	p.Admission.RunQueueLen, p.Admission.RunsInflight = s.runQueue.stats()
+	p.Jobs.Active = s.jobs.activeCount()
+	if p.Durability != nil {
+		p.Durability.SessionsOnDisk = s.store.count()
 	}
-	queued, inflight := s.runQueue.stats()
-	var cl *clusterSample
 	if cs := s.cluster; cs != nil {
 		cs.mu.Lock()
-		overrides := len(cs.overrides)
+		p.Cluster.RouteOverrides = len(cs.overrides)
 		cs.mu.Unlock()
-		cl = &clusterSample{
-			membersTotal:    len(cs.members),
-			membersUp:       cs.mship.UpCount(),
-			replicaSessions: cs.replicaCount(),
-			routeOverrides:  overrides,
-		}
+		p.Cluster.MembersTotal, p.Cluster.MembersUp = len(cs.members), cs.mship.UpCount()
+		p.Cluster.ReplicaSessions = cs.replicaCount()
 	}
-	p := s.metrics.snapshot(time.Since(s.start), live, active, onDisk, queued, inflight, s.jobs.activeCount(), cl)
 	w.Header().Set("Cache-Control", "no-cache")
 	if format == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -833,7 +895,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		}
 		info := sess.info(sess.lastUsed)
 		s.mu.Unlock()
-		s.metrics.sessionCreated()
+		s.metrics.inc(&s.metrics.Sessions.Created)
 		s.log(r.Context()).Info("session created",
 			"session_id", id, "program", name, "workers", workers,
 			"matcher", sess.matcher, "durable", sess.dur != nil)
@@ -874,26 +936,13 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		s.evictLocked(sess)
-	}
-	s.mu.Unlock()
-	// An evicted-but-recoverable session is deletable too: drop its files.
-	onDisk := s.store != nil && s.store.has(id)
-	if onDisk {
-		if err := s.store.remove(id); err != nil {
-			s.log(r.Context()).Error("removing data dir", "session_id", id, "err", err)
-		}
-	}
-	if !ok && !onDisk {
+	// An evicted-but-recoverable session is deletable too: its files go.
+	if !s.dropLocalSession(r.Context(), id) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}
-	s.jobs.dropSession(id)
 	s.broadcastDrop(id) // peers discard their replica of the session
-	s.metrics.sessionDeleted()
+	s.metrics.inc(&s.metrics.Sessions.Deleted)
 	s.log(r.Context()).Info("session deleted", "session_id", id)
 	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
 }
@@ -964,265 +1013,6 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, countResponse{Count: n, WMSize: sess.eng.Memory().Len()})
 	})
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	timeout := s.clampTimeout(req.TimeoutMS)
-	async := false
-	switch v := r.URL.Query().Get("async"); v {
-	case "", "0", "false":
-	case "1", "true":
-		async = true
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad async value %q", v))
-		return
-	}
-	sess := s.lookup(w, r)
-	if sess == nil {
-		return
-	}
-
-	// Register as an active run (for graceful drain) unless draining.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	s.active++
-	s.mu.Unlock()
-	releaseActive := func() {
-		s.mu.Lock()
-		s.active--
-		if s.draining && s.active == 0 {
-			close(s.idle)
-		}
-		s.mu.Unlock()
-	}
-
-	// Admission: beyond MaxInflightRuns admitted runs the server fast-fails
-	// rather than queueing without bound.
-	ticket, err := s.runQueue.admit(sess.id)
-	if err != nil {
-		releaseActive()
-		s.metrics.runRejected()
-		writeRetryAfter(w, "run queue is full")
-		return
-	}
-
-	if async {
-		// startAsyncRun replies 202; the runner goroutine owns the ticket
-		// and the drain registration from here on.
-		s.startAsyncRun(w, r, sess, ticket, timeout, releaseActive)
-		return
-	}
-	defer releaseActive()
-	defer ticket.done()
-	s.metrics.runStarted()
-
-	// The deadline covers queueing (session slot + engine slots) and the
-	// run itself, so a stuck queue cannot hold the request forever.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Per-session serialization first, engine slots per slice inside
-	// driveRun — the same lock order as batches and jobs. A session evicted
-	// while we waited is looked up once more, so durability can rehydrate
-	// it transparently.
-	waitSp := s.startSpan(ctx, stageSessionWait)
-	for attempt := 0; ; attempt++ {
-		if err := sess.acquire(ctx); err != nil {
-			waitSp.End()
-			s.metrics.runTimeout()
-			writeError(w, http.StatusGatewayTimeout, "timed out waiting for the session: "+err.Error())
-			return
-		}
-		if !sess.closed.Load() {
-			break
-		}
-		sess.release()
-		if s.store == nil || attempt > 0 {
-			writeError(w, http.StatusGone, "session was evicted")
-			return
-		}
-		if sess = s.lookup(w, r); sess == nil {
-			return
-		}
-	}
-	waitSp.End()
-	defer sess.release()
-
-	out := s.driveRun(ctx, sess, ticket, s.immediateSink(ctx, sess))
-	resp := out.resp
-	switch {
-	case out.err == nil && !out.persisted:
-		// The run committed in memory but neither the WAL append nor the
-		// fallback checkpoint stuck: recovery would serve pre-run state, so
-		// the client must not see a bare 200 (mirrors the assert/retract
-		// handlers, with the result attached since the cycles did run).
-		s.metrics.runError()
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"error":  "run committed in memory but not durably logged",
-			"result": resp,
-		})
-	case out.err == nil:
-		s.metrics.runCompleted()
-		writeJSON(w, http.StatusOK, resp)
-	case errors.Is(out.err, context.DeadlineExceeded):
-		sess.timeouts++
-		s.metrics.runTimeout()
-		s.log(ctx).Warn("run timed out",
-			"session_id", sess.id, "timeout", timeout.String(), "cycles_committed", resp.Cycles)
-		writeJSON(w, http.StatusGatewayTimeout, map[string]any{
-			"error":  fmt.Sprintf("run exceeded its %v deadline; %d cycles committed, session still usable", timeout, resp.Cycles),
-			"result": resp,
-		})
-	case errors.Is(out.err, context.Canceled):
-		// Client went away; record and reply best-effort.
-		s.metrics.runCanceled()
-		writeError(w, http.StatusServiceUnavailable, "run canceled: "+out.err.Error())
-	case errors.Is(out.err, core.ErrMaxCycles):
-		s.metrics.runError()
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-			"error":  out.err.Error(),
-			"result": resp,
-		})
-	default:
-		s.metrics.runError()
-		writeError(w, http.StatusInternalServerError, "run failed: "+out.err.Error())
-	}
-}
-
-// recordSink receives the WAL records a run produces. The immediate sink
-// persists each as its own frame; the batch handler's sink collects them
-// into one OpBatch frame instead. A false return marks durability lost.
-type recordSink func(*wal.Record) bool
-
-func (s *Server) immediateSink(ctx context.Context, sess *session) recordSink {
-	return func(rec *wal.Record) bool { return s.persist(ctx, sess, rec) }
-}
-
-// runOutcome is driveRun's result, mapped onto HTTP statuses or job states
-// by the caller.
-type runOutcome struct {
-	resp      runResponse
-	err       error
-	persisted bool
-}
-
-// driveRun executes one logical run while holding the session slot,
-// re-acquiring an engine slot from the run queue for every RunSlice cycles
-// (one grant for the whole run when RunSlice is 0) and logging one OpRun
-// record per grant. Failing to reacquire a slot mid-run leaves the earlier
-// slices committed and logged, exactly like a deadline expiry.
-func (s *Server) driveRun(ctx context.Context, sess *session, ticket *runTicket, sink recordSink) runOutcome {
-	before := sess.lastResult
-	prevStats := 0
-	if before.Stats != nil {
-		prevStats = len(before.Stats.Cycles)
-	}
-	sess.out.take() // reset output buffer
-	runSp := s.startSpan(ctx, stageEngineRun)
-	phBefore, _ := sess.phases.Snapshot()
-	var queueWait time.Duration
-	t0 := time.Now()
-	res := before
-	persisted := true
-	lastCycles := before.Cycles
-	var runErr error
-	for {
-		qt0 := time.Now()
-		err := ticket.acquire(ctx)
-		queueWait += time.Since(qt0)
-		if err != nil {
-			runErr = fmt.Errorf("%w: waiting for an engine slot: %w", core.ErrCanceled, err)
-			res = sess.eng.CurrentResult()
-			break
-		}
-		var more bool
-		res, more, runErr = sess.eng.RunBounded(ctx, s.cfg.RunSlice)
-		ticket.release()
-		// Each slice is one OpRun record and one runs increment, matching
-		// replay, which bumps runs per record. The increment precedes the
-		// sink so a checkpoint triggered by the append captures it.
-		sess.runs++
-		// Log the slice boundary — the committed cycle delta, never wall
-		// clock — regardless of outcome: a timed-out or canceled run still
-		// advanced the engine by exactly that many committed cycles.
-		if !sink(&wal.Record{Op: wal.OpRun, Cycles: res.Cycles - lastCycles, Halted: res.Halted}) {
-			persisted = false
-		}
-		lastCycles = res.Cycles
-		if runErr != nil || !more {
-			break
-		}
-	}
-	wall := time.Since(t0)
-	sess.lastResult = res
-
-	// Emit the run's span tree: queue.wait and the per-phase engine time
-	// (diffed from the session's cumulative accumulator) as children of
-	// engine.run. No-ops on untraced contexts.
-	runSp.SetAttr("session", sess.id)
-	runSp.SetAttr("cycles", strconv.Itoa(res.Cycles-before.Cycles))
-	s.recordSpan(ctx, runSp.ID(), stageQueueWait, queueWait)
-	phAfter, _ := sess.phases.Snapshot()
-	phDelta := phAfter.Sub(phBefore)
-	for i, st := range enginePhaseStages {
-		s.recordSpan(ctx, runSp.ID(), st, phDelta[i])
-	}
-	runSp.EndWith(wall)
-
-	// Fold the new cycle records into /metrics regardless of outcome.
-	if res.Stats != nil && len(res.Stats.Cycles) > prevStats {
-		s.metrics.observe(res.Stats.Cycles[prevStats:])
-		sess.statCycles = len(res.Stats.Cycles)
-	}
-	// Likewise the per-rule profile deltas accumulated by this run. The
-	// first time the per-rule series cap drops a rule, say so once — the
-	// truncation is otherwise invisible in /metrics.
-	if s.metrics.observeRules(sess.profileDeltas()) {
-		s.cfg.Logger.Warn("per-rule metrics series cap reached; further rules aggregate into engine.rules.dropped_series",
-			"cap", maxRuleSeries)
-	}
-
-	output, trunc := sess.out.take()
-	resp := runResponse{
-		Cycles:         res.Cycles - before.Cycles,
-		Firings:        res.Firings - before.Firings,
-		Redactions:     res.Redactions - before.Redactions,
-		WriteConflicts: res.WriteConflicts - before.WriteConflicts,
-		Halted:         res.Halted,
-		WallMS:         wall.Milliseconds(),
-		WMSize:         sess.eng.Memory().Len(),
-		Output:         output,
-		OutputTrunc:    trunc,
-	}
-	if runErr == nil {
-		resp.Quiescent = !res.Halted
-	}
-	return runOutcome{resp: resp, err: runErr, persisted: persisted}
-}
-
-// countRunOutcome bumps the run counters for callers that do not map the
-// outcome onto an HTTP status themselves (batch run ops).
-func (s *Server) countRunOutcome(out runOutcome) {
-	switch {
-	case out.err == nil && out.persisted:
-		s.metrics.runCompleted()
-	case out.err == nil:
-		s.metrics.runError()
-	case errors.Is(out.err, context.DeadlineExceeded):
-		s.metrics.runTimeout()
-	case errors.Is(out.err, context.Canceled):
-		s.metrics.runCanceled()
-	default:
-		s.metrics.runError()
-	}
 }
 
 func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) {

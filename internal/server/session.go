@@ -50,11 +50,12 @@ type session struct {
 
 	// repl is the live replication stream to this session's follower; nil
 	// when not in cluster mode, replication is off, or no stream is
-	// attached (it attaches lazily on the next mutation). Guarded by the
-	// session slot, except that eviction and drop paths may Close it —
-	// net.Conn.Close is safe against a concurrent send, which then fails
-	// and detaches.
-	repl *cluster.ReplStream
+	// attached (it attaches lazily on the next mutation). Only the slot
+	// holder stores to it. Eviction and drop paths, which hold the server
+	// mutex and not the slot, load it and Close the stream (closeFiles) —
+	// net.Conn.Close is safe against a concurrent send, which then fails,
+	// and the holder detaches.
+	repl atomic.Pointer[cluster.ReplStream]
 
 	// slot serializes engine use; closed marks an evicted/expired/deleted
 	// session (checked after acquiring slot, since a waiter may win the
@@ -76,9 +77,7 @@ type session struct {
 
 	// Guarded by slot (only the slot holder touches these).
 	runs       int
-	timeouts   int
 	lastResult core.Result
-	statCycles int // cycles already folded into the server metrics
 	// lastProfs snapshots the engine's cumulative per-rule profiles as of
 	// the last fold into the server metrics, so each run contributes
 	// exactly its own delta.
@@ -109,6 +108,13 @@ func (s *session) release() { <-s.slot }
 
 // busy reports whether some request currently holds the slot.
 func (s *session) busy() bool { return len(s.slot) > 0 }
+
+// dropRepl closes and detaches the stream; the next mutation attaches a
+// fresh one. Caller holds the slot.
+func (s *session) dropRepl(stream *cluster.ReplStream) {
+	stream.Close()
+	s.repl.Store(nil)
+}
 
 // info renders the session for list/get responses. lastUsed is passed in
 // because it is guarded by the server mutex, not the slot.

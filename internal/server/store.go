@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -218,12 +219,12 @@ func (d *durable) due(every int) bool {
 	return !d.closed && !d.failed && d.records >= every
 }
 
-// checkpoint atomically replaces the on-disk checkpoint (write to a temp
-// file, fsync, rename, fsync the directory) and then empties the log it
-// covers. The sequence numbering survives the log reset, so a crash
-// between the rename and the truncation is harmless: recovery skips log
-// records at or below the checkpoint's sequence point. The caller holds
-// the session slot, since the engine is read while writing.
+// checkpoint atomically replaces the on-disk checkpoint (replaceFile) and
+// then empties the log it covers. The sequence numbering survives the log
+// reset, so a crash between the rename and the truncation is harmless:
+// recovery skips log records at or below the checkpoint's sequence point.
+// The caller holds the session slot, since the engine is read while
+// writing.
 func (d *durable) checkpoint(h checkpoint.Header, mem *wm.Memory) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -253,26 +254,8 @@ func (d *durable) checkpoint(h checkpoint.Header, mem *wm.Memory) error {
 		}
 		h.Ledger = commit
 	}
-	tmp := filepath.Join(d.dir, checkpointFile+".tmp")
-	f, err := os.Create(tmp)
+	err := replaceFile(d.dir, checkpointFile, func(w io.Writer) error { return checkpoint.Write(w, h, mem) })
 	if err != nil {
-		return err
-	}
-	err = checkpoint.Write(f, h, mem)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(d.dir, checkpointFile))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(d.dir); err != nil {
 		return err
 	}
 	if err := d.log.Reset(); err != nil {
@@ -309,6 +292,32 @@ func (d *durable) close() error {
 	return err
 }
 
+// replaceFile atomically replaces dir/name with what write produces: temp
+// file, fsync, rename, fsync the directory. A crash leaves the old file
+// or the new one, never a mixture.
+func replaceFile(dir, name string, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
+}
+
 func syncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
@@ -339,12 +348,13 @@ func (s *Server) checkpointSession(ctx context.Context, sess *session) error {
 		Temporal:  sess.clock.State(),
 	}
 	t0 := time.Now()
-	err := d.checkpoint(h, sess.eng.Memory())
-	s.metrics.checkpointDone(time.Since(t0), err)
-	if err != nil {
+	if err := d.checkpoint(h, sess.eng.Memory()); err != nil {
+		s.metrics.inc(&s.metrics.Durability.CheckpointErrors)
 		s.log(ctx).Error("checkpoint failed (log retained)", "session_id", sess.id, "err", err)
 		return err
 	}
+	s.metrics.inc(&s.metrics.Durability.Checkpoints)
+	s.metrics.add(&s.metrics.Durability.CheckpointTotalNS, uint64(time.Since(t0)))
 	// The checkpoint emptied the log, taking any live jobs' queued markers
 	// with it; re-log them so a crash after this point still surfaces the
 	// jobs as interrupted.
@@ -422,7 +432,7 @@ func (s *Server) rehydrate(ctx context.Context, id string) error {
 
 	sess, err := s.loadSession(ctx, id)
 	if err != nil {
-		s.metrics.recoveryFailed()
+		s.metrics.inc(&s.metrics.Durability.RecoveryFailures)
 		return err
 	}
 	s.mu.Lock()
@@ -443,7 +453,7 @@ func (s *Server) rehydrate(ctx context.Context, id string) error {
 		s.foldRecoveredJobs(id, sess.recoveredJobs)
 		sess.recoveredJobs = nil
 	}
-	s.metrics.sessionRehydrated()
+	s.metrics.inc(&s.metrics.Sessions.Recovered)
 	s.log(ctx).Info("session rehydrated",
 		"session_id", id, "program", sess.program, "wm_size", sess.eng.Memory().Len(),
 		"runs", sess.runs, "cycles", sess.lastResult.Cycles)
@@ -487,7 +497,8 @@ func (s *Server) loadSession(ctx context.Context, id string) (*session, error) {
 		}
 	}()
 	if scanRes.TruncatedBytes > 0 {
-		s.metrics.walTruncated(scanRes.TruncatedBytes)
+		s.metrics.inc(&s.metrics.Durability.WALTruncations)
+		s.metrics.add(&s.metrics.Durability.WALTruncatedBytes, uint64(scanRes.TruncatedBytes))
 		s.log(ctx).Warn("dropped torn wal tail", "session_id", id, "bytes", scanRes.TruncatedBytes)
 	}
 	if haveCkpt {
@@ -587,11 +598,10 @@ func (s *Server) loadSession(ctx context.Context, id string) (*session, error) {
 	}
 	sess.out.take() // replayed `(write …)` output belongs to no request
 	sess.lastResult = sess.eng.CurrentResult()
-	if sess.lastResult.Stats != nil {
-		// Replay-produced cycle records must not be folded into /metrics.
-		sess.statCycles = len(sess.lastResult.Stats.Cycles)
-	}
-	sess.profileDeltas() // likewise replay-produced per-rule activity
+	// Replay-produced cycle records and per-rule activity belong to no run:
+	// dropped here, not folded into /metrics.
+	sess.lastResult.Stats.Cycles = nil
+	sess.profileDeltas()
 	sess.dur = &durable{st: s.store, id: id, dir: dir, log: l, led: led, meta: meta, records: replayed}
 	if haveCkpt && h.Ledger != nil {
 		sess.dur.lastCommit = h.Ledger

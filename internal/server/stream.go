@@ -16,14 +16,12 @@ package server
 // that terminates the stream (the applied prefix stands and is logged).
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"parulel/internal/wal"
 )
@@ -49,24 +47,12 @@ type streamFrameResult struct {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// A stream may run the engine, so the whole request registers as
 	// active work: shutdown waits for it, a draining server refuses it.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	if !s.beginWork(w) {
 		return
 	}
-	s.active++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.active--
-		if s.draining && s.active == 0 {
-			close(s.idle)
-		}
-		s.mu.Unlock()
-	}()
+	defer s.endWork()
 
-	s.withSessionGate(w, r, s.metrics.streamRejectedObserved, func(sess *session) {
+	refused := s.withSession(w, r, func(sess *session) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		// The exchange is full-duplex: result lines go out while request
 		// frames are still arriving. Without this, the HTTP/1 server
@@ -135,60 +121,40 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 
-			sink := func(rec *wal.Record) bool {
-				sc.recs = append(sc.recs, *rec)
-				return true
-			}
 			sess.insert(staged)
 			if len(f.facts) > 0 {
-				sink(&wal.Record{Op: wal.OpAssert, Facts: f.facts})
+				sc.collect(&wal.Record{Op: wal.OpAssert, Facts: f.facts})
 			}
 
 			ticks := int64(1)
 			if f.hasTicks {
 				ticks = f.ticks
 			}
-			res := streamFrameResult{Asserted: len(f.facts), Tick: sess.clock.Now()}
-			tick0 := time.Now()
-			for k := int64(0); k < ticks; k++ {
-				t := sess.clock.Tick()
-				res.Tick = t.Now
-				res.Expired += t.Expired
-				sink(&wal.Record{Op: wal.OpTick, Tick: t.Now, Count: t.Expired})
-			}
-			if ticks > 0 {
-				s.recordSpan(r.Context(), frameSp.ID(), stageTick, time.Since(tick0))
-			}
+			res := streamFrameResult{Asserted: len(f.facts)}
+			res.Tick, res.Expired = s.advanceClock(r.Context(), sess, frameSp.ID(), ticks, sc.collect)
 
 			if f.run {
-				timeout := s.clampTimeout(f.timeoutMS)
-				ctx, cancel := context.WithTimeout(r.Context(), timeout)
-				ticket := s.runQueue.admitForce(sess.id)
-				s.metrics.runStarted()
-				out := s.driveRun(ctx, sess, ticket, sink)
-				ticket.done()
-				cancel()
-				s.countRunOutcome(out)
-				resp := out.resp
-				res.Run = &resp
+				out := s.runOp(r.Context(), sess, f.timeoutMS, sc.collect)
+				res.Run = &out.resp
 				if out.err != nil {
 					// The frame's mutations and committed cycles stand; log
 					// them, report the error, end the stream.
-					if len(sc.recs) > 0 {
-						s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs})
-					}
+					s.persistCollected(r.Context(), sess, sc)
 					fail("run: %v", out.err)
 					return
 				}
 			}
 
-			if len(sc.recs) > 0 && !s.persist(r.Context(), sess, &wal.Record{Op: wal.OpBatch, Ops: sc.recs}) {
+			if !s.persistCollected(r.Context(), sess, sc) {
 				fail("frame applied in memory but not durably logged")
 				return
 			}
-			s.metrics.streamFrameObserved(len(f.facts))
-			s.metrics.ticksObserved(ticks, res.Expired)
+			s.metrics.inc(&s.metrics.Stream.Frames)
+			s.metrics.add(&s.metrics.Stream.Facts, uint64(len(f.facts)))
 			emit(res)
 		}
 	})
+	if refused {
+		s.metrics.inc(&s.metrics.Stream.Rejected)
+	}
 }
