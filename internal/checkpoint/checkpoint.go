@@ -27,6 +27,7 @@ import (
 	"parulel/internal/match"
 	"parulel/internal/snapshot"
 	"parulel/internal/temporal"
+	"parulel/internal/wal"
 	"parulel/internal/wm"
 )
 
@@ -73,6 +74,25 @@ type Header struct {
 	// tamper-evident; chaining through Prev ties every checkpoint to the
 	// one before it.
 	Ledger *LedgerCommit `json:"ledger,omitempty"`
+}
+
+// HeaderFor starts a header from the session's OpCreate record — the one
+// value a session's settings travel as — leaving the state fields to the
+// caller.
+func HeaderFor(create *wal.Record) Header {
+	return Header{
+		Program: create.Program, Source: create.Source, Workers: create.Workers,
+		Matcher: create.Matcher, MaxCycles: create.MaxCycles, CreatedNS: create.CreatedNS,
+	}
+}
+
+// CreateRecord is HeaderFor's inverse: the OpCreate record a log the
+// checkpoint truncated no longer holds.
+func (h *Header) CreateRecord() wal.Record {
+	return wal.Record{
+		Op: wal.OpCreate, Program: h.Program, Source: h.Source, Workers: h.Workers,
+		Matcher: h.Matcher, MaxCycles: h.MaxCycles, CreatedNS: h.CreatedNS,
+	}
 }
 
 // LedgerCommit pins the Merkle ledger state a checkpoint vouches for:

@@ -11,8 +11,8 @@ import (
 )
 
 // Client is a node's outgoing side of the peer protocol: health pings
-// and control broadcasts over cached per-peer connections, plus
-// dedicated streams for replication and migration.
+// and control broadcasts over cached per-peer connections, plus one
+// dedicated stream per replicated session.
 type Client struct {
 	node    string
 	timeout time.Duration
@@ -21,11 +21,9 @@ type Client struct {
 	control map[string]*peerConn // cached control connections, by address
 }
 
-// NewClient builds a client identifying itself as node in Hello frames.
+// NewClient builds a client identifying itself as node in Hello frames;
+// ioTimeout is Config.IOTimeout, defaults resolved.
 func NewClient(node string, ioTimeout time.Duration) *Client {
-	if ioTimeout <= 0 {
-		ioTimeout = 5 * time.Second
-	}
 	return &Client{node: node, timeout: ioTimeout, control: make(map[string]*peerConn)}
 }
 
@@ -36,19 +34,9 @@ type peerConn struct {
 	timeout time.Duration
 }
 
-func dialPeer(addr string, timeout time.Duration) (*peerConn, error) {
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &peerConn{c: c, br: bufio.NewReader(c), timeout: timeout}, nil
-}
-
-func (pc *peerConn) deadline() time.Time { return time.Now().Add(pc.timeout) }
-
 // send writes one frame and reads its ack.
-func (pc *peerConn) send(typ byte, v any) (Ack, error) {
-	pc.c.SetDeadline(pc.deadline())
+func (pc *peerConn) send(typ byte, v any) error {
+	pc.c.SetDeadline(time.Now().Add(pc.timeout))
 	var err error
 	if payload, ok := v.([]byte); ok || v == nil {
 		err = WriteFrame(pc.c, typ, payload)
@@ -56,111 +44,74 @@ func (pc *peerConn) send(typ byte, v any) (Ack, error) {
 		err = writeJSONFrame(pc.c, typ, v)
 	}
 	if err != nil {
-		return Ack{}, err
+		return err
 	}
 	return readAck(pc.br)
 }
 
 func (pc *peerConn) close() { pc.c.Close() }
 
-// hello opens a purpose-scoped stream on a fresh connection. trace, when
-// non-empty, stamps the stream with the opening request's trace context.
-func (c *Client) hello(addr, purpose, session, trace string) (*peerConn, error) {
-	pc, err := dialPeer(addr, c.timeout)
+// hello opens a purpose-scoped stream on a fresh connection.
+func (c *Client) hello(addr, purpose, session string) (*peerConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, c.timeout)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pc.send(frameHello, Hello{Node: c.node, Purpose: purpose, Session: session, Trace: trace}); err != nil {
+	pc := &peerConn{c: conn, br: bufio.NewReader(conn), timeout: c.timeout}
+	if err := pc.send(frameHello, Hello{Node: c.node, Purpose: purpose, Session: session}); err != nil {
 		pc.close()
 		return nil, fmt.Errorf("cluster: hello to %s: %w", addr, err)
 	}
 	return pc, nil
 }
 
-// controlConn returns (creating if needed) the cached control connection
-// for addr. The caller holds it exclusively until release.
-func (c *Client) controlConn(addr string) (*peerConn, error) {
-	c.mu.Lock()
-	pc := c.control[addr]
-	delete(c.control, addr)
-	c.mu.Unlock()
-	if pc != nil {
-		return pc, nil
-	}
-	return c.hello(addr, PurposeControl, "", "")
-}
-
-func (c *Client) releaseControl(addr string, pc *peerConn, err error) {
-	if err != nil {
-		pc.close()
-		return
-	}
-	c.mu.Lock()
-	if _, ok := c.control[addr]; ok {
+// roundTrip sends one control frame to addr and waits for its ack. A peer's
+// last good connection is cached and reused, exclusively: a concurrent
+// round trip dials its own, and the first to finish stays cached. A cached
+// connection that went stale earns one redial.
+func (c *Client) roundTrip(addr string, typ byte, v any) error {
+	for {
+		c.mu.Lock()
+		pc := c.control[addr]
+		delete(c.control, addr)
 		c.mu.Unlock()
-		pc.close() // someone raced a new connection in; keep one
-		return
-	}
-	c.control[addr] = pc
-	c.mu.Unlock()
-}
-
-// roundTrip sends one control frame on the cached connection, dialing a
-// fresh one once if the cached connection went stale.
-func (c *Client) roundTrip(addr string, typ byte, v any) (Ack, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		pc, err := c.controlConn(addr)
-		if err != nil {
-			return Ack{}, err
+		cached := pc != nil
+		if !cached {
+			var err error
+			if pc, err = c.hello(addr, PurposeControl, ""); err != nil {
+				return err
+			}
 		}
-		ack, err := pc.send(typ, v)
-		c.releaseControl(addr, pc, err)
+		err := pc.send(typ, v)
 		if err == nil {
-			return ack, nil
+			c.mu.Lock()
+			if raced := c.control[addr]; raced != nil {
+				raced.close()
+			}
+			c.control[addr] = pc
+			c.mu.Unlock()
+			return nil
 		}
-		lastErr = err
+		pc.close()
+		if !cached {
+			return err
+		}
 	}
-	return Ack{}, lastErr
 }
 
 // Ping health-checks a peer, carrying this node's override table.
 func (c *Client) Ping(m Member, overrides []Moved) error {
-	_, err := c.roundTrip(m.PeerAddr, framePing, Ping{Node: c.node, Overrides: overrides})
-	return err
+	return c.roundTrip(m.PeerAddr, framePing, Ping{Node: c.node, Overrides: overrides})
 }
 
 // SendMoved broadcasts one routing override to a peer.
 func (c *Client) SendMoved(m Member, moved Moved) error {
-	_, err := c.roundTrip(m.PeerAddr, frameMoved, moved)
-	return err
+	return c.roundTrip(m.PeerAddr, frameMoved, moved)
 }
 
 // SendDrop asks a peer to discard a stale replica.
 func (c *Client) SendDrop(m Member, session string) error {
-	_, err := c.roundTrip(m.PeerAddr, frameDrop, Drop{Session: session})
-	return err
-}
-
-// Migrate transfers one session's state to a peer and waits for it to
-// install and activate it. On a nil return the target owns the session.
-// trace carries the moving request's trace context (may be empty).
-func (c *Client) Migrate(m Member, session string, st SessionState, trace string) error {
-	pc, err := c.hello(m.PeerAddr, PurposeMigrate, session, trace)
-	if err != nil {
-		return err
-	}
-	defer pc.close()
-	// A checkpoint image can be large; give the whole transfer a wider
-	// window than a single control round-trip.
-	pc.c.SetDeadline(time.Now().Add(4 * c.timeout))
-	if err := WriteState(pc.c, st); err != nil {
-		return fmt.Errorf("cluster: migrating %s to %s: %w", session, m.Name, err)
-	}
-	if _, err := readAck(pc.br); err != nil {
-		return fmt.Errorf("cluster: migrating %s to %s: %w", session, m.Name, err)
-	}
-	return nil
+	return c.roundTrip(m.PeerAddr, frameDrop, Drop{Session: session})
 }
 
 // Close drops every cached control connection.
@@ -177,9 +128,8 @@ func (c *Client) Close() {
 // Not safe for concurrent use; the server serializes sends through the
 // session slot.
 type ReplStream struct {
-	pc      *peerConn
-	session string
-	buf     []byte // SendRecord's encode buffer
+	pc  *peerConn
+	buf []byte // SendRecord's encode buffer
 	// Target is the member the stream is attached to.
 	Target Member
 }
@@ -189,7 +139,7 @@ type ReplStream struct {
 // of the session and installs st. The single ack after the sync barrier
 // confirms the replica is caught up.
 func (c *Client) OpenReplStream(m Member, session string, st SessionState) (*ReplStream, error) {
-	pc, err := c.hello(m.PeerAddr, PurposeReplicate, session, "")
+	pc, err := c.hello(m.PeerAddr, PurposeReplicate, session)
 	if err != nil {
 		return nil, err
 	}
@@ -198,11 +148,11 @@ func (c *Client) OpenReplStream(m Member, session string, st SessionState) (*Rep
 		pc.close()
 		return nil, fmt.Errorf("cluster: replica sync of %s to %s: %w", session, m.Name, err)
 	}
-	if _, err := readAck(pc.br); err != nil {
+	if err := readAck(pc.br); err != nil {
 		pc.close()
 		return nil, fmt.Errorf("cluster: replica sync of %s to %s: %w", session, m.Name, err)
 	}
-	return &ReplStream{pc: pc, session: session, Target: m}, nil
+	return &ReplStream{pc: pc, Target: m}, nil
 }
 
 // SendRecord streams one WAL record; the returned ack makes it durable
@@ -211,21 +161,22 @@ func (c *Client) OpenReplStream(m Member, session string, st SessionState) (*Rep
 // work joins the distributed trace.
 func (r *ReplStream) SendRecord(rec *wal.Record, trace string) error {
 	r.buf = appendRecordEnvelope(r.buf[:0], rec, trace)
-	_, err := r.pc.send(frameRecord, r.buf)
-	return err
+	return r.pc.send(frameRecord, r.buf)
 }
 
-// SendCheckpoint installs a fresh checkpoint image on the replica.
+// SendCheckpoint installs a fresh checkpoint image on the replica and
+// empties the replica's log, whose records the image covers.
 func (r *ReplStream) SendCheckpoint(image []byte) error {
-	_, err := r.pc.send(frameCheckpoint, image)
-	return err
+	return r.pc.send(frameCheckpoint, image)
 }
 
-// SendReset truncates the replica's log — the records are covered by the
-// checkpoint just sent.
-func (r *ReplStream) SendReset() error {
-	_, err := r.pc.send(frameReset, nil)
-	return err
+// HandOff transfers the session to the stream's target: the follower
+// promotes its replica — everything this stream has sent — into the
+// session and records the claim. On a nil return the target owns the
+// session, durably; on an error the outcome is unknown (the ack may have
+// been lost) and the caller must out-claim mv to stay the owner.
+func (r *ReplStream) HandOff(mv Moved) error {
+	return r.pc.send(frameMoved, mv)
 }
 
 // Close tears the stream down.

@@ -12,11 +12,12 @@
 //   - static membership with failure detection by periodic pings
 //     (membership.go);
 //   - a length-prefixed framed wire protocol spoken on a dedicated peer
-//     listener, carrying WAL records, checkpoint images, migrations and
-//     control traffic (proto.go, server.go, client.go);
+//     listener, with two purposes: control traffic, and one session's
+//     replication stream (proto.go, server.go, client.go);
 //   - session-state streaming — a checkpoint image plus the WAL tail
-//     behind it — used identically by replica attachment and live
-//     migration (state.go).
+//     behind it — the one way a session's state reaches another node:
+//     a replica is attached with it, and failover and live migration
+//     both promote an attached replica (state.go).
 //
 // The server-side policy (who owns a session, when to proxy, when to
 // promote a replica) lives in internal/server, which implements the
@@ -140,26 +141,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: unknown replication policy %q (want sync, async or off)", c.Replication)
 	}
 	return nil
-}
-
-// Self returns this node's member entry.
-func (c Config) Self() Member {
-	for _, m := range c.Members {
-		if m.Name == c.Node {
-			return m
-		}
-	}
-	return Member{}
-}
-
-// MemberNamed returns the member with the given name.
-func (c Config) MemberNamed(name string) (Member, bool) {
-	for _, m := range c.Members {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Member{}, false
 }
 
 // ParseMembers parses a member-list flag of the form

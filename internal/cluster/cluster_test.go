@@ -3,8 +3,13 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"parulel/internal/wal"
 )
@@ -152,47 +157,166 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip: WriteState → ReadState reproduces the session state
-// exactly, including a mid-stream Reset discarding earlier records.
+// memReplica is a follower's replica store held in memory, recording
+// what the peer server asked of it and in what order.
+type memReplica struct {
+	mu         sync.Mutex // the handler goroutine writes, the test reads
+	checkpoint []byte
+	log        []wal.Record
+	calls      []string
+	promoted   *Moved
+}
+
+func (r *memReplica) AppendRecord(rec *wal.Record, _ string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.log = append(r.log, *rec)
+	r.calls = append(r.calls, "append")
+	return nil
+}
+
+func (r *memReplica) PutCheckpoint(image []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.checkpoint, r.log = image, nil
+	r.calls = append(r.calls, "checkpoint")
+	return nil
+}
+
+func (r *memReplica) Sync() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls = append(r.calls, "sync")
+	return nil
+}
+
+func (r *memReplica) Promote(m Moved) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.promoted = &m
+	r.calls = append(r.calls, "promote")
+	return nil
+}
+
+func (r *memReplica) Close() error { return nil }
+
+// memBackend hands out one memReplica per session and refuses the
+// session named owned.
+type memBackend struct {
+	owned    string
+	mu       sync.Mutex
+	replicas map[string]*memReplica
+}
+
+func (b *memBackend) OpenReplica(session string) (Replica, error) {
+	if session == b.owned {
+		return nil, fmt.Errorf("session %s is owned here", session)
+	}
+	r := &memReplica{}
+	b.mu.Lock()
+	b.replicas[session] = r
+	b.mu.Unlock()
+	return r, nil
+}
+
+// replica returns session's replica, locked for the test to read; the
+// handler that feeds it is parked on its next frame by then.
+func (b *memBackend) replica(session string) *memReplica {
+	b.mu.Lock()
+	r := b.replicas[session]
+	b.mu.Unlock()
+	r.mu.Lock()
+	return r
+}
+
+func (b *memBackend) HandleMoved(Moved)        {}
+func (b *memBackend) HandlePing(Ping)          {}
+func (b *memBackend) DropReplica(string) error { return nil }
+
+// TestStateRoundTrip: a session state written by WriteState arrives at
+// the follower exactly — checkpoint image, then every tail record with
+// its sequence number — and is synced before the barrier's ack; live
+// frames follow, a checkpoint discarding the records it covers; the
+// hand-off promotes under the claim it carries.
 func TestStateRoundTrip(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &memBackend{owned: "s-owned", replicas: make(map[string]*memReplica)}
+	srv := NewPeerServer(ln, backend, time.Second, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	go srv.Serve()
+	defer srv.Close()
+	client := NewClient("n0", time.Second)
+	defer client.Close()
+	peer := Member{Name: "n1", PeerAddr: ln.Addr().String()}
+
 	st := SessionState{
 		Checkpoint: []byte("checkpoint-image-bytes"),
 		Tail: []wal.Record{
-			{Seq: 5, Op: wal.OpAssert, Template: "item"},
+			{Seq: 5, Op: wal.OpAssert, Facts: []wal.Fact{{Template: "item"}}},
 			{Seq: 6, Op: wal.OpRun, Count: 3},
 		},
 	}
-	var pipe bytes.Buffer
-	if err := WriteState(&pipe, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadState(&pipe)
+	stream, err := client.OpenReplStream(peer, "s1", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Checkpoint, st.Checkpoint) {
-		t.Fatalf("checkpoint image differs: %q vs %q", got.Checkpoint, st.Checkpoint)
+	defer stream.Close()
+	// The sync ack has been read, so the follower's handler is parked on
+	// the next frame: its replica is ours to inspect.
+	rep := backend.replica("s1")
+	if !bytes.Equal(rep.checkpoint, st.Checkpoint) {
+		t.Fatalf("checkpoint image differs: %q vs %q", rep.checkpoint, st.Checkpoint)
 	}
-	if !reflect.DeepEqual(got.Tail, st.Tail) {
-		t.Fatalf("tail differs:\n got %+v\nwant %+v", got.Tail, st.Tail)
+	if !reflect.DeepEqual(rep.log, st.Tail) {
+		t.Fatalf("tail differs:\n got %+v\nwant %+v", rep.log, st.Tail)
+	}
+	if want := []string{"checkpoint", "append", "append", "sync"}; !reflect.DeepEqual(rep.calls, want) {
+		t.Fatalf("sync phase ran %v, want %v (synced last, before the ack)", rep.calls, want)
+	}
+	rep.mu.Unlock()
+
+	// Live: a record, then a checkpoint that covers it, then one more.
+	if err := stream.SendRecord(&wal.Record{Seq: 7, Op: wal.OpRun}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.SendCheckpoint([]byte("newer-image")); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.SendRecord(&wal.Record{Seq: 9, Op: wal.OpRun}, "trace-ignored"); err != nil {
+		t.Fatal(err)
+	}
+	rep.mu.Lock()
+	if string(rep.checkpoint) != "newer-image" || len(rep.log) != 1 || rep.log[0].Seq != 9 {
+		t.Fatalf("checkpoint did not supersede the log: image %q, log %+v", rep.checkpoint, rep.log)
+	}
+	rep.mu.Unlock()
+
+	claim := Moved{Session: "s1", Target: "n1", Seq: 4}
+	if err := stream.HandOff(claim); err != nil {
+		t.Fatal(err)
+	}
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if rep.promoted == nil || *rep.promoted != claim {
+		t.Fatalf("hand-off promoted under %+v, want %+v", rep.promoted, claim)
 	}
 
-	// A Reset frame mid-stream discards everything read so far.
-	var buf bytes.Buffer
-	if err := writeJSONFrame(&buf, frameRecord, &wal.Record{Seq: 1}); err != nil {
-		t.Fatal(err)
+	// A follower that refuses the session refuses the attach.
+	if _, err := client.OpenReplStream(peer, "s-owned", st); err == nil {
+		t.Fatal("attach to a node that owns the session succeeded")
 	}
-	if err := WriteFrame(&buf, frameReset, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteState(&buf, SessionState{Tail: []wal.Record{{Seq: 9}}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadState(&buf)
+
+	// A hand-off ahead of the sync barrier is refused, not run on a
+	// half-synced replica.
+	pc, err := client.hello(peer.PeerAddr, PurposeReplicate, "s2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Tail) != 1 || got.Tail[0].Seq != 9 {
-		t.Fatalf("reset not honored: %+v", got.Tail)
+	defer pc.close()
+	err = pc.send(frameMoved, claim)
+	if early := backend.replica("s2"); err == nil || early.promoted != nil {
+		t.Fatalf("hand-off before the barrier: err %v, promoted %+v", err, early.promoted)
 	}
 }

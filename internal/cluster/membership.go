@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -197,11 +198,6 @@ func (m *Membership) Snapshot() []PeerStatus {
 			SinceMS:   now.Sub(st.since).Milliseconds(),
 		})
 	}
-	// Small list; insertion sort keeps the import set lean.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

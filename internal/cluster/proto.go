@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -22,26 +21,34 @@ import (
 //	           answered with an Ack; the connection is reused.
 //	replicate  a session-state sync (Checkpoint? Record* Cutover) that is
 //	           applied silently and acked once at the Cutover barrier,
-//	           then live streaming where every Record/Checkpoint/Reset
+//	           then live streaming where every Record and Checkpoint
 //	           frame is acked individually — the ack is what makes
-//	           replication synchronous.
-//	migrate    a session-state sync (Checkpoint? Record* Cutover); the
-//	           single ack after Cutover reports whether the receiving
-//	           node installed and activated the session.
+//	           replication synchronous. A Moved frame on the stream is
+//	           the hand-off: the follower promotes the replica it has
+//	           been fed into the session itself and acks once it owns it.
+//
+// One way to ship a session's state to another node — attach a
+// replication stream — and one way to turn shipped state into the
+// session: the promotion a follower performs when its primary dies.
+// Migration is the two back to back (attach, or reuse the live stream,
+// then hand off); failover is the promotion alone. The follower fsyncs
+// the replica log and directory before it acks the Cutover barrier and a
+// hand-off, so a primary that lets go of its copy on that ack never
+// deletes the only durable one.
 //
 // Payloads are JSON except Checkpoint, whose payload is the raw
 // checkpoint file image (already framed and checksummed by
-// internal/checkpoint). Record payloads are wal.Record JSON with the
+// internal/checkpoint); installing one empties the replica's log, which
+// the image covers. Record payloads are wal.Record JSON with the
 // primary's sequence numbers preserved; the replica's log keeps them so
 // a promoted replica recovers exactly like a crashed primary.
 const (
 	frameHello      = 'H'
 	frameRecord     = 'R'
 	frameCheckpoint = 'C'
-	frameReset      = 'T' // truncate the replica log; pairs with Checkpoint
 	frameCutover    = 'V' // end of a session-state sync
 	framePing       = 'P'
-	frameMoved      = 'M'
+	frameMoved      = 'M' // control: a routing claim; replicate: the hand-off
 	frameDrop       = 'D'
 	frameAck        = 'A'
 )
@@ -54,20 +61,14 @@ const maxFrameBytes = 256 << 20
 const (
 	PurposeControl   = "control"
 	PurposeReplicate = "replicate"
-	PurposeMigrate   = "migrate"
 )
 
 // Hello opens a peer connection.
 type Hello struct {
 	Node    string `json:"node"`
 	Purpose string `json:"purpose"`
-	// Session scopes replicate and migrate streams.
+	// Session scopes a replicate stream.
 	Session string `json:"session,omitempty"`
-	// Trace carries the distributed-trace context (obs.TraceContext
-	// string form) of the request that opened the stream, so a migration
-	// triggered by a traced POST /cluster/move shows up in the assembled
-	// trace. Additive: absent on the wire from older nodes.
-	Trace string `json:"trace,omitempty"`
 }
 
 // Ping is a control heartbeat. It piggybacks the sender's route-override
@@ -80,7 +81,9 @@ type Ping struct {
 
 // Moved records that a session's ownership was explicitly transferred —
 // by an admin move or by a replica promotion — overriding the hash
-// placement. Seq orders competing claims: highest wins.
+// placement. Seq orders competing claims: highest wins. Sent on a
+// replication stream it is the transfer itself: the primary hands the
+// session to the follower the stream feeds.
 type Moved struct {
 	Session string `json:"session"`
 	Target  string `json:"target"`
@@ -93,11 +96,9 @@ type Drop struct {
 	Session string `json:"session"`
 }
 
-// Ack answers a frame. Seq echoes the WAL sequence number for record
-// acks (0 otherwise); a non-empty Err reports the failure and usually
-// precedes the server closing the connection.
+// Ack answers a frame; a non-empty Err reports the failure and precedes
+// the server closing the connection.
 type Ack struct {
-	Seq uint64 `json:"seq,omitempty"`
 	Err string `json:"err,omitempty"`
 }
 
@@ -145,22 +146,22 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 
 // readAck reads one frame and requires it to be an Ack; a non-empty
 // Ack.Err is surfaced as an error.
-func readAck(r io.Reader) (Ack, error) {
+func readAck(r io.Reader) error {
 	typ, payload, err := ReadFrame(r)
 	if err != nil {
-		return Ack{}, err
+		return err
 	}
 	if typ != frameAck {
-		return Ack{}, fmt.Errorf("cluster: expected ack, got %c frame", typ)
+		return fmt.Errorf("cluster: expected ack, got %c frame", typ)
 	}
 	var a Ack
 	if err := json.Unmarshal(payload, &a); err != nil {
-		return Ack{}, fmt.Errorf("cluster: decoding ack: %w", err)
+		return fmt.Errorf("cluster: decoding ack: %w", err)
 	}
 	if a.Err != "" {
-		return a, fmt.Errorf("cluster: peer error: %s", a.Err)
+		return fmt.Errorf("cluster: peer error: %s", a.Err)
 	}
-	return a, nil
+	return nil
 }
 
 // recordEnvelope is a Record frame payload: the WAL record's own JSON
@@ -195,6 +196,3 @@ func decodeRecord(payload []byte) (*wal.Record, string, error) {
 	}
 	return &env.Record, env.Trace, nil
 }
-
-// ErrStreamClosed reports an orderly remote close of a peer stream.
-var ErrStreamClosed = errors.New("cluster: peer closed the stream")

@@ -62,9 +62,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the distinct member names, sorted.
-func (r *Ring) Members() []string { return r.members }
-
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))

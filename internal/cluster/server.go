@@ -20,13 +20,8 @@ import (
 type Backend interface {
 	// OpenReplica opens the replica store for a session, discarding any
 	// previous replica state — a new stream always begins with a full
-	// state sync.
+	// state sync. It refuses a session this node itself owns.
 	OpenReplica(session string) (Replica, error)
-	// InstallMigrated writes a transferred session's state into the local
-	// session store and activates it. A non-nil error refuses the cutover
-	// and must leave no trace of the session behind. trace is the moving
-	// request's trace context (may be empty).
-	InstallMigrated(session string, st SessionState, trace string) error
 	// HandleMoved merges one routing override learned from a peer.
 	HandleMoved(m Moved)
 	// HandlePing merges the pinging node's override table.
@@ -42,10 +37,17 @@ type Replica interface {
 	// sequence number. trace is the producing request's trace context
 	// (obs.TraceContext string form; empty for untraced mutations).
 	AppendRecord(rec *wal.Record, trace string) error
-	// PutCheckpoint atomically replaces the replica's checkpoint image.
+	// PutCheckpoint atomically replaces the replica's checkpoint image
+	// and empties its log, which the image covers.
 	PutCheckpoint(image []byte) error
-	// Reset truncates the replica's log (covered by the checkpoint).
-	Reset() error
+	// Sync makes everything applied so far — log and directory — durable.
+	Sync() error
+	// Promote turns the replica into the session, owned by this node
+	// under the claim m: the same promotion a follower performs on its
+	// own when the primary dies, here at the primary's request. The
+	// session is durable and routable when it returns nil, and the
+	// handle is closed either way.
+	Promote(m Moved) error
 	// Close releases file handles, keeping the replica on disk.
 	Close() error
 }
@@ -64,25 +66,11 @@ type PeerServer struct {
 }
 
 // NewPeerServer wraps an accepted listener. Call Serve (usually in a
-// goroutine) to start accepting and Close to stop.
+// goroutine) to start accepting and Close to stop. ioTimeout is
+// Config.IOTimeout, defaults resolved.
 func NewPeerServer(ln net.Listener, backend Backend, ioTimeout time.Duration, logger *slog.Logger) *PeerServer {
-	if ioTimeout <= 0 {
-		ioTimeout = 5 * time.Second
-	}
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	return &PeerServer{
-		ln:      ln,
-		backend: backend,
-		timeout: ioTimeout,
-		log:     logger,
-		conns:   make(map[net.Conn]struct{}),
-	}
+	return &PeerServer{ln: ln, backend: backend, timeout: ioTimeout, log: logger, conns: make(map[net.Conn]struct{})}
 }
-
-// Addr returns the listener's address.
-func (s *PeerServer) Addr() net.Addr { return s.ln.Addr() }
 
 // Serve accepts peer connections until the listener closes.
 func (s *PeerServer) Serve() {
@@ -111,14 +99,9 @@ func (s *PeerServer) Serve() {
 }
 
 // Close stops accepting, force-closes live peer connections and waits
-// for their handlers.
+// for their handlers. Safe to call more than once.
 func (s *PeerServer) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
 	s.ln.Close()
 	for c := range s.conns {
@@ -151,26 +134,21 @@ func (s *PeerServer) handle(c net.Conn) {
 		ackErr(c, fmt.Errorf("bad hello: %v", err))
 		return
 	}
-	switch h.Purpose {
-	case PurposeControl, PurposeReplicate, PurposeMigrate:
-	default:
+	switch {
+	case h.Purpose != PurposeControl && h.Purpose != PurposeReplicate:
 		ackErr(c, fmt.Errorf("unknown purpose %q", h.Purpose))
 		return
-	}
-	if (h.Purpose == PurposeReplicate || h.Purpose == PurposeMigrate) && h.Session == "" {
+	case h.Purpose == PurposeReplicate && h.Session == "":
 		ackErr(c, errors.New("purpose requires a session"))
 		return
 	}
 	if err := ack(c, Ack{}); err != nil {
 		return
 	}
-	switch h.Purpose {
-	case PurposeControl:
+	if h.Purpose == PurposeControl {
 		s.serveControl(c, br)
-	case PurposeReplicate:
+	} else {
 		s.serveReplicate(c, br, h)
-	case PurposeMigrate:
-		s.serveMigrate(c, br, h)
 	}
 }
 
@@ -188,47 +166,36 @@ func (s *PeerServer) serveControl(c net.Conn, br *bufio.Reader) {
 		switch typ {
 		case framePing:
 			var p Ping
-			if err := json.Unmarshal(payload, &p); err != nil {
-				ackErr(c, err)
-				return
-			}
-			s.backend.HandlePing(p)
-			if err := ack(c, Ack{}); err != nil {
-				return
+			if err = json.Unmarshal(payload, &p); err == nil {
+				s.backend.HandlePing(p)
 			}
 		case frameMoved:
 			var m Moved
-			if err := json.Unmarshal(payload, &m); err != nil {
-				ackErr(c, err)
-				return
-			}
-			s.backend.HandleMoved(m)
-			if err := ack(c, Ack{}); err != nil {
-				return
+			if err = json.Unmarshal(payload, &m); err == nil {
+				s.backend.HandleMoved(m)
 			}
 		case frameDrop:
 			var d Drop
-			if err := json.Unmarshal(payload, &d); err != nil {
-				ackErr(c, err)
-				return
-			}
-			if err := s.backend.DropReplica(d.Session); err != nil {
-				ackErr(c, err)
-				return
-			}
-			if err := ack(c, Ack{}); err != nil {
-				return
+			if err = json.Unmarshal(payload, &d); err == nil {
+				err = s.backend.DropReplica(d.Session)
 			}
 		default:
-			ackErr(c, fmt.Errorf("unexpected %c frame on control stream", typ))
+			err = fmt.Errorf("unexpected %c frame on control stream", typ)
+		}
+		if err != nil {
+			ackErr(c, err)
+			return
+		}
+		if err := ack(c, Ack{}); err != nil {
 			return
 		}
 	}
 }
 
 // serveReplicate applies a session's replication stream: a silent state
-// sync up to the Cutover barrier (acked once), then individually acked
-// live frames until the primary hangs up.
+// sync up to the Cutover barrier (made durable, then acked once), then
+// individually acked live frames until the primary hangs up or hands the
+// session off.
 func (s *PeerServer) serveReplicate(c net.Conn, br *bufio.Reader, h Hello) {
 	rep, err := s.backend.OpenReplica(h.Session)
 	if err != nil {
@@ -250,26 +217,28 @@ func (s *PeerServer) serveReplicate(c net.Conn, br *bufio.Reader, h Hello) {
 			return
 		}
 		c.SetDeadline(time.Now().Add(s.timeout))
-		var seq uint64
 		switch typ {
 		case frameRecord:
-			rec, trace, derr := decodeRecord(payload)
-			if derr == nil {
-				seq = rec.Seq
-				derr = rep.AppendRecord(rec, trace)
+			var rec *wal.Record
+			var trace string
+			if rec, trace, err = decodeRecord(payload); err == nil {
+				err = rep.AppendRecord(rec, trace)
 			}
-			err = derr
 		case frameCheckpoint:
 			err = rep.PutCheckpoint(payload)
-		case frameReset:
-			err = rep.Reset()
 		case frameCutover:
+			// The primary may let go of its own copy on a later ack; what
+			// it synced must not be only in this node's page cache.
 			synced = true
-			err = ack(c, Ack{})
-			if err != nil {
-				return
+			err = rep.Sync()
+		case frameMoved:
+			var m Moved
+			if err = json.Unmarshal(payload, &m); err == nil && !synced {
+				err = errors.New("hand-off before the sync barrier")
 			}
-			continue
+			if err == nil {
+				err = rep.Promote(m) // closes rep: the primary hangs up on the ack
+			}
 		default:
 			err = fmt.Errorf("unexpected %c frame on replication stream", typ)
 		}
@@ -279,29 +248,9 @@ func (s *PeerServer) serveReplicate(c net.Conn, br *bufio.Reader, h Hello) {
 			return
 		}
 		if synced {
-			if err := ack(c, Ack{Seq: seq}); err != nil {
+			if err := ack(c, Ack{}); err != nil {
 				return
 			}
 		}
 	}
-}
-
-// serveMigrate receives one session's state and installs it; the single
-// ack after Cutover is the cutover decision.
-func (s *PeerServer) serveMigrate(c net.Conn, br *bufio.Reader, h Hello) {
-	c.SetDeadline(time.Now().Add(4 * s.timeout))
-	st, err := ReadState(br)
-	if err != nil {
-		s.log.Warn("migration transfer failed", "session", h.Session, "node", h.Node, "err", err)
-		ackErr(c, err)
-		return
-	}
-	c.SetDeadline(time.Now().Add(4 * s.timeout))
-	if err := s.backend.InstallMigrated(h.Session, st, h.Trace); err != nil {
-		s.log.Warn("migration install refused", "session", h.Session, "node", h.Node, "err", err)
-		ackErr(c, err)
-		return
-	}
-	s.log.Info("session migrated in", "session", h.Session, "from", h.Node)
-	_ = ack(c, Ack{})
 }

@@ -78,13 +78,18 @@ func appendWireFact(dst []byte, w *wm.WME) []byte {
 	return append(dst, "}}"...)
 }
 
+// servedMatcher is the one object-level matcher sessions run on, and what
+// create records, checkpoint headers and session infos name. A create
+// request may say so; it may not ask for another.
+const servedMatcher = "rete"
+
 // createSessionRequest creates a session from an embedded program name or
 // uploaded PARULEL source (exactly one of Program/Source).
 type createSessionRequest struct {
 	Program string `json:"program,omitempty"`
 	Source  string `json:"source,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	Matcher string `json:"matcher,omitempty"` // rete (default) or treat
+	Matcher string `json:"matcher,omitempty"` // absent or servedMatcher
 	// MaxCycles caps the session's cumulative cycle count as a runaway
 	// guard; 0 uses the server default.
 	MaxCycles int `json:"max_cycles,omitempty"`

@@ -8,9 +8,10 @@ package server
 // preference order — so when the owner dies, the node requests fail over
 // to is exactly the node holding the replica, which promotes it through
 // the ordinary recovery path: cluster failover is "recovery over the
-// wire". Live migration reuses the same session-state stream (checkpoint
-// image + WAL tail) with the session slot held, so mutations block only
-// for the transfer itself.
+// wire". Live migration is the same two steps on request: point the
+// replication stream at the target (reusing it when it already is) and
+// ask the target to run that promotion, with the session slot held so
+// mutations block only for the transfer itself.
 //
 // Explicit ownership transfers (admin moves, promotions) are recorded as
 // route overrides and broadcast to every peer; pings piggyback the
@@ -25,12 +26,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
 
+	"parulel/internal/checkpoint"
 	"parulel/internal/cluster"
 	"parulel/internal/obs"
 	"parulel/internal/wal"
@@ -50,7 +54,6 @@ type clusterState struct {
 	mship    *cluster.Membership
 	client   *cluster.Client
 	peerSrv  *cluster.PeerServer
-	httpc    *http.Client
 	replRoot string // <DataDir>/replicas
 
 	mu        sync.Mutex
@@ -74,7 +77,6 @@ func (s *Server) startCluster(cfg cluster.Config) error {
 		members:   make(map[string]cluster.Member, len(cfg.Members)),
 		mship:     cluster.NewMembership(cfg),
 		client:    cluster.NewClient(cfg.Node, cfg.IOTimeout),
-		httpc:     &http.Client{}, // per-request contexts bound proxy calls
 		replRoot:  filepath.Join(s.cfg.DataDir, "replicas"),
 		overrides: make(map[string]cluster.Moved),
 		replicas:  make(map[string]*serverReplica),
@@ -92,7 +94,7 @@ func (s *Server) startCluster(cfg cluster.Config) error {
 	if ln == nil {
 		addr := cfg.PeerAddr
 		if addr == "" {
-			addr = cfg.Self().PeerAddr
+			addr = cs.members[cfg.Node].PeerAddr
 		}
 		var err error
 		if ln, err = net.Listen("tcp", addr); err != nil {
@@ -119,29 +121,26 @@ func (s *Server) stopCluster() {
 		return
 	}
 	cs.mship.Stop()
-	cs.peerSrv.Close()
+	cs.peerSrv.Close() // waits for its handlers, each of which closes its replica
 	cs.client.Close()
-	cs.mu.Lock()
-	reps := make([]*serverReplica, 0, len(cs.replicas))
-	for _, rep := range cs.replicas {
-		reps = append(reps, rep)
-	}
-	cs.mu.Unlock()
-	for _, rep := range reps {
-		rep.Close()
-	}
 }
 
 // ---- routing ----
+
+// override returns the explicit-transfer claim recorded for a session.
+func (cs *clusterState) override(id string) (cluster.Moved, bool) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	ov, ok := cs.overrides[id]
+	return ov, ok
+}
 
 // candidates returns the preference order for a session id: the route
 // override's target first (an explicit transfer beats hash placement),
 // then the ring walk.
 func (cs *clusterState) candidates(id string) []string {
 	order := cs.ring.Order(id)
-	cs.mu.Lock()
-	ov, ok := cs.overrides[id]
-	cs.mu.Unlock()
+	ov, ok := cs.override(id)
 	if !ok {
 		return order
 	}
@@ -194,9 +193,12 @@ func (s *Server) routed(h http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 			h(w, r)
-		case r.Header.Get(forwardedHeader) != "":
+		case r.Header.Get(forwardedHeader) != "" && !cs.movedTo(id, owner):
 			// A peer already decided we own this; serve locally rather than
-			// bounce a routing disagreement around the cluster.
+			// bounce a routing disagreement around the cluster. A claim held
+			// here is not a disagreement: a peer yet to hear of the move
+			// still forwards here, and the request goes on along the claim
+			// (claims only lead to newer ones, so it ends).
 			h(w, r)
 		case owner == "":
 			writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("no live owner for session %q", id))
@@ -209,97 +211,120 @@ func (s *Server) routed(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// forward proxies the request to a peer, tagging it against loops. The
-// body was already bounded by MaxBytesReader.
+// movedTo reports whether a claim held here names node as id's owner.
+func (cs *clusterState) movedTo(id, node string) bool {
+	ov, ok := cs.override(id)
+	return ok && ov.Target == node
+}
+
+// forward proxies the request to a peer, tagging it against loops. Bodies
+// are relayed as they arrive, both ways: an NDJSON stream whose client
+// reads frame 1's result before it writes frame 2 passes through.
 func (s *Server) forward(w http.ResponseWriter, r *http.Request, m cluster.Member) {
 	cs := s.cluster
 	s.metrics.inc(&s.metrics.Cluster.Proxied)
-	body, err := io.ReadAll(r.Body)
+	base, err := url.Parse(m.PublicURL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		writeError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	proxySp := s.startSpan(r.Context(), stageProxy)
 	proxySp.SetAttr("target", m.Name)
 	defer proxySp.End()
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, m.PublicURL+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
+	// Without this the HTTP/1 server drains the request body before it
+	// releases the response header (see handleStream).
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	proxy := httputil.ReverseProxy{
+		FlushInterval: -1,
+		Rewrite: func(pr *httputil.ProxyRequest) {
+			pr.SetURL(base)
+			pr.Out.Header.Set(forwardedHeader, cs.cfg.Node)
+			// Hand the trace on with this hop's proxy span as the parent, so
+			// the owner's ingress span nests under it (and the origin request
+			// id rides along for its access log).
+			if ts := s.traceString(r.Context(), proxySp.ID()); ts != "" {
+				pr.Out.Header.Set(obs.TraceHeader, ts)
+			}
+		},
+		ModifyResponse: func(resp *http.Response) error {
+			resp.Header.Del(obs.TraceHeader) // this node's ServeHTTP already set its own
+			return nil
+		},
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
+			cs.mship.ReportFailure(m.Name)
+			writeError(w, http.StatusBadGateway, fmt.Sprintf("proxy to %s: %v", m.Name, err))
+		},
 	}
-	out.Header = r.Header.Clone()
-	out.Header.Set(forwardedHeader, cs.cfg.Node)
-	// Hand the trace on with this hop's proxy span as the parent, so the
-	// owner's ingress span nests under it (and the origin request id rides
-	// along for its access log).
-	if ts := s.traceString(r.Context(), proxySp.ID()); ts != "" {
-		out.Header.Set(obs.TraceHeader, ts)
-	}
-	resp, err := cs.httpc.Do(out)
-	if err != nil {
-		cs.mship.ReportFailure(m.Name)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("proxy to %s: %v", m.Name, err))
-		return
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		if k == obs.TraceHeader {
-			continue // this node's ServeHTTP already set its own
-		}
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	proxy.ServeHTTP(w, r)
 }
 
-// ---- replica promotion (failover) ----
+// ---- replica promotion (failover and hand-off) ----
 
-// adoptIfNeeded promotes a local replica into a live session when this
-// node just became a session's effective owner: the session is neither in
-// the pool nor in the store, but its replica directory is here. The
-// rename puts the replicated checkpoint + WAL under sessions/<id>, and
-// the ordinary lazy-rehydration path does the rest.
-func (s *Server) adoptIfNeeded(ctx context.Context, id string) error {
-	cs := s.cluster
-	if s.store.has(id) {
-		return nil
-	}
+// owns reports whether this node holds session id, in the pool or on disk.
+func (s *Server) owns(id string) bool {
 	s.mu.Lock()
 	_, live := s.sessions[id]
 	s.mu.Unlock()
-	if live {
-		return nil
-	}
+	return live || s.store.has(id)
+}
+
+// promoteReplica turns this node's replica of id into the session, owned
+// here under the claim mv: fence the handle, fsync, rename the directory to
+// sessions/<id> — the ordinary lazy-rehydration path does the rest — and
+// record the claim. Failover runs it when the owner is dead, a hand-off
+// when the owner asks. False: nothing to promote (a promoter or Drop won).
+func (s *Server) promoteReplica(id string, mv cluster.Moved) (bool, error) {
+	cs := s.cluster
 	src := filepath.Join(cs.replRoot, id)
-	if _, err := os.Stat(src); err != nil {
-		return nil // no replica either; the handler 404s as usual
-	}
-	// Fence the replica handle first: a zombie replication stream from the
+	// Fence the replica handle first: a zombie replication stream from a
 	// presumed-dead primary must not append into the promoted session.
+	// Closing it also fsyncs the log.
 	cs.closeReplica(id)
-	cs.mu.Lock()
-	// Re-check under the lock so two concurrent requests promote once.
+	cs.mu.Lock() // so that two concurrent requests promote once
 	if s.store.has(id) {
 		cs.mu.Unlock()
-		return nil
+		return false, nil
 	}
-	err := os.Rename(src, s.store.dir(id))
+	err := syncDir(src)
+	if err == nil {
+		err = os.Rename(src, s.store.dir(id))
+	}
 	if err == nil {
 		s.store.markKnown(id)
+		err = syncDir(s.store.root)
 	}
 	cs.mu.Unlock()
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil // lost a race with another promoter or a Drop
+			err = nil // lost a race with a Drop
 		}
+		return false, err
+	}
+	if !cs.setOverride(mv) {
+		// Out-claimed meanwhile: a hand-off its source gave up waiting for.
+		s.dropLocalSession(context.Background(), id)
+		return false, fmt.Errorf("claim %d on %s is superseded", mv.Seq, id)
+	}
+	return true, nil
+}
+
+// adoptIfNeeded is failover: this node just became a session's effective
+// owner, the session is neither in the pool nor in the store, but its
+// replica is here — promote it and tell the cluster.
+func (s *Server) adoptIfNeeded(ctx context.Context, id string) error {
+	cs := s.cluster
+	if s.owns(id) {
+		return nil
+	}
+	if _, err := os.Stat(filepath.Join(cs.replRoot, id)); err != nil {
+		return nil // no replica either; the handler 404s as usual
+	}
+	mv := cluster.Moved{Session: id, Target: cs.cfg.Node, Seq: cs.nextMoveSeq(id)}
+	if promoted, err := s.promoteReplica(id, mv); !promoted {
 		return err
 	}
 	s.metrics.inc(&s.metrics.Cluster.Promotions)
-	mv := cluster.Moved{Session: id, Target: cs.cfg.Node, Seq: cs.nextMoveSeq(id)}
-	cs.setOverride(mv)
-	s.broadcastMoved(mv)
+	cs.announce(mv)
 	s.log(ctx).Warn("promoted replica to primary", "session_id", id)
 	return nil
 }
@@ -345,35 +370,24 @@ func (cs *clusterState) nextMoveSeq(id string) uint64 {
 	return n
 }
 
-// broadcastMoved pushes one claim to every peer, best-effort: a down peer
-// converges later via ping piggyback.
-func (s *Server) broadcastMoved(mv cluster.Moved) {
-	cs := s.cluster
+// broadcast sends one control frame to every peer, best-effort: a down
+// peer converges later via ping piggyback.
+func (cs *clusterState) broadcast(send func(cluster.Member) error) {
 	for name, m := range cs.members {
 		if name == cs.cfg.Node {
 			continue
 		}
 		go func(m cluster.Member) {
-			if err := cs.client.SendMoved(m, mv); err != nil {
+			if err := send(m); err != nil {
 				cs.mship.ReportFailure(m.Name)
 			}
 		}(m)
 	}
 }
 
-// broadcastDrop asks every peer to discard its replica of a deleted
-// session.
-func (s *Server) broadcastDrop(id string) {
-	cs := s.cluster
-	if cs == nil {
-		return
-	}
-	for name, m := range cs.members {
-		if name == cs.cfg.Node {
-			continue
-		}
-		go func(m cluster.Member) { _ = cs.client.SendDrop(m, id) }(m)
-	}
+// announce broadcasts one ownership claim.
+func (cs *clusterState) announce(mv cluster.Moved) {
+	cs.broadcast(func(m cluster.Member) error { return cs.client.SendMoved(m, mv) })
 }
 
 // ---- replication (primary side) ----
@@ -415,26 +429,11 @@ func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Re
 				s.log(ctx).Warn("no live replica target; proceeding unreplicated", "session_id", sess.id)
 				return true
 			}
-			st, err := s.diskState(sess)
-			if err != nil {
-				s.log(ctx).Error("reading session state for replication", "session_id", sess.id, "err", err)
-				return false
-			}
-			stream, err = cs.client.OpenReplStream(target, sess.id, st)
-			if err != nil {
+			if _, err := s.attachRepl(sess, target); err != nil {
 				failed[target.Name] = true
-				cs.mship.ReportFailure(target.Name)
-				s.metrics.inc(&s.metrics.Cluster.ReplFailures)
 				s.log(ctx).Warn("replica attach failed", "session_id", sess.id, "target", target.Name, "err", err)
 				continue
 			}
-			sess.repl.Store(stream)
-			if sess.closed.Load() {
-				// Evicted under us (deleted, or its ownership moved) before
-				// the store: closeFiles saw no stream, so closing it is ours.
-				stream.Close()
-			}
-			s.metrics.inc(&s.metrics.Cluster.ReplStreams)
 			s.metrics.inc(&s.metrics.Cluster.ReplRecords)
 			ackSp.SetAttr("target", target.Name)
 			ackSp.SetAttr("attach", "1")
@@ -461,11 +460,36 @@ func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Re
 	return false
 }
 
+// attachRepl opens a replication stream from sess to target — a full
+// state sync off the local disk, durable on the target when this returns
+// — and makes it the session's live stream. Caller holds the session slot.
+func (s *Server) attachRepl(sess *session, target cluster.Member) (*cluster.ReplStream, error) {
+	cs := s.cluster
+	st, err := s.diskState(sess)
+	if err != nil {
+		return nil, fmt.Errorf("reading session state: %w", err)
+	}
+	stream, err := cs.client.OpenReplStream(target, sess.id, st)
+	if err != nil {
+		cs.mship.ReportFailure(target.Name)
+		s.metrics.inc(&s.metrics.Cluster.ReplFailures)
+		return nil, err
+	}
+	sess.repl.Store(stream)
+	if sess.closed.Load() {
+		// Evicted under us (deleted, or its ownership moved) before the
+		// store: closeFiles saw no stream, so closing it is ours.
+		stream.Close()
+	}
+	s.metrics.inc(&s.metrics.Cluster.ReplStreams)
+	return stream, nil
+}
+
 // replicateCheckpoint mirrors a freshly written checkpoint to the live
-// replica and truncates its log, keeping the replica as compact as the
-// primary. Best-effort: on failure the stream is dropped and the next
-// mutation re-attaches with a full state sync that includes this
-// checkpoint. Caller holds the session slot.
+// replica, which empties its log as the primary just did, keeping the
+// replica as compact as the primary. Best-effort: on failure the stream
+// is dropped and the next mutation re-attaches with a full state sync
+// that includes this checkpoint. Caller holds the session slot.
 func (s *Server) replicateCheckpoint(ctx context.Context, sess *session) {
 	stream := sess.repl.Load()
 	if stream == nil || sess.dur == nil {
@@ -474,9 +498,6 @@ func (s *Server) replicateCheckpoint(ctx context.Context, sess *session) {
 	image, err := os.ReadFile(filepath.Join(sess.dur.dir, checkpointFile))
 	if err == nil {
 		err = stream.SendCheckpoint(image)
-	}
-	if err == nil {
-		err = stream.SendReset()
 	}
 	if err != nil {
 		s.metrics.inc(&s.metrics.Cluster.ReplFailures)
@@ -489,20 +510,14 @@ func (s *Server) replicateCheckpoint(ctx context.Context, sess *session) {
 // files: the checkpoint image plus every WAL record behind it. Caller
 // holds the session slot, so nothing appends concurrently; the open log
 // handle is unaffected by the read-only scan.
-func (s *Server) diskState(sess *session) (cluster.SessionState, error) {
-	var st cluster.SessionState
+func (s *Server) diskState(sess *session) (st cluster.SessionState, err error) {
 	dir := sess.dur.dir
-	if b, err := os.ReadFile(filepath.Join(dir, checkpointFile)); err == nil {
-		st.Checkpoint = b
-	} else if !os.IsNotExist(err) {
+	if st.Checkpoint, err = os.ReadFile(filepath.Join(dir, checkpointFile)); err != nil && !os.IsNotExist(err) {
 		return st, err
 	}
 	res, err := wal.ScanFile(filepath.Join(dir, walFile))
-	if err != nil {
-		return st, err
-	}
 	st.Tail = res.Records
-	return st, nil
+	return st, err
 }
 
 // ---- replica store (follower side) ----
@@ -510,29 +525,17 @@ func (s *Server) diskState(sess *session) (cluster.SessionState, error) {
 // serverReplica implements cluster.Replica over a replica directory that
 // mirrors a session directory (wal.log + checkpoint), with the primary's
 // sequence numbers preserved — promotion is a rename plus the ordinary
-// recovery path.
+// recovery path. The files are held through the same handle a live
+// session uses; closing it is the fence: later stream frames fail rather
+// than touch files a promotion or drop is about to take.
 type serverReplica struct {
-	cs  *clusterState
-	s   *Server
-	id  string
-	dir string
-
-	mu     sync.Mutex
-	log    *wal.Log
-	closed bool
+	s *Server
+	d *durable
 }
-
-var errReplicaFenced = errors.New("replica fenced")
 
 func (r *serverReplica) AppendRecord(rec *wal.Record, trace string) error {
 	t0 := time.Now()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return errReplicaFenced
-	}
-	err := r.log.AppendKeepSeq(rec)
-	r.mu.Unlock()
+	_, err := r.d.append(rec, true)
 	// The producing request's trace arrived with the record; record the
 	// follower-side apply into this node's span store so the assembled
 	// cluster trace shows both sides of the replication hop.
@@ -544,7 +547,7 @@ func (r *serverReplica) AppendRecord(rec *wal.Record, trace string) error {
 			StartUNN: t0.UnixNano(),
 			DurNS:    time.Since(t0).Nanoseconds(),
 			Attrs: map[string]string{
-				"session": r.id,
+				"session": r.d.id,
 				"seq":     strconv.FormatUint(rec.Seq, 10),
 			},
 		})
@@ -553,61 +556,42 @@ func (r *serverReplica) AppendRecord(rec *wal.Record, trace string) error {
 }
 
 func (r *serverReplica) PutCheckpoint(image []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return errReplicaFenced
-	}
-	return replaceFile(r.dir, checkpointFile, writeBytes(image))
+	return r.d.checkpoint(func(w io.Writer, _ *checkpoint.LedgerCommit) error {
+		_, err := w.Write(image)
+		return err
+	})
 }
 
-// writeBytes is replaceFile's writer for an image already in memory.
-func writeBytes(data []byte) func(io.Writer) error {
-	return func(w io.Writer) error {
-		_, err := w.Write(data)
+func (r *serverReplica) Sync() error { return r.d.sync() }
+
+func (r *serverReplica) Promote(mv cluster.Moved) error {
+	// A fenced handle's directory is someone else's to promote.
+	if err := r.d.sync(); err != nil {
 		return err
 	}
-}
-
-func (r *serverReplica) Reset() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return errReplicaFenced
+	promoted, err := r.s.promoteReplica(r.d.id, mv)
+	if err == nil && !promoted {
+		err = errors.New("no replica left to promote")
 	}
-	return r.log.Reset()
-}
-
-func (r *serverReplica) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
+	if err == nil {
+		r.s.metrics.inc(&r.s.metrics.Cluster.MigrationsIn)
+		r.s.cfg.Logger.Info("session migrated in", "session_id", r.d.id)
 	}
-	r.closed = true
-	err := r.log.Close()
-	r.mu.Unlock()
-	r.cs.unregisterReplica(r.id, r)
 	return err
 }
 
-func (cs *clusterState) registerReplica(id string, rep *serverReplica) {
+func (r *serverReplica) Close() error {
+	err := r.d.close()
+	cs := r.s.cluster
 	cs.mu.Lock()
-	cs.replicas[id] = rep
-	cs.mu.Unlock()
-}
-
-func (cs *clusterState) unregisterReplica(id string, rep *serverReplica) {
-	cs.mu.Lock()
-	if cs.replicas[id] == rep {
-		delete(cs.replicas, id)
+	if cs.replicas[r.d.id] == r {
+		delete(cs.replicas, r.d.id)
 	}
 	cs.mu.Unlock()
+	return err
 }
 
-// closeReplica fences the open replica handle for id, if any: subsequent
-// stream appends fail rather than touching files a promotion or drop is
-// about to take.
+// closeReplica fences the open replica handle for id, if any.
 func (cs *clusterState) closeReplica(id string) {
 	cs.mu.Lock()
 	rep := cs.replicas[id]
@@ -617,19 +601,10 @@ func (cs *clusterState) closeReplica(id string) {
 	}
 }
 
-// replicaCount counts replica directories currently held.
+// replicaCount counts the replica directories currently held.
 func (cs *clusterState) replicaCount() int {
-	entries, err := os.ReadDir(cs.replRoot)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if e.IsDir() {
-			n++
-		}
-	}
-	return n
+	entries, _ := os.ReadDir(cs.replRoot) // nothing else is ever put there
+	return len(entries)
 }
 
 // ---- peer protocol backend ----
@@ -640,6 +615,11 @@ type clusterBackend struct{ s *Server }
 func (b *clusterBackend) OpenReplica(id string) (cluster.Replica, error) {
 	s := b.s
 	cs := s.cluster
+	// A node does not follow a session it owns: promotion would find
+	// sessions/<id> taken and serve that directory, not this replica.
+	if s.owns(id) {
+		return nil, fmt.Errorf("session %s is owned by %s", id, cs.cfg.Node)
+	}
 	// A new stream always starts with a full state sync: fence and discard
 	// whatever a previous stream left.
 	cs.closeReplica(id)
@@ -654,74 +634,11 @@ func (b *clusterBackend) OpenReplica(id string) (cluster.Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &serverReplica{cs: cs, s: s, id: id, dir: dir, log: l}
-	cs.registerReplica(id, rep)
+	rep := &serverReplica{s: s, d: &durable{st: s.store, id: id, dir: dir, log: l}}
+	cs.mu.Lock()
+	cs.replicas[id] = rep
+	cs.mu.Unlock()
 	return rep, nil
-}
-
-func (b *clusterBackend) InstallMigrated(id string, st cluster.SessionState, trace string) error {
-	s := b.s
-	cs := s.cluster
-	t0 := time.Now()
-	defer func() {
-		if tc, ok := obs.ParseTraceContext(trace); ok {
-			s.spans.Record(obs.Span{
-				TraceID:  tc.TraceID,
-				Parent:   tc.Parent,
-				Stage:    stageMigrateIn,
-				StartUNN: t0.UnixNano(),
-				DurNS:    time.Since(t0).Nanoseconds(),
-				Attrs:    map[string]string{"session": id},
-			})
-		}
-	}()
-	if s.store.has(id) {
-		return fmt.Errorf("session %s already exists on %s", id, cs.cfg.Node)
-	}
-	s.mu.Lock()
-	_, live := s.sessions[id]
-	s.mu.Unlock()
-	if live {
-		return fmt.Errorf("session %s is live on %s", id, cs.cfg.Node)
-	}
-	// This node may hold the session's replica (the migration target often
-	// is the replica holder); the stream is dead or dying, and the
-	// explicit transfer supersedes the replica.
-	cs.closeReplica(id)
-	_ = os.RemoveAll(filepath.Join(cs.replRoot, id))
-
-	dir := s.store.dir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	install := func() error {
-		if st.Checkpoint != nil {
-			if err := replaceFile(dir, checkpointFile, writeBytes(st.Checkpoint)); err != nil {
-				return err
-			}
-		}
-		l, _, err := wal.Open(filepath.Join(dir, walFile), s.store.walOpts)
-		if err != nil {
-			return err
-		}
-		for i := range st.Tail {
-			if err := l.AppendKeepSeq(&st.Tail[i]); err != nil {
-				l.Close()
-				return err
-			}
-		}
-		if err := l.Close(); err != nil { // Close fsyncs buffered appends
-			return err
-		}
-		return syncDir(dir)
-	}
-	if err := install(); err != nil {
-		os.RemoveAll(dir)
-		return err
-	}
-	s.store.markKnown(id)
-	s.metrics.inc(&s.metrics.Cluster.MigrationsIn)
-	return nil
 }
 
 func (b *clusterBackend) HandleMoved(mv cluster.Moved) {
@@ -752,10 +669,11 @@ func (b *clusterBackend) DropReplica(id string) error {
 // ---- live migration ----
 
 // migrateSession moves one session to target: checkpoint (compacting the
-// transferable state), stream checkpoint + WAL tail with the session slot
-// held (mutations block for exactly the transfer), cut over on the
-// target's install ack, then drop the local copy and broadcast the new
-// route. On any pre-cutover error the session stays here, untouched.
+// transferable state), point the replication stream at the target, hand
+// the session off on it — all with the session slot held (mutations block
+// for exactly the transfer). The target owns the session, fsynced and
+// routable, before it acks; only then is the local copy dropped and the
+// route broadcast. On any error the session stays here, untouched.
 func (s *Server) migrateSession(ctx context.Context, id string, target cluster.Member) error {
 	cs := s.cluster
 	sess, err := s.holdSession(ctx, id, 0)
@@ -772,34 +690,44 @@ func (s *Server) migrateSession(ctx context.Context, id string, target cluster.M
 	migSp.SetAttr("target", target.Name)
 	defer migSp.End()
 	_ = s.checkpointSession(ctx, sess) // failure just means a longer WAL tail
-	st, err := s.diskState(sess)
-	if err != nil {
-		return err
+
+	// A live stream to the target is caught up (a stream that misses a
+	// frame is dropped), so the hand-off is the whole transfer; any other
+	// stream is replaced by one to the target, a full state sync.
+	stream := sess.repl.Load()
+	reused, oldReplica := stream != nil, ""
+	if reused && stream.Target.Name != target.Name {
+		reused, oldReplica = false, stream.Target.Name
+		sess.dropRepl(stream)
 	}
-	if err := cs.client.Migrate(target, id, st, s.traceString(ctx, migSp.ID())); err != nil {
-		cs.mship.ReportFailure(target.Name)
+	if !reused {
+		if stream, err = s.attachRepl(sess, target); err != nil {
+			return err
+		}
+	}
+	mv := cluster.Moved{Session: id, Target: target.Name, Seq: cs.nextMoveSeq(id)}
+	if err := stream.HandOff(mv); err != nil {
+		// Refused — or the ack was lost and the target holds a promoted
+		// copy. A newer claim naming this node keeps the session here and
+		// has the target discard whatever it made of the hand-off.
+		sess.dropRepl(stream)
+		mv = cluster.Moved{Session: id, Target: cs.cfg.Node, Seq: cs.nextMoveSeq(id)}
+		cs.setOverride(mv)
+		cs.announce(mv)
 		return err
 	}
 
 	// Cutover: the target owns the session from here on.
-	mv := cluster.Moved{Session: id, Target: target.Name, Seq: cs.nextMoveSeq(id)}
 	cs.setOverride(mv)
-	var oldReplica string
-	if stream := sess.repl.Load(); stream != nil {
-		oldReplica = stream.Target.Name
-		sess.dropRepl(stream)
-	}
+	sess.dropRepl(stream)
 	s.dropLocalSession(ctx, id)
-	s.broadcastMoved(mv)
-	if oldReplica != "" && oldReplica != target.Name {
-		if m, ok := cs.members[oldReplica]; ok {
-			go func() { _ = cs.client.SendDrop(m, id) }()
-		}
+	cs.announce(mv)
+	if m, ok := cs.members[oldReplica]; ok {
+		go func() { _ = cs.client.SendDrop(m, id) }()
 	}
 	s.metrics.inc(&s.metrics.Cluster.MigrationsOut)
 	s.log(ctx).Info("session migrated out",
-		"session_id", id, "target", target.Name,
-		"checkpoint_bytes", len(st.Checkpoint), "tail_records", len(st.Tail),
+		"session_id", id, "target", target.Name, "stream_reused", reused,
 		"duration_ms", time.Since(t0).Milliseconds())
 	return nil
 }
@@ -829,9 +757,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		"replicas":    cs.replicaCount(),
 	}
 	if id := r.URL.Query().Get("session"); id != "" {
-		cs.mu.Lock()
-		_, overridden := cs.overrides[id]
-		cs.mu.Unlock()
+		_, overridden := cs.override(id)
 		resp["route"] = clusterRoute{
 			Session:    id,
 			Owner:      cs.effectiveOwner(id),
@@ -897,10 +823,7 @@ func (s *Server) handleClusterMove(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.migrateSession(r.Context(), req.Session, target); err != nil {
 		status := http.StatusInternalServerError
-		s.mu.Lock()
-		_, live := s.sessions[req.Session]
-		s.mu.Unlock()
-		if !live && !s.store.has(req.Session) {
+		if !s.owns(req.Session) {
 			status = http.StatusNotFound
 		}
 		writeError(w, status, err.Error())

@@ -2,14 +2,16 @@ package server
 
 // Cluster-mode coverage: an in-process multi-node harness (pre-bound peer
 // listeners, real TCP between nodes), ownership routing by proxy and by
-// redirect, synchronous WAL replication with replica promotion after a
-// node kill, live migration via the admin move endpoint, and the
-// session-state stream round trip that both replication and migration
-// ride on.
+// redirect (bodies relayed, not collected), synchronous WAL replication
+// with replica promotion after a node kill, live migration via the admin
+// move endpoint — attach + hand-off, under writes, to the replica holder,
+// refused and with the ack lost — and the session-state stream round trip
+// all of it rides on.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -249,27 +251,29 @@ func TestClusterProxyAndRedirect(t *testing.T) {
 	}
 }
 
-// TestClusterStateStreamRoundTrip: the migration/replication transport —
-// checkpoint image plus WAL tail through an io.Pipe — reproduces a
-// session byte-identically, including gensym values and time tags.
+// TestClusterStateStreamRoundTrip: the one store-transfer primitive —
+// checkpoint image plus WAL tail, written by WriteState and applied by a
+// real follower — lands in the replica directory unchanged, and the
+// promotion over that directory serves the session byte-identically,
+// gensym values, time tags and counters included.
 func TestClusterStateStreamRoundTrip(t *testing.T) {
-	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 3}
-	s, ts := newTestServer(t, cfg)
-	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
-	url := ts.URL + "/api/v1/sessions/" + info.ID
+	tc := newTestCluster(t, 2, func(_ string, cfg *Config) {
+		cfg.CheckpointEvery = 3
+		cfg.Cluster.Replication = cluster.ReplOff // the test drives the stream itself
+	})
+	n0, n1 := tc.servers["n0"], tc.servers["n1"]
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc, Workers: 2})
+	url := tc.url("n0") + "/api/v1/sessions/" + info.ID
 	driveSession(t, url) // 5 mutations: a checkpoint plus a live WAL tail
 	wantSnap := exportSnapshot(t, url)
 	wantInfo := getInfo(t, url)
 
 	ctx := context.Background()
-	sess, err := s.sessionByID(ctx, info.ID)
+	sess, err := n0.holdSession(ctx, info.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.diskState(sess)
+	st, err := n0.diskState(sess)
 	sess.release()
 	if err != nil {
 		t.Fatal(err)
@@ -279,54 +283,41 @@ func TestClusterStateStreamRoundTrip(t *testing.T) {
 			len(st.Checkpoint), len(st.Tail))
 	}
 
-	// Stream through an io.Pipe — the same shape the peer protocol uses.
-	pr, pw := io.Pipe()
-	var got cluster.SessionState
-	done := make(chan error, 1)
-	go func() {
-		var rerr error
-		got, rerr = cluster.ReadState(pr)
-		done <- rerr
-	}()
-	if err := cluster.WriteState(pw, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Checkpoint) != string(st.Checkpoint) {
-		t.Fatalf("checkpoint image changed in transit: %d vs %d bytes", len(got.Checkpoint), len(st.Checkpoint))
-	}
-	if !reflect.DeepEqual(got.Tail, st.Tail) {
-		t.Fatalf("WAL tail changed in transit:\n got %+v\nwant %+v", got.Tail, st.Tail)
-	}
-
-	// Install the streamed state into a fresh data directory the way
-	// InstallMigrated does, and serve it: the restored session must match
-	// the original byte for byte (gensym ids and time tags included).
-	dirB := t.TempDir()
-	sessDir := filepath.Join(dirB, "sessions", info.ID)
-	if err := os.MkdirAll(sessDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(sessDir, checkpointFile), got.Checkpoint, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, _, err := wal.Open(filepath.Join(sessDir, walFile), wal.Options{Policy: wal.PolicyAlways})
+	// Attach: hello, WriteState, the barrier's ack. On return the replica
+	// directory holds the state, fsynced.
+	stream, err := n0.cluster.client.OpenReplStream(n0.cluster.members["n1"], info.ID, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got.Tail {
-		if err := l.AppendKeepSeq(&got.Tail[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
+	defer stream.Close()
+	replDir := filepath.Join(tc.dirs["n1"], "replicas", info.ID)
+	image, err := os.ReadFile(filepath.Join(replDir, checkpointFile))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(image, st.Checkpoint) {
+		t.Fatalf("checkpoint image changed in transit: %d vs %d bytes", len(image), len(st.Checkpoint))
+	}
+	scan, err := wal.ScanFile(filepath.Join(replDir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scan.Records, st.Tail) {
+		t.Fatalf("WAL tail changed in transit:\n got %+v\nwant %+v", scan.Records, st.Tail)
+	}
 
-	_, tsB := newTestServer(t, Config{DataDir: dirB, Fsync: wal.PolicyAlways})
-	urlB := tsB.URL + "/api/v1/sessions/" + info.ID
+	// Hand off: the follower promotes the directory and owns the session.
+	mv := cluster.Moved{Session: info.ID, Target: "n1", Seq: 1}
+	if err := stream.HandOff(mv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(replDir); !os.IsNotExist(err) {
+		t.Fatalf("promotion left the replica directory behind: %v", err)
+	}
+	if ov, ok := n1.cluster.override(info.ID); !ok || ov != mv {
+		t.Fatalf("promotion recorded claim %+v, want %+v", ov, mv)
+	}
+	urlB := tc.url("n1") + "/api/v1/sessions/" + info.ID
 	gotInfo := getInfo(t, urlB)
 	if gotInfo.Cycles != wantInfo.Cycles || gotInfo.Firings != wantInfo.Firings ||
 		gotInfo.Runs != wantInfo.Runs || gotInfo.WMSize != wantInfo.WMSize {
@@ -656,5 +647,402 @@ func TestClusterSessionClosedMidReplication(t *testing.T) {
 				t.Fatal("closing the session did not unpark the replication send")
 			}
 		})
+	}
+}
+
+// clusterMetrics scrapes one node's cluster counters.
+func (tc *testCluster) clusterMetrics(name string) clusterPayload {
+	tc.t.Helper()
+	var m metricsPayload
+	if st := call(tc.t, "GET", tc.url(name)+"/metrics", nil, &m); st != http.StatusOK || m.Cluster == nil {
+		tc.t.Fatalf("metrics of %s: status %d, cluster %+v", name, st, m.Cluster)
+	}
+	return *m.Cluster
+}
+
+// move asks via to move the session to target, returning the status.
+func (tc *testCluster) move(via, id, target string) int {
+	tc.t.Helper()
+	return call(tc.t, "POST", tc.url(via)+"/cluster/move", map[string]string{"session": id, "target": target}, nil)
+}
+
+// assertMoved checks what a 200 from POST /cluster/move promises: the
+// target holds the session's directory, the source holds nothing of it.
+func (tc *testCluster) assertMoved(id, from, to string) {
+	tc.t.Helper()
+	if _, err := os.Stat(filepath.Join(tc.dirs[to], "sessions", id, walFile)); err != nil {
+		tc.t.Fatalf("target %s does not hold the moved session: %v", to, err)
+	}
+	for _, sub := range []string{"sessions", "replicas"} {
+		if _, err := os.Stat(filepath.Join(tc.dirs[from], sub, id)); !os.IsNotExist(err) {
+			tc.t.Fatalf("source %s kept %s/%s: %v", from, sub, id, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(tc.dirs[to], "replicas", id)); !os.IsNotExist(err) {
+		tc.t.Fatalf("target %s kept the replica directory it promoted: %v", to, err)
+	}
+}
+
+// TestClusterMoveToReplicaHolder: moving a session to the node that
+// already follows it needs no second state sync — the live stream is
+// caught up, so the move is the hand-off alone.
+func TestClusterMoveToReplicaHolder(t *testing.T) {
+	tc := newTestCluster(t, 3, func(_ string, cfg *Config) { cfg.CheckpointEvery = 3 })
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc, Workers: 2})
+	url := tc.url("n0") + "/api/v1/sessions/" + info.ID
+	driveSession(t, url)
+	want := exportSnapshot(t, url)
+	wantInfo := getInfo(t, url)
+
+	holder := tc.servers["n0"].cluster.ring.Order(info.ID)[1]
+	before := tc.clusterMetrics("n0")
+	if before.ReplStreams != 1 {
+		t.Fatalf("test premise broken: %d replication streams opened before the move, want 1", before.ReplStreams)
+	}
+	if st := tc.move("n0", info.ID, holder); st != http.StatusOK {
+		t.Fatalf("move: status %d", st)
+	}
+	tc.assertMoved(info.ID, "n0", holder)
+	after := tc.clusterMetrics("n0")
+	if after.ReplStreams != before.ReplStreams {
+		t.Fatalf("move to the replica holder opened %d more stream(s): a second full sync", after.ReplStreams-before.ReplStreams)
+	}
+	if after.MigrationsOut != 1 {
+		t.Fatalf("source counts %d migrations out, want 1", after.MigrationsOut)
+	}
+	if m := tc.clusterMetrics(holder); m.MigrationsIn != 1 || m.Promotions != 0 {
+		t.Fatalf("target counts %d migrations in, %d promotions; want 1, 0 (a hand-off is not a failover)", m.MigrationsIn, m.Promotions)
+	}
+	for _, via := range tc.names {
+		if got := tc.waitSnapshot(via, info.ID); got != want {
+			t.Fatalf("moved snapshot differs via %s:\n-- got --\n%s\n-- want --\n%s", via, got, want)
+		}
+	}
+	newURL := tc.url(holder) + "/api/v1/sessions/" + info.ID
+	if got := getInfo(t, newURL); got.Cycles != wantInfo.Cycles || got.Firings != wantInfo.Firings || got.Runs != wantInfo.Runs {
+		t.Fatalf("moved counters differ:\n got %+v\nwant %+v", got, wantInfo)
+	}
+	// And back: the new owner's follower is whoever it picked; either way
+	// the session returns intact and keeps working.
+	assertTasks(t, newURL, 50, 52)
+	runSession(t, newURL)
+	want = exportSnapshot(t, newURL)
+	if st := tc.move(holder, info.ID, "n0"); st != http.StatusOK {
+		t.Fatalf("move back: status %d", st)
+	}
+	tc.assertMoved(info.ID, holder, "n0")
+	if got := tc.waitSnapshot(holder, info.ID); got != want {
+		t.Fatal("snapshot differs after moving back")
+	}
+}
+
+// itemCounts lists how many item facts carry each key.
+func itemCounts(t *testing.T, url string) map[string]int {
+	t.Helper()
+	var resp struct {
+		Facts []struct {
+			Fields map[string]any `json:"fields"`
+		} `json:"facts"`
+	}
+	if st := call(t, "GET", url+"/wm?template=item", nil, &resp); st != http.StatusOK {
+		t.Fatalf("wm: status %d", st)
+	}
+	counts := make(map[string]int, len(resp.Facts))
+	for _, f := range resp.Facts {
+		k, _ := f.Fields["k"].(string)
+		counts[k]++
+	}
+	return counts
+}
+
+// TestClusterMoveUnderConcurrentWrites: writers keep asserting through
+// every node while the session moves. Every acked fact is on the target,
+// none twice, and from the moment the move answers 200 no request, through
+// any node, finds the session missing: the target owned it before the
+// source let go, and the source knows where it went before its peers do.
+func TestClusterMoveUnderConcurrentWrites(t *testing.T) {
+	tc := newTestCluster(t, 3, func(_ string, cfg *Config) { cfg.CheckpointEvery = 16 })
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: contractSrc})
+	path := "/api/v1/sessions/" + info.ID
+
+	type outcome struct {
+		key       string
+		status    int
+		afterMove bool
+	}
+	var (
+		moved   atomic.Bool
+		stop    = make(chan struct{})
+		wg      sync.WaitGroup
+		results = make([][]outcome, 2*len(tc.names))
+	)
+	for w := range results {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			via := tc.url(tc.names[w%len(tc.names)])
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				o := outcome{key: fmt.Sprintf("w%d-%d", w, n), afterMove: moved.Load()}
+				o.status, _ = tryCall("POST", via+path+"/facts", assertRequest{Facts: []factPayload{itemFact(o.key)}})
+				results[w] = append(results[w], o)
+			}
+		}(w)
+	}
+	time.Sleep(150 * time.Millisecond)
+	target := "n2"
+	if tc.servers["n0"].cluster.ring.Order(info.ID)[1] == target {
+		target = "n1" // not the replica holder: the move is attach + hand-off
+	}
+	if st := tc.move("n1", info.ID, target); st != http.StatusOK {
+		t.Fatalf("move under load: status %d", st)
+	}
+	moved.Store(true)
+	tc.assertMoved(info.ID, "n0", target)
+	time.Sleep(150 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	counts := itemCounts(t, tc.url(target)+path)
+	acked, ackedAfter := 0, 0
+	for _, outcomes := range results {
+		for _, o := range outcomes {
+			if o.afterMove && o.status != http.StatusOK {
+				t.Errorf("request for %s issued after the move answered %d", o.key, o.status)
+			}
+			if o.status != http.StatusOK {
+				continue
+			}
+			acked++
+			if o.afterMove {
+				ackedAfter++
+			}
+			if counts[o.key] != 1 {
+				t.Errorf("acked fact %s is on the target %d times", o.key, counts[o.key])
+			}
+		}
+	}
+	for k, n := range counts {
+		if n > 1 {
+			t.Errorf("fact %s applied %d times", k, n)
+		}
+	}
+	if acked == 0 || ackedAfter == 0 {
+		t.Fatalf("test premise broken: %d acked writes, %d after the move", acked, ackedAfter)
+	}
+}
+
+// handOffGate wraps a node's peer listener so a test can lose the ack of
+// a hand-off: once armed, a replication connection that has just read a
+// hand-off frame is closed in place of the node's next write on it.
+type handOffGate struct {
+	net.Listener
+	armed atomic.Bool
+}
+
+func (g *handOffGate) Accept() (net.Conn, error) {
+	c, err := g.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &handOffConn{Conn: c, g: g}, nil
+}
+
+// handOffConn is read and written by its one peer-server handler
+// goroutine. Live replication is one frame, one ack, so a read that
+// follows a write starts on a frame's type byte.
+type handOffConn struct {
+	net.Conn
+	g       *handOffGate
+	handOff bool
+}
+
+func (c *handOffConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.handOff = n > 0 && p[0] == 'M'
+	return n, err
+}
+
+func (c *handOffConn) Write(p []byte) (int, error) {
+	if c.handOff && c.g.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestClusterHandOffFailureKeepsSource: a hand-off the target refuses, or
+// whose ack never arrives, leaves the session on the source — same state,
+// still writable, still the node every peer routes to — and nothing of
+// it on the target, even when the target had already promoted its copy.
+func TestClusterHandOffFailureKeepsSource(t *testing.T) {
+	for name, sabotage := range map[string]func(tc *testCluster, gate *handOffGate, id string){
+		"target refuses": func(tc *testCluster, _ *handOffGate, id string) {
+			// The target believes it owns the session already.
+			tc.servers["n1"].store.markKnown(id)
+		},
+		"ack lost": func(_ *testCluster, gate *handOffGate, _ string) { gate.armed.Store(true) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var gate *handOffGate
+			tc := newTestCluster(t, 2, func(name string, cfg *Config) {
+				if name == "n1" {
+					gate = &handOffGate{Listener: cfg.Cluster.PeerListener}
+					cfg.Cluster.PeerListener = gate
+				}
+			})
+			info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
+			url := tc.url("n0") + "/api/v1/sessions/" + info.ID
+			driveSession(t, url) // n1 follows it from here on
+			want := exportSnapshot(t, url)
+
+			sabotage(tc, gate, info.ID)
+			if st := tc.move("n0", info.ID, "n1"); st != http.StatusInternalServerError {
+				t.Fatalf("sabotaged move: status %d, want 500", st)
+			}
+			if got := exportSnapshot(t, url); got != want {
+				t.Fatalf("failed move changed the session on its source:\n-- got --\n%s\n-- want --\n%s", got, want)
+			}
+			if m := tc.clusterMetrics("n0"); m.MigrationsOut != 0 {
+				t.Fatalf("failed move counted as %d migrations out", m.MigrationsOut)
+			}
+			// The source's newer claim reaches the target, which discards
+			// whatever it made of the hand-off.
+			deadline := time.Now().Add(5 * time.Second)
+			for tc.servers["n1"].owns(info.ID) {
+				if time.Now().After(deadline) {
+					t.Fatal("the target kept its copy of a session the source still owns")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			// Still writable, replicating again, and reachable via the peer.
+			assertTasks(t, url, 100, 102)
+			if run := runSession(t, url); run.Firings == 0 {
+				t.Fatal("session fired nothing after the failed move")
+			}
+			want = exportSnapshot(t, url)
+			if got := tc.waitSnapshot("n1", info.ID); got != want {
+				t.Fatal("session differs via the node that failed to take it")
+			}
+			if _, err := os.Stat(filepath.Join(tc.dirs["n0"], "sessions", info.ID, walFile)); err != nil {
+				t.Fatalf("source lost the session's files: %v", err)
+			}
+			// And a second, unsabotaged move goes through.
+			if st := tc.move("n0", info.ID, "n1"); st != http.StatusOK {
+				t.Fatalf("move after the failed one: status %d", st)
+			}
+			tc.assertMoved(info.ID, "n0", "n1")
+			if got := tc.waitSnapshot("n0", info.ID); got != want {
+				t.Fatal("snapshot differs after the second move")
+			}
+		})
+	}
+}
+
+// TestClusterOpenReplicaRefusesOwnedSession: a node does not follow a
+// session it owns, live or evicted to disk — a promotion would otherwise
+// find sessions/<id> taken and serve that stale directory.
+func TestClusterOpenReplicaRefusesOwnedSession(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
+	n0 := tc.servers["n0"]
+	backend := &clusterBackend{n0}
+	check := func(state string) {
+		t.Helper()
+		if rep, err := backend.OpenReplica(info.ID); err == nil {
+			rep.Close()
+			t.Fatalf("OpenReplica accepted a session the node owns (%s)", state)
+		}
+		if _, err := os.Stat(filepath.Join(tc.dirs["n0"], "replicas", info.ID)); !os.IsNotExist(err) {
+			t.Fatalf("refused OpenReplica left a replica directory (%s): %v", state, err)
+		}
+	}
+	check("live in the pool")
+	n0.mu.Lock()
+	n0.evictLocked(n0.sessions[info.ID])
+	n0.mu.Unlock()
+	check("evicted, on disk")
+	// The peer that really follows it is unaffected.
+	assertTasks(t, tc.url("n0")+"/api/v1/sessions/"+info.ID, 0, 2)
+	if _, err := os.Stat(filepath.Join(tc.dirs["n1"], "replicas", info.ID, walFile)); err != nil {
+		t.Fatalf("no replica on the follower: %v", err)
+	}
+}
+
+// TestClusterStreamThroughNonOwner: a paced NDJSON stream sent to a node
+// that does not own the session is relayed frame by frame — the client
+// writes frame 2 only after it has read frame 1's result, which a proxy
+// that collects the body before dialing the owner never delivers.
+func TestClusterStreamThroughNonOwner(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: contractSrc})
+	frame := func(key string) []byte {
+		b, err := json.Marshal(map[string]any{"facts": []factPayload{itemFact(key)}, "run": true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, tc.url("n1")+"/api/v1/sessions/"+info.ID+"/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			go pw.Write(frame("a")) // a pipe write waits for the transport to read it
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("status %d", resp.StatusCode)
+			}
+			dec := json.NewDecoder(resp.Body)
+			for i, key := range []string{"b", ""} {
+				var line streamFrameResult
+				if err := dec.Decode(&line); err != nil {
+					return fmt.Errorf("result %d: %w", i+1, err)
+				}
+				if line.Frame != i+1 || line.Error != "" || line.Asserted != 1 || line.Run == nil || line.Run.Firings != 1 {
+					return fmt.Errorf("result %d: %+v", i+1, line)
+				}
+				if key == "" {
+					break
+				}
+				if _, err := pw.Write(frame(key)); err != nil { // only now
+					return err
+				}
+			}
+			pw.Close()
+			var extra streamFrameResult
+			if err := dec.Decode(&extra); err != io.EOF {
+				return fmt.Errorf("after the last frame: %+v, %v", extra, err)
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		pw.CloseWithError(io.ErrClosedPipe)
+		t.Fatal("paced stream through a non-owner deadlocked")
+	}
+	if counts := itemCounts(t, tc.url("n0")+"/api/v1/sessions/"+info.ID); counts["a"] != 1 || counts["b"] != 1 {
+		t.Fatalf("streamed facts on the owner: %v", counts)
+	}
+	if m := tc.clusterMetrics("n1"); m.Proxied == 0 {
+		t.Fatal("the stream was not proxied")
 	}
 }

@@ -587,10 +587,7 @@ func TestFactPathAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanReplay := func() {
-		sess, err := newSession("r", "waltz", prog, 1, "", 0, 0, 8, s.start, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := s.newSession("r", &wal.Record{Program: "waltz", Workers: 1}, prog, false)
 		res, err := wal.ScanFile(walPath)
 		if err != nil {
 			t.Fatal(err)
@@ -602,9 +599,7 @@ func TestFactPathAllocationBudget(t *testing.T) {
 		}
 	}
 	newOnly := func() {
-		if _, err := newSession("r", "waltz", prog, 1, "", 0, 0, 8, s.start, false); err != nil {
-			t.Fatal(err)
-		}
+		s.newSession("r", &wal.Record{Program: "waltz", Workers: 1}, prog, false)
 	}
 	allocs, bytes := measure(4, scanReplay)
 	baseAllocs, baseBytes := measure(4, newOnly)
@@ -757,10 +752,7 @@ func BenchmarkFactPath(b *testing.B) {
 			m := factMeter{b: b}
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				sess, err := newSession("r", "p", prog, 1, "", 0, 0, 8, s.start, false)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sess := s.newSession("r", &wal.Record{Program: "p", Workers: 1}, prog, false)
 				m.start()
 				res, err := wal.ScanFile(walPath)
 				if err != nil {

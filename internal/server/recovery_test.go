@@ -6,6 +6,7 @@ package server
 // and replay of every mutation kind (assert, retract, run, import).
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,11 @@ import (
 	"strings"
 	"testing"
 
+	"parulel/internal/checkpoint"
+	"parulel/internal/compile"
+	"parulel/internal/core"
+	"parulel/internal/match/treat"
+	"parulel/internal/snapshot"
 	"parulel/internal/wal"
 	"parulel/internal/wm"
 )
@@ -538,5 +544,128 @@ func TestRehydrationRebuildsRedactionState(t *testing.T) {
 				t.Fatalf("snapshot after rehydration differs:\n-- got --\n%s\n-- want --\n%s", gotSnap, wantSnap)
 			}
 		})
+	}
+}
+
+// TestCreateMatcherField: the create request still carries a matcher
+// field, but the daemon serves one matcher — naming it is fine, naming
+// TREAT is a 400 that says where TREAT still runs.
+func TestCreateMatcherField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{`{"source":"(literalize a n)"}`, `{"source":"(literalize a n)","matcher":"rete"}`} {
+		resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info sessionInfo
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated || info.Matcher != "rete" {
+			t.Fatalf("create %s: status %d, matcher %q, %v", body, resp.StatusCode, info.Matcher, err)
+		}
+	}
+	for _, matcher := range []string{"treat", "leaps"} {
+		var e errorResponse
+		st := call(t, "POST", ts.URL+"/api/v1/sessions", createSessionRequest{Source: "(literalize a n)", Matcher: matcher}, &e)
+		if st != http.StatusBadRequest || !strings.Contains(e.Error, matcher) || !strings.Contains(e.Error, "rete") {
+			t.Fatalf("create with matcher %q: status %d, error %q", matcher, st, e.Error)
+		}
+	}
+}
+
+// TestRecoveryOfTreatRecordedSession: a data directory whose create
+// record (and, after the next checkpoint, whose checkpoint header) names
+// TREAT — written when the daemon still offered it — recovers on RETE to
+// the state a TREAT engine reaches on the same history, byte for byte.
+func TestRecoveryOfTreatRecordedSession(t *testing.T) {
+	// The reference: driveSession's script on a TREAT engine.
+	prog, err := compile.CompileSource(recoverySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.New(prog, core.Options{Workers: 2, Matcher: treat.Factory(treat.Options{})})
+	tasks := func(from, to int) {
+		for n := from; n < to; n++ {
+			if _, err := ref.Insert("task", map[string]wm.Value{"n": wm.Int(int64(n)), "state": wm.Sym("new")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run := func() {
+		if _, err := ref.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tasks(0, 4)
+	run()
+	for _, w := range ref.Memory().OfTemplate("task") {
+		if w.Fields[0].Equal(wm.Int(2)) {
+			ref.Retract(w.Time)
+		}
+	}
+	tasks(4, 6)
+	run()
+	var want strings.Builder
+	if err := snapshot.Write(&want, ref.Memory()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The directory: today's daemon writes the history, and the copy names
+	// TREAT in its create record.
+	dirA := t.TempDir()
+	tsA := startCrashable(t, Config{DataDir: dirA, Fsync: wal.PolicyAlways})
+	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	driveSession(t, tsA.URL+"/api/v1/sessions/"+info.ID)
+	tsA.Close()
+	scan, err := wal.ScanFile(filepath.Join(dirA, "sessions", info.ID, walFile))
+	if err != nil || len(scan.Records) == 0 || scan.Records[0].Matcher != "rete" {
+		t.Fatalf("the written log: %d records, %v", len(scan.Records), err)
+	}
+	dirB := t.TempDir()
+	sessDir := filepath.Join(dirB, "sessions", info.ID)
+	if err := os.MkdirAll(sessDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(filepath.Join(sessDir, walFile), wal.Options{Policy: wal.PolicyAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan.Records[0].Matcher = "treat"
+	for i := range scan.Records {
+		if err := l.AppendKeepSeq(&scan.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{DataDir: dirB, Fsync: wal.PolicyAlways, CheckpointEvery: 2}
+	tsB := startCrashable(t, cfg)
+	url := tsB.URL + "/api/v1/sessions/" + info.ID
+	if got := exportSnapshot(t, url); got != want.String() {
+		t.Fatalf("recovered on rete, differs from the treat run:\n-- got --\n%s\n-- want --\n%s", got, want.String())
+	}
+	if got := getInfo(t, url); got.Matcher != "rete" {
+		t.Fatalf("recovered session reports matcher %q", got.Matcher)
+	}
+	// Two more records force a checkpoint; its header keeps what the
+	// directory recorded, and recovery from it is the same session.
+	assertTasks(t, url, 6, 7)
+	assertTasks(t, url, 7, 8)
+	after := exportSnapshot(t, url)
+	tsB.Close()
+	f, err := os.Open(filepath.Join(sessDir, checkpointFile))
+	if err != nil {
+		t.Fatalf("no checkpoint was written: %v", err)
+	}
+	h, _, err := checkpoint.Read(f)
+	f.Close()
+	if err != nil || h.Matcher != "treat" {
+		t.Fatalf("checkpoint header: matcher %q, %v", h.Matcher, err)
+	}
+	_, tsC := newTestServer(t, cfg)
+	if got := exportSnapshot(t, tsC.URL+"/api/v1/sessions/"+info.ID); got != after {
+		t.Fatalf("recovery from the treat-labelled checkpoint differs:\n-- got --\n%s\n-- want --\n%s", got, after)
 	}
 }

@@ -829,6 +829,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if req.Matcher != "" && req.Matcher != servedMatcher {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+			"matcher %q is not served: sessions run %s (treat is an experiment arm of `parulel run -matcher`)", req.Matcher, servedMatcher))
+		return
+	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = s.cfg.DefaultWorkers
@@ -866,17 +871,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	sess, err := newSession(id, name, prog, workers, req.Matcher, maxCycles, s.cfg.MaxOutputBytes, s.cfg.TraceCycles, time.Now(), false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	meta := wal.Record{
+		Op: wal.OpCreate, Program: name, Source: source, Workers: workers,
+		Matcher: servedMatcher, MaxCycles: maxCycles, CreatedNS: time.Now().UnixNano(),
 	}
+	sess := s.newSession(id, &meta, prog, false)
 	if s.store != nil {
-		dur, err := s.store.create(id, wal.Record{
-			Op: wal.OpCreate, Program: name, Source: source,
-			Workers: workers, Matcher: sess.matcher, MaxCycles: maxCycles,
-			CreatedNS: sess.created.UnixNano(),
-		})
+		dur, err := s.store.create(id, meta)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "durability: "+err.Error())
 			return
@@ -898,7 +899,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inc(&s.metrics.Sessions.Created)
 		s.log(r.Context()).Info("session created",
 			"session_id", id, "program", name, "workers", workers,
-			"matcher", sess.matcher, "durable", sess.dur != nil)
+			"matcher", servedMatcher, "durable", sess.dur != nil)
 		writeJSON(w, http.StatusCreated, info)
 		return
 	}
@@ -941,7 +942,9 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}
-	s.broadcastDrop(id) // peers discard their replica of the session
+	if cs := s.cluster; cs != nil { // peers discard their replica of the session
+		cs.broadcast(func(m cluster.Member) error { return cs.client.SendDrop(m, id) })
+	}
 	s.metrics.inc(&s.metrics.Sessions.Deleted)
 	s.log(r.Context()).Info("session deleted", "session_id", id)
 	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})

@@ -13,7 +13,6 @@ import (
 	"parulel/internal/core"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
-	"parulel/internal/match/treat"
 	"parulel/internal/obs"
 	"parulel/internal/temporal"
 	"parulel/internal/wal"
@@ -28,7 +27,6 @@ type session struct {
 	id      string
 	program string
 	workers int
-	matcher string
 	eng     *core.Engine
 	out     *capWriter
 	created time.Time
@@ -124,7 +122,7 @@ func (s *session) info(lastUsed time.Time) sessionInfo {
 		ID:         s.id,
 		Program:    s.program,
 		Workers:    s.workers,
-		Matcher:    s.matcher,
+		Matcher:    servedMatcher,
 		CreatedAt:  s.created.UTC().Format(time.RFC3339Nano),
 		LastUsedAt: lastUsed.UTC().Format(time.RFC3339Nano),
 		WMSize:     s.eng.Memory().Len(),
@@ -139,47 +137,43 @@ func (s *session) info(lastUsed time.Time) sessionInfo {
 }
 
 // newSession compiles nothing — it wraps an already compiled program in a
-// fresh engine with a capped output buffer. restore skips the program's
-// initial facts: a checkpointed working memory already contains them
-// under their original time tags.
-func newSession(id, programName string, prog *compile.Program, workers int, matcherName string, maxCycles, outputCap, traceCycles int, now time.Time, restore bool) (*session, error) {
-	// Server sessions always run with per-rule profiling on: the timing
-	// cost is a few clock reads per delta, and /metrics per-rule
-	// attribution is the product surface.
-	var factory match.Factory
-	switch matcherName {
-	case "", "rete":
-		matcherName, factory = "rete", rete.Factory(rete.Options{Profile: true})
-	case "treat":
-		factory = treat.Factory(treat.Options{Profile: true})
-	default:
-		return nil, fmt.Errorf("unknown matcher %q (want rete or treat)", matcherName)
-	}
-	out := &capWriter{limit: outputCap}
-	trace := obs.NewRing(traceCycles)
+// fresh engine with a capped output buffer, under the settings of the
+// session's OpCreate record. Sessions run RETE whatever matcher the record
+// names: the daemon serves one. restore skips the program's initial
+// facts: a checkpointed working memory already contains them under their
+// original time tags.
+func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, restore bool) *session {
+	out := &capWriter{limit: s.cfg.MaxOutputBytes}
+	trace := obs.NewRing(s.cfg.TraceCycles)
 	phases := &obs.PhaseAccum{}
 	eng := core.New(prog, core.Options{
-		Workers:        workers,
-		Matcher:        factory,
+		Workers: meta.Workers,
+		// Server sessions always run with per-rule profiling on: the timing
+		// cost is a few clock reads per delta, and /metrics per-rule
+		// attribution is the product surface.
+		Matcher:        rete.Factory(rete.Options{Profile: true}),
 		Output:         out,
-		MaxCycles:      maxCycles,
+		MaxCycles:      meta.MaxCycles,
 		NoInitialFacts: restore,
 		Tracer:         obs.Multi(trace, phases),
 	})
+	created := time.Now()
+	if meta.CreatedNS != 0 { // absent from logs that predate the field
+		created = time.Unix(0, meta.CreatedNS)
+	}
 	return &session{
 		id:       id,
-		program:  programName,
-		workers:  workers,
-		matcher:  matcherName,
+		program:  meta.Program,
+		workers:  meta.Workers,
 		eng:      eng,
 		out:      out,
 		trace:    trace,
 		phases:   phases,
 		clock:    temporal.New(prog, eng),
-		created:  now,
-		lastUsed: now,
+		created:  created,
+		lastUsed: created,
 		slot:     make(chan struct{}, 1),
-	}, nil
+	}
 }
 
 // profileDeltas returns the per-rule activity accumulated since the last

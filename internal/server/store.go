@@ -32,7 +32,6 @@ import (
 	"parulel/internal/compile"
 	"parulel/internal/snapshot"
 	"parulel/internal/wal"
-	"parulel/internal/wm"
 )
 
 // File names inside a session directory.
@@ -171,23 +170,31 @@ type durable struct {
 
 // append logs one record, returning how long it waited on stable storage
 // (PolicyAlways' inline fsync, a group commit's shared flush; zero under
-// the batched policies) so the caller can attribute the latency.
-func (d *durable) append(rec *wal.Record) (time.Duration, error) {
+// the batched policies) so the caller can attribute the latency. keepSeq
+// is the replica's append: the record keeps the sequence number its
+// primary gave it instead of taking this log's next one.
+func (d *durable) append(rec *wal.Record, keepSeq bool) (fs time.Duration, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch {
 	case d.closed:
-		return 0, errors.New("log is closed")
+		return 0, errLogClosed
 	case d.failed:
 		return 0, errors.New("durability disabled after an earlier failure")
+	case keepSeq:
+		err = d.log.AppendKeepSeq(rec)
+	default:
+		fs, err = d.log.AppendSynced(rec)
 	}
-	fs, err := d.log.AppendSynced(rec)
-	if err != nil {
-		return fs, err
+	if err == nil {
+		d.records++
 	}
-	d.records++
-	return fs, nil
+	return fs, err
 }
+
+// errLogClosed refuses work on a closed handle: an evicted session's, or
+// a replica's that was fenced for promotion or discarded.
+var errLogClosed = errors.New("log is closed")
 
 // errMerkleDisabled distinguishes "this server runs without ledgers"
 // from "no such record" on the proof endpoint.
@@ -199,7 +206,7 @@ func (d *durable) proof(seq uint64) (*wal.Proof, error) {
 	led, id, closed := d.led, d.id, d.closed
 	d.mu.Unlock()
 	if closed {
-		return nil, errors.New("log is closed")
+		return nil, errLogClosed
 	}
 	if led == nil {
 		return nil, errMerkleDisabled
@@ -219,18 +226,21 @@ func (d *durable) due(every int) bool {
 	return !d.closed && !d.failed && d.records >= every
 }
 
-// checkpoint atomically replaces the on-disk checkpoint (replaceFile) and
-// then empties the log it covers. The sequence numbering survives the log
-// reset, so a crash between the rename and the truncation is harmless:
-// recovery skips log records at or below the checkpoint's sequence point.
-// The caller holds the session slot, since the engine is read while
-// writing.
-func (d *durable) checkpoint(h checkpoint.Header, mem *wm.Memory) error {
+// checkpoint atomically replaces the on-disk checkpoint with what write
+// produces (replaceFile) and then empties the log it covers. The sequence
+// numbering survives the log reset, so a crash between the rename and the
+// truncation is harmless: recovery skips log records at or below the
+// checkpoint's sequence point. write is handed the ledger commit the
+// checkpoint must vouch for — nil without a ledger, so always for a
+// replica, which installs an image its primary wrote. A session's caller
+// holds the slot, since the engine is read while writing.
+func (d *durable) checkpoint(write func(w io.Writer, commit *checkpoint.LedgerCommit) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return errors.New("log is closed")
+		return errLogClosed
 	}
+	var commit *checkpoint.LedgerCommit
 	if d.led != nil {
 		// Flush staged ledger entries and commit the tree: the header
 		// vouches for the root over everything appended so far, chained
@@ -247,14 +257,13 @@ func (d *durable) checkpoint(h checkpoint.Header, mem *wm.Memory) error {
 		if err != nil {
 			return err
 		}
-		commit := &checkpoint.LedgerCommit{Count: st.Count, Root: st.Root, Peaks: st.Peaks}
+		commit = &checkpoint.LedgerCommit{Count: st.Count, Root: st.Root, Peaks: st.Peaks}
 		if d.lastCommit != nil {
 			commit.PrevCount = d.lastCommit.Count
 			commit.PrevRoot = d.lastCommit.Root
 		}
-		h.Ledger = commit
 	}
-	err := replaceFile(d.dir, checkpointFile, func(w io.Writer) error { return checkpoint.Write(w, h, mem) })
+	err := replaceFile(d.dir, checkpointFile, func(w io.Writer) error { return write(w, commit) })
 	if err != nil {
 		return err
 	}
@@ -262,10 +271,24 @@ func (d *durable) checkpoint(h checkpoint.Header, mem *wm.Memory) error {
 		return err
 	}
 	d.records = 0
-	if h.Ledger != nil {
-		d.lastCommit = h.Ledger
+	if commit != nil {
+		d.lastCommit = commit
 	}
 	return nil
+}
+
+// sync makes the log and the directory entries durable whatever the fsync
+// policy: a replica's answer to its primary's sync barrier.
+func (d *durable) sync() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return errLogClosed
+	}
+	if err := d.log.Sync(); err != nil {
+		return err
+	}
+	return syncDir(d.dir)
 }
 
 func (d *durable) markFailed() {
@@ -334,21 +357,18 @@ func syncDir(dir string) error {
 // ctx carries the request id into the failure log line.
 func (s *Server) checkpointSession(ctx context.Context, sess *session) error {
 	d := sess.dur
-	h := checkpoint.Header{
-		Seq:       d.log.Seq(),
-		Program:   d.meta.Program,
-		Source:    d.meta.Source,
-		Workers:   d.meta.Workers,
-		Matcher:   d.meta.Matcher,
-		MaxCycles: d.meta.MaxCycles,
-		CreatedNS: d.meta.CreatedNS,
-		Runs:      sess.runs,
-		Counters:  sess.eng.Counters(),
-		Fired:     sess.eng.FiredKeys(),
-		Temporal:  sess.clock.State(),
-	}
+	h := checkpoint.HeaderFor(&d.meta)
+	h.Seq = d.log.Seq()
+	h.Runs = sess.runs
+	h.Counters = sess.eng.Counters()
+	h.Fired = sess.eng.FiredKeys()
+	h.Temporal = sess.clock.State()
 	t0 := time.Now()
-	if err := d.checkpoint(h, sess.eng.Memory()); err != nil {
+	err := d.checkpoint(func(w io.Writer, commit *checkpoint.LedgerCommit) error {
+		h.Ledger = commit
+		return checkpoint.Write(w, h, sess.eng.Memory())
+	})
+	if err != nil {
 		s.metrics.inc(&s.metrics.Durability.CheckpointErrors)
 		s.log(ctx).Error("checkpoint failed (log retained)", "session_id", sess.id, "err", err)
 		return err
@@ -378,7 +398,7 @@ func (s *Server) persist(ctx context.Context, sess *session, rec *wal.Record) bo
 		return true
 	}
 	appendSp := s.startSpan(ctx, stageWALAppend)
-	fs, err := d.append(rec)
+	fs, err := d.append(rec, false)
 	appendSp.End()
 	// Attribute the time this append spent on stable storage — the inline
 	// fsync under PolicyAlways, or the park-to-flush wait for the shared
@@ -435,6 +455,9 @@ func (s *Server) rehydrate(ctx context.Context, id string) error {
 		s.metrics.inc(&s.metrics.Durability.RecoveryFailures)
 		return err
 	}
+	// Read for the log line before the pool insert: from then on the
+	// session is its slot holder's, and a waiting request may take it.
+	wmSize, runs, cycles := sess.eng.Memory().Len(), sess.runs, sess.lastResult.Cycles
 	s.mu.Lock()
 	switch {
 	case s.draining:
@@ -455,8 +478,7 @@ func (s *Server) rehydrate(ctx context.Context, id string) error {
 	}
 	s.metrics.inc(&s.metrics.Sessions.Recovered)
 	s.log(ctx).Info("session rehydrated",
-		"session_id", id, "program", sess.program, "wm_size", sess.eng.Memory().Len(),
-		"runs", sess.runs, "cycles", sess.lastResult.Cycles)
+		"session_id", id, "program", sess.program, "wm_size", wmSize, "runs", runs, "cycles", cycles)
 	return nil
 }
 
@@ -545,11 +567,7 @@ func (s *Server) loadSession(ctx context.Context, id string) (*session, error) {
 	var meta wal.Record
 	switch {
 	case haveCkpt:
-		meta = wal.Record{
-			Op: wal.OpCreate, Program: h.Program, Source: h.Source,
-			Workers: h.Workers, Matcher: h.Matcher, MaxCycles: h.MaxCycles,
-			CreatedNS: h.CreatedNS,
-		}
+		meta = h.CreateRecord()
 	case len(scanRes.Records) > 0 && scanRes.Records[0].Op == wal.OpCreate:
 		meta = scanRes.Records[0]
 	default:
@@ -560,18 +578,10 @@ func (s *Server) loadSession(ctx context.Context, id string) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recompiling program: %w", err)
 	}
-	created := time.Now()
-	if meta.CreatedNS != 0 {
-		created = time.Unix(0, meta.CreatedNS)
-	}
 	// A checkpointed WM already contains the program's initial facts under
 	// their original tags; log-only recovery replants them exactly as the
 	// original creation did.
-	sess, err := newSession(id, meta.Program, prog, meta.Workers, meta.Matcher,
-		meta.MaxCycles, s.cfg.MaxOutputBytes, s.cfg.TraceCycles, created, haveCkpt)
-	if err != nil {
-		return nil, err
-	}
+	sess := s.newSession(id, &meta, prog, haveCkpt)
 	if haveCkpt {
 		if err := checkpoint.Restore(sess.eng, h, facts); err != nil {
 			return nil, err

@@ -43,7 +43,6 @@ const (
 	stageTick        = "temporal.tick"
 	stageJobRun      = "job.run"
 	stageMigrate     = "migrate"
-	stageMigrateIn   = "migrate.install"
 )
 
 // enginePhaseStages maps core.Phase indices to span stage names.
@@ -357,7 +356,7 @@ func (s *Server) fetchPeerSpans(ctx context.Context, publicURL, trace string) ([
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cs.httpc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
