@@ -24,6 +24,7 @@ import (
 	"parulel/internal/obs"
 	"parulel/internal/ops5"
 	"parulel/internal/programs"
+	"parulel/internal/stats"
 	"parulel/internal/wm"
 	"parulel/internal/workload"
 )
@@ -261,7 +262,7 @@ func BenchmarkE5(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, r, f, a = res.Stats.Breakdown()
+				m, r, f, a = stats.Breakdown(res.Phases)
 			}
 			b.ReportMetric(m, "match%")
 			b.ReportMetric(r, "redact%")

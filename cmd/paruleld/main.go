@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -64,15 +63,17 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-event logging")
 	flag.Parse()
 
-	logDst := io.Writer(os.Stderr)
+	// -quiet leaves this process's own errors — what it exits on — on
+	// stderr, and hands the server no logger at all.
+	var logOpts slog.HandlerOptions
 	if *quiet {
-		logDst = io.Discard
+		logOpts.Level = slog.LevelError
 	}
 	var handler slog.Handler
 	if *logJSON {
-		handler = slog.NewJSONHandler(logDst, nil)
+		handler = slog.NewJSONHandler(os.Stderr, &logOpts)
 	} else {
-		handler = slog.NewTextHandler(logDst, nil)
+		handler = slog.NewTextHandler(os.Stderr, &logOpts)
 	}
 	logger := slog.New(handler)
 	fatal := func(msg string, err error) {
@@ -125,6 +126,9 @@ func main() {
 		FlightRecorderSize:   *flightSize,
 		Cluster:              clusterCfg,
 		Logger:               logger,
+	}
+	if *quiet {
+		cfg.Logger = nil
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

@@ -34,7 +34,6 @@ import (
 	"parulel/internal/compile"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
-	"parulel/internal/stats"
 	"parulel/internal/wm"
 )
 
@@ -51,11 +50,10 @@ type Options struct {
 	Output io.Writer
 	// MaxCycles aborts runaway programs. 0 means no limit.
 	MaxCycles int
-	// Trace, when non-nil, receives a one-line summary per cycle.
-	Trace io.Writer
 	// Tracer, when non-nil, receives structured per-cycle events (see the
-	// Tracer interface for the callback order). Every call site is
-	// nil-checked, so leaving it nil costs one branch per event.
+	// Tracer interface for the callback order) — the engine's only
+	// per-cycle output; it keeps no record of a cycle itself. Every call
+	// site is nil-checked, so leaving it nil costs one branch per event.
 	Tracer Tracer
 	// NoInitialFacts skips queueing the program's `(wm …)` facts. Set
 	// during checkpoint recovery, where the restored working memory
@@ -84,7 +82,9 @@ type Result struct {
 	// meta-rule program under-constrains parallel firing (experiment E6).
 	WriteConflicts int
 	Halted         bool
-	Stats          *stats.Run
+	// Phases is the wall-clock time of each phase, indexed by Phase,
+	// summed over the committed cycles.
+	Phases [4]time.Duration
 }
 
 // ErrMaxCycles is returned when Options.MaxCycles is exceeded.
@@ -129,9 +129,12 @@ type Engine struct {
 	// activity counts instantiations entering the conflict set per rule,
 	// feeding the copy-and-constrain advisor (copycon.Advise).
 	activity map[string]int
-	// fires counts firings per rule across the run, feeding RuleFires and
-	// the per-rule profile merge (RuleProfiles).
-	fires map[string]int
+	// fires counts firings per rule, by Rule.Index, across the run, feeding
+	// RuleFires and the per-rule profile merge (RuleProfiles). traced is
+	// how many of them Tracer.RuleFired has reported, and rulesByName the
+	// order it reports in.
+	fires, traced []int
+	rulesByName   []*compile.Rule
 }
 
 // worker owns one rule partition and its matcher.
@@ -165,10 +168,12 @@ func New(prog *compile.Program, opts Options) *Engine {
 		opts:        opts,
 		conflictSet: make(map[match.Key]*match.Instantiation),
 		fired:       make(map[match.Key]bool),
-		result:      Result{Stats: &stats.Run{}},
 		activity:    make(map[string]int),
-		fires:       make(map[string]int),
+		fires:       make([]int, len(prog.Rules)),
+		traced:      make([]int, len(prog.Rules)),
+		rulesByName: append([]*compile.Rule(nil), prog.Rules...),
 	}
+	sort.Slice(e.rulesByName, func(i, j int) bool { return e.rulesByName[i].Name < e.rulesByName[j].Name })
 	e.meta = newMetaLevel(prog, e.fired)
 	// Distribute rules across workers. Workers with no rules are dropped
 	// so tiny programs don't pay for idle goroutines.
@@ -332,7 +337,9 @@ func (e *Engine) Step() (bool, error) {
 	if e.halted {
 		return false, nil
 	}
-	var cyc stats.Cycle
+	// The cycle's phase times, indexed by Phase; they count into the
+	// result only if the cycle commits.
+	var took [4]time.Duration
 	tr := e.opts.Tracer
 	if tr != nil {
 		tr.CycleStart(e.result.Cycles + 1)
@@ -341,7 +348,7 @@ func (e *Engine) Step() (bool, error) {
 	// MATCH: apply the pending delta to every partition in parallel.
 	t0 := time.Now()
 	e.applyDelta(e.takePending())
-	cyc.Match = time.Since(t0)
+	took[PhaseMatch] = time.Since(t0)
 
 	// Eligible = conflict set minus refraction, in no particular order:
 	// redaction is order-blind, and only what survives it needs the
@@ -354,9 +361,8 @@ func (e *Engine) Step() (bool, error) {
 		}
 	}
 	e.eligible = eligible
-	cyc.ConflictSize = len(eligible)
 	if tr != nil {
-		tr.PhaseEnd(PhaseMatch, cyc.Match)
+		tr.PhaseEnd(PhaseMatch, took[PhaseMatch])
 		tr.InstantiationsFound(len(e.conflictSet), len(eligible))
 	}
 	if len(eligible) == 0 {
@@ -370,17 +376,16 @@ func (e *Engine) Step() (bool, error) {
 	// no meta-match redacts survives. One round is the fixpoint.
 	t0 = time.Now()
 	survivors, redacted := e.meta.survivors(eligible)
-	cyc.Redact = time.Since(t0)
-	e.meta.charge(cyc.Redact)
+	took[PhaseRedact] = time.Since(t0)
+	e.meta.charge(took[PhaseRedact])
 	rounds := 0
 	if redacted > 0 {
 		rounds = 1
 	}
-	cyc.Redacted = redacted
 	e.result.Redactions += redacted
 	e.result.RedactionRounds += rounds
 	if tr != nil {
-		tr.PhaseEnd(PhaseRedact, cyc.Redact)
+		tr.PhaseEnd(PhaseRedact, took[PhaseRedact])
 		tr.Redacted(redacted, rounds, len(survivors))
 	}
 	// Firing order fixes commit order, and with it time tags and output.
@@ -390,8 +395,7 @@ func (e *Engine) Step() (bool, error) {
 		// Everything was redacted: treat as quiescence to avoid spinning
 		// (nothing will change WM, so the next cycle would redact the
 		// same set again).
-		e.result.Stats.Add(cyc)
-		e.result.Cycles++
+		e.committed(&took)
 		if tr != nil {
 			tr.PhaseEnd(PhaseFire, 0)
 			tr.PhaseEnd(PhaseApply, 0)
@@ -403,60 +407,55 @@ func (e *Engine) Step() (bool, error) {
 	// FIRE: evaluate all surviving RHSes in parallel.
 	t0 = time.Now()
 	effects, err := e.fireAll(survivors)
-	cyc.Fire = time.Since(t0)
+	took[PhaseFire] = time.Since(t0)
 	if err != nil {
 		return false, err
 	}
-	cyc.Fired = len(survivors)
 	e.result.Firings += len(survivors)
 	for _, in := range survivors {
 		e.fired[in.Key()] = true
-		e.fires[in.Rule.Name]++
+		e.fires[in.Rule.Index]++
 		e.meta.leave(in)
 	}
 	if tr != nil {
-		tr.PhaseEnd(PhaseFire, cyc.Fire)
-		counts := make(map[string]int, 8)
-		for _, in := range survivors {
-			counts[in.Rule.Name]++
-		}
-		names := make([]string, 0, len(counts))
-		for name := range counts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			tr.RuleFired(name, counts[name])
+		tr.PhaseEnd(PhaseFire, took[PhaseFire])
+		for _, r := range e.rulesByName {
+			if n := e.fires[r.Index] - e.traced[r.Index]; n > 0 {
+				tr.RuleFired(r.Name, n)
+				e.traced[r.Index] += n
+			}
 		}
 	}
 
 	// APPLY: reconcile effects into one deterministic WM delta.
 	t0 = time.Now()
 	delta, conflicts, halted, err := e.commit(effects)
-	cyc.Apply = time.Since(t0)
+	took[PhaseApply] = time.Since(t0)
 	if err != nil {
 		return false, err
 	}
-	cyc.DeltaSize = delta.Size()
 	e.result.WriteConflicts += conflicts
 	e.pending = delta
 	e.halted = halted
 
-	e.result.Stats.Add(cyc)
-	e.result.Cycles++
+	e.committed(&took)
 	e.result.Halted = halted
 	if tr != nil {
-		tr.PhaseEnd(PhaseApply, cyc.Apply)
-		tr.Commit(cyc.DeltaSize, conflicts, halted)
-	}
-	if e.opts.Trace != nil {
-		fmt.Fprintf(e.opts.Trace, "cycle %d: eligible=%d redacted=%d fired=%d delta=%d conflicts=%d\n",
-			e.result.Cycles, cyc.ConflictSize, cyc.Redacted, cyc.Fired, cyc.DeltaSize, conflicts)
+		tr.PhaseEnd(PhaseApply, took[PhaseApply])
+		tr.Commit(delta.Size(), conflicts, halted)
 	}
 	if halted {
 		return false, nil
 	}
 	return true, nil
+}
+
+// committed counts one cycle and its phase times into the result.
+func (e *Engine) committed(took *[4]time.Duration) {
+	e.result.Cycles++
+	for p, d := range took {
+		e.result.Phases[p] += d
+	}
 }
 
 // applyDelta feeds the delta to every worker concurrently and folds the
@@ -510,8 +509,10 @@ func (e *Engine) RuleActivity() map[string]int {
 // so far.
 func (e *Engine) RuleFires() map[string]int {
 	out := make(map[string]int, len(e.fires))
-	for k, v := range e.fires {
-		out[k] = v
+	for i, n := range e.fires {
+		if n > 0 {
+			out[e.prog.Rules[i].Name] = n
+		}
 	}
 	return out
 }
@@ -551,8 +552,10 @@ func (e *Engine) RuleProfiles() []match.RuleProfile {
 			a.Insts += p.Insts
 		}
 	}
-	for name, n := range e.fires {
-		get(name).Fires = uint64(n)
+	for i, n := range e.fires {
+		if n > 0 {
+			get(e.prog.Rules[i].Name).Fires = uint64(n)
+		}
 	}
 	out := make([]match.RuleProfile, 0, len(agg))
 	for _, p := range agg {

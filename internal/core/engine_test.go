@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"parulel/internal/compile"
 	"parulel/internal/match/rete"
@@ -452,32 +453,82 @@ func TestEngineRHSEvalErrorSurfaces(t *testing.T) {
 	}
 }
 
-func TestEngineTraceOutput(t *testing.T) {
-	prog := compileOK(t, `
-(literalize a x)
-(rule r (a ^x <v>) --> (remove 1))
-(wm (a ^x 1))
-`)
-	var trace bytes.Buffer
-	e := New(prog, Options{Trace: &trace})
-	runOK(t, e)
-	if !strings.Contains(trace.String(), "cycle 1:") {
-		t.Errorf("trace missing: %q", trace.String())
+// sumTracer adds up what the engine reports of the cycles it commits; a
+// quiescence probe's match time, like the engine's own, counts for nothing.
+type sumTracer struct {
+	open, phases                              [4]time.Duration
+	cycles, fired, redacted, rounds, conflict int
+	maxEligible                               int
+}
+
+func (s *sumTracer) CycleStart(int)                    { s.open = [4]time.Duration{} }
+func (s *sumTracer) PhaseEnd(p Phase, d time.Duration) { s.open[p] = d }
+func (s *sumTracer) InstantiationsFound(_, eligible int) {
+	s.maxEligible = max(s.maxEligible, eligible)
+}
+func (s *sumTracer) Redacted(n, rounds, _ int) { s.redacted += n; s.rounds += rounds }
+func (s *sumTracer) RuleFired(_ string, n int) { s.fired += n }
+func (s *sumTracer) Commit(_, conflicts int, _ bool) {
+	s.cycles++
+	s.conflict += conflicts
+	for p, d := range s.open {
+		s.phases[p] += d
 	}
 }
 
+// TestEngineStatsRecorded: the engine keeps no per-cycle record, so the
+// totals in its Result must be exactly what its tracer was told cycle by
+// cycle.
 func TestEngineStatsRecorded(t *testing.T) {
 	prog := compileOK(t, determinismProgram)
-	e := New(prog, Options{MaxCycles: 50})
+	tr := &sumTracer{}
+	e := New(prog, Options{MaxCycles: 50, Tracer: tr})
 	res := runOK(t, e)
-	if len(res.Stats.Cycles) != res.Cycles {
-		t.Errorf("stats cycles = %d, want %d", len(res.Stats.Cycles), res.Cycles)
+	want := Result{Cycles: tr.cycles, Firings: tr.fired, Redactions: tr.redacted, RedactionRounds: tr.rounds,
+		WriteConflicts: tr.conflict, Halted: res.Halted, Phases: tr.phases}
+	if res != want {
+		t.Errorf("result %+v, tracer events sum to %+v", res, want)
 	}
-	if res.Stats.TotalFired() != res.Firings {
-		t.Errorf("stats fired = %d, want %d", res.Stats.TotalFired(), res.Firings)
+	if res.Cycles == 0 || res.Firings == 0 || res.Redactions == 0 || res.Phases[PhaseMatch] <= 0 {
+		t.Errorf("result records nothing: %+v", res)
 	}
-	if res.Stats.MaxConflictSize() == 0 {
+	if tr.maxEligible == 0 {
 		t.Error("max conflict size should be > 0")
+	}
+}
+
+// nopTracer is an attached tracer that does nothing with what it is told.
+type nopTracer struct{}
+
+func (nopTracer) CycleStart(int)                {}
+func (nopTracer) PhaseEnd(Phase, time.Duration) {}
+func (nopTracer) InstantiationsFound(int, int)  {}
+func (nopTracer) Redacted(int, int, int)        {}
+func (nopTracer) RuleFired(string, int)         {}
+func (nopTracer) Commit(int, int, bool)         {}
+
+// counterProgram commits one cycle per Step for as long as it is stepped.
+const counterProgram = `
+(literalize c n)
+(rule tick <c> <- (c ^n <n>) --> (modify <c> ^n (+ <n> 1)))
+(wm (c ^n 0))
+`
+
+// TestTracerBlockAllocatesNothing: reporting a committed cycle to a tracer
+// costs the engine no allocation beyond the cycle's own.
+func TestTracerBlockAllocatesNothing(t *testing.T) {
+	perCycle := func(tr Tracer) float64 {
+		e := New(compileOK(t, counterProgram), Options{Tracer: tr})
+		step := func() {
+			if more, err := e.Step(); err != nil || !more {
+				t.Fatalf("step: more=%v err=%v", more, err)
+			}
+		}
+		step() // the first cycle builds the match state
+		return testing.AllocsPerRun(200, step)
+	}
+	if bare, traced := perCycle(nil), perCycle(nopTracer{}); traced > bare {
+		t.Errorf("a cycle allocates %.1f times with a no-op tracer, %.1f with none", traced, bare)
 	}
 }
 

@@ -1,14 +1,39 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"parulel/internal/compile"
 	"parulel/internal/core"
+	"parulel/internal/obs"
 	"parulel/internal/programs"
 	"parulel/internal/workload"
 )
+
+// TestEngineTraceOutput: the one-line-per-cycle text trace is a rendering
+// of the tracer's events (it lives here, outside the package, because obs
+// imports core).
+func TestEngineTraceOutput(t *testing.T) {
+	prog, err := compile.CompileSource(`
+(literalize a x)
+(rule r (a ^x <v>) --> (remove 1))
+(wm (a ^x 1))
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if _, err := core.New(prog, core.Options{Tracer: obs.NewTextWriter(&trace)}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(trace.String(), "cycle 1:") {
+		t.Errorf("trace missing: %q", trace.String())
+	}
+}
 
 // TestPhasesWithinWall: the four phase times a run reports are parts of
 // its wall time, so they sum to more than nothing and to no more than a
@@ -39,7 +64,7 @@ func TestPhasesWithinWall(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, r, f, a := res.Stats.Totals()
+				m, r, f, a := res.Phases[core.PhaseMatch], res.Phases[core.PhaseRedact], res.Phases[core.PhaseFire], res.Phases[core.PhaseApply]
 				if phases := m + r + f + a; phases <= 0 || phases > wall {
 					t.Errorf("phases sum to %v (match %v, redact %v, fire %v, apply %v), wall is %v", phases, m, r, f, a, wall)
 				}

@@ -1,8 +1,9 @@
 // Package obs provides the observability primitives threaded through the
 // engine, the server, and the CLIs: a structured per-cycle Event built
-// from core.Tracer callbacks, a bounded in-memory Ring served at
-// GET /sessions/{id}/trace, and a JSONL writer/reader used by
-// `parulel -trace=file.jsonl`.
+// from core.Tracer callbacks — the one record shape a cycle is reported
+// in — a bounded in-memory Ring served at GET /sessions/{id}/trace, a
+// JSONL writer/reader used by `parulel -trace=file.jsonl`, and the text
+// line of `parulel -trace`.
 //
 // The package depends only on core (for the Tracer contract); the server
 // and CLIs depend on it, never the other way around.
@@ -11,6 +12,7 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -111,14 +113,21 @@ func (b *builder) Commit(deltaSize, writeConflicts int, halted bool) {
 // events and counts everything ever recorded. Unlike most tracers it is
 // safe to *read* concurrently with the engine goroutine that feeds it —
 // the trace HTTP endpoint snapshots a session's ring while a run is in
-// flight — so the buffer is mutex-protected.
+// flight — so the buffer is mutex-protected. The buffer grows with the
+// events recorded, up to capacity: a ring that has seen no cycle holds
+// room for ringStart of them.
 type Ring struct {
 	builder
-	mu    sync.Mutex
-	buf   []Event
-	start int // index of the oldest event
-	n     int // events currently held
-	total uint64
+	// OnRecord, when set, observes every recorded event (the server folds
+	// the run in progress from it). Called outside the ring lock on the
+	// goroutine that feeds the ring, the only one that may set it.
+	OnRecord func(Event)
+
+	mu       sync.Mutex
+	capacity int
+	buf      []Event // all of it live; wraps at start once len reaches capacity
+	start    int     // index of the oldest event
+	total    uint64
 }
 
 var _ core.Tracer = (*Ring)(nil)
@@ -127,27 +136,33 @@ var _ core.Tracer = (*Ring)(nil)
 // capacity.
 const DefaultRingCapacity = 512
 
+// ringStart is the room a new ring has: most runs are a dozen cycles, and
+// theirs should not be the ones that pay for growing it.
+const ringStart = 16
+
 // NewRing returns a ring tracer holding the last capacity events.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	r := &Ring{buf: make([]Event, capacity)}
+	r := &Ring{capacity: capacity, buf: make([]Event, 0, min(capacity, ringStart))}
 	r.builder.emit = r.record
 	return r
 }
 
 func (r *Ring) record(e Event) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
-		r.n++
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, e)
 	} else {
 		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
+		r.start = (r.start + 1) % r.capacity
 	}
 	r.total++
+	r.mu.Unlock()
+	if r.OnRecord != nil {
+		r.OnRecord(e)
+	}
 }
 
 // Events returns up to limit of the most recent events, oldest first.
@@ -155,13 +170,13 @@ func (r *Ring) record(e Event) {
 func (r *Ring) Events(limit int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.n
+	n := len(r.buf)
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	out := make([]Event, n)
-	first := r.start + (r.n - n) // skip the oldest beyond limit
-	for i := 0; i < n; i++ {
+	first := r.start + (len(r.buf) - n) // skip the oldest beyond limit
+	for i := range out {
 		out[i] = r.buf[(first+i)%len(r.buf)]
 	}
 	return out
@@ -176,7 +191,20 @@ func (r *Ring) Total() uint64 {
 }
 
 // Capacity returns the ring's fixed size.
-func (r *Ring) Capacity() int { return len(r.buf) }
+func (r *Ring) Capacity() int { return r.capacity }
+
+// NewTextWriter returns a tracer that prints the one-line summary of
+// `parulel run -trace` for each committed cycle that fired something (a
+// fully redacted cycle has never had a line). Write errors are dropped:
+// the line is a diagnostic.
+func NewTextWriter(w io.Writer) core.Tracer {
+	return &builder{emit: func(e Event) {
+		if e.Fired > 0 {
+			fmt.Fprintf(w, "cycle %d: eligible=%d redacted=%d fired=%d delta=%d conflicts=%d\n",
+				e.Cycle, e.Eligible, e.Redacted, e.Fired, e.DeltaSize, e.WriteConflicts)
+		}
+	}}
+}
 
 // JSONLWriter is a tracer that encodes each committed cycle as one JSON
 // line. It is not safe for concurrent use; errors are sticky and
@@ -216,62 +244,5 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			return out, err
 		}
 		out = append(out, e)
-	}
-}
-
-// Multi fans callbacks out to several tracers in order. Nil entries are
-// dropped; Multi of zero or one live tracer returns nil or the tracer
-// itself, keeping the engine's nil-check fast path intact.
-func Multi(tracers ...core.Tracer) core.Tracer {
-	live := make(multiTracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-type multiTracer []core.Tracer
-
-func (m multiTracer) CycleStart(n int) {
-	for _, t := range m {
-		t.CycleStart(n)
-	}
-}
-
-func (m multiTracer) PhaseEnd(p core.Phase, d time.Duration) {
-	for _, t := range m {
-		t.PhaseEnd(p, d)
-	}
-}
-
-func (m multiTracer) InstantiationsFound(conflictSet, eligible int) {
-	for _, t := range m {
-		t.InstantiationsFound(conflictSet, eligible)
-	}
-}
-
-func (m multiTracer) Redacted(redacted, rounds, survivors int) {
-	for _, t := range m {
-		t.Redacted(redacted, rounds, survivors)
-	}
-}
-
-func (m multiTracer) RuleFired(rule string, count int) {
-	for _, t := range m {
-		t.RuleFired(rule, count)
-	}
-}
-
-func (m multiTracer) Commit(deltaSize, writeConflicts int, halted bool) {
-	for _, t := range m {
-		t.Commit(deltaSize, writeConflicts, halted)
 	}
 }

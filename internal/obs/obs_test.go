@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -147,19 +146,74 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMultiFansOutAndFiltersNil(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("Multi of no live tracers should be nil")
+// TestRingGrowsOnDemand fills a ring from empty past its capacity while
+// another goroutine reads it: it holds next to nothing before the first
+// cycle, and at every moment Events is a contiguous oldest-first run of at most
+// Capacity cycles that OnRecord has been or is being handed.
+func TestRingGrowsOnDemand(t *testing.T) {
+	const capacity, cycles = 8, 20
+	if idle := NewRing(DefaultRingCapacity); cap(idle.buf) > ringStart {
+		t.Fatalf("an unused ring holds a %d-event buffer", cap(idle.buf))
 	}
-	r := NewRing(4)
-	if Multi(nil, r) != core.Tracer(r) {
-		t.Fatal("Multi of one live tracer should return it unchanged")
+	r := NewRing(capacity)
+	var seen []int
+	r.OnRecord = func(e Event) { seen = append(seen, e.Cycle) }
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			evs, total := r.Events(0), r.Total()
+			if len(evs) > capacity || r.Capacity() != capacity {
+				t.Errorf("holding %d events, capacity %d, want at most %d", len(evs), r.Capacity(), capacity)
+			}
+			for i, e := range evs {
+				if e.Cycle != evs[0].Cycle+i {
+					t.Errorf("events not contiguous oldest-first: %d at %d after %d", e.Cycle, i, evs[0].Cycle)
+				}
+			}
+			if n := len(evs); n > 0 && uint64(evs[n-1].Cycle) > total {
+				t.Errorf("newest event is cycle %d, Total (read after) is %d", evs[n-1].Cycle, total)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 1; i <= cycles; i++ {
+		feedCycle(r, i, map[string]int{"r": 1})
+		if want := min(i, capacity); len(r.Events(0)) != want {
+			t.Fatalf("after %d cycles the ring holds %d events, want %d", i, len(r.Events(0)), want)
+		}
 	}
-	r2 := NewRing(4)
-	m := Multi(r, nil, r2)
-	feedCycle(m, 1, nil)
-	a, b := r.Events(0), r2.Events(0)
-	if len(a) != 1 || !reflect.DeepEqual(a, b) {
-		t.Fatalf("fan-out mismatch: %+v vs %+v", a, b)
+	close(done)
+	wg.Wait()
+
+	if r.Total() != cycles || len(seen) != cycles || seen[0] != 1 || seen[cycles-1] != cycles {
+		t.Fatalf("Total = %d, OnRecord saw %v, want all %d cycles in order", r.Total(), seen, cycles)
+	}
+	if evs := r.Events(0); len(evs) != capacity || evs[0].Cycle != cycles-capacity+1 || evs[capacity-1].Cycle != cycles {
+		t.Fatalf("retained %+v, want cycles %d..%d", evs, cycles-capacity+1, cycles)
+	}
+	if evs := r.Events(3); len(evs) != 3 || evs[0].Cycle != cycles-2 || evs[2].Cycle != cycles {
+		t.Fatalf("limit=3 gave %+v", evs)
+	}
+}
+
+func TestTextWriterLines(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewTextWriter(&buf)
+	feedCycle(w, 1, map[string]int{"a": 2, "b": 1})
+	feedCycle(w, 2, nil) // fully redacted: no line
+	// A quiescence probe prints nothing either.
+	w.CycleStart(3)
+	w.PhaseEnd(core.PhaseMatch, time.Microsecond)
+	w.InstantiationsFound(0, 0)
+	if got, want := buf.String(), "cycle 1: eligible=2 redacted=1 fired=3 delta=1 conflicts=0\n"; got != want {
+		t.Fatalf("text trace:\n got %q\nwant %q", got, want)
 	}
 }

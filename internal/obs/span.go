@@ -17,8 +17,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"parulel/internal/core"
 )
 
 // Span is one completed, timed stage of a traced request. It is the
@@ -318,72 +316,6 @@ func (a *ActiveSpan) EndWith(d time.Duration) {
 	a.done = true
 	a.sp.DurNS = d.Nanoseconds()
 	a.store.Record(a.sp)
-}
-
-// PhaseAccum bridges the engine's core.Tracer cycle hooks into the span
-// layer: it accumulates per-phase wall-clock totals across cycles, and
-// the server diffs snapshots around a run to emit one child span per
-// engine phase. Unlike the ring tracer it keeps no per-cycle state, so
-// it is cheap enough to stay attached for a session's whole life.
-type PhaseAccum struct {
-	mu     sync.Mutex
-	totals [4]time.Duration
-	cycles uint64
-}
-
-var _ core.Tracer = (*PhaseAccum)(nil)
-
-// PhaseTotals is a snapshot of cumulative per-phase engine time,
-// indexed by core.Phase (match, redact, fire, apply).
-type PhaseTotals [4]time.Duration
-
-// Sub returns the element-wise difference p - q.
-func (p PhaseTotals) Sub(q PhaseTotals) PhaseTotals {
-	for i := range p {
-		p[i] -= q[i]
-	}
-	return p
-}
-
-// Sum returns the total engine time across phases.
-func (p PhaseTotals) Sum() time.Duration {
-	var s time.Duration
-	for _, d := range p {
-		s += d
-	}
-	return s
-}
-
-func (p *PhaseAccum) CycleStart(int) {}
-
-func (p *PhaseAccum) PhaseEnd(ph core.Phase, d time.Duration) {
-	if int(ph) >= len(p.totals) {
-		return
-	}
-	p.mu.Lock()
-	p.totals[ph] += d
-	p.mu.Unlock()
-}
-
-func (p *PhaseAccum) InstantiationsFound(int, int) {}
-func (p *PhaseAccum) Redacted(int, int, int)       {}
-func (p *PhaseAccum) RuleFired(string, int)        {}
-
-func (p *PhaseAccum) Commit(int, int, bool) {
-	p.mu.Lock()
-	p.cycles++
-	p.mu.Unlock()
-}
-
-// Snapshot returns the cumulative per-phase totals and committed cycle
-// count. Nil-safe (zero totals).
-func (p *PhaseAccum) Snapshot() (PhaseTotals, uint64) {
-	if p == nil {
-		return PhaseTotals{}, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.totals, p.cycles
 }
 
 // DefaultFlightRecorderCapacity bounds the slow-request ring when the

@@ -23,7 +23,6 @@ import (
 	"parulel/internal/compile"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
-	"parulel/internal/stats"
 	"parulel/internal/wm"
 )
 
@@ -60,7 +59,10 @@ type Result struct {
 	Cycles  int
 	Firings int
 	Halted  bool
-	Stats   *stats.Run
+	// Phases is the wall-clock time of match, selection and firing summed
+	// over the cycles, in the slots of core.Phase (selection in redact's;
+	// firing applies its effects as it goes, so apply's stays zero).
+	Phases [4]time.Duration
 }
 
 // ErrMaxCycles is returned when Options.MaxCycles is exceeded.
@@ -99,7 +101,6 @@ func New(prog *compile.Program, opts Options) *Engine {
 		matcher:     opts.Matcher(prog.Rules),
 		conflictSet: make(map[match.Key]*match.Instantiation),
 		fired:       make(map[match.Key]bool),
-		result:      Result{Stats: &stats.Run{}},
 	}
 	for _, f := range prog.Facts {
 		w := e.mem.InsertFields(f.Tmpl, append([]wm.Value(nil), f.Fields...))
@@ -156,8 +157,6 @@ func (e *Engine) Step() (bool, error) {
 	if e.halted {
 		return false, nil
 	}
-	var cyc stats.Cycle
-
 	t0 := time.Now()
 	ch := e.matcher.Apply(e.pending)
 	e.pending = wm.Delta{}
@@ -168,27 +167,26 @@ func (e *Engine) Step() (bool, error) {
 	for _, in := range ch.Added {
 		e.conflictSet[in.Key()] = in
 	}
-	cyc.Match = time.Since(t0)
+	matched := time.Since(t0)
 
 	t0 = time.Now()
 	best := e.selectInstantiation()
-	cyc.Redact = time.Since(t0) // conflict-resolution time in the Redact slot
+	selected := time.Since(t0)
 	if best == nil {
 		return false, nil
 	}
-	cyc.ConflictSize = len(e.conflictSet)
 
 	t0 = time.Now()
-	halted, err := e.fire(best, &cyc)
-	cyc.Fire = time.Since(t0)
+	halted, err := e.fire(best)
 	if err != nil {
 		return false, err
 	}
-	cyc.Fired = 1
+	e.result.Phases[0] += matched
+	e.result.Phases[1] += selected
+	e.result.Phases[2] += time.Since(t0)
 	e.fired[best.Key()] = true
 	e.result.Firings++
 	e.result.Cycles++
-	e.result.Stats.Add(cyc)
 	e.halted = halted
 	e.result.Halted = halted
 	return !halted, nil
@@ -291,7 +289,7 @@ func (v *env) MetaPrecedes(int, int) bool { panic("ops5: RHS has no meta context
 // fire executes one instantiation's RHS, applying effects to working
 // memory immediately (sequential semantics) and accumulating the WM delta
 // for the next match phase.
-func (e *Engine) fire(in *match.Instantiation, cyc *stats.Cycle) (bool, error) {
+func (e *Engine) fire(in *match.Instantiation) (bool, error) {
 	ev := &env{inst: in}
 	if n := in.Rule.NumLocals; n > 0 {
 		ev.locals = make([]wm.Value, n)
@@ -358,7 +356,6 @@ func (e *Engine) fire(in *match.Instantiation, cyc *stats.Cycle) (bool, error) {
 			halted = true
 		}
 	}
-	cyc.DeltaSize = e.pending.Size()
 	if out.Len() > 0 {
 		if _, err := e.opts.Output.Write(out.Bytes()); err != nil {
 			return false, fmt.Errorf("ops5: write action output: %w", err)

@@ -88,7 +88,7 @@ type metricsPayload struct {
 		MaxConflictSize int                      `json:"max_conflict_size" prom:"parulel_engine_max_conflict_size" kind:"gauge" help:"Largest pre-redaction conflict set observed."`
 		HistBoundsNS    []int64                  `json:"hist_bounds_ns" prom:"-"`
 		Phases          map[string]*phasePayload `json:"phases" prom:"parulel_engine_phase_seconds" kind:"histogram" label:"phase=match,redact,fire,apply" help:"Per-cycle phase latency by engine phase."`
-		Window          stats.Summary            `json:"window" prom:"-"` // percentiles over the newest metricsWindow cycle records
+		Window          stats.Summary            `json:"window" prom:"-"` // percentiles over the newest metricsWindow cycle samples
 		// Rules is ordered by match time (then fires, then name) and capped
 		// at maxRuleSeries rows.
 		Rules        []ruleSeries `json:"rules" label:"rule"`
@@ -113,7 +113,7 @@ func newHist() *phasePayload { return &phasePayload{Hist: make([]uint64, len(sta
 func (p *phasePayload) observe(d time.Duration) {
 	p.TotalNS += d.Nanoseconds()
 	p.HistCount++
-	(&stats.Hist{Counts: p.Hist}).Observe(d)
+	p.Hist[stats.Bucket(d)]++
 }
 
 func cloneHists(m map[string]*phasePayload) map[string]*phasePayload {
@@ -184,9 +184,10 @@ type clusterPayload struct {
 	RouteOverrides  int    `json:"route_overrides" prom:"parulel_cluster_route_overrides" kind:"gauge" help:"Session route overrides currently active."`
 }
 
-// metricsWindow is the number of cycle records retained for the
-// engine.window percentiles (a few MB at most); maxRuleSeries caps the
-// distinct rule names in engine.rules, and so the label cardinality.
+// metricsWindow is the number of cycle samples retained for the
+// engine.window percentiles (64 bytes each, 4 MiB at most); maxRuleSeries
+// caps the distinct rule names in engine.rules, and so the label
+// cardinality.
 const (
 	metricsWindow = 65536
 	maxRuleSeries = 256
@@ -194,7 +195,7 @@ const (
 
 var phaseNames = [4]string{"match", "redact", "fire", "apply"}
 
-// collector aggregates engine cycle records and server counters across
+// collector aggregates engine cycle samples and server counters across
 // every session, live or evicted, in the payload it embeds: callers bump
 // a counter with inc or add and name the field, c.inc(&c.Runs.Started).
 // The durability and cluster sections are allocated by New when those
@@ -203,8 +204,11 @@ var phaseNames = [4]string{"match", "redact", "fire", "apply"}
 type collector struct {
 	mu sync.Mutex
 	metricsPayload
-	window stats.Run              // newest cycle records, for engine.window
-	rules  map[string]*ruleSeries // engine.rules by rule name
+	// window is the newest metricsWindow cycle samples, for engine.window:
+	// once full it is a ring whose oldest sample is at windowAt.
+	window   []stats.Cycle
+	windowAt int
+	rules    map[string]*ruleSeries // engine.rules by rule name
 }
 
 func newCollector() *collector {
@@ -230,7 +234,7 @@ func (c *collector) add(f *uint64, n uint64) {
 	c.mu.Unlock()
 }
 
-// observe folds freshly produced cycle records into the aggregate.
+// observe folds freshly produced cycle samples into the aggregate.
 func (c *collector) observe(cycles []stats.Cycle) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,9 +247,13 @@ func (c *collector) observe(cycles []stats.Cycle) {
 		for i, d := range [4]time.Duration{cyc.Match, cyc.Redact, cyc.Fire, cyc.Apply} {
 			e.Phases[phaseNames[i]].observe(d)
 		}
+		if len(c.window) < metricsWindow {
+			c.window = append(c.window, cyc)
+		} else {
+			c.window[c.windowAt] = cyc
+			c.windowAt = (c.windowAt + 1) % metricsWindow
+		}
 	}
-	c.window.Cycles = append(c.window.Cycles, cycles...)
-	c.window.Truncate(metricsWindow)
 }
 
 // stageObserved folds one completed span into its stage's histogram (the
@@ -303,7 +311,7 @@ func (c *collector) snapshot() metricsPayload {
 	defer c.mu.Unlock()
 	p := c.metricsPayload
 	p.Engine.Phases, p.Stages = cloneHists(p.Engine.Phases), cloneHists(p.Stages)
-	p.Engine.Window = c.window.Summarize()
+	p.Engine.Window = stats.Summarize(c.window)
 	p.Engine.Rules = make([]ruleSeries, 0, len(c.rules))
 	for _, agg := range c.rules {
 		p.Engine.Rules = append(p.Engine.Rules, *agg)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -366,16 +365,15 @@ func TestObservabilityDocListsEverySeries(t *testing.T) {
 	}
 }
 
-// TestSessionKeepsNoCycleRecords: the engine appends one 64-byte record
-// per committed cycle; a served session hands each run's records to the
-// collector and keeps none, however long it lives.
-func TestSessionKeepsNoCycleRecords(t *testing.T) {
-	s, ts := newTestServer(t, Config{RunSlice: 300})
+// TestMetricsCountEveryCycleRunsReport: whichever way a run reaches a
+// session — /run cut into slices, two runs in one batch, an async job —
+// every cycle it reports is in engine.cycles and in each phase histogram,
+// once. (No engine or session keeps a record of a cycle to get this wrong
+// from; TestSoakMemoryIndependentOfCycles holds them to that.)
+func TestMetricsCountEveryCycleRunsReport(t *testing.T) {
+	_, ts := newTestServer(t, Config{RunSlice: 300})
 	info := createSession(t, ts.URL, createSessionRequest{Source: boundedSrc})
 	sessURL := ts.URL + "/api/v1/sessions/" + info.ID
-	s.mu.Lock()
-	sess := s.sessions[info.ID]
-	s.mu.Unlock()
 	// boundedSrc counts a counter fact up to its bound; a fresh one re-arms it.
 	const rearm = `{"op":"assert","facts":[{"template":"counter","fields":{"n":0}}]}`
 	total := 0
@@ -417,15 +415,6 @@ func TestSessionKeepsNoCycleRecords(t *testing.T) {
 			t.Fatalf("round %d ran no cycles", round)
 		}
 		total += cycles
-		// The slot orders this read after the run that just answered.
-		if err := sess.acquire(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		kept := len(sess.lastResult.Stats.Cycles)
-		sess.release()
-		if kept != 0 {
-			t.Fatalf("after round %d the session retains %d cycle records", round, kept)
-		}
 	}
 	var m metricsPayload
 	if st := call(t, "GET", ts.URL+"/metrics", nil, &m); st != http.StatusOK {
@@ -438,5 +427,29 @@ func TestSessionKeepsNoCycleRecords(t *testing.T) {
 		if hc := m.Engine.Phases[name].HistCount; hc != uint64(total) {
 			t.Errorf("phase %s hist_count = %d, runs reported %d", name, hc, total)
 		}
+	}
+}
+
+// TestMetricsWindowKeepsNewest: engine.window summarizes the newest
+// metricsWindow cycles, however they were batched, and engine.* all of them.
+func TestMetricsWindowKeepsNewest(t *testing.T) {
+	c := newCollector()
+	old := make([]stats.Cycle, 1000)
+	for i := range old {
+		old[i] = stats.Cycle{ConflictSize: 99, Fired: 1}
+	}
+	c.observe(old)
+	if w := c.snapshot().Engine.Window; w.Cycles != len(old) || w.MaxConflict != 99 {
+		t.Fatalf("window before it fills: %+v", w)
+	}
+	for _, n := range []int{metricsWindow - 500, 1, 499} {
+		c.observe(make([]stats.Cycle, n))
+	}
+	p := c.snapshot()
+	if w := p.Engine.Window; w.Cycles != metricsWindow || w.MaxConflict != 0 || w.Fired != 0 {
+		t.Errorf("window holds %d cycles, max conflict %d, fired %d; want the newest %d, all zero", w.Cycles, w.MaxConflict, w.Fired, metricsWindow)
+	}
+	if p.Engine.Cycles != uint64(metricsWindow+len(old)) || p.Engine.MaxConflictSize != 99 {
+		t.Errorf("engine.cycles = %d, max_conflict_size = %d", p.Engine.Cycles, p.Engine.MaxConflictSize)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"parulel/internal/core"
+	"parulel/internal/obs"
+	"parulel/internal/stats"
 	"parulel/internal/wal"
 )
 
@@ -128,6 +130,35 @@ type runOutcome struct {
 	persisted bool
 }
 
+// runFold is what the committed cycles of a run in progress add up to:
+// the session's trace ring hands it each one (add is its OnRecord) as the
+// engine commits it, on the goroutine that holds the session slot.
+type runFold struct {
+	metrics *collector
+	phases  [4]time.Duration // indexed by core.Phase: the engine.* child spans
+	// cycles are the samples /metrics has not seen yet: observed in one
+	// call when the run ends, and before that each time runFoldCycles have
+	// gathered, so a run holds 64 KiB of them however long it goes on.
+	cycles []stats.Cycle
+}
+
+const runFoldCycles = 1024
+
+func (f *runFold) add(ev obs.Event) {
+	c := stats.Cycle{
+		Match: time.Duration(ev.MatchNS), Redact: time.Duration(ev.RedactNS),
+		Fire: time.Duration(ev.FireNS), Apply: time.Duration(ev.ApplyNS),
+		ConflictSize: ev.Eligible, Redacted: ev.Redacted, Fired: ev.Fired, DeltaSize: ev.DeltaSize,
+	}
+	for p, d := range [4]time.Duration{c.Match, c.Redact, c.Fire, c.Apply} {
+		f.phases[p] += d
+	}
+	if f.cycles = append(f.cycles, c); len(f.cycles) == runFoldCycles {
+		f.metrics.observe(f.cycles)
+		f.cycles = f.cycles[:0]
+	}
+}
+
 // driveRun executes one logical run while holding the session slot,
 // re-acquiring an engine slot from the run queue for every RunSlice cycles
 // (one grant for the whole run when RunSlice is 0) and logging one OpRun
@@ -137,7 +168,8 @@ func (s *Server) driveRun(ctx context.Context, sess *session, ticket *runTicket,
 	before := sess.lastResult
 	sess.out.take() // reset output buffer
 	runSp := s.startSpan(ctx, stageEngineRun)
-	phBefore, _ := sess.phases.Snapshot()
+	fold := &runFold{metrics: s.metrics}
+	sess.trace.OnRecord = fold.add
 	var queueWait time.Duration
 	t0 := time.Now()
 	res := before
@@ -172,26 +204,21 @@ func (s *Server) driveRun(ctx context.Context, sess *session, ticket *runTicket,
 		}
 	}
 	wall := time.Since(t0)
+	sess.trace.OnRecord = nil
 	sess.lastResult = res
 
 	// Emit the run's span tree: queue.wait and the per-phase engine time
-	// (diffed from the session's cumulative accumulator) as children of
-	// engine.run. No-ops on untraced contexts.
+	// as children of engine.run. No-ops on untraced contexts.
 	runSp.SetAttr("session", sess.id)
 	runSp.SetAttr("cycles", strconv.Itoa(res.Cycles-before.Cycles))
 	s.recordSpan(ctx, runSp.ID(), stageQueueWait, queueWait)
-	phAfter, _ := sess.phases.Snapshot()
-	phDelta := phAfter.Sub(phBefore)
 	for i, st := range enginePhaseStages {
-		s.recordSpan(ctx, runSp.ID(), st, phDelta[i])
+		s.recordSpan(ctx, runSp.ID(), st, fold.phases[i])
 	}
 	runSp.EndWith(wall)
 
-	// Fold the run's cycle records into /metrics regardless of outcome,
-	// taking them from the engine: a served session keeps none, or a
-	// long-lived one would hold 64 bytes per cycle it ever ran.
-	s.metrics.observe(res.Stats.Cycles)
-	res.Stats.Cycles = nil
+	// Fold the run's cycles into /metrics regardless of outcome.
+	s.metrics.observe(fold.cycles)
 	// Likewise the per-rule profile deltas accumulated by this run. The
 	// first time the per-rule series cap drops a rule, say so once — the
 	// truncation is otherwise invisible in /metrics.

@@ -189,10 +189,20 @@ func (c Config) withDefaults() Config {
 		c.FlightRecorderSize = obs.DefaultFlightRecorderCapacity
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c
 }
+
+// discardHandler is the nil Config.Logger: it reports every level disabled,
+// so a record nobody reads is never formatted. (slog.DiscardHandler needs
+// go 1.24.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Server is the paruleld HTTP handler plus its session pool.
 type Server struct {

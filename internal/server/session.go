@@ -34,13 +34,12 @@ type session struct {
 	// aggregates advance when a tick op or stream frame ticks it. Guarded
 	// by the session slot like the engine itself.
 	clock *temporal.Manager
-	// trace records the most recent engine cycles. Internally locked, so
-	// the trace endpoint reads it without taking the session slot.
+	// trace is the engine's one tracer. It records the most recent engine
+	// cycles, internally locked, so the trace endpoint reads it without
+	// taking the session slot; and driveRun hooks its OnRecord for the
+	// length of a run, so the cycles a recovery replays land here and
+	// nowhere else.
 	trace *obs.Ring
-	// phases accumulates cumulative per-phase engine time; driveRun diffs
-	// snapshots around a run to emit engine.* child spans for the
-	// distributed trace. Internally locked.
-	phases *obs.PhaseAccum
 
 	// dur is the session's durability handle; nil when the server runs
 	// without a data directory.
@@ -92,16 +91,6 @@ func (s *session) acquire(ctx context.Context) error {
 	}
 }
 
-// tryAcquire takes the slot only if it is free.
-func (s *session) tryAcquire() bool {
-	select {
-	case s.slot <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
 func (s *session) release() { <-s.slot }
 
 // busy reports whether some request currently holds the slot.
@@ -145,7 +134,6 @@ func (s *session) info(lastUsed time.Time) sessionInfo {
 func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, restore bool) *session {
 	out := &capWriter{limit: s.cfg.MaxOutputBytes}
 	trace := obs.NewRing(s.cfg.TraceCycles)
-	phases := &obs.PhaseAccum{}
 	eng := core.New(prog, core.Options{
 		Workers: meta.Workers,
 		// Server sessions always run with per-rule profiling on: the timing
@@ -155,7 +143,7 @@ func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, 
 		Output:         out,
 		MaxCycles:      meta.MaxCycles,
 		NoInitialFacts: restore,
-		Tracer:         obs.Multi(trace, phases),
+		Tracer:         trace,
 	})
 	created := time.Now()
 	if meta.CreatedNS != 0 { // absent from logs that predate the field
@@ -168,7 +156,6 @@ func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, 
 		eng:      eng,
 		out:      out,
 		trace:    trace,
-		phases:   phases,
 		clock:    temporal.New(prog, eng),
 		created:  created,
 		lastUsed: created,

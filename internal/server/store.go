@@ -608,9 +608,8 @@ func (s *Server) loadSession(ctx context.Context, id string) (*session, error) {
 	}
 	sess.out.take() // replayed `(write …)` output belongs to no request
 	sess.lastResult = sess.eng.CurrentResult()
-	// Replay-produced cycle records and per-rule activity belong to no run:
-	// dropped here, not folded into /metrics.
-	sess.lastResult.Stats.Cycles = nil
+	// Replay-produced per-rule activity belongs to no run: dropped here,
+	// not folded into /metrics.
 	sess.profileDeltas()
 	sess.dur = &durable{st: s.store, id: id, dir: dir, log: l, led: led, meta: meta, records: replayed}
 	if haveCkpt && h.Ledger != nil {

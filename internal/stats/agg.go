@@ -9,17 +9,6 @@ import (
 // percentile summaries and fixed-bucket latency histograms. The server's
 // /metrics endpoint is the consumer.
 
-// Truncate drops the oldest cycles until at most n remain, bounding the
-// memory held by a long-lived aggregator.
-func (r *Run) Truncate(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if len(r.Cycles) > n {
-		r.Cycles = append(r.Cycles[:0:0], r.Cycles[len(r.Cycles)-n:]...)
-	}
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of ds using the
 // nearest-rank method on a sorted copy. It returns 0 for an empty input.
 func Quantile(ds []time.Duration, q float64) time.Duration {
@@ -102,16 +91,16 @@ type Summary struct {
 	Apply  PhaseStats `json:"apply"`
 }
 
-// Summarize computes the aggregate view of the run.
-func (r *Run) Summarize() Summary {
-	n := len(r.Cycles)
+// Summarize computes the aggregate view of the cycles, in any order.
+func Summarize(cycles []Cycle) Summary {
+	n := len(cycles)
 	match := make([]time.Duration, n)
 	redact := make([]time.Duration, n)
 	fire := make([]time.Duration, n)
 	apply := make([]time.Duration, n)
 	conflict := make([]int, n)
 	s := Summary{Cycles: n}
-	for i, c := range r.Cycles {
+	for i, c := range cycles {
 		match[i], redact[i], fire[i], apply[i] = c.Match, c.Redact, c.Fire, c.Apply
 		conflict[i] = c.ConflictSize
 		s.Fired += c.Fired
@@ -145,26 +134,9 @@ var HistBounds = []time.Duration{
 	1 * time.Second, 2 * time.Second, 5 * time.Second, 10 * time.Second,
 }
 
-// Hist is a fixed-bucket latency histogram. Counts has one entry per
-// HistBounds bucket plus a final overflow bucket.
-type Hist struct {
-	Counts []uint64 `json:"counts"`
-}
-
-// NewHist returns an empty histogram over HistBounds.
-func NewHist() *Hist { return &Hist{Counts: make([]uint64, len(HistBounds)+1)} }
-
-// Observe adds one sample.
-func (h *Hist) Observe(d time.Duration) {
-	i := sort.Search(len(HistBounds), func(i int) bool { return d <= HistBounds[i] })
-	h.Counts[i]++
-}
-
-// Total returns the number of observed samples.
-func (h *Hist) Total() uint64 {
-	var n uint64
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
+// Bucket returns the index of the histogram bucket d falls in: that of
+// the first HistBounds entry it does not exceed, or len(HistBounds), the
+// overflow bucket a histogram keeps after them.
+func Bucket(d time.Duration) int {
+	return sort.Search(len(HistBounds), func(i int) bool { return d <= HistBounds[i] })
 }

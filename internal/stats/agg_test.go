@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-func mkRun(n int, base time.Duration) *Run {
-	r := &Run{}
+func mkCycles(n int, base time.Duration) []Cycle {
+	var r []Cycle
 	for i := 1; i <= n; i++ {
-		r.Add(Cycle{
+		r = append(r, Cycle{
 			Match:        time.Duration(i) * base,
 			Redact:       time.Duration(i) * base / 2,
 			Fire:         time.Duration(i) * base * 2,
@@ -20,22 +20,6 @@ func mkRun(n int, base time.Duration) *Run {
 		})
 	}
 	return r
-}
-
-func TestTruncate(t *testing.T) {
-	a := mkRun(10, time.Millisecond)
-	a.Truncate(4)
-	if len(a.Cycles) != 4 {
-		t.Fatalf("truncated len = %d, want 4", len(a.Cycles))
-	}
-	// Keeps the newest records: fired counts 7,8,9,10.
-	if a.Cycles[0].Fired != 7 || a.Cycles[3].Fired != 10 {
-		t.Fatalf("truncate kept wrong records: %+v", a.Cycles)
-	}
-	a.Truncate(100) // no-op
-	if len(a.Cycles) != 4 {
-		t.Fatal("truncate to larger size must be a no-op")
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -61,8 +45,7 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	r := mkRun(100, time.Microsecond)
-	s := r.Summarize()
+	s := Summarize(mkCycles(100, time.Microsecond))
 	if s.Cycles != 100 {
 		t.Fatalf("cycles = %d", s.Cycles)
 	}
@@ -81,32 +64,25 @@ func TestSummarize(t *testing.T) {
 	if s.Fire.Total != 2*s.Match.Total || s.Redact.Total*2 != s.Match.Total {
 		t.Fatalf("phase totals inconsistent: %+v", s)
 	}
-	var empty Run
-	es := empty.Summarize()
+	es := Summarize(nil)
 	if es.Cycles != 0 || es.Match.P99 != 0 {
 		t.Fatalf("empty summary should be zero: %+v", es)
 	}
 }
 
 func TestHist(t *testing.T) {
-	h := NewHist()
-	if h.Total() != 0 {
-		t.Fatal("fresh histogram should be empty")
-	}
-	h.Observe(500 * time.Nanosecond) // bucket 0 (≤1µs)
-	h.Observe(1 * time.Microsecond)  // bucket 0 (inclusive bound)
-	h.Observe(3 * time.Millisecond)  // ≤5ms bucket
-	h.Observe(time.Minute)           // overflow
-	if h.Total() != 4 {
-		t.Fatalf("total = %d, want 4", h.Total())
-	}
-	if h.Counts[0] != 2 {
-		t.Fatalf("≤1µs bucket = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[len(h.Counts)-1] != 1 {
-		t.Fatal("minute sample should land in the overflow bucket")
-	}
-	if len(h.Counts) != len(HistBounds)+1 {
-		t.Fatal("histogram must have one overflow bucket")
+	for _, c := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{500 * time.Nanosecond, 0}, // ≤1µs
+		{1 * time.Microsecond, 0},  // inclusive bound
+		{3 * time.Millisecond, 11}, // ≤5ms
+		{10 * time.Second, len(HistBounds) - 1},
+		{time.Minute, len(HistBounds)}, // overflow
+	} {
+		if got := Bucket(c.d); got != c.want {
+			t.Errorf("Bucket(%v) = %d, want %d", c.d, got, c.want)
+		}
 	}
 }

@@ -1,15 +1,12 @@
-// Package stats collects per-cycle phase timings and counters for the
-// rule engines. Experiment E5 (cycle-phase breakdown) is computed directly
-// from these records.
+// Package stats aggregates cycle phase timings and counters: the phase
+// breakdown experiment E5 reports, and the percentile summaries and
+// latency histograms behind the server's /metrics.
 package stats
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
-// Cycle records one engine cycle.
+// Cycle is one committed engine cycle as Summarize reads it: 64 bytes, the
+// sample /metrics keeps per cycle of its engine.window.
 type Cycle struct {
 	// Phase wall-clock durations.
 	Match  time.Duration // matcher delta application (parallel section)
@@ -24,71 +21,14 @@ type Cycle struct {
 	DeltaSize    int // WM changes produced
 }
 
-// Run accumulates the cycles of one engine run.
-type Run struct {
-	Cycles []Cycle
-}
-
-// Add appends a cycle record.
-func (r *Run) Add(c Cycle) { r.Cycles = append(r.Cycles, c) }
-
-// Totals sums the phase durations across all cycles.
-func (r *Run) Totals() (match, redact, fire, apply time.Duration) {
-	for _, c := range r.Cycles {
-		match += c.Match
-		redact += c.Redact
-		fire += c.Fire
-		apply += c.Apply
-	}
-	return
-}
-
-// Breakdown returns each phase's share of total time, in percent. Shares
-// are zero when the run recorded no time at all.
-func (r *Run) Breakdown() (matchPct, redactPct, firePct, applyPct float64) {
-	m, re, f, a := r.Totals()
-	total := m + re + f + a
+// Breakdown returns each phase's share of a run's phase time — match,
+// redact, fire, apply, the order the engines' Result.Phases keep — in
+// percent. Shares are zero when no time was recorded at all.
+func Breakdown(phases [4]time.Duration) (matchPct, redactPct, firePct, applyPct float64) {
+	total := phases[0] + phases[1] + phases[2] + phases[3]
 	if total == 0 {
 		return 0, 0, 0, 0
 	}
 	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(total) }
-	return pct(m), pct(re), pct(f), pct(a)
-}
-
-// TotalFired sums firings across cycles.
-func (r *Run) TotalFired() int {
-	n := 0
-	for _, c := range r.Cycles {
-		n += c.Fired
-	}
-	return n
-}
-
-// TotalRedacted sums redactions across cycles.
-func (r *Run) TotalRedacted() int {
-	n := 0
-	for _, c := range r.Cycles {
-		n += c.Redacted
-	}
-	return n
-}
-
-// MaxConflictSize returns the largest pre-redaction conflict set seen.
-func (r *Run) MaxConflictSize() int {
-	m := 0
-	for _, c := range r.Cycles {
-		if c.ConflictSize > m {
-			m = c.ConflictSize
-		}
-	}
-	return m
-}
-
-// String renders a one-line summary.
-func (r *Run) String() string {
-	m, re, f, a := r.Breakdown()
-	var b strings.Builder
-	fmt.Fprintf(&b, "cycles=%d fired=%d redacted=%d", len(r.Cycles), r.TotalFired(), r.TotalRedacted())
-	fmt.Fprintf(&b, " match=%.1f%% redact=%.1f%% fire=%.1f%% apply=%.1f%%", m, re, f, a)
-	return b.String()
+	return pct(phases[0]), pct(phases[1]), pct(phases[2]), pct(phases[3])
 }

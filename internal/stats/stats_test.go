@@ -2,24 +2,24 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
 
-func sampleRun() *Run {
-	r := &Run{}
-	r.Add(Cycle{Match: 40 * time.Millisecond, Redact: 10 * time.Millisecond,
-		Fire: 30 * time.Millisecond, Apply: 20 * time.Millisecond,
-		ConflictSize: 10, Redacted: 4, Fired: 6, DeltaSize: 12})
-	r.Add(Cycle{Match: 60 * time.Millisecond, Redact: 30 * time.Millisecond,
-		Fire: 10 * time.Millisecond, Apply: 0,
-		ConflictSize: 25, Redacted: 20, Fired: 5, DeltaSize: 5})
-	return r
+func sampleCycles() []Cycle {
+	return []Cycle{
+		{Match: 40 * time.Millisecond, Redact: 10 * time.Millisecond,
+			Fire: 30 * time.Millisecond, Apply: 20 * time.Millisecond,
+			ConflictSize: 10, Redacted: 4, Fired: 6, DeltaSize: 12},
+		{Match: 60 * time.Millisecond, Redact: 30 * time.Millisecond,
+			Fire: 10 * time.Millisecond, Apply: 0,
+			ConflictSize: 25, Redacted: 20, Fired: 5, DeltaSize: 5},
+	}
 }
 
 func TestTotals(t *testing.T) {
-	m, re, f, a := sampleRun().Totals()
+	s := Summarize(sampleCycles())
+	m, re, f, a := s.Match.Total, s.Redact.Total, s.Fire.Total, s.Apply.Total
 	if m != 100*time.Millisecond || re != 40*time.Millisecond ||
 		f != 40*time.Millisecond || a != 20*time.Millisecond {
 		t.Errorf("totals: %v %v %v %v", m, re, f, a)
@@ -27,7 +27,8 @@ func TestTotals(t *testing.T) {
 }
 
 func TestBreakdownSumsTo100(t *testing.T) {
-	m, re, f, a := sampleRun().Breakdown()
+	s := Summarize(sampleCycles())
+	m, re, f, a := Breakdown([4]time.Duration{s.Match.Total, s.Redact.Total, s.Fire.Total, s.Apply.Total})
 	if sum := m + re + f + a; math.Abs(sum-100) > 1e-9 {
 		t.Errorf("breakdown sums to %v", sum)
 	}
@@ -37,31 +38,24 @@ func TestBreakdownSumsTo100(t *testing.T) {
 }
 
 func TestBreakdownEmptyRun(t *testing.T) {
-	var r Run
-	m, re, f, a := r.Breakdown()
+	m, re, f, a := Breakdown([4]time.Duration{})
 	if m != 0 || re != 0 || f != 0 || a != 0 {
 		t.Error("empty run should have zero shares")
 	}
 }
 
 func TestCounters(t *testing.T) {
-	r := sampleRun()
-	if r.TotalFired() != 11 {
-		t.Errorf("fired = %d", r.TotalFired())
+	s := Summarize(sampleCycles())
+	if s.Cycles != 2 {
+		t.Errorf("cycles = %d", s.Cycles)
 	}
-	if r.TotalRedacted() != 24 {
-		t.Errorf("redacted = %d", r.TotalRedacted())
+	if s.Fired != 11 {
+		t.Errorf("fired = %d", s.Fired)
 	}
-	if r.MaxConflictSize() != 25 {
-		t.Errorf("max conflict = %d", r.MaxConflictSize())
+	if s.Redacted != 24 {
+		t.Errorf("redacted = %d", s.Redacted)
 	}
-}
-
-func TestString(t *testing.T) {
-	s := sampleRun().String()
-	for _, want := range []string{"cycles=2", "fired=11", "redacted=24", "match=50.0%"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() missing %q: %s", want, s)
-		}
+	if s.MaxConflict != 25 {
+		t.Errorf("max conflict = %d", s.MaxConflict)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"parulel/internal/compile"
 	"parulel/internal/copycon"
@@ -30,10 +31,12 @@ import (
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/match/treat"
+	"parulel/internal/obs"
 	"parulel/internal/ops5"
 	"parulel/internal/programs"
 	"parulel/internal/reorder"
 	"parulel/internal/snapshot"
+	"parulel/internal/stats"
 	"parulel/internal/wm"
 )
 
@@ -251,15 +254,41 @@ func NewEngine(p *Program, cfg Config) *Engine {
 			MaxCycles: cfg.MaxCycles,
 		})}
 	default:
+		tracer := cfg.Tracer
+		if cfg.Trace != nil {
+			tracer = obs.NewTextWriter(cfg.Trace)
+			if cfg.Tracer != nil {
+				tracer = tee{tracer, cfg.Tracer}
+			}
+		}
 		return &Engine{par: core.New(p.compiled, core.Options{
 			Workers:   cfg.Workers,
 			Matcher:   cfg.factory(),
 			Output:    cfg.Output,
 			MaxCycles: cfg.MaxCycles,
-			Trace:     cfg.Trace,
-			Tracer:    cfg.Tracer,
+			Tracer:    tracer,
 		})}
 	}
+}
+
+// tee feeds Config.Trace's text log and then Config.Tracer, the one place
+// an engine has two tracers.
+type tee [2]core.Tracer
+
+func (t tee) CycleStart(n int)                       { t[0].CycleStart(n); t[1].CycleStart(n) }
+func (t tee) PhaseEnd(p core.Phase, d time.Duration) { t[0].PhaseEnd(p, d); t[1].PhaseEnd(p, d) }
+func (t tee) InstantiationsFound(cs, el int) {
+	t[0].InstantiationsFound(cs, el)
+	t[1].InstantiationsFound(cs, el)
+}
+func (t tee) Redacted(n, rounds, left int) {
+	t[0].Redacted(n, rounds, left)
+	t[1].Redacted(n, rounds, left)
+}
+func (t tee) RuleFired(rule string, n int) { t[0].RuleFired(rule, n); t[1].RuleFired(rule, n) }
+func (t tee) Commit(delta, conflicts int, halted bool) {
+	t[0].Commit(delta, conflicts, halted)
+	t[1].Commit(delta, conflicts, halted)
 }
 
 // Insert adds a fact before (or between) runs.
@@ -281,14 +310,14 @@ func (e *Engine) Run() (Result, error) { return e.RunContext(context.Background(
 func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	if e.seq != nil {
 		res, err := e.seq.RunContext(ctx)
-		m, r, f, a := res.Stats.Breakdown()
+		m, r, f, a := stats.Breakdown(res.Phases)
 		return Result{
 			Cycles: res.Cycles, Firings: res.Firings, Halted: res.Halted,
 			MatchPct: m, RedactPct: r, FirePct: f, ApplyPct: a,
 		}, err
 	}
 	res, err := e.par.RunContext(ctx)
-	m, r, f, a := res.Stats.Breakdown()
+	m, r, f, a := stats.Breakdown(res.Phases)
 	return Result{
 		Cycles: res.Cycles, Firings: res.Firings, Redactions: res.Redactions,
 		WriteConflicts: res.WriteConflicts, Halted: res.Halted,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"parulel/internal/obs"
 )
 
 const facadeProgram = `
@@ -374,5 +376,27 @@ func TestFacadeOptimize(t *testing.T) {
 	}
 	if a, b := run(prog), run(opt); a != b {
 		t.Errorf("optimize changed behaviour: %d vs %d items", a, b)
+	}
+}
+
+// TestFacadeTraceAndTracerCompose: Config.Trace's text log and
+// Config.Tracer's structured events describe the same cycles.
+func TestFacadeTraceAndTracerCompose(t *testing.T) {
+	prog, err := Parse(facadeProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	ring := obs.NewRing(8)
+	res, err := NewEngine(prog, Config{Trace: &text, Tracer: ring}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "cycle 1: eligible=2 redacted=1 fired=1 delta=3 conflicts=0\ncycle 2: eligible=1 redacted=0 fired=1 delta=3 conflicts=0\n"
+	if text.String() != want {
+		t.Errorf("text trace:\n got %q\nwant %q", text.String(), want)
+	}
+	if evs := ring.Events(0); len(evs) != res.Cycles || evs[0].Redacted != 1 || evs[1].RuleFirings["finish"] != 1 {
+		t.Errorf("tracer saw %+v of %d cycles", evs, res.Cycles)
 	}
 }
