@@ -127,14 +127,13 @@ type Engine struct {
 	result Result
 	halted bool
 	// activity counts instantiations entering the conflict set per rule,
-	// feeding the copy-and-constrain advisor (copycon.Advise).
-	activity map[string]int
-	// fires counts firings per rule, by Rule.Index, across the run, feeding
-	// RuleFires and the per-rule profile merge (RuleProfiles). traced is
-	// how many of them Tracer.RuleFired has reported, and rulesByName the
-	// order it reports in.
-	fires, traced []int
-	rulesByName   []*compile.Rule
+	// by Rule.Index, feeding the copy-and-constrain advisor
+	// (copycon.Advise). fires counts firings per rule the same way across
+	// the run, feeding RuleFires and the per-rule profile merge
+	// (RuleProfiles). traced is how many of them Tracer.RuleFired has
+	// reported, and rulesByName the order it reports in.
+	activity, fires, traced []int
+	rulesByName             []*compile.Rule
 }
 
 // worker owns one rule partition and its matcher.
@@ -168,7 +167,7 @@ func New(prog *compile.Program, opts Options) *Engine {
 		opts:        opts,
 		conflictSet: make(map[match.Key]*match.Instantiation),
 		fired:       make(map[match.Key]bool),
-		activity:    make(map[string]int),
+		activity:    make([]int, len(prog.Rules)),
 		fires:       make([]int, len(prog.Rules)),
 		traced:      make([]int, len(prog.Rules)),
 		rulesByName: append([]*compile.Rule(nil), prog.Rules...),
@@ -487,7 +486,7 @@ func (e *Engine) applyDelta(delta wm.Delta) {
 		}
 		for _, in := range w.changes.Added {
 			e.conflictSet[in.Key()] = in
-			e.activity[in.Rule.Name]++
+			e.activity[in.Rule.Index]++
 			e.meta.enter(in)
 		}
 		w.changes = match.Changes{}
@@ -497,19 +496,16 @@ func (e *Engine) applyDelta(delta wm.Delta) {
 // RuleActivity returns, per rule, how many instantiations entered the
 // conflict set over the run so far — the hot-rule signal the
 // copy-and-constrain advisor consumes.
-func (e *Engine) RuleActivity() map[string]int {
-	out := make(map[string]int, len(e.activity))
-	for k, v := range e.activity {
-		out[k] = v
-	}
-	return out
-}
+func (e *Engine) RuleActivity() map[string]int { return e.byRuleName(e.activity) }
 
 // RuleFires returns, per rule, how many instantiations fired over the run
 // so far.
-func (e *Engine) RuleFires() map[string]int {
-	out := make(map[string]int, len(e.fires))
-	for i, n := range e.fires {
+func (e *Engine) RuleFires() map[string]int { return e.byRuleName(e.fires) }
+
+// byRuleName names the non-zero counts of a per-rule counter.
+func (e *Engine) byRuleName(counts []int) map[string]int {
+	out := make(map[string]int, len(counts))
+	for i, n := range counts {
 		if n > 0 {
 			out[e.prog.Rules[i].Name] = n
 		}
@@ -582,13 +578,15 @@ func (e *Engine) RuleProfiles() []match.RuleProfile {
 // images of eligible instantiations, once per meta-pattern memory holding
 // them. The meta level keeps neither partial nor complete meta-matches, so
 // its BetaTokens and ConflictSet are zero and its size is linear in the
-// eligible set whatever the meta-rules join on.
+// eligible set whatever the meta-rules join on. Bytes is the RETE networks'
+// own memory (match.MemStats); the meta level does not account its.
 func (e *Engine) MemStats() (object, meta match.MemStats) {
 	for _, w := range e.workers {
 		ms := w.matcher.MemStats()
 		object.AlphaItems += ms.AlphaItems
 		object.BetaTokens += ms.BetaTokens
 		object.ConflictSet += ms.ConflictSet
+		object.Bytes += ms.Bytes
 	}
 	if e.meta != nil {
 		meta = e.meta.memStats()

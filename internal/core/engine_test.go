@@ -617,3 +617,40 @@ func TestExplainConflictSet(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitOfMakesAllocatesNoClaims: commit's table of the WMEs a cycle
+// removes or modifies is made when the first of them is claimed, so a cycle
+// that only makes — every cycle of waltz — allocates its WMEs and its delta
+// and nothing else, while one removal costs the table.
+func TestCommitOfMakesAllocatesNoClaims(t *testing.T) {
+	prog, err := compile.CompileSource(`(literalize item n)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(prog, Options{})
+	item := prog.Schema.MustLookup("item")
+	makes := make([]pendingMake, 8)
+	for i := range makes {
+		makes[i] = pendingMake{tmpl: item, fields: []wm.Value{wm.Int(int64(i))}}
+	}
+	inserts := testing.AllocsPerRun(50, func() {
+		var delta wm.Delta
+		for _, mk := range makes {
+			delta.Added = append(delta.Added, e.mem.InsertFields(mk.tmpl, mk.fields))
+		}
+	})
+	commit := func(eff effect) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, _, _, err := e.commit([]effect{eff}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := commit(effect{makes: makes}); got > inserts {
+		t.Errorf("a commit of %d makes allocates %.0f times, the inserts alone %.0f", len(makes), got, inserts)
+	}
+	gone := e.mem.InsertFields(item, []wm.Value{wm.Int(-1)})
+	if got := commit(effect{makes: makes, removes: []*wm.WME{gone}}); got <= inserts {
+		t.Errorf("a commit with a removal allocates %.0f times, no more than the inserts alone (%.0f): the test measures nothing", got, inserts)
+	}
+}

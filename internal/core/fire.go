@@ -79,8 +79,8 @@ func (f *fireFrame) reset(in *match.Instantiation) {
 // commit order is independent of scheduling.
 func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 	effects := make([]effect, len(survivors))
-	nw := len(e.workers)
-	if nw == 1 || len(survivors) == 1 {
+	nw := min(len(e.workers), len(survivors))
+	if nw <= 1 {
 		t0 := time.Now()
 		frame := &fireFrame{}
 		for i, in := range survivors {
@@ -207,7 +207,15 @@ func (e *Engine) commit(effects []effect) (wm.Delta, int, bool, error) {
 	var delta wm.Delta
 	conflicts := 0
 	halted := false
-	claimed := make(map[int64]opKind)
+	// claimed records the first operation on each WME removed or modified
+	// this cycle; a cycle that only makes needs none.
+	var claimed map[int64]opKind
+	claim := func(w *wm.WME, k opKind) {
+		if claimed == nil {
+			claimed = make(map[int64]opKind, len(effects))
+		}
+		claimed[w.Time] = k
+	}
 
 	for i := range effects {
 		eff := &effects[i]
@@ -221,7 +229,7 @@ func (e *Engine) commit(effects []effect) (wm.Delta, int, bool, error) {
 				}
 				continue
 			}
-			claimed[old.Time] = opRemove
+			claim(old, opRemove)
 			if w, ok := e.mem.Remove(old.Time); ok {
 				delta.Removed = append(delta.Removed, w)
 			}
@@ -231,7 +239,7 @@ func (e *Engine) commit(effects []effect) (wm.Delta, int, bool, error) {
 				conflicts++
 				continue
 			}
-			claimed[m.old.Time] = opModify
+			claim(m.old, opModify)
 			if w, ok := e.mem.Remove(m.old.Time); ok {
 				delta.Removed = append(delta.Removed, w)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"parulel/internal/compile"
@@ -13,8 +14,8 @@ import (
 )
 
 // checkMetaLevel checks, between syncs, that the meta level's parts agree:
-// every image is in exactly the memories whose alpha tests it passes, at
-// the positions it has recorded, in every index of those memories; nothing
+// every image is in exactly the memories whose alpha tests it passes,
+// linked both ways, in every index of those memories; nothing
 // is flagged or queued; and the redacted counter counts.
 func checkMetaLevel(t testing.TB, m *metaLevel) {
 	t.Helper()
@@ -27,30 +28,36 @@ func checkMetaLevel(t testing.TB, m *metaLevel) {
 		if mem.leaving != 0 {
 			t.Fatalf("pattern %d: %d members still counted as leaving", i, mem.leaving)
 		}
-		for at, img := range mem.list {
+		// chain lists the images from head on, through the links at off,
+		// checking that each links back to the one before it.
+		chain := func(head *image, off int) (out []*image) {
+			for img, prev := head, (*image)(nil); img != nil; prev, img = img, img.at[off].next {
+				if img.at[off].prev != prev {
+					t.Fatalf("pattern %d: image %v does not link back to the one before it", i, img.in)
+				}
+				out = append(out, img)
+			}
+			return out
+		}
+		list := chain(mem.list.Head, mem.pat.Pos)
+		if len(list) != mem.n || mem.n > 0 && mem.list.Tail != list[mem.n-1] {
+			t.Fatalf("pattern %d lists %d images ending at its tail or not, counts %d", i, len(list), mem.n)
+		}
+		for _, img := range list {
 			if m.images[img.in.Key()] != img {
 				t.Fatalf("pattern %d holds an image that is not its instantiation's (%v)", i, img.in)
-			}
-			if int(img.pos[mem.pat.Pos]) != at {
-				t.Fatalf("pattern %d: image %v believes it is at %d, is at %d", i, img.in, img.pos[mem.pat.Pos], at)
 			}
 			for k := range mem.idx {
 				key := img.wme.Fields[mem.pat.Indexed[k]]
 				if key != key {
 					continue // NaN: no probe reaches it
 				}
-				b, p := mem.idx[k].Get(key), int(img.pos[mem.pat.Pos+1+k])
-				if p >= len(b) || b[p] != img {
-					t.Fatalf("pattern %d, index %d: image %v is not at %d of its bucket of %d", i, k, img.in, p, len(b))
+				if b := chain(mem.idx[k].Get(imageField(mem.pat.Indexed[k]), key), mem.pat.Pos+1+k); !slices.Contains(b, img) {
+					t.Fatalf("pattern %d, index %d: image %v is not in its bucket of %d", i, k, img.in, len(b))
 				}
 			}
 		}
-		for k := range mem.idx {
-			if mem.idx[k].Len() != len(mem.list) {
-				t.Fatalf("pattern %d, index %d holds %d members, the memory %d", i, k, mem.idx[k].Len(), len(mem.list))
-			}
-		}
-		held += len(mem.list)
+		held += mem.n
 	}
 	redacted, fits := 0, 0
 	for key, img := range m.images {
@@ -62,8 +69,8 @@ func checkMetaLevel(t testing.TB, m *metaLevel) {
 		}
 		for _, p := range m.patterns(img) {
 			fit := p.CE.MatchesAlpha(&img.wme)
-			if fit != (img.pos[p.Pos] >= 0) {
-				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, recorded position %d", img.in, p.ID, fit, img.pos[p.Pos])
+			if fit != img.held(p) {
+				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, held by its memory = %v", img.in, p.ID, fit, img.held(p))
 			}
 			if fit {
 				fits++

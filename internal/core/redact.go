@@ -18,9 +18,10 @@ import (
 // *eligible* instantiation (in the conflict set, not refracted) of a rule
 // some meta-pattern names has one image, held in the memory of each pattern
 // whose alpha tests it passes. A memory is hash-indexed on the fields its
-// equality join tests read. Nothing else is stored: no partial match, no
-// meta-match. An image that enters is joined, seeded at each pattern it
-// fits, against the other patterns' memories, and every tuple found adds
+// equality join tests read, and its list and buckets are threaded through
+// the images. Nothing else is stored: no partial match, no meta-match. An
+// image that enters is joined, seeded at each pattern it fits, against
+// the other patterns' memories, and every tuple found adds
 // one to the kill count of each image the tuple redacts; an image that
 // leaves runs the same joins and takes those kills back. The engine feeds
 // the eligible set's delta each cycle. This is how a CHR constraint store
@@ -88,48 +89,66 @@ type image struct {
 	// no longer matters, and a tuple all of whose victims are leaving is
 	// not worth enumerating.
 	leaving bool
-	// pos records where the image is in each memory that may hold it, laid
-	// out by compile.MetaPattern.Pos; pos[p.Pos] is -1 when the image fails
-	// p's alpha tests. posBuf backs it for an image named by a few
-	// patterns, which nearly every image is, in the image's allocation.
-	pos    []int32
-	posBuf [8]int32
+	// at holds the image's neighbours in each chain that may list it,
+	// laid out by compile.MetaPattern.Pos: at[p.Pos] in the list of p's
+	// memory, at[p.Pos+1+k] in its bucket of the memory's k-th index. An
+	// image that fails p's alpha tests is its own at[p.Pos].prev. atBuf
+	// backs it, in the image's allocation, for an image one indexed
+	// pattern names, which most are.
+	at    []imageLinks
+	atBuf [2]imageLinks
 }
 
-// KeyAt returns the image field an index is built on.
-func (img *image) KeyAt(_, field int) wm.Value { return img.wme.Fields[field] }
+type imageLinks struct{ next, prev *image }
+
+// held reports whether p's memory holds the image.
+func (img *image) held(p *compile.MetaPattern) bool { return img.at[p.Pos].prev != img }
 
 // imageMem is the memory of one pattern: the images that pass its alpha
-// tests, and one value index per field in pat.Indexed.
+// tests, in arrival order, and one value index per field in pat.Indexed.
 type imageMem struct {
 	pat  *compile.MetaPattern
-	list []*image
+	list valueindex.Chain[*image]
+	n    int
 	idx  []valueindex.Index[*image]
 	// leaving counts the members flagged as leaving.
 	leaving int
 }
 
+// imageField is the owner of an index over that field of the images.
+type imageField int
+
+func (f imageField) Key(img *image) wm.Value { return img.wme.Fields[f] }
+
 func (mem *imageMem) add(img *image) {
-	pos := img.pos[mem.pat.Pos:]
-	pos[0] = int32(len(mem.list))
-	mem.list = append(mem.list, img)
-	for k := range mem.idx {
-		pos[1+k] = int32(mem.idx[k].Add(img))
+	mem.n++
+	for k := 0; k <= len(mem.idx); k++ {
+		prev := mem.list.Tail
+		if k == 0 {
+			mem.list.Push(img)
+		} else {
+			prev = mem.idx[k-1].Add(imageField(mem.pat.Indexed[k-1]), img)
+		}
+		if prev != nil {
+			img.at[mem.pat.Pos+k].prev, prev.at[mem.pat.Pos+k].next = prev, img
+		}
 	}
 }
 
 func (mem *imageMem) remove(img *image) {
-	off := mem.pat.Pos
-	pos := img.pos[off:]
-	last := len(mem.list) - 1
-	moved := mem.list[last]
-	mem.list[pos[0]] = moved
-	moved.pos[off] = pos[0]
-	mem.list[last] = nil
-	mem.list = mem.list[:last]
-	for k := range mem.idx {
-		if moved, ok := mem.idx[k].Remove(img, int(pos[1+k])); ok {
-			moved.pos[off+1+k] = pos[1+k]
+	mem.n--
+	for k := 0; k <= len(mem.idx); k++ {
+		l := &img.at[mem.pat.Pos+k]
+		if k == 0 {
+			mem.list.Drop(l.prev, l.next)
+		} else {
+			mem.idx[k-1].Remove(imageField(mem.pat.Indexed[k-1]), img, l.prev, l.next)
+		}
+		if l.prev != nil {
+			l.prev.at[mem.pat.Pos+k].next = l.next
+		}
+		if l.next != nil {
+			l.next.at[mem.pat.Pos+k].prev = l.prev
 		}
 	}
 }
@@ -151,9 +170,6 @@ func newMetaLevel(prog *compile.Program, fired map[match.Key]bool) *metaLevel {
 		m.mems[i].pat = p
 		if len(p.Indexed) > 0 {
 			m.mems[i].idx = make([]valueindex.Index[*image], len(p.Indexed))
-			for k, f := range p.Indexed {
-				m.mems[i].idx[k].Field = f
-			}
 		}
 		width = max(width, p.Pat+1)
 	}
@@ -203,7 +219,7 @@ func (m *metaLevel) sync() {
 			m.redacted--
 		}
 		for _, p := range m.patterns(img) {
-			if img.pos[p.Pos] >= 0 {
+			if img.held(p) {
 				m.mems[p.ID].leaving++
 			}
 		}
@@ -211,7 +227,7 @@ func (m *metaLevel) sync() {
 	}
 	for i, img := range m.leavers {
 		for _, p := range m.patterns(img) {
-			if img.pos[p.Pos] >= 0 {
+			if img.held(p) {
 				mem := &m.mems[p.ID]
 				mem.remove(img)
 				mem.leaving--
@@ -227,13 +243,13 @@ func (m *metaLevel) sync() {
 		}
 		im := m.prog.Images[in.Rule.Index]
 		img := &image{wme: im.Reify(in.WMEs), in: in}
-		if img.pos = img.posBuf[:]; im.NumPos > len(img.posBuf) {
-			img.pos = make([]int32, im.NumPos)
+		if img.at = img.atBuf[:]; im.NumPos > len(img.atBuf) {
+			img.at = make([]imageLinks, im.NumPos)
 		}
 		m.images[in.Key()] = img
 		for _, p := range im.Patterns {
 			if !p.CE.MatchesAlpha(&img.wme) {
-				img.pos[p.Pos] = -1
+				img.at[p.Pos].prev = img
 				continue
 			}
 			m.join(p, img, +1)
@@ -272,7 +288,7 @@ func (m *metaLevel) join(p *compile.MetaPattern, img *image, sign int32) {
 func (m *metaLevel) victimStays(j *compile.MetaJoin) bool {
 	for i := range j.Steps {
 		if st := &j.Steps[i]; st.Victim {
-			if mem := &m.mems[st.Pat.ID]; len(mem.list) > mem.leaving {
+			if mem := &m.mems[st.Pat.ID]; mem.n > mem.leaving {
 				return true
 			}
 		}
@@ -292,14 +308,17 @@ func (m *metaLevel) extend(rule int, steps []compile.MetaStep, stay bool, sign i
 	st := &steps[0]
 	mem := &m.mems[st.Pat.ID]
 	vec := m.env.Vec
-	cands := mem.list
+	// The candidates are the memory's list or, when the step has an
+	// equality test to probe with, one bucket; at is where an image keeps
+	// its successor in either.
+	c, at := mem.list.Head, st.Pat.Pos
 	if st.Index >= 0 {
-		cands = mem.idx[st.Index].Get(vec[st.From.CE].Fields[st.From.Field])
+		c, at = mem.idx[st.Index].Get(imageField(st.Pat.Indexed[st.Index]), vec[st.From.CE].Fields[st.From.Field]), at+1+st.Index
 	}
 	prof := &m.profs[rule]
 	q := st.Pat.Pat
 cand:
-	for _, c := range cands {
+	for ; c != nil; c = c.at[at].next {
 		stays := stay || st.Victim && !c.leaving
 		if !stays && st.LastVictim {
 			continue
@@ -407,7 +426,7 @@ func (m *metaLevel) ruleProfiles() []match.RuleProfile {
 func (m *metaLevel) memStats() match.MemStats {
 	var ms match.MemStats
 	for i := range m.mems {
-		ms.AlphaItems += len(m.mems[i].list)
+		ms.AlphaItems += m.mems[i].n
 	}
 	return ms
 }
@@ -437,7 +456,7 @@ func (m *metaLevel) explain(in *match.Instantiation) []redaction {
 	profs := slices.Clone(m.profs)
 	defer func() { m.visit, m.profs = nil, profs }()
 	for _, p := range m.patterns(img) {
-		if img.pos[p.Pos] < 0 || !slices.Contains(m.rules[p.Rule].Redacts, p.Pat) {
+		if !img.held(p) || !slices.Contains(m.rules[p.Rule].Redacts, p.Pat) {
 			continue
 		}
 		name := m.rules[p.Rule].Name

@@ -21,7 +21,8 @@ import (
 // condition element. Instantiations are immutable.
 type Instantiation struct {
 	Rule *compile.Rule
-	// WMEs holds the matched elements indexed by positive CE.
+	// WMEs holds the matched elements indexed by positive CE. The vector
+	// is the instantiation's own.
 	WMEs []*wm.WME
 	key  Key
 }
@@ -60,9 +61,16 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// NewInstantiation builds an instantiation and its dedup key.
+// NewInstantiation builds an instantiation of a copy of wmes, and its
+// dedup key. The copy is in the instantiation's allocation for the short
+// vectors nearly every rule has.
 func NewInstantiation(rule *compile.Rule, wmes []*wm.WME) *Instantiation {
-	in := &Instantiation{Rule: rule, WMEs: wmes}
+	buf := &struct {
+		in  Instantiation
+		vec [4]*wm.WME
+	}{}
+	in := &buf.in
+	in.Rule, in.WMEs = rule, append(buf.vec[:0], wmes...)
 	k := Key{Rule: int32(rule.Index), Len: uint16(len(wmes))}
 	h := uint64(fnvOffset64)
 	for i, w := range wmes {
@@ -180,6 +188,11 @@ type MemStats struct {
 	BetaTokens int
 	// ConflictSet counts complete instantiations currently held.
 	ConflictSet int
+	// Bytes is the memory the matcher's own records take: for RETE exactly
+	// what its arenas, WME table and index tables hold, in use or free
+	// (the WMEs and the instantiations are not the matcher's). TREAT
+	// leaves it zero.
+	Bytes int
 }
 
 // RuleProfile attributes match-layer activity to one rule. It is the unit

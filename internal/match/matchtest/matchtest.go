@@ -254,9 +254,10 @@ var Generators = map[string]func(r *rand.Rand) (string, map[string]wm.Value){
 	},
 }
 
-// naiveConflictSet computes the ground-truth conflict set of a program
-// over a memory snapshot by brute-force enumeration.
-func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
+// NaiveConflictSet computes the ground-truth conflict set of a program
+// over a memory snapshot by brute-force enumeration, as the set of the
+// instantiations' KeyStrings.
+func NaiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
 	out := make(map[string]bool)
 	snap := mem.Snapshot()
 	for _, rule := range prog.Rules {
@@ -264,7 +265,7 @@ func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
 		var walk func(ceIdx int) // emits into out
 		walk = func(ceIdx int) {
 			if ceIdx == len(rule.CEs) {
-				out[match.NewInstantiation(rule, append([]*wm.WME(nil), vec...)).KeyString()] = true
+				out[match.NewInstantiation(rule, vec).KeyString()] = true
 				return
 			}
 			ce := rule.CEs[ceIdx]
@@ -338,7 +339,7 @@ func RunConformance(t *testing.T, factory match.Factory) {
 				for step := 0; step < 120; step++ {
 					d.Step(gen)
 					got := Keys(d.Matchers[0].ConflictSet())
-					want := naiveConflictSet(prog, d.Mem)
+					want := NaiveConflictSet(prog, d.Mem)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d step %d: conflict set size %d, ground truth %d\ngot: %v",
 							seed, step, len(got), len(want), got)

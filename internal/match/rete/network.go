@@ -5,10 +5,10 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
-	"parulel/internal/valueindex"
 	"parulel/internal/wm"
 )
 
@@ -53,18 +53,29 @@ type Network struct {
 	alphaByTmpl map[*wm.Template][]*alphaMem
 	alphaBySig  map[string]*alphaMem
 
-	// recs holds the record of every WME some alpha memory holds (WMEs are
-	// shared across partitions, so RETE state cannot live on the WME
-	// itself). It is consulted once per WME addition and removal.
-	recs map[*wm.WME]*wmeRec
-	// matched is addWME's scratch list of the alpha memories a WME passes.
+	// The arenas of the network's records (see nodes.go). wmes holds the
+	// WME of every wmeRec, by the record's handle, and table finds the
+	// record of every WME some alpha memory holds (WMEs are shared across
+	// partitions, so RETE state cannot live on the WME itself); it is
+	// consulted once per WME addition and removal.
+	tokens  arena[token, *token]
+	recs    arena[wmeRec, *wmeRec]
+	mships  arena[membership, *membership]
+	results arena[negResult, *negResult]
+	insts   arena[instRec, *instRec]
+	wmes    []*wm.WME
+	table   wmeTable
+	// matched is addWME's scratch list of the alpha memories a WME passes,
+	// and vec the production nodes' scratch vector.
 	matched []*alphaMem
+	vec     []*wm.WME
 
 	coll *match.ChangeCollector
 
-	betaMems []*betaMem
-	negNodes []*negativeNode
-	prods    []*productionNode
+	// nodes holds the nodes that own tokens, by id (token.node); there is
+	// no node zero. chains holds every chain of every alpha memory.
+	nodes  []node
+	chains []*alphaChain
 
 	// profs holds one profile per rule, in declaration order of the
 	// partition. profile gates the timing attribution only: epoch is when
@@ -77,7 +88,7 @@ type Network struct {
 
 	// delStack is the reused traversal stack of deleteTokenAndDescendants,
 	// so deep token chains neither recurse nor reallocate per deletion.
-	delStack []*token
+	delStack []int32
 }
 
 var _ match.Matcher = (*Network)(nil)
@@ -98,10 +109,21 @@ func NewWithOptions(rules []*compile.Rule, opts Options) match.Matcher {
 		opts:        opts,
 		alphaByTmpl: make(map[*wm.Template][]*alphaMem),
 		alphaBySig:  make(map[string]*alphaMem),
-		recs:        make(map[*wm.WME]*wmeRec),
 		coll:        match.NewChangeCollector(),
 		profile:     opts.Profile,
 	}
+	// A rule has a beta memory above every CE and a production node, and
+	// a negated CE its own node.
+	owners := 1
+	for _, r := range rules {
+		owners += len(r.CEs) + 1
+		for _, ce := range r.CEs {
+			if ce.Negated {
+				owners++
+			}
+		}
+	}
+	n.nodes = make([]node, 1, owners)
 	for _, r := range rules {
 		n.addRule(r)
 	}
@@ -134,6 +156,7 @@ func (n *Network) alpha(ce *compile.CondElem) *alphaMem {
 		return am
 	}
 	am := &alphaMem{rep: ce}
+	n.chain(am, &am.list)
 	n.alphaBySig[sig] = am
 	n.alphaByTmpl[ce.Tmpl] = append(n.alphaByTmpl[ce.Tmpl], am)
 	return am
@@ -166,63 +189,98 @@ func (n *Network) eqJoinTest(ce *compile.CondElem) int {
 	return -1
 }
 
+// own gives a node that holds tokens its id.
+func (n *Network) own(nd node) int32 {
+	n.nodes = append(n.nodes, nd)
+	return int32(len(n.nodes) - 1)
+}
+
 // addRule builds the beta chain for one rule: a private top beta memory
 // with a dummy token, then one join or negative node per condition
 // element, ending in a production node.
 func (n *Network) addRule(r *compile.Rule) {
 	prof := &ruleProf{name: r.Name}
 	n.profs = append(n.profs, prof)
+	// A token's WMEs are read by walking up its parents, so a memory
+	// bucketed by a binding is told how far up the binding is: depth counts
+	// the tokens from the dummy down to the ones in the memory being built
+	// — a positive CE adds one, a negated CE two, its node's own and the
+	// one that passes on — and built[p] is the depth of the tokens built on
+	// the WME of positive CE p.
+	var depth int32
+	var built []int32
 	// newMem makes the beta memory that the node of CE next reads. A join
 	// node with an equality test reads it by the joined binding, so the
 	// memory is bucketed by that; anything else gets a list.
 	newMem := func(next int) *betaMem {
 		b := &betaMem{net: n, prof: prof}
+		b.id, b.mem.net = n.own(b), n
 		if ce := r.CEs[next]; !ce.Negated {
 			if eq := n.eqJoinTest(ce); eq >= 0 {
-				b.mem = bucketedBy(&ce.JoinTests[eq])
+				b.mem.bucketBy(&ce.JoinTests[eq], depth-built[ce.JoinTests[eq].OtherCE])
 			}
 		}
-		n.betaMems = append(n.betaMems, b)
 		return b
 	}
 	cur := newMem(0)
-	cur.mem.add(&token{owner: cur})
+	cur.leftActivate(n.tokens.alloc())
 
 	for i, ce := range r.CEs {
+		am := n.alpha(ce)
+		eq := n.eqJoinTest(ce)
+		j := joiner{net: n, amem: am, ce: ce, eqTest: int32(eq), prof: prof}
+		if others := len(ce.JoinTests) - min(eq+1, 1); others > 0 || len(ce.Filters) > 0 {
+			if j.tested = true; len(ce.Filters) == 0 {
+				j.lo = int32(ce.BetaLevel)
+			}
+			for i, jt := range ce.JoinTests {
+				if i != eq {
+					j.lo = min(j.lo, int32(jt.OtherCE))
+				}
+			}
+		}
+		// A join node tests the tokens of cur, a negative node its own,
+		// one further down.
+		if ce.Negated {
+			depth++
+		}
+		if eq >= 0 {
+			j.alphaIdx = n.indexField(am, ce.JoinTests[eq].Field)
+			j.eqUp = depth - built[ce.JoinTests[eq].OtherCE]
+		}
+		if depth++; !ce.Negated {
+			built = append(built, depth)
+		}
 		var child node
 		var collector *betaMem
 		if i == len(r.CEs)-1 {
 			prod := &productionNode{net: n, rule: r, prof: prof}
-			n.prods = append(n.prods, prod)
+			prod.id = n.own(prod)
 			child = prod
 		} else {
 			collector = newMem(i + 1)
 			child = collector
 		}
-		am := n.alpha(ce)
-		eq := n.eqJoinTest(ce)
-		var alphaIdx *valueindex.Index[*wmeRec]
-		if eq >= 0 {
-			alphaIdx = am.indexField(ce.JoinTests[eq].Field)
-		}
 		var succ rightNode
 		if ce.Negated {
-			neg := &negativeNode{net: n, amem: am, ce: ce, child: child, eqTest: eq, alphaIdx: alphaIdx, prof: prof}
+			neg := &negativeNode{joiner: j, child: child}
+			neg.id, neg.mem.net = n.own(neg), n
 			if eq >= 0 {
-				neg.mem = bucketedBy(&ce.JoinTests[eq])
+				neg.mem.bucketBy(&ce.JoinTests[eq], j.eqUp)
 			}
-			n.negNodes = append(n.negNodes, neg)
 			succ = neg
 		} else {
-			succ = &joinNode{net: n, parent: cur, amem: am, ce: ce, child: child, eqTest: eq, alphaIdx: alphaIdx, prof: prof}
+			succ = &joinNode{joiner: j, parent: cur, child: child}
 		}
 		cur.succs = append(cur.succs, succ)
 		am.attach(succ, prof)
 		// Flow the existing tokens through the new node: the dummy, and
 		// below leading negated CEs the tokens it has already produced.
 		// They bind nothing, so the memory holding them is never indexed.
-		for _, t := range cur.mem.list {
-			succ.leftActivate(t)
+		for h := cur.mem.all.Head; h != 0; {
+			t := n.tok(h)
+			succ.leftActivate(h, t)
+			h = t.bnext
 		}
 		cur = collector
 	}
@@ -266,32 +324,35 @@ func (n *Network) lap() int64 {
 func (n *Network) charge(r *wmeRec) {
 	elapsed := float64(n.lap())
 	var total uint64
-	for i := range r.mems {
-		for _, p := range r.mems[i].am.profs {
+	for h := r.mems; h != 0; {
+		m := n.mship(h)
+		for _, p := range n.chains[m.chain].am.profs {
 			if d := p.tokens + p.probes + p.lost - p.paid; d > 0 {
 				p.due = d
 				p.paid += d
 				total += d
 			}
 		}
+		h = m.of
 	}
 	// A rule on two of the memories is due nothing the second time round.
-	for i := range r.mems {
-		for _, p := range r.mems[i].am.profs {
+	for h := r.mems; h != 0; {
+		m := n.mship(h)
+		for _, p := range n.chains[m.chain].am.profs {
 			if p.due > 0 {
 				p.matchNS += int64(elapsed * float64(p.due) / float64(total))
 				p.due = 0
 			}
 		}
+		h = m.of
 	}
 }
 
 func (n *Network) addWME(w *wm.WME) {
-	matched, npos := n.matched[:0], 0
+	matched := n.matched[:0]
 	for _, am := range n.alphaByTmpl[w.Tmpl] {
 		if am.rep.MatchesAlpha(w) {
 			matched = append(matched, am)
-			npos += 1 + len(am.byField)
 		}
 	}
 	n.matched = matched
@@ -301,101 +362,130 @@ func (n *Network) addWME(w *wm.WME) {
 	if n.profile {
 		n.lap() // the alpha tests are no rule's
 	}
-	r := &wmeRec{wme: w}
-	n.recs[w] = r
-	r.mems = fit(r.memBuf[:], len(matched))
-	pos := fit(r.posBuf[:], npos)
-	for i, am := range matched {
-		m := &r.mems[i]
-		m.am, m.pos, pos = am, pos[:1+len(am.byField)], pos[1+len(am.byField):]
+	r, rec := n.recs.alloc()
+	for int(r) >= len(n.wmes) {
+		n.wmes = append(n.wmes, nil)
+	}
+	n.wmes[r] = w
+	n.table.put(r, n.wmes)
+	for _, am := range matched {
 		// A memory's successors are activated before the WME enters the
 		// next memory: a token they build must not find the WME there
 		// ahead of that memory's own right activation.
-		am.add(r, m)
+		am.add(n, r, rec)
 		for _, s := range am.succs {
-			s.rightAdd(r)
+			s.rightAdd(r, w)
 		}
 	}
 	if n.profile {
-		n.charge(r)
+		n.charge(rec)
 	}
-}
-
-// fit returns n elements of buf, or of a new slice when buf is too short.
-func fit[T any](buf []T, n int) []T {
-	if n <= len(buf) {
-		return buf[:n]
-	}
-	return make([]T, n)
 }
 
 func (n *Network) removeWME(w *wm.WME) {
-	r := n.recs[w]
-	if r == nil {
+	r := n.table.remove(w, n.wmes)
+	if r == 0 {
 		return
 	}
-	delete(n.recs, w)
+	rec := n.rec(r)
 
 	// 1. Remove from alpha memories so in-flight joins no longer see it.
-	for i := range r.mems {
-		r.mems[i].am.remove(r, &r.mems[i])
+	for h := rec.mems; h != 0; {
+		m := n.mship(h)
+		c := n.chains[m.chain]
+		c.drop(c, h, m.prev, m.next)
+		if m.prev != 0 {
+			n.mship(m.prev).next = m.next
+		}
+		if m.next != 0 {
+			n.mship(m.next).prev = m.prev
+		}
+		h = m.of
 	}
 
 	// 2. Delete every token built on this WME, cascading to descendants.
 	if n.profile {
 		n.lap()
 	}
-	for t := r.tokens; t != nil; t = t.wnext {
-		n.deleteTokenAndDescendants(t)
+	for rec.tokens != 0 {
+		n.deleteTokenAndDescendants(rec.tokens)
 	}
 
 	// 3. Negative join results: the blocked tokens may become unblocked.
-	for _, jr := range r.neg {
-		if jr.owner.dead() {
-			continue
+	for rec.results != 0 {
+		jh := rec.results
+		j := n.result(jh)
+		h, t := j.owner, n.tok(j.owner)
+		if j.oprev != 0 {
+			n.result(j.oprev).onext = j.onext
+		} else {
+			*t.blockers() = j.onext
 		}
-		jr.owner.nresults--
-		if jr.owner.nresults == 0 {
-			jr.node.propagate(jr.owner)
+		if j.onext != 0 {
+			n.result(j.onext).oprev = j.oprev
+		}
+		rec.results = j.wnext
+		n.results.release(jh)
+		if *t.blockers() == 0 {
+			n.nodes[t.node].(*negativeNode).propagate(h, t)
 		}
 	}
 	if n.profile {
-		n.charge(r)
+		n.charge(rec)
+	}
+	for h := rec.mems; h != 0; {
+		next := n.mship(h).of
+		n.mships.release(h)
+		h = next
+	}
+	n.wmes[r] = nil
+	if n.recs.release(r); n.recs.live == 0 {
+		n.wmes = nil
 	}
 }
 
 // deleteTokenAndDescendants removes a token and its whole subtree,
-// unhooking each token from its owner's memory and — for the root only —
-// from its parent's child list (descendants' parents are deleted with
-// them, so their child lists need no surgery). The traversal uses an
-// explicit, reused stack: long join chains and large closure DAGs produce
-// token trees deep enough that recursion risks unbounded goroutine stack
-// growth.
-func (n *Network) deleteTokenAndDescendants(t *token) {
-	if t.dead() {
-		return
-	}
+// unhooking each token from its owner's memory, from the list of its WME's
+// tokens and — for the root only — from its parent's child list
+// (descendants' parents are deleted with them, so their child lists need
+// no surgery). The traversal uses an explicit, reused list: long join
+// chains and large closure DAGs produce token trees deep enough that
+// recursion risks unbounded goroutine stack growth.
+func (n *Network) deleteTokenAndDescendants(h int32) {
 	// Unhook the root from its (still live) parent; every descendant's
 	// parent is deleted in the same sweep.
-	if t.parent != nil {
-		t.parent.dropChild(t)
+	t := n.tok(h)
+	if t.prev != 0 {
+		n.tok(t.prev).next = t.next
+	} else {
+		n.tok(t.parent).child = t.next
 	}
-	stack := append(n.delStack[:0], t)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur.dead() {
-			continue
-		}
-		for c := cur.child; c != nil; c = c.next {
+	if t.next != 0 {
+		n.tok(t.next).prev = t.prev
+	}
+	// The subtree is listed parents first and deleted from the end: a
+	// token's key in an indexed memory is read off its ancestors, which
+	// must outlive it.
+	stack := append(n.delStack[:0], h)
+	for i := 0; i < len(stack); i++ {
+		for c := n.tok(stack[i]).child; c != 0; c = n.tok(c).next {
 			stack = append(stack, c)
 		}
-		cur.child, cur.next, cur.prev, cur.parent = nil, nil, nil, nil
-		if cur.owner != nil {
-			cur.owner.removeToken(cur)
-			cur.owner = nil
+	}
+	for i := len(stack) - 1; i >= 0; i-- {
+		h, t := stack[i], n.tok(stack[i])
+		n.nodes[t.node].removeToken(h, t)
+		if t.rec != 0 {
+			if t.wprev != 0 {
+				n.tok(t.wprev).wnext = t.wnext
+			} else {
+				n.rec(t.rec).tokens = t.wnext
+			}
+			if t.wnext != 0 {
+				n.tok(t.wnext).wprev = t.wprev
+			}
 		}
-		cur.slot = deadSlot
+		n.tokens.release(h)
 	}
 	n.delStack = stack[:0]
 }
@@ -403,17 +493,17 @@ func (n *Network) deleteTokenAndDescendants(t *token) {
 // deleteDescendants removes a token's subtree but keeps the token itself
 // (used by negative nodes when an absence stops holding).
 func (n *Network) deleteDescendants(t *token) {
-	for t.child != nil {
+	for t.child != 0 {
 		n.deleteTokenAndDescendants(t.child)
 	}
 }
 
 // ConflictSet returns the current instantiations in deterministic order.
 func (n *Network) ConflictSet() []*match.Instantiation {
-	var out []*match.Instantiation
-	for _, p := range n.prods {
-		for _, t := range p.mem.list {
-			out = append(out, t.inst)
+	out := make([]*match.Instantiation, 0, n.insts.live)
+	for h := int32(1); h < n.insts.next; h++ {
+		if r := n.insts.at(h); r.live >= 0 {
+			out = append(out, r.in)
 		}
 	}
 	match.SortInstantiations(out)
@@ -437,22 +527,23 @@ func (n *Network) RuleProfiles() []match.RuleProfile {
 	return out
 }
 
-// MemStats reports current state sizes.
+// MemStats reports current state sizes. Bytes is what the arenas, the
+// WME table and the index tables hold, whether or not a record in them is
+// in use.
 func (n *Network) MemStats() match.MemStats {
-	var ms match.MemStats
-	for _, am := range n.alphaByTmpl {
-		for _, a := range am {
-			ms.AlphaItems += len(a.wmes)
+	ms := match.MemStats{Bytes: n.tokens.bytes() + n.recs.bytes() + n.mships.bytes() + n.results.bytes() + n.insts.bytes() +
+		cap(n.wmes)*int(unsafe.Sizeof(n.wmes[0])) + len(n.table.slots)*int(unsafe.Sizeof(n.table.slots[0]))}
+	for _, c := range n.chains {
+		if ms.Bytes += c.idx.Bytes(); !c.indexed {
+			ms.AlphaItems += int(c.n)
 		}
 	}
-	for _, b := range n.betaMems {
-		ms.BetaTokens += b.mem.len()
+	for _, nd := range n.nodes {
+		if mem := memOf(nd); mem != nil {
+			ms.BetaTokens += int(mem.n)
+			ms.Bytes += mem.idx.Bytes()
+		}
 	}
-	for _, neg := range n.negNodes {
-		ms.BetaTokens += neg.mem.len()
-	}
-	for _, p := range n.prods {
-		ms.ConflictSet += p.mem.len()
-	}
+	ms.ConflictSet = int(n.insts.live)
 	return ms
 }

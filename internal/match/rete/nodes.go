@@ -13,13 +13,20 @@
 // Options.DisableJoinIndex forces it everywhere, as the differential tests'
 // reference.
 //
-// The memories use no Go maps. Membership is intrusive: a token records
-// its position in the one memory that holds it, and everything the network
-// knows about a WME — the alpha memories holding it and where, the tokens
-// built on it, the negative join results it causes — hangs off one
-// network-private record (wmeRec) that alpha memories and their indexes
-// hold in place of the *wm.WME. WMEs themselves are shared, read-only,
-// between the networks of different workers; nothing is written to them.
+// The network's state is records, not objects. Tokens, what the network
+// knows about a WME (wmeRec), a WME's places in the alpha memories
+// (membership) and negative join results (negResult) are structs of 32-bit
+// integers in per-network arenas (arena.go), and refer to one another by
+// handle; memories and index buckets are lists threaded through the
+// records they hold. None of it contains a pointer, so the collector
+// neither scans nor walks it, and a record costs the allocator nothing:
+// freed ones are reused. Because a reused record must not be reachable
+// through a handle to its previous life, a record that dies is unlinked
+// at once from everything that lists it, and following a handle to a
+// freed record panics. The only pointers are one []*wm.WME beside the WME
+// records and the production nodes' instantiations (instRec). WMEs
+// themselves are shared, read-only, between the networks of different
+// workers; nothing is written to them.
 //
 // Each Network instance owns a partition of rules and is used by exactly
 // one goroutine; the PARULEL engine achieves match parallelism by running
@@ -37,209 +44,236 @@ import (
 )
 
 // token is a partial match: a chain of WMEs, one per positive CE joined so
-// far. Tokens propagated by negative nodes add no element to the vector
-// (they assert the *absence* of a match).
+// far, read by following parent and taking the WME of each token that has
+// one. Tokens propagated by negative nodes add none (they assert the
+// *absence* of a match).
 type token struct {
-	parent *token
-	wnext  *token // next token built on the same WME (wmeRec.tokens)
-	owner  node   // the node whose memory holds this token
+	parent int32
 	// child heads the list of this token's children, linked through next
-	// and prev, so that adding a child and unhooking one are O(1) and
-	// allocate nothing however wide the fan-out.
-	child, next, prev *token
-	// vec is the positive-CE WME vector accumulated so far. buf backs it
-	// for the short vectors nearly every rule has, making a token one
-	// allocation.
-	vec []*wm.WME
-	buf [4]*wm.WME
-	// inst, for tokens held by a production node, is the token's
-	// instantiation.
-	inst *match.Instantiation
-	// slot is the token's position in its owner's memory: in the list, or
-	// in its bucket when the memory is indexed. It is deadSlot once the
-	// token is deleted, so stale entries in the per-WME lists are skipped
-	// when consumed.
-	slot int32
-	// nresults, for tokens held in a negative node's memory, counts WMEs
-	// currently matching the negated pattern; the token's children exist
-	// iff nresults == 0.
-	nresults int32
+	// and prev, so that adding a child and unhooking one are O(1) however
+	// wide the fan-out.
+	child, next, prev int32
+	// rec is the record of the WME the token adds to its parent's match,
+	// and wnext and wprev link the tokens built on that WME
+	// (wmeRec.tokens). rec is zero for the dummy token and the tokens
+	// negative nodes build, which are on no such list; a negative node's
+	// own token keeps something else in wnext (blockers).
+	rec, wnext, wprev int32
+	// node is the id of the node whose memory holds the token.
+	node int32
+	// bnext and bprev are the token's neighbours in that memory: in its
+	// list or, when the memory is indexed, in its bucket. A production
+	// node keeps no list, and its token something else in bnext (inst).
+	bnext, bprev int32
 }
 
-const deadSlot = -1
+// blockers is, for a token held by a negative node, the head of the join
+// results that block it, linked through onext and oprev; its children exist
+// iff there are none.
+func (t *token) blockers() *int32 { return &t.wnext }
 
-func (t *token) dead() bool { return t.slot == deadSlot }
+// inst is, for a token held by a production node, the handle of its
+// instantiation in Network.insts.
+func (t *token) inst() *int32 { return &t.bnext }
 
-func (t *token) KeyAt(ce, field int) wm.Value { return t.vec[ce].Fields[field] }
-
-func (t *token) addChild(c *token) {
-	c.next = t.child
-	if t.child != nil {
-		t.child.prev = c
-	}
-	t.child = c
-}
-
-func (t *token) dropChild(c *token) {
-	if c.prev != nil {
-		c.prev.next = c.next
-	} else {
-		t.child = c.next
-	}
-	if c.next != nil {
-		c.next.prev = c.prev
-	}
-	c.next, c.prev = nil, nil
-}
-
-// tokenMem is the token store of a beta memory, negative node or
-// production node: a dense list, or — when the node reading it
-// equality-joins — the buckets of a value index and nothing else. Which
-// is fixed when the network is built. Either way token.slot is the
-// token's position, so removal looks nothing up.
-type tokenMem struct {
-	list    []*token
-	idx     valueindex.Index[*token]
-	indexed bool
-}
-
-// bucketedBy returns an empty memory bucketed by the token-side binding of
-// an equality join test.
-func bucketedBy(jt *compile.JoinTest) tokenMem {
-	return tokenMem{indexed: true, idx: valueindex.Index[*token]{CE: jt.OtherCE, Field: jt.OtherField}}
-}
-
-func (m *tokenMem) len() int {
-	if m.indexed {
-		return m.idx.Len()
-	}
-	return len(m.list)
-}
-
-func (m *tokenMem) add(t *token) {
-	if m.indexed {
-		t.slot = int32(m.idx.Add(t))
-		return
-	}
-	t.slot = int32(len(m.list))
-	m.list = append(m.list, t)
-}
-
-func (m *tokenMem) remove(t *token) {
-	if m.indexed {
-		if moved, ok := m.idx.Remove(t, int(t.slot)); ok {
-			moved.slot = t.slot
-		}
-		return
-	}
-	last := len(m.list) - 1
-	moved := m.list[last]
-	m.list[t.slot] = moved
-	moved.slot = t.slot
-	m.list[last] = nil
-	m.list = m.list[:last]
-}
-
-// wmeRec is everything one network knows about one WME. WMEs are shared
-// between the networks of different workers and never written to, so each
-// network keeps its own record, found through Network.recs once per WME
-// addition and removal; alpha memories and tokens reach it by pointer.
+// wmeRec is everything one network knows about one WME, found through
+// Network.table once per WME addition and removal; Network.wmes holds the
+// WME itself.
 type wmeRec struct {
-	wme *wm.WME
-	// mems lists the alpha memories holding the WME and where.
-	mems []membership
-	// tokens heads the list, through token.wnext, of the tokens whose last
-	// element is this WME, and neg lists the negative-node tokens the WME
-	// blocks. A token deleted from above stays on both until the WME goes
-	// or, so that a long-lived WME joined with short-lived ones does not
-	// collect them for ever, until the dead outnumber the living: ntokens
-	// counts the list and is checked against sweepAt, neg is swept when
-	// it would have to grow.
-	tokens           *token
-	neg              []negJoinResult
-	ntokens, sweepAt int32
-	// memBuf and posBuf back mems and its positions for a WME in a couple
-	// of alpha memories, which nearly every WME is, making a record one
-	// allocation.
-	memBuf [2]membership
-	posBuf [4]int32
+	// mems heads the WME's memberships, linked through of; tokens the
+	// tokens whose last element it is, through wnext; results the join
+	// results it causes, through wnext.
+	mems, tokens, results int32
 }
 
-func (r *wmeRec) KeyAt(_, field int) wm.Value { return r.wme.Fields[field] }
-
-// addToken puts t, just built on r's WME, on its token list.
-func (r *wmeRec) addToken(t *token) {
-	if r.ntokens >= r.sweepAt {
-		r.ntokens = 0
-		for p := &r.tokens; *p != nil; {
-			if (*p).dead() {
-				*p = (*p).wnext
-			} else {
-				r.ntokens++
-				p = &(*p).wnext
-			}
-		}
-		r.sweepAt = 2*r.ntokens + 8
-	}
-	t.wnext = r.tokens
-	r.tokens = t
-	r.ntokens++
-}
-
-// addNeg records that r's WME blocks the negative node's token t.
-func (r *wmeRec) addNeg(t *token, n *negativeNode) {
-	if len(r.neg) == cap(r.neg) {
-		live := r.neg[:0]
-		for _, jr := range r.neg {
-			if !jr.owner.dead() {
-				live = append(live, jr)
-			}
-		}
-		clear(r.neg[len(live):])
-		if r.neg = live; 2*len(live) > cap(live) {
-			r.neg = slices.Grow(live, cap(live))
-		}
-	}
-	r.neg = append(r.neg, negJoinResult{owner: t, node: n})
-}
-
-// membership is a WME's place in one alpha memory: pos[0] is its position
-// in the memory's list, pos[1+k] its position in its bucket of the
-// memory's k-th field index.
+// membership is a WME's place in one chain of an alpha memory: the list
+// of all its WMEs, or one field index's bucket.
 type membership struct {
-	am  *alphaMem
-	pos []int32
+	rec        int32 // the WME's record
+	of         int32 // the same WME's next membership
+	chain      int32 // the chain, by its place in Network.chains
+	next, prev int32 // neighbours in the chain
 }
 
-// in returns r's membership of am.
-func (r *wmeRec) in(am *alphaMem) *membership {
-	for i := range r.mems {
-		if r.mems[i].am == am {
-			return &r.mems[i]
-		}
+// negResult records that a WME matches, and so blocks, a negative node's
+// token. It is on the token's list and on the WME's, and whichever of the
+// two goes first takes it off the other's.
+type negResult struct {
+	owner, rec   int32
+	onext, oprev int32
+	wnext, wprev int32
+}
+
+func (t *token) stamp() *int32      { return &t.node }
+func (r *wmeRec) stamp() *int32     { return &r.mems }
+func (m *membership) stamp() *int32 { return &m.rec }
+func (j *negResult) stamp() *int32  { return &j.owner }
+
+func (n *Network) tok(h int32) *token {
+	t := n.tokens.at(h)
+	if t.node < 0 {
+		panic(deadHandle)
 	}
-	panic("rete: WME record is not in the alpha memory")
+	return t
 }
 
-// negJoinResult records that a WME matches a negative node's token.
-type negJoinResult struct {
-	owner *token
-	node  *negativeNode
+func (n *Network) rec(h int32) *wmeRec {
+	r := n.recs.at(h)
+	if r.mems < 0 {
+		panic(deadHandle)
+	}
+	return r
+}
+
+func (n *Network) mship(h int32) *membership {
+	m := n.mships.at(h)
+	if m.rec < 0 {
+		panic(deadHandle)
+	}
+	return m
+}
+
+func (n *Network) result(h int32) *negResult {
+	j := n.results.at(h)
+	if j.owner < 0 {
+		panic(deadHandle)
+	}
+	return j
+}
+
+// wmeAt returns the WME of the token up parent links above h.
+func (n *Network) wmeAt(h, up int32) *wm.WME {
+	t := n.tok(h)
+	for ; up > 0; up-- {
+		t = n.tok(t.parent)
+	}
+	return n.wmes[t.rec]
+}
+
+// vector fills vec with the last len(vec) WMEs of h's match, in order.
+func (n *Network) vector(vec []*wm.WME, h int32) {
+	for i := len(vec) - 1; i >= 0; {
+		t := n.tok(h)
+		if t.rec != 0 {
+			vec[i] = n.wmes[t.rec]
+			i--
+		}
+		h = t.parent
+	}
+}
+
+// newToken returns a child of token h, built on the WME of record r when
+// that is not zero.
+func (n *Network) newToken(h int32, t *token, r int32) (int32, *token) {
+	nh, nt := n.tokens.alloc()
+	nt.parent, nt.next, nt.rec = h, t.child, r
+	if t.child != 0 {
+		n.tok(t.child).prev = nh
+	}
+	t.child = nh
+	if r != 0 {
+		rec := n.rec(r)
+		if nt.wnext = rec.tokens; rec.tokens != 0 {
+			n.tok(rec.tokens).wprev = nh
+		}
+		rec.tokens = nh
+	}
+	return nh, nt
+}
+
+// memory lists records of one kind — the tokens of a beta memory or a
+// negative node, the memberships of an alpha memory — in arrival order:
+// in one chain or, when the node reading it equality-joins, in the buckets
+// of a value index. Which is fixed when the network is built. The records
+// carry the links, so removal looks nothing up.
+type memory struct {
+	all valueindex.Chain[int32]
+	idx *valueindex.Index[int32] // made by an indexed memory's first record
+	// net, field and up are for the memory's owner, which says what an
+	// indexed memory's records are keyed by: field of a WME it knows how to
+	// find, for a token up parent links above it.
+	net       *Network
+	n         int32
+	field, up int32
+	indexed   bool
+}
+
+// push appends h and returns the record it follows, or zero. o is the
+// tokenMem or alphaChain the memory is part of.
+func (m *memory) push(o valueindex.Keyer[int32], h int32) (prev int32) {
+	m.n++
+	if !m.indexed {
+		return m.all.Push(h)
+	}
+	if m.idx == nil {
+		m.idx = new(valueindex.Index[int32])
+	}
+	return m.idx.Add(o, h)
+}
+
+// drop takes out h, whose neighbours are prev and next.
+func (m *memory) drop(o valueindex.Keyer[int32], h, prev, next int32) {
+	m.n--
+	if m.indexed {
+		m.idx.Remove(o, h, prev, next)
+	} else {
+		m.all.Drop(prev, next)
+	}
+}
+
+// tokenMem is the token store of a beta memory or negative node. When it
+// is bucketed, by the token-side binding of an equality join test, the
+// binding lies up parent links above the tokens it holds.
+type tokenMem struct{ memory }
+
+func (m *tokenMem) Key(h int32) wm.Value { return m.net.wmeAt(h, m.up).Fields[m.field] }
+
+func (m *tokenMem) add(h int32, t *token) {
+	if t.bprev = m.push(m, h); t.bprev != 0 {
+		m.net.tok(t.bprev).bnext = h
+	}
+}
+
+func (m *tokenMem) remove(h int32, t *token) {
+	m.drop(m, h, t.bprev, t.bnext)
+	if t.bprev != 0 {
+		m.net.tok(t.bprev).bnext = t.bnext
+	}
+	if t.bnext != 0 {
+		m.net.tok(t.bnext).bprev = t.bprev
+	}
+}
+
+// memOf returns the token memory of a node that has one: a beta memory's
+// or a negative node's.
+func memOf(nd node) *tokenMem {
+	switch nd := nd.(type) {
+	case *betaMem:
+		return &nd.mem
+	case *negativeNode:
+		return &nd.mem
+	}
+	return nil
+}
+
+// bucketBy makes m a memory bucketed by the token-side binding of jt.
+func (m *tokenMem) bucketBy(jt *compile.JoinTest, up int32) {
+	m.indexed, m.field, m.up = true, int32(jt.OtherField), up
 }
 
 // node is a beta-layer node that can receive tokens from above.
 type node interface {
 	// leftActivate receives a new token from the parent node.
-	leftActivate(t *token)
+	leftActivate(h int32, t *token)
 	// removeToken removes a token from this node's memory (cascade
 	// deletion has already handled its children).
-	removeToken(t *token)
+	removeToken(h int32, t *token)
 }
 
 // rightNode additionally receives alpha-memory activations.
 type rightNode interface {
 	node
-	rightAdd(r *wmeRec)
+	rightAdd(r int32, w *wm.WME)
 }
 
 // alphaMem is an alpha memory: the set of WMEs passing one CE's constant
@@ -248,49 +282,56 @@ type rightNode interface {
 type alphaMem struct {
 	// rep is a representative CE carrying the alpha tests.
 	rep   *compile.CondElem
-	wmes  []*wmeRec
 	succs []rightNode
 	// profs lists the rules with a node among succs, each once.
 	profs []*ruleProf
-	// byField holds one value index per field some attached node
-	// equality-joins on: the subset of wmes whose field equals each value.
-	// Registered at build time, maintained on every add/remove.
-	byField []*valueindex.Index[*wmeRec]
+	// list chains the memory's WMEs, and the rest of chains, which starts
+	// with it, are one value index per field some attached node
+	// equality-joins on: the subset of the WMEs whose field equals each
+	// value. Registered at build time, maintained on every add/remove.
+	list   alphaChain
+	chains []*alphaChain
+}
+
+// alphaChain is one of an alpha memory's chains of memberships; a value
+// index is over memory.field of the members' WMEs.
+type alphaChain struct {
+	memory
+	am *alphaMem
+	id int32 // the chain's place in Network.chains
+}
+
+func (c *alphaChain) Key(m int32) wm.Value { return c.net.wmes[c.net.mship(m).rec].Fields[c.field] }
+
+// chain enters c among the memory's chains and the network's.
+func (n *Network) chain(am *alphaMem, c *alphaChain) *alphaChain {
+	c.net, c.am, c.id = n, am, int32(len(n.chains))
+	n.chains = append(n.chains, c)
+	am.chains = append(am.chains, c)
+	return c
 }
 
 // indexField registers (or returns the existing) value index over field f.
 // Indexes are registered while the network is built, before any WME.
-func (am *alphaMem) indexField(f int) *valueindex.Index[*wmeRec] {
-	for _, ix := range am.byField {
-		if ix.Field == f {
-			return ix
+func (n *Network) indexField(am *alphaMem, f int) *alphaChain {
+	for _, c := range am.chains[1:] {
+		if int(c.field) == f {
+			return c
 		}
 	}
-	ix := &valueindex.Index[*wmeRec]{Field: f}
-	am.byField = append(am.byField, ix)
-	return ix
+	c := &alphaChain{}
+	c.indexed, c.field = true, int32(f)
+	return n.chain(am, c)
 }
 
-// add appends r to the memory and its indexes, recording the positions in
-// m, r's membership of this memory.
-func (am *alphaMem) add(r *wmeRec, m *membership) {
-	m.pos[0] = int32(len(am.wmes))
-	am.wmes = append(am.wmes, r)
-	for k, ix := range am.byField {
-		m.pos[1+k] = int32(ix.Add(r))
-	}
-}
-
-func (am *alphaMem) remove(r *wmeRec, m *membership) {
-	last := len(am.wmes) - 1
-	moved := am.wmes[last]
-	am.wmes[m.pos[0]] = moved
-	moved.in(am).pos[0] = m.pos[0]
-	am.wmes[last] = nil
-	am.wmes = am.wmes[:last]
-	for k, ix := range am.byField {
-		if moved, ok := ix.Remove(r, int(m.pos[1+k])); ok {
-			moved.in(am).pos[1+k] = m.pos[1+k]
+// add appends the WME of record r to the memory and its indexes.
+func (am *alphaMem) add(n *Network, r int32, rec *wmeRec) {
+	for _, c := range am.chains {
+		h, m := n.mships.alloc()
+		m.rec, m.chain, m.of = r, c.id, rec.mems
+		rec.mems = h
+		if m.prev = c.push(c, h); m.prev != 0 {
+			n.mship(m.prev).next = h
 		}
 	}
 }
@@ -298,218 +339,268 @@ func (am *alphaMem) remove(r *wmeRec, m *membership) {
 // betaMem stores tokens and forwards them to its child node.
 type betaMem struct {
 	net   *Network
+	id    int32
 	mem   tokenMem
 	succs []node
 	prof  *ruleProf
 }
 
-func (b *betaMem) leftActivate(t *token) {
-	t.owner = b
-	b.mem.add(t)
+func (b *betaMem) leftActivate(h int32, t *token) {
+	t.node = b.id
+	b.mem.add(h, t)
 	for _, s := range b.succs {
-		s.leftActivate(t)
+		s.leftActivate(h, t)
 	}
 }
 
-func (b *betaMem) removeToken(t *token) {
+func (b *betaMem) removeToken(h int32, t *token) {
 	b.prof.lost++
-	b.mem.remove(t)
+	b.mem.remove(h, t)
 }
 
-// joinNode joins tokens from its parent beta memory with WMEs from its
-// alpha memory, applying the CE's variable-consistency tests and any
-// attached filter expressions. When the CE has an equality join test the
-// node probes hash indexes on both memories instead of scanning them.
-type joinNode struct {
-	net    *Network
-	parent *betaMem
-	amem   *alphaMem
-	ce     *compile.CondElem
-	child  node // betaMem, negativeNode or productionNode
+// joiner is what a join node and a negative node share: the alpha memory
+// on the right, the CE's variable-consistency tests, and the hash-join
+// state. When the CE has an equality join test the node probes hash
+// indexes on both memories instead of scanning them.
+type joiner struct {
+	net  *Network
+	amem *alphaMem
+	ce   *compile.CondElem
 	// eqTest is the index within ce.JoinTests of the equality test the
 	// hash indexes are built on, or -1 for the nested-loop path. When it is
-	// set, the parent memory is bucketed by the joined binding and
-	// alphaIdx is the alpha memory's index over the tested field.
-	eqTest   int
-	alphaIdx *valueindex.Index[*wmeRec]
-	// env is the reused filter-evaluation environment; its vector never
-	// escapes EvalFilters.
-	env  compile.VecEnv
-	prof *ruleProf
+	// set, the token memory is bucketed by the joined binding, alphaIdx is
+	// the alpha memory's index over the tested field, and eqUp is how many
+	// parent links lie between a token the node tests and the token built
+	// on the WME that the test reads.
+	eqTest   int32
+	eqUp     int32
+	alphaIdx *alphaChain
+	// tested says the CE has other tests, or filters, and env holds what
+	// they read: the vector of the token under test, which bind reads off
+	// the token's chain from element lo on — the first any of them reads —
+	// and after it the candidate WME. The vector never escapes EvalFilters.
+	lo     int32
+	tested bool
+	env    compile.VecEnv
+	prof   *ruleProf
 }
 
-// passes applies the CE's join tests and filters to a candidate pair. The
-// equality test the hash indexes are built on (eqTest) is skipped: both
-// activation paths reach passes only through an index probe on exactly
-// that test's value, and the index's key equality is OpEq's.
-func (j *joinNode) passes(t *token, w *wm.WME) bool {
+// bind makes h the token that passes tests candidates against.
+func (j *joiner) bind(h int32) {
+	if j.tested {
+		if j.env.Vec == nil {
+			j.env.Vec = make([]*wm.WME, j.ce.BetaLevel+1)
+		}
+		j.net.vector(j.env.Vec[int(j.lo):j.ce.BetaLevel], h)
+	}
+}
+
+// passes applies the CE's join tests and filters to the bound token and a
+// candidate WME. The equality test the hash indexes are built on (eqTest)
+// is skipped: both activation paths reach passes only through an index
+// probe on exactly that test's value, and the index's key equality is
+// OpEq's.
+func (j *joiner) passes(w *wm.WME) bool {
 	j.prof.probes++
-	for i, jt := range j.ce.JoinTests {
-		if i == j.eqTest {
+	if !j.tested {
+		return true
+	}
+	vec := j.env.Vec
+	for i := range j.ce.JoinTests {
+		if i == int(j.eqTest) {
 			continue
 		}
-		if !jt.Op.Apply(w.Fields[jt.Field], t.vec[jt.OtherCE].Fields[jt.OtherField]) {
+		jt := &j.ce.JoinTests[i]
+		if !jt.Op.Apply(w.Fields[jt.Field], vec[jt.OtherCE].Fields[jt.OtherField]) {
 			return false
 		}
 	}
 	if len(j.ce.Filters) > 0 {
-		// Filters need the vector including this WME; reuse the node's
-		// buffer rather than allocating per candidate.
-		j.env.Vec = append(append(j.env.Vec[:0], t.vec...), w)
+		vec[j.ce.BetaLevel] = w
 		return match.EvalFilters(j.ce, &j.env)
 	}
 	return true
 }
 
-func (j *joinNode) propagate(t *token, r *wmeRec) {
+// right returns the first membership of the WMEs token h can join with.
+func (j *joiner) right(h int32) int32 {
+	if j.eqTest < 0 {
+		return j.amem.list.all.Head
+	}
+	jt := &j.ce.JoinTests[j.eqTest]
+	return j.alphaIdx.idx.Get(j.alphaIdx, j.net.wmeAt(h, j.eqUp).Fields[jt.OtherField])
+}
+
+// left returns the first of mem's tokens that WME w can join with.
+func (j *joiner) left(mem *tokenMem, w *wm.WME) int32 {
+	if j.eqTest < 0 {
+		return mem.all.Head
+	}
+	return mem.idx.Get(mem, w.Fields[j.ce.JoinTests[j.eqTest].Field])
+}
+
+// joinNode joins tokens from its parent beta memory with WMEs from its
+// alpha memory, applying the CE's tests and any attached filter
+// expressions.
+type joinNode struct {
+	joiner
+	parent *betaMem
+	child  node // betaMem or productionNode
+}
+
+func (j *joinNode) propagate(h int32, t *token, r int32) {
 	j.prof.tokens++
-	nt := &token{parent: t}
-	nt.vec = append(append(nt.buf[:0], t.vec...), r.wme)
-	t.addChild(nt)
-	r.addToken(nt)
-	j.child.leftActivate(nt)
+	j.child.leftActivate(j.net.newToken(h, t, r))
 }
 
-func (j *joinNode) leftActivate(t *token) {
-	cands := j.amem.wmes
-	if j.eqTest >= 0 {
-		jt := &j.ce.JoinTests[j.eqTest]
-		cands = j.alphaIdx.Get(t.vec[jt.OtherCE].Fields[jt.OtherField])
-	}
-	for _, r := range cands {
-		if j.passes(t, r.wme) {
-			j.propagate(t, r)
+func (j *joinNode) leftActivate(h int32, t *token) {
+	j.bind(h)
+	for m := j.right(h); m != 0; {
+		mm := j.net.mship(m)
+		if j.passes(j.net.wmes[mm.rec]) {
+			j.propagate(h, t, mm.rec)
 		}
+		m = mm.next
 	}
 }
 
-func (j *joinNode) removeToken(*token) {
+func (j *joinNode) removeToken(int32, *token) {
 	// Join nodes hold no memory; nothing to do. (Tokens are held by beta
 	// memories, negative nodes and production nodes.)
 }
 
-func (j *joinNode) rightAdd(r *wmeRec) {
-	cands := j.parent.mem.list
-	if j.eqTest >= 0 {
-		cands = j.parent.mem.idx.Get(r.wme.Fields[j.ce.JoinTests[j.eqTest].Field])
-	}
-	for _, t := range cands {
-		if j.passes(t, r.wme) {
-			j.propagate(t, r)
+func (j *joinNode) rightAdd(r int32, w *wm.WME) {
+	for h := j.left(&j.parent.mem, w); h != 0; {
+		t := j.net.tok(h)
+		if j.bind(h); j.passes(w) {
+			j.propagate(h, t, r)
 		}
+		h = t.bnext
 	}
 }
 
 // negativeNode implements negated condition elements. It stores the tokens
 // flowing through it; a token's children exist exactly while no WME in the
-// alpha memory matches it. Join results are tracked per (token, wme) pair
-// on the WME's record. Like join nodes, a negative node with an equality
-// join test probes a value index over the alpha memory and keeps its own
-// tokens bucketed by the joined binding.
+// alpha memory matches it. Join results are tracked per (token, wme) pair,
+// on the token and on the WME's record. Like join nodes, a negative node
+// with an equality join test probes a value index over the alpha memory
+// and keeps its own tokens bucketed by the joined binding.
 type negativeNode struct {
-	net   *Network
-	amem  *alphaMem
-	ce    *compile.CondElem
+	joiner
+	id    int32
 	mem   tokenMem
 	child node
-	// eqTest / alphaIdx mirror joinNode's hash-join state.
-	eqTest   int
-	alphaIdx *valueindex.Index[*wmeRec]
-	prof     *ruleProf
 }
 
-// passes applies the negated CE's join tests, skipping the indexed
-// equality test (see joinNode.passes).
-func (n *negativeNode) passes(t *token, w *wm.WME) bool {
-	n.prof.probes++
-	for i, jt := range n.ce.JoinTests {
-		if i == n.eqTest {
-			continue
-		}
-		if !jt.Op.Apply(w.Fields[jt.Field], t.vec[jt.OtherCE].Fields[jt.OtherField]) {
-			return false
-		}
+// block records that the WME of record r matches the node's token h.
+func (n *negativeNode) block(h int32, t *token, r int32) {
+	rec := n.net.rec(r)
+	jh, j := n.net.results.alloc()
+	j.owner, j.rec, j.onext, j.wnext = h, r, *t.blockers(), rec.results
+	if j.onext != 0 {
+		n.net.result(j.onext).oprev = jh
 	}
-	return true
+	if j.wnext != 0 {
+		n.net.result(j.wnext).wprev = jh
+	}
+	*t.blockers(), rec.results = jh, jh
 }
 
-func (n *negativeNode) propagate(t *token) {
-	nt := &token{parent: t, vec: t.vec}
-	t.addChild(nt)
-	n.child.leftActivate(nt)
+func (n *negativeNode) propagate(h int32, t *token) {
+	n.child.leftActivate(n.net.newToken(h, t, 0))
 }
 
-func (n *negativeNode) leftActivate(t *token) {
+func (n *negativeNode) leftActivate(h int32, t *token) {
 	// Create this node's own token rather than adopting the incoming one:
-	// the incoming token may already be owned by a beta memory, and a
-	// token must live in exactly one node's memory for deletion to be
-	// complete.
+	// the incoming token is owned by a beta memory, and a token must live
+	// in exactly one node's memory for deletion to be complete.
 	n.prof.tokens++
-	nt := &token{parent: t, vec: t.vec, owner: n}
-	t.addChild(nt)
-	n.mem.add(nt)
-	cands := n.amem.wmes
-	if n.eqTest >= 0 {
-		jt := &n.ce.JoinTests[n.eqTest]
-		cands = n.alphaIdx.Get(nt.vec[jt.OtherCE].Fields[jt.OtherField])
-	}
-	for _, r := range cands {
-		if n.passes(nt, r.wme) {
-			nt.nresults++
-			r.addNeg(nt, n)
+	nh, nt := n.net.newToken(h, t, 0)
+	nt.node = n.id
+	n.mem.add(nh, nt)
+	n.bind(nh)
+	for m := n.right(nh); m != 0; {
+		mm := n.net.mship(m)
+		if n.passes(n.net.wmes[mm.rec]) {
+			n.block(nh, nt, mm.rec)
 		}
+		m = mm.next
 	}
-	if nt.nresults == 0 {
-		n.propagate(nt)
+	if *nt.blockers() == 0 {
+		n.propagate(nh, nt)
 	}
 }
 
-func (n *negativeNode) removeToken(t *token) {
+// removeToken also takes the token's join results off the records of the
+// WMEs that block it.
+func (n *negativeNode) removeToken(h int32, t *token) {
 	n.prof.lost++
-	n.mem.remove(t)
-	// This token's join results stay on the WMEs' records; they are
-	// skipped when consumed (Network.removeWME) or swept (wmeRec.addNeg).
-}
-
-func (n *negativeNode) rightAdd(r *wmeRec) {
-	cands := n.mem.list
-	if n.eqTest >= 0 {
-		cands = n.mem.idx.Get(r.wme.Fields[n.ce.JoinTests[n.eqTest].Field])
-	}
-	for _, t := range cands {
-		if !n.passes(t, r.wme) {
-			continue
+	n.mem.remove(h, t)
+	for jh := *t.blockers(); jh != 0; {
+		j := n.net.result(jh)
+		if j.wprev != 0 {
+			n.net.result(j.wprev).wnext = j.wnext
+		} else {
+			n.net.rec(j.rec).results = j.wnext
 		}
-		if t.nresults == 0 {
-			// Absence no longer holds: retract descendants.
-			n.net.deleteDescendants(t)
+		if j.wnext != 0 {
+			n.net.result(j.wnext).wprev = j.wprev
 		}
-		t.nresults++
-		r.addNeg(t, n)
+		next := j.onext
+		n.net.results.release(jh)
+		jh = next
 	}
 }
 
-// productionNode terminates a rule's chain and maintains its
-// instantiations; the network's conflict set is the union over its
-// production nodes.
+func (n *negativeNode) rightAdd(r int32, w *wm.WME) {
+	for h := n.left(&n.mem, w); h != 0; {
+		t := n.net.tok(h)
+		if n.bind(h); n.passes(w) {
+			if *t.blockers() == 0 {
+				// Absence no longer holds: retract descendants.
+				n.net.deleteDescendants(t)
+			}
+			n.block(h, t, r)
+		}
+		h = t.bnext
+	}
+}
+
+// productionNode terminates a rule's chain and turns the tokens that
+// reach it into instantiations; the network's conflict set is
+// Network.insts, over all its production nodes.
 type productionNode struct {
 	net  *Network
+	id   int32
 	rule *compile.Rule
-	// mem lists the complete matches; each carries its instantiation.
-	mem  tokenMem
 	prof *ruleProf
 }
 
-func (p *productionNode) leftActivate(t *token) {
-	p.prof.insts++
-	t.owner = p
-	t.inst = match.NewInstantiation(p.rule, t.vec)
-	p.mem.add(t)
-	p.net.coll.Add(t.inst)
+// instRec holds the instantiation of a production node's token: the one
+// record with a pointer, in the one arena the collector scans.
+type instRec struct {
+	in   *match.Instantiation
+	live int32
 }
 
-func (p *productionNode) removeToken(t *token) {
+func (r *instRec) stamp() *int32 { return &r.live }
+
+func (p *productionNode) leftActivate(h int32, t *token) {
+	p.prof.insts++
+	// The match is read off its token chain for NewInstantiation to copy.
+	vec := slices.Grow(p.net.vec[:0], p.rule.NumPositive)[:p.rule.NumPositive]
+	p.net.vec = vec
+	p.net.vector(vec, h)
+	ih, ir := p.net.insts.alloc()
+	ir.in = match.NewInstantiation(p.rule, vec)
+	t.node, *t.inst() = p.id, ih
+	p.net.coll.Add(ir.in)
+}
+
+func (p *productionNode) removeToken(h int32, t *token) {
 	p.prof.lost++
-	p.mem.remove(t)
-	p.net.coll.Remove(t.inst)
+	ir := p.net.insts.at(*t.inst())
+	p.net.coll.Remove(ir.in)
+	ir.in = nil
+	p.net.insts.release(*t.inst())
 }

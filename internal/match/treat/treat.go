@@ -374,8 +374,7 @@ func (t *Treat) seedJoin(rs *ruleState, seedPos int, seed *wm.WME, negSeed *comp
 
 func (t *Treat) joinFrom(rs *ruleState, ceIdx int, vec []*wm.WME, seedPos int, seed *wm.WME, negSeed *compile.CondElem) {
 	if ceIdx == len(rs.rule.CEs) {
-		full := append([]*wm.WME(nil), vec...)
-		t.addInst(rs, match.NewInstantiation(rs.rule, full))
+		t.addInst(rs, match.NewInstantiation(rs.rule, vec))
 		return
 	}
 	ce := rs.rule.CEs[ceIdx]

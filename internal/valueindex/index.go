@@ -7,48 +7,76 @@ package valueindex
 import (
 	"hash/maphash"
 	"math"
+	"unsafe"
 
 	"parulel/internal/wm"
 )
 
-// Keyed is what an index holds: tokens, WME records, conflict-set images.
-// A member can say which value it carries at an index's position, so the
-// index stores no keys of its own.
-type Keyed interface {
-	comparable
-	// KeyAt returns the member's value at (positive CE, field); members
-	// that are one WME ignore the CE.
-	KeyAt(ce, field int) wm.Value
+// Chain is the two ends of a list of members in arrival order. The list
+// is linked through the members themselves: the owner keeps each member's
+// neighbours (a token's bnext and bprev, a membership's, an image's links)
+// and a chain only ever hears about its ends, so it stores one member's
+// worth of state however many it lists. The zero T is no member.
+type Chain[T comparable] struct {
+	Head, Tail T
 }
 
-// Index is a hash-join index: the members of a memory bucketed by the
-// value each carries at (CE, Field). It is an open-addressed table with
-// linear probing whose slots hold a 64-bit hash and the bucket's members;
-// a bucket's key is read back from its first member. The zero value with
-// CE and Field set is an empty index and owns no memory.
+// Push makes x the last member and returns the one it now follows, for the
+// owner to link the two; the zero T when x is alone.
+func (c *Chain[T]) Push(x T) (prev T) {
+	var zero T
+	prev, c.Tail = c.Tail, x
+	if prev == zero {
+		c.Head = x
+	}
+	return prev
+}
+
+// Drop takes out the member whose neighbours are prev and next. A member
+// between two others leaves the ends as they are.
+func (c *Chain[T]) Drop(prev, next T) {
+	var zero T
+	if prev == zero {
+		c.Head = next
+	}
+	if next == zero {
+		c.Tail = prev
+	}
+}
+
+// Keyer is the owner of an index, which says what value a member is filed
+// under: every operation is handed it, so an index holds no reference to
+// its owner and an owner need allocate nothing to be one.
+type Keyer[T any] interface {
+	Key(x T) wm.Value
+}
+
+// Index is a hash-join index: the members of a memory in one chain per
+// value of a key. It is an open-addressed table with linear probing whose
+// slots hold a 64-bit hash and a bucket's two ends, and nothing else: no
+// key — the owner says what a member's key is, and a bucket's is read back
+// from its first member — and no member storage, so a table of handles is
+// memory the collector never scans. The zero value is an empty index and
+// owns no memory; a nil *Index reads as one.
 //
-// Members are stored densely in each bucket and removed by position: Add
-// returns where the member went, the owner keeps that (token.slot, a WME
-// record's membership, an image's positions), and Remove reports which
-// member it moved into the hole so the owner can update that one's
-// position. Nothing is looked up by member, so there is no position map.
+// Nothing is looked up by member. Add returns the member the new one
+// follows; Remove is told the leaver's neighbours and touches the table
+// only when one of them is missing.
 //
-// A bucket must not change while it is being ranged over. The owners'
+// A bucket must not change while it is being walked. The owners'
 // structure guarantees it: RETE's alpha memories change only between
 // activations, and a node's activation adds and removes tokens only in
 // memories downstream of the one it is reading; the meta level joins an
 // image against its memories before it adds it and after it removes it.
-type Index[T Keyed] struct {
-	CE, Field int
-	slots     []bucket[T] // length zero or a power of two
-	live      int         // buckets in use
-	dead      int         // tombstones
-	n         int         // members over all buckets
+type Index[T comparable] struct {
+	slots []bucket[T] // length zero or a power of two
+	live  int32       // buckets in use
+	dead  int32       // tombstones
 }
 
-type bucket[T Keyed] struct {
-	hash  uint64 // hashEmpty, hashTomb, or hashValue of the members' key
-	items []T
+type bucket[T comparable] struct {
+	hash uint64 // hashEmpty, hashTomb, or hashValue of the members' key
+	Chain[T]
 }
 
 // Slot states. hashValue never returns either.
@@ -87,46 +115,50 @@ func hashValue(v wm.Value) uint64 {
 	return h
 }
 
-// Len returns the number of members over all buckets.
-func (ix *Index[T]) Len() int { return ix.n }
+// Slots returns the size of the table, which is zero for an empty index,
+// and Bytes the memory it takes.
+func (ix *Index[T]) Slots() int {
+	if ix == nil {
+		return 0
+	}
+	return len(ix.slots)
+}
 
-// Slots returns the size of the table, which is zero for an empty index.
-func (ix *Index[T]) Slots() int { return len(ix.slots) }
+func (ix *Index[T]) Bytes() int { return ix.Slots() * int(unsafe.Sizeof(bucket[T]{})) }
 
-// Get returns the members whose key equals v; the slice aliases the bucket.
-func (ix *Index[T]) Get(v wm.Value) []T {
-	if ix.live == 0 {
-		return nil
+// Get returns the first of the members whose key equals v, or the zero T.
+func (ix *Index[T]) Get(o Keyer[T], v wm.Value) (head T) {
+	if ix == nil || ix.live == 0 {
+		return head
 	}
 	h := hashValue(v)
 	mask := len(ix.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		b := &ix.slots[i]
-		if b.hash == h && b.items[0].KeyAt(ix.CE, ix.Field) == v {
-			return b.items
+		if b.hash == h && o.Key(b.Head) == v {
+			return b.Head
 		}
 		if b.hash == hashEmpty {
-			return nil
+			return head
 		}
 	}
 }
 
-// Add files x under its key and returns its position in the bucket.
-func (ix *Index[T]) Add(x T) int {
-	if (ix.live+ix.dead+1)*4 > len(ix.slots)*3 {
+// Add files x last under its key and returns the member it follows there,
+// or the zero T.
+func (ix *Index[T]) Add(o Keyer[T], x T) (prev T) {
+	if int(ix.live+ix.dead+1)*4 > len(ix.slots)*3 {
 		ix.rehash()
 	}
-	v := x.KeyAt(ix.CE, ix.Field)
+	v := o.Key(x)
 	h := hashValue(v)
 	mask := len(ix.slots) - 1
 	tomb := -1
-	ix.n++
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		b := &ix.slots[i]
 		switch {
-		case b.hash == h && b.items[0].KeyAt(ix.CE, ix.Field) == v:
-			b.items = append(b.items, x)
-			return len(b.items) - 1
+		case b.hash == h && o.Key(b.Head) == v:
+			return b.Push(x)
 		case b.hash == hashTomb && tomb < 0:
 			tomb = i
 		case b.hash == hashEmpty:
@@ -134,47 +166,42 @@ func (ix *Index[T]) Add(x T) int {
 				b = &ix.slots[tomb]
 				ix.dead--
 			}
-			b.hash, b.items = h, []T{x}
+			b.hash = h
 			ix.live++
-			return 0
+			return b.Push(x)
 		}
 	}
 }
 
-// Remove takes x out of position pos of its bucket, moving the bucket's
-// last member into the hole; moved is that member when there was one to
-// move. The bucket is found by hash and identity, not by key equality, so
-// a member keyed by NaN — which no probe can reach — is still removable.
-// Removing the last member leaves a tombstone; removing the index's last
-// member releases the table.
-func (ix *Index[T]) Remove(x T, pos int) (moved T, ok bool) {
-	h := hashValue(x.KeyAt(ix.CE, ix.Field))
+// Remove takes out x, whose neighbours in its bucket are prev and next. At
+// an end of the bucket — it is found by hash and identity, not by key
+// equality, so a member keyed by NaN, which no probe can reach, is still
+// removable — the end moves; removing a bucket's last member leaves a
+// tombstone, and removing the index's last member releases the table.
+func (ix *Index[T]) Remove(o Keyer[T], x, prev, next T) {
+	var zero T
+	if prev != zero && next != zero {
+		return
+	}
+	h := hashValue(o.Key(x))
 	mask := len(ix.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		if ix.live == 0 || ix.slots[i].hash == hashEmpty {
 			panic("valueindex: remove of a non-member")
 		}
 		b := &ix.slots[i]
-		if b.hash != h || pos >= len(b.items) || b.items[pos] != x {
+		if b.hash != h || b.Head != x && b.Tail != x {
 			continue
 		}
-		ix.n--
-		var zero T
-		last := len(b.items) - 1
-		if last == 0 {
-			b.hash, b.items = hashTomb, nil
-			ix.live--
-			ix.dead++
-			if ix.live == 0 {
-				ix.slots, ix.dead = nil, 0
-			}
-			return zero, false
+		if b.Drop(prev, next); b.Head != zero {
+			return
 		}
-		moved = b.items[last]
-		b.items[pos] = moved
-		b.items[last] = zero
-		b.items = b.items[:last]
-		return moved, pos != last
+		b.hash = hashTomb
+		ix.dead++
+		if ix.live--; ix.live == 0 {
+			ix.slots, ix.dead = nil, 0
+		}
+		return
 	}
 }
 
@@ -183,7 +210,7 @@ func (ix *Index[T]) Remove(x T, pos int) (moved T, ok bool) {
 // stays or shrinks when it is full of tombstones.
 func (ix *Index[T]) rehash() {
 	size := minSlots
-	for size < 2*(ix.live+1) {
+	for size < 2*int(ix.live+1) {
 		size *= 2
 	}
 	old := ix.slots

@@ -11,20 +11,49 @@ import (
 )
 
 // member is an index member for the model test: it carries its key and,
-// the way tokens and WME records do, its own position in its bucket.
+// the way tokens, memberships and images do, its neighbours in its bucket.
 type member struct {
-	id  int
-	key wm.Value
-	pos int
+	id         int
+	key        wm.Value
+	next, prev *member
 }
 
-func (m *member) KeyAt(_, _ int) wm.Value { return m.key }
+// memberKey is the owner of the test's indexes.
+type memberKey struct{}
+
+func (memberKey) Key(m *member) wm.Value { return m.key }
+
+// link and unlink do an owner's part of filing a member: linking it behind
+// the one Add names, and closing the gap it leaves.
+func link(ix *Index[*member], m *member) {
+	if m.prev = ix.Add(memberKey{}, m); m.prev != nil {
+		m.prev.next = m
+	}
+}
+
+func unlink(ix *Index[*member], m *member) {
+	ix.Remove(memberKey{}, m, m.prev, m.next)
+	if m.prev != nil {
+		m.prev.next = m.next
+	}
+	if m.next != nil {
+		m.next.prev = m.prev
+	}
+	m.next, m.prev = nil, nil
+}
+
+// walk lists the bucket that starts at head.
+func walk(head *member) (out []*member) {
+	for m := head; m != nil; m = m.next {
+		out = append(out, m)
+	}
+	return out
+}
 
 // indexModel is the reference the value index is tested against: a Go map
-// from key to bucket, with the same append / move-the-last-into-the-hole
-// discipline, so bucket order has to agree too. A Go map cannot find a NaN
-// key again, which is exactly the semantics wanted (no probe reaches such a
-// member), so NaN-keyed members are only counted.
+// from key to bucket in arrival order, so bucket order has to agree too. A
+// Go map cannot find a NaN key again, which is exactly the semantics wanted
+// (no probe reaches such a member), so NaN-keyed members are only counted.
 type indexModel struct {
 	buckets map[wm.Value][]*member
 	nan     int
@@ -47,8 +76,7 @@ func (mo *indexModel) remove(m *member) {
 	}
 	b := mo.buckets[m.key]
 	i := slices.Index(b, m)
-	b[i] = b[len(b)-1]
-	if b = b[:len(b)-1]; len(b) == 0 {
+	if b = slices.Delete(b, i, i+1); len(b) == 0 {
 		delete(mo.buckets, m.key)
 	} else {
 		mo.buckets[m.key] = b
@@ -56,43 +84,49 @@ func (mo *indexModel) remove(m *member) {
 }
 
 // checkIndex compares the index with the model: every model bucket is what
-// a probe returns, member positions are the ones the owner was told, and
-// the counters add up.
+// a probe returns, in order and linked both ways, and the counters add up.
 func checkIndex(t *testing.T, step int, ix *Index[*member], mo *indexModel, probes []wm.Value) {
 	t.Helper()
 	members := mo.nan
 	for k, want := range mo.buckets {
-		got := ix.Get(k)
+		got := walk(ix.Get(memberKey{}, k))
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: bucket %v holds %d members, model %d (or in another order)", step, k, len(got), len(want))
 		}
 		for i, m := range got {
-			if m.pos != i {
-				t.Fatalf("step %d: member %d of bucket %v believes it is at %d, is at %d", step, m.id, k, m.pos, i)
+			if i == 0 && m.prev != nil || i > 0 && m.prev != got[i-1] {
+				t.Fatalf("step %d: member %d of bucket %v does not link back to the one before it", step, m.id, k)
 			}
 		}
 		members += len(want)
 	}
 	for _, k := range probes {
-		if _, present := mo.buckets[k]; !present && !isNaN(k) && len(ix.Get(k)) != 0 {
-			t.Fatalf("step %d: probe of absent key %v found %d members", step, k, len(ix.Get(k)))
+		if _, present := mo.buckets[k]; !present && !isNaN(k) && ix.Get(memberKey{}, k) != nil {
+			t.Fatalf("step %d: probe of absent key %v found %d members", step, k, len(walk(ix.Get(memberKey{}, k))))
 		}
-		if isNaN(k) && ix.Get(k) != nil {
+		if isNaN(k) && ix.Get(memberKey{}, k) != nil {
 			t.Fatalf("step %d: a NaN probe found members", step)
 		}
 	}
-	if ix.n != members || ix.live != len(mo.buckets)+mo.nan {
-		t.Fatalf("step %d: index counts %d members in %d buckets, model %d in %d", step, ix.n, ix.live, members, len(mo.buckets)+mo.nan)
+	if int(ix.live) != len(mo.buckets)+mo.nan {
+		t.Fatalf("step %d: index counts %d buckets, model %d", step, ix.live, len(mo.buckets)+mo.nan)
 	}
-	used := 0
+	used, held := 0, 0
 	for _, b := range ix.slots {
 		if b.hash >= hashMin {
 			used++
-		} else if b.items != nil {
+			held += len(walk(b.Head))
+			if b.Tail == nil || b.Tail.next != nil {
+				t.Fatalf("step %d: a bucket's tail is not its last member", step)
+			}
+		} else if b.Head != nil || b.Tail != nil {
 			t.Fatalf("step %d: a free slot holds members", step)
 		}
 	}
-	if used != ix.live || (ix.live+ix.dead)*4 > len(ix.slots)*3 {
+	if held != members {
+		t.Fatalf("step %d: the table reaches %d members, model %d", step, held, members)
+	}
+	if used != int(ix.live) || int(ix.live+ix.dead)*4 > len(ix.slots)*3 {
 		t.Fatalf("step %d: %d slots in use, live=%d dead=%d of %d", step, used, ix.live, ix.dead, len(ix.slots))
 	}
 }
@@ -122,7 +156,7 @@ func TestValueIndexAgainstMap(t *testing.T) {
 	add := func(k wm.Value) {
 		m := &member{id: nextID, key: k}
 		nextID++
-		m.pos = ix.Add(m)
+		link(ix, m)
 		mo.add(m)
 		live = append(live, m)
 	}
@@ -130,9 +164,7 @@ func TestValueIndexAgainstMap(t *testing.T) {
 		m := live[i]
 		live[i] = live[len(live)-1]
 		live = live[:len(live)-1]
-		if moved, ok := ix.Remove(m, m.pos); ok {
-			moved.pos = m.pos
-		}
+		unlink(ix, m)
 		mo.remove(m)
 	}
 	randomKey := func(distinct int) wm.Value {
@@ -171,8 +203,8 @@ func TestValueIndexAgainstMap(t *testing.T) {
 			step++
 			checkIndex(t, step, ix, mo, keyCases)
 		}
-		if ix.slots != nil || ix.live != 0 || ix.dead != 0 || ix.n != 0 {
-			t.Fatalf("emptied index keeps a table of %d slots (live=%d dead=%d n=%d)", len(ix.slots), ix.live, ix.dead, ix.n)
+		if ix.slots != nil || ix.live != 0 || ix.dead != 0 || ix.Bytes() != 0 {
+			t.Fatalf("emptied index keeps a table of %d slots (live=%d dead=%d)", len(ix.slots), ix.live, ix.dead)
 		}
 	}
 
@@ -221,35 +253,33 @@ func TestValueIndexKeyCases(t *testing.T) {
 	ix := &Index[*member]{}
 	add := func(k wm.Value) *member {
 		m := &member{key: k}
-		m.pos = ix.Add(m)
+		link(ix, m)
 		return m
 	}
 	z1, z2 := add(posZero), add(negZero)
-	if got := ix.Get(negZero); len(got) != 2 || got[0] != z1 || got[1] != z2 {
+	if got := walk(ix.Get(memberKey{}, negZero)); len(got) != 2 || got[0] != z1 || got[1] != z2 {
 		t.Fatalf("the two zeros must share a bucket, got %d members", len(got))
 	}
 	four := []*member{add(wm.Int(3)), add(wm.Float(3)), add(wm.Sym("3")), add(wm.Str("3"))}
 	for _, m := range four {
-		if got := ix.Get(m.key); len(got) != 1 || got[0] != m {
+		if got := walk(ix.Get(memberKey{}, m.key)); len(got) != 1 || got[0] != m {
 			t.Fatalf("%v (kind %v) must be a key of its own, probe found %d members", m.key, m.key.Kind, len(got))
 		}
 	}
 	n1, n2 := add(nan), add(nan)
-	if ix.Get(nan) != nil {
+	if ix.Get(memberKey{}, nan) != nil {
 		t.Fatal("NaN equals nothing: a probe must not reach NaN-keyed members")
 	}
-	if n1.pos != 0 || n2.pos != 0 || ix.live != 7 {
+	if n1.prev != nil || n2.prev != nil || ix.live != 7 {
 		t.Fatalf("each NaN-keyed member needs a bucket of its own (live=%d)", ix.live)
 	}
 	// ...but both are removable, in either order, by identity.
-	ix.Remove(n2, n2.pos)
-	ix.Remove(n1, n1.pos)
+	unlink(ix, n2)
+	unlink(ix, n1)
 	for _, m := range append(four, z2, z1) {
-		if moved, ok := ix.Remove(m, m.pos); ok {
-			moved.pos = m.pos
-		}
+		unlink(ix, m)
 	}
-	if ix.n != 0 || ix.slots != nil {
-		t.Fatalf("index not empty after removing everything: n=%d, %d slots", ix.n, len(ix.slots))
+	if ix.live != 0 || ix.slots != nil {
+		t.Fatalf("index not empty after removing everything: %d buckets, %d slots", ix.live, len(ix.slots))
 	}
 }
