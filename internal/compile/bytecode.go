@@ -1,18 +1,38 @@
 package compile
 
-import "parulel/internal/wm"
+import (
+	"math"
+	"slices"
 
-// Eval evaluates a root expression the way it was built: an expression
-// Compile lowered (lowerProgram) runs its register bytecode on the VM of
-// vm.go; one that carries none — a leaf root, an expression built outside
-// Compile or by CompileUnlowered, or one past an encoding limit — goes to
-// the tree walker, the package-level Eval. The two agree on values and on
-// error text, so which one ran is invisible to callers.
+	"parulel/internal/wm"
+)
+
+// Eval evaluates a root expression by value: an action expression or
+// meta-rule test Compile lowered (lowerProgram) runs its register bytecode
+// on the VM of vm.go; anything else — a leaf root, a filter (whose code is
+// condition code, for Holds), an expression built outside Compile or by
+// CompileUnlowered, or one past an encoding limit — goes to the tree walker,
+// the package-level Eval. The two agree on values and on error text, so
+// which one ran is invisible to callers.
 func (e *Expr) Eval(env Env) (wm.Value, error) {
-	if e.code != nil {
+	if e.code != nil && !e.code.cond {
 		return e.code.run(env)
 	}
 	return Eval(e, env)
+}
+
+// Holds reports whether a filter passes on env's WME vector: it evaluates
+// without error to a truthy value. A filter Compile lowered runs its
+// condition code, which branches on comparisons of fields read in place and
+// never builds the filter's value; anything else goes to the tree walker.
+// It is how the matchers and the meta level evaluate every `(test …)`
+// (match.EvalFilters).
+func (e *Expr) Holds(env *VecEnv) bool {
+	if e.code == nil || !e.code.cond {
+		v, err := Eval(e, env)
+		return err == nil && v.Truthy()
+	}
+	return e.code.check(env)
 }
 
 // vmOp is a bytecode opcode. Instructions address up to three operands
@@ -30,9 +50,9 @@ const (
 	opMetaRule               // r[a] = Sym(env.MetaRuleName(b))
 	opMetaPrec               // r[a] = Bool(env.MetaPrecedes(b, c))
 	opRefPrec                // r[a] = Bool(the b fields from refs[c] precede the b from refs[c+1])
-	opJump                   // pc = b
-	opJumpFalsy              // if !r[a].Truthy() { pc = b }
-	opJumpTruthy             // if r[a].Truthy() { pc = b }
+	opJump                   // pc = c
+	opJumpFalsy              // if !r[a].Truthy() { pc = c }
+	opJumpTruthy             // if r[a].Truthy() { pc = c }
 	opNot                    // r[a] = Bool(!r[b].Truthy())
 	opHash                   // r[a] = Int(hashValue(r[b]))
 	opAbs                    // r[a] = |r[b]|, error on non-numeric
@@ -46,22 +66,45 @@ const (
 	opMax
 	opSymcat // r[a] = symbol concat of r[b:b+c]
 	opRet    // return r[a]
+
+	// Condition code, run by holds: each branch compares its test's outcome
+	// with the sense in k's low bit and jumps to c when they agree. a and b
+	// are operands — a constant, a matched field or a register, see fromRef.
+	opBrCmp  // test PredOp(k>>1).Apply(a, b)
+	opBr     // test a.Truthy()
+	opBrPrec // test: the a fields from refs[b] precede the a from refs[b+1]
+	opEval   // run the value code that follows, up to its opRet; pc = c
+	opDone   // the filter holds if a != 0
 )
 
 type inst struct {
 	op      vmOp
+	k       uint8 // condition code only: the branch's sense and PredOp
 	a, b, c uint16
 }
 
+// An operand of a condition instruction is an index in the low 14 bits
+// and, above them, the table it indexes: consts, refs (a field of the
+// matched WME vector, read where it lies) or the registers.
+const (
+	operandIdx = 1<<14 - 1
+	fromConst  = 0 << 14
+	fromRef    = 1 << 14
+	fromReg    = 2 << 14
+)
+
 // code is the lowered form of one root expression: an instruction
 // sequence over a register frame, a constant pool and a VarRef side
-// table. A code value is immutable after lowering and safe for
-// concurrent execution (each run gets its own pooled frame).
+// table. Value code (lowerExpr) returns the expression's value; condition
+// code (lowerCond, cond set) only whether a filter holds. A code value is
+// immutable after lowering and safe for concurrent execution (each run gets
+// its own frame).
 type code struct {
 	ins    []inst
 	consts []wm.Value
 	refs   []VarRef
 	nregs  int
+	cond   bool
 }
 
 // encoding limits: operands are uint16. Programs never get close in
@@ -69,9 +112,10 @@ type code struct {
 // walker) rather than mis-encoding.
 const vmMaxOperand = 1<<16 - 1
 
-// lowerProgram attaches bytecode to every root expression of a compiled
-// program. Called once at the end of Compile, so nothing is re-lowered
-// per match/fire cycle.
+// lowerProgram attaches code to every root expression of a compiled
+// program: condition code to every filter, value code to every call-rooted
+// action expression and meta-rule test. Called once at the end of Compile,
+// so nothing is re-lowered per match/fire cycle.
 func lowerProgram(p *Program) {
 	rules := p.Rules
 	if p.Meta != nil {
@@ -80,7 +124,7 @@ func lowerProgram(p *Program) {
 	for _, r := range rules {
 		for _, ce := range r.CEs {
 			for _, f := range ce.Filters {
-				f.code = lowerExpr(f)
+				f.code = lowerCond(f)
 			}
 		}
 		for _, a := range r.Actions {
@@ -100,7 +144,7 @@ func lowerProgram(p *Program) {
 	}
 }
 
-// lowerExpr compiles one expression tree to bytecode, or returns nil when
+// lowerExpr compiles one expression tree to value code, or returns nil when
 // the tree cannot be encoded (operand overflow or an unknown builtin) —
 // the caller then stays on the tree walker for that expression.
 func lowerExpr(e *Expr) *code {
@@ -115,10 +159,26 @@ func lowerExpr(e *Expr) *code {
 		return nil
 	}
 	l.emit(opRet, 0, 0, 0)
-	if len(l.ins) > vmMaxOperand {
+	return l.finish(false)
+}
+
+// lowerCond compiles a filter to condition code, or returns nil when it
+// cannot be encoded. The code jumps to a false exit as soon as the filter
+// is known to fail and falls through to a true one otherwise. Leaf roots are
+// lowered too — `(test (precedes <i> <j>))` is one opBrPrec — so every
+// filter Compile emits runs here.
+func lowerCond(e *Expr) *code {
+	l := &lowerer{}
+	var fail []int
+	if !l.cond(e, false, &fail) {
 		return nil
 	}
-	return &code{ins: l.ins, consts: l.consts, refs: l.refs, nregs: l.nregs}
+	l.emit(opDone, 1, 0, 0)
+	for _, j := range fail {
+		l.patch(j)
+	}
+	l.emit(opDone, 0, 0, 0)
+	return l.finish(true)
 }
 
 type lowerer struct {
@@ -134,13 +194,27 @@ func (l *lowerer) emit(op vmOp, a, b, c uint16) int {
 	return len(l.ins) - 1
 }
 
+// branch emits a condition branch; its target is patched later.
+func (l *lowerer) branch(op vmOp, k uint8, a, b uint16) int {
+	l.ins = append(l.ins, inst{op: op, k: k, a: a, b: b})
+	return len(l.ins) - 1
+}
+
 // patch retargets the jump at index i to the next instruction slot.
 func (l *lowerer) patch(i int) {
 	if len(l.ins) > vmMaxOperand {
 		l.failed = true
 		return
 	}
-	l.ins[i].b = uint16(len(l.ins))
+	l.ins[i].c = uint16(len(l.ins))
+}
+
+// finish packages what was lowered, or returns nil if it cannot be encoded.
+func (l *lowerer) finish(cond bool) *code {
+	if l.failed || len(l.ins) > vmMaxOperand {
+		return nil
+	}
+	return &code{ins: l.ins, consts: l.consts, refs: l.refs, nregs: l.nregs, cond: cond}
 }
 
 // operand range-checks an operand value.
@@ -164,12 +238,18 @@ func (l *lowerer) reg(dst int) uint16 {
 // map here.
 func (l *lowerer) constIdx(v wm.Value) uint16 {
 	for i, c := range l.consts {
-		if c == v {
+		if identical(c, v) {
 			return l.operand(i)
 		}
 	}
 	l.consts = append(l.consts, v)
 	return l.operand(len(l.consts) - 1)
+}
+
+// identical is == on values except that it tells -0.0 from 0.0, which
+// print differently, and takes a NaN to be itself.
+func identical(a, b wm.Value) bool {
+	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 func (l *lowerer) refIdx(r VarRef) uint16 {
@@ -292,6 +372,78 @@ func (l *lowerer) lowerCall(e *Expr, dst int) bool {
 		return false
 	}
 	return !l.failed
+}
+
+// cond compiles e as a condition: code that jumps when e's truth comes out
+// as sense and falls through when it does not. Its jumps go on *to, for the
+// caller to patch once the target is placed. No path is needed for errors:
+// an error anywhere fails the whole filter.
+func (l *lowerer) cond(e *Expr, sense bool, to *[]int) bool {
+	var k uint8
+	if sense {
+		k = 1
+	}
+	call := func(ops ...Builtin) bool { return e.Kind == ECall && slices.Contains(ops, e.Op) }
+	switch {
+	case call(BAnd, BOr) && len(e.Args) > 0:
+		// An operand decides the form when it comes out as short — false
+		// for and, true for or — and the last one decides it either way.
+		short := e.Op == BOr
+		var past []int
+		last := len(e.Args) - 1
+		for _, a := range e.Args[:last] {
+			out := to
+			if short != sense {
+				out = &past
+			}
+			if !l.cond(a, short, out) {
+				return false
+			}
+		}
+		if !l.cond(e.Args[last], sense, to) {
+			return false
+		}
+		for _, j := range past {
+			l.patch(j)
+		}
+	case call(BNot):
+		return l.cond(e.Args[0], !sense, to)
+	case call(BEq, BNe, BLt, BLe, BGt, BGe):
+		x := l.arg(e.Args[0], 0)
+		y := l.arg(e.Args[1], 1)
+		*to = append(*to, l.branch(opBrCmp, uint8(cmpPred(e.Op))<<1|k, x, y))
+	case e.Kind == ERefPrec:
+		l.refs = append(l.refs, e.Ref, e.MetaVar)
+		*to = append(*to, l.branch(opBrPrec, k, l.operand(e.Len), l.operand(len(l.refs)-2)))
+	default:
+		*to = append(*to, l.branch(opBr, k, l.arg(e, 0), 0))
+	}
+	return !l.failed
+}
+
+// arg returns the operand through which a condition instruction reads e: a
+// constant, or a matched field where it lies, or else register dst, into
+// which the value code emitted here computes e.
+func (l *lowerer) arg(e *Expr, dst int) uint16 {
+	var from, i uint16
+	switch e.Kind {
+	case EConst:
+		from, i = fromConst, l.constIdx(e.Val)
+	case ERef:
+		from, i = fromRef, l.refIdx(e.Ref)
+	default:
+		eval := l.emit(opEval, 0, 0, 0)
+		if !l.lower(e, dst) {
+			l.failed = true
+		}
+		from, i = fromReg, l.reg(dst)
+		l.emit(opRet, i, 0, 0)
+		l.patch(eval)
+	}
+	if i > operandIdx {
+		l.failed = true
+	}
+	return from | i
 }
 
 func cmpPred(op Builtin) PredOp {

@@ -86,8 +86,10 @@ func (g *exprGen) gen(depth int) *Expr {
 
 // FuzzBytecodeEval holds the bytecode VM to the tree-walking interpreter:
 // for any well-typed expression the two backends must produce the same
-// value, or the same error text. This is the contract that lets an
-// expression run whichever of the two it was built for.
+// value, or the same error text, and as a filter the expression must hold
+// on a WME vector exactly when the tree walker finds it truthy without
+// error there (agree). This is the contract that lets an expression run
+// whichever of the two it was built for.
 func FuzzBytecodeEval(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 0, 1, 1, 2})                      // (add const const)
 	f.Add([]byte{9, 6, 0, 3, 1, 4, 2, 1, 0})                // cmp over arith
@@ -96,29 +98,11 @@ func FuzzBytecodeEval(f *testing.F) {
 	f.Add([]byte{8, 8, 1, 0, 11, 0, 13, 2, 1, 1, 3, 2, 5})  // symcat mix
 	f.Add([]byte{4, 0, 1, 2, 4, 3, 1, 4, 2, 9, 1, 0, 0, 1}) // meta ops
 	f.Add([]byte{6, 6, 0, 2, 0, 1, 2, 1, 1, 2, 0, 1})       // lowered precedes under or
+	f.Add([]byte{6, 6, 0, 6, 2, 0, 0, 1, 0, 0, 0, 1})       // (or (div 7 0) 7)
+	f.Add([]byte{11, 1, 0, 6, 2, 0, 0, 1, 0, 0})            // (not (div 7 0))
+	f.Add([]byte{9, 0, 0, 14, 0, 16})                       // (= 2^53 2^53+1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &exprGen{data: data}
-		e := g.gen(4)
-		code := lowerExpr(e)
-		if code == nil {
-			if e.Kind != ECall {
-				return // leaf roots deliberately stay on the tree walker
-			}
-			t.Fatal("lowerExpr failed on a well-typed call expression")
-		}
-		wantV, wantErr := Eval(e, vmEnv{})
-		gotV, gotErr := code.run(vmEnv{})
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error divergence: interp err=%v, vm err=%v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error text divergence: interp %q, vm %q", wantErr, gotErr)
-			}
-			return
-		}
-		if wantV != gotV {
-			t.Fatalf("value divergence: interp %s (%+v), vm %s (%+v)", wantV, wantV, gotV, gotV)
-		}
+		agree(t, g.gen(4))
 	})
 }

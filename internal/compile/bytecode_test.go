@@ -2,6 +2,9 @@ package compile
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"parulel/internal/lang"
@@ -18,6 +21,10 @@ var vmPalette = []wm.Value{
 	wm.Float(2), wm.Float(0.5), wm.Float(0), wm.Float(-1.25),
 	wm.Sym("false"), wm.Sym("true"), wm.Sym("x"),
 	wm.Str(""), wm.Str("ab"), {},
+	// Where ints stop being exact as floats, and the floats that compare
+	// unlike any other.
+	wm.Int(1 << 53), wm.Int(-1 << 53), wm.Int(1<<53 + 1), wm.Int(-1<<53 - 1),
+	wm.Int(1 << 60), wm.Float(math.NaN()), wm.Float(math.Copysign(0, -1)),
 }
 
 func paletteAt(i int) wm.Value {
@@ -34,10 +41,50 @@ func (vmEnv) MetaTag(pat int) int64               { return int64(pat*10 + 3) }
 func (vmEnv) MetaRuleName(pat int) string         { return fmt.Sprintf("rule%d", pat) }
 func (vmEnv) MetaPrecedes(pat int, pat2 int) bool { return pat < pat2 }
 
+// paletteVec is vmEnv's references as a matched WME vector, the environment
+// filters run in: field f of the WME at CE ce is vmEnv's Ref for it.
+var paletteVec = func() *VecEnv {
+	env := &VecEnv{}
+	for ce := 0; ce < 4; ce++ {
+		w := &wm.WME{Time: int64(ce + 1)}
+		for f := 0; f < 24; f++ {
+			w.Fields = append(w.Fields, vmEnv{}.Ref(VarRef{CE: ce, Field: f}))
+		}
+		env.Vec = append(env.Vec, w)
+	}
+	return env
+}()
+
+// readsVec reports whether e reads nothing a filter's VecEnv lacks: no RHS
+// local and no meta context.
+func readsVec(e *Expr) bool {
+	switch e.Kind {
+	case ELocal, EMetaRef, EMetaTag, EMetaRule, EMetaPrec:
+		return false
+	}
+	for _, a := range e.Args {
+		if !readsVec(a) {
+			return false
+		}
+	}
+	return true
+}
+
 // agree evaluates e through both backends and requires identical values
-// and identical error text.
+// and identical error text; lowered as a filter, e must also hold on
+// paletteVec exactly when the tree walker finds it truthy without error.
 func agree(t *testing.T, e *Expr) (wm.Value, error) {
 	t.Helper()
+	if readsVec(e) {
+		f := *e
+		if f.code = lowerCond(e); f.code == nil {
+			t.Fatalf("lowerCond returned nil for %+v", e)
+		}
+		v, err := Eval(e, paletteVec)
+		if want := err == nil && v.Truthy(); f.Holds(paletteVec) != want {
+			t.Fatalf("Holds = %v, tree walker %s, %v", !want, v, err)
+		}
+	}
 	cd := lowerExpr(e)
 	if cd == nil {
 		if e.Kind != ECall {
@@ -48,7 +95,7 @@ func agree(t *testing.T, e *Expr) (wm.Value, error) {
 				t.Fatalf("lowerer failed on leaf %+v", e)
 			}
 			l.emit(opRet, 0, 0, 0)
-			cd = &code{ins: l.ins, consts: l.consts, refs: l.refs, nregs: l.nregs}
+			cd = l.finish(false)
 		} else {
 			t.Fatalf("lowerExpr returned nil for %+v", e)
 		}
@@ -64,7 +111,7 @@ func agree(t *testing.T, e *Expr) (wm.Value, error) {
 		}
 		return wm.Value{}, wantErr
 	}
-	if wantV != gotV {
+	if !identical(wantV, gotV) {
 		t.Fatalf("value divergence: interp %s (%+v), vm %s (%+v)", wantV, wantV, gotV, gotV)
 	}
 	return wantV, nil
@@ -126,15 +173,33 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 		{"meta-tag", &Expr{Kind: EMetaTag, Pat: 2}},
 		{"meta-rule", &Expr{Kind: EMetaRule, Pat: 1}},
 		{"meta-prec", &Expr{Kind: EMetaPrec, Pat: 0, Pat2: 1}},
-		// Palette runs: CE 0 from field 1 is 7 -3 2, CE 1 from field 8 is
-		// 7 -3 2 again (the palette has 14 entries), so the first differing
+		// Palette runs: CE 0 from field 1 is 7 -3 2, CE 1 from field 15 is
+		// 7 -3 2 again (the palette has 21 entries), so the first differing
 		// pair decides and equal runs do not precede.
 		{"ref-prec-first-pair", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 2}, MetaVar: VarRef{CE: 0, Field: 1}, Len: 2}},
-		{"ref-prec-later-pair", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 8}, Len: 3}},
-		{"ref-prec-equal-runs", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 8}, Len: 2}},
+		{"ref-prec-later-pair", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 15}, Len: 3}},
+		{"ref-prec-equal-runs", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 15}, Len: 2}},
 		{"ref-prec-mixed-kinds", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 3}, MetaVar: VarRef{CE: 0, Field: 4}, Len: 6}},
 		{"ref-prec-empty", &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 0, Field: 2}}},
 		{"ref-prec-in-call", call(BAnd, c(i(1)), &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 2}, MetaVar: VarRef{CE: 0, Field: 1}, Len: 1})},
+		// Condition code: comparisons at the edge of exact ints, NaN, both
+		// operands computed into registers, errors under or and not, and
+		// roots that are not comparisons.
+		{"eq-past-2^53", call(BEq, c(i(1<<53)), c(i(1<<53+1)))},
+		{"lt-past-2^53", call(BLt, c(i(-1<<53-1)), c(i(-1<<53)))},
+		{"lt-at-2^53", call(BLt, c(i(1<<53-1)), c(i(1<<53)))},
+		{"lt-nan", call(BLt, c(f(math.NaN())), c(i(1)))},
+		{"ge-nan", call(BGe, c(f(math.NaN())), c(i(1)))},
+		{"ne-nan", call(BNe, c(f(math.NaN())), c(f(math.NaN())))},
+		{"cmp-two-registers", call(BGt, call(BSub, &Expr{Kind: ERef, Ref: VarRef{CE: 0, Field: 1}}, c(i(1))), call(BMul, &Expr{Kind: ERef, Ref: VarRef{CE: 0, Field: 3}}, c(i(2))))},
+		{"or-error-first", call(BOr, call(BDiv, c(i(1)), c(i(0))), c(i(1)))},
+		{"not-error", call(BNot, call(BDiv, c(i(1)), c(i(0))))},
+		{"not-or-and", call(BNot, call(BOr, call(BAnd, c(i(1)), call(BLt, c(i(2)), c(i(1)))), call(BNot, c(s("x")))))},
+		{"and-empty", call(BAnd)},
+		{"or-empty", call(BOr)},
+		{"if-as-condition", call(BIf, &Expr{Kind: ERef, Ref: VarRef{CE: 0, Field: 8}}, c(i(1)), c(s("false")))},
+		{"const-root", c(s("false"))},
+		{"ref-root", &Expr{Kind: ERef, Ref: VarRef{CE: 0, Field: 13}}},
 		{"nested", call(BIf,
 			call(BAnd, call(BLt, &Expr{Kind: ERef, Ref: VarRef{CE: 0, Field: 1}}, c(i(100))), call(BNot, c(s("false")))),
 			call(BAdd, call(BMul, c(i(3)), c(i(4))), call(BMod, call(BHash, c(s("k"))), c(i(8)))),
@@ -146,10 +211,10 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 	}
 }
 
-// TestCompileAttachesBytecode verifies that every root expression of a
-// compiled program carries lowered code, so nothing Compile emits is
-// silently interpreted, and that CompileUnlowered's copy of the same
-// program carries none.
+// TestCompileAttachesBytecode verifies that every filter of a compiled
+// program carries condition code and every call-rooted action expression
+// and meta-rule test value code, so nothing Compile emits is interpreted
+// but leaf actions, and that CompileUnlowered's copy carries none.
 func TestCompileAttachesBytecode(t *testing.T) {
 	ast, err := lang.Parse(`
 (literalize item id score flag)
@@ -170,7 +235,9 @@ func TestCompileAttachesBytecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := func(prog *Program, check func(where string, x *Expr)) {
+	// roots calls check on every root expression, saying whether it is a
+	// filter.
+	roots := func(prog *Program, check func(where string, x *Expr, filter bool)) {
 		rules := prog.Rules
 		if prog.Meta != nil {
 			rules = append(rules[:len(rules):len(rules)], prog.Meta.Rules...)
@@ -178,21 +245,21 @@ func TestCompileAttachesBytecode(t *testing.T) {
 		for _, r := range rules {
 			for _, ce := range r.CEs {
 				for _, f := range ce.Filters {
-					check("rule "+r.Name+" filter", f)
+					check("rule "+r.Name+" filter", f, true)
 				}
 			}
 			for _, a := range r.Actions {
 				for j := range a.Slots {
-					check("rule "+r.Name+" slot", a.Slots[j].Expr)
+					check("rule "+r.Name+" slot", a.Slots[j].Expr, false)
 				}
 				for _, x := range a.Exprs {
-					check("rule "+r.Name+" action", x)
+					check("rule "+r.Name+" action", x, false)
 				}
 			}
 		}
 		for _, m := range prog.MetaRules {
 			for _, x := range m.Tests {
-				check("metarule "+m.Name+" test", x)
+				check("metarule "+m.Name+" test", x, false)
 			}
 		}
 	}
@@ -200,38 +267,47 @@ func TestCompileAttachesBytecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Call roots must carry bytecode; leaf roots (plain refs, constants)
-	// deliberately stay on the tree walker, which is already optimal for
-	// a single node.
-	calls := 0
-	roots(prog, func(where string, x *Expr) {
-		if x.Kind == ECall {
-			calls++
-			if x.code == nil {
-				t.Errorf("%s: call expr not lowered", where)
+	// Every filter runs condition code, the lowered precedes leaf included;
+	// leaf actions (plain refs, constants) stay on the tree walker, which
+	// is already optimal for a single node.
+	filters, calls := 0, 0
+	roots(prog, func(where string, x *Expr, filter bool) {
+		switch {
+		case filter:
+			filters++
+			if x.code == nil || !x.code.cond {
+				t.Errorf("%s: no condition code", where)
 			}
-		} else if x.code != nil {
+		case x.Kind == ECall:
+			calls++
+			if x.code == nil || x.code.cond {
+				t.Errorf("%s: call expr has no value code", where)
+			}
+		case x.code != nil:
 			t.Errorf("%s: leaf expr unexpectedly lowered", where)
 		}
 	})
-	if calls == 0 {
-		t.Fatal("no call expressions found — the program under test is wrong")
+	if filters != 2 || calls == 0 {
+		t.Fatalf("%d filters and %d call roots — the program under test is wrong", filters, calls)
 	}
 	ref, err := CompileUnlowered(ast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCalls := 0
-	roots(ref, func(where string, x *Expr) {
-		if x.Kind == ECall {
+	refFilters, refCalls := 0, 0
+	roots(ref, func(where string, x *Expr, filter bool) {
+		switch {
+		case filter:
+			refFilters++
+		case x.Kind == ECall:
 			refCalls++
 		}
 		if x.code != nil {
 			t.Errorf("%s: unlowered program carries bytecode", where)
 		}
 	})
-	if refCalls != calls {
-		t.Errorf("unlowered program has %d call roots, the lowered one %d", refCalls, calls)
+	if refFilters != filters || refCalls != calls {
+		t.Errorf("unlowered program has %d filters and %d call roots, the lowered one %d and %d", refFilters, refCalls, filters, calls)
 	}
 }
 
@@ -270,6 +346,114 @@ func BenchmarkEvalExpr(b *testing.B) {
 			}
 		}
 	})
+	// The shipped filters by value — the value code a filter ran before it
+	// had condition code, or for the precedes leaf the tree walker — and as
+	// the condition code Holds runs.
+	for _, sf := range shippedFilters(b) {
+		byValue := *sf.f
+		byValue.code = lowerExpr(sf.f)
+		b.Run(sf.name+"/value", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := byValue.Eval(sf.env)
+				held = err == nil && v.Truthy()
+			}
+		})
+		b.Run(sf.name+"/cond", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				held = sf.f.Holds(sf.env)
+			}
+		})
+	}
+}
+
+var held bool
+
+// shippedFilter is one `(test …)` of a builtin program as Compile lowers
+// it, and a WME vector to run it on.
+type shippedFilter struct {
+	name string
+	f    *Expr
+	env  *VecEnv
+}
+
+// shippedFilters returns the filters the engine spends its evaluation on:
+// alexsys' two meta-rule tests and its allocation range test, waltz's
+// corner cross product and a bare precedes. Every WME of a vector holds 1,
+// 2, 3, … in field order, so the two images of a meta-rule pair tie and
+// each test runs to its last comparison.
+func shippedFilters(tb testing.TB) []shippedFilter {
+	tb.Helper()
+	load := func(name string) *Program {
+		src, err := os.ReadFile(filepath.Join("..", "programs", "src", name+".par"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		prog, err := CompileSource(string(src))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return prog
+	}
+	rule := func(p *Program, name string) *Rule {
+		for _, r := range append(p.Rules[:len(p.Rules):len(p.Rules)], p.Meta.Rules...) {
+			if r.Name == name {
+				return r
+			}
+		}
+		tb.Fatalf("no rule %s", name)
+		return nil
+	}
+	alexsys, waltz := load("alexsys"), load("waltz")
+	var out []shippedFilter
+	for _, x := range []struct {
+		name string
+		r    *Rule
+	}{
+		{"alexsys/one-award-per-pool", rule(alexsys, "one-award-per-pool")},
+		{"alexsys/one-award-per-order", rule(alexsys, "one-award-per-order")},
+		{"alexsys/allocate", rule(alexsys, "allocate")},
+		{"waltz/corner-pair", rule(waltz, "corner-pair")},
+		{"waltz/precedes", rule(waltz, "one-boundary-label")},
+	} {
+		env := &VecEnv{}
+		for _, ce := range x.r.CEs {
+			if ce.Negated {
+				continue
+			}
+			w := &wm.WME{Tmpl: ce.Tmpl, Time: int64(len(env.Vec) + 1)}
+			for f := range ce.Tmpl.Attrs {
+				w.Fields = append(w.Fields, wm.Int(int64(f+1)))
+			}
+			if env.Vec = append(env.Vec, w); len(ce.Filters) == 1 {
+				out = append(out, shippedFilter{x.name, ce.Filters[0], env})
+				break
+			}
+		}
+	}
+	if len(out) != 5 {
+		tb.Fatalf("found %d of the five filters", len(out))
+	}
+	return out
+}
+
+// TestShippedFiltersHoldWithoutAllocating: condition code gives the tree
+// walker's verdict on each shipped filter and allocates nothing doing it.
+func TestShippedFiltersHoldWithoutAllocating(t *testing.T) {
+	for _, sf := range shippedFilters(t) {
+		if sf.f.code == nil || !sf.f.code.cond {
+			t.Errorf("%s: no condition code", sf.name)
+			continue
+		}
+		v, err := Eval(sf.f, sf.env)
+		if want := err == nil && v.Truthy(); sf.f.Holds(sf.env) != want {
+			t.Errorf("%s: Holds = %v, tree walker %s, %v", sf.name, !want, v, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { held = sf.f.Holds(sf.env) }); n != 0 {
+			t.Errorf("%s: Holds allocates %v times", sf.name, n)
+		}
+	}
 }
 
 // TestRefPrecedes checks the lowered `precedes` node against the order it
@@ -285,7 +469,9 @@ func TestRefPrecedes(t *testing.T) {
 	e := &Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 1}, MetaVar: VarRef{CE: 1, Field: 1}, Len: 2}
 	root := call(BOr, c(wm.Bool(false)), e) // a call root, so that it is lowered
 	root.code = lowerExpr(root)
-	if root.code == nil {
+	filter := *e // a filter root, as the meta level runs it
+	filter.code = lowerCond(e)
+	if root.code == nil || filter.code == nil {
 		t.Fatal("not lowered")
 	}
 	for _, tc := range []struct {
@@ -304,6 +490,7 @@ func TestRefPrecedes(t *testing.T) {
 			"interp":  func() (wm.Value, error) { return Eval(e, vec) },
 			"vm":      func() (wm.Value, error) { return root.Eval(vec) },
 			"generic": func() (wm.Value, error) { return Eval(e, struct{ Env }{vec}) },
+			"holds":   func() (wm.Value, error) { return wm.Bool(filter.Holds(vec)), nil },
 		} {
 			if v, err := got(); err != nil || v.Truthy() != tc.want {
 				t.Errorf("%v precedes %v on %s: %v, %v; want %v", tc.a, tc.b, name, v, err, tc.want)

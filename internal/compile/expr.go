@@ -82,10 +82,11 @@ type Expr struct {
 	// does not — so that every node of every program is no larger for it.
 	Len int
 
-	// code is the lowered bytecode for this expression when it is a root
-	// (a filter, action expression or meta test), attached once by
-	// lowerProgram at the end of Compile. nil means "not lowered": the
-	// Eval method then goes to the tree walker.
+	// code is the lowered bytecode for this expression when it is a root,
+	// attached once by lowerProgram at the end of Compile: condition code
+	// for a filter, which the Holds method runs, and value code for an
+	// action expression or meta-rule test, which the Eval method runs. nil
+	// means "not lowered": both methods then go to the tree walker.
 	code *code
 }
 
@@ -114,8 +115,7 @@ type Env interface {
 // VecEnv is the Env of LHS filter tests: references index a vector of
 // matched WMEs, one per positive condition element; there are no locals
 // and no meta context. It is used by pointer: a matcher keeps one per join
-// point and re-points Vec at each candidate, so that handing it to Eval
-// boxes nothing, and the VM recognizes it and reads Vec directly.
+// point and re-points Vec at each candidate, and Holds reads Vec directly.
 type VecEnv struct {
 	Vec []*wm.WME
 }
@@ -180,20 +180,26 @@ func Eval(e *Expr, env Env) (wm.Value, error) {
 // operators' order except that two ints compare as ints, which is exact
 // where the operators' float comparison is not. It is what
 // `(precedes <i> <j>)` between two instantiations of one rule lowers to,
-// over the two images' time-tag vectors; both backends evaluate it here.
+// over the two images' time-tag vectors. Value code and the tree walker
+// evaluate it here; a filter's condition code, as the meta level runs it,
+// through vecPrecede.
 func refsPrecede(env Env, a, b VarRef, n int) bool {
-	if ve, ok := env.(*VecEnv); ok {
-		x, y := ve.Vec[a.CE].Fields[a.Field:a.Field+n], ve.Vec[b.CE].Fields[b.Field:b.Field+n]
-		for k := range x {
-			if c := fieldCompare(x[k], y[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	}
 	for k := 0; k < n; k++ {
 		x, y := env.Ref(VarRef{CE: a.CE, Field: a.Field + k}), env.Ref(VarRef{CE: b.CE, Field: b.Field + k})
 		if c := fieldCompare(x, y); c != 0 {
+			return c < 0
+		}
+	}
+	return false
+}
+
+// vecPrecede is refsPrecede over a matched WME vector, comparing the two
+// runs of fields where they lie; the fuzz target holds the two to each
+// other.
+func vecPrecede(vec []*wm.WME, a, b VarRef, n int) bool {
+	x, y := vec[a.CE].Fields[a.Field:a.Field+n], vec[b.CE].Fields[b.Field:b.Field+n]
+	for k := range x {
+		if c := fieldCompare(x[k], y[k]); c != 0 {
 			return c < 0
 		}
 	}

@@ -88,15 +88,14 @@ func TestLowerMetaRules(t *testing.T) {
 		t.Fatalf("filters: %d on pattern 0, %d on pattern 1", len(ce0.Filters), len(ce1.Filters))
 	}
 	// precedes within one rule is one node over the two time-tag runs (bid
-	// has two positive condition elements); as a leaf it stays on the tree
-	// walker, like every leaf root.
+	// has two positive condition elements).
 	wantPrec := Expr{Kind: ERefPrec, Ref: VarRef{CE: 0, Field: 4}, MetaVar: VarRef{CE: 1, Field: 4}, Len: 2}
 	if got := *ce1.Filters[0]; got.Kind != wantPrec.Kind || got.Ref != wantPrec.Ref || got.MetaVar != wantPrec.MetaVar || got.Len != wantPrec.Len {
 		t.Errorf("precedes lowered to %+v, want %+v", got, wantPrec)
 	}
 	for _, f := range []*Expr{ce0.Filters[0], ce1.Filters[0]} {
-		if f.Kind == ECall && f.code == nil {
-			t.Error("lowered filter was not compiled to bytecode")
+		if f.code == nil || !f.code.cond {
+			t.Error("lowered filter was not compiled to condition code")
 		}
 		var walk func(e *Expr)
 		walk = func(e *Expr) {
@@ -128,8 +127,8 @@ func TestLowerMetaRules(t *testing.T) {
 	if eq := and.Args[1]; eq.Args[0].Kind != EConst || eq.Args[0].Val != wm.Sym("ask") {
 		t.Errorf("rulename should be a constant: %+v", eq.Args[0])
 	}
-	if v, err := and.Eval(&VecEnv{}); err != nil || !v.Truthy() {
-		t.Errorf("constant filter evaluates to %v, %v", v, err)
+	if !and.Holds(&VecEnv{}) {
+		t.Error("constant filter does not hold")
 	}
 
 	// A program without meta-rules has no meta level at all.

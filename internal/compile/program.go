@@ -12,6 +12,7 @@
 package compile
 
 import (
+	"cmp"
 	"fmt"
 
 	"parulel/internal/lang"
@@ -155,18 +156,32 @@ func (op PredOp) String() string {
 	}
 }
 
-// Apply evaluates the comparison on two values.
+// Apply evaluates the comparison on two values. Two ints a float64 holds
+// exactly compare as ints: the answer converting them gives, without the
+// conversion.
 func (op PredOp) Apply(a, b wm.Value) bool {
-	switch op {
-	case OpEq:
+	if op == OpEq {
 		return a == b
+	}
+	if a.Kind == wm.KindInt && b.Kind == wm.KindInt && exactInt(a.I) && exactInt(b.I) {
+		return op.test(cmp.Compare(a.I, b.I))
+	}
+	switch op {
 	case OpNumEq:
 		return a.NumEqual(b)
 	case OpNe:
 		return !a.NumEqual(b)
 	}
-	c := predCompare(a, b)
+	return op.test(predCompare(a, b))
+}
+
+// test reports whether op holds between two values that compare as c.
+func (op PredOp) test(c int) bool {
 	switch op {
+	case OpNumEq:
+		return c == 0
+	case OpNe:
+		return c != 0
 	case OpLt:
 		return c < 0
 	case OpLe:
@@ -179,6 +194,10 @@ func (op PredOp) Apply(a, b wm.Value) bool {
 		return false
 	}
 }
+
+// exactInt reports whether float64 represents i exactly, as it does every
+// int within ±2^53.
+func exactInt(i int64) bool { return -1<<53 <= i && i <= 1<<53 }
 
 // predCompare orders two values for relational operators: numerically when
 // both are numeric (ints and floats compare equal when numerically equal),

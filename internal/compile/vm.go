@@ -8,10 +8,10 @@ import (
 	"parulel/internal/wm"
 )
 
-// framePool recycles register frames across VM runs; match and fire
-// workers evaluate expressions concurrently, so the pool is the only
-// shared state and each run owns its frame exclusively. Builtins never
-// re-enter the VM, so one frame per run suffices.
+// framePool recycles register frames too wide for the goroutine's stack;
+// match and fire workers evaluate expressions concurrently, so the pool is
+// the only shared state and each run owns its frame exclusively. Builtins
+// never re-enter the VM, so one frame per run suffices.
 var framePool = sync.Pool{
 	New: func() any {
 		s := make([]wm.Value, 0, 16)
@@ -19,38 +19,100 @@ var framePool = sync.Pool{
 	},
 }
 
-// run executes the code against env. Nearly every expression needs only
+// pooledFrame takes a frame of n registers from framePool, for the caller
+// to put back. Registers are written before they are read (by construction
+// of the lowering), so frames are reused without clearing.
+func pooledFrame(n int) *[]wm.Value {
+	fp := framePool.Get().(*[]wm.Value)
+	if cap(*fp) < n {
+		*fp = make([]wm.Value, n)
+	}
+	*fp = (*fp)[:n]
+	return fp
+}
+
+// run executes value code against env. Nearly every expression needs only
 // a few registers and runs in a frame on the goroutine's stack; wider ones
-// take a pooled frame. Either way the steady state allocates nothing:
-// registers are written before they are read (by construction of the
-// lowering), so pooled frames are reused without clearing.
+// take a pooled frame. Either way the steady state allocates nothing.
 func (c *code) run(env Env) (wm.Value, error) {
 	var small [8]wm.Value
 	if c.nregs <= len(small) {
-		return c.exec(small[:c.nregs], env)
+		return c.exec(small[:c.nregs], env, 0)
 	}
-	fp := framePool.Get().(*[]wm.Value)
-	r := *fp
-	if cap(r) < c.nregs {
-		r = make([]wm.Value, c.nregs)
-	} else {
-		r = r[:c.nregs]
-	}
-	v, err := c.exec(r, env)
-	*fp = r[:0]
-	framePool.Put(fp)
-	return v, err
+	fp := pooledFrame(c.nregs)
+	defer framePool.Put(fp)
+	return c.exec(*fp, env, 0)
 }
 
-func (c *code) exec(r []wm.Value, env Env) (wm.Value, error) {
-	// Filter tests — the bulk of all evaluation — read their references
-	// straight out of the matched-WME vector instead of through env.
+// check runs condition code against env, in a frame like run's; code that
+// computes nothing into registers — every filter without arithmetic — runs
+// without one.
+func (c *code) check(env *VecEnv) bool {
+	if c.nregs == 0 {
+		return c.holds(nil, env)
+	}
+	var small [8]wm.Value
+	if c.nregs <= len(small) {
+		return c.holds(small[:c.nregs], env)
+	}
+	fp := pooledFrame(c.nregs)
+	defer framePool.Put(fp)
+	return c.holds(*fp, env)
+}
+
+// holds runs condition code: the branch opcodes here, the value
+// subexpressions between them through exec. An error from one fails the
+// filter.
+func (c *code) holds(r []wm.Value, env *VecEnv) bool {
+	vec := env.Vec
+	for pc := 0; ; {
+		in := &c.ins[pc]
+		pc++
+		var t bool
+		switch in.op {
+		case opBrCmp:
+			t = PredOp(in.k>>1).Apply(*c.read(in.a, r, vec), *c.read(in.b, r, vec))
+		case opBr:
+			t = c.read(in.a, r, vec).Truthy()
+		case opBrPrec:
+			t = vecPrecede(vec, c.refs[in.b], c.refs[in.b+1], int(in.a))
+		case opEval:
+			if _, err := c.exec(r, env, pc); err != nil {
+				return false
+			}
+			pc = int(in.c)
+			continue
+		default: // opDone
+			return in.a != 0
+		}
+		if t == (in.k&1 != 0) {
+			pc = int(in.c)
+		}
+	}
+}
+
+// read returns a condition instruction's operand x where it lies.
+func (c *code) read(x uint16, r []wm.Value, vec []*wm.WME) *wm.Value {
+	i := x & operandIdx
+	switch x &^ operandIdx {
+	case fromRef:
+		ref := &c.refs[i]
+		return &vec[ref.CE].Fields[ref.Field]
+	case fromConst:
+		return &c.consts[i]
+	}
+	return &r[i]
+}
+
+// exec runs value code from pc to its opRet and returns that register.
+func (c *code) exec(r []wm.Value, env Env, pc int) (wm.Value, error) {
+	// Value subexpressions of filters read their references straight out
+	// of the matched-WME vector instead of through env.
 	var vec []*wm.WME
 	if ve, ok := env.(*VecEnv); ok {
 		vec = ve.Vec
 	}
 	ins := c.ins
-	pc := 0
 	for pc < len(ins) {
 		in := &ins[pc]
 		pc++
@@ -76,14 +138,14 @@ func (c *code) exec(r []wm.Value, env Env) (wm.Value, error) {
 		case opRefPrec:
 			r[in.a] = wm.Bool(refsPrecede(env, c.refs[in.c], c.refs[in.c+1], int(in.b)))
 		case opJump:
-			pc = int(in.b)
+			pc = int(in.c)
 		case opJumpFalsy:
 			if !r[in.a].Truthy() {
-				pc = int(in.b)
+				pc = int(in.c)
 			}
 		case opJumpTruthy:
 			if r[in.a].Truthy() {
-				pc = int(in.b)
+				pc = int(in.c)
 			}
 		case opNot:
 			r[in.a] = wm.Bool(!r[in.b].Truthy())

@@ -249,8 +249,7 @@ type Factory func(rules []*compile.Rule) Matcher
 // practice of treating predicate failure as no-match.
 func EvalFilters(ce *compile.CondElem, env *compile.VecEnv) bool {
 	for _, f := range ce.Filters {
-		v, err := f.Eval(env)
-		if err != nil || !v.Truthy() {
+		if !f.Holds(env) {
 			return false
 		}
 	}

@@ -12,16 +12,18 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"parulel/internal/compile"
 	"parulel/internal/core"
 	"parulel/internal/load"
+	"parulel/internal/match"
+	"parulel/internal/match/rete"
 	"parulel/internal/ops5"
 	"parulel/internal/stats"
 	"parulel/internal/wal"
+	"parulel/internal/wm"
 )
 
 // tickSrc commits one cycle after another for as long as it is run.
@@ -37,32 +39,20 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// heapGrowth runs f and reports how far the live heap rose above where it
-// stood before, after f and while it ran. A sample taken while an engine
-// runs also counts whatever was allocated during its own collection,
-// garbage or not, so one sample proves nothing; but what a run retains per
-// cycle only grows, so every sample of the run's second half lies above
-// half of it, and the lowest of them is the figure.
-func heapGrowth(f func()) int64 {
+// samplePeriod is how many cycles apart heapGrowth's samples are taken.
+const samplePeriod = 30_000
+
+// heapGrowth runs f, which calls sample wherever the engine it drives is
+// paused, and reports how far the live heap rose above where it stood
+// before, after f and while it ran. A sample taken while an engine runs
+// would count whatever the engine allocated during the sample's own
+// collection, garbage or not; a paused engine allocates nothing. What a run
+// retains per cycle only grows, so every sample of the run's second half
+// lies above half of it, and the lowest of them is the figure.
+func heapGrowth(f func(sample func())) int64 {
 	base := liveHeap()
 	var during []uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(20 * time.Millisecond):
-				during = append(during, liveHeap())
-			}
-		}
-	}()
-	f()
-	close(stop)
-	wg.Wait()
+	f(func() { during = append(during, liveHeap()) })
 	grown := liveHeap()
 	if late := during[len(during)/2:]; len(late) > 0 {
 		grown = max(grown, slices.Min(late))
@@ -70,10 +60,47 @@ func heapGrowth(f func()) int64 {
 	return int64(grown) - int64(base)
 }
 
+// sampler calls sample every samplePeriod cycles from the engine's own
+// goroutine between two cycles: as a core.Tracer from CycleStart, before
+// the cycle's match phase, and for ops5 from its matcher's Apply, the first
+// thing an ops5 cycle does.
+type sampler struct {
+	cycles int
+	sample func()
+}
+
+func (s *sampler) tick() {
+	if s.cycles++; s.cycles%samplePeriod == 0 {
+		s.sample()
+	}
+}
+
+func (s *sampler) CycleStart(int)                     { s.tick() }
+func (s *sampler) PhaseEnd(core.Phase, time.Duration) {}
+func (s *sampler) InstantiationsFound(int, int)       {}
+func (s *sampler) Redacted(int, int, int)             {}
+func (s *sampler) RuleFired(string, int)              {}
+func (s *sampler) Commit(int, int, bool)              {}
+
+// matcher is an ops5.Options.Matcher: RETE, ticking s.
+func (s *sampler) matcher(rules []*compile.Rule) match.Matcher {
+	return samplingMatcher{rete.New(rules), s}
+}
+
+type samplingMatcher struct {
+	match.Matcher
+	s *sampler
+}
+
+func (m samplingMatcher) Apply(d wm.Delta) match.Changes {
+	m.s.tick()
+	return m.Matcher.Apply(d)
+}
+
 // TestSoakMemoryIndependentOfCycles drives the counter program for 300,000
-// cycles on each engine and through a served session. (When engines kept a
-// record per cycle this left 20 MiB behind, 450 MiB for a run that used up
-// the daemon's default deadline.)
+// cycles on each engine and through a served session's run path. (When
+// engines kept a record per cycle this left 20 MiB behind, 450 MiB for a run
+// that used up the daemon's default deadline.)
 func TestSoakMemoryIndependentOfCycles(t *testing.T) {
 	const cycles, allowed = 300_000, 2 << 20
 	prog, err := compile.CompileSource(tickSrc)
@@ -88,8 +115,10 @@ func TestSoakMemoryIndependentOfCycles(t *testing.T) {
 	}
 
 	t.Run("core", func(t *testing.T) {
-		e := core.New(prog, core.Options{MaxCycles: cycles})
-		check(t, heapGrowth(func() {
+		var s sampler
+		e := core.New(prog, core.Options{MaxCycles: cycles, Tracer: &s})
+		check(t, heapGrowth(func(sample func()) {
+			s.sample = sample
 			if res, err := e.Run(); !errors.Is(err, core.ErrMaxCycles) || res.Cycles != cycles {
 				t.Fatalf("ran %d cycles, err %v", res.Cycles, err)
 			}
@@ -98,8 +127,10 @@ func TestSoakMemoryIndependentOfCycles(t *testing.T) {
 	})
 
 	t.Run("ops5", func(t *testing.T) {
-		e := ops5.New(prog, ops5.Options{MaxCycles: cycles})
-		check(t, heapGrowth(func() {
+		var s sampler
+		e := ops5.New(prog, ops5.Options{MaxCycles: cycles, Matcher: s.matcher})
+		check(t, heapGrowth(func(sample func()) {
+			s.sample = sample
 			if res, err := e.Run(); !errors.Is(err, ops5.ErrMaxCycles) || res.Cycles != cycles {
 				t.Fatalf("ran %d cycles, err %v", res.Cycles, err)
 			}
@@ -107,8 +138,12 @@ func TestSoakMemoryIndependentOfCycles(t *testing.T) {
 		runtime.KeepAlive(e)
 	})
 
+	// A served run commits samplePeriod cycles a slice and hands each
+	// slice's record to its sink between slices, with the engine stopped.
+	// runOp is the run path of a batch op or stream frame; POST /run takes
+	// the same driveRun with a sink that persists.
 	t.Run("served", func(t *testing.T) {
-		s, ts := newTestServer(t, Config{})
+		s, ts := newTestServer(t, Config{RunSlice: samplePeriod})
 		info := createSession(t, ts.URL, createSessionRequest{Source: tickSrc, MaxCycles: cycles})
 		// engine.window is bounded too, at metricsWindow samples, and
 		// server-wide: fill it first.
@@ -117,11 +152,16 @@ func TestSoakMemoryIndependentOfCycles(t *testing.T) {
 		if st := call(t, "GET", ts.URL+"/metrics", nil, &before); st != http.StatusOK {
 			t.Fatalf("/metrics: status %d", st)
 		}
-		var out struct{ Result runResponse }
-		check(t, heapGrowth(func() {
-			st := call(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/run", runRequest{TimeoutMS: 300_000}, &out)
-			if st != http.StatusUnprocessableEntity || out.Result.Cycles != cycles {
-				t.Fatalf("run: status %d, %d cycles", st, out.Result.Cycles)
+		check(t, heapGrowth(func(sample func()) {
+			ctx := context.Background()
+			sess, err := s.holdSession(ctx, info.ID, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.release()
+			out := s.runOp(ctx, sess, 300_000, func(*wal.Record) bool { sample(); return true })
+			if !errors.Is(out.err, core.ErrMaxCycles) || out.resp.Cycles != cycles {
+				t.Fatalf("run: err %v, %d cycles", out.err, out.resp.Cycles)
 			}
 		}))
 		if st := call(t, "GET", ts.URL+"/metrics", nil, &after); st != http.StatusOK {
