@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -103,11 +104,17 @@ type Engine struct {
 	opts    Options
 	workers []*worker
 
-	// conflictSet is the union of all workers' conflict sets, by key.
-	conflictSet map[match.Key]*match.Instantiation
-	// fired holds refraction state: keys of instantiations that have fired
-	// and are still continuously present in the conflict set.
-	fired map[match.Key]bool
+	// cs is the conflict set: the union of all workers' conflict sets, one
+	// entry per instantiation at the index the instantiation carries in its
+	// Slot. Entries are in no particular order; a removal moves the last
+	// entry into the hole.
+	cs []entry
+	// refracted counts the entries that have fired.
+	refracted int
+	// restored is a checkpoint's refraction set (RestoreFired), consulted
+	// as the first match phase after the restore finds its instantiations
+	// again and dropped when that phase ends.
+	restored map[match.Key]bool
 
 	pending wm.Delta
 	// pendingAddIdx indexes pending.Added by time tag for O(1) Retract of
@@ -119,9 +126,10 @@ type Engine struct {
 	pendingAddIdx map[int64]int
 	pendingIdxLen int
 	pendingTombs  int
-	// eligible is the reused scratch for Step's eligible-set construction;
-	// it never escapes a cycle.
-	eligible []*match.Instantiation
+	// fireable and effects are the scratch of one cycle's survivors and of
+	// their firings, cleared once the cycle has committed.
+	fireable []*match.Instantiation
+	effects  []effect
 	// meta is the redaction state; nil for a program without meta-rules.
 	meta   *metaLevel
 	result Result
@@ -134,6 +142,15 @@ type Engine struct {
 	// reported, and rulesByName the order it reports in.
 	activity, fires, traced []int
 	rulesByName             []*compile.Rule
+}
+
+// entry is one instantiation of the conflict set.
+type entry struct {
+	in *match.Instantiation
+	// img is the instantiation's meta-level image while it is eligible;
+	// nil for a rule no meta-pattern names, and once it has fired.
+	img   *image
+	fired bool
 }
 
 // worker owns one rule partition and its matcher.
@@ -165,15 +182,13 @@ func New(prog *compile.Program, opts Options) *Engine {
 		prog:        prog,
 		mem:         wm.NewMemory(prog.Schema),
 		opts:        opts,
-		conflictSet: make(map[match.Key]*match.Instantiation),
-		fired:       make(map[match.Key]bool),
 		activity:    make([]int, len(prog.Rules)),
 		fires:       make([]int, len(prog.Rules)),
 		traced:      make([]int, len(prog.Rules)),
 		rulesByName: append([]*compile.Rule(nil), prog.Rules...),
 	}
 	sort.Slice(e.rulesByName, func(i, j int) bool { return e.rulesByName[i].Name < e.rulesByName[j].Name })
-	e.meta = newMetaLevel(prog, e.fired)
+	e.meta = newMetaLevel(prog)
 	// Distribute rules across workers. Workers with no rules are dropped
 	// so tiny programs don't pay for idle goroutines.
 	parts := partitionRules(prog.Rules, opts.Workers)
@@ -349,22 +364,13 @@ func (e *Engine) Step() (bool, error) {
 	e.applyDelta(e.takePending())
 	took[PhaseMatch] = time.Since(t0)
 
-	// Eligible = conflict set minus refraction, in no particular order:
-	// redaction is order-blind, and only what survives it needs the
-	// deterministic order. The scratch slice is reused across cycles;
-	// survivors alias it only within this Step.
-	eligible := e.eligible[:0]
-	for k, in := range e.conflictSet {
-		if !e.fired[k] {
-			eligible = append(eligible, in)
-		}
-	}
-	e.eligible = eligible
+	// Eligible = conflict set minus refraction.
+	eligible := len(e.cs) - e.refracted
 	if tr != nil {
 		tr.PhaseEnd(PhaseMatch, took[PhaseMatch])
-		tr.InstantiationsFound(len(e.conflictSet), len(eligible))
+		tr.InstantiationsFound(len(e.cs), eligible)
 	}
-	if len(eligible) == 0 {
+	if eligible == 0 {
 		// Quiescent: nothing eligible entered, but what left still has
 		// images to drop.
 		e.meta.sync()
@@ -374,7 +380,7 @@ func (e *Engine) Step() (bool, error) {
 	// REDACT: feed the eligible set's delta to the meta level; whatever
 	// no meta-match redacts survives. One round is the fixpoint.
 	t0 = time.Now()
-	survivors, redacted := e.meta.survivors(eligible)
+	survivors, redacted := e.survivors()
 	took[PhaseRedact] = time.Since(t0)
 	e.meta.charge(took[PhaseRedact])
 	rounds := 0
@@ -411,10 +417,13 @@ func (e *Engine) Step() (bool, error) {
 		return false, err
 	}
 	e.result.Firings += len(survivors)
+	e.refracted += len(survivors)
 	for _, in := range survivors {
-		e.fired[in.Key()] = true
+		s := &e.cs[in.Slot]
+		s.fired = true
+		e.meta.leave(s.img)
+		s.img = nil
 		e.fires[in.Rule.Index]++
-		e.meta.leave(in)
 	}
 	if tr != nil {
 		tr.PhaseEnd(PhaseFire, took[PhaseFire])
@@ -430,6 +439,8 @@ func (e *Engine) Step() (bool, error) {
 	t0 = time.Now()
 	delta, conflicts, halted, err := e.commit(effects)
 	took[PhaseApply] = time.Since(t0)
+	clear(effects)
+	clear(survivors)
 	if err != nil {
 		return false, err
 	}
@@ -478,19 +489,75 @@ func (e *Engine) applyDelta(delta wm.Delta) {
 		}
 		wg.Wait()
 	}
+	// One growth of the table for the phase's net admissions: a fresh
+	// engine's first phase admits the whole conflict set.
+	grow := 0
+	for _, w := range e.workers {
+		grow += len(w.changes.Added) - len(w.changes.Removed)
+	}
+	e.cs = slices.Grow(e.cs, max(grow, 0))
 	for _, w := range e.workers {
 		for _, in := range w.changes.Removed {
-			delete(e.conflictSet, in.Key())
-			delete(e.fired, in.Key())
-			e.meta.leave(in)
+			e.drop(in)
 		}
 		for _, in := range w.changes.Added {
-			e.conflictSet[in.Key()] = in
-			e.activity[in.Rule.Index]++
-			e.meta.enter(in)
+			e.admit(in)
 		}
 		w.changes = match.Changes{}
 	}
+	e.restored = nil
+}
+
+// admit files an instantiation that entered the conflict set. It is
+// eligible, and has an image at the meta level, unless a restored
+// refraction set names it.
+func (e *Engine) admit(in *match.Instantiation) {
+	in.Slot = len(e.cs)
+	s := entry{in: in}
+	if e.restored != nil && e.restored[in.Key()] {
+		s.fired = true
+		e.refracted++
+	} else {
+		s.img = e.meta.enter(in)
+	}
+	e.cs = append(e.cs, s)
+	e.activity[in.Rule.Index]++
+}
+
+// drop removes an instantiation that left the conflict set, and its image.
+func (e *Engine) drop(in *match.Instantiation) {
+	i := in.Slot
+	if i >= len(e.cs) || e.cs[i].in != in {
+		panic(fmt.Sprintf("core: matcher removed %v, which it never added", in))
+	}
+	s := &e.cs[i]
+	if s.fired {
+		e.refracted--
+	}
+	e.meta.leave(s.img)
+	last := len(e.cs) - 1
+	*s = e.cs[last]
+	s.in.Slot = i
+	e.cs[last] = entry{}
+	e.cs = e.cs[:last]
+}
+
+// survivors syncs the meta level and returns the eligible instantiations
+// no tuple redacts, in table order, with the number redacted. The slice is
+// the engine's scratch, valid until the cycle commits.
+func (e *Engine) survivors() ([]*match.Instantiation, int) {
+	e.meta.sync()
+	out := e.fireable[:0]
+	for i := range e.cs {
+		if s := &e.cs[i]; !s.fired && (s.img == nil || s.img.kills == 0) {
+			out = append(out, s.in)
+		}
+	}
+	e.fireable = out
+	if e.meta == nil {
+		return out, 0
+	}
+	return out, e.meta.redacted
 }
 
 // RuleActivity returns, per rule, how many instantiations entered the
@@ -609,9 +676,9 @@ func (e *Engine) WorkerWork() (matchWork, fireWork []time.Duration) {
 // ConflictSet returns the current global conflict set in deterministic
 // order (mainly for tests and tooling).
 func (e *Engine) ConflictSet() []*match.Instantiation {
-	out := make([]*match.Instantiation, 0, len(e.conflictSet))
-	for _, in := range e.conflictSet {
-		out = append(out, in)
+	out := make([]*match.Instantiation, len(e.cs))
+	for i := range e.cs {
+		out[i] = e.cs[i].in
 	}
 	match.SortInstantiations(out)
 	return out

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,9 @@ import (
 	"parulel/internal/compile"
 	"parulel/internal/match/rete"
 	"parulel/internal/match/treat"
+	"parulel/internal/programs"
 	"parulel/internal/wm"
+	"parulel/internal/workload"
 )
 
 func compileOK(t *testing.T, src string) *compile.Program {
@@ -652,5 +655,70 @@ func TestCommitOfMakesAllocatesNoClaims(t *testing.T) {
 	gone := e.mem.InsertFields(item, []wm.Value{wm.Int(-1)})
 	if got := commit(effect{makes: makes, removes: []*wm.WME{gone}}); got <= inserts {
 		t.Errorf("a commit with a removal allocates %.0f times, no more than the inserts alone (%.0f): the test measures nothing", got, inserts)
+	}
+}
+
+// TestStepAllocationBudget holds a run to what it may allocate for each
+// instantiation entering the conflict set: the instantiation (the
+// matcher's), its meta-level image and field vector, its share of the
+// network's and the meta level's growth and of the firings' effects. The
+// conflict-set table, the survivors and the effects are scratch the engine
+// keeps, so a fresh engine's run to quiescence pays for them once, in its
+// first cycles. A map keyed by instantiation on the cycle path grows with
+// what it holds, and with it the bytes an entry: on alexsys_run's instance
+// the conflict set is large and little of it is refracted at a time; on
+// the second program everything that fires stays, refracted, to the end.
+// The budgets are the figures measured with go1.24 plus 6-7%. Keying the
+// conflict set, the refraction set and the images by instantiation cost
+// 322 bytes an entry more on the first, the images alone 162; a
+// refraction set so keyed, 255 on the second.
+func TestStepAllocationBudget(t *testing.T) {
+	alexsys, err := programs.Load(programs.Alexsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		prog          *compile.Program
+		load          func(workload.Inserter) error
+		allocs, bytes float64
+	}{
+		{"alexsys", alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 32, 1) }, 5.5, 1040},
+		{"refracted", compileOK(t, `
+(literalize item n)
+(literalize out n)
+(rule emit (item ^n <n>) --> (make out ^n <n>))
+(metarule one-at-a-time [<i> (emit ^n <a>)] [<j> (emit ^n <b>)] (test (< <a> <b>)) --> (redact <j>))
+`), func(i workload.Inserter) error {
+			for n := int64(0); n < 256; n++ {
+				if _, err := i.Insert("item", map[string]wm.Value{"n": wm.Int(n)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 8.8, 1080},
+	} {
+		e := New(tc.prog, Options{Workers: 1, MaxCycles: 1 << 12})
+		if err := tc.load(e); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := runOK(t, e)
+		runtime.ReadMemStats(&after)
+		entries := 0
+		for _, n := range e.activity {
+			entries += n
+		}
+		if res.Redactions == 0 || res.Firings == 0 {
+			t.Fatalf("%s: %+v, want firings and redactions", tc.name, res)
+		}
+		perAlloc := float64(after.Mallocs-before.Mallocs) / float64(entries)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(entries)
+		t.Logf("%s: %d entries, %d cycles, %d refracted at the end: %.2f allocations and %.0f bytes an entry", tc.name, entries, res.Cycles, e.refracted, perAlloc, perByte)
+		if perAlloc > tc.allocs || perByte > tc.bytes {
+			t.Errorf("%s: %.2f allocations and %.0f bytes for each of %d instantiations entering the conflict set, budget %.1f and %.0f",
+				tc.name, perAlloc, perByte, entries, tc.allocs, tc.bytes)
+		}
 	}
 }

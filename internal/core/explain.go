@@ -15,7 +15,7 @@ import (
 // instantiations. Intended for debugging rule programs
 // (`parulel run -explain`).
 func (e *Engine) ExplainConflictSet(w io.Writer) error {
-	return match.Explain(w, e.ConflictSet(), e.fired, e.explainRedaction)
+	return match.Explain(w, e.ConflictSet(), func(in *match.Instantiation) bool { return e.cs[in.Slot].fired }, e.explainRedaction)
 }
 
 // explainRedaction returns one line per meta-rule that redacted in at the
@@ -23,11 +23,8 @@ func (e *Engine) ExplainConflictSet(w io.Writer) error {
 // and how many tuples matched. The meta level keeps no record of its
 // matches; they are found again here.
 func (e *Engine) explainRedaction(in *match.Instantiation) []string {
-	if e.fired[in.Key()] {
-		return nil
-	}
 	var out []string
-	for _, r := range e.meta.explain(in) {
+	for _, r := range e.meta.explain(e.cs[in.Slot].img) {
 		var b strings.Builder
 		b.WriteString("redacted by " + r.rule)
 		sep := " with "

@@ -76,9 +76,13 @@ func (f *fireFrame) reset(in *match.Instantiation) {
 
 // fireAll evaluates every survivor's RHS, in parallel when the engine has
 // more than one worker. The returned slice is indexed like survivors, so
-// commit order is independent of scheduling.
+// commit order is independent of scheduling; it is the engine's scratch,
+// for the caller to clear once committed.
 func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
-	effects := make([]effect, len(survivors))
+	if cap(e.effects) < len(survivors) {
+		e.effects = make([]effect, len(survivors))
+	}
+	effects := e.effects[:len(survivors)]
 	nw := min(len(e.workers), len(survivors))
 	if nw <= 1 {
 		t0 := time.Now()
@@ -104,8 +108,9 @@ func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 		wg.Wait()
 	}
 	for i := range effects {
-		if effects[i].err != nil {
-			return nil, fmt.Errorf("core: firing %s: %w", survivors[i], effects[i].err)
+		if err := effects[i].err; err != nil {
+			clear(effects)
+			return nil, fmt.Errorf("core: firing %s: %w", survivors[i], err)
 		}
 	}
 	return effects, nil

@@ -13,14 +13,23 @@ import (
 	"parulel/internal/wm"
 )
 
-// checkMetaLevel checks, between syncs, that the meta level's parts agree:
-// every image is in exactly the memories whose alpha tests it passes,
-// linked both ways, in every index of those memories; nothing
-// is flagged or queued; and the redacted counter counts.
-func checkMetaLevel(t testing.TB, m *metaLevel) {
+// checkMetaLevel checks, between syncs, that the meta level's parts agree
+// with each other and with images, the images of the eligible
+// instantiations as their holder keeps them: every image is in exactly the
+// memories whose alpha tests it passes, linked both ways, in every index of
+// those memories; the memories hold no other; nothing is flagged or
+// queued; and the redacted counter counts.
+func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	t.Helper()
-	if n := len(m.left) + len(m.entered) + len(m.leavers); n != 0 {
-		t.Fatalf("%d instantiations still queued after a sync", n)
+	if n := len(m.left) + len(m.entered); n != 0 {
+		t.Fatalf("%d images still queued after a sync", n)
+	}
+	live := make(map[*image]bool, len(images))
+	for _, img := range images {
+		if live[img] {
+			t.Fatalf("image %v is held twice", img.in)
+		}
+		live[img] = true
 	}
 	held := 0
 	for i := range m.mems {
@@ -44,8 +53,8 @@ func checkMetaLevel(t testing.TB, m *metaLevel) {
 			t.Fatalf("pattern %d lists %d images ending at its tail or not, counts %d", i, len(list), mem.n)
 		}
 		for _, img := range list {
-			if m.images[img.in.Key()] != img {
-				t.Fatalf("pattern %d holds an image that is not its instantiation's (%v)", i, img.in)
+			if !live[img] {
+				t.Fatalf("pattern %d holds an image no eligible instantiation has (%v)", i, img.in)
 			}
 			for k := range mem.idx {
 				key := img.wme.Fields[mem.pat.Indexed[k]]
@@ -60,9 +69,9 @@ func checkMetaLevel(t testing.TB, m *metaLevel) {
 		held += mem.n
 	}
 	redacted, fits := 0, 0
-	for key, img := range m.images {
-		if img.in.Key() != key || img.leaving || img.kills < 0 {
-			t.Fatalf("image %v: filed under another key, flagged as leaving, or counted below zero (%d)", img.in, img.kills)
+	for _, img := range images {
+		if img.leaving || img.kills < 0 {
+			t.Fatalf("image %v: flagged as leaving, or counted below zero (%d)", img.in, img.kills)
 		}
 		if img.kills > 0 {
 			redacted++
@@ -86,14 +95,13 @@ func checkMetaLevel(t testing.TB, m *metaLevel) {
 }
 
 // checkKills compares every image's kill count with a recount from scratch
-// by the oracle joiner over the same eligible set, and explain's account of
-// each count with the count.
-func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*match.Instantiation) (tuples int) {
+// by the oracle joiner over the same eligible set, explain's account of
+// each count with the count, and the instantiations no count holds back
+// with the oracle's survivors. imgs holds what enter returned for each
+// eligible instantiation.
+func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*match.Instantiation, imgs map[*match.Instantiation]*image) (tuples int) {
 	t.Helper()
 	want := oracle.kills(eligible)
-	if len(m.images) != len(eligible) {
-		t.Fatalf("%d images for %d eligible instantiations", len(m.images), len(eligible))
-	}
 	mentionsOnce := true
 	for _, r := range m.rules {
 		for i, v := range r.Redacts {
@@ -102,17 +110,21 @@ func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*
 			}
 		}
 	}
+	var got []*match.Instantiation
 	for _, in := range eligible {
-		img := m.images[in.Key()]
+		img := imgs[in]
 		if img == nil || img.in != in {
 			t.Fatalf("%v: no image, or the image of an instantiation that has left", in)
+		}
+		if img.kills == 0 {
+			got = append(got, in)
 		}
 		if int(img.kills) != want[in.Key()] {
 			t.Fatalf("%v: kill count %d, a recount finds %d", in, img.kills, want[in.Key()])
 		}
 		tuples += want[in.Key()]
 		explained := 0
-		for _, r := range m.explain(in) {
+		for _, r := range m.explain(img) {
 			if r.tuples == 0 {
 				t.Fatalf("%v: empty explanation %+v", in, r)
 			}
@@ -122,10 +134,9 @@ func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*
 			t.Fatalf("%v: explain accounts for %d tuples, the kill count is %d", in, explained, img.kills)
 		}
 	}
-	got, redacted := m.survivors(eligible)
 	keep, _, n := oracle.run(eligible)
-	if redacted != n || !sameInstantiations(got, keep) {
-		t.Fatalf("survivors %v (%d redacted), oracle keeps %v (%d)", got, redacted, keep, n)
+	if m.redacted != n || !sameInstantiations(got, keep) {
+		t.Fatalf("survivors %v (%d redacted), oracle keeps %v (%d)", got, m.redacted, keep, n)
 	}
 	return tuples
 }
@@ -160,15 +171,15 @@ const metaLevelRules = `
 `
 
 // driveMetaLevel feeds one program's meta level random batches of
-// instantiations entering and leaving, the way the engine queues them —
-// what fired or left first, then what entered — and after every sync checks
-// the structure and every kill count. Batches take in the cases an engine
-// run produces rarely or in one order only: most or all of the eligible
-// set leaving at once, two leavers in one tuple, an instantiation queued to
-// leave twice, one that leaves and comes back under the same key within a
-// sync, one that fires and stays in the conflict set, and entrants a
-// restored refraction set already names. It returns how many tuples the
-// recounts found.
+// instantiations entering and leaving, holding their images the way the
+// engine's conflict-set table does, and after every sync checks the
+// structure and every kill count. Batches take in the cases an engine run
+// produces rarely or in one order only: most or all of the eligible set
+// leaving at once, two leavers in one tuple, an image queued to leave
+// twice, an instantiation that leaves and comes back under the same key
+// within a sync, one that fires and stays in the conflict set, and
+// entrants a restored refraction set already names, which never become
+// eligible. It returns how many tuples the recounts found.
 func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples int) {
 	t.Helper()
 	ast, err := lang.Parse(src)
@@ -186,8 +197,7 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 		t.Fatalf("%v\n%s", err, src)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	fired := make(map[match.Key]bool)
-	m := newMetaLevel(prog, fired)
+	m := newMetaLevel(prog)
 	oracle := newOracle(prog, 1)
 	mem := wm.NewMemory(prog.Schema)
 	var pool []*match.Instantiation
@@ -200,9 +210,11 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 			pool = append(pool, match.NewInstantiation(r, []*wm.WME{mem.InsertFields(r.CEs[0].Tmpl, fields)}))
 		}
 	}
+	// present is the conflict set and imgs the images of its eligible
+	// members; a present instantiation without one has fired.
 	present := make(map[match.Key]*match.Instantiation)
+	imgs := make(map[*match.Instantiation]*image)
 	for round := 0; round < rounds; round++ {
-		var left, entered []*match.Instantiation
 		turnover := []float64{0.15, 0.5, 1}[rng.Intn(3)]
 		for _, in := range pool {
 			if rng.Float64() >= turnover {
@@ -211,45 +223,39 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 			k := in.Key()
 			switch cur := present[k]; {
 			case cur == nil:
-				entered = append(entered, in)
 				present[k] = in
-				if rng.Intn(8) == 0 {
-					fired[k] = true // as restored: in the conflict set, not eligible
+				if rng.Intn(8) != 0 { // else as restored: in the conflict set, never eligible
+					imgs[in] = m.enter(in)
 				}
-			case !fired[k] && rng.Intn(4) == 0:
-				fired[k] = true // fires, and stays in the conflict set
-				left = append(left, cur)
+			case imgs[cur] != nil && rng.Intn(4) == 0:
+				m.leave(imgs[cur]) // fires, and stays in the conflict set
+				delete(imgs, cur)
 			default:
-				left = append(left, cur)
+				img := imgs[cur]
+				m.leave(img)
+				delete(imgs, cur)
 				delete(present, k)
-				delete(fired, k)
 				switch rng.Intn(4) {
 				case 0:
-					left = append(left, cur)
+					m.leave(img)
 				case 1:
 					again := match.NewInstantiation(in.Rule, in.WMEs)
-					entered = append(entered, again)
+					imgs[again] = m.enter(again)
 					present[k] = again
 				}
 			}
 		}
-		for _, in := range left {
-			m.leave(in)
-		}
-		for _, in := range entered {
-			m.enter(in)
-		}
 		m.sync()
-		checkMetaLevel(t, m)
 		var eligible []*match.Instantiation
-		for k, in := range present {
-			if !fired[k] {
-				eligible = append(eligible, in)
-			}
+		var images []*image
+		for in, img := range imgs {
+			eligible = append(eligible, in)
+			images = append(images, img)
 		}
+		checkMetaLevel(t, m, images)
 		match.SortInstantiations(eligible)
-		tuples += checkKills(t, m, oracle, eligible)
-		checkMetaLevel(t, m) // explain and survivors changed nothing
+		tuples += checkKills(t, m, oracle, eligible, imgs)
+		checkMetaLevel(t, m, images) // explain changed nothing
 	}
 	return tuples
 }
@@ -306,11 +312,17 @@ func TestMetaLevelChurn(t *testing.T) {
 -->
   (redact <j>))
 `)
-	fired := make(map[match.Key]bool)
-	m := newMetaLevel(prog, fired)
+	m := newMetaLevel(prog)
 	oracle := newOracle(prog, 1)
 	mem := wm.NewMemory(prog.Schema)
 	take := prog.Rules[0]
+	imgs := make(map[*match.Instantiation]*image)
+	images := func(ins []*match.Instantiation) (out []*image) {
+		for _, in := range ins {
+			out = append(out, imgs[in])
+		}
+		return out
+	}
 	inst := func(group, rank int) *match.Instantiation {
 		w := mem.InsertFields(take.CEs[0].Tmpl, []wm.Value{wm.Int(int64(group)), wm.Int(int64(rank))})
 		return match.NewInstantiation(take, []*wm.WME{w})
@@ -328,11 +340,11 @@ func TestMetaLevelChurn(t *testing.T) {
 	}
 	stay := []*match.Instantiation{inst(0, 3), inst(0, 5)}
 	for _, in := range stay {
-		m.enter(in)
+		imgs[in] = m.enter(in)
 	}
 	m.sync()
 	base := m.memStats()
-	baseKills := []int32{m.images[stay[0].Key()].kills, m.images[stay[1].Key()].kills}
+	baseKills := []int32{imgs[stay[0]].kills, imgs[stay[1]].kills}
 	if baseKills[0] != 1 || baseKills[1] != 1 { // the second outranks the first, the first is the best of the group
 		t.Fatalf("the two that stay start with kill counts %v, want [1 1]", baseKills)
 	}
@@ -348,17 +360,19 @@ func TestMetaLevelChurn(t *testing.T) {
 		// Two to a group, so best-of-group matches; ranks pass the stayers'.
 		in := inst(1+i/2, i%9)
 		live = append(live, in)
-		m.enter(in)
+		imgs[in] = m.enter(in)
 		if len(live) > window {
-			m.leave(live[0])
+			m.leave(imgs[live[0]])
+			delete(imgs, live[0])
 			mem.Remove(live[0].WMEs[0].Time)
 			live = live[1:]
 		}
 		m.sync()
 		maxSlots, maxHeld = max(maxSlots, slots()), max(maxHeld, m.memStats().AlphaItems)
 		if i%997 == 0 {
-			checkMetaLevel(t, m)
-			checkKills(t, m, oracle, append(append([]*match.Instantiation(nil), stay...), live...))
+			eligible := append(append([]*match.Instantiation(nil), stay...), live...)
+			checkMetaLevel(t, m, images(eligible))
+			checkKills(t, m, oracle, eligible, imgs)
 		}
 	}
 	// Three indexed memories (outranked joins on nothing), at most window+2
@@ -370,24 +384,25 @@ func TestMetaLevelChurn(t *testing.T) {
 		t.Fatalf("the memories grew to %d images over %d live ones", maxHeld, window+2)
 	}
 	for _, in := range live {
-		m.leave(in)
+		m.leave(imgs[in])
 	}
 	m.sync()
-	checkMetaLevel(t, m)
-	if ms := m.memStats(); ms != base || len(m.images) != len(stay) {
-		t.Fatalf("with the passers-by gone the meta level holds %+v and %d images, started with %+v and %d", ms, len(m.images), base, len(stay))
+	checkMetaLevel(t, m, images(stay))
+	if ms := m.memStats(); ms != base {
+		t.Fatalf("with the passers-by gone the meta level holds %+v, started with %+v", ms, base)
 	}
 	for i, in := range stay {
-		if got := m.images[in.Key()].kills; got != baseKills[i] {
+		if got := imgs[in].kills; got != baseKills[i] {
 			t.Fatalf("%v: kill count %d after the churn, %d before", in, got, baseKills[i])
 		}
 	}
 	for _, in := range stay {
-		m.leave(in)
+		m.leave(imgs[in])
 	}
 	m.sync()
-	if ms := m.memStats(); ms != (match.MemStats{}) || len(m.images) != 0 || slots() != 0 || m.redacted != 0 {
-		t.Fatalf("emptied meta level holds %+v, %d images, %d index slots, %d redacted", ms, len(m.images), slots(), m.redacted)
+	checkMetaLevel(t, m, nil)
+	if ms := m.memStats(); ms != (match.MemStats{}) || slots() != 0 || m.redacted != 0 {
+		t.Fatalf("emptied meta level holds %+v, %d index slots, %d redacted", ms, slots(), m.redacted)
 	}
 }
 
@@ -404,8 +419,8 @@ const equalityFreeProgram = `
 
 // TestMetaLevelAllocationBudget holds the meta level to what it may
 // allocate: a constant per image — the image, its WME and field vector, and
-// its share of the growth of the key map, the two memories and the queues —
-// and nothing per meta-match. Under a meta-rule with no equality join n
+// its share of the growth of the two memories and the queues — and nothing
+// per meta-match. Under a meta-rule with no equality join n
 // images match n(n-1)/2 tuples, so anything kept or allocated per tuple
 // shows as growth in the per-image figure from 64 to 256 images; 256 is the
 // instance that cost 8 MB while meta-matches were stored.
@@ -418,10 +433,12 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 		w := mem.InsertFields(take.CEs[0].Tmpl, []wm.Value{wm.Int(int64(i))})
 		pool = append(pool, match.NewInstantiation(take, []*wm.WME{w}))
 	}
+	// What enter returns is kept where the engine's table would keep it.
+	imgs := make([]*image, len(pool))
 	cycle := func(n int) *metaLevel {
-		m := newMetaLevel(prog, nil)
-		for _, in := range pool[:n] {
-			m.enter(in)
+		m := newMetaLevel(prog)
+		for i, in := range pool[:n] {
+			imgs[i] = m.enter(in)
 		}
 		m.sync()
 		if got, want := m.profs[0].insts, uint64(n*(n-1)/2); got != want || m.redacted != n-1 {
@@ -434,8 +451,8 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 	for _, n := range []int{64, 128, 256} {
 		allocs := testing.AllocsPerRun(5, func() {
 			m := cycle(n)
-			for _, in := range pool[:n] {
-				m.leave(in)
+			for _, img := range imgs[:n] {
+				m.leave(img)
 			}
 			m.sync()
 		})

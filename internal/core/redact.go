@@ -42,25 +42,24 @@ import (
 // All of this state is derived from the conflict set and the refraction
 // set: it is rebuilt by the first match phase after a restore and never
 // persisted.
+//
+// The meta level keeps no index of its images: enter hands an entrant's
+// image to the caller, which holds it (the engine in the instantiation's
+// conflict-set entry) and hands it back to leave. Nothing here hashes an
+// instantiation.
 type metaLevel struct {
 	prog *compile.MetaLevel
 	// rules[i].Redacts lists the patterns of prog.Rules[i] whose matched
 	// images a match of that rule redacts.
 	rules []*compile.MetaRule
-	// fired is the engine's refraction set, read to keep restored, already
-	// refracted instantiations out of the meta level.
-	fired  map[match.Key]bool
-	images map[match.Key]*image
 	// mems[p.ID] is the memory of pattern p.
 	mems []imageMem
 	// redacted counts images with a non-zero kill count.
 	redacted int
 	// entered and left queue the eligible set's changes between redact
-	// phases: instantiations that entered the conflict set, and ones that
-	// left it or fired.
-	entered, left []*match.Instantiation
-	// leavers is sync's scratch list of the images of left.
-	leavers []*image
+	// phases: the images of instantiations that became eligible, and of
+	// ones that left the conflict set or fired.
+	entered, left []*image
 	// tuple is the tuple a join is enumerating, indexed by pattern, and
 	// env.Vec the same tuple as image WMEs, for the filters.
 	tuple []*image
@@ -78,16 +77,17 @@ type metaProf struct {
 	probes, insts, paid uint64
 }
 
-// image is the meta-level state of one reified instantiation.
+// image is the meta-level state of one reified instantiation. enter makes
+// it; the sync after reifies it into wme and files it.
 type image struct {
 	wme wm.WME
 	in  *match.Instantiation
 	// kills counts the tuples that redact the image, once per mention in
 	// their rule's redact list.
 	kills int32
-	// leaving flags an image of the batch a sync is retracting: its count
-	// no longer matters, and a tuple all of whose victims are leaving is
-	// not worth enumerating.
+	// leaving flags an image queued to leave: its count no longer matters,
+	// and a tuple all of whose victims are leaving is not worth
+	// enumerating.
 	leaving bool
 	// at holds the image's neighbours in each chain that may list it,
 	// laid out by compile.MetaPattern.Pos: at[p.Pos] in the list of p's
@@ -153,17 +153,15 @@ func (mem *imageMem) remove(img *image) {
 	}
 }
 
-func newMetaLevel(prog *compile.Program, fired map[match.Key]bool) *metaLevel {
+func newMetaLevel(prog *compile.Program) *metaLevel {
 	if prog.Meta == nil {
 		return nil
 	}
 	m := &metaLevel{
-		prog:   prog.Meta,
-		rules:  prog.MetaRules,
-		fired:  fired,
-		images: make(map[match.Key]*image),
-		mems:   make([]imageMem, len(prog.Meta.Patterns)),
-		profs:  make([]metaProf, len(prog.Meta.Rules)),
+		prog:  prog.Meta,
+		rules: prog.MetaRules,
+		mems:  make([]imageMem, len(prog.Meta.Patterns)),
+		profs: make([]metaProf, len(prog.Meta.Rules)),
 	}
 	width := 0
 	for i, p := range prog.Meta.Patterns {
@@ -184,37 +182,41 @@ func (m *metaLevel) reifies(in *match.Instantiation) bool {
 	return m != nil && m.prog.Images[in.Rule.Index] != nil
 }
 
-func (m *metaLevel) enter(in *match.Instantiation) {
-	if m.reifies(in) {
-		m.entered = append(m.entered, in)
+// enter queues in, which has become eligible, to be reified and joined at
+// the next sync, and returns its image; nil when no meta-pattern names
+// in's rule.
+func (m *metaLevel) enter(in *match.Instantiation) *image {
+	if !m.reifies(in) {
+		return nil
 	}
+	img := &image{in: in}
+	m.entered = append(m.entered, img)
+	return img
 }
 
-func (m *metaLevel) leave(in *match.Instantiation) {
-	if m.reifies(in) {
-		m.left = append(m.left, in)
+// leave queues img, which a sync has filed, to be retracted at the next
+// one, because its instantiation left the conflict set or fired. A nil
+// image is skipped, and so is one already queued, which a second retraction
+// would take out of its memories twice.
+func (m *metaLevel) leave(img *image) {
+	if img == nil || img.leaving {
+		return
 	}
+	img.leaving = true
+	m.left = append(m.left, img)
 }
 
 // sync brings the meta level up to date with the queued changes. The
-// images of departed instantiations are flagged, then taken out of their
-// memories one by one, each giving back the kills it justified on images
-// that stay; entrants are reified unless refracted (only a restored
-// refraction set can name an entrant), joined and filed. One image at a
+// images of departed instantiations, flagged when queued, are taken out of
+// their memories one by one, each giving back the kills it justified on
+// images that stay; entrants are reified, joined and filed. One image at a
 // time on both sides, so a tuple holding two images of a batch is found at
 // the first to leave, or the last to enter, and nowhere else.
 func (m *metaLevel) sync() {
 	if m == nil || len(m.left)+len(m.entered) == 0 {
 		return
 	}
-	for _, in := range m.left {
-		// An instantiation that fired and then left was queued twice.
-		img := m.images[in.Key()]
-		if img == nil {
-			continue
-		}
-		delete(m.images, in.Key())
-		img.leaving = true
+	for _, img := range m.left {
 		if img.kills > 0 {
 			m.redacted--
 		}
@@ -223,9 +225,8 @@ func (m *metaLevel) sync() {
 				m.mems[p.ID].leaving++
 			}
 		}
-		m.leavers = append(m.leavers, img)
 	}
-	for i, img := range m.leavers {
+	for _, img := range m.left {
 		for _, p := range m.patterns(img) {
 			if img.held(p) {
 				mem := &m.mems[p.ID]
@@ -234,19 +235,13 @@ func (m *metaLevel) sync() {
 				m.join(p, img, -1)
 			}
 		}
-		m.leavers[i] = nil
 	}
-	m.leavers = m.leavers[:0]
-	for _, in := range m.entered {
-		if m.fired[in.Key()] {
-			continue
-		}
-		im := m.prog.Images[in.Rule.Index]
-		img := &image{wme: im.Reify(in.WMEs), in: in}
+	for _, img := range m.entered {
+		im := m.prog.Images[img.in.Rule.Index]
+		img.wme = im.Reify(img.in.WMEs)
 		if img.at = img.atBuf[:]; im.NumPos > len(img.atBuf) {
 			img.at = make([]imageLinks, im.NumPos)
 		}
-		m.images[in.Key()] = img
 		for _, p := range im.Patterns {
 			if !p.CE.MatchesAlpha(&img.wme) {
 				img.at[p.Pos].prev = img
@@ -370,23 +365,6 @@ func (m *metaLevel) found(rule int, sign int32) {
 	}
 }
 
-// survivors syncs the meta level and returns the eligible instantiations
-// no tuple redacts, with the number redacted.
-func (m *metaLevel) survivors(eligible []*match.Instantiation) ([]*match.Instantiation, int) {
-	m.sync()
-	if m == nil || m.redacted == 0 {
-		return eligible, 0
-	}
-	out := make([]*match.Instantiation, 0, len(eligible)-m.redacted)
-	for _, in := range eligible {
-		if m.reifies(in) && m.images[in.Key()].kills > 0 {
-			continue
-		}
-		out = append(out, in)
-	}
-	return out, m.redacted
-}
-
 // charge attributes d, the time of a redact phase, to the meta-rules in
 // proportion to the candidates each has tested since the last charge — the
 // way the match network splits a lap over its rules, and for the same
@@ -441,13 +419,9 @@ type redaction struct {
 }
 
 // explain returns, per meta-rule in declaration order, the tuples that
-// redacted the instantiation in at the last sync, found by running its
+// redacted img's instantiation at the last sync, found by running the
 // image's joins again. Nothing is kept for this during a run.
-func (m *metaLevel) explain(in *match.Instantiation) []redaction {
-	if !m.reifies(in) {
-		return nil
-	}
-	img := m.images[in.Key()]
+func (m *metaLevel) explain(img *image) []redaction {
 	if img == nil || img.kills == 0 {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -100,16 +101,16 @@ func BenchmarkRedactionBound(b *testing.B) {
 }
 
 // eligibleDelta is what one redact phase was fed: the instantiations that
-// stopped being eligible since the last one, those that became eligible,
-// and the eligible set they add up to.
+// stopped being eligible since the last one and those that became
+// eligible, by their index in the stream's instantiations.
 type eligibleDelta struct {
-	left, entered, eligible []*match.Instantiation
+	left, entered []int
 }
 
 // recordEligible runs a builtin to quiescence and returns the delta stream
 // its meta level was fed, reconstructed from the eligible sets the redact
-// phases saw.
-func recordEligible(tb testing.TB, builtin string, load func(workload.Inserter) error) (*compile.Program, []eligibleDelta) {
+// phases saw, over the instantiations it returns.
+func recordEligible(tb testing.TB, builtin string, load func(workload.Inserter) error) (*compile.Program, []*match.Instantiation, []eligibleDelta) {
 	tb.Helper()
 	prog, err := programs.Load(builtin)
 	if err != nil {
@@ -119,29 +120,33 @@ func recordEligible(tb testing.TB, builtin string, load func(workload.Inserter) 
 	if err := load(e); err != nil {
 		tb.Fatal(err)
 	}
+	var ins []*match.Instantiation
 	var stream []eligibleDelta
-	prev := map[match.Key]*match.Instantiation{}
+	prev := map[*match.Instantiation]int{}
 	for progress := true; progress; {
 		var eligible []*match.Instantiation
 		eligible, _, progress = observeStep(tb, e)
-		d := eligibleDelta{eligible: eligible}
-		cur := make(map[match.Key]*match.Instantiation, len(eligible))
+		var d eligibleDelta
+		cur := make(map[*match.Instantiation]int, len(eligible))
 		for _, in := range eligible {
-			cur[in.Key()] = in
-			if prev[in.Key()] == nil {
-				d.entered = append(d.entered, in)
+			id, ok := prev[in]
+			if !ok {
+				id = len(ins)
+				ins = append(ins, in)
+				d.entered = append(d.entered, id)
+			}
+			cur[in] = id
+		}
+		for in, id := range prev {
+			if _, ok := cur[in]; !ok {
+				d.left = append(d.left, id)
 			}
 		}
-		for k, in := range prev {
-			if cur[k] == nil {
-				d.left = append(d.left, in)
-			}
-		}
-		match.SortInstantiations(d.left)
+		slices.SortFunc(d.left, func(a, b int) int { return ins[a].Compare(ins[b]) })
 		stream = append(stream, d)
 		prev = cur
 	}
-	return prog, stream
+	return prog, ins, stream
 }
 
 // BenchmarkMetaLevel replays onto a fresh meta level per iteration the
@@ -157,12 +162,13 @@ func BenchmarkMetaLevel(b *testing.B) {
 		default:
 			continue
 		}
-		prog, stream := recordEligible(b, wl.prog, wl.load)
+		prog, ins, stream := recordEligible(b, wl.prog, wl.load)
 		b.Run(wl.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var probes, leaveProbes, tuples uint64
+			imgs := make([]*image, len(ins))
 			for i := 0; i < b.N; i++ {
-				m := newMetaLevel(prog, nil)
+				m := newMetaLevel(prog)
 				sum := func() (n uint64) {
 					for _, p := range m.profs {
 						n += p.probes
@@ -170,16 +176,16 @@ func BenchmarkMetaLevel(b *testing.B) {
 					return n
 				}
 				for _, d := range stream {
-					for _, in := range d.left {
-						m.leave(in)
+					for _, id := range d.left {
+						m.leave(imgs[id])
 					}
 					before := sum()
 					m.sync() // what left goes first in any case
 					leaveProbes += sum() - before
-					for _, in := range d.entered {
-						m.enter(in)
+					for _, id := range d.entered {
+						imgs[id] = m.enter(ins[id])
 					}
-					m.survivors(d.eligible)
+					m.sync()
 				}
 				probes += sum()
 				for _, p := range m.profs {

@@ -345,10 +345,8 @@ func TestNoMetaRulesNoMetaLevel(t *testing.T) {
 	}
 	var noMeta *metaLevel
 	if extra := testing.AllocsPerRun(100, func() {
-		noMeta.enter(nil)
-		noMeta.leave(nil)
+		noMeta.leave(noMeta.enter(nil))
 		noMeta.sync()
-		noMeta.survivors(nil)
 	}); extra != 0 {
 		t.Errorf("an absent meta level allocated %.0f per cycle", extra)
 	}
@@ -384,11 +382,11 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 			t.Fatal(err)
 		}
 		eligibleNamed := 0
-		for k, in := range e.conflictSet {
-			if in.Rule.Name == "corner-pair" {
+		for _, s := range e.cs {
+			if s.in.Rule.Name == "corner-pair" {
 				sawCornerPair = true
 			}
-			if named[in.Rule.Name] && !e.fired[k] {
+			if named[s.in.Rule.Name] && !s.fired {
 				eligibleNamed++
 			}
 		}
@@ -396,16 +394,17 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 		// phase; their images go at the next sync, which leaves exactly
 		// the eligible instantiations of named rules.
 		e.meta.sync()
-		if len(e.meta.images) != eligibleNamed {
+		images := checkTable(t, e)
+		if len(images) != eligibleNamed {
 			t.Fatalf("cycle %d: %d images for %d eligible instantiations of named rules",
-				e.result.Cycles, len(e.meta.images), eligibleNamed)
+				e.result.Cycles, len(images), eligibleNamed)
 		}
-		for _, img := range e.meta.images {
+		for _, img := range images {
 			if !named[img.wme.Tmpl.Name] {
 				t.Fatalf("image of unnamed rule %s", img.wme.Tmpl.Name)
 			}
 		}
-		checkMetaLevel(t, e.meta)
+		checkMetaLevel(t, e.meta, images)
 		if !progress {
 			break
 		}
@@ -413,8 +412,8 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 	if !sawCornerPair {
 		t.Fatal("corner-pair never matched: the test measures nothing")
 	}
-	if ms := e.meta.memStats(); len(e.meta.images) != 0 || ms.AlphaItems != 0 {
-		t.Errorf("at quiescence %d images remain, %d in the pattern memories", len(e.meta.images), ms.AlphaItems)
+	if ms, images := e.meta.memStats(), checkTable(t, e); len(images) != 0 || ms.AlphaItems != 0 {
+		t.Errorf("at quiescence %d images remain, %d in the pattern memories", len(images), ms.AlphaItems)
 	}
 
 	// Allocation: entering and leaving an instantiation of an unnamed rule
@@ -431,8 +430,7 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 		}
 	}
 	if extra := testing.AllocsPerRun(100, func() {
-		e.meta.enter(cornerPair)
-		e.meta.leave(cornerPair)
+		e.meta.leave(e.meta.enter(cornerPair))
 		e.meta.sync()
 	}); extra != 0 {
 		t.Errorf("an instantiation of an unnamed rule cost %.0f allocations at the meta level", extra)

@@ -278,26 +278,57 @@ func (m metaEnv) MetaPrecedes(pat, pat2 int) bool {
 // instantiations refracted coming out.
 func observeStep(t testing.TB, e *Engine) (eligible, survivors []*match.Instantiation, progress bool) {
 	t.Helper()
-	before := make(map[match.Key]bool, len(e.fired))
-	for k := range e.fired {
-		before[k] = true
+	before := make(map[*match.Instantiation]bool, e.refracted)
+	for _, s := range e.cs {
+		if s.fired {
+			before[s.in] = true
+		}
 	}
 	progress, err := e.Step()
 	if err != nil {
 		t.Fatalf("step: %v", err)
 	}
-	for k, in := range e.conflictSet {
-		if before[k] {
+	checkTable(t, e)
+	for _, s := range e.cs {
+		if before[s.in] {
 			continue
 		}
-		eligible = append(eligible, in)
-		if e.fired[k] {
-			survivors = append(survivors, in)
+		eligible = append(eligible, s.in)
+		if s.fired {
+			survivors = append(survivors, s.in)
 		}
 	}
 	match.SortInstantiations(eligible)
 	match.SortInstantiations(survivors)
 	return eligible, survivors, progress
+}
+
+// checkTable checks the engine's conflict-set table between cycles: each
+// entry sits at the index its instantiation carries, the refraction count
+// counts, the restored refraction set is gone, and an entry holds an image,
+// its own instantiation's, exactly while it is eligible and a meta-pattern
+// names its rule. It returns those images.
+func checkTable(t testing.TB, e *Engine) (images []*image) {
+	t.Helper()
+	refracted := 0
+	for i, s := range e.cs {
+		if s.in.Slot != i {
+			t.Fatalf("entry %d holds %v, which says it is at %d", i, s.in, s.in.Slot)
+		}
+		if s.fired {
+			refracted++
+		}
+		if want := !s.fired && e.meta.reifies(s.in); (s.img != nil) != want || s.img != nil && s.img.in != s.in {
+			t.Fatalf("entry %d (%v, fired=%v): image %v, want one of its own: %v", i, s.in, s.fired, s.img, want)
+		}
+		if s.img != nil {
+			images = append(images, s.img)
+		}
+	}
+	if refracted != e.refracted || e.restored != nil {
+		t.Fatalf("%d entries have fired, the engine counts %d; restored set left: %v", refracted, e.refracted, e.restored != nil)
+	}
+	return images
 }
 
 // sameInstantiations reports whether two sorted instantiation lists hold
@@ -364,9 +395,9 @@ func (e *oracleEngine) run(t testing.TB) Result {
 	for !e.halted {
 		e.applyDelta(e.takePending())
 		var eligible []*match.Instantiation
-		for k, in := range e.conflictSet {
-			if !e.fired[k] {
-				eligible = append(eligible, in)
+		for _, s := range e.cs {
+			if !s.fired {
+				eligible = append(eligible, s.in)
 			}
 		}
 		if len(eligible) == 0 {
@@ -387,10 +418,12 @@ func (e *oracleEngine) run(t testing.TB) Result {
 			t.Fatalf("fire: %v", err)
 		}
 		for _, in := range survivors {
-			e.fired[in.Key()] = true
+			e.cs[in.Slot].fired = true
 		}
+		e.refracted += len(survivors)
 		e.result.Firings += len(survivors)
 		delta, conflicts, halted, err := e.commit(effects)
+		clear(effects)
 		if err != nil {
 			t.Fatalf("commit: %v", err)
 		}

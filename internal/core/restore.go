@@ -78,10 +78,16 @@ func (e *Engine) RestoreWME(template string, fields map[string]wm.Value, time in
 
 // FiredKeys returns the refraction set — the keys of instantiations that
 // have fired and are still continuously present in the conflict set — in
-// a deterministic order, for checkpointing.
+// a deterministic order, for checkpointing. Before the first match phase
+// after a restore, that is the restored set.
 func (e *Engine) FiredKeys() []match.Key {
-	keys := make([]match.Key, 0, len(e.fired))
-	for k := range e.fired {
+	keys := make([]match.Key, 0, e.refracted+len(e.restored))
+	for i := range e.cs {
+		if e.cs[i].fired {
+			keys = append(keys, e.cs[i].in.Key())
+		}
+	}
+	for k := range e.restored {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -103,14 +109,21 @@ func (e *Engine) FiredKeys() []match.Key {
 	return keys
 }
 
-// RestoreFired reinstates a checkpointed refraction set. The keys refer
-// to instantiations of the restored working memory; when the first match
-// phase recomputes the conflict set, these instantiations are recognized
-// as already fired and excluded from the eligible set — without this,
-// recovery would re-fire rules the crashed process already fired.
+// RestoreFired reinstates a checkpointed refraction set into a freshly
+// built engine. The keys refer to instantiations of the restored working
+// memory; when the first match phase recomputes the conflict set, these
+// instantiations are recognized as already fired and excluded from the
+// eligible set — without this, recovery would re-fire rules the crashed
+// process already fired. A key that phase does not find named an
+// instantiation the checkpointed engine's pending delta was about to
+// remove; it is forgotten with the rest of the set when the phase ends.
 func (e *Engine) RestoreFired(keys []match.Key) {
+	if len(keys) == 0 {
+		return
+	}
+	e.restored = make(map[match.Key]bool, len(keys))
 	for _, k := range keys {
-		e.fired[k] = true
+		e.restored[k] = true
 	}
 }
 

@@ -89,6 +89,28 @@ func transplantWith(t *testing.T, src *Engine, prog *compile.Program, opts Optio
 	return dst
 }
 
+// sameRefraction steps orig and restored, a transplant of it, once each
+// and requires them to hold the same refraction set before and after: the
+// restored set stands in for the one the checkpoint named until the first
+// match phase, and that phase leaves exactly what the uninterrupted
+// engine's leaves.
+func sameRefraction(t *testing.T, orig, restored *Engine) {
+	t.Helper()
+	same := func(when string) {
+		t.Helper()
+		if a, b := orig.FiredKeys(), restored.FiredKeys(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: original refracts %v, restored %v", when, a, b)
+		}
+	}
+	same("after the transplant")
+	for _, e := range []*Engine{orig, restored} {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after one step")
+}
+
 func snapshotText(t *testing.T, e *Engine) string {
 	t.Helper()
 	var b bytes.Buffer
@@ -114,6 +136,7 @@ func TestRestoreMidRunDeterministic(t *testing.T) {
 			}
 		}
 		restored := transplant(t, orig, prog, 3) // worker count may differ
+		sameRefraction(t, orig, restored)
 
 		if _, err := orig.Run(); err != nil {
 			t.Fatal(err)
@@ -175,6 +198,41 @@ func TestRestoreRefractionPreventsRefire(t *testing.T) {
 	}
 	if res3.Firings == res.Firings {
 		t.Fatal("conflict set held no fired instantiations at quiescence; refraction restore untested")
+	}
+}
+
+// TestRestoreForgetsRefractionItDoesNotFind: a checkpoint taken right
+// after `block` fired names its instantiation as refracted, but the `b` it
+// made is already in the restored working memory, so the first match phase
+// finds that instantiation blocked. The uninterrupted engine drops its
+// refraction in the same match phase, and when `unblock` removes `b` the
+// instantiation returns, eligible, and fires again. A restored engine that
+// kept the key would refract it there and stop.
+func TestRestoreForgetsRefractionItDoesNotFind(t *testing.T) {
+	prog := compileOK(t, `
+(literalize a n)
+(literalize b n)
+(rule block (a ^n <n>) - (b ^n <n>) --> (make b ^n <n>))
+(rule unblock (b ^n <n>) --> (remove 1))
+(wm (a ^n 1))
+`)
+	orig := New(prog, Options{})
+	if _, err := orig.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if len(orig.FiredKeys()) != 1 {
+		t.Fatalf("after the first cycle the refraction set is %v, want block's one instantiation", orig.FiredKeys())
+	}
+	restored := transplant(t, orig, prog, 1)
+	for i := 0; i < 4; i++ {
+		for _, e := range []*Engine{orig, restored} {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if a, b := orig.Counters(), restored.Counters(); a != b || a.Firings != 5 {
+		t.Fatalf("after five cycles: original %+v, restored %+v, want five firings each", a, b)
 	}
 }
 
@@ -289,6 +347,8 @@ func TestRestoreMidRunRebuildsRedactionState(t *testing.T) {
 				}
 				refracted += len(orig.FiredKeys())
 				restored := transplantWith(t, orig, tc.prog, Options{Workers: 3, Matcher: treat.New, MaxCycles: 1 << 12, Tracer: &tail})
+				sameRefraction(t, orig, restored)
+				head.lines = head.lines[:pause] // the restored engine logs the step both took
 				got := runOK(t, restored)
 				if got.Cycles != want.Cycles || got.Firings != want.Firings || got.Redactions != want.Redactions || got.WriteConflicts != want.WriteConflicts {
 					t.Fatalf("pause=%d: restored run ended at %+v, uninterrupted at %+v", pause, got, want)
@@ -299,8 +359,8 @@ func TestRestoreMidRunRebuildsRedactionState(t *testing.T) {
 				if a, b := snapshotText(t, ref), snapshotText(t, restored); a != b {
 					t.Fatalf("pause=%d: snapshots differ\n-- uninterrupted --\n%s\n-- restored --\n%s", pause, a, b)
 				}
-				if restored.meta == nil || len(restored.meta.images) != len(ref.meta.images) {
-					t.Fatalf("pause=%d: restored engine ends with %d images, uninterrupted with %d", pause, len(restored.meta.images), len(ref.meta.images))
+				if a, b := len(checkTable(t, restored)), len(checkTable(t, ref)); restored.meta == nil || a != b {
+					t.Fatalf("pause=%d: restored engine ends with %d images, uninterrupted with %d", pause, a, b)
 				}
 			}
 			if refracted == 0 {

@@ -9,14 +9,14 @@ import (
 // Explain writes a human-readable listing of a conflict set: each
 // instantiation's rule, refraction status, matched elements and variable
 // bindings, and whatever lines notes — when not nil — has to add about it.
-// fired may be nil.
-func Explain(w io.Writer, ins []*Instantiation, fired map[Key]bool, notes func(*Instantiation) []string) error {
+// fired reports an instantiation's refraction status.
+func Explain(w io.Writer, ins []*Instantiation, fired func(*Instantiation) bool, notes func(*Instantiation) []string) error {
 	if _, err := fmt.Fprintf(w, "conflict set: %d instantiation(s)\n", len(ins)); err != nil {
 		return err
 	}
 	for _, in := range ins {
 		status := "eligible"
-		if fired[in.Key()] {
+		if fired(in) {
 			status = "fired (refracted)"
 		}
 		if _, err := fmt.Fprintf(w, "%s  [%s]\n", in, status); err != nil {

@@ -18,13 +18,17 @@ import (
 )
 
 // Instantiation is a complete match of one rule: one WME per positive
-// condition element. Instantiations are immutable.
+// condition element. Instantiations are immutable, but for Slot.
 type Instantiation struct {
 	Rule *compile.Rule
 	// WMEs holds the matched elements indexed by positive CE. The vector
 	// is the instantiation's own.
 	WMEs []*wm.WME
 	key  Key
+	// Slot belongs to the engine whose conflict set holds the
+	// instantiation: the PARULEL engine keeps there the instantiation's
+	// index in its conflict-set table. Matchers neither read nor write it.
+	Slot int
 }
 
 // Key is a compact, comparable instantiation identity: the rule's
@@ -32,8 +36,10 @@ type Instantiation struct {
 // time tags verbatim, and an FNV-1a hash folding in the whole time-tag
 // vector. Building a Key performs no heap allocation, unlike the
 // fmt-formatted string key it replaced, and Keys hash as fixed-size values
-// in the engine's hot maps (conflict sets, refraction, redaction,
-// change collectors).
+// in the maps that file instantiations by identity (TREAT's conflict set,
+// the OPS5 engine's conflict and refraction sets, checkpointed refraction,
+// change collectors). The PARULEL engine's cycle hashes none: it reaches
+// an instantiation's entry through Slot.
 //
 // Keys are a pure function of (rule index, time-tag vector), so equal
 // instantiations produced by different matcher implementations or worker
@@ -170,8 +176,9 @@ func (in *Instantiation) String() string {
 
 // Changes reports the conflict-set delta produced by one working-memory
 // delta: what entered and what left, each in no particular order
-// (consumers fold them into keyed sets; SortInstantiations imposes the
-// deterministic order where one is needed).
+// (SortInstantiations imposes the deterministic order where one is
+// needed). An instantiation in Removed is the very one an earlier Added
+// reported, not an equal copy: engines find it by what they stored in it.
 type Changes struct {
 	Added   []*Instantiation
 	Removed []*Instantiation

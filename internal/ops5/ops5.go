@@ -200,7 +200,7 @@ func (e *Engine) ExplainConflictSet(w io.Writer) error {
 		ins = append(ins, in)
 	}
 	match.SortInstantiations(ins)
-	return match.Explain(w, ins, e.fired, nil)
+	return match.Explain(w, ins, func(in *match.Instantiation) bool { return e.fired[in.Key()] }, nil)
 }
 
 // selectInstantiation applies refraction and the configured strategy.

@@ -76,7 +76,7 @@ type Config struct {
 	// guard). Default 10,000,000.
 	MaxCycles int
 	// DefaultWorkers is the per-engine worker count when the client names
-	// none. Default 4; clamped to [1, 64].
+	// none. Default 1; clamped to [1, 64].
 	DefaultWorkers int
 	// MaxBodyBytes bounds request bodies. Default 4 MiB.
 	MaxBodyBytes int64
@@ -165,7 +165,7 @@ func (c Config) withDefaults() Config {
 		c.MaxCycles = 10_000_000
 	}
 	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = 4
+		c.DefaultWorkers = 1
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
