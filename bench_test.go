@@ -201,6 +201,10 @@ func BenchmarkE3(b *testing.B) {
 
 // --- E4: RETE vs TREAT ---
 
+// BenchmarkE4 loads a join chain of each depth into a fresh matcher and
+// then replaces every seventh WME, and reports the state left: beta
+// tokens, conflict-set size and the bytes of the matcher's own records
+// (match.MemStats).
 func BenchmarkE4(b *testing.B) {
 	shapes := []struct{ depth, keys, copies int }{{2, 60, 2}, {4, 20, 2}, {6, 8, 2}}
 	factories := []struct {
@@ -242,6 +246,7 @@ func BenchmarkE4(b *testing.B) {
 				}
 				b.ReportMetric(float64(ms.BetaTokens), "beta-tokens")
 				b.ReportMetric(float64(ms.ConflictSet), "conflict-set")
+				b.ReportMetric(float64(ms.Bytes), "bytes")
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"parulel/internal/wm"
@@ -59,14 +60,7 @@ type MetaDisjTest struct {
 }
 
 // Matches reports whether v equals one of the disjunction's values.
-func (t MetaDisjTest) Matches(v wm.Value) bool {
-	for _, x := range t.Vals {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
+func (t MetaDisjTest) Matches(v wm.Value) bool { return slices.Contains(t.Vals, v) }
 
 // MetaIntraTest compares two values of the same instantiation.
 type MetaIntraTest struct {
@@ -93,7 +87,7 @@ type MetaJoinTest struct {
 // pattern's tests over image fields. The meta level matches them lazily —
 // each pattern owns a memory of the images passing its alpha tests, and an
 // image that enters or leaves is joined against the other patterns'
-// memories by the plan compiled here (MetaPattern.Seed). The image
+// memories by the plan compiled here (Pattern.Seed, join.go). The image
 // templates live in a schema of their own: image WMEs never enter the
 // program's working memory.
 //
@@ -110,84 +104,19 @@ type MetaLevel struct {
 	Images []*Image
 	// Patterns lists every pattern of every rule, in rule then pattern
 	// order; Patterns[i].ID == i.
-	Patterns []*MetaPattern
-}
-
-// MetaPattern is one instantiation pattern of a lowered meta-rule as the
-// meta level runs it: the memory it owns and the join seeded at it.
-type MetaPattern struct {
-	ID int
-	// CE is condition element Pat of MetaLevel.Rules[Rule].
-	Rule, Pat int
-	CE        *CondElem
-	// Indexed lists the image fields the pattern's memory is hash-indexed
-	// on: the fields OpEq join tests read here that some seeded join
-	// probes. An index is built on both sides of such a test, so a seed at
-	// either pattern can probe the other.
-	Indexed []int
-	// Pos is where this memory's positions start in an image's position
-	// vector (Image.NumPos): the image's place in the memory's list, then
-	// its place in its bucket of each index.
-	Pos int
-	// Seed is the join an image entering or leaving this memory runs.
-	Seed MetaJoin
-}
-
-// MetaJoin enumerates the tuples of a meta-rule that hold a given image at
-// one pattern, the seed: the other patterns are bound one per step, each
-// from its memory.
-type MetaJoin struct {
-	// Filters lists the condition elements whose filters read the seed
-	// alone; they are evaluated before the first step.
-	Filters []*CondElem
-	Steps   []MetaStep
-}
-
-// MetaStep binds one more pattern of the tuple.
-type MetaStep struct {
-	Pat *MetaPattern
-	// Index says which of Pat.Indexed the step probes, with the value at
-	// From in the tuple so far; -1 scans the whole memory.
-	Index int
-	From  VarRef
-	// Tests are the join tests between Pat and the patterns bound before
-	// it, whichever of the two they were written on, less the one the
-	// probe has already satisfied.
-	Tests []MetaTest
-	// Distinct lists the patterns bound before Pat that are over the same
-	// object rule: patterns bind distinct instantiations, so the image
-	// bound here must be none of theirs.
-	Distinct []int
-	// Filters lists the condition elements whose filters read nothing
-	// unbound once Pat is bound.
-	Filters []*CondElem
-	// Victim reports that a match redacts the image bound here, and
-	// LastVictim that no later step binds one a match redacts.
-	Victim, LastVictim bool
-}
-
-// MetaTest is a join test over a partial tuple: Op applied to the fields
-// at Ref and Other, where a VarRef's CE is the pattern.
-type MetaTest struct {
-	Ref   VarRef
-	Op    PredOp
-	Other VarRef
+	Patterns []*Pattern
 }
 
 // Image is the reified form of one object rule's instantiations: a
 // template with one field per rule variable (in name order), then the
 // hidden fields `.tag` (the instantiation's recency tag) and `.t0 … .tn`
 // (its time-tag vector, which orders instantiations of one rule). Variable
-// names cannot start with a dot.
+// names cannot start with a dot. Its layout lists the patterns over the
+// template.
 type Image struct {
-	Tmpl *wm.Template
+	Layout
 	// vars[f] is the binding copied into field f.
 	vars []VarRef
-	// Patterns lists the patterns over this template — the memories an
-	// image may be held in — and NumPos is the length of the position
-	// vector that records where (MetaPattern.Pos).
-	Patterns []*MetaPattern
-	NumPos   int
 }
 
 func newImage(schema *wm.Schema, r *Rule) *Image {
@@ -259,15 +188,11 @@ func lowerMetaRules(p *Program) *MetaLevel {
 	for _, m := range p.MetaRules {
 		r := ml.lowerMetaRule(m)
 		ml.Rules = append(ml.Rules, r)
-		ml.planJoins(m, r)
+		planJoins(r, newPatterns(r, r.Index, &ml.Patterns, func(i int) *Layout { return &ml.image(m, i).Layout }), m)
 	}
 	for _, im := range ml.Images {
-		if im == nil {
-			continue
-		}
-		for _, pat := range im.Patterns {
-			pat.Pos = im.NumPos
-			im.NumPos += 1 + len(pat.Indexed)
+		if im != nil {
+			im.lay()
 		}
 	}
 	return ml
@@ -282,7 +207,7 @@ func (ml *MetaLevel) image(m *MetaRule, pat int) *Image {
 // onto condition-element tests over image fields and `(test …)`
 // expressions become filters on the last pattern they mention. That
 // patterns bind distinct instantiations is not a test: the join plans skip
-// an image already in the tuple (MetaStep.Distinct).
+// an image already in the tuple (Step.Distinct).
 func (ml *MetaLevel) lowerMetaRule(m *MetaRule) *Rule {
 	r := &Rule{Name: m.Name, Index: m.Index, NumPositive: len(m.Patterns), Bindings: map[string]VarRef{}}
 	for i, pat := range m.Patterns {
@@ -352,151 +277,4 @@ func (ml *MetaLevel) lowerMetaExpr(m *MetaRule, e *Expr, level *int) *Expr {
 	default:
 		return e
 	}
-}
-
-// planJoins compiles, for each pattern of the lowered meta-rule r, the join
-// seeded there. From the seed the remaining patterns are bound one per
-// step: the lowest-numbered one an OpEq join test connects to a pattern
-// already bound, probed through an index on that test's field, or failing
-// that the lowest-numbered one left, scanned. A join test is checked at the
-// step that binds the second of its two patterns, and a condition
-// element's filters at the step that binds the last pattern they read.
-func (ml *MetaLevel) planJoins(m *MetaRule, r *Rule) {
-	k := len(r.CEs)
-	pats := make([]*MetaPattern, k)
-	for i, ce := range r.CEs {
-		pats[i] = &MetaPattern{ID: len(ml.Patterns), Rule: r.Index, Pat: i, CE: ce}
-		ml.Patterns = append(ml.Patterns, pats[i])
-		im := ml.image(m, i)
-		im.Patterns = append(im.Patterns, pats[i])
-	}
-	victim := make([]bool, k)
-	for _, v := range m.Redacts {
-		victim[v] = true
-	}
-	// reads[i][j]: the filters on condition element i read pattern j.
-	reads := make([][]bool, k)
-	for i, ce := range r.CEs {
-		reads[i] = make([]bool, k)
-		for _, f := range ce.Filters {
-			markRead(f, reads[i])
-		}
-	}
-	for s, seed := range pats {
-		bound := make([]bool, k)
-		bound[s] = true
-		filtered := make([]bool, k)
-		// ready returns the condition elements whose filters have just
-		// become evaluable.
-		ready := func() (out []*CondElem) {
-			for i, ce := range r.CEs {
-				if filtered[i] || len(ce.Filters) == 0 {
-					continue
-				}
-				filtered[i] = true
-				for j := range reads[i] {
-					if reads[i][j] && !bound[j] {
-						filtered[i] = false
-					}
-				}
-				if filtered[i] {
-					out = append(out, ce)
-				}
-			}
-			return out
-		}
-		seed.Seed.Filters = ready()
-		for n := 1; n < k; n++ {
-			step := nextStep(r, pats, bound)
-			for j := range pats {
-				if bound[j] && m.Patterns[j].Rule == m.Patterns[step.Pat.Pat].Rule {
-					step.Distinct = append(step.Distinct, j)
-				}
-			}
-			bound[step.Pat.Pat] = true
-			step.Filters = ready()
-			step.Victim = victim[step.Pat.Pat]
-			seed.Seed.Steps = append(seed.Seed.Steps, step)
-		}
-		last := true
-		for i := len(seed.Seed.Steps) - 1; i >= 0; i-- {
-			seed.Seed.Steps[i].LastVictim = last
-			last = last && !seed.Seed.Steps[i].Victim
-		}
-	}
-}
-
-// markRead sets read[j] for every pattern j the lowered expression reads.
-func markRead(e *Expr, read []bool) {
-	switch e.Kind {
-	case ERef:
-		read[e.Ref.CE] = true
-	case ERefPrec:
-		read[e.Ref.CE], read[e.MetaVar.CE] = true, true
-	}
-	for _, a := range e.Args {
-		markRead(a, read)
-	}
-}
-
-// nextStep picks the pattern a join binds next, given the ones bound, and
-// gathers its tests.
-func nextStep(r *Rule, pats []*MetaPattern, bound []bool) MetaStep {
-	// links calls f for every join test between q and a bound pattern, as
-	// a MetaTest and as the field it reads on q's side and the ref on the
-	// other.
-	links := func(q int, f func(t MetaTest, field int, from VarRef)) {
-		for _, t := range r.CEs[q].JoinTests {
-			if bound[t.OtherCE] {
-				from := VarRef{CE: t.OtherCE, Field: t.OtherField}
-				f(MetaTest{Ref: VarRef{CE: q, Field: t.Field}, Op: t.Op, Other: from}, t.Field, from)
-			}
-		}
-		for b := q + 1; b < len(r.CEs); b++ {
-			if !bound[b] {
-				continue
-			}
-			for _, t := range r.CEs[b].JoinTests {
-				if t.OtherCE == q {
-					from := VarRef{CE: b, Field: t.Field}
-					f(MetaTest{Ref: from, Op: t.Op, Other: VarRef{CE: q, Field: t.OtherField}}, t.OtherField, from)
-				}
-			}
-		}
-	}
-	next, probed := -1, false
-	for q := range pats {
-		if bound[q] {
-			continue
-		}
-		if next < 0 {
-			next = q
-		}
-		links(q, func(t MetaTest, _ int, _ VarRef) { probed = probed || t.Op == OpEq })
-		if probed {
-			next = q
-			break
-		}
-	}
-	step := MetaStep{Pat: pats[next], Index: -1}
-	links(next, func(t MetaTest, field int, from VarRef) {
-		if t.Op == OpEq && step.Index < 0 {
-			step.Index, step.From = pats[next].indexOn(field), from
-			return
-		}
-		step.Tests = append(step.Tests, t)
-	})
-	return step
-}
-
-// indexOn returns the position in Indexed of the index on field f, adding
-// it if it is new.
-func (p *MetaPattern) indexOn(f int) int {
-	for i, g := range p.Indexed {
-		if g == f {
-			return i
-		}
-	}
-	p.Indexed = append(p.Indexed, f)
-	return len(p.Indexed) - 1
 }

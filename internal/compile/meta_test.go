@@ -75,7 +75,7 @@ func TestLowerMetaRules(t *testing.T) {
 		t.Errorf("disjunction test: %+v", ce1.DisjTests)
 	}
 	// The equality join on <p>, and nothing for "<i> is not <j>": that is
-	// the join plans' (TestMetaJoinPlans).
+	// the join plans' (TestJoinPlans).
 	wantJoin := JoinTest{Field: 2, Op: OpEq, OtherCE: 0, OtherField: 2}
 	if len(ce1.JoinTests) != 1 || ce1.JoinTests[0] != wantJoin {
 		t.Errorf("join tests: %+v, want %+v", ce1.JoinTests, wantJoin)
@@ -162,11 +162,12 @@ func TestImageReify(t *testing.T) {
 	}
 }
 
-// TestMetaJoinPlans checks the plans compiled beside the lowering: which
+// TestJoinPlans checks the plans compiled beside the lowering: which
 // pattern a join seeded at each pattern binds next, through which index,
 // which tests are left for the step, where filters run, and what the
-// leave-side pruning is told about victims.
-func TestMetaJoinPlans(t *testing.T) {
+// leave-side pruning is told about victims. The object rules' plans are
+// checked by testObjectJoinPlans.
+func TestJoinPlans(t *testing.T) {
 	p, err := CompileSource(lowerSrc + `
 (metarule chain
   [<i> (bid ^p <p> ^a <a>)]
@@ -224,12 +225,12 @@ func TestMetaJoinPlans(t *testing.T) {
 	type step struct {
 		pat, index   int
 		from         VarRef
-		tests        []MetaTest
+		tests        []Test
 		distinct     []int
 		filters      int
 		victim, last bool
 	}
-	check := func(name string, j MetaJoin, seedFilters int, want ...step) {
+	check := func(name string, j Join, seedFilters int, want ...step) {
 		t.Helper()
 		if len(j.Filters) != seedFilters || len(j.Steps) != len(want) {
 			t.Fatalf("%s: %d seed filters and %d steps, want %d and %d", name, len(j.Filters), len(j.Steps), seedFilters, len(want))
@@ -253,14 +254,82 @@ func TestMetaJoinPlans(t *testing.T) {
 		step{pat: 1, index: 0, from: VarRef{CE: 0, Field: o}, victim: true, last: true})
 	// chain: from <i>, <j> has nothing to be probed with until <k> is
 	// bound, so <k> goes first; the order test on a is left for its step.
-	gt := MetaTest{Ref: VarRef{CE: 2, Field: a}, Op: OpGt, Other: VarRef{CE: 0, Field: a}}
+	gt := Test{Ref: VarRef{CE: 2, Field: a}, Op: OpGt, Other: VarRef{CE: 0, Field: a}}
 	check("chain/i", ml.Patterns[4].Seed, 0,
-		step{pat: 2, index: 0, from: VarRef{CE: 0, Field: pp}, tests: []MetaTest{gt}, distinct: []int{0}, victim: true, last: true},
+		step{pat: 2, index: 0, from: VarRef{CE: 0, Field: pp}, tests: []Test{gt}, distinct: []int{0}, victim: true, last: true},
 		step{pat: 1, index: 0, from: VarRef{CE: 2, Field: o}, last: true})
 	check("chain/j", ml.Patterns[5].Seed, 0,
 		step{pat: 2, index: 1, from: VarRef{CE: 1, Field: 0}, victim: true},
-		step{pat: 0, index: 0, from: VarRef{CE: 2, Field: pp}, tests: []MetaTest{gt}, distinct: []int{2}, victim: true, last: true})
+		step{pat: 0, index: 0, from: VarRef{CE: 2, Field: pp}, tests: []Test{gt}, distinct: []int{2}, victim: true, last: true})
 	check("chain/k", ml.Patterns[6].Seed, 0,
-		step{pat: 0, index: 0, from: VarRef{CE: 2, Field: pp}, tests: []MetaTest{gt}, distinct: []int{2}, victim: true, last: true},
+		step{pat: 0, index: 0, from: VarRef{CE: 2, Field: pp}, tests: []Test{gt}, distinct: []int{2}, victim: true, last: true},
 		step{pat: 1, index: 0, from: VarRef{CE: 2, Field: o}, last: true})
+	testObjectJoinPlans(t)
+}
+
+// testObjectJoinPlans checks the plans PlanJoins makes of an object rule
+// with a self-join over one template and a negated CE over it too: the
+// positive CEs take slots 0 and 1 and the negated one slot 2; its absence
+// check runs once both positives are bound, probing its index on group;
+// only the step at CE 0 of the join seeded at CE 1 excludes the seed, and
+// nothing is Distinct, Victim or LastVictim.
+func testObjectJoinPlans(t *testing.T) {
+	t.Helper()
+	p, err := CompileSource(`
+(literalize item id group rank)
+(rule top-pair
+  (item ^id <a> ^group <g>)
+  (item ^id (<> <a>) ^group <g> ^rank <r>)
+  - (item ^group <g> ^rank (> <r>))
+-->
+  (halt))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats, layouts := PlanJoins(p.Rules)
+	if len(pats) != 3 || len(layouts) != 1 || layouts[0].NumPos != 6 || !slices.Equal(layouts[0].Patterns, pats) {
+		t.Fatalf("%d patterns, %d layouts (%+v)", len(pats), len(layouts), layouts)
+	}
+	const id, group, rank = 0, 1, 2
+	for i, pat := range pats {
+		if pat.ID != i || pat.Rule != 0 || pat.Pat != i || pat.CE != p.Rules[0].CEs[i] || pat.Pos != 2*i || !slices.Equal(pat.Indexed, []int{group}) {
+			t.Errorf("pattern %d: slot %d, positions from %d, indexed on %v", i, pat.Pat, pat.Pos, pat.Indexed)
+		}
+	}
+	ne := Test{Ref: VarRef{CE: 1, Field: id}, Op: OpNe, Other: VarRef{CE: 0, Field: id}}
+	gt := Test{Ref: VarRef{CE: 2, Field: rank}, Op: OpGt, Other: VarRef{CE: 1, Field: rank}}
+	absent := Step{Pat: pats[2], Index: 0, From: VarRef{CE: 0, Field: group}, Tests: []Test{gt}}
+	type step struct {
+		pat     int
+		from    VarRef
+		tests   []Test
+		notSeed bool
+		absent  bool // the absence check runs after this step
+	}
+	check := func(name string, j Join, want ...step) {
+		t.Helper()
+		if len(j.Filters) != 0 || len(j.Absent) != 0 || len(j.Steps) != len(want) {
+			t.Fatalf("%s: %d seed filters, %d seed checks and %d steps, want 0, 0 and %d", name, len(j.Filters), len(j.Absent), len(j.Steps), len(want))
+		}
+		for i, w := range want {
+			s := j.Steps[i]
+			if s.Pat != pats[w.pat] || s.Index != 0 || s.From != w.from || !slices.Equal(s.Tests, w.tests) || s.NotSeed != w.notSeed ||
+				s.Distinct != nil || s.Victim || s.LastVictim || len(s.Filters) != 0 {
+				t.Errorf("%s step %d: %+v, want %+v", name, i, s, w)
+			}
+			if n := len(s.Absent); w.absent != (n == 1) || n > 1 {
+				t.Fatalf("%s step %d: %d absence checks", name, i, n)
+			}
+			if w.absent {
+				if a := s.Absent[0]; a.Pat != absent.Pat || a.Index != absent.Index || a.From != absent.From || !slices.Equal(a.Tests, absent.Tests) {
+					t.Errorf("%s step %d: absence check %+v, want %+v", name, i, a, absent)
+				}
+			}
+		}
+	}
+	check("seed 0", pats[0].Seed, step{pat: 1, from: VarRef{CE: 0, Field: group}, tests: []Test{ne}, absent: true})
+	check("seed 1", pats[1].Seed, step{pat: 0, from: VarRef{CE: 1, Field: group}, tests: []Test{ne}, notSeed: true, absent: true})
+	check("seed 2", pats[2].Seed,
+		step{pat: 0, from: VarRef{CE: 2, Field: group}},
+		step{pat: 1, from: VarRef{CE: 0, Field: group}, tests: []Test{ne, gt}, absent: true})
 }

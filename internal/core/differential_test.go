@@ -18,11 +18,14 @@ import (
 	"parulel/internal/workload"
 )
 
-// matcherConfigs is the {RETE, TREAT} × {index on, index off} ×
-// {lowered, unlowered program} grid the differential tests sweep. Results
-// must be bit-identical across all eight: the hash-join indexes, the
-// compact instantiation keys and the bytecode compilation of expressions
-// are pure optimizations.
+// matcherConfigs is the grid the differential tests sweep: RETE with its
+// join indexes on and off, and TREAT, which probes an index wherever its
+// plans have an equality test to probe with, each on the lowered and the
+// unlowered program. Results must be bit-identical across all six: the
+// hash-join indexes, the compact instantiation keys, the join plans and
+// the bytecode compilation of expressions are pure optimizations. RETE's
+// index-off arms are the scan reference, and FuzzNetworkDifferential
+// holds TREAT to a brute-force model as well.
 var matcherConfigs = []struct {
 	name    string
 	factory match.Factory
@@ -32,10 +35,8 @@ var matcherConfigs = []struct {
 	{"rete-indexed-interp", rete.New, unlowered},
 	{"rete-noindex-bytecode", rete.Factory(rete.Options{DisableJoinIndex: true}), lowered},
 	{"rete-noindex-interp", rete.Factory(rete.Options{DisableJoinIndex: true}), unlowered},
-	{"treat-indexed-bytecode", treat.New, lowered},
-	{"treat-indexed-interp", treat.New, unlowered},
-	{"treat-noindex-bytecode", treat.Factory(treat.Options{DisableJoinIndex: true}), lowered},
-	{"treat-noindex-interp", treat.Factory(treat.Options{DisableJoinIndex: true}), unlowered},
+	{"treat-bytecode", treat.New, lowered},
+	{"treat-interp", treat.New, unlowered},
 }
 
 const (
@@ -141,7 +142,7 @@ func diffOutcomes(t *testing.T, name string, want, got outcome) {
 }
 
 // TestMatcherDifferentialEmbeddedPrograms runs every embedded program to
-// quiescence under all eight configurations and requires identical cycle
+// quiescence under all six configurations and requires identical cycle
 // counts, firings, redactions, write conflicts, halt status, final
 // working-memory contents and per-cycle firing sequences.
 func TestMatcherDifferentialEmbeddedPrograms(t *testing.T) {
@@ -195,7 +196,7 @@ func filteredJoinChain(depth int) string {
 
 // TestMatcherDifferentialGeneratedJoinChains sweeps generated deep-join
 // workloads (the E4 shapes, with per-element filters) through the same
-// eight-way grid. These chains are where the beta index matters most, so
+// six-way grid. These chains are where the beta index matters most, so
 // a probe/scan disagreement would surface here first.
 func TestMatcherDifferentialGeneratedJoinChains(t *testing.T) {
 	for _, depth := range []int{2, 4, 6} {

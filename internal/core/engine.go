@@ -549,7 +549,7 @@ func (e *Engine) survivors() ([]*match.Instantiation, int) {
 	e.meta.sync()
 	out := e.fireable[:0]
 	for i := range e.cs {
-		if s := &e.cs[i]; !s.fired && (s.img == nil || s.img.kills == 0) {
+		if s := &e.cs[i]; !s.fired && (s.img == nil || s.img.Kills == 0) {
 			out = append(out, s.in)
 		}
 	}
@@ -645,8 +645,9 @@ func (e *Engine) RuleProfiles() []match.RuleProfile {
 // images of eligible instantiations, once per meta-pattern memory holding
 // them. The meta level keeps neither partial nor complete meta-matches, so
 // its BetaTokens and ConflictSet are zero and its size is linear in the
-// eligible set whatever the meta-rules join on. Bytes is the RETE networks'
-// own memory (match.MemStats); the meta level does not account its.
+// eligible set whatever the meta-rules join on. Bytes is each side's own
+// memory (match.MemStats): the matchers' records and tables, and the
+// meta level's images and index tables.
 func (e *Engine) MemStats() (object, meta match.MemStats) {
 	for _, w := range e.workers {
 		ms := w.matcher.MemStats()

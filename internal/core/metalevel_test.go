@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
+	"unsafe"
 
 	"parulel/internal/compile"
 	"parulel/internal/lang"
@@ -16,9 +16,10 @@ import (
 // checkMetaLevel checks, between syncs, that the meta level's parts agree
 // with each other and with images, the images of the eligible
 // instantiations as their holder keeps them: every image is in exactly the
-// memories whose alpha tests it passes, linked both ways, in every index of
-// those memories; the memories hold no other; nothing is flagged or
-// queued; and the redacted counter counts.
+// memories whose alpha tests it passes, and as the memories count no more
+// members than that, they hold no other; nothing is flagged or queued; and
+// the redacted counter counts. How a memory links and indexes its members
+// is internal/match/seeded's, and its tests check it.
 func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	t.Helper()
 	if n := len(m.left) + len(m.entered); n != 0 {
@@ -27,59 +28,29 @@ func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	live := make(map[*image]bool, len(images))
 	for _, img := range images {
 		if live[img] {
-			t.Fatalf("image %v is held twice", img.in)
+			t.Fatalf("image %v is held twice", img.In)
 		}
 		live[img] = true
 	}
 	held := 0
-	for i := range m.mems {
-		mem := &m.mems[i]
-		if mem.leaving != 0 {
-			t.Fatalf("pattern %d: %d members still counted as leaving", i, mem.leaving)
+	for i := range m.w.Mems {
+		if mem := &m.w.Mems[i]; mem.Leaving != 0 {
+			t.Fatalf("pattern %d: %d members still counted as leaving", i, mem.Leaving)
 		}
-		// chain lists the images from head on, through the links at off,
-		// checking that each links back to the one before it.
-		chain := func(head *image, off int) (out []*image) {
-			for img, prev := head, (*image)(nil); img != nil; prev, img = img, img.at[off].next {
-				if img.at[off].prev != prev {
-					t.Fatalf("pattern %d: image %v does not link back to the one before it", i, img.in)
-				}
-				out = append(out, img)
-			}
-			return out
-		}
-		list := chain(mem.list.Head, mem.pat.Pos)
-		if len(list) != mem.n || mem.n > 0 && mem.list.Tail != list[mem.n-1] {
-			t.Fatalf("pattern %d lists %d images ending at its tail or not, counts %d", i, len(list), mem.n)
-		}
-		for _, img := range list {
-			if !live[img] {
-				t.Fatalf("pattern %d holds an image no eligible instantiation has (%v)", i, img.in)
-			}
-			for k := range mem.idx {
-				key := img.wme.Fields[mem.pat.Indexed[k]]
-				if key != key {
-					continue // NaN: no probe reaches it
-				}
-				if b := chain(mem.idx[k].Get(imageField(mem.pat.Indexed[k]), key), mem.pat.Pos+1+k); !slices.Contains(b, img) {
-					t.Fatalf("pattern %d, index %d: image %v is not in its bucket of %d", i, k, img.in, len(b))
-				}
-			}
-		}
-		held += mem.n
+		held += m.w.Mems[i].N
 	}
 	redacted, fits := 0, 0
 	for _, img := range images {
-		if img.leaving || img.kills < 0 {
-			t.Fatalf("image %v: flagged as leaving, or counted below zero (%d)", img.in, img.kills)
+		if img.Leaving || img.Kills < 0 {
+			t.Fatalf("image %v: flagged as leaving, or counted below zero (%d)", img.In, img.Kills)
 		}
-		if img.kills > 0 {
+		if img.Kills > 0 {
 			redacted++
 		}
 		for _, p := range m.patterns(img) {
-			fit := p.CE.MatchesAlpha(&img.wme)
-			if fit != img.held(p) {
-				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, held by its memory = %v", img.in, p.ID, fit, img.held(p))
+			fit := p.CE.MatchesAlpha(&img.W)
+			if fit != img.Held(p) {
+				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, held by its memory = %v", img.In, p.ID, fit, img.Held(p))
 			}
 			if fit {
 				fits++
@@ -113,14 +84,14 @@ func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*
 	var got []*match.Instantiation
 	for _, in := range eligible {
 		img := imgs[in]
-		if img == nil || img.in != in {
+		if img == nil || img.In != in {
 			t.Fatalf("%v: no image, or the image of an instantiation that has left", in)
 		}
-		if img.kills == 0 {
+		if img.Kills == 0 {
 			got = append(got, in)
 		}
-		if int(img.kills) != want[in.Key()] {
-			t.Fatalf("%v: kill count %d, a recount finds %d", in, img.kills, want[in.Key()])
+		if int(img.Kills) != want[in.Key()] {
+			t.Fatalf("%v: kill count %d, a recount finds %d", in, img.Kills, want[in.Key()])
 		}
 		tuples += want[in.Key()]
 		explained := 0
@@ -130,8 +101,8 @@ func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*
 			}
 			explained += r.tuples
 		}
-		if explained > int(img.kills) || mentionsOnce && explained != int(img.kills) || (explained == 0) != (img.kills == 0) {
-			t.Fatalf("%v: explain accounts for %d tuples, the kill count is %d", in, explained, img.kills)
+		if explained > int(img.Kills) || mentionsOnce && explained != int(img.Kills) || (explained == 0) != (img.Kills == 0) {
+			t.Fatalf("%v: explain accounts for %d tuples, the kill count is %d", in, explained, img.Kills)
 		}
 	}
 	keep, _, n := oracle.run(eligible)
@@ -327,24 +298,22 @@ func TestMetaLevelChurn(t *testing.T) {
 		w := mem.InsertFields(take.CEs[0].Tmpl, []wm.Value{wm.Int(int64(group)), wm.Int(int64(rank))})
 		return match.NewInstantiation(take, []*wm.WME{w})
 	}
-	slots := func() (n int) {
-		for i := range m.mems {
-			for k := range m.mems[i].idx {
-				n += m.mems[i].idx[k].Slots()
-			}
+	tables := func() (n int) {
+		for i := range m.w.Mems {
+			n += m.w.Mems[i].Bytes()
 		}
 		return n
 	}
-	if base := m.memStats(); base != (match.MemStats{}) || slots() != 0 {
-		t.Fatalf("a fresh meta level holds %+v and %d index slots", base, slots())
+	if base := m.memStats(); base != (match.MemStats{}) || tables() != 0 {
+		t.Fatalf("a fresh meta level holds %+v and %d bytes of index tables", base, tables())
 	}
 	stay := []*match.Instantiation{inst(0, 3), inst(0, 5)}
 	for _, in := range stay {
 		imgs[in] = m.enter(in)
 	}
 	m.sync()
-	base := m.memStats()
-	baseKills := []int32{imgs[stay[0]].kills, imgs[stay[1]].kills}
+	base, baseImages := m.memStats(), m.bytes
+	baseKills := []int32{imgs[stay[0]].Kills, imgs[stay[1]].Kills}
 	if baseKills[0] != 1 || baseKills[1] != 1 { // the second outranks the first, the first is the best of the group
 		t.Fatalf("the two that stay start with kill counts %v, want [1 1]", baseKills)
 	}
@@ -355,7 +324,7 @@ func TestMetaLevelChurn(t *testing.T) {
 		rounds = 5000
 	}
 	var live []*match.Instantiation
-	maxSlots, maxHeld := 0, 0
+	maxTables, maxHeld := 0, 0
 	for i := 0; i < rounds; i++ {
 		// Two to a group, so best-of-group matches; ranks pass the stayers'.
 		in := inst(1+i/2, i%9)
@@ -368,7 +337,7 @@ func TestMetaLevelChurn(t *testing.T) {
 			live = live[1:]
 		}
 		m.sync()
-		maxSlots, maxHeld = max(maxSlots, slots()), max(maxHeld, m.memStats().AlphaItems)
+		maxTables, maxHeld = max(maxTables, tables()), max(maxHeld, m.memStats().AlphaItems)
 		if i%997 == 0 {
 			eligible := append(append([]*match.Instantiation(nil), stay...), live...)
 			checkMetaLevel(t, m, images(eligible))
@@ -376,9 +345,9 @@ func TestMetaLevelChurn(t *testing.T) {
 		}
 	}
 	// Three indexed memories (outranked joins on nothing), at most window+2
-	// buckets each.
-	if maxSlots > 3*64 {
-		t.Fatalf("index tables grew to %d slots over %d live images", maxSlots, window+2)
+	// buckets each: 64 slots of 24 bytes.
+	if maxTables > 3*64*24 {
+		t.Fatalf("index tables grew to %d bytes over %d live images", maxTables, window+2)
 	}
 	if maxHeld > 4*(window+3) {
 		t.Fatalf("the memories grew to %d images over %d live ones", maxHeld, window+2)
@@ -388,11 +357,11 @@ func TestMetaLevelChurn(t *testing.T) {
 	}
 	m.sync()
 	checkMetaLevel(t, m, images(stay))
-	if ms := m.memStats(); ms != base {
-		t.Fatalf("with the passers-by gone the meta level holds %+v, started with %+v", ms, base)
+	if ms := m.memStats(); ms.AlphaItems != base.AlphaItems || m.bytes != baseImages {
+		t.Fatalf("with the passers-by gone the meta level holds %+v (%d bytes of images), started with %+v (%d)", ms, m.bytes, base, baseImages)
 	}
 	for i, in := range stay {
-		if got := imgs[in].kills; got != baseKills[i] {
+		if got := imgs[in].Kills; got != baseKills[i] {
 			t.Fatalf("%v: kill count %d after the churn, %d before", in, got, baseKills[i])
 		}
 	}
@@ -401,8 +370,8 @@ func TestMetaLevelChurn(t *testing.T) {
 	}
 	m.sync()
 	checkMetaLevel(t, m, nil)
-	if ms := m.memStats(); ms != (match.MemStats{}) || slots() != 0 || m.redacted != 0 {
-		t.Fatalf("emptied meta level holds %+v, %d index slots, %d redacted", ms, slots(), m.redacted)
+	if ms := m.memStats(); ms != (match.MemStats{}) || tables() != 0 || m.redacted != 0 {
+		t.Fatalf("emptied meta level holds %+v, %d bytes of index tables, %d redacted", ms, tables(), m.redacted)
 	}
 }
 
@@ -472,9 +441,9 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 			t.Errorf("%d images: %d bytes allocated, %d per image, budget %d", n, bytes, bytes/uint64(n), bytesPerImage)
 		}
 		// Resident state: every image in both patterns' memories, nothing
-		// else anywhere.
-		if ms := m.memStats(); ms != (match.MemStats{AlphaItems: 2 * n}) {
-			t.Errorf("%d images: meta level holds %+v, want %d memory entries and nothing else", n, ms, 2*n)
+		// else anywhere, and the images' bytes.
+		if ms := m.memStats(); ms != (match.MemStats{AlphaItems: 2 * n, Bytes: m.bytes}) || m.bytes < n*int(unsafe.Sizeof(image{})) {
+			t.Errorf("%d images: meta level holds %+v, want %d memory entries, at least %d bytes and nothing else", n, ms, 2*n, n*int(unsafe.Sizeof(image{})))
 		}
 	}
 }

@@ -6,8 +6,7 @@ import (
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
-	"parulel/internal/valueindex"
-	"parulel/internal/wm"
+	"parulel/internal/match/seeded"
 )
 
 // metaLevel runs the program's meta-rules as a lazy, counting match.
@@ -17,16 +16,14 @@ import (
 // image templates and compiles a join plan per pattern; here every
 // *eligible* instantiation (in the conflict set, not refracted) of a rule
 // some meta-pattern names has one image, held in the memory of each pattern
-// whose alpha tests it passes. A memory is hash-indexed on the fields its
-// equality join tests read, and its list and buckets are threaded through
-// the images. Nothing else is stored: no partial match, no meta-match. An
-// image that enters is joined, seeded at each pattern it fits, against
-// the other patterns' memories, and every tuple found adds
+// whose alpha tests it passes. Nothing else is stored: no partial match, no
+// meta-match. An image that enters is joined, seeded at each pattern it
+// fits, against the other patterns' memories, and every tuple found adds
 // one to the kill count of each image the tuple redacts; an image that
 // leaves runs the same joins and takes those kills back. The engine feeds
-// the eligible set's delta each cycle. This is how a CHR constraint store
-// executes an active constraint — partners are found through the store's
-// indexes and forgotten — and TREAT without its conflict set.
+// the eligible set's delta each cycle. The memories and the joins are
+// internal/match/seeded's, which TREAT runs too: this is that engine plus
+// kill counts, as TREAT is that engine plus a conflict set.
 //
 // Semantics (synchronous): all redactions justified by matches against
 // the full eligible set apply at once, so the outcome is independent of
@@ -52,127 +49,40 @@ type metaLevel struct {
 	// rules[i].Redacts lists the patterns of prog.Rules[i] whose matched
 	// images a match of that rule redacts.
 	rules []*compile.MetaRule
-	// mems[p.ID] is the memory of pattern p.
-	mems []imageMem
-	// redacted counts images with a non-zero kill count.
-	redacted int
+	// w runs the joins over the memories of prog.Patterns, and sign is what
+	// the join in progress adds to the counts: +1 for an image entering, -1
+	// for one leaving.
+	w    seeded.Walker
+	sign int32
+	// redacted counts images with a non-zero kill count, and bytes what
+	// the filed images take.
+	redacted, bytes int
 	// entered and left queue the eligible set's changes between redact
 	// phases: the images of instantiations that became eligible, and of
 	// ones that left the conflict set or fired.
 	entered, left []*image
-	// tuple is the tuple a join is enumerating, indexed by pattern, and
-	// env.Vec the same tuple as image WMEs, for the filters.
-	tuple []*image
-	env   compile.VecEnv
-	// visit, when set, receives each tuple a join completes in place of
-	// the kill counts (explain).
-	visit func()
-	profs []metaProf
+	profs         []metaProf
 }
 
 // metaProf accumulates one meta-rule's activity. paid is how many of its
 // probes matchNS has been charged for.
 type metaProf struct {
-	matchNS             int64
-	probes, insts, paid uint64
+	seeded.Counts
+	matchNS     int64
+	insts, paid uint64
 }
 
-// image is the meta-level state of one reified instantiation. enter makes
-// it; the sync after reifies it into wme and files it.
-type image struct {
-	wme wm.WME
-	in  *match.Instantiation
-	// kills counts the tuples that redact the image, once per mention in
-	// their rule's redact list.
-	kills int32
-	// leaving flags an image queued to leave: its count no longer matters,
-	// and a tuple all of whose victims are leaving is not worth
-	// enumerating.
-	leaving bool
-	// at holds the image's neighbours in each chain that may list it,
-	// laid out by compile.MetaPattern.Pos: at[p.Pos] in the list of p's
-	// memory, at[p.Pos+1+k] in its bucket of the memory's k-th index. An
-	// image that fails p's alpha tests is its own at[p.Pos].prev. atBuf
-	// backs it, in the image's allocation, for an image one indexed
-	// pattern names, which most are.
-	at    []imageLinks
-	atBuf [2]imageLinks
-}
-
-type imageLinks struct{ next, prev *image }
-
-// held reports whether p's memory holds the image.
-func (img *image) held(p *compile.MetaPattern) bool { return img.at[p.Pos].prev != img }
-
-// imageMem is the memory of one pattern: the images that pass its alpha
-// tests, in arrival order, and one value index per field in pat.Indexed.
-type imageMem struct {
-	pat  *compile.MetaPattern
-	list valueindex.Chain[*image]
-	n    int
-	idx  []valueindex.Index[*image]
-	// leaving counts the members flagged as leaving.
-	leaving int
-}
-
-// imageField is the owner of an index over that field of the images.
-type imageField int
-
-func (f imageField) Key(img *image) wm.Value { return img.wme.Fields[f] }
-
-func (mem *imageMem) add(img *image) {
-	mem.n++
-	for k := 0; k <= len(mem.idx); k++ {
-		prev := mem.list.Tail
-		if k == 0 {
-			mem.list.Push(img)
-		} else {
-			prev = mem.idx[k-1].Add(imageField(mem.pat.Indexed[k-1]), img)
-		}
-		if prev != nil {
-			img.at[mem.pat.Pos+k].prev, prev.at[mem.pat.Pos+k].next = prev, img
-		}
-	}
-}
-
-func (mem *imageMem) remove(img *image) {
-	mem.n--
-	for k := 0; k <= len(mem.idx); k++ {
-		l := &img.at[mem.pat.Pos+k]
-		if k == 0 {
-			mem.list.Drop(l.prev, l.next)
-		} else {
-			mem.idx[k-1].Remove(imageField(mem.pat.Indexed[k-1]), img, l.prev, l.next)
-		}
-		if l.prev != nil {
-			l.prev.at[mem.pat.Pos+k].next = l.next
-		}
-		if l.next != nil {
-			l.next.at[mem.pat.Pos+k].prev = l.prev
-		}
-	}
-}
+// image is the meta-level state of one reified instantiation: a member of
+// the pattern memories holding the instantiation, its kill count, its
+// leaving flag and the WME the sync after enter reifies it into.
+type image = seeded.Member
 
 func newMetaLevel(prog *compile.Program) *metaLevel {
 	if prog.Meta == nil {
 		return nil
 	}
-	m := &metaLevel{
-		prog:  prog.Meta,
-		rules: prog.MetaRules,
-		mems:  make([]imageMem, len(prog.Meta.Patterns)),
-		profs: make([]metaProf, len(prog.Meta.Rules)),
-	}
-	width := 0
-	for i, p := range prog.Meta.Patterns {
-		m.mems[i].pat = p
-		if len(p.Indexed) > 0 {
-			m.mems[i].idx = make([]valueindex.Index[*image], len(p.Indexed))
-		}
-		width = max(width, p.Pat+1)
-	}
-	m.tuple = make([]*image, width)
-	m.env.Vec = make([]*wm.WME, width)
+	m := &metaLevel{prog: prog.Meta, rules: prog.MetaRules, profs: make([]metaProf, len(prog.Meta.Rules))}
+	m.w = seeded.New(prog.Meta.Patterns, m.found)
 	return m
 }
 
@@ -189,7 +99,7 @@ func (m *metaLevel) enter(in *match.Instantiation) *image {
 	if !m.reifies(in) {
 		return nil
 	}
-	img := &image{in: in}
+	img := &image{In: in}
 	m.entered = append(m.entered, img)
 	return img
 }
@@ -199,10 +109,10 @@ func (m *metaLevel) enter(in *match.Instantiation) *image {
 // image is skipped, and so is one already queued, which a second retraction
 // would take out of its memories twice.
 func (m *metaLevel) leave(img *image) {
-	if img == nil || img.leaving {
+	if img == nil || img.Leaving {
 		return
 	}
-	img.leaving = true
+	img.Leaving = true
 	m.left = append(m.left, img)
 }
 
@@ -217,38 +127,36 @@ func (m *metaLevel) sync() {
 		return
 	}
 	for _, img := range m.left {
-		if img.kills > 0 {
+		if img.Kills > 0 {
 			m.redacted--
 		}
+		m.bytes -= img.Bytes()
 		for _, p := range m.patterns(img) {
-			if img.held(p) {
-				m.mems[p.ID].leaving++
+			if img.Held(p) {
+				m.w.Mems[p.ID].Leaving++
 			}
 		}
 	}
 	for _, img := range m.left {
 		for _, p := range m.patterns(img) {
-			if img.held(p) {
-				mem := &m.mems[p.ID]
-				mem.remove(img)
-				mem.leaving--
+			if img.Held(p) {
+				mem := &m.w.Mems[p.ID]
+				mem.Remove(img)
+				mem.Leaving--
 				m.join(p, img, -1)
 			}
 		}
 	}
 	for _, img := range m.entered {
-		im := m.prog.Images[img.in.Rule.Index]
-		img.wme = im.Reify(img.in.WMEs)
-		if img.at = img.atBuf[:]; im.NumPos > len(img.atBuf) {
-			img.at = make([]imageLinks, im.NumPos)
-		}
+		im := m.prog.Images[img.In.Rule.Index]
+		img.W = im.Reify(img.In.WMEs)
+		img.Lay(&im.Layout)
+		m.bytes += img.Bytes()
 		for _, p := range im.Patterns {
-			if !p.CE.MatchesAlpha(&img.wme) {
-				img.at[p.Pos].prev = img
-				continue
+			if p.CE.MatchesAlpha(&img.W) {
+				m.join(p, img, +1)
+				m.w.Mems[p.ID].Add(img)
 			}
-			m.join(p, img, +1)
-			m.mems[p.ID].add(img)
 		}
 	}
 	clear(m.left)
@@ -257,33 +165,28 @@ func (m *metaLevel) sync() {
 }
 
 // patterns returns the patterns over img's template.
-func (m *metaLevel) patterns(img *image) []*compile.MetaPattern {
-	return m.prog.Images[img.in.Rule.Index].Patterns
+func (m *metaLevel) patterns(img *image) []*compile.Pattern {
+	return m.prog.Images[img.In.Rule.Index].Patterns
 }
 
 // join enumerates the tuples of p's meta-rule that hold img at p and adds
-// sign to the kill count of every image they redact: +1 for an image
-// entering, -1 for one leaving. A leaving image's own count is dropped with
-// it, so the join is skipped when no other image it could redact stays.
-func (m *metaLevel) join(p *compile.MetaPattern, img *image, sign int32) {
+// sign to the kill count of every image they redact. A leaving image's own
+// count is dropped with it, so the join is skipped when no other image it
+// could redact stays.
+func (m *metaLevel) join(p *compile.Pattern, img *image, sign int32) {
 	if sign < 0 && !m.victimStays(&p.Seed) {
 		return
 	}
-	m.tuple[p.Pat], m.env.Vec[p.Pat] = img, &img.wme
-	for _, ce := range p.Seed.Filters {
-		if !match.EvalFilters(ce, &m.env) {
-			return
-		}
-	}
-	m.extend(p.Rule, p.Seed.Steps, sign > 0, sign)
+	m.sign = sign
+	m.w.Join(p, img, &m.profs[p.Rule].Counts, sign > 0)
 }
 
 // victimStays reports whether some memory a step of j takes a redacted
 // image from holds an image that is not leaving.
-func (m *metaLevel) victimStays(j *compile.MetaJoin) bool {
+func (m *metaLevel) victimStays(j *compile.Join) bool {
 	for i := range j.Steps {
 		if st := &j.Steps[i]; st.Victim {
-			if mem := &m.mems[st.Pat.ID]; mem.n > mem.leaving {
+			if mem := &m.w.Mems[st.Pat.ID]; mem.N > mem.Leaving {
 				return true
 			}
 		}
@@ -291,75 +194,23 @@ func (m *metaLevel) victimStays(j *compile.MetaJoin) bool {
 	return false
 }
 
-// extend binds the patterns of steps, one a level, to every combination of
-// images that passes the tests. stay says that some image the tuple so far
-// redacts is not leaving; while none is, a candidate after which none can
-// be is skipped untested.
-func (m *metaLevel) extend(rule int, steps []compile.MetaStep, stay bool, sign int32) {
-	if len(steps) == 0 {
-		m.found(rule, sign)
-		return
-	}
-	st := &steps[0]
-	mem := &m.mems[st.Pat.ID]
-	vec := m.env.Vec
-	// The candidates are the memory's list or, when the step has an
-	// equality test to probe with, one bucket; at is where an image keeps
-	// its successor in either.
-	c, at := mem.list.Head, st.Pat.Pos
-	if st.Index >= 0 {
-		c, at = mem.idx[st.Index].Get(imageField(st.Pat.Indexed[st.Index]), vec[st.From.CE].Fields[st.From.Field]), at+1+st.Index
-	}
-	prof := &m.profs[rule]
-	q := st.Pat.Pat
-cand:
-	for ; c != nil; c = c.at[at].next {
-		stays := stay || st.Victim && !c.leaving
-		if !stays && st.LastVictim {
-			continue
-		}
-		for _, d := range st.Distinct {
-			if m.tuple[d] == c {
-				continue cand
-			}
-		}
-		prof.probes++
-		m.tuple[q], vec[q] = c, &c.wme
-		for i := range st.Tests {
-			t := &st.Tests[i]
-			if !t.Op.Apply(vec[t.Ref.CE].Fields[t.Ref.Field], vec[t.Other.CE].Fields[t.Other.Field]) {
-				continue cand
-			}
-		}
-		for _, ce := range st.Filters {
-			if !match.EvalFilters(ce, &m.env) {
-				continue cand
-			}
-		}
-		m.extend(rule, steps[1:], stays, sign)
-	}
-}
-
 // found applies the tuple just completed: sign on the count of every image
 // it redacts that is not leaving.
-func (m *metaLevel) found(rule int, sign int32) {
-	if m.visit != nil {
-		m.visit()
-		return
-	}
-	if sign > 0 {
+func (m *metaLevel) found() {
+	rule := m.w.Seed.Rule
+	if m.sign > 0 {
 		m.profs[rule].insts++
 	}
 	for _, v := range m.rules[rule].Redacts {
-		img := m.tuple[v]
-		if img.leaving {
+		img := m.w.Tuple[v]
+		if img.Leaving {
 			continue
 		}
-		img.kills += sign
+		img.Kills += m.sign
 		switch {
-		case sign > 0 && img.kills == 1:
+		case m.sign > 0 && img.Kills == 1:
 			m.redacted++
-		case sign < 0 && img.kills == 0:
+		case m.sign < 0 && img.Kills == 0:
 			m.redacted--
 		}
 	}
@@ -375,15 +226,15 @@ func (m *metaLevel) charge(d time.Duration) {
 	}
 	var total uint64
 	for i := range m.profs {
-		total += m.profs[i].probes - m.profs[i].paid
+		total += m.profs[i].Probes - m.profs[i].paid
 	}
 	if total == 0 {
 		return
 	}
 	for i := range m.profs {
 		p := &m.profs[i]
-		p.matchNS += int64(float64(d) * float64(p.probes-p.paid) / float64(total))
-		p.paid = p.probes
+		p.matchNS += int64(float64(d) * float64(p.Probes-p.paid) / float64(total))
+		p.paid = p.Probes
 	}
 }
 
@@ -393,18 +244,19 @@ func (m *metaLevel) charge(d time.Duration) {
 func (m *metaLevel) ruleProfiles() []match.RuleProfile {
 	out := make([]match.RuleProfile, len(m.profs))
 	for i, p := range m.profs {
-		out[i] = match.RuleProfile{Rule: m.rules[i].Name, MatchNS: p.matchNS, Probes: p.probes, Insts: p.insts}
+		out[i] = match.RuleProfile{Rule: m.rules[i].Name, MatchNS: p.matchNS, Probes: p.Probes, Insts: p.insts}
 	}
 	return out
 }
 
-// memStats reports the images held, once per pattern memory holding them.
-// That is all the state there is: linear in the eligible set whatever the
-// meta-rules join on.
+// memStats reports the images held, once per pattern memory holding them,
+// and the bytes the images and the index tables take. That is all the state
+// there is: linear in the eligible set whatever the meta-rules join on.
 func (m *metaLevel) memStats() match.MemStats {
-	var ms match.MemStats
-	for i := range m.mems {
-		ms.AlphaItems += m.mems[i].n
+	ms := match.MemStats{Bytes: m.bytes}
+	for i := range m.w.Mems {
+		ms.AlphaItems += m.w.Mems[i].N
+		ms.Bytes += m.w.Mems[i].Bytes()
 	}
 	return ms
 }
@@ -422,29 +274,29 @@ type redaction struct {
 // redacted img's instantiation at the last sync, found by running the
 // image's joins again. Nothing is kept for this during a run.
 func (m *metaLevel) explain(img *image) []redaction {
-	if img == nil || img.kills == 0 {
+	if img == nil || img.Kills == 0 {
 		return nil
 	}
 	var out []redaction
 	// The joins run here are no part of the run's profile.
 	profs := slices.Clone(m.profs)
-	defer func() { m.visit, m.profs = nil, profs }()
+	defer func() { m.w.Found, m.profs = m.found, profs }()
 	for _, p := range m.patterns(img) {
-		if !img.held(p) || !slices.Contains(m.rules[p.Rule].Redacts, p.Pat) {
+		if !img.Held(p) || !slices.Contains(m.rules[p.Rule].Redacts, p.Pat) {
 			continue
 		}
 		name := m.rules[p.Rule].Name
 		width := len(m.prog.Rules[p.Rule].CEs)
-		m.visit = func() {
+		m.w.Found = func() {
 			if len(out) == 0 || out[len(out)-1].rule != name {
 				out = append(out, redaction{rule: name})
 			}
 			r := &out[len(out)-1]
 			r.tuples++
 			var with []*match.Instantiation
-			for i, other := range m.tuple[:width] {
+			for i, other := range m.w.Tuple[:width] {
 				if i != p.Pat {
-					with = append(with, other.in)
+					with = append(with, other.In)
 				}
 			}
 			if r.with == nil || slices.CompareFunc(with, r.with, (*match.Instantiation).Compare) < 0 {

@@ -171,7 +171,7 @@ func BenchmarkMetaLevel(b *testing.B) {
 				m := newMetaLevel(prog)
 				sum := func() (n uint64) {
 					for _, p := range m.profs {
-						n += p.probes
+						n += p.Probes
 					}
 					return n
 				}

@@ -400,8 +400,8 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 				e.result.Cycles, len(images), eligibleNamed)
 		}
 		for _, img := range images {
-			if !named[img.wme.Tmpl.Name] {
-				t.Fatalf("image of unnamed rule %s", img.wme.Tmpl.Name)
+			if !named[img.W.Tmpl.Name] {
+				t.Fatalf("image of unnamed rule %s", img.W.Tmpl.Name)
 			}
 		}
 		checkMetaLevel(t, e.meta, images)

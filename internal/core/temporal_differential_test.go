@@ -72,7 +72,7 @@ func runTemporalOutcome(t *testing.T, prog *compile.Program, f match.Factory) (o
 }
 
 // TestTemporalDifferentialGrid sweeps the streamed fraud workload across
-// all eight matcher/index/eval configurations: identical firing
+// all six matcher/index/eval configurations: identical firing
 // sequences, final working memory, expiry counts and clock values.
 func TestTemporalDifferentialGrid(t *testing.T) {
 	progs := compileBoth(t, workload.FraudStreamProgram)

@@ -76,7 +76,13 @@ func NewInstantiation(rule *compile.Rule, wmes []*wm.WME) *Instantiation {
 		vec [4]*wm.WME
 	}{}
 	in := &buf.in
-	in.Rule, in.WMEs = rule, append(buf.vec[:0], wmes...)
+	in.Rule, in.WMEs, in.key = rule, append(buf.vec[:0], wmes...), KeyOf(rule, wmes)
+	return in
+}
+
+// KeyOf returns the key of the instantiation of rule over wmes without
+// building it.
+func KeyOf(rule *compile.Rule, wmes []*wm.WME) Key {
 	k := Key{Rule: int32(rule.Index), Len: uint16(len(wmes))}
 	h := uint64(fnvOffset64)
 	for i, w := range wmes {
@@ -89,8 +95,7 @@ func NewInstantiation(rule *compile.Rule, wmes []*wm.WME) *Instantiation {
 		}
 	}
 	k.Hash = h
-	in.key = k
-	return in
+	return k
 }
 
 // Key is a unique, deterministic identifier derived from the rule index
@@ -190,15 +195,16 @@ type MemStats struct {
 	// AlphaItems counts WMEs held across alpha memories (with sharing, a
 	// WME in two alpha memories counts twice).
 	AlphaItems int
-	// BetaTokens counts partial-match tokens (RETE only; TREAT holds no
-	// beta state).
+	// BetaTokens counts partial-match tokens (RETE only; TREAT and the meta
+	// level hold no beta state).
 	BetaTokens int
 	// ConflictSet counts complete instantiations currently held.
 	ConflictSet int
 	// Bytes is the memory the matcher's own records take: for RETE exactly
-	// what its arenas, WME table and index tables hold, in use or free
-	// (the WMEs and the instantiations are not the matcher's). TREAT
-	// leaves it zero.
+	// what its arenas, WME table and index tables hold, in use or free; for
+	// TREAT its records, their WME table and the index tables; for the meta
+	// level its images and index tables. The WMEs and the instantiations
+	// are not the matcher's.
 	Bytes int
 }
 

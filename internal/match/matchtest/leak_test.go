@@ -11,7 +11,9 @@ import (
 
 // TestNoStateLeakAfterFullRetraction inserts a random history and then
 // removes every live WME; both matchers must return to an empty state
-// (no leaked alpha items, beta tokens, or instantiations).
+// (no leaked alpha items, beta tokens, or instantiations). TREAT's Bytes,
+// which counts its records and tables, must be positive while it holds
+// WMEs and back to a fresh matcher's after.
 func TestNoStateLeakAfterFullRetraction(t *testing.T) {
 	factories := []struct {
 		name string
@@ -23,10 +25,14 @@ func TestNoStateLeakAfterFullRetraction(t *testing.T) {
 			for _, fac := range factories {
 				prog := Compiled(t, name)
 				gen := Generators[name]
+				fresh := fac.f(prog.Rules).MemStats().Bytes
 				for seed := int64(1); seed <= 3; seed++ {
 					d := NewDriver(prog, seed, fac.f)
 					for step := 0; step < 80; step++ {
 						d.Step(gen)
+					}
+					if ms := d.Matchers[0].MemStats(); fac.name == "treat" && ms.AlphaItems > 0 && ms.Bytes <= fresh {
+						t.Fatalf("treat seed %d: holds %d alpha items in %d bytes, a fresh matcher %d", seed, ms.AlphaItems, ms.Bytes, fresh)
 					}
 					// Retract everything still alive.
 					for _, w := range d.Mem.Snapshot() {
@@ -41,6 +47,9 @@ func TestNoStateLeakAfterFullRetraction(t *testing.T) {
 					}
 					if cs := d.Matchers[0].ConflictSet(); len(cs) != 0 {
 						t.Fatalf("%s seed %d: conflict set not empty: %v", fac.name, seed, cs)
+					}
+					if fac.name == "treat" && ms.Bytes != fresh {
+						t.Fatalf("treat seed %d: %d bytes after full retraction, a fresh matcher %d", seed, ms.Bytes, fresh)
 					}
 					// RETE keeps only the per-rule dummy tokens plus
 					// negative-node tokens derived from them; those are

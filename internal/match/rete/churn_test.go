@@ -103,11 +103,11 @@ func (n *Network) audit() (err error) {
 	must(insts == int(n.insts.live), "%d production tokens, %d instantiations", insts, n.insts.live)
 	for r := int32(1); r < n.recs.next; r++ {
 		if rec := n.recs.at(r); rec.mems >= 0 {
-			must(n.wmes[r] != nil && n.table.get(n.wmes[r], n.wmes) == r, "record %d is not found by its WME", r)
+			must(n.wmes[r] != nil && n.table.Get(n.wmes[r], n.wmes) == r, "record %d is not found by its WME", r)
 			must(rec.mems != 0 && (rec.tokens == 0 || n.tok(rec.tokens).wprev == 0) && (rec.results == 0 || n.result(rec.results).wprev == 0), "record %d: a list does not start at its head", r)
 		}
 	}
-	must(n.table.n == int(n.recs.live), "the WME table holds %d records of %d", n.table.n, n.recs.live)
+	must(n.table.Len() == int(n.recs.live), "the WME table holds %d records of %d", n.table.Len(), n.recs.live)
 	inChain := make([]int, len(n.chains))
 	for h := int32(1); h < n.mships.next; h++ {
 		if m := n.mships.at(h); m.rec >= 0 {
@@ -182,8 +182,8 @@ func TestFreshNetworkOwnsNoIndexTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := NewWithOptions(prog.Rules, Options{Profile: true}).(*Network)
-		if n.indexSlots() != 0 || n.recs.live != 0 || len(n.table.slots) != 0 {
-			t.Errorf("%s: a fresh network of %d rules owns %d index slots, %d WME records and a table of %d", name, len(prog.Rules), n.indexSlots(), n.recs.live, len(n.table.slots))
+		if n.indexSlots() != 0 || n.recs.live != 0 || n.table.Bytes() != 0 {
+			t.Errorf("%s: a fresh network of %d rules owns %d index slots, %d WME records and a table of %d bytes", name, len(prog.Rules), n.indexSlots(), n.recs.live, n.table.Bytes())
 		}
 		if b := n.MemStats().Bytes; b > 4<<10 || b != n.tokens.bytes() {
 			t.Errorf("%s: a fresh network of %d rules holds %d bytes, %d of them tokens; budget 4 KiB, all tokens", name, len(prog.Rules), b, n.tokens.bytes())
@@ -297,7 +297,7 @@ func TestNetworkChurn(t *testing.T) {
 		t.Fatalf("token memories grew to %d tokens over a live set of %d rounds", maxTokens, window)
 	}
 	for _, w := range stay {
-		r, listed, blocked := n.rec(n.table.get(w, n.wmes)), 0, 0
+		r, listed, blocked := n.rec(n.table.Get(w, n.wmes)), 0, 0
 		for h := r.tokens; h != 0; h = n.tok(h).wnext {
 			listed++
 		}
@@ -323,7 +323,7 @@ func TestNetworkChurn(t *testing.T) {
 	if ms.Bytes = base.Bytes; ms != base {
 		t.Fatalf("state after retracting everything %+v, baseline %+v", ms, base)
 	}
-	if n.recs.live != 0 || n.indexSlots() != 0 || n.wmes != nil || n.table.slots != nil {
+	if n.recs.live != 0 || n.indexSlots() != 0 || n.wmes != nil || n.table.Bytes() != 0 {
 		t.Fatalf("%d WME records and %d index slots outlive their WMEs", n.recs.live, n.indexSlots())
 	}
 }

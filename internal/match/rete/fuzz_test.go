@@ -143,6 +143,15 @@ func FuzzNetworkDifferential(f *testing.F) {
 		opAdd, 0, 0, 1, opAdd, 0, 1, 1, opAdd | opFlush, 0, 2, 1,
 		opRemove, 1, opAdd, 0, 3, 1, opAdd | opFlush, 0, 1, 1,
 		opRemove | opFlush, 0, opReplace | opFlush, 0, opRemove | opFlush, 2, opRemove | opFlush, 0, opRemove | opFlush, 0})
+	// circuit's eval (templates gate, wire), whose two input CEs and negated
+	// output CE are all over wire: gate 0 reads wire 1 twice and drives it,
+	// so the wire that completes its inputs also blocks them; gate 1 reads
+	// wire 1 and drives wire 2. A second wire 1 doubles the tuples, and
+	// wire 2 comes and goes.
+	f.Add([]byte{byte(len(matchtest.Programs) + slices.Index(programs.All(), programs.Circuit)),
+		opAdd, 0, 0, 0, 1, 1, 1, opAdd | opFlush, 0, 1, 0, 1, 1, 2,
+		opAdd | opFlush, 1, 1, 0, opAdd | opFlush, 1, 2, 1, opAdd | opFlush, 1, 1, 1,
+		opRemove | opFlush, 3, opReplace | opFlush, 2, opBounce | opFlush, 2, opRemove | opFlush, 2, opRemove | opFlush, 2})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {

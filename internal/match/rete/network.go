@@ -64,7 +64,7 @@ type Network struct {
 	results arena[negResult, *negResult]
 	insts   arena[instRec, *instRec]
 	wmes    []*wm.WME
-	table   wmeTable
+	table   match.WMETable
 	// matched is addWME's scratch list of the alpha memories a WME passes,
 	// and vec the production nodes' scratch vector.
 	matched []*alphaMem
@@ -367,7 +367,7 @@ func (n *Network) addWME(w *wm.WME) {
 		n.wmes = append(n.wmes, nil)
 	}
 	n.wmes[r] = w
-	n.table.put(r, n.wmes)
+	n.table.Put(r, n.wmes)
 	for _, am := range matched {
 		// A memory's successors are activated before the WME enters the
 		// next memory: a token they build must not find the WME there
@@ -383,7 +383,7 @@ func (n *Network) addWME(w *wm.WME) {
 }
 
 func (n *Network) removeWME(w *wm.WME) {
-	r := n.table.remove(w, n.wmes)
+	r := n.table.Remove(w, n.wmes)
 	if r == 0 {
 		return
 	}
@@ -532,7 +532,7 @@ func (n *Network) RuleProfiles() []match.RuleProfile {
 // in use.
 func (n *Network) MemStats() match.MemStats {
 	ms := match.MemStats{Bytes: n.tokens.bytes() + n.recs.bytes() + n.mships.bytes() + n.results.bytes() + n.insts.bytes() +
-		cap(n.wmes)*int(unsafe.Sizeof(n.wmes[0])) + len(n.table.slots)*int(unsafe.Sizeof(n.table.slots[0]))}
+		cap(n.wmes)*int(unsafe.Sizeof(n.wmes[0])) + n.table.Bytes()}
 	for _, c := range n.chains {
 		if ms.Bytes += c.idx.Bytes(); !c.indexed {
 			ms.AlphaItems += int(c.n)

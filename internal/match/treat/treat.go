@@ -4,20 +4,19 @@
 // production-system literature PARULEL belongs to.
 //
 // TREAT retains only the alpha memories and the conflict set — no beta
-// (partial-match) state. On each working-memory change it re-derives the
-// affected instantiations by seeded joins across the alpha memories:
+// (partial-match) state. It is the seeded-join engine of
+// internal/match/seeded, which the meta level runs too, plus a conflict
+// set: each CE's memory holds a record of every WME passing its alpha
+// tests, and compile.PlanJoins plans the join a record entering or leaving
+// it runs — positive CEs bound through an index wherever an equality test
+// allows, each negated CE an absence check once what it reads is bound. A
+// WME's record enters or leaves all its memories at once, and:
 //
-//   - adding a WME that matches a positive CE seeds a join with that WME
-//     fixed at the CE;
-//   - removing such a WME deletes the conflict-set entries containing it;
-//   - adding a WME that matches a negated CE deletes the instantiations it
-//     now blocks;
-//   - removing one re-derives the combinations it alone was blocking.
-//
-// Alpha memories of CEs with an equality join test carry a hash index by
-// the tested field's value, so seeded joins probe one bucket per level
-// instead of scanning the whole memory (Options.DisableJoinIndex restores
-// the scan, as the differential tests' reference).
+//   - at a positive CE, an added WME adds each tuple it completes, and a
+//     removed one drops its tuples by key before its record leaves;
+//   - at a negated CE, an added WME drops the tuples it now blocks before
+//     its record enters, and a removed one adds the tuples it alone
+//     blocked after its record has left.
 //
 // The classic trade-off reproduced by experiment E4: cheaper memory and
 // cheap removals, but join work is repeated on every addition, which loses
@@ -26,73 +25,58 @@ package treat
 
 import (
 	"time"
+	"unsafe"
 
 	"parulel/internal/compile"
 	"parulel/internal/match"
+	"parulel/internal/match/seeded"
 	"parulel/internal/wm"
 )
 
 // Options configures a Treat matcher.
 type Options struct {
-	// DisableJoinIndex turns off the per-CE alpha-memory value indexes,
-	// forcing seeded joins to scan whole alpha memories: the reference arm
-	// of the differential grid (internal/core/differential_test.go). No
-	// binary and no facade field sets it.
-	DisableJoinIndex bool
-	// Profile attributes match time per rule: each rule's slice of every
-	// addWME/removeWME pass is timed and charged to the rule's profile.
-	// The activity counters (tokens, probes, instantiations) are
-	// maintained regardless; Profile only gates the timing.
+	// Profile attributes match time per rule: every seeded join is timed
+	// and charged to its rule's profile. The activity counters (tokens,
+	// probes, instantiations) are maintained regardless; Profile only
+	// gates the timing.
 	Profile bool
 }
 
 // ruleProf accumulates one rule's match-layer activity.
 type ruleProf struct {
+	seeded.Counts
 	matchNS int64
-	tokens  uint64
-	probes  uint64
 	insts   uint64
 }
-
-// wmeSet is an alpha memory or one of its hash-index buckets.
-type wmeSet = map[*wm.WME]struct{}
 
 // Treat is a TREAT matcher over a partition of rules. It implements
 // match.Matcher and must be used by a single goroutine.
 type Treat struct {
-	rules []*ruleState
-	// conflictSet holds all current instantiations by key.
+	rules []*compile.Rule
+	// layouts lists, per template the rules match, the patterns over it,
+	// and w runs the joins over their memories.
+	layouts []*compile.Layout
+	w       seeded.Walker
+	// conflictSet holds all current instantiations by key, and adding says
+	// whether the joins in progress add what they find to it or drop it.
 	conflictSet map[match.Key]*match.Instantiation
-	// byWME indexes instantiations by the WMEs they contain, for O(1)
-	// removal.
-	byWME map[*wm.WME]map[match.Key]*match.Instantiation
-	coll  *match.ChangeCollector
-	// profile gates per-rule match-time attribution (the counters inside
-	// each ruleState's prof are always maintained).
+	adding      bool
+	// recs[h] is the record of handle h and wmes[h] its WME; table finds
+	// the handle of a WME, and free lists the handles to reuse.
+	recs  []*seeded.Member
+	wmes  []*wm.WME
+	table match.WMETable
+	free  []int32
+	// pats and vec are scratch: the memories a record enters or leaves, and
+	// the elements of the tuple found.
+	pats    []*compile.Pattern
+	vec     []*wm.WME
+	coll    *match.ChangeCollector
+	profs   []ruleProf
 	profile bool
-	// env is the reused environment filters are evaluated in.
-	env compile.VecEnv
 }
 
-var _ match.Matcher = (*Treat)(nil)
-
-type ruleState struct {
-	rule *compile.Rule
-	// alphas holds one alpha memory per condition element, in source
-	// order (negated CEs included).
-	alphas []wmeSet
-	// eqTest[i] is the index within CEs[i].JoinTests of the equality test
-	// alphaIdx[i] is keyed on, or -1 when the CE has no equality join test
-	// (or indexing is disabled).
-	eqTest []int
-	// alphaIdx[i], when eqTest[i] >= 0, indexes alphas[i] by the tested
-	// field's value so seeded joins probe a bucket instead of scanning.
-	alphaIdx []map[wm.Value]wmeSet
-	// insts holds this rule's current instantiations by key, for
-	// negated-CE violation checks.
-	insts map[match.Key]*match.Instantiation
-	prof  ruleProf
-}
+var _ match.RuleProfiler = (*Treat)(nil)
 
 // New builds a TREAT matcher with default options for the given rules. It
 // satisfies match.Factory.
@@ -105,77 +89,17 @@ func Factory(opts Options) match.Factory {
 
 // NewWithOptions builds a TREAT matcher for the given rules.
 func NewWithOptions(rules []*compile.Rule, opts Options) match.Matcher {
+	pats, layouts := compile.PlanJoins(rules)
 	t := &Treat{
+		rules:       rules,
+		layouts:     layouts,
 		conflictSet: make(map[match.Key]*match.Instantiation),
-		byWME:       make(map[*wm.WME]map[match.Key]*match.Instantiation),
 		coll:        match.NewChangeCollector(),
+		profs:       make([]ruleProf, len(rules)),
 		profile:     opts.Profile,
 	}
-	for _, r := range rules {
-		rs := &ruleState{
-			rule:     r,
-			alphas:   make([]wmeSet, len(r.CEs)),
-			eqTest:   make([]int, len(r.CEs)),
-			alphaIdx: make([]map[wm.Value]wmeSet, len(r.CEs)),
-			insts:    make(map[match.Key]*match.Instantiation),
-		}
-		for i, ce := range r.CEs {
-			rs.alphas[i] = make(wmeSet)
-			rs.eqTest[i] = -1
-			if opts.DisableJoinIndex {
-				continue
-			}
-			for j := range ce.JoinTests {
-				if ce.JoinTests[j].Op == compile.OpEq {
-					rs.eqTest[i] = j
-					rs.alphaIdx[i] = make(map[wm.Value]wmeSet)
-					break
-				}
-			}
-		}
-		t.rules = append(t.rules, rs)
-	}
+	t.w = seeded.New(pats, t.found)
 	return t
-}
-
-// alphaInsert adds w to the CE's alpha memory and its value index.
-func (rs *ruleState) alphaInsert(i int, w *wm.WME) {
-	rs.alphas[i][w] = struct{}{}
-	if j := rs.eqTest[i]; j >= 0 {
-		v := w.Fields[rs.rule.CEs[i].JoinTests[j].Field]
-		b := rs.alphaIdx[i][v]
-		if b == nil {
-			b = make(wmeSet)
-			rs.alphaIdx[i][v] = b
-		}
-		b[w] = struct{}{}
-	}
-}
-
-// alphaRemove removes w from the CE's alpha memory and its value index.
-func (rs *ruleState) alphaRemove(i int, w *wm.WME) {
-	delete(rs.alphas[i], w)
-	if j := rs.eqTest[i]; j >= 0 {
-		v := w.Fields[rs.rule.CEs[i].JoinTests[j].Field]
-		if b := rs.alphaIdx[i][v]; b != nil {
-			delete(b, w)
-			if len(b) == 0 {
-				delete(rs.alphaIdx[i], v)
-			}
-		}
-	}
-}
-
-// candidates returns the alpha-memory subset worth joining at CE i given
-// the bindings in vec: the index bucket for the joined value when the CE
-// is indexed, the whole memory otherwise. skip reports which join test the
-// bucket already guarantees (-1 when none).
-func (rs *ruleState) candidates(i int, vec []*wm.WME) (cands wmeSet, skip int) {
-	if j := rs.eqTest[i]; j >= 0 {
-		jt := &rs.rule.CEs[i].JoinTests[j]
-		return rs.alphaIdx[i][vec[jt.OtherCE].Fields[jt.OtherField]], j
-	}
-	return rs.alphas[i], -1
 }
 
 // Apply feeds a working-memory delta and returns conflict-set changes.
@@ -189,244 +113,130 @@ func (t *Treat) Apply(delta wm.Delta) match.Changes {
 	return t.coll.Take()
 }
 
-func (t *Treat) addInst(rs *ruleState, in *match.Instantiation) {
-	key := in.Key()
-	if _, dup := t.conflictSet[key]; dup {
-		return
-	}
-	rs.prof.insts++
-	t.conflictSet[key] = in
-	rs.insts[key] = in
-	for _, w := range in.WMEs {
-		idx := t.byWME[w]
-		if idx == nil {
-			idx = make(map[match.Key]*match.Instantiation)
-			t.byWME[w] = idx
-		}
-		idx[key] = in
-	}
-	t.coll.Add(in)
-}
-
-func (t *Treat) dropInst(rs *ruleState, in *match.Instantiation) {
-	key := in.Key()
-	if _, ok := t.conflictSet[key]; !ok {
-		return
-	}
-	delete(t.conflictSet, key)
-	delete(rs.insts, key)
-	for _, w := range in.WMEs {
-		if idx := t.byWME[w]; idx != nil {
-			delete(idx, key)
-			if len(idx) == 0 {
-				delete(t.byWME, w)
-			}
-		}
-	}
-	t.coll.Remove(in)
-}
-
-func (t *Treat) ruleStateOf(in *match.Instantiation) *ruleState {
-	for _, rs := range t.rules {
-		if rs.rule == in.Rule {
-			return rs
-		}
-	}
-	panic("treat: instantiation of unknown rule")
-}
-
 func (t *Treat) addWME(w *wm.WME) {
-	for _, rs := range t.rules {
-		if t.profile {
-			start := time.Now()
-			t.addWMERule(rs, w)
-			rs.prof.matchNS += time.Since(start).Nanoseconds()
-		} else {
-			t.addWMERule(rs, w)
-		}
-	}
-}
-
-// addWMERule is one rule's slice of an addition: alpha maintenance plus
-// the seeded joins. Split out so profiling can time it per rule.
-func (t *Treat) addWMERule(rs *ruleState, w *wm.WME) {
-	// First pass: insert into every matching alpha memory so joins see
-	// a consistent state.
-	matched := make([]int, 0, 4)
-	for i, ce := range rs.rule.CEs {
-		if ce.MatchesAlpha(w) {
-			rs.alphaInsert(i, w)
-			matched = append(matched, i)
-		}
-	}
-	if len(matched) == 0 {
+	l := t.layout(w.Tmpl)
+	if l == nil {
 		return
 	}
-	// Negated matches first: they can only retract, and retracting
-	// before seeding keeps the additions consistent with the new WM.
-	for _, i := range matched {
-		ce := rs.rule.CEs[i]
-		if !ce.Negated {
-			continue
-		}
-		for _, in := range instList(rs.insts) {
-			rs.prof.probes++
-			if negMatches(ce, w, in.WMEs, -1) {
-				t.dropInst(rs, in)
-			}
+	pats := t.pats[:0]
+	for _, p := range l.Patterns {
+		if p.CE.MatchesAlpha(w) {
+			pats = append(pats, p)
 		}
 	}
-	for _, i := range matched {
-		ce := rs.rule.CEs[i]
-		if ce.Negated {
-			continue
-		}
-		t.seedJoin(rs, ce.PosIndex, w, nil)
+	if t.pats = pats; len(pats) == 0 {
+		return
 	}
+	rec := &seeded.Member{W: *w, Ref: w}
+	rec.Lay(l)
+	t.file(rec)
+	t.joins(pats, rec, true, false) // negated CEs: drop what it blocks
+	for _, p := range pats {
+		t.w.Mems[p.ID].Add(rec)
+	}
+	t.joins(pats, rec, false, true) // positive CEs: add what it completes
 }
 
 func (t *Treat) removeWME(w *wm.WME) {
-	// Retract instantiations containing w (positive usages) across all
-	// rules.
-	if idx := t.byWME[w]; idx != nil {
-		for _, in := range instList(idx) {
-			rs := t.ruleStateOf(in)
-			if t.profile {
-				start := time.Now()
-				t.dropInst(rs, in)
-				rs.prof.matchNS += time.Since(start).Nanoseconds()
-			} else {
-				t.dropInst(rs, in)
-			}
+	h := t.table.Remove(w, t.wmes)
+	if h == 0 {
+		return
+	}
+	rec := t.recs[h]
+	t.release(h)
+	pats := t.pats[:0]
+	for _, p := range t.layout(w.Tmpl).Patterns {
+		if rec.Held(p) {
+			pats = append(pats, p)
 		}
 	}
-	for _, rs := range t.rules {
-		if t.profile {
-			start := time.Now()
-			t.removeWMERule(rs, w)
-			rs.prof.matchNS += time.Since(start).Nanoseconds()
-		} else {
-			t.removeWMERule(rs, w)
-		}
+	t.pats = pats
+	t.joins(pats, rec, false, false) // positive CEs: drop its tuples
+	for _, p := range pats {
+		t.w.Mems[p.ID].Remove(rec)
 	}
+	t.joins(pats, rec, true, true) // negated CEs: add what it alone blocked
 }
 
-// removeWMERule is one rule's slice of a removal: alpha maintenance plus
-// removal-enablement joins for negated CEs that held the WME.
-func (t *Treat) removeWMERule(rs *ruleState, w *wm.WME) {
-	// Remove from the rule's alpha memories, remembering which negated
-	// CEs held it.
-	var negHits []int
-	for i, ce := range rs.rule.CEs {
-		if _, ok := rs.alphas[i][w]; !ok {
+// joins runs the joins seeded at rec in those of pats whose CEs are
+// negated, or not, as neg says, adding or dropping what they find.
+func (t *Treat) joins(pats []*compile.Pattern, rec *seeded.Member, neg, add bool) {
+	t.adding = add
+	for _, p := range pats {
+		if p.CE.Negated != neg {
 			continue
 		}
-		rs.alphaRemove(i, w)
-		if ce.Negated {
-			negHits = append(negHits, i)
-		}
-	}
-	// Combinations that only w was blocking are now live.
-	for _, i := range negHits {
-		t.seedJoin(rs, -1, w, rs.rule.CEs[i])
-	}
-}
-
-// instList snapshots a map of instantiations so the caller can mutate the
-// map while iterating.
-func instList(m map[match.Key]*match.Instantiation) []*match.Instantiation {
-	out := make([]*match.Instantiation, 0, len(m))
-	for _, in := range m {
-		out = append(out, in)
-	}
-	return out
-}
-
-// negMatches reports whether WME w satisfies the negated CE's join tests
-// against the positive vector vec (alpha tests are already guaranteed by
-// alpha membership). skip names a join test already guaranteed by an index
-// probe, or -1.
-func negMatches(ce *compile.CondElem, w *wm.WME, vec []*wm.WME, skip int) bool {
-	for i, jt := range ce.JoinTests {
-		if i == skip {
+		prof := &t.profs[p.Rule]
+		if !t.profile {
+			t.w.Join(p, rec, &prof.Counts, true)
 			continue
 		}
-		if !jt.Op.Apply(w.Fields[jt.Field], vec[jt.OtherCE].Fields[jt.OtherField]) {
-			return false
-		}
+		start := time.Now()
+		t.w.Join(p, rec, &prof.Counts, true)
+		prof.matchNS += time.Since(start).Nanoseconds()
 	}
-	return true
 }
 
-// seedJoin enumerates complete matches of rs.rule and adds them.
-//
-// With seedPos >= 0, the WME seed is fixed at positive CE seedPos, and to
-// avoid generating the same combination from two seed positions when the
-// seed matches several CEs, positions before seedPos exclude the seed.
-//
-// With seedPos < 0, negSeed names a negated CE and seed the WME just
-// removed from its alpha memory: only combinations that seed *would have
-// blocked* are enumerated (removal-enablement).
-func (t *Treat) seedJoin(rs *ruleState, seedPos int, seed *wm.WME, negSeed *compile.CondElem) {
-	vec := make([]*wm.WME, rs.rule.NumPositive)
-	t.joinFrom(rs, 0, vec, seedPos, seed, negSeed)
+// found adds the instantiation the walker has completed to the conflict
+// set, or drops it from there, as t.adding says.
+func (t *Treat) found() {
+	p := t.w.Seed
+	r := t.rules[p.Rule]
+	vec := t.vec[:0]
+	for _, rec := range t.w.Tuple[:r.NumPositive] {
+		vec = append(vec, rec.Ref)
+	}
+	t.vec = vec
+	key := match.KeyOf(r, vec)
+	in, held := t.conflictSet[key]
+	switch {
+	case t.adding && !held:
+		in = match.NewInstantiation(r, vec)
+		t.conflictSet[key] = in
+		t.profs[p.Rule].insts++
+		t.coll.Add(in)
+	case !t.adding && held:
+		delete(t.conflictSet, key)
+		t.coll.Remove(in)
+	}
 }
 
-func (t *Treat) joinFrom(rs *ruleState, ceIdx int, vec []*wm.WME, seedPos int, seed *wm.WME, negSeed *compile.CondElem) {
-	if ceIdx == len(rs.rule.CEs) {
-		t.addInst(rs, match.NewInstantiation(rs.rule, vec))
+// layout returns tmpl's layout, or nil when no CE matches it.
+func (t *Treat) layout(tmpl *wm.Template) *compile.Layout {
+	for _, l := range t.layouts {
+		if l.Tmpl == tmpl {
+			return l
+		}
+	}
+	return nil
+}
+
+// file gives rec a handle, a freed one if there is one, and enters it in
+// the table. There is no handle zero.
+func (t *Treat) file(rec *seeded.Member) {
+	var h int32
+	if n := len(t.free); n > 0 {
+		h, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		if len(t.recs) == 0 {
+			t.recs, t.wmes = make([]*seeded.Member, 1), make([]*wm.WME, 1)
+		}
+		h = int32(len(t.recs))
+		t.recs, t.wmes = append(t.recs, nil), append(t.wmes, nil)
+	}
+	t.recs[h], t.wmes[h] = rec, rec.Ref
+	t.table.Put(h, t.wmes)
+}
+
+// release frees handle h, which the table no longer holds. The last record
+// out releases them all.
+func (t *Treat) release(h int32) {
+	t.recs[h], t.wmes[h] = nil, nil
+	if t.table.Len() == 0 {
+		t.recs, t.wmes, t.free = nil, nil, nil
 		return
 	}
-	ce := rs.rule.CEs[ceIdx]
-	if ce.Negated {
-		// The negation must hold over the bindings established so far
-		// (all its join tests reference earlier positive CEs). Indexed
-		// CEs only need to check the bucket of the joined value.
-		cands, skip := rs.candidates(ceIdx, vec)
-		for w := range cands {
-			rs.prof.probes++
-			if negMatches(ce, w, vec, skip) {
-				return
-			}
-		}
-		// Removal-enablement: the removed WME must have been blocking this
-		// combination.
-		if ce == negSeed && !negMatches(ce, seed, vec, -1) {
-			return
-		}
-		t.joinFrom(rs, ceIdx+1, vec, seedPos, seed, negSeed)
-		return
-	}
-	p := ce.PosIndex
-	tryWME := func(w *wm.WME, skip int) {
-		rs.prof.probes++
-		for i, jt := range ce.JoinTests {
-			if i == skip {
-				continue
-			}
-			if !jt.Op.Apply(w.Fields[jt.Field], vec[jt.OtherCE].Fields[jt.OtherField]) {
-				return
-			}
-		}
-		vec[p] = w
-		t.env.Vec = vec[:p+1]
-		if match.EvalFilters(ce, &t.env) {
-			rs.prof.tokens++
-			t.joinFrom(rs, ceIdx+1, vec, seedPos, seed, negSeed)
-		}
-		vec[p] = nil
-	}
-	if p == seedPos {
-		tryWME(seed, -1)
-		return
-	}
-	cands, skip := rs.candidates(ceIdx, vec)
-	for w := range cands {
-		if seedPos >= 0 && w == seed && p < seedPos {
-			continue // dedup: earlier positions exclude the seed
-		}
-		tryWME(w, skip)
-	}
+	t.free = append(t.free, h)
 }
 
 // ConflictSet returns the current instantiations in deterministic order.
@@ -444,28 +254,26 @@ func (t *Treat) ConflictSet() []*match.Instantiation {
 // Options.Profile; counters are always live.
 func (t *Treat) RuleProfiles() []match.RuleProfile {
 	out := make([]match.RuleProfile, len(t.rules))
-	for i, rs := range t.rules {
-		out[i] = match.RuleProfile{
-			Rule:    rs.rule.Name,
-			MatchNS: rs.prof.matchNS,
-			Tokens:  rs.prof.tokens,
-			Probes:  rs.prof.probes,
-			Insts:   rs.prof.insts,
-		}
+	for i, r := range t.rules {
+		p := &t.profs[i]
+		out[i] = match.RuleProfile{Rule: r.Name, MatchNS: p.matchNS, Tokens: p.Tokens, Probes: p.Probes, Insts: p.insts}
 	}
 	return out
 }
 
-var _ match.RuleProfiler = (*Treat)(nil)
-
-// MemStats reports current state sizes. TREAT holds no beta tokens.
+// MemStats reports current state sizes: no beta tokens, and as Bytes the
+// records, their handle tables and the memories' index tables.
 func (t *Treat) MemStats() match.MemStats {
-	var ms match.MemStats
-	for _, rs := range t.rules {
-		for _, a := range rs.alphas {
-			ms.AlphaItems += len(a)
+	ms := match.MemStats{ConflictSet: len(t.conflictSet), Bytes: t.table.Bytes() +
+		(cap(t.recs)+cap(t.wmes))*int(unsafe.Sizeof(t.wmes[0])) + cap(t.free)*int(unsafe.Sizeof(t.free[0]))}
+	for i := range t.w.Mems {
+		ms.AlphaItems += t.w.Mems[i].N
+		ms.Bytes += t.w.Mems[i].Bytes()
+	}
+	for _, rec := range t.recs {
+		if rec != nil {
+			ms.Bytes += rec.Bytes()
 		}
 	}
-	ms.ConflictSet = len(t.conflictSet)
 	return ms
 }

@@ -112,12 +112,4 @@ func TestTreatConformance(t *testing.T) {
 	matchtest.RunConformance(t, treat.New)
 }
 
-func TestTreatConformanceNoJoinIndex(t *testing.T) {
-	matchtest.RunConformance(t, treat.Factory(treat.Options{DisableJoinIndex: true}))
-}
-
-func TestTreatIndexedVsUnindexedDifferential(t *testing.T) {
-	matchtest.RunDifferential(t, treat.New, treat.Factory(treat.Options{DisableJoinIndex: true}))
-}
-
 var _ match.Matcher = treat.New(nil)

@@ -1,7 +1,9 @@
 // Package valueindex is the one hash-join index of the tree: the members
-// of a memory bucketed by a wm.Value each of them carries. The RETE network
-// indexes its alpha memories and token memories with it (internal/match/rete)
-// and the meta level its image memories (internal/core/redact.go).
+// of a memory bucketed by a wm.Value each of them carries. It has three
+// users: the RETE network indexes its alpha memories and token memories
+// with it (internal/match/rete), and the seeded-join engine
+// (internal/match/seeded) the memories of TREAT's records and of the meta
+// level's images (internal/match/treat, internal/core/redact.go).
 package valueindex
 
 import (
@@ -14,9 +16,10 @@ import (
 
 // Chain is the two ends of a list of members in arrival order. The list
 // is linked through the members themselves: the owner keeps each member's
-// neighbours (a token's bnext and bprev, a membership's, an image's links)
-// and a chain only ever hears about its ends, so it stores one member's
-// worth of state however many it lists. The zero T is no member.
+// neighbours (a token's bnext and bprev, a membership's, a seeded-join
+// member's links) and a chain only ever hears about its ends, so it stores
+// one member's worth of state however many it lists. The zero T is no
+// member.
 type Chain[T comparable] struct {
 	Head, Tail T
 }
@@ -66,8 +69,8 @@ type Keyer[T any] interface {
 // A bucket must not change while it is being walked. The owners'
 // structure guarantees it: RETE's alpha memories change only between
 // activations, and a node's activation adds and removes tokens only in
-// memories downstream of the one it is reading; the meta level joins an
-// image against its memories before it adds it and after it removes it.
+// memories downstream of the one it is reading; the seeded-join engine's
+// users change no memory while a join runs.
 type Index[T comparable] struct {
 	slots []bucket[T] // length zero or a power of two
 	live  int32       // buckets in use
