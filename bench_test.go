@@ -15,9 +15,7 @@ import (
 	"time"
 
 	"parulel/internal/compile"
-	"parulel/internal/copycon"
 	"parulel/internal/core"
-	"parulel/internal/lang"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/match/treat"
@@ -87,52 +85,47 @@ func BenchmarkE1(b *testing.B) {
 	}
 }
 
-// --- E2: speedup vs workers ---
+// --- E2: fire-phase parallelism vs workers ---
 
+// BenchmarkE2 runs waltz and the single-hot-rule program, which fires
+// everything it matches in one cycle, at 1, 2, 4 and 8 workers. Match runs
+// on one network whatever the count; Workers spreads the fire phase's
+// right-hand sides over goroutines. fire-pot is sum/max of their busy
+// time, fire% the phase's share of the run.
 func BenchmarkE2(b *testing.B) {
-	hot16AST, err := lang.Parse(workload.HotRuleProgram)
+	hot, err := compile.CompileSource(workload.HotRuleProgram)
 	if err != nil {
 		b.Fatal(err)
 	}
-	hot16AST, err = copycon.Split(hot16AST, "assign", "r", 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hot16, err := compile.Compile(hot16AST)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name string
+		prog *compile.Program
+		load loader
+	}{
+		{"waltz", mustLoad(b, programs.Waltz), func(i workload.Inserter) error { return workload.WaltzScene(i, 30) }},
+		{"hotrule", hot, func(i workload.Inserter) error { return workload.HotRuleFacts(i, 16, 12, 1) }},
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("waltz/workers=%d", workers), func(b *testing.B) {
-			var mPot float64
-			for i := 0; i < b.N; i++ {
-				e := core.New(mustLoad(b, programs.Waltz), core.Options{Workers: workers, MaxCycles: 1 << 20})
-				if err := workload.WaltzScene(e, 30); err != nil {
-					b.Fatal(err)
+		for _, c := range cases {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				var fPot, fire float64
+				for i := 0; i < b.N; i++ {
+					e := core.New(c.prog, core.Options{Workers: workers, MaxCycles: 1 << 20})
+					if err := c.load(e); err != nil {
+						b.Fatal(err)
+					}
+					res, err := e.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, fWork := e.WorkerWork()
+					fPot = potential(fWork)
+					_, _, fire, _ = stats.Breakdown(res.Phases)
 				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-				mWork, _ := e.WorkerWork()
-				mPot = potential(mWork)
-			}
-			b.ReportMetric(mPot, "match-pot")
-		})
-		b.Run(fmt.Sprintf("hotrule16/workers=%d", workers), func(b *testing.B) {
-			var mPot float64
-			for i := 0; i < b.N; i++ {
-				e := core.New(hot16, core.Options{Workers: workers, MaxCycles: 1 << 20})
-				if err := workload.HotRuleFacts(e, 16, 12, 1); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-				mWork, _ := e.WorkerWork()
-				mPot = potential(mWork)
-			}
-			b.ReportMetric(mPot, "match-pot")
-		})
+				b.ReportMetric(fPot, "fire-pot")
+				b.ReportMetric(fire, "fire%")
+			})
+		}
 	}
 }
 
@@ -165,37 +158,6 @@ func TestPotential(t *testing.T) {
 		if got := potential(tc.work); got != tc.want {
 			t.Errorf("potential(%v) = %v, want %v", tc.work, got, tc.want)
 		}
-	}
-}
-
-// --- E3: copy-and-constrain split factor ---
-
-func BenchmarkE3(b *testing.B) {
-	for _, k := range []int{1, 2, 4, 8} {
-		ast, err := lang.Parse(workload.HotRuleProgram)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if k > 1 {
-			if ast, err = copycon.Split(ast, "assign", "r", k); err != nil {
-				b.Fatal(err)
-			}
-		}
-		prog, err := compile.Compile(ast)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("split=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := core.New(prog, core.Options{Workers: 8, MaxCycles: 1 << 20})
-				if err := workload.HotRuleFacts(e, 16, 16, 1); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -85,7 +85,7 @@ func runFlags(errW io.Writer) (*flag.FlagSet, *runOpts) {
 	fs.SetOutput(errW)
 	fs.StringVar(&o.engine, "engine", "parulel", "engine: parulel, ops5-lex, ops5-mea")
 	fs.StringVar(&o.matcher, "matcher", "rete", "match algorithm: rete, treat")
-	fs.IntVar(&o.workers, "workers", 4, "parallel workers (parulel engine)")
+	fs.IntVar(&o.workers, "workers", 4, "goroutines the fire phase runs on (parulel engine)")
 	fs.IntVar(&o.maxCycles, "max-cycles", 100000, "abort after this many cycles (0 = unlimited)")
 	fs.Var(&o.trace, "trace", "print a line per cycle; -trace=FILE.jsonl instead writes structured cycle events as JSONL")
 	fs.StringVar(&o.builtin, "builtin", "", "run an embedded program instead of a file")

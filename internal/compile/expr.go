@@ -316,8 +316,8 @@ func evalCall(e *Expr, env Env) (wm.Value, error) {
 }
 
 // hashValue maps any value to a deterministic non-negative int64 (FNV-1a
-// over the kind and payload). Copy-and-constrain partitions rule variants
-// with `(= (mod (hash <v>) k) i)`.
+// over the kind and payload). Hand-written copy-and-constrain partitions
+// rule variants with `(= (mod (hash <v>) k) i)`.
 func hashValue(v wm.Value) int64 {
 	const (
 		offset = uint64(14695981039346656037)

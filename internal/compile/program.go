@@ -20,7 +20,7 @@ import (
 )
 
 // Program is a compiled PARULEL program, immutable after Compile and safe
-// to share across matcher partitions and worker goroutines.
+// to share across engines, matchers and fire goroutines.
 type Program struct {
 	Schema    *wm.Schema
 	Rules     []*Rule

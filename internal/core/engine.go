@@ -1,8 +1,8 @@
 // Package core implements the PARULEL execution engine — the paper's
 // primary contribution. Each cycle:
 //
-//  1. MATCH: the pending working-memory delta is applied to every worker's
-//     matcher partition in parallel, producing the conflict set.
+//  1. MATCH: the pending working-memory delta is applied to the engine's
+//     one match network, producing the conflict set's changes.
 //  2. REDACT: the programmer's meta-rules — rules over the conflict set,
 //     matched incrementally by a matcher of their own that stores no
 //     matches, only a kill count per instantiation (redact.go) — delete
@@ -29,7 +29,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"parulel/internal/compile"
@@ -40,12 +39,13 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the number of parallel workers for match and fire. Rules
-	// are partitioned round-robin across workers. Values < 1 mean 1.
+	// Workers is the number of goroutines the fire phase evaluates
+	// right-hand sides on. Match runs on one network whatever the count.
+	// Values < 1 mean 1.
 	Workers int
-	// Matcher builds each worker's match network. It reaches the object
-	// level only: meta-rules run on the one meta level of redact.go
-	// whatever matches the object rules. Default: rete.New.
+	// Matcher builds the engine's match network over every object rule. It
+	// reaches the object level only: meta-rules run on the one meta level
+	// of redact.go whatever matches the object rules. Default: rete.New.
 	Matcher match.Factory
 	// Output receives `(write …)` text. Default: io.Discard.
 	Output io.Writer
@@ -60,16 +60,6 @@ type Options struct {
 	// during checkpoint recovery, where the restored working memory
 	// already contains them (under their original time tags).
 	NoInitialFacts bool
-}
-
-// partitionRules deals rules to n workers round-robin, in declaration
-// order. The assignment changes only load balance, never results.
-func partitionRules(rules []*compile.Rule, n int) [][]*compile.Rule {
-	parts := make([][]*compile.Rule, n)
-	for i, r := range rules {
-		parts[i%n] = append(parts[i%n], r)
-	}
-	return parts
 }
 
 // Result summarizes a run.
@@ -102,12 +92,15 @@ type Engine struct {
 	prog    *compile.Program
 	mem     *wm.Memory
 	opts    Options
-	workers []*worker
+	matcher match.Matcher
+	// matchWork is the match phases' busy time across the run, and
+	// fireWork each fire goroutine's.
+	matchWork time.Duration
+	fireWork  []time.Duration
 
-	// cs is the conflict set: the union of all workers' conflict sets, one
-	// entry per instantiation at the index the instantiation carries in its
-	// Slot. Entries are in no particular order; a removal moves the last
-	// entry into the hole.
+	// cs is the conflict set: one entry per instantiation at the index the
+	// instantiation carries in its Slot. Entries are in no particular
+	// order; a removal moves the last entry into the hole.
 	cs []entry
 	// refracted counts the entries that have fired.
 	refracted int
@@ -134,14 +127,12 @@ type Engine struct {
 	meta   *metaLevel
 	result Result
 	halted bool
-	// activity counts instantiations entering the conflict set per rule,
-	// by Rule.Index, feeding the copy-and-constrain advisor
-	// (copycon.Advise). fires counts firings per rule the same way across
-	// the run, feeding RuleFires and the per-rule profile merge
-	// (RuleProfiles). traced is how many of them Tracer.RuleFired has
-	// reported, and rulesByName the order it reports in.
-	activity, fires, traced []int
-	rulesByName             []*compile.Rule
+	// fires counts firings per rule, by Rule.Index, across the run, feeding
+	// RuleFires and RuleProfiles. traced is how many of them
+	// Tracer.RuleFired has reported, and rulesByName the order it reports
+	// in.
+	fires, traced []int
+	rulesByName   []*compile.Rule
 }
 
 // entry is one instantiation of the conflict set.
@@ -151,19 +142,6 @@ type entry struct {
 	// nil for a rule no meta-pattern names, and once it has fired.
 	img   *image
 	fired bool
-}
-
-// worker owns one rule partition and its matcher.
-type worker struct {
-	matcher match.Matcher
-	changes match.Changes
-	// matchWork and fireWork accumulate this worker's busy time across
-	// the run. On a single-core host wall-clock speedup is unobservable,
-	// but sum(work)/max(work) still measures how well the program's match
-	// and fire load distributes — the quantity experiments E2/E3 report
-	// as "potential speedup".
-	matchWork time.Duration
-	fireWork  time.Duration
 }
 
 // New creates an engine. Initial facts declared in `(wm …)` blocks are
@@ -182,27 +160,14 @@ func New(prog *compile.Program, opts Options) *Engine {
 		prog:        prog,
 		mem:         wm.NewMemory(prog.Schema),
 		opts:        opts,
-		activity:    make([]int, len(prog.Rules)),
+		matcher:     opts.Matcher(prog.Rules),
+		fireWork:    make([]time.Duration, opts.Workers),
 		fires:       make([]int, len(prog.Rules)),
 		traced:      make([]int, len(prog.Rules)),
 		rulesByName: append([]*compile.Rule(nil), prog.Rules...),
 	}
 	sort.Slice(e.rulesByName, func(i, j int) bool { return e.rulesByName[i].Name < e.rulesByName[j].Name })
 	e.meta = newMetaLevel(prog)
-	// Distribute rules across workers. Workers with no rules are dropped
-	// so tiny programs don't pay for idle goroutines.
-	parts := partitionRules(prog.Rules, opts.Workers)
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		e.workers = append(e.workers, &worker{matcher: opts.Matcher(part)})
-	}
-	if len(e.workers) == 0 {
-		// A program with no rules still needs a worker so that Apply and
-		// ConflictSet calls are well-defined.
-		e.workers = append(e.workers, &worker{matcher: opts.Matcher(nil)})
-	}
 	if !opts.NoInitialFacts {
 		for _, f := range prog.Facts {
 			w := e.mem.InsertFields(f.Tmpl, append([]wm.Value(nil), f.Fields...))
@@ -359,7 +324,7 @@ func (e *Engine) Step() (bool, error) {
 		tr.CycleStart(e.result.Cycles + 1)
 	}
 
-	// MATCH: apply the pending delta to every partition in parallel.
+	// MATCH: apply the pending delta to the network.
 	t0 := time.Now()
 	e.applyDelta(e.takePending())
 	took[PhaseMatch] = time.Since(t0)
@@ -468,42 +433,20 @@ func (e *Engine) committed(took *[4]time.Duration) {
 	}
 }
 
-// applyDelta feeds the delta to every worker concurrently and folds the
-// conflict-set changes into the engine's global view.
+// applyDelta feeds the delta to the network and files its conflict-set
+// changes in the table.
 func (e *Engine) applyDelta(delta wm.Delta) {
-	if len(e.workers) == 1 {
-		w := e.workers[0]
-		t0 := time.Now()
-		w.changes = w.matcher.Apply(delta)
-		w.matchWork += time.Since(t0)
-	} else {
-		var wg sync.WaitGroup
-		for _, w := range e.workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				t0 := time.Now()
-				w.changes = w.matcher.Apply(delta)
-				w.matchWork += time.Since(t0)
-			}(w)
-		}
-		wg.Wait()
-	}
+	t0 := time.Now()
+	ch := e.matcher.Apply(delta)
+	e.matchWork += time.Since(t0)
 	// One growth of the table for the phase's net admissions: a fresh
 	// engine's first phase admits the whole conflict set.
-	grow := 0
-	for _, w := range e.workers {
-		grow += len(w.changes.Added) - len(w.changes.Removed)
+	e.cs = slices.Grow(e.cs, max(len(ch.Added)-len(ch.Removed), 0))
+	for _, in := range ch.Removed {
+		e.drop(in)
 	}
-	e.cs = slices.Grow(e.cs, max(grow, 0))
-	for _, w := range e.workers {
-		for _, in := range w.changes.Removed {
-			e.drop(in)
-		}
-		for _, in := range w.changes.Added {
-			e.admit(in)
-		}
-		w.changes = match.Changes{}
+	for _, in := range ch.Added {
+		e.admit(in)
 	}
 	e.restored = nil
 }
@@ -521,7 +464,6 @@ func (e *Engine) admit(in *match.Instantiation) {
 		s.img = e.meta.enter(in)
 	}
 	e.cs = append(e.cs, s)
-	e.activity[in.Rule.Index]++
 }
 
 // drop removes an instantiation that left the conflict set, and its image.
@@ -560,19 +502,11 @@ func (e *Engine) survivors() ([]*match.Instantiation, int) {
 	return out, e.meta.redacted
 }
 
-// RuleActivity returns, per rule, how many instantiations entered the
-// conflict set over the run so far — the hot-rule signal the
-// copy-and-constrain advisor consumes.
-func (e *Engine) RuleActivity() map[string]int { return e.byRuleName(e.activity) }
-
 // RuleFires returns, per rule, how many instantiations fired over the run
 // so far.
-func (e *Engine) RuleFires() map[string]int { return e.byRuleName(e.fires) }
-
-// byRuleName names the non-zero counts of a per-rule counter.
-func (e *Engine) byRuleName(counts []int) map[string]int {
-	out := make(map[string]int, len(counts))
-	for i, n := range counts {
+func (e *Engine) RuleFires() map[string]int {
+	out := make(map[string]int, len(e.fires))
+	for i, n := range e.fires {
 		if n > 0 {
 			out[e.prog.Rules[i].Name] = n
 		}
@@ -580,49 +514,31 @@ func (e *Engine) byRuleName(counts []int) map[string]int {
 	return out
 }
 
-// RuleProfiles merges the per-rule match-layer profiles of every worker's
-// matcher (for matchers implementing match.RuleProfiler — RETE and TREAT
-// both do) with the engine's own per-rule firing counts. Rules are
-// returned sorted by attributed match time, then firings, then name, so
-// the first entries are the copy-and-constrain candidates; after them
-// comes one row per meta-rule, in declaration order, from the meta level:
-// Probes are the candidates its joins tested, Insts the tuples found as
+// RuleProfiles joins the per-rule match-layer profiles of the matcher (for
+// matchers implementing match.RuleProfiler — RETE and TREAT both do) with
+// the engine's own per-rule firing counts. Rules are returned sorted by
+// attributed match time, then firings, then name, so the first entries
+// are the rules the match phase spends its time on; after them comes one
+// row per meta-rule, in declaration order, from the meta level: Probes
+// are the candidates its joins tested, Insts the tuples found as
 // instantiations became eligible, MatchNS its share by probes of the redact
 // phases' time; it builds no tokens and meta-rules never fire. Object-level
 // match time is only attributed when the matcher was built with profiling
 // enabled (rete.Options.Profile / treat.Options.Profile); the activity
 // counters (tokens, probes, instantiations) are always maintained.
 func (e *Engine) RuleProfiles() []match.RuleProfile {
-	agg := make(map[string]*match.RuleProfile)
-	get := func(name string) *match.RuleProfile {
-		p := agg[name]
-		if p == nil {
-			p = &match.RuleProfile{Rule: name}
-			agg[name] = p
-		}
-		return p
-	}
-	for _, w := range e.workers {
-		rp, ok := w.matcher.(match.RuleProfiler)
-		if !ok {
-			continue
-		}
-		for _, p := range rp.RuleProfiles() {
-			a := get(p.Rule)
-			a.MatchNS += p.MatchNS
-			a.Tokens += p.Tokens
-			a.Probes += p.Probes
-			a.Insts += p.Insts
-		}
+	var out []match.RuleProfile
+	if rp, ok := e.matcher.(match.RuleProfiler); ok {
+		// One row per rule, in declaration order: out[i] is Rules[i]'s.
+		out = rp.RuleProfiles()
 	}
 	for i, n := range e.fires {
-		if n > 0 {
-			get(e.prog.Rules[i].Name).Fires = uint64(n)
+		switch {
+		case i < len(out):
+			out[i].Fires = uint64(n)
+		case n > 0:
+			out = append(out, match.RuleProfile{Rule: e.prog.Rules[i].Name, Fires: uint64(n)})
 		}
-	}
-	out := make([]match.RuleProfile, 0, len(agg))
-	for _, p := range agg {
-		out = append(out, *p)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -640,38 +556,29 @@ func (e *Engine) RuleProfiles() []match.RuleProfile {
 	return out
 }
 
-// MemStats reports the match-state sizes of the object level, summed over
-// the workers' matchers, and of the meta level: AlphaItems counts the
+// MemStats reports the match-state sizes of the object level's matcher
+// and of the meta level. At the meta level AlphaItems counts the
 // images of eligible instantiations, once per meta-pattern memory holding
 // them. The meta level keeps neither partial nor complete meta-matches, so
 // its BetaTokens and ConflictSet are zero and its size is linear in the
 // eligible set whatever the meta-rules join on. Bytes is each side's own
-// memory (match.MemStats): the matchers' records and tables, and the
+// memory (match.MemStats): the matcher's records and tables, and the
 // meta level's images and index tables.
 func (e *Engine) MemStats() (object, meta match.MemStats) {
-	for _, w := range e.workers {
-		ms := w.matcher.MemStats()
-		object.AlphaItems += ms.AlphaItems
-		object.BetaTokens += ms.BetaTokens
-		object.ConflictSet += ms.ConflictSet
-		object.Bytes += ms.Bytes
-	}
+	object = e.matcher.MemStats()
 	if e.meta != nil {
 		meta = e.meta.memStats()
 	}
 	return object, meta
 }
 
-// WorkerWork returns each worker's accumulated match and fire busy time.
-// sum/max of the match column is the match-parallelism "potential
-// speedup" reported by experiments E2/E3 — meaningful even on a
-// single-core host where wall-clock speedup cannot show.
+// WorkerWork returns the accumulated busy time of the match phases, one
+// entry because match runs on one network, and of each fire goroutine.
+// sum/max of the fire column is the firing parallelism's "potential
+// speedup" that experiment E2 reports, meaningful even on a single-core
+// host where wall-clock speedup cannot show.
 func (e *Engine) WorkerWork() (matchWork, fireWork []time.Duration) {
-	for _, w := range e.workers {
-		matchWork = append(matchWork, w.matchWork)
-		fireWork = append(fireWork, w.fireWork)
-	}
-	return matchWork, fireWork
+	return []time.Duration{e.matchWork}, slices.Clone(e.fireWork)
 }
 
 // ConflictSet returns the current global conflict set in deterministic

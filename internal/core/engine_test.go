@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"parulel/internal/compile"
+	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/match/treat"
 	"parulel/internal/programs"
@@ -351,6 +352,11 @@ func finalState(t *testing.T, prog *compile.Program, opts Options) string {
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	return wmText(e)
+}
+
+// wmText lists an engine's working memory, one WME a line.
+func wmText(e *Engine) string {
 	var b strings.Builder
 	for _, w := range e.Memory().Snapshot() {
 		b.WriteString(w.String())
@@ -412,6 +418,44 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got != ref {
 			t.Errorf("workers=%d diverged:\nref:\n%s\ngot:\n%s", workers, ref, got)
 		}
+	}
+}
+
+// TestEngineBuildsOneNetwork holds the engine to one matcher over every
+// object rule whatever the worker count: Workers sizes the fire phase
+// only, which must spread waltz's larger cycles over several goroutines
+// and still commit what one goroutine does.
+func TestEngineBuildsOneNetwork(t *testing.T) {
+	prog, err := programs.Load(programs.Waltz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (*Engine, int) {
+		built := 0
+		e := New(prog, Options{Workers: workers, MaxCycles: 50, Matcher: func(rules []*compile.Rule) match.Matcher {
+			if len(rules) != len(prog.Rules) {
+				t.Fatalf("matcher over %d rules, want all %d", len(rules), len(prog.Rules))
+			}
+			built++
+			return rete.New(rules)
+		}})
+		if err := workload.WaltzScene(e, 20); err != nil {
+			t.Fatal(err)
+		}
+		runOK(t, e)
+		return e, built
+	}
+	ref, _ := run(1)
+	e, built := run(4)
+	if built != 1 {
+		t.Fatalf("built %d matchers at four workers, want one", built)
+	}
+	mw, fw := e.WorkerWork()
+	if len(mw) != 1 || len(fw) != 4 || fw[1] == 0 {
+		t.Errorf("WorkerWork: match %v, fire %v; want one match entry and a second fire goroutine that fired", mw, fw)
+	}
+	if got, want := wmText(e), wmText(ref); got != want {
+		t.Errorf("four workers committed another working memory than one:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -707,8 +751,8 @@ func TestStepAllocationBudget(t *testing.T) {
 		res := runOK(t, e)
 		runtime.ReadMemStats(&after)
 		entries := 0
-		for _, n := range e.activity {
-			entries += n
+		for _, p := range e.matcher.(match.RuleProfiler).RuleProfiles() {
+			entries += int(p.Insts)
 		}
 		if res.Redactions == 0 || res.Firings == 0 {
 			t.Fatalf("%s: %+v, want firings and redactions", tc.name, res)

@@ -74,23 +74,33 @@ func (f *fireFrame) reset(in *match.Instantiation) {
 	f.out.Reset()
 }
 
-// fireAll evaluates every survivor's RHS, in parallel when the engine has
-// more than one worker. The returned slice is indexed like survivors, so
-// commit order is independent of scheduling; it is the engine's scratch,
-// for the caller to clear once committed.
+// minFiresPerWorker is the fewest survivors worth a fire goroutine: starting
+// and waking one costs more than a few dozen cheap firings. On a two-vCPU
+// VM at four workers, a goroutine per survivor took the fire phase ×6.8 on
+// one-rule alexsys (two or three survivors a cycle) and ×3.8 on
+// ingest_mixed (about thirty); a floor of 32 still left ingest ×1.6, and
+// at 64 or 128 it fired as fast as on one. waltz's fire time did not move
+// with the floor.
+const minFiresPerWorker = 64
+
+// fireAll evaluates every survivor's RHS, on up to Options.Workers
+// goroutines of at least minFiresPerWorker survivors each. The returned
+// slice is indexed like survivors, so commit order is independent of
+// scheduling; it is the engine's scratch, for the caller to clear once
+// committed.
 func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 	if cap(e.effects) < len(survivors) {
 		e.effects = make([]effect, len(survivors))
 	}
 	effects := e.effects[:len(survivors)]
-	nw := min(len(e.workers), len(survivors))
+	nw := min(len(e.fireWork), len(survivors)/minFiresPerWorker)
 	if nw <= 1 {
 		t0 := time.Now()
 		frame := &fireFrame{}
 		for i, in := range survivors {
 			effects[i] = fireOne(in, frame)
 		}
-		e.workers[0].fireWork += time.Since(t0)
+		e.fireWork[0] += time.Since(t0)
 	} else {
 		var wg sync.WaitGroup
 		for wk := 0; wk < nw; wk++ {
@@ -102,7 +112,7 @@ func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 				for i := wk; i < len(survivors); i += nw {
 					effects[i] = fireOne(survivors[i], frame)
 				}
-				e.workers[wk].fireWork += time.Since(t0)
+				e.fireWork[wk] += time.Since(t0)
 			}(wk)
 		}
 		wg.Wait()

@@ -2,10 +2,8 @@
 // the incremental match algorithms (RETE in match/rete, TREAT in
 // match/treat), and the Instantiation type both produce.
 //
-// A Matcher owns a *partition* of the program's rules. The PARULEL engine
-// runs one matcher per worker (production-level match parallelism, as on
-// the DADO-style machines the paper targeted); the OPS5 baseline runs a
-// single matcher over all rules.
+// A Matcher owns a set of rules. The PARULEL engine and the OPS5 baseline
+// each run one matcher over all of a program's rules.
 package match
 
 import (
@@ -42,8 +40,8 @@ type Instantiation struct {
 // an instantiation's entry through Slot.
 //
 // Keys are a pure function of (rule index, time-tag vector), so equal
-// instantiations produced by different matcher implementations or worker
-// partitions have equal Keys. For rules with up to keyTagsInline positive
+// instantiations produced by different matcher implementations have equal
+// Keys. For rules with up to keyTagsInline positive
 // condition elements — every embedded program — the key is exact. Deeper
 // rules additionally rely on the 64-bit hash over the tail: two distinct
 // instantiations of the same rule collide only if they agree on the first
@@ -230,17 +228,17 @@ type RuleProfile struct {
 }
 
 // RuleProfiler is implemented by matchers that attribute work per rule.
-// The engine merges profiles across its workers via this interface, so
-// implementations lacking it simply contribute nothing.
+// The engine joins the profiles with its firing counts via this
+// interface, so implementations lacking it simply contribute nothing.
 type RuleProfiler interface {
-	// RuleProfiles returns one profile per rule of the partition, in
+	// RuleProfiles returns one profile per rule of the matcher, in
 	// declaration order.
 	RuleProfiles() []RuleProfile
 }
 
-// Matcher is an incremental match algorithm over a fixed partition of
-// rules. Implementations are not safe for concurrent use; the engines give
-// each matcher to exactly one worker.
+// Matcher is an incremental match algorithm over a fixed set of rules.
+// Implementations are not safe for concurrent use; an engine drives its
+// matcher from one goroutine at a time.
 type Matcher interface {
 	// Apply feeds a working-memory delta (removals first, then additions)
 	// and returns the resulting conflict-set changes.
@@ -252,7 +250,7 @@ type Matcher interface {
 	MemStats() MemStats
 }
 
-// Factory constructs a matcher over a rule partition. rete.New and
+// Factory constructs a matcher over a set of rules. rete.New and
 // treat.New satisfy this signature.
 type Factory func(rules []*compile.Rule) Matcher
 

@@ -13,7 +13,7 @@ import (
 	"parulel/internal/workload"
 )
 
-// stream is what one network of an engine run was given: its rules and
+// stream is what the network of an engine run was given: its rules and
 // every delta in order, to be replayed onto fresh networks.
 type stream struct {
 	rules  []*compile.Rule
@@ -42,18 +42,17 @@ func (t tap) Apply(d wm.Delta) match.Changes {
 	return t.Matcher.Apply(d)
 }
 
-// record runs a builtin on a one-worker engine to quiescence and returns
-// the delta stream of its match network.
+// record runs a builtin on an engine to quiescence and returns the delta
+// stream of its match network.
 func record(tb testing.TB, builtin string, load func(workload.Inserter) error) *stream {
 	tb.Helper()
 	prog, err := programs.Load(builtin)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var streams []*stream
-	e := core.New(prog, core.Options{Workers: 1, MaxCycles: 1 << 20, Matcher: func(rules []*compile.Rule) match.Matcher {
-		s := &stream{rules: rules}
-		streams = append(streams, s)
+	var s *stream
+	e := core.New(prog, core.Options{MaxCycles: 1 << 20, Matcher: func(rules []*compile.Rule) match.Matcher {
+		s = &stream{rules: rules}
 		return tap{rete.New(rules), s}
 	}})
 	if err := load(e); err != nil {
@@ -62,10 +61,7 @@ func record(tb testing.TB, builtin string, load func(workload.Inserter) error) *
 	if _, err := e.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if len(streams) != 1 {
-		tb.Fatalf("%s: %d networks, want one worker's", builtin, len(streams))
-	}
-	return streams[0]
+	return s
 }
 
 // joinChain is a four-deep equality join over one template, fed a ring in

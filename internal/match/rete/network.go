@@ -44,7 +44,7 @@ type ruleProf struct {
 	lost, paid, due uint64
 }
 
-// Network is a RETE network over a partition of rules. It implements
+// Network is a RETE network over a set of rules. It implements
 // match.Matcher. A Network must be used by a single goroutine.
 type Network struct {
 	rules []*compile.Rule
@@ -55,8 +55,8 @@ type Network struct {
 
 	// The arenas of the network's records (see nodes.go). wmes holds the
 	// WME of every wmeRec, by the record's handle, and table finds the
-	// record of every WME some alpha memory holds (WMEs are shared across
-	// partitions, so RETE state cannot live on the WME itself); it is
+	// record of every WME some alpha memory holds (WMEs are shared with
+	// other matchers, so RETE state cannot live on the WME itself); it is
 	// consulted once per WME addition and removal.
 	tokens  arena[token, *token]
 	recs    arena[wmeRec, *wmeRec]
@@ -77,8 +77,7 @@ type Network struct {
 	nodes  []node
 	chains []*alphaChain
 
-	// profs holds one profile per rule, in declaration order of the
-	// partition. profile gates the timing attribution only: epoch is when
+	// profs holds one profile per rule, in declaration order. profile gates the timing attribution only: epoch is when
 	// the Apply in progress began and clock how far into it the last lap
 	// ended.
 	profs   []*ruleProf

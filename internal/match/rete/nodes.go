@@ -25,13 +25,11 @@
 // at once from everything that lists it, and following a handle to a
 // freed record panics. The only pointers are one []*wm.WME beside the WME
 // records and the production nodes' instantiations (instRec). WMEs
-// themselves are shared, read-only, between the networks of different
-// workers; nothing is written to them.
+// themselves are shared, read-only, with the engine and with any other
+// matcher fed the same deltas; nothing is written to them.
 //
-// Each Network instance owns a partition of rules and is used by exactly
-// one goroutine; the PARULEL engine achieves match parallelism by running
-// one Network per worker over disjoint rule partitions (production-level
-// parallelism).
+// A Network is used by exactly one goroutine. The PARULEL engine builds
+// one over all of a program's rules.
 package rete
 
 import (
@@ -278,7 +276,7 @@ type rightNode interface {
 
 // alphaMem is an alpha memory: the set of WMEs passing one CE's constant
 // and intra-element tests. Alpha memories are shared between structurally
-// identical CEs of the partition's rules.
+// identical CEs of the network's rules.
 type alphaMem struct {
 	// rep is a representative CE carrying the alpha tests.
 	rep   *compile.CondElem

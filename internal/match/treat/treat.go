@@ -49,7 +49,7 @@ type ruleProf struct {
 	insts   uint64
 }
 
-// Treat is a TREAT matcher over a partition of rules. It implements
+// Treat is a TREAT matcher over a set of rules. It implements
 // match.Matcher and must be used by a single goroutine.
 type Treat struct {
 	rules []*compile.Rule

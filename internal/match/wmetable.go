@@ -8,8 +8,9 @@ import (
 
 // WMETable finds a matcher's record of a WME: an open-addressed table of
 // record handles hashed by time tag, beside the WME of every record by
-// handle (the wmes each method is handed). WMEs are shared, read-only, by
-// all workers' matchers, so what one knows about a WME cannot live on it.
+// handle (the wmes each method is handed). WMEs are read-only and one may
+// be fed to several matchers at once (the differentials feed RETE and
+// TREAT the same ones), so what one knows about a WME cannot live on it.
 type WMETable struct {
 	slots []int32 // zero is empty; length zero or a power of two
 	n     int

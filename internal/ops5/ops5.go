@@ -86,7 +86,7 @@ type Engine struct {
 	halted      bool
 }
 
-// New creates a baseline engine over the full (unpartitioned) rule set.
+// New creates a baseline engine over the full rule set.
 func New(prog *compile.Program, opts Options) *Engine {
 	if opts.Matcher == nil {
 		opts.Matcher = rete.New

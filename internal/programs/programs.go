@@ -76,7 +76,7 @@ func LoadWithoutMetaRules(name string) (*compile.Program, error) {
 }
 
 // AST returns the parsed (uncompiled) form of a named program, for
-// source-to-source tools such as copy-and-constrain.
+// source-to-source tools such as the join-ordering pass (internal/reorder).
 func AST(name string) (*lang.Program, error) {
 	src, err := Source(name)
 	if err != nil {

@@ -5,9 +5,9 @@
 // it statically, which is what this pass reproduces (BenchmarkReorder
 // measures the effect on a deliberately badly ordered program).
 //
-// The pass is source-to-source (like copycon): it permutes a rule's LHS
-// and remaps numeric designators in the RHS, then the ordinary compiler
-// re-derives binding sites and join tests for the new order.
+// The pass is source-to-source: it permutes a rule's LHS and remaps
+// numeric designators in the RHS, then the ordinary compiler re-derives
+// binding sites and join tests for the new order.
 //
 // Constraints preserved:
 //   - negated elements and (test …) filters are placed only after every

@@ -75,8 +75,8 @@ type Config struct {
 	// MaxCycles is the default cumulative cycle cap per session (runaway
 	// guard). Default 10,000,000.
 	MaxCycles int
-	// DefaultWorkers is the per-engine worker count when the client names
-	// none. Default 1; clamped to [1, 64].
+	// DefaultWorkers is the per-engine fire worker count (core.Options.
+	// Workers) when the client names none. Default 1; clamped to [1, 64].
 	DefaultWorkers int
 	// MaxBodyBytes bounds request bodies. Default 4 MiB.
 	MaxBodyBytes int64

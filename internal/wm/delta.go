@@ -1,7 +1,7 @@
 package wm
 
 // Delta is an immutable batch of working-memory changes, produced by one
-// engine cycle and consumed by every matcher partition. Removals are listed
+// engine cycle and consumed by the engine's matcher. Removals are listed
 // before additions because `modify` is remove+make and matchers must see
 // the removal of the old element before the addition of its replacement.
 type Delta struct {

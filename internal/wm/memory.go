@@ -7,8 +7,8 @@ import (
 
 // Memory is the working memory: the authoritative set of live WMEs. The
 // engines mutate it only between match phases (at the cycle barrier), so it
-// needs no internal locking; matcher partitions receive immutable Delta
-// values instead of touching Memory concurrently.
+// needs no internal locking; matchers receive immutable Delta values
+// instead of touching Memory.
 type Memory struct {
 	schema   *Schema
 	nextTime int64

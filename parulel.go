@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"parulel/internal/compile"
-	"parulel/internal/copycon"
 	"parulel/internal/core"
 	"parulel/internal/lang"
 	"parulel/internal/match"
@@ -134,35 +133,12 @@ func (p *Program) WithoutMetaRules() (*Program, error) {
 	return &Program{ast: &stripped, compiled: compiled}, nil
 }
 
-// Advice is a copy-and-constrain recommendation from Advise.
-type Advice = copycon.Advice
-
-// Advise recommends a rule to split and the variable to partition on,
-// given per-rule activity from Engine.RuleActivity.
-func (p *Program) Advise(activity map[string]int) (Advice, error) {
-	return copycon.Advise(p.ast, activity)
-}
-
 // Optimize applies the join-ordering pass: each rule's condition
 // elements are rearranged most-constrained-first (docs/LANGUAGE.md and
 // internal/reorder describe the constraints and the tie-breaking
 // caveat). BenchmarkReorder in internal/reorder measures the effect.
 func (p *Program) Optimize() (*Program, error) {
 	ast := reorder.Program(p.ast)
-	compiled, err := compile.Compile(ast)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ast: ast, compiled: compiled}, nil
-}
-
-// SplitRule applies copy-and-constrain: the named rule is replaced by k
-// variants hash-partitioned on one of its variables.
-func (p *Program) SplitRule(rule, variable string, k int) (*Program, error) {
-	ast, err := copycon.Split(p.ast, rule, variable, k)
-	if err != nil {
-		return nil, err
-	}
 	compiled, err := compile.Compile(ast)
 	if err != nil {
 		return nil, err
@@ -205,7 +181,7 @@ type Tracer = core.Tracer
 type Config struct {
 	Engine    EngineKind
 	Matcher   MatcherKind
-	Workers   int       // PARULEL only; <1 means 1
+	Workers   int       // PARULEL only: goroutines firing in parallel; <1 means 1
 	Output    io.Writer // destination of (write …); default discard
 	MaxCycles int       // 0 = unlimited
 	Trace     io.Writer // optional per-cycle trace (PARULEL only)
@@ -330,16 +306,6 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 // the cycle limit).
 func IsCanceled(err error) bool {
 	return errors.Is(err, core.ErrCanceled) || errors.Is(err, ops5.ErrCanceled)
-}
-
-// RuleActivity returns per-rule conflict-set entry counts (PARULEL
-// engine only; empty for the sequential baselines), the input to
-// Program.Advise.
-func (e *Engine) RuleActivity() map[string]int {
-	if e.par == nil {
-		return map[string]int{}
-	}
-	return e.par.RuleActivity()
 }
 
 // Explain writes a human-readable listing of the current conflict set

@@ -2,6 +2,8 @@ package parulel
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,41 +171,45 @@ func TestFacadeWithoutMetaRules(t *testing.T) {
 	}
 }
 
-func TestFacadeSplitRule(t *testing.T) {
-	prog, err := Parse(`
-(literalize a x)
-(literalize out x)
-(rule hot (a ^x <v>) --> (make out ^x <v>))
-`)
-	if err != nil {
-		t.Fatal(err)
+// TestFacadeHashPartitionedRules writes copy-and-constrain by hand: four
+// variants of a rule, each constrained to one residue of (hash <v>) mod 4,
+// must fire exactly the original's instantiations, each once.
+func TestFacadeHashPartitionedRules(t *testing.T) {
+	const decls = "(literalize a x)\n(literalize out x)\n"
+	split := decls
+	for i := 0; i < 4; i++ {
+		split += fmt.Sprintf("(rule hot-%d (a ^x <v>) (test (= (mod (hash <v>) 4) %d)) --> (make out ^x <v>))\n", i, i)
 	}
-	split, err := prog.SplitRule("hot", "v", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := split.Rules(); len(got) != 4 || got[0] != "hot@0" {
-		t.Errorf("split rules: %v", got)
-	}
-	// Same results as unsplit.
-	e1 := NewEngine(prog, Config{MaxCycles: 5})
-	e2 := NewEngine(split, Config{Workers: 4, MaxCycles: 5})
-	for i := int64(0); i < 20; i++ {
-		if _, err := e1.Insert("a", map[string]Value{"x": Int(i)}); err != nil {
+	outs := func(src string) []string {
+		prog, err := Parse(src)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e2.Insert("a", map[string]Value{"x": Int(i)}); err != nil {
+		e := NewEngine(prog, Config{Workers: 4, MaxCycles: 5})
+		for i := int64(0); i < 20; i++ {
+			if _, err := e.Insert("a", map[string]Value{"x": Int(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Insert("a", map[string]Value{"x": Sym(fmt.Sprintf("s%d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := e.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Cycles != 1 || res.Firings != 40 {
+			t.Errorf("%d rules: %+v, want 40 firings in one cycle", len(prog.Rules()), res)
+		}
+		var xs []string
+		for _, w := range e.Facts("out") {
+			xs = append(xs, w.Fields[0].String())
+		}
+		slices.Sort(xs)
+		return xs
 	}
-	if _, err := e1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e1.FactCount("out") != 20 || e2.FactCount("out") != 20 {
-		t.Errorf("outs: %d vs %d", e1.FactCount("out"), e2.FactCount("out"))
+	if got, want := outs(split), outs(decls+"(rule hot (a ^x <v>) --> (make out ^x <v>))\n"); !slices.Equal(got, want) {
+		t.Errorf("split outs %v, original %v", got, want)
 	}
 }
 
@@ -248,52 +254,6 @@ func TestFacadeKindParsing(t *testing.T) {
 	}
 	if RETE.String() != "rete" || TREAT.String() != "treat" {
 		t.Error("MatcherKind.String wrong")
-	}
-}
-
-func TestFacadeAdvise(t *testing.T) {
-	prog, err := Parse(`
-(literalize task id region)
-(literalize res  id region)
-(rule hot
-  (task ^id <t> ^region <r>)
-  (res  ^id <s> ^region <r>)
--->
-  (make task ^id <t>))
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(prog, Config{MaxCycles: 10})
-	for i := int64(0); i < 6; i++ {
-		if _, err := eng.Insert("task", map[string]Value{"id": Int(i), "region": Sym("a")}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Insert("res", map[string]Value{"id": Int(i), "region": Sym("a")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	activity := eng.RuleActivity()
-	if activity["hot"] == 0 {
-		t.Fatalf("activity: %v", activity)
-	}
-	adv, err := prog.Advise(activity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.Rule != "hot" || adv.Variable != "r" {
-		t.Errorf("advice: %+v", adv)
-	}
-	if _, err := prog.SplitRule(adv.Rule, adv.Variable, 2); err != nil {
-		t.Errorf("advised split failed: %v", err)
-	}
-	// Sequential engines expose no activity.
-	seq := NewEngine(prog, Config{Engine: OPS5LEX})
-	if len(seq.RuleActivity()) != 0 {
-		t.Error("sequential engine should report empty activity")
 	}
 }
 
