@@ -27,8 +27,11 @@ type Pattern struct {
 	// (Layout.NumPos): the member's place in the memory's list, then its
 	// place in its bucket of each index.
 	Pos int
-	// Seed is the join a member entering or leaving this memory runs.
-	Seed Join
+	// Seed is the join a member entering or leaving this memory runs, and
+	// Victim reports that a match of the pattern's meta-rule redacts the
+	// member held here.
+	Seed   Join
+	Victim bool
 }
 
 // Layout lists the patterns over one template — the memories a member may
@@ -178,6 +181,7 @@ func planJoins(r *Rule, pats []*Pattern, meta *MetaRule) {
 			}
 			return filters, absent
 		}
+		seed.Victim = meta != nil && slices.Contains(meta.Redacts, seed.Pat)
 		j := &seed.Seed
 		j.Filters, j.Absent = ready()
 		for step, ok := nextStep(r, pats, bound); ok; step, ok = nextStep(r, pats, bound) {

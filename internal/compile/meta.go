@@ -108,29 +108,42 @@ type MetaLevel struct {
 }
 
 // Image is the reified form of one object rule's instantiations: a
-// template with one field per rule variable (in name order), then the
-// hidden fields `.tag` (the instantiation's recency tag) and `.t0 … .tn`
-// (its time-tag vector, which orders instantiations of one rule). Variable
-// names cannot start with a dot. Its layout lists the patterns over the
-// template.
+// template with one field per rule variable some meta-rule reads (in name
+// order), then, if some meta-rule reads them, the hidden fields `.tag` (the
+// instantiation's recency tag, which `(tag …)` reads) and `.t0 … .tn` (its
+// time-tag vector, which `precedes` reads to order instantiations of one
+// rule). Variable names cannot start with a dot. Its layout lists the
+// patterns over the template.
 type Image struct {
 	Layout
 	// vars[f] is the binding copied into field f.
-	vars []VarRef
+	vars       []VarRef
+	tag, times bool
 }
 
-func newImage(schema *wm.Schema, r *Rule) *Image {
+// imageReads is what the meta-rules read of one rule's instantiations.
+type imageReads struct {
+	vars       map[VarRef]bool
+	tag, times bool
+}
+
+func newImage(schema *wm.Schema, r *Rule, read *imageReads) *Image {
 	names := make([]string, 0, len(r.Bindings))
-	for name := range r.Bindings {
-		names = append(names, name)
+	for name, ref := range r.Bindings {
+		if read.vars[ref] {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
-	im := &Image{vars: make([]VarRef, len(names))}
+	im := &Image{vars: make([]VarRef, len(names)), tag: read.tag, times: read.times}
 	for i, name := range names {
 		im.vars[i] = r.Bindings[name]
 	}
-	attrs := append(names, ".tag")
-	for ce := 0; ce < r.NumPositive; ce++ {
+	attrs := names
+	if im.tag {
+		attrs = append(attrs, ".tag")
+	}
+	for ce := 0; im.times && ce < r.NumPositive; ce++ {
 		attrs = append(attrs, fmt.Sprintf(".t%d", ce))
 	}
 	tmpl, err := schema.Declare(r.Name, attrs...)
@@ -141,8 +154,13 @@ func newImage(schema *wm.Schema, r *Rule) *Image {
 	return im
 }
 
-func (im *Image) tagField() int        { return len(im.vars) }
-func (im *Image) timeField(ce int) int { return len(im.vars) + 1 + ce }
+func (im *Image) tagField() int { return len(im.vars) }
+func (im *Image) timeField(ce int) int {
+	if im.tag {
+		ce++
+	}
+	return len(im.vars) + ce
+}
 
 // field returns the image field holding the binding at ref.
 func (im *Image) field(ref VarRef) int {
@@ -163,12 +181,14 @@ func (im *Image) Reify(vec []*wm.WME) wm.WME {
 	}
 	var tag int64
 	for ce, w := range vec {
-		fields[im.timeField(ce)] = wm.Int(w.Time)
-		if w.Time > tag {
-			tag = w.Time
+		if im.times {
+			fields[im.timeField(ce)] = wm.Int(w.Time)
 		}
+		tag = max(tag, w.Time)
 	}
-	fields[im.tagField()] = wm.Int(tag)
+	if im.tag {
+		fields[im.tagField()] = wm.Int(tag)
+	}
 	return wm.WME{Time: tag, Tmpl: im.Tmpl, Fields: fields}
 }
 
@@ -178,10 +198,11 @@ func lowerMetaRules(p *Program) *MetaLevel {
 		return nil
 	}
 	ml := &MetaLevel{Schema: wm.NewSchema(), Images: make([]*Image, len(p.Rules))}
+	read := metaReads(p.MetaRules)
 	for _, m := range p.MetaRules {
 		for _, pat := range m.Patterns {
 			if ml.Images[pat.Rule.Index] == nil {
-				ml.Images[pat.Rule.Index] = newImage(ml.Schema, pat.Rule)
+				ml.Images[pat.Rule.Index] = newImage(ml.Schema, pat.Rule, read[pat.Rule])
 			}
 		}
 	}
@@ -196,6 +217,54 @@ func lowerMetaRules(p *Program) *MetaLevel {
 		}
 	}
 	return ml
+}
+
+// metaReads returns, per object rule a meta-pattern names, what some
+// meta-rule's tests read of its instantiations: only that is reified.
+func metaReads(metas []*MetaRule) map[*Rule]*imageReads {
+	read := make(map[*Rule]*imageReads)
+	mark := func(r *Rule, ref VarRef) { read[r].vars[ref] = true }
+	for _, m := range metas {
+		for _, pat := range m.Patterns {
+			if read[pat.Rule] == nil {
+				read[pat.Rule] = &imageReads{vars: make(map[VarRef]bool)}
+			}
+			for _, t := range pat.ConstTests {
+				mark(pat.Rule, t.Ref)
+			}
+			for _, t := range pat.DisjTests {
+				mark(pat.Rule, t.Ref)
+			}
+			for _, t := range pat.IntraTests {
+				mark(pat.Rule, t.Ref)
+				mark(pat.Rule, t.OtherRef)
+			}
+			for _, t := range pat.JoinTests {
+				mark(pat.Rule, t.Ref)
+				mark(m.Patterns[t.OtherPat].Rule, t.OtherRef)
+			}
+		}
+		var walk func(e *Expr)
+		walk = func(e *Expr) {
+			switch e.Kind {
+			case EMetaRef:
+				mark(m.Patterns[e.Pat].Rule, e.MetaVar)
+			case EMetaTag:
+				read[m.Patterns[e.Pat].Rule].tag = true
+			case EMetaPrec: // between two rules a constant
+				if r := m.Patterns[e.Pat].Rule; r == m.Patterns[e.Pat2].Rule {
+					read[r].times = true
+				}
+			}
+			for _, a := range e.Args {
+				walk(a)
+			}
+		}
+		for _, t := range m.Tests {
+			walk(t)
+		}
+	}
+	return read
 }
 
 // image returns the image of the rule that pattern pat of m names.

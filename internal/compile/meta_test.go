@@ -212,6 +212,9 @@ func TestJoinPlans(t *testing.T) {
 		if !slices.Equal(pat.Indexed, wantIndexed[i]) {
 			t.Errorf("pattern %d indexed on %v, want %v", i, pat.Indexed, wantIndexed[i])
 		}
+		if want := slices.Contains(p.MetaRules[pat.Rule].Redacts, pat.Pat); pat.Victim != want {
+			t.Errorf("pattern %d: Victim = %v, want %v", i, pat.Victim, want)
+		}
 		im := ml.Images[p.MetaRules[pat.Rule].Patterns[pat.Pat].Rule.Index]
 		if pat.Pos != pos[im] {
 			t.Errorf("pattern %d: positions start at %d, want %d", i, pat.Pos, pos[im])
@@ -332,4 +335,37 @@ func testObjectJoinPlans(t *testing.T) {
 	check("seed 2", pats[2].Seed,
 		step{pat: 0, from: VarRef{CE: 2, Field: group}},
 		step{pat: 1, from: VarRef{CE: 0, Field: group}, tests: []Test{ne, gt}, absent: true})
+}
+
+// TestImageReifiesReadVariablesOnly: an image carries the variables some
+// meta-rule reads — in a pattern's tests, across a join, in a test
+// expression — and not the others; its recency tag only if `(tag …)` reads
+// it, and its time-tag vector only if `precedes` orders two of its rule's
+// instantiations.
+func TestImageReifiesReadVariablesOnly(t *testing.T) {
+	for _, tc := range []struct {
+		metas string
+		want  []string
+	}{
+		{`(metarule m [<i> (take ^k <k> ^a 1)] [<j> (take ^k <k> ^b <x>)] (test (< <x> 2)) --> (redact <j>))`,
+			[]string{"a", "b", "k"}},
+		{`(metarule m [<i> (take ^c <c>)] [<j> (take)] (test (< (tag <i>) <c>)) --> (redact <j>))`,
+			[]string{"c", ".tag"}},
+		{`(metarule m [<i> (take)] [<j> (take)] (test (precedes <i> <j>)) --> (redact <j>))`,
+			[]string{".t0", ".t1"}},
+		{`(metarule m [<i> (take)] [<j> (put)] (test (and (precedes <i> <j>) (> (tag <j>) 1))) --> (redact <j>))`,
+			nil},
+	} {
+		p, err := CompileSource(`
+(literalize item k a b c d)
+(rule take (item ^k <k> ^a <a> ^b <b> ^c <c> ^d <d>) (item ^k <k>) --> (remove 1))
+(rule put (item) --> (remove 1))
+` + tc.metas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Meta.Images[0].Tmpl.Attrs; !slices.Equal(got, tc.want) {
+			t.Errorf("%s: image fields %v, want %v", tc.metas, got, tc.want)
+		}
+	}
 }

@@ -4,8 +4,8 @@
 //  1. MATCH: the pending working-memory delta is applied to the engine's
 //     one match network, producing the conflict set's changes.
 //  2. REDACT: the programmer's meta-rules — rules over the conflict set,
-//     matched incrementally by a matcher of their own that stores no
-//     matches, only a kill count per instantiation (redact.go) — delete
+//     matched incrementally by a matcher of their own that stores, per
+//     redacted instantiation, one tuple that redacts it (redact.go) — delete
 //     (redact) instantiations that must not fire together. This replaces
 //     OPS5's built-in serial conflict resolution with programmable,
 //     set-oriented conflict resolution.
@@ -491,7 +491,7 @@ func (e *Engine) survivors() ([]*match.Instantiation, int) {
 	e.meta.sync()
 	out := e.fireable[:0]
 	for i := range e.cs {
-		if s := &e.cs[i]; !s.fired && (s.img == nil || s.img.Kills == 0) {
+		if s := &e.cs[i]; !s.fired && (s.img == nil || !s.img.Redacted()) {
 			out = append(out, s.in)
 		}
 	}

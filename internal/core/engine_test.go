@@ -766,3 +766,36 @@ func TestStepAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestMetaLevelByteBudget holds the meta level's resident state to a budget
+// per image on alexsys_run's instance, MemStats().Bytes over the images held
+// after the cycle that holds the most. An image is its member, field vector,
+// overflowing links and witness links, plus its share of the index tables;
+// anything kept per tuple, or per dependent beside the dependent's own
+// links, shows here. The budget is the figure measured with go1.24 plus 7%.
+func TestMetaLevelByteBudget(t *testing.T) {
+	const budget = 547.0
+	alexsys, err := programs.Load(programs.Alexsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(alexsys, Options{Workers: 1, MaxCycles: 1 << 12})
+	if err := workload.Alexsys(e, 40, 32, 1); err != nil {
+		t.Fatal(err)
+	}
+	peak, perImage := 0, 0.0
+	for progress := true; progress; {
+		if progress, err = e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		e.meta.sync() // the survivors' images leave
+		if images := len(checkTable(t, e)); images > peak {
+			_, meta := e.MemStats()
+			peak, perImage = images, float64(meta.Bytes)/float64(images)
+		}
+	}
+	t.Logf("%d images at the peak, %.0f bytes an image", peak, perImage)
+	if peak == 0 || perImage > budget {
+		t.Errorf("the meta level holds %.0f bytes for each of %d images, budget %.0f", perImage, peak, budget)
+	}
+}

@@ -20,8 +20,8 @@ func (e *Engine) ExplainConflictSet(w io.Writer) error {
 
 // explainRedaction returns one line per meta-rule that redacted in at the
 // last redact phase: the meta-rule, the rest of the first matching tuple,
-// and how many tuples matched. The meta level keeps no record of its
-// matches; they are found again here.
+// and how many tuples matched. The meta level keeps one tuple per redacted
+// instantiation, not every one; they are found again here.
 func (e *Engine) explainRedaction(in *match.Instantiation) []string {
 	var out []string
 	for _, r := range e.meta.explain(e.cs[in.Slot].img) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -17,9 +18,11 @@ import (
 // with each other and with images, the images of the eligible
 // instantiations as their holder keeps them: every image is in exactly the
 // memories whose alpha tests it passes, and as the memories count no more
-// members than that, they hold no other; nothing is flagged or queued; and
-// the redacted counter counts. How a memory links and indexes its members
-// is internal/match/seeded's, and its tests check it.
+// members than that, they hold no other; nothing is queued; every witness
+// holds eligible images only, and no image a witness names is gone; and the
+// redacted counter counts the images with a witness. How a memory links and
+// indexes its members, and how a witness is filed among its members'
+// dependents, is internal/match/seeded's, and its tests check it.
 func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	t.Helper()
 	if n := len(m.left) + len(m.entered); n != 0 {
@@ -34,19 +37,21 @@ func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	}
 	held := 0
 	for i := range m.w.Mems {
-		if mem := &m.w.Mems[i]; mem.Leaving != 0 {
-			t.Fatalf("pattern %d: %d members still counted as leaving", i, mem.Leaving)
-		}
 		held += m.w.Mems[i].N
 	}
 	redacted, fits := 0, 0
 	for _, img := range images {
-		if img.Leaving || img.Kills < 0 {
-			t.Fatalf("image %v: flagged as leaving, or counted below zero (%d)", img.In, img.Kills)
+		if !img.Laid() {
+			t.Fatalf("image %v: not laid out for the memories, or laid out no more", img.In)
 		}
-		if img.Kills > 0 {
+		if img.Redacted() {
 			redacted++
 		}
+		img.Dependents(func(d *image, _ int) {
+			if !live[d] {
+				t.Fatalf("image %v: %v, which is not eligible, is still filed as its dependent", img.In, d.In)
+			}
+		})
 		for _, p := range m.patterns(img) {
 			fit := p.CE.MatchesAlpha(&img.W)
 			if fit != img.Held(p) {
@@ -61,37 +66,60 @@ func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 		t.Fatalf("the memories hold %d images, the images fit %d patterns", held, fits)
 	}
 	if redacted != m.redacted {
-		t.Fatalf("%d images have a kill count, the meta level says %d", redacted, m.redacted)
+		t.Fatalf("%d images have a witness, the meta level counts %d", redacted, m.redacted)
+	}
+	for img, others := range witnesses(images) {
+		if slices.Contains(others, nil) {
+			t.Fatalf("image %v: its witness holds an image that is not eligible", img.In)
+		}
 	}
 }
 
-// checkKills compares every image's kill count with a recount from scratch
-// by the oracle joiner over the same eligible set, explain's account of
-// each count with the count, and the instantiations no count holds back
-// with the oracle's survivors. imgs holds what enter returned for each
-// eligible instantiation.
-func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*match.Instantiation, imgs map[*match.Instantiation]*image) (tuples int) {
+// witnesses returns, for each image of images some image of images is a
+// dependent of, the other members of its witness in slot order, read off
+// the dependents of each image in images: a place an image outside images
+// fills stays nil, unless it is the last.
+func witnesses(images []*image) map[*image][]*image {
+	out := make(map[*image][]*image)
+	for _, x := range images {
+		x.Dependents(func(d *image, at int) {
+			if others := out[d]; at >= len(others) {
+				out[d] = append(others, make([]*image, at+1-len(others))...)
+			}
+			out[d][at] = x
+		})
+	}
+	return out
+}
+
+// checkWitnesses checks every image against the oracle joiner over the same
+// eligible set: a redacted image's witness is a tuple of eligible
+// instantiations the oracle confirms redacts it; an image without one is
+// one no tuple redacts; explain has an account exactly for the redacted
+// ones and, while no meta-rule names a victim twice, counts the tuples the
+// oracle does; and the instantiations without a witness are the oracle's
+// survivors. imgs holds what enter returned for each eligible
+// instantiation. It returns how many tuples redact an image, counted once
+// per image a tuple redacts.
+func checkWitnesses(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*match.Instantiation, imgs map[*match.Instantiation]*image) (tuples int) {
 	t.Helper()
 	want := oracle.kills(eligible)
 	mentionsOnce := true
 	for _, r := range m.rules {
 		for i, v := range r.Redacts {
-			for _, u := range r.Redacts[:i] {
-				mentionsOnce = mentionsOnce && u != v
-			}
+			mentionsOnce = mentionsOnce && !slices.Contains(r.Redacts[:i], v)
 		}
 	}
+	held := make([]*image, 0, len(imgs))
+	for _, img := range imgs {
+		held = append(held, img)
+	}
+	wits := witnesses(held)
 	var got []*match.Instantiation
 	for _, in := range eligible {
 		img := imgs[in]
 		if img == nil || img.In != in {
 			t.Fatalf("%v: no image, or the image of an instantiation that has left", in)
-		}
-		if img.Kills == 0 {
-			got = append(got, in)
-		}
-		if int(img.Kills) != want[in.Key()] {
-			t.Fatalf("%v: kill count %d, a recount finds %d", in, img.Kills, want[in.Key()])
 		}
 		tuples += want[in.Key()]
 		explained := 0
@@ -101,8 +129,25 @@ func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*
 			}
 			explained += r.tuples
 		}
-		if explained > int(img.Kills) || mentionsOnce && explained != int(img.Kills) || (explained == 0) != (img.Kills == 0) {
-			t.Fatalf("%v: explain accounts for %d tuples, the kill count is %d", in, explained, img.Kills)
+		if explained > want[in.Key()] || mentionsOnce && explained != want[in.Key()] || (explained == 0) != (want[in.Key()] == 0) {
+			t.Fatalf("%v: explain accounts for %d tuples, a recount finds %d", in, explained, want[in.Key()])
+		}
+		if !img.Redacted() {
+			got = append(got, in)
+			if want[in.Key()] != 0 {
+				t.Fatalf("%v: no witness, but %d tuples redact it", in, want[in.Key()])
+			}
+			continue
+		}
+		others := make([]*match.Instantiation, len(wits[img]))
+		for i, x := range wits[img] {
+			if x == nil {
+				t.Fatalf("%v: its witness holds an instantiation that is not eligible", in)
+			}
+			others[i] = x.In
+		}
+		if !witnessRedacts(oracle, m.rules, others, in) {
+			t.Fatalf("%v: no meta-rule redacts it by a tuple of it and %v, its witness", in, others)
 		}
 	}
 	keep, _, n := oracle.run(eligible)
@@ -112,9 +157,24 @@ func checkKills(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*
 	return tuples
 }
 
-// metaLevelCases are the shapes the oracle differential cannot tell from a
-// drifting count: it compares survivors, and a count that is off by one
-// hides until it crosses zero.
+// witnessRedacts reports whether the oracle finds a meta-rule that redacts
+// victim by the tuple of victim and others, others in slot order: a witness
+// keeps the members of the tuple, not its rule or the victim's slot in it.
+func witnessRedacts(oracle *oracleRedactor, rules []*compile.MetaRule, others []*match.Instantiation, victim *match.Instantiation) bool {
+	for _, r := range rules {
+		for slot := range len(others) + 1 {
+			if oracle.redacts(r, slices.Insert(slices.Clone(others), slot, victim), victim) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// metaLevelCases are the shapes the oracle differential cannot tell apart
+// at the engine: it compares survivors, and a witness that names a tuple
+// which no longer redacts, or one that is gone, hides until nothing else
+// redacts its image.
 var metaLevelCases = []struct{ name, metas string }{
 	{"mutual-kill", `
 (metarule duel [<i> (take ^k <k>)] [<j> (take ^k <k>)] --> (redact <j>))`},
@@ -132,6 +192,11 @@ var metaLevelCases = []struct{ name, metas string }{
 	{"single-pattern", `
 (metarule never [<i> (take ^k 2)] --> (redact <i>))
 (metarule middle [<i> (drop ^k <k>)] [<j> (take ^a <k>)] [<l> (drop ^b <k>)] --> (redact <j>))`},
+	// A lock: any image of one pattern, which joins nothing, redacts every
+	// image of the other, so the leaving of the witness they share sends
+	// them all to search again.
+	{"lock", `
+(metarule lock [<i> (drop ^a <x>)] [<j> (take ^a <y>)] --> (redact <j>))`},
 }
 
 const metaLevelRules = `
@@ -144,7 +209,7 @@ const metaLevelRules = `
 // driveMetaLevel feeds one program's meta level random batches of
 // instantiations entering and leaving, holding their images the way the
 // engine's conflict-set table does, and after every sync checks the
-// structure and every kill count. Batches take in the cases an engine run
+// structure and every witness. Batches take in the cases an engine run
 // produces rarely or in one order only: most or all of the eligible set
 // leaving at once, two leavers in one tuple, an image queued to leave
 // twice, an instantiation that leaves and comes back under the same key
@@ -225,14 +290,15 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 		}
 		checkMetaLevel(t, m, images)
 		match.SortInstantiations(eligible)
-		tuples += checkKills(t, m, oracle, eligible, imgs)
+		tuples += checkWitnesses(t, m, oracle, eligible, imgs)
 		checkMetaLevel(t, m, images) // explain changed nothing
 	}
 	return tuples
 }
 
 // TestMetaLevelKillCounts is the model-based test of the lazy meta level:
-// the model is the oracle joiner's recount from scratch.
+// the model is the oracle joiner's count from scratch of the tuples that
+// redact each image, against which every witness is checked.
 func TestMetaLevelKillCounts(t *testing.T) {
 	for i, tc := range metaLevelCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -264,7 +330,7 @@ func TestMetaLevelKillCounts(t *testing.T) {
 // TestMetaLevelChurn keeps one meta level alive through 100k rounds of an
 // instantiation entering and an old one leaving, over join keys that never
 // repeat, beside two images that stay and are redacted by whatever passes.
-// Memories, index tables and counts must come back to where they started
+// Memories, index tables and witnesses must come back to where they started
 // and no image may outlive its instantiation.
 func TestMetaLevelChurn(t *testing.T) {
 	prog := compileOK(t, `
@@ -313,9 +379,9 @@ func TestMetaLevelChurn(t *testing.T) {
 	}
 	m.sync()
 	base, baseImages := m.memStats(), m.bytes
-	baseKills := []int32{imgs[stay[0]].Kills, imgs[stay[1]].Kills}
-	if baseKills[0] != 1 || baseKills[1] != 1 { // the second outranks the first, the first is the best of the group
-		t.Fatalf("the two that stay start with kill counts %v, want [1 1]", baseKills)
+	// The second outranks the first, the first is the best of the group.
+	if !imgs[stay[0]].Redacted() || !imgs[stay[1]].Redacted() {
+		t.Fatal("the two that stay start without a witness each")
 	}
 
 	const window = 16
@@ -341,7 +407,7 @@ func TestMetaLevelChurn(t *testing.T) {
 		if i%997 == 0 {
 			eligible := append(append([]*match.Instantiation(nil), stay...), live...)
 			checkMetaLevel(t, m, images(eligible))
-			checkKills(t, m, oracle, eligible, imgs)
+			checkWitnesses(t, m, oracle, eligible, imgs)
 		}
 	}
 	// Three indexed memories (outranked joins on nothing), at most window+2
@@ -360,9 +426,9 @@ func TestMetaLevelChurn(t *testing.T) {
 	if ms := m.memStats(); ms.AlphaItems != base.AlphaItems || m.bytes != baseImages {
 		t.Fatalf("with the passers-by gone the meta level holds %+v (%d bytes of images), started with %+v (%d)", ms, m.bytes, base, baseImages)
 	}
-	for i, in := range stay {
-		if got := imgs[in].Kills; got != baseKills[i] {
-			t.Fatalf("%v: kill count %d after the churn, %d before", in, got, baseKills[i])
+	for _, in := range stay {
+		if !imgs[in].Redacted() {
+			t.Fatalf("%v: no witness after the churn", in)
 		}
 	}
 	for _, in := range stay {
@@ -373,6 +439,58 @@ func TestMetaLevelChurn(t *testing.T) {
 	if ms := m.memStats(); ms != (match.MemStats{}) || tables() != 0 || m.redacted != 0 {
 		t.Fatalf("emptied meta level holds %+v, %d bytes of index tables, %d redacted", ms, tables(), m.redacted)
 	}
+}
+
+// TestMetaLevelWitnessMemoryFlat keeps one redactor eligible while 10,000
+// instantiations it redacts enter and leave one at a time: each is its
+// dependent while it is eligible. The meta level's bytes must read the same
+// after every departure, and the live heap must not grow with the number
+// that have passed — dependents are links the dependents own, not a list
+// the redactor keeps.
+func TestMetaLevelWitnessMemoryFlat(t *testing.T) {
+	prog := compileOK(t, metaLevelRules+`
+(metarule lock [<i> (drop ^k 0)] [<j> (take ^a <a>)] --> (redact <j>))`)
+	m := newMetaLevel(prog)
+	mem := wm.NewMemory(prog.Schema)
+	take, drop := prog.Rules[0], prog.Rules[1]
+	inst := func(r *compile.Rule, k int) *match.Instantiation {
+		w := mem.InsertFields(r.CEs[0].Tmpl, []wm.Value{wm.Int(int64(k)), wm.Int(int64(k)), wm.Int(0)})
+		return match.NewInstantiation(r, []*wm.WME{w})
+	}
+	lock := m.enter(inst(drop, 0))
+	m.sync()
+	pass := func(i int) {
+		in := inst(take, i)
+		img := m.enter(in)
+		m.sync()
+		if !img.Redacted() || lock.Dependent() != img {
+			t.Fatalf("passer %d: redacted=%v, the lock's dependent is %v", i, img.Redacted(), lock.Dependent())
+		}
+		m.leave(img)
+		m.sync()
+		mem.Remove(in.WMEs[0].Time)
+	}
+	pass(0)
+	base := m.memStats()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const passers = 10000
+	for i := 1; i <= passers; i++ {
+		pass(i)
+		if ms := m.memStats(); ms != base {
+			t.Fatalf("after %d passers the meta level holds %+v, after one %+v", i, ms, base)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if lock.Dependent() != nil || m.redacted != 0 {
+		t.Fatalf("with every passer gone the lock keeps dependent %v and %d images are redacted", lock.Dependent(), m.redacted)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 256<<10 {
+		t.Fatalf("the live heap grew by %d bytes over %d passers", grew, passers)
+	}
+	runtime.KeepAlive(lock)
 }
 
 const equalityFreeProgram = `
@@ -387,9 +505,9 @@ const equalityFreeProgram = `
 `
 
 // TestMetaLevelAllocationBudget holds the meta level to what it may
-// allocate: a constant per image — the image, its WME and field vector, and
-// its share of the growth of the two memories and the queues — and nothing
-// per meta-match. Under a meta-rule with no equality join n
+// allocate: a constant per image — the image, its WME and field vector, its
+// witness, and its share of the growth of the two memories and the queues
+// — and nothing per meta-match. Under a meta-rule with no equality join n
 // images match n(n-1)/2 tuples, so anything kept or allocated per tuple
 // shows as growth in the per-image figure from 64 to 256 images; 256 is the
 // instance that cost 8 MB while meta-matches were stored.
@@ -410,8 +528,9 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 			imgs[i] = m.enter(in)
 		}
 		m.sync()
-		if got, want := m.profs[0].insts, uint64(n*(n-1)/2); got != want || m.redacted != n-1 {
-			t.Fatalf("%d images: %d tuples found and %d redacted, want %d and %d", n, got, m.redacted, want, n-1)
+		// One witness per image but the lowest, and no other tuple found.
+		if got := m.profs[0].insts; got != uint64(n-1) || m.redacted != n-1 {
+			t.Fatalf("%d images: %d tuples found and %d redacted, want %d and %d", n, got, m.redacted, n-1, n-1)
 		}
 		return m
 	}
@@ -480,7 +599,8 @@ func TestEngineMetaMemStatsLinear(t *testing.T) {
 				}
 			}
 		}
-		if want := uint64(n * (n - 1) / 2); found != want || probes < want {
+		// One witness for each redacted image, each found in a probe or more.
+		if want := uint64(n - 1); found != want || probes < want {
 			t.Errorf("n=%d: meta row counts %d tuples in %d probes, want %d tuples", n, found, probes, want)
 		}
 	}

@@ -9,28 +9,39 @@ import (
 	"parulel/internal/match/seeded"
 )
 
-// metaLevel runs the program's meta-rules as a lazy, counting match.
+// metaLevel runs the program's meta-rules as a lazy match that keeps, for
+// each image some tuple redacts, one such tuple: its witness.
 //
 // PARULEL's meta-rules are rules whose working memory is the conflict set.
 // compile.MetaLevel lowers each one to condition elements over per-rule
 // image templates and compiles a join plan per pattern; here every
 // *eligible* instantiation (in the conflict set, not refracted) of a rule
 // some meta-pattern names has one image, held in the memory of each pattern
-// whose alpha tests it passes. Nothing else is stored: no partial match, no
-// meta-match. An image that enters is joined, seeded at each pattern it
-// fits, against the other patterns' memories, and every tuple found adds
-// one to the kill count of each image the tuple redacts; an image that
-// leaves runs the same joins and takes those kills back. The engine feeds
-// the eligible set's delta each cycle. The memories and the joins are
+// whose alpha tests it passes. An instantiation fires unless some tuple
+// redacts it, and whether one does is all that matters: a redacted image
+// keeps the first tuple found that redacts it, filed among the dependents
+// of every other image in it, and a survivor keeps nothing. No partial
+// match and no other meta-match is stored. The memories and the joins are
 // internal/match/seeded's, which TREAT runs too: this is that engine plus
-// kill counts, as TREAT is that engine plus a conflict set.
+// witnesses, as TREAT is that engine plus a conflict set.
+//
+// The engine feeds the eligible set's delta each cycle, and sync takes it
+// in two passes. The leavers go first: they leave their memories, and each
+// image whose witness held one searches again among the images that stay,
+// seeded at the patterns where a match redacts it, up to the first tuple
+// that does. Then the entrants join one by one, each seeded at every
+// pattern it fits — first where a match redacts it, up to the first tuple
+// that does; then elsewhere, for the tuples that redact an image still
+// without a witness, skipping untested a candidate already redacted at the
+// last step that binds one a match redacts (compile.Step.LastVictim).
 //
 // Semantics (synchronous): all redactions justified by matches against
 // the full eligible set apply at once, so the outcome is independent of
 // meta-rule and enumeration order, and two instantiations that each
 // justify redacting the other both die — meta-rule programs break such
 // ties with `(tag …)` or `(precedes …)`. The survivors are therefore the
-// eligible instantiations with a count of zero.
+// eligible instantiations without a witness. Which tuple an image keeps
+// depends on the order images arrive in; whether it keeps one does not.
 //
 // One round is the fixpoint: meta patterns have no negation, so matching
 // is monotone in the eligible set. Any tuple matching among the survivors
@@ -49,13 +60,13 @@ type metaLevel struct {
 	// rules[i].Redacts lists the patterns of prog.Rules[i] whose matched
 	// images a match of that rule redacts.
 	rules []*compile.MetaRule
-	// w runs the joins over the memories of prog.Patterns, and sign is what
-	// the join in progress adds to the counts: +1 for an image entering, -1
-	// for one leaving.
-	w    seeded.Walker
-	sign int32
-	// redacted counts images with a non-zero kill count, and bytes what
-	// the filed images take.
+	// order lists, by object-rule index, the patterns over that rule's
+	// image: those where a match redacts it first, then the others.
+	order [][]*compile.Pattern
+	// w runs the joins over the memories of prog.Patterns.
+	w seeded.Walker
+	// redacted counts images with a witness, and bytes what the filed
+	// images take.
 	redacted, bytes int
 	// entered and left queue the eligible set's changes between redact
 	// phases: the images of instantiations that became eligible, and of
@@ -73,15 +84,28 @@ type metaProf struct {
 }
 
 // image is the meta-level state of one reified instantiation: a member of
-// the pattern memories holding the instantiation, its kill count, its
-// leaving flag and the WME the sync after enter reifies it into.
+// the pattern memories holding the instantiation, its witness and the WME
+// the sync after enter reifies it into.
 type image = seeded.Member
 
 func newMetaLevel(prog *compile.Program) *metaLevel {
 	if prog.Meta == nil {
 		return nil
 	}
-	m := &metaLevel{prog: prog.Meta, rules: prog.MetaRules, profs: make([]metaProf, len(prog.Meta.Rules))}
+	m := &metaLevel{prog: prog.Meta, rules: prog.MetaRules, order: make([][]*compile.Pattern, len(prog.Meta.Images)),
+		profs: make([]metaProf, len(prog.Meta.Rules))}
+	for i, im := range prog.Meta.Images {
+		if im == nil {
+			continue
+		}
+		for _, victim := range []bool{true, false} {
+			for _, p := range im.Patterns {
+				if p.Victim == victim {
+					m.order[i] = append(m.order[i], p)
+				}
+			}
+		}
+	}
 	m.w = seeded.New(prog.Meta.Patterns, m.found)
 	return m
 }
@@ -99,51 +123,53 @@ func (m *metaLevel) enter(in *match.Instantiation) *image {
 	if !m.reifies(in) {
 		return nil
 	}
-	img := &image{In: in}
+	img := seeded.NewImage(in)
 	m.entered = append(m.entered, img)
 	return img
 }
 
 // leave queues img, which a sync has filed, to be retracted at the next
 // one, because its instantiation left the conflict set or fired. A nil
-// image is skipped, and so is one already queued, which a second retraction
-// would take out of its memories twice.
+// image is skipped; one queued twice leaves once.
 func (m *metaLevel) leave(img *image) {
-	if img == nil || img.Leaving {
-		return
+	if img != nil {
+		m.left = append(m.left, img)
 	}
-	img.Leaving = true
-	m.left = append(m.left, img)
 }
 
-// sync brings the meta level up to date with the queued changes. The
-// images of departed instantiations, flagged when queued, are taken out of
-// their memories one by one, each giving back the kills it justified on
-// images that stay; entrants are reified, joined and filed. One image at a
-// time on both sides, so a tuple holding two images of a batch is found at
-// the first to leave, or the last to enter, and nowhere else.
+// sync brings the meta level up to date with the queued changes, in the
+// two passes metaLevel describes. All leavers are out of their memories and
+// without a witness before any search, so none is found in a tuple, and
+// the dependents left to search again are images that stay; an entrant
+// joins before it is filed, so a tuple holding several entrants is found at
+// the last of them to join.
 func (m *metaLevel) sync() {
 	if m == nil || len(m.left)+len(m.entered) == 0 {
 		return
 	}
 	for _, img := range m.left {
-		if img.Kills > 0 {
-			m.redacted--
+		if !img.Laid() {
+			continue // queued twice
 		}
 		m.bytes -= img.Bytes()
 		for _, p := range m.patterns(img) {
 			if img.Held(p) {
-				m.w.Mems[p.ID].Leaving++
+				m.w.Mems[p.ID].Remove(img)
 			}
 		}
+		img.Unlay()
+		m.unwitness(img)
 	}
 	for _, img := range m.left {
-		for _, p := range m.patterns(img) {
-			if img.Held(p) {
-				mem := &m.w.Mems[p.ID]
-				mem.Remove(img)
-				mem.Leaving--
-				m.join(p, img, -1)
+		for v := img.Dependent(); v != nil; v = img.Dependent() {
+			m.unwitness(v)
+			for _, p := range m.order[v.In.Rule.Index] {
+				if !p.Victim || v.Redacted() {
+					break
+				}
+				if v.Held(p) {
+					m.join(p, v, true)
+				}
 			}
 		}
 	}
@@ -152,9 +178,9 @@ func (m *metaLevel) sync() {
 		img.W = im.Reify(img.In.WMEs)
 		img.Lay(&im.Layout)
 		m.bytes += img.Bytes()
-		for _, p := range im.Patterns {
+		for _, p := range m.order[img.In.Rule.Index] {
 			if p.CE.MatchesAlpha(&img.W) {
-				m.join(p, img, +1)
+				m.join(p, img, p.Victim && !img.Redacted())
 				m.w.Mems[p.ID].Add(img)
 			}
 		}
@@ -169,50 +195,32 @@ func (m *metaLevel) patterns(img *image) []*compile.Pattern {
 	return m.prog.Images[img.In.Rule.Index].Patterns
 }
 
-// join enumerates the tuples of p's meta-rule that hold img at p and adds
-// sign to the kill count of every image they redact. A leaving image's own
-// count is dropped with it, so the join is skipped when no other image it
-// could redact stays.
-func (m *metaLevel) join(p *compile.Pattern, img *image, sign int32) {
-	if sign < 0 && !m.victimStays(&p.Seed) {
-		return
-	}
-	m.sign = sign
-	m.w.Join(p, img, &m.profs[p.Rule].Counts, sign > 0)
+// join runs the join of p's meta-rule seeded at img; need says that img is
+// redacted at p and has no witness yet (seeded.Walker.Join).
+func (m *metaLevel) join(p *compile.Pattern, img *image, need bool) {
+	m.w.Join(p, img, &m.profs[p.Rule].Counts, need)
 }
 
-// victimStays reports whether some memory a step of j takes a redacted
-// image from holds an image that is not leaving.
-func (m *metaLevel) victimStays(j *compile.Join) bool {
-	for i := range j.Steps {
-		if st := &j.Steps[i]; st.Victim {
-			if mem := &m.w.Mems[st.Pat.ID]; mem.N > mem.Leaving {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// found applies the tuple just completed: sign on the count of every image
-// it redacts that is not leaving.
-func (m *metaLevel) found() {
+// found makes the tuple just completed the witness of every image it
+// redacts that has none, which settles it.
+func (m *metaLevel) found() bool {
 	rule := m.w.Seed.Rule
-	if m.sign > 0 {
-		m.profs[rule].insts++
-	}
+	m.profs[rule].insts++
+	tuple := m.w.Tuple[:len(m.prog.Rules[rule].CEs)]
 	for _, v := range m.rules[rule].Redacts {
-		img := m.w.Tuple[v]
-		if img.Leaving {
-			continue
-		}
-		img.Kills += m.sign
-		switch {
-		case m.sign > 0 && img.Kills == 1:
+		if img := tuple[v]; !img.Redacted() {
+			m.bytes += img.Witness(tuple)
 			m.redacted++
-		case m.sign < 0 && img.Kills == 0:
-			m.redacted--
 		}
+	}
+	return true
+}
+
+// unwitness drops img's witness, if it has one.
+func (m *metaLevel) unwitness(img *image) {
+	if img.Redacted() {
+		img.Unwitness()
+		m.redacted--
 	}
 }
 
@@ -239,8 +247,8 @@ func (m *metaLevel) charge(d time.Duration) {
 }
 
 // ruleProfiles returns one row per meta-rule, in declaration order. Insts
-// counts the tuples found as images entered; nothing is built for them, so
-// Tokens stays zero.
+// counts the tuples found and kept as witnesses; nothing is built for
+// them, so Tokens stays zero.
 func (m *metaLevel) ruleProfiles() []match.RuleProfile {
 	out := make([]match.RuleProfile, len(m.profs))
 	for i, p := range m.profs {
@@ -250,8 +258,10 @@ func (m *metaLevel) ruleProfiles() []match.RuleProfile {
 }
 
 // memStats reports the images held, once per pattern memory holding them,
-// and the bytes the images and the index tables take. That is all the state
-// there is: linear in the eligible set whatever the meta-rules join on.
+// and the bytes the images, their witnesses and the index tables take.
+// That is all the state there is: linear in the eligible set whatever the
+// meta-rules join on, since a witness is a fixed number of links an image
+// owns and a dependent is one of them.
 func (m *metaLevel) memStats() match.MemStats {
 	ms := match.MemStats{Bytes: m.bytes}
 	for i := range m.w.Mems {
@@ -271,23 +281,22 @@ type redaction struct {
 }
 
 // explain returns, per meta-rule in declaration order, the tuples that
-// redacted img's instantiation at the last sync, found by running the
-// image's joins again. Nothing is kept for this during a run.
+// redact img's instantiation, found by running the image's joins again:
+// the meta level keeps one witness, not every tuple.
 func (m *metaLevel) explain(img *image) []redaction {
-	if img == nil || img.Kills == 0 {
+	if img == nil || !img.Redacted() {
 		return nil
 	}
 	var out []redaction
-	// The joins run here are no part of the run's profile.
-	profs := slices.Clone(m.profs)
-	defer func() { m.w.Found, m.profs = m.found, profs }()
+	var c seeded.Counts // the joins run here are no part of the run's profile
+	defer func() { m.w.Found = m.found }()
 	for _, p := range m.patterns(img) {
-		if !img.Held(p) || !slices.Contains(m.rules[p.Rule].Redacts, p.Pat) {
+		if !p.Victim || !img.Held(p) {
 			continue
 		}
 		name := m.rules[p.Rule].Name
 		width := len(m.prog.Rules[p.Rule].CEs)
-		m.w.Found = func() {
+		m.w.Found = func() bool {
 			if len(out) == 0 || out[len(out)-1].rule != name {
 				out = append(out, redaction{rule: name})
 			}
@@ -302,8 +311,9 @@ func (m *metaLevel) explain(img *image) []redaction {
 			if r.with == nil || slices.CompareFunc(with, r.with, (*match.Instantiation).Compare) < 0 {
 				r.with = with
 			}
+			return false // every tuple, not the first
 		}
-		m.join(p, img, +1)
+		m.w.Join(p, img, &c, true)
 	}
 	return out
 }

@@ -153,8 +153,9 @@ func recordEligible(tb testing.TB, builtin string, load func(workload.Inserter) 
 // eligible-set deltas of three engine runs: alexsys_run's instance, where
 // instantiations stay eligible for cycles, and manners(64) and
 // quickstart(40), where every cycle replaces them all. One op is the whole
-// stream; ns/probe is the figure to compare across them, and leave-probes
-// says how many of the probes were spent taking kills back.
+// stream; ns/probe is the figure to compare across them, research-probes
+// says how many of the probes were spent finding a new witness after one
+// left, and tuples how many witnesses were found.
 func BenchmarkMetaLevel(b *testing.B) {
 	for _, wl := range redactionInstances {
 		switch wl.name {
@@ -165,7 +166,7 @@ func BenchmarkMetaLevel(b *testing.B) {
 		prog, ins, stream := recordEligible(b, wl.prog, wl.load)
 		b.Run(wl.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var probes, leaveProbes, tuples uint64
+			var probes, researchProbes, tuples uint64
 			imgs := make([]*image, len(ins))
 			for i := 0; i < b.N; i++ {
 				m := newMetaLevel(prog)
@@ -181,7 +182,7 @@ func BenchmarkMetaLevel(b *testing.B) {
 					}
 					before := sum()
 					m.sync() // what left goes first in any case
-					leaveProbes += sum() - before
+					researchProbes += sum() - before
 					for _, id := range d.entered {
 						imgs[id] = m.enter(ins[id])
 					}
@@ -193,7 +194,7 @@ func BenchmarkMetaLevel(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-			b.ReportMetric(float64(leaveProbes)/float64(b.N), "leave-probes/op")
+			b.ReportMetric(float64(researchProbes)/float64(b.N), "research-probes/op")
 			b.ReportMetric(float64(tuples)/float64(b.N), "tuples/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
 		})

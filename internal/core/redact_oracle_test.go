@@ -14,7 +14,7 @@ import (
 // meta-rules were lowered and matched incrementally (redact.go), kept as
 // the differential oracle: it re-derives every meta-match from scratch from
 // the eligible set and the unlowered compile.MetaRule, sharing nothing
-// with the lowering, the join plans or the kill counts.
+// with the lowering, the join plans or the witnesses.
 //
 // Semantics (synchronous): every meta-rule is matched against the eligible
 // set; all redactions justified by those matches apply simultaneously, so
@@ -76,8 +76,8 @@ func (r *oracleRedactor) run(eligible []*match.Instantiation) ([]*match.Instanti
 }
 
 // kills counts, per redacted instantiation, the matching tuples that redact
-// it, once per mention in the meta-rule's redact list — what the meta
-// level's kill counts must equal.
+// it, once per mention in the meta-rule's redact list: what the meta level
+// must keep a witness for exactly when it is not zero.
 func (r *oracleRedactor) kills(eligible []*match.Instantiation) map[match.Key]int {
 	dead := make(map[match.Key]int)
 	byRule := make(map[*compile.Rule][]*match.Instantiation)
@@ -232,6 +232,42 @@ func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, strip
 		}
 	}
 	choose(0)
+}
+
+// redacts reports whether tuple, one instantiation per pattern, matches the
+// meta-rule m and names victim among those it redacts: the oracle's check
+// of one witness the meta level keeps.
+func (r *oracleRedactor) redacts(m *compile.MetaRule, tuple []*match.Instantiation, victim *match.Instantiation) bool {
+	if len(tuple) != len(m.Patterns) {
+		return false
+	}
+	for i, p := range m.Patterns {
+		in := tuple[i]
+		if in.Rule != p.Rule || !metaAlphaPasses(p, in) {
+			return false
+		}
+		for _, other := range tuple[:i] {
+			if other.Key() == in.Key() {
+				return false // patterns bind distinct instantiations
+			}
+		}
+		for _, jt := range p.JoinTests {
+			if !jt.Op.Apply(in.Binding(jt.Ref), tuple[jt.OtherPat].Binding(jt.OtherRef)) {
+				return false
+			}
+		}
+	}
+	for _, t := range m.Tests {
+		if v, err := t.Eval(metaEnv{tuple: tuple}); err != nil || !v.Truthy() {
+			return false
+		}
+	}
+	for _, pi := range m.Redacts {
+		if tuple[pi] == victim {
+			return true
+		}
+	}
+	return false
 }
 
 // metaAlphaPasses checks a pattern's per-instantiation tests.

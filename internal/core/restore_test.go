@@ -274,8 +274,8 @@ func (l *cycleLog) Redacted(red, _, surv int) {
 func (l *cycleLog) RuleFired(rule string, n int) { l.cur += fmt.Sprintf(" %s×%d", rule, n) }
 func (l *cycleLog) Commit(int, int, bool)        { l.lines = append(l.lines, l.cur) }
 
-// TestRestoreMidRunRebuildsRedactionState: the meta level — images, stored
-// meta-matches, kill counts — is never persisted; the first match phase
+// TestRestoreMidRunRebuildsRedactionState: the meta level — images and
+// their witnesses — is never persisted; the first match phase
 // after a restore rebuilds it from the restored working memory and
 // refraction set. Pausing at every cycle boundary of a redaction-heavy run,
 // transplanting the replayable state into a fresh engine (on the other

@@ -4,9 +4,10 @@
 // their indexes, along the plan compiled for that memory's pattern
 // (compile.Pattern.Seed), and no partial match is stored. TREAT is this
 // engine plus a conflict set, the meta level (internal/core/redact.go) this
-// engine plus kill counts. A memory lists, in arrival order, the members
-// passing one pattern's alpha tests, bucketed by a valueindex.Index per
-// field its plans probe; lists and buckets are linked through the members.
+// engine plus witnesses: for each member some tuple redacts, one such tuple.
+// A memory lists, in arrival order, the members passing one pattern's alpha
+// tests, bucketed by a valueindex.Index per field its plans probe; lists and
+// buckets are linked through the members.
 package seeded
 
 import (
@@ -26,23 +27,49 @@ type Member struct {
 	// TREAT record, the reified instantiation for an image (Ref nil).
 	W   wm.WME
 	Ref *wm.WME
-	// In, Kills and Leaving are the meta level's: the instantiation an image
-	// reifies, how many tuples redact it (once per mention in their rule's
-	// redact list), and that it is queued to leave, so a tuple all of whose
-	// victims are leaving is not worth enumerating.
-	In      *match.Instantiation
-	Kills   int32
-	Leaving bool
+	// In is the instantiation an image reifies, and wit and deps are the
+	// meta level's too. wit is the image's witness, a tuple that redacts
+	// it: a link for each other member of the tuple, in slot order, or
+	// for a tuple of the image alone one link no chain holds; empty while
+	// it has none. Its array is kept for the next witness.
+	In  *match.Instantiation
+	wit []link
+	// deps chains the links, in other members' witnesses, that hold this
+	// one: the members that lose their witness when it leaves.
+	deps *link
 	// at holds the member's neighbours in each chain that may list it, laid
 	// out by compile.Pattern.Pos: at[p.Pos] in the list of p's memory,
 	// at[p.Pos+1+k] in its bucket of the memory's k-th index. A member p's
 	// memory does not hold is its own at[p.Pos].prev. atBuf backs at when
-	// it needs no more.
+	// it needs no more. at is nil until Lay and after Unlay.
 	at    []links
 	atBuf [2]links
 }
 
 type links struct{ next, prev *Member }
+
+// link is the place of a witness's owner in the chain of dependents of
+// the member at one slot of it; pprev points at whatever points at the
+// link, and is nil in a link no chain holds.
+type link struct {
+	owner *Member
+	next  *link
+	pprev **link
+}
+
+// NewImage returns the meta level's member for in, allocated with the link
+// of a witness of two members — every builtin meta-rule's — so that its
+// witnesses allocate nothing: on the builtin programs nearly every image
+// is redacted at some point, and a link allocated by its first witness
+// would be one allocation more for each.
+func NewImage(in *match.Instantiation) *Member {
+	img := &struct {
+		Member
+		one [1]link
+	}{Member: Member{In: in}}
+	img.wit = img.one[:0]
+	return &img.Member
+}
 
 // Lay sizes the member's link vector for the memories of l and marks it
 // held by none of them.
@@ -55,13 +82,20 @@ func (mb *Member) Lay(l *compile.Layout) {
 	}
 }
 
+// Unlay drops the link vector of a member no memory holds any more.
+func (mb *Member) Unlay() { mb.at = nil }
+
+// Laid reports whether the member has a link vector: Lay ran, Unlay did not.
+func (mb *Member) Laid() bool { return mb.at != nil }
+
 // Held reports whether p's memory holds the member.
 func (mb *Member) Held(p *compile.Pattern) bool { return mb.at[p.Pos].prev != mb }
 
-// Bytes returns the memory the member takes: its links and, for an image,
-// whose WME copies no element's, the field vector.
+// Bytes returns the memory the member takes: its links, the links kept for
+// its witness and, for an image, whose WME copies no element's, the field
+// vector.
 func (mb *Member) Bytes() int {
-	n := int(unsafe.Sizeof(*mb))
+	n := int(unsafe.Sizeof(*mb)) + cap(mb.wit)*int(unsafe.Sizeof(link{}))
 	if len(mb.at) > len(mb.atBuf) {
 		n += len(mb.at) * int(unsafe.Sizeof(links{}))
 	}
@@ -71,13 +105,77 @@ func (mb *Member) Bytes() int {
 	return n
 }
 
+// Redacted reports whether the member has a witness.
+func (mb *Member) Redacted() bool { return len(mb.wit) != 0 }
+
+// Witness makes tuple, a tuple of distinct members holding mb, mb's
+// witness, and files mb among the dependents of every other member of it.
+// mb has no witness. It returns how many bytes mb grew by.
+func (mb *Member) Witness(tuple []*Member) (grew int) {
+	n := max(len(tuple)-1, 1)
+	if cap(mb.wit) < n {
+		grew = (n - cap(mb.wit)) * int(unsafe.Sizeof(link{}))
+		mb.wit = make([]link, n)
+	}
+	mb.wit = mb.wit[:n]
+	mb.wit[0].owner = mb // all a tuple of mb alone sets
+	ls := mb.wit
+	for _, x := range tuple {
+		if x == mb {
+			continue
+		}
+		l := &ls[0]
+		ls = ls[1:]
+		if l.owner, l.next, l.pprev = mb, x.deps, &x.deps; l.next != nil {
+			l.next.pprev = &l.next
+		}
+		x.deps = l
+	}
+	return grew
+}
+
+// Unwitness drops mb's witness, taking mb out of the dependents of the
+// members it held.
+func (mb *Member) Unwitness() {
+	for i := range mb.wit {
+		if l := &mb.wit[i]; l.pprev != nil {
+			if *l.pprev = l.next; l.next != nil {
+				l.next.pprev = l.pprev
+			}
+		}
+	}
+	clear(mb.wit)
+	mb.wit = mb.wit[:0]
+}
+
+// Dependent returns a member whose witness holds mb; nil when none does.
+func (mb *Member) Dependent() *Member {
+	if mb.deps == nil {
+		return nil
+	}
+	return mb.deps.owner
+}
+
+// Dependents calls f for each member whose witness holds mb, with mb's
+// place among the other members of that witness, in slot order.
+func (mb *Member) Dependents(f func(dep *Member, at int)) {
+	for l := mb.deps; l != nil; l = l.next {
+		dep := l.owner
+		at := 0
+		for &dep.wit[at] != l {
+			at++
+		}
+		f(dep, at)
+	}
+}
+
 // Mem is the memory of one pattern.
 type Mem struct {
 	pat  *compile.Pattern
 	list valueindex.Chain[*Member]
 	idx  []valueindex.Index[*Member]
-	// N counts the members, and Leaving those flagged as leaving.
-	N, Leaving int
+	// N counts the members.
+	N int
 }
 
 // field is the owner of an index over that field of the members.
@@ -142,15 +240,16 @@ type Walker struct {
 	Tuple []*Member
 	Env   compile.VecEnv
 	// Seed is the pattern the join in progress is seeded at, and Found
-	// receives each tuple it completes.
+	// receives each tuple it completes and reports whether it settled it:
+	// left every member the tuple redacts with a witness.
 	Seed   *compile.Pattern
-	Found  func()
+	Found  func() (settled bool)
 	seed   *Member
 	counts *Counts
 }
 
 // New returns a walker over empty memories of pats, reporting to found.
-func New(pats []*compile.Pattern, found func()) Walker {
+func New(pats []*compile.Pattern, found func() bool) Walker {
 	w := Walker{Mems: make([]Mem, len(pats)), Found: found}
 	width := 0
 	for i, p := range pats {
@@ -165,8 +264,9 @@ func New(pats []*compile.Pattern, found func()) Walker {
 }
 
 // Join enumerates the tuples of p's rule that hold seed at p, passing each
-// to Found, and counts the work in c. stay is extend's.
-func (w *Walker) Join(p *compile.Pattern, seed *Member, c *Counts, stay bool) {
+// to Found, and counts the work in c. need is extend's: for a join of an
+// object rule, whose plans bind nothing a match redacts, it is true.
+func (w *Walker) Join(p *compile.Pattern, seed *Member, c *Counts, need bool) {
 	w.Seed, w.seed, w.counts = p, seed, c
 	w.Tuple[p.Pat], w.Env.Vec[p.Pat] = seed, &seed.W
 	for _, ce := range p.Seed.Filters {
@@ -175,18 +275,24 @@ func (w *Walker) Join(p *compile.Pattern, seed *Member, c *Counts, stay bool) {
 		}
 	}
 	if len(p.Seed.Absent) == 0 || w.absent(p.Seed.Absent) {
-		w.extend(p.Seed.Steps, stay)
+		w.extend(p.Seed.Steps, need)
 	}
 }
 
 // extend binds the patterns of steps, one a level, to every combination of
-// members that passes the tests, filters and absence checks. stay says that
-// some member the tuple so far redacts is not leaving; while none is, a
-// candidate after which none can be is skipped untested.
-func (w *Walker) extend(steps []compile.Step, stay bool) {
+// members that passes the tests, filters and absence checks, and reports
+// whether Found settled a tuple. need says that a member the tuple so far
+// redacts has no witness. While none has, no tuple is completed unless a
+// later step binds one that has not: a candidate at the last step binding
+// a member a match redacts is skipped untested unless it is such a one, and
+// the steps after that step are not walked. Once Found settles a tuple,
+// every member it redacts has a witness, those bound so far among them.
+func (w *Walker) extend(steps []compile.Step, need bool) (settled bool) {
+	if !need && (len(steps) == 0 || steps[0].LastVictim && !steps[0].Victim) {
+		return false
+	}
 	if len(steps) == 0 {
-		w.Found()
-		return
+		return w.Found()
 	}
 	st := &steps[0]
 	var notSeed *Member
@@ -204,8 +310,8 @@ func (w *Walker) extend(steps []compile.Step, stay bool) {
 	}
 cand:
 	for ; c != nil; c = c.at[at].next {
-		stays := stay || st.Victim && !c.Leaving
-		if !stays && st.LastVictim || c == notSeed {
+		needs := need || st.Victim && !c.Redacted()
+		if !needs && st.LastVictim || c == notSeed {
 			continue
 		}
 		for _, d := range st.Distinct {
@@ -228,9 +334,15 @@ cand:
 		}
 		if len(st.Absent) == 0 || w.absent(st.Absent) {
 			counts.Tokens++
-			w.extend(steps[1:], stays)
+			if w.extend(steps[1:], needs) {
+				settled, need = true, false
+				if st.LastVictim && !st.Victim {
+					break
+				}
+			}
 		}
 	}
+	return settled
 }
 
 // absent reports whether, for each check, no member of its negated

@@ -112,3 +112,78 @@ func TestMemChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestWitnessChurn gives random members, images with a link inline and
+// members without, random witnesses of one to three slots, so that links
+// are allocated, reused and outgrown, and takes them away again, auditing
+// after each change every member's chain of dependents against a model of
+// the witnesses: it links back through pprev and Dependents reports exactly
+// the members whose witness holds this one, each with its place among the
+// witness's other members.
+func TestWitnessChurn(t *testing.T) {
+	const n = 12
+	mbs := make([]*Member, n)
+	for i := range mbs {
+		if mbs[i] = new(Member); i%2 == 0 {
+			mbs[i] = NewImage(nil)
+		}
+	}
+	model := make(map[*Member][]*Member)
+	type dep struct {
+		m  *Member
+		at int
+	}
+	order := func(ds []dep) []dep {
+		slices.SortFunc(ds, func(a, b dep) int { return 16*(slices.Index(mbs, a.m)-slices.Index(mbs, b.m)) + a.at - b.at })
+		return ds
+	}
+	rng := rand.New(rand.NewSource(1))
+	check := func(step int) {
+		for _, x := range mbs {
+			var want, got []dep
+			for o, tuple := range model {
+				others := slices.DeleteFunc(slices.Clone(tuple), func(y *Member) bool { return y == o })
+				if i := slices.Index(others, x); i >= 0 {
+					want = append(want, dep{o, i})
+				}
+			}
+			x.Dependents(func(d *Member, at int) { got = append(got, dep{d, at}) })
+			for l, pp := x.deps, &x.deps; l != nil; pp, l = &l.next, l.next {
+				if l.pprev != pp {
+					t.Fatalf("step %d: a link in a chain of dependents does not point back", step)
+				}
+			}
+			if !slices.Equal(order(got), order(want)) || (x.Dependent() == nil) != (len(want) == 0) || x.Redacted() != (model[x] != nil) {
+				t.Fatalf("step %d: member %d lists dependents %v, the witnesses name it in %v", step, slices.Index(mbs, x), got, want)
+			}
+		}
+	}
+	for step := 0; step < 5000; step++ {
+		mb := mbs[rng.Intn(n)]
+		if mb.Redacted() {
+			mb.Unwitness()
+			delete(model, mb)
+		} else {
+			tuple := []*Member{mb}
+			for _, i := range rng.Perm(n)[:rng.Intn(3)] {
+				if mbs[i] != mb {
+					tuple = append(tuple, mbs[i])
+				}
+			}
+			rng.Shuffle(len(tuple), func(i, j int) { tuple[i], tuple[j] = tuple[j], tuple[i] })
+			mb.Witness(tuple)
+			model[mb] = tuple
+		}
+		check(step)
+	}
+	for _, mb := range mbs {
+		mb.Unwitness()
+	}
+	clear(model)
+	check(-1)
+	for _, mb := range mbs {
+		if mb.deps != nil {
+			t.Fatal("with every witness dropped a chain of dependents is not empty")
+		}
+	}
+}

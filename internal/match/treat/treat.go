@@ -178,8 +178,9 @@ func (t *Treat) joins(pats []*compile.Pattern, rec *seeded.Member, neg, add bool
 }
 
 // found adds the instantiation the walker has completed to the conflict
-// set, or drops it from there, as t.adding says.
-func (t *Treat) found() {
+// set, or drops it from there, as t.adding says. An object rule redacts
+// nothing, so it settles no tuple.
+func (t *Treat) found() bool {
 	p := t.w.Seed
 	r := t.rules[p.Rule]
 	vec := t.vec[:0]
@@ -199,6 +200,7 @@ func (t *Treat) found() {
 		delete(t.conflictSet, key)
 		t.coll.Remove(in)
 	}
+	return false
 }
 
 // layout returns tmpl's layout, or nil when no CE matches it.

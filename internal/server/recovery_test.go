@@ -441,8 +441,38 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	}
 }
 
+// TestDeleteDoesNotFsync: a DELETE closes the session's log without
+// flushing it, since the directory goes next, while an eviction, which
+// keeps the files, still flushes a dirty log.
+func TestDeleteDoesNotFsync(t *testing.T) {
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), Fsync: wal.PolicyNever, MaxSessions: 1})
+	fsyncs := func() uint64 { return s.metrics.snapshot().Durability.Fsyncs }
+	dirty := func() sessionInfo {
+		info := createSession(t, ts.URL, createSessionRequest{Program: "quickstart"})
+		body := map[string]any{"facts": []map[string]any{{"template": "person", "fields": map[string]any{"name": "ada", "age": 36}}}}
+		if st := call(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/facts", body, nil); st != http.StatusOK {
+			t.Fatalf("assert: status %d", st)
+		}
+		return info
+	}
+	info := dirty()
+	before := fsyncs()
+	if st := call(t, "DELETE", ts.URL+"/api/v1/sessions/"+info.ID, nil, nil); st != http.StatusOK {
+		t.Fatalf("delete: status %d", st)
+	}
+	if got := fsyncs(); got != before {
+		t.Fatalf("a DELETE fsynced %d times", got-before)
+	}
+	dirty()
+	before = fsyncs()
+	dirty() // evicts the other from the one slot
+	if got := fsyncs(); got == before {
+		t.Fatal("evicting a session with a dirty log did not fsync it")
+	}
+}
+
 // TestRehydrationRebuildsRedactionState: the engine's meta level (images of
-// eligible instantiations, stored meta-matches, kill counts) is derived
+// eligible instantiations and their witnesses) is derived
 // state — no checkpoint or log record carries it. A session evicted between
 // two runs and rehydrated from its checkpoint must continue exactly like a
 // control that stayed resident: same per-run cycles, firings and

@@ -541,6 +541,13 @@ func (s *Server) dropLocalSession(ctx context.Context, id string) bool {
 	s.mu.Lock()
 	sess, live := s.sessions[id]
 	if live {
+		if sess.dur != nil {
+			// No fsync for a log about to be removed; the close in
+			// evictLocked is then a no-op.
+			if err := sess.dur.discard(); err != nil {
+				s.log(ctx).Error("closing wal", "session_id", id, "err", err)
+			}
+		}
 		s.evictLocked(sess)
 	}
 	s.mu.Unlock()

@@ -299,14 +299,20 @@ func (d *durable) markFailed() {
 
 // close flushes and closes the log, leaving the files on disk for later
 // rehydration. Idempotent.
-func (d *durable) close() error {
+func (d *durable) close() error { return d.shut(d.log.Close) }
+
+// discard closes the log without flushing it, for files about to be
+// removed. Idempotent, and a no-op after close.
+func (d *durable) discard() error { return d.shut(d.log.Discard) }
+
+func (d *durable) shut(closeLog func() error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
 	d.closed = true
-	err := d.log.Close()
+	err := closeLog()
 	if d.led != nil {
 		if lerr := d.led.Close(); err == nil {
 			err = lerr

@@ -599,7 +599,15 @@ func (l *Log) Reset() error {
 }
 
 // Close flushes and closes the log. Safe to call more than once.
-func (l *Log) Close() error {
+func (l *Log) Close() error { return l.close(true) }
+
+// Discard closes the log without flushing it, for a log whose file is about
+// to be deleted: records not yet synced may never reach the disk, so a
+// caller that keeps the file must Close instead. Safe to call more than
+// once, and after Close.
+func (l *Log) Discard() error { return l.close(false) }
+
+func (l *Log) close(flush bool) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -607,7 +615,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	var err error
-	if l.dirty && l.syncErr == nil {
+	if flush && l.dirty && l.syncErr == nil {
 		if _, serr := l.syncLocked(); serr != nil {
 			err = serr
 		}
