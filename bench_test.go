@@ -4,8 +4,8 @@
 //	go test -run '^$' -bench . -benchmem
 //
 // Each attaches the counters its table in EXPERIMENTS.md reports as custom
-// metrics. E10, E11 and the group-commit table are benchmarks beside the
-// code they measure (internal/reorder, internal/match/rete, internal/wal).
+// metrics. E10 and E11 are benchmarks beside the code they measure
+// (internal/reorder, internal/match/rete).
 package parulel
 
 import (

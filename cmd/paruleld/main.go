@@ -44,9 +44,8 @@ func main() {
 	workers := flag.Int("workers", 1, "default fire workers per session engine (match runs on one network)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs")
 	dataDir := flag.String("data-dir", "", "durability root: write-ahead logs + checkpoints under <dir>/sessions (empty = sessions are memory-only)")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, group, interval or never")
+	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
-	fsyncWait := flag.Int("fsync-wait-ms", 0, "under -fsync group, park this long for more appends to join a cohort before flushing (0 = flush immediately)")
 	merkle := flag.Bool("merkle", true, "keep a tamper-evident merkle ledger per session (merkle.log, chained checkpoint roots, /proof endpoint)")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "checkpoint a session after this many WAL records")
 	traceCycles := flag.Int("trace-cycles", 512, "per-session cycle-trace ring size served at /sessions/{id}/trace")
@@ -117,7 +116,6 @@ func main() {
 		DataDir:              *dataDir,
 		Fsync:                policy,
 		FsyncInterval:        *fsyncInterval,
-		FsyncWait:            time.Duration(*fsyncWait) * time.Millisecond,
 		DisableMerkle:        !*merkle,
 		CheckpointEvery:      *checkpointEvery,
 		TraceCycles:          *traceCycles,

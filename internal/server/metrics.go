@@ -161,8 +161,6 @@ type durabilityPayload struct {
 	RecoveryFailures  uint64 `json:"recovery_failures" prom:"parulel_recovery_failures_total" kind:"counter" help:"Session recoveries that failed."`
 	WALTruncations    uint64 `json:"wal_tail_truncations" prom:"parulel_wal_tail_truncations_total" kind:"counter" help:"Torn WAL tails dropped during recovery."`
 	WALTruncatedBytes uint64 `json:"wal_tail_truncated_bytes" prom:"parulel_wal_tail_truncated_bytes_total" kind:"counter" help:"Bytes of torn WAL tail dropped during recovery."`
-	GroupCommits      uint64 `json:"group_commits" prom:"parulel_wal_group_commits_total" kind:"counter" help:"Batched flushes issued under fsync=group."`
-	GroupedAppends    uint64 `json:"grouped_appends" prom:"parulel_wal_grouped_appends_total" kind:"counter" help:"Appends made durable by group-commit flushes."`
 }
 
 // clusterPayload is the /metrics cluster section, present only when the

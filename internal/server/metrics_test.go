@@ -55,7 +55,6 @@ func scriptedCollector() metricsPayload {
 		{&c.Stream.Frames, 3}, {&c.Stream.Facts, 19}, {&c.Stream.Rejected, 35}, {&c.Stream.Ticks, 21}, {&c.Stream.Expired, 36},
 		{&c.Sessions.Recovered, 22}, {&c.Durability.RecoveryFailures, 24},
 		{&c.Durability.WALRecords, 2}, {&c.Durability.WALBytes, 123},
-		{&c.Durability.GroupCommits, 2}, {&c.Durability.GroupedAppends, 7},
 		{&c.Durability.WALTruncations, 2}, {&c.Durability.WALTruncatedBytes, 26},
 		{&c.Durability.Checkpoints, 2}, {&c.Durability.CheckpointErrors, 1}, {&c.Durability.CheckpointTotalNS, uint64(8 * ms)},
 		{&c.Cluster.Proxied, 26}, {&c.Cluster.Redirected, 27}, {&c.Cluster.ReplStreams, 28}, {&c.Cluster.ReplRecords, 29},

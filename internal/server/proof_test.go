@@ -1,9 +1,9 @@
 package server
 
 // Coverage for the tamper-evidence surface at the server level: the
-// inclusion-proof endpoint, group-commit fsync as the serving policy
-// (including crash recovery), and recovery-time rejection of a WAL
-// spliced in from another session.
+// inclusion-proof endpoint, one fsync per WAL record under the always
+// policy, and recovery-time rejection of a WAL spliced in from another
+// session.
 
 import (
 	"encoding/json"
@@ -12,10 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"parulel/internal/wal"
+	"parulel/internal/wm"
 )
 
 func fetchProof(t *testing.T, url, seq string) (int, wal.Proof, string) {
@@ -42,7 +44,7 @@ func fetchProof(t *testing.T, url, seq string) (int, wal.Proof, string) {
 // verify offline; the root survives checkpoints and a crash-restart
 // (the ledger spans checkpoints by design).
 func TestProofEndpoint(t *testing.T) {
-	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyGroup, FsyncWait: time.Millisecond, CheckpointEvery: 4}
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 4}
 	ts := startCrashable(t, cfg)
 	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
 	url := ts.URL + "/api/v1/sessions/" + info.ID
@@ -103,39 +105,6 @@ func TestProofEndpointUnavailable(t *testing.T) {
 	}
 }
 
-// TestGroupPolicyRecovery is TestRecoveryAfterRestart under the group
-// fsync policy: a kill-and-restart preserves working memory and counters
-// byte-identically when every mutation was group-committed.
-func TestGroupPolicyRecovery(t *testing.T) {
-	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyGroup, FsyncWait: time.Millisecond}
-
-	tsA := startCrashable(t, cfg)
-	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
-	urlA := tsA.URL + "/api/v1/sessions/" + info.ID
-	driveSession(t, urlA)
-	wantSnap := exportSnapshot(t, urlA)
-	wantInfo := getInfo(t, urlA)
-	tsA.Close() // crash: no drain, no log close
-
-	_, tsB := newTestServer(t, cfg)
-	urlB := tsB.URL + "/api/v1/sessions/" + info.ID
-	gotInfo := getInfo(t, urlB)
-	if gotInfo.Cycles != wantInfo.Cycles || gotInfo.WMSize != wantInfo.WMSize || gotInfo.Runs != wantInfo.Runs {
-		t.Fatalf("recovered counters differ:\n got %+v\nwant %+v", gotInfo, wantInfo)
-	}
-	if gotSnap := exportSnapshot(t, urlB); gotSnap != wantSnap {
-		t.Fatalf("recovered snapshot differs:\n-- got --\n%s\n-- want --\n%s", gotSnap, wantSnap)
-	}
-	// And the group-commit metrics moved.
-	var m metricsPayload
-	if st := call(t, "GET", tsB.URL+"/metrics", nil, &m); st != http.StatusOK {
-		t.Fatalf("metrics: status %d", st)
-	}
-	if m.Durability == nil {
-		t.Fatal("durability metrics missing")
-	}
-}
-
 // TestSpliceRejectedAtRecovery: substituting one durable session's WAL
 // into another session's directory — valid frames, valid CRCs, right
 // sequence numbers, wrong history — must fail recovery, not serve the
@@ -183,24 +152,63 @@ func TestSpliceRejectedAtRecovery(t *testing.T) {
 	getInfo(t, ts2.URL+"/api/v1/sessions/"+b.ID)
 }
 
-// TestGroupCommitMetricsSurface: under load the group policy reports
-// commits and cohort sizes through /metrics.
-func TestGroupCommitMetricsSurface(t *testing.T) {
-	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyGroup}
-	_, ts := newTestServer(t, cfg)
+// TestSessionAppendsEachPayOneFsync: a session's log never has two
+// appends in flight, so under the always policy every WAL record pays its
+// own fsync — the premise that leaves nothing for a group commit to
+// coalesce. Concurrent writers mix asserts, batches and retracts on one
+// session while an async run logs its job markers; the fsync count must
+// rise exactly as much as the record count.
+func TestSessionAppendsEachPayOneFsync(t *testing.T) {
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 1 << 20})
 	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
 	url := ts.URL + "/api/v1/sessions/" + info.ID
-	for i := 0; i < 4; i++ {
-		assertTasks(t, url, i, i+1)
+	task := func(n int) factPayload {
+		return factPayload{Template: "task", Fields: map[string]jsonValue{
+			"n": {V: wm.Int(int64(n))}, "state": {V: wm.Sym("new")},
+		}}
 	}
-	var m metricsPayload
-	if st := call(t, "GET", ts.URL+"/metrics", nil, &m); st != http.StatusOK {
-		t.Fatalf("metrics: status %d", st)
+	before := s.metrics.snapshot().Durability
+
+	const writers, rounds = 8, 4
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				n := 1000*w + 10*r
+				for _, req := range []struct {
+					path string
+					body any
+				}{
+					{"/facts", assertRequest{Facts: []factPayload{task(n)}}},
+					{"/batch", batchRequest{Ops: []batchOp{{Op: "assert", Facts: []factPayload{task(n + 1), task(n + 2)}}, {Op: "run"}}}},
+					{"/retract", retractRequest{Template: "task", Fields: map[string]jsonValue{"n": {V: wm.Int(int64(n + 1))}}}},
+				} {
+					st, err := tryCall("POST", url+req.path, req.body)
+					if err != nil || st != http.StatusOK {
+						t.Errorf("writer %d %s: status %d, err %v", w, req.path, st, err)
+						return
+					}
+					acked.Add(1)
+				}
+			}
+		}(w)
 	}
-	if m.Durability == nil || m.Durability.GroupCommits == 0 || m.Durability.GroupedAppends == 0 {
-		t.Fatalf("group-commit metrics not reported: %+v", m.Durability)
+	var j jobInfo
+	if st := call(t, "POST", url+"/run?async=1", runRequest{}, &j); st != http.StatusAccepted {
+		t.Fatalf("async run: status %d", st)
 	}
-	if m.Durability.GroupedAppends < m.Durability.GroupCommits {
-		t.Fatalf("cohort accounting inverted: %+v", m.Durability)
+	pollJob(t, url+"/jobs/"+j.ID, func(v jobInfo) bool { return v.Status == jobDone })
+	wg.Wait()
+
+	after := s.metrics.snapshot().Durability
+	records, fsyncs := after.WALRecords-before.WALRecords, after.Fsyncs-before.Fsyncs
+	if min := uint64(acked.Load()); records < min {
+		t.Fatalf("%d WAL records for %d acked writes", records, min)
+	}
+	if fsyncs != records {
+		t.Fatalf("%d fsyncs for %d WAL records: appends to one session's log overlapped and shared a flush", fsyncs, records)
 	}
 }

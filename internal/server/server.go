@@ -94,11 +94,6 @@ type Config struct {
 	Fsync wal.Policy
 	// FsyncInterval is the flush period under wal.PolicyInterval. Default 100ms.
 	FsyncInterval time.Duration
-	// FsyncWait bounds how long the group-commit daemon parks to let more
-	// appends join a cohort under wal.PolicyGroup. Zero flushes as soon as
-	// the daemon wakes; coalescing still happens under concurrency because
-	// appends arriving during a flush share the next one.
-	FsyncWait time.Duration
 	// DisableMerkle turns off the per-session Merkle ledger (merkle.log,
 	// chained checkpoint commits, the /proof endpoint). The zero value
 	// keeps it on: tamper evidence is part of the durability contract.
@@ -263,12 +258,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir != "" {
 		m := s.metrics
 		walOpts := wal.Options{
-			Policy:        cfg.Fsync,
-			Interval:      cfg.FsyncInterval,
-			GroupWait:     cfg.FsyncWait,
-			OnAppend:      func(n int) { m.inc(&m.Durability.WALRecords); m.add(&m.Durability.WALBytes, uint64(n)) },
-			OnFsync:       m.fsyncObserved,
-			OnGroupCommit: func(n int) { m.inc(&m.Durability.GroupCommits); m.add(&m.Durability.GroupedAppends, uint64(n)) },
+			Policy:   cfg.Fsync,
+			Interval: cfg.FsyncInterval,
+			OnAppend: func(n int) { m.inc(&m.Durability.WALRecords); m.add(&m.Durability.WALBytes, uint64(n)) },
+			OnFsync:  m.fsyncObserved,
 		}
 		st, maxID, err := openStore(cfg.DataDir, walOpts, !cfg.DisableMerkle)
 		if err != nil {

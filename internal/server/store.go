@@ -169,10 +169,10 @@ type durable struct {
 }
 
 // append logs one record, returning how long it waited on stable storage
-// (PolicyAlways' inline fsync, a group commit's shared flush; zero under
-// the batched policies) so the caller can attribute the latency. keepSeq
-// is the replica's append: the record keeps the sequence number its
-// primary gave it instead of taking this log's next one.
+// (PolicyAlways' inline fsync; zero under the batched policies) so the
+// caller can attribute the latency. keepSeq is the replica's append: the
+// record keeps the sequence number its primary gave it instead of taking
+// this log's next one.
 func (d *durable) append(rec *wal.Record, keepSeq bool) (fs time.Duration, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -407,9 +407,8 @@ func (s *Server) persist(ctx context.Context, sess *session, rec *wal.Record) bo
 	fs, err := d.append(rec, false)
 	appendSp.End()
 	// Attribute the time this append spent on stable storage — the inline
-	// fsync under PolicyAlways, or the park-to-flush wait for the shared
-	// group-commit flush — as a child of the append that paid for it.
-	// Purely batched policies (interval/never) sync elsewhere and report
+	// fsync under PolicyAlways — as a child of the append that paid for
+	// it. Batched policies (interval/never) sync elsewhere and report
 	// zero.
 	if fs > 0 {
 		s.recordSpan(ctx, appendSp.ID(), stageWALFsync, fs)

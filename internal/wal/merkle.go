@@ -264,10 +264,10 @@ type Ledger struct {
 	f    *os.File
 	t    merkleTree
 
-	// pending are file entries written to memory but not yet durable in
-	// the ledger file; commitTo flushes the prefix the WAL fsync covered.
-	pending     []byte
-	pendingSeqs []uint64
+	// pending are file entries staged in memory but not yet durable in
+	// the ledger file; SyncAll writes them after the WAL fsync covers
+	// their frames.
+	pending []byte
 }
 
 // ledgerHeader is the JSON second line of the file.
@@ -423,7 +423,6 @@ func (led *Ledger) resetTo(base uint64, peaks [][sha256.Size]byte) error {
 	}
 	led.t = merkleTree{base: base, basePeaks: peaks}
 	led.pending = nil
-	led.pendingSeqs = nil
 	if err := led.writeHeaderLocked(); err != nil {
 		return err
 	}
@@ -433,55 +432,35 @@ func (led *Ledger) resetTo(base uint64, peaks [][sha256.Size]byte) error {
 // observe feeds one appended frame into the tree and stages its file
 // entry; called by the Log under its mutex on every append.
 func (led *Ledger) observe(seq uint64, payload []byte) {
-	leaf := LeafHash(seq, payload)
 	led.mu.Lock()
-	led.t.leaves = append(led.t.leaves, leaf)
-	led.t.seqs = append(led.t.seqs, seq)
-	var entry [ledgerEntrySize]byte
-	binary.LittleEndian.PutUint64(entry[:8], seq)
-	copy(entry[8:], leaf[:])
-	led.pending = append(led.pending, entry[:]...)
-	led.pendingSeqs = append(led.pendingSeqs, seq)
+	led.observeLocked(seq, payload)
 	led.mu.Unlock()
 }
 
-// commitTo makes staged entries with seq ≤ target durable. The Log calls
-// it right after a successful WAL fsync, so under the always/group
-// policies a durable ledger entry always describes a durable frame.
-func (led *Ledger) commitTo(target uint64) error {
+// SyncAll writes every staged entry and fsyncs the ledger file. Each
+// caller has made the staged entries' frames durable first: the Log
+// right after its WAL fsync (every append stages under the Log's mutex,
+// so the fsync covers all of them), the checkpoint path after Log.Sync,
+// before capturing the commit it writes into the header, and Reconcile
+// for entries re-staged from frames already in the log.
+func (led *Ledger) SyncAll() error {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	return led.commitLocked(target)
+	return led.syncAllLocked()
 }
 
-func (led *Ledger) commitLocked(target uint64) error {
-	cut := sort.Search(len(led.pendingSeqs), func(i int) bool { return led.pendingSeqs[i] > target })
-	if cut == 0 {
+func (led *Ledger) syncAllLocked() error {
+	if len(led.pending) == 0 {
 		return nil
 	}
-	n := cut * ledgerEntrySize
-	if _, err := led.f.Write(led.pending[:n]); err != nil {
+	if _, err := led.f.Write(led.pending); err != nil {
 		return fmt.Errorf("wal: ledger append: %w", err)
 	}
 	if err := led.f.Sync(); err != nil {
 		return fmt.Errorf("wal: ledger fsync: %w", err)
 	}
-	led.pending = append(led.pending[:0], led.pending[n:]...)
-	led.pendingSeqs = append(led.pendingSeqs[:0], led.pendingSeqs[cut:]...)
+	led.pending = led.pending[:0]
 	return nil
-}
-
-// SyncAll flushes every staged entry. The checkpoint path calls it
-// before capturing the commit it writes into the header, so the
-// committed count is durable in the ledger file by the time the
-// checkpoint lands.
-func (led *Ledger) SyncAll() error {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	if len(led.pendingSeqs) == 0 {
-		return nil
-	}
-	return led.commitLocked(led.pendingSeqs[len(led.pendingSeqs)-1])
 }
 
 // State summarizes the current tree. An internal inconsistency (which
@@ -671,10 +650,7 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 	// Entries re-staged for frames the ledger missed describe frames
 	// already durable in the log; flush them now so the invariant
 	// (ledger covers every durable frame) holds before serving resumes.
-	if n := len(led.pendingSeqs); n > 0 {
-		return led.commitLocked(led.pendingSeqs[n-1])
-	}
-	return nil
+	return led.syncAllLocked()
 }
 
 // observeLocked is observe for callers already holding led.mu.
@@ -686,7 +662,6 @@ func (led *Ledger) observeLocked(seq uint64, payload []byte) {
 	binary.LittleEndian.PutUint64(entry[:8], seq)
 	copy(entry[8:], leaf[:])
 	led.pending = append(led.pending, entry[:]...)
-	led.pendingSeqs = append(led.pendingSeqs, seq)
 }
 
 // VerifyProof checks a self-contained proof: it recomputes the root from

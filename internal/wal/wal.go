@@ -44,13 +44,6 @@ const (
 	// process alone loses nothing (writes are in the page cache), crash
 	// of the machine may lose recent records.
 	PolicyNever
-	// PolicyGroup gives PolicyAlways durability at a fraction of the
-	// fsync count: every append blocks until its record is on stable
-	// storage, but concurrent appends are coalesced into one batched
-	// flush by a per-log commit daemon. Under contention one fsync
-	// retires a whole cohort of appends; an uncontended append costs
-	// the same single fsync PolicyAlways would.
-	PolicyGroup
 )
 
 func (p Policy) String() string {
@@ -59,26 +52,22 @@ func (p Policy) String() string {
 		return "always"
 	case PolicyNever:
 		return "never"
-	case PolicyGroup:
-		return "group"
 	default:
 		return "interval"
 	}
 }
 
-// ParsePolicy parses "always", "group", "interval" or "never".
+// ParsePolicy parses "always", "interval" or "never".
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "always":
 		return PolicyAlways, nil
-	case "group":
-		return PolicyGroup, nil
 	case "", "interval":
 		return PolicyInterval, nil
 	case "never":
 		return PolicyNever, nil
 	default:
-		return PolicyInterval, fmt.Errorf("wal: unknown fsync policy %q (want always, group, interval or never)", s)
+		return PolicyInterval, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 	}
 }
 
@@ -88,19 +77,10 @@ type Options struct {
 	Policy Policy
 	// Interval is the flush period under PolicyInterval. Default 100ms.
 	Interval time.Duration
-	// GroupWait bounds how long the commit daemon parks after being woken
-	// before flushing, letting more appenders join the cohort
-	// (PolicyGroup). Zero flushes immediately: coalescing still happens
-	// because appends arriving while a flush is in flight share the next
-	// one.
-	GroupWait time.Duration
 	// OnAppend observes every appended record's framed size in bytes.
 	OnAppend func(bytes int)
 	// OnFsync observes the latency of every fsync issued.
 	OnFsync func(d time.Duration)
-	// OnGroupCommit observes each group flush's cohort size — the number
-	// of appends one fsync made durable (PolicyGroup only).
-	OnGroupCommit func(cohort int)
 	// FsyncFn replaces the file-sync call. Tests inject failing or
 	// bookkeeping syncs through it; nil means (*os.File).Sync.
 	FsyncFn func(*os.File) error
@@ -117,20 +97,13 @@ type ScanResult struct {
 // Log is an append-only record log. All methods are safe for concurrent
 // use; appends are serialized internally.
 type Log struct {
-	mu        sync.Mutex
-	groupCond sync.Cond // broadcast when flushedSeq advances or syncErr latches
-	f         *os.File
-	opts      Options
-	seq       uint64 // last sequence number assigned
-	dirty     bool
-	closed    bool
+	mu     sync.Mutex
+	f      *os.File
+	opts   Options
+	seq    uint64 // last sequence number assigned
+	dirty  bool
+	closed bool
 
-	// flushedSeq is the highest sequence number known to be on stable
-	// storage. Group-commit waiters park until it covers their record.
-	flushedSeq uint64
-	// groupPending counts appends written since the last group flush
-	// began; the daemon reports it through OnGroupCommit.
-	groupPending int
 	// syncErr latches the first fsync failure permanently: once the
 	// kernel has dropped dirty pages on an fsync error, retrying cannot
 	// recover them, so every later append/sync must fail rather than
@@ -139,7 +112,7 @@ type Log struct {
 
 	// ledger, when set, mirrors every appended frame into a Merkle
 	// ledger and is flushed after each successful fsync, so a durable
-	// ledger entry implies a durable frame under always/group policies.
+	// ledger entry implies a durable frame.
 	ledger *Ledger
 
 	// frame is the buffer every append encodes into, header first; nothing
@@ -148,9 +121,6 @@ type Log struct {
 
 	flushStop chan struct{}
 	flushDone chan struct{}
-	groupWake chan struct{}
-	groupStop chan struct{}
-	groupDone chan struct{}
 }
 
 // Open opens (creating if absent) the log at path for appending. An
@@ -180,18 +150,11 @@ func Open(path string, opts Options) (*Log, ScanResult, error) {
 		f.Close()
 		return nil, ScanResult{}, err
 	}
-	l := &Log{f: f, opts: opts, seq: lastSeq, flushedSeq: lastSeq}
-	l.groupCond.L = &l.mu
-	switch opts.Policy {
-	case PolicyInterval:
+	l := &Log{f: f, opts: opts, seq: lastSeq}
+	if opts.Policy == PolicyInterval {
 		l.flushStop = make(chan struct{})
 		l.flushDone = make(chan struct{})
 		go l.flusher()
-	case PolicyGroup:
-		l.groupWake = make(chan struct{}, 1)
-		l.groupStop = make(chan struct{})
-		l.groupDone = make(chan struct{})
-		go l.committer()
 	}
 	return l, res, nil
 }
@@ -260,8 +223,8 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 		return errors.New("wal: log is closed")
 	}
 	if l.syncErr != nil {
-		// A background or batched fsync failed after an earlier append
-		// was acknowledged optimistically; surface it now instead of
+		// A background fsync failed after an earlier append was
+		// acknowledged optimistically; surface it now instead of
 		// accepting writes that may never reach the disk.
 		return l.syncErr
 	}
@@ -288,48 +251,41 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 		l.ledger.observe(rec.Seq, payload)
 	}
 	l.dirty = true
-	if l.opts.Policy == PolicyGroup {
-		l.groupPending++
-	}
 	if l.opts.OnAppend != nil {
 		l.opts.OnAppend(len(frame))
 	}
 	return nil
 }
 
-// settleLocked makes the record at seq durable per the log's policy and
-// reports how long this append waited on stable storage: the inline
-// fsync under PolicyAlways, the park-to-flush wait under PolicyGroup,
-// zero under the batched policies. The caller holds l.mu.
-func (l *Log) settleLocked(seq uint64) (time.Duration, error) {
-	switch l.opts.Policy {
-	case PolicyAlways:
-		return l.syncLocked()
-	case PolicyGroup:
-		return l.awaitGroupLocked(seq)
-	default:
+// settleLocked makes the appended record durable per the log's policy
+// and reports how long this append waited on stable storage: the inline
+// fsync under PolicyAlways, zero under the batched policies. The caller
+// holds l.mu.
+func (l *Log) settleLocked() (time.Duration, error) {
+	if l.opts.Policy != PolicyAlways {
 		return 0, nil
 	}
+	return l.syncLocked()
 }
 
 // Append frames, checksums and writes one record, assigning it the next
-// sequence number (stored into rec.Seq). Under PolicyAlways and
-// PolicyGroup the record is on stable storage when Append returns.
+// sequence number (stored into rec.Seq). Under PolicyAlways the record
+// is on stable storage when Append returns.
 func (l *Log) Append(rec *Record) error {
 	_, err := l.AppendSynced(rec)
 	return err
 }
 
 // AppendSynced is Append plus the time this append spent waiting on
-// stable storage, so callers can attribute fsync latency — including a
-// group commit's shared flush — to the request that paid for it.
+// stable storage, so callers can attribute fsync latency to the request
+// that paid for it.
 func (l *Log) AppendSynced(rec *Record) (time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.appendLocked(rec, true); err != nil {
 		return 0, err
 	}
-	return l.settleLocked(rec.Seq)
+	return l.settleLocked()
 }
 
 // AppendKeepSeq writes one record preserving the sequence number it
@@ -345,101 +301,8 @@ func (l *Log) AppendKeepSeq(rec *Record) error {
 	if err := l.appendLocked(rec, false); err != nil {
 		return err
 	}
-	_, err := l.settleLocked(rec.Seq)
+	_, err := l.settleLocked()
 	return err
-}
-
-// awaitGroupLocked wakes the commit daemon and parks until the flushed
-// horizon covers seq, the log latches a sync error, or the log closes.
-// The caller holds l.mu; Wait releases it while parked, which is what
-// lets the cohort build up.
-func (l *Log) awaitGroupLocked(seq uint64) (time.Duration, error) {
-	select {
-	case l.groupWake <- struct{}{}:
-	default: // daemon already has a wake-up pending
-	}
-	t0 := time.Now()
-	for l.flushedSeq < seq && l.syncErr == nil && !l.closed {
-		l.groupCond.Wait()
-	}
-	d := time.Since(t0)
-	if l.flushedSeq >= seq {
-		return d, nil // durable, even if a later flush failed
-	}
-	if l.syncErr != nil {
-		return d, l.syncErr
-	}
-	return d, errors.New("wal: log closed before group flush")
-}
-
-// committer is the PolicyGroup flush daemon: woken by the first append
-// of a cohort, it (optionally, after GroupWait) snapshots the append
-// horizon, fsyncs once outside the log mutex — so more appends can land
-// and form the next cohort while the disk works — and wakes every
-// appender the flush covered.
-func (l *Log) committer() {
-	defer close(l.groupDone)
-	for {
-		select {
-		case <-l.groupStop:
-			return
-		case <-l.groupWake:
-		}
-		if l.opts.GroupWait > 0 {
-			t := time.NewTimer(l.opts.GroupWait)
-			select {
-			case <-l.groupStop:
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		}
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		target := l.seq
-		cohort := l.groupPending
-		l.groupPending = 0
-		if target <= l.flushedSeq || l.syncErr != nil {
-			// Nothing new (Close or an explicit Sync already flushed
-			// it) or the log is poisoned; either way wake any waiters.
-			l.groupCond.Broadcast()
-			l.mu.Unlock()
-			continue
-		}
-		l.mu.Unlock()
-
-		t0 := time.Now()
-		err := l.fsyncFile()
-		d := time.Since(t0)
-
-		l.mu.Lock()
-		if l.opts.OnFsync != nil {
-			l.opts.OnFsync(d)
-		}
-		if err != nil {
-			if l.syncErr == nil {
-				l.syncErr = fmt.Errorf("wal: fsync: %w", err)
-			}
-		} else {
-			if target > l.flushedSeq {
-				l.flushedSeq = target
-			}
-			l.dirty = l.seq != l.flushedSeq
-			if l.opts.OnGroupCommit != nil && cohort > 0 {
-				l.opts.OnGroupCommit(cohort)
-			}
-			if l.ledger != nil {
-				if lerr := l.ledger.commitTo(target); lerr != nil && l.syncErr == nil {
-					l.syncErr = lerr
-				}
-			}
-		}
-		l.groupCond.Broadcast()
-		l.mu.Unlock()
-	}
 }
 
 func (l *Log) fsyncFile() error {
@@ -450,10 +313,9 @@ func (l *Log) fsyncFile() error {
 }
 
 // SetLedger attaches a Merkle ledger: every later append feeds it a
-// leaf, and each successful fsync flushes its entries up to the synced
-// horizon. Attach before the first append (the store wires it between
-// Open and use); attaching mid-stream would leave a gap the next
-// reconcile rejects.
+// leaf, and each successful fsync flushes its staged entries. Attach
+// before the first append (the store wires it between Open and use);
+// attaching mid-stream would leave a gap the next reconcile rejects.
 func (l *Log) SetLedger(led *Ledger) {
 	l.mu.Lock()
 	l.ledger = led
@@ -484,19 +346,6 @@ func ScanFile(path string) (ScanResult, error) {
 	return res, err
 }
 
-// TailAfter filters recs down to those with sequence numbers beyond seq.
-// Recovery and state transfer both pair a checkpoint (covering
-// everything up to its header's Seq) with the WAL records behind it.
-func TailAfter(recs []Record, seq uint64) []Record {
-	out := recs[:0:0]
-	for _, r := range recs {
-		if r.Seq > seq {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Seq returns the last sequence number assigned (or recovered).
 func (l *Log) Seq() uint64 {
 	l.mu.Lock()
@@ -514,10 +363,6 @@ func (l *Log) AdvanceSeq(n uint64) {
 	l.mu.Lock()
 	if n > l.seq {
 		l.seq = n
-	}
-	if n > l.flushedSeq {
-		// The skipped numbers carry no bytes; nothing to flush for them.
-		l.flushedSeq = n
 	}
 	l.mu.Unlock()
 }
@@ -537,10 +382,9 @@ func (l *Log) Sync() error {
 	return err
 }
 
-// syncLocked fsyncs inline under l.mu, advancing the flushed horizon and
-// flushing the ledger on success, latching the error permanently on
-// failure. Either way group-commit waiters are woken to observe the new
-// state.
+// syncLocked fsyncs inline under l.mu and then flushes the ledger, whose
+// staged entries all describe frames that fsync just covered; a failure
+// of either latches permanently.
 func (l *Log) syncLocked() (time.Duration, error) {
 	t0 := time.Now()
 	err := l.fsyncFile()
@@ -549,27 +393,16 @@ func (l *Log) syncLocked() (time.Duration, error) {
 		l.opts.OnFsync(d)
 	}
 	if err != nil {
-		if l.syncErr == nil {
-			l.syncErr = fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.groupCond.Broadcast()
+		l.syncErr = fmt.Errorf("wal: fsync: %w", err)
 		return d, l.syncErr
 	}
 	l.dirty = false
-	if l.seq > l.flushedSeq {
-		l.flushedSeq = l.seq
-	}
-	l.groupPending = 0
 	if l.ledger != nil {
-		if lerr := l.ledger.commitTo(l.seq); lerr != nil {
-			if l.syncErr == nil {
-				l.syncErr = lerr
-			}
-			l.groupCond.Broadcast()
-			return d, l.syncErr
+		if err := l.ledger.SyncAll(); err != nil {
+			l.syncErr = err
+			return d, err
 		}
 	}
-	l.groupCond.Broadcast()
 	return d, nil
 }
 
@@ -623,19 +456,11 @@ func (l *Log) close(flush bool) error {
 	if cerr := l.f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	// Waiters parked on a cohort that will never flush must observe
-	// closed rather than sleep forever.
-	l.groupCond.Broadcast()
 	stop := l.flushStop
-	gstop := l.groupStop
 	l.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-l.flushDone
-	}
-	if gstop != nil {
-		close(gstop)
-		<-l.groupDone
 	}
 	return err
 }

@@ -383,19 +383,6 @@ func TestScanFileLeavesLogUntouched(t *testing.T) {
 	}
 }
 
-func TestTailAfter(t *testing.T) {
-	recs := []Record{{Seq: 1}, {Seq: 5}, {Seq: 6}}
-	if got := TailAfter(recs, 5); len(got) != 1 || got[0].Seq != 6 {
-		t.Fatalf("TailAfter(5) = %+v", got)
-	}
-	if got := TailAfter(recs, 0); len(got) != 3 {
-		t.Fatalf("TailAfter(0) = %+v", got)
-	}
-	if got := TailAfter(recs, 6); len(got) != 0 {
-		t.Fatalf("TailAfter(6) = %+v", got)
-	}
-}
-
 func TestAppendAfterCloseFails(t *testing.T) {
 	l, _ := openTemp(t, Options{})
 	l.Close()
