@@ -5,14 +5,13 @@
 //
 // Each attaches the counters its table in EXPERIMENTS.md reports as custom
 // metrics. E10 and E11 are benchmarks beside the code they measure
-// (internal/reorder, internal/match/rete).
+// (internal/reorder, internal/match/rete); E2 and E3 are retired.
 package parulel
 
 import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"parulel/internal/compile"
 	"parulel/internal/core"
@@ -55,7 +54,7 @@ func BenchmarkE1(b *testing.B) {
 		b.Run("parulel/"+wl.name, func(b *testing.B) {
 			var res core.Result
 			for i := 0; i < b.N; i++ {
-				e := core.New(mustLoad(b, wl.prog), core.Options{Workers: 4, MaxCycles: 1 << 20})
+				e := core.New(mustLoad(b, wl.prog), core.Options{MaxCycles: 1 << 20})
 				if err := wl.load(e); err != nil {
 					b.Fatal(err)
 				}
@@ -82,82 +81,6 @@ func BenchmarkE1(b *testing.B) {
 			b.ReportMetric(float64(res.Cycles), "cycles")
 			b.ReportMetric(float64(res.Firings), "firings")
 		})
-	}
-}
-
-// --- E2: fire-phase parallelism vs workers ---
-
-// BenchmarkE2 runs waltz and the single-hot-rule program, which fires
-// everything it matches in one cycle, at 1, 2, 4 and 8 workers. Match runs
-// on one network whatever the count; Workers spreads the fire phase's
-// right-hand sides over goroutines. fire-pot is sum/max of their busy
-// time, fire% the phase's share of the run.
-func BenchmarkE2(b *testing.B) {
-	hot, err := compile.CompileSource(workload.HotRuleProgram)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		prog *compile.Program
-		load loader
-	}{
-		{"waltz", mustLoad(b, programs.Waltz), func(i workload.Inserter) error { return workload.WaltzScene(i, 30) }},
-		{"hotrule", hot, func(i workload.Inserter) error { return workload.HotRuleFacts(i, 16, 12, 1) }},
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, c := range cases {
-			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
-				var fPot, fire float64
-				for i := 0; i < b.N; i++ {
-					e := core.New(c.prog, core.Options{Workers: workers, MaxCycles: 1 << 20})
-					if err := c.load(e); err != nil {
-						b.Fatal(err)
-					}
-					res, err := e.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					_, fWork := e.WorkerWork()
-					fPot = potential(fWork)
-					_, _, fire, _ = stats.Breakdown(res.Phases)
-				}
-				b.ReportMetric(fPot, "fire-pot")
-				b.ReportMetric(fire, "fire%")
-			})
-		}
-	}
-}
-
-// potential computes sum/max of per-worker busy times: the speedup a
-// perfectly parallel host could extract from the phase.
-func potential(work []time.Duration) float64 {
-	var sum, max time.Duration
-	for _, d := range work {
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return float64(sum) / float64(max)
-}
-
-func TestPotential(t *testing.T) {
-	for _, tc := range []struct {
-		work []time.Duration
-		want float64
-	}{
-		{nil, 1},
-		{[]time.Duration{4, 4, 4, 4}, 4},
-		{[]time.Duration{8, 0, 0, 0}, 1},
-		{[]time.Duration{6, 2}, 8.0 / 6.0},
-	} {
-		if got := potential(tc.work); got != tc.want {
-			t.Errorf("potential(%v) = %v, want %v", tc.work, got, tc.want)
-		}
 	}
 }
 
@@ -221,7 +144,7 @@ func BenchmarkE5(b *testing.B) {
 		b.Run(wl.name, func(b *testing.B) {
 			var m, r, f, a float64
 			for i := 0; i < b.N; i++ {
-				e := core.New(mustLoad(b, wl.prog), core.Options{Workers: 4, MaxCycles: 1 << 20})
+				e := core.New(mustLoad(b, wl.prog), core.Options{MaxCycles: 1 << 20})
 				if err := wl.load(e); err != nil {
 					b.Fatal(err)
 				}
@@ -258,7 +181,6 @@ func BenchmarkTracerOverhead(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := core.New(mustLoad(b, programs.Waltz), core.Options{
-					Workers:   4,
 					MaxCycles: 1 << 20,
 					Tracer:    v.tracer(),
 				})
@@ -291,7 +213,7 @@ func BenchmarkE6(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := core.New(prog, core.Options{Workers: 4, MaxCycles: 1 << 20})
+				e := core.New(prog, core.Options{MaxCycles: 1 << 20})
 				if err := workload.Alexsys(e, 60, 40, 1); err != nil {
 					b.Fatal(err)
 				}

@@ -43,7 +43,6 @@ func main() {
 	stream := flag.Bool("stream", false, "continuous-ingest mode: all traffic is NDJSON stream requests against a TTL+window program")
 	streamFrames := flag.Int("stream-frames", 8, "NDJSON frames per stream request")
 	streamTTL := flag.Int64("stream-ttl", 0, "per-fact TTL override sent with streamed facts (0 = template default)")
-	workers := flag.Int("workers", 0, "engine fire workers per session (0 = server default)")
 	runTimeout := flag.Duration("run-timeout", 10*time.Second, "deadline sent with run ops")
 	seed := flag.Int64("seed", 1, "RNG seed for the op mix")
 	out := flag.String("out", "", "write the JSON report here instead of stdout")
@@ -70,7 +69,6 @@ func main() {
 		BatchSize:    *batchSize,
 		StreamFrames: *streamFrames,
 		StreamTTL:    *streamTTL,
-		Workers:      *workers,
 		RunTimeout:   *runTimeout,
 		Seed:         *seed,
 	})

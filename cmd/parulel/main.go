@@ -6,7 +6,7 @@
 //	parulel list                      list embedded programs
 //
 // Run flags select the engine (-engine parulel|ops5-lex|ops5-mea), the
-// matcher (-matcher rete|treat), worker count, cycle limit, and tracing.
+// matcher (-matcher rete|treat), cycle limit, and tracing.
 package main
 
 import (
@@ -67,7 +67,6 @@ func (f *traceFlag) IsBoolFlag() bool { return true }
 type runOpts struct {
 	engine    string
 	matcher   string
-	workers   int
 	maxCycles int
 	trace     traceFlag
 	builtin   string
@@ -85,7 +84,6 @@ func runFlags(errW io.Writer) (*flag.FlagSet, *runOpts) {
 	fs.SetOutput(errW)
 	fs.StringVar(&o.engine, "engine", "parulel", "engine: parulel, ops5-lex, ops5-mea")
 	fs.StringVar(&o.matcher, "matcher", "rete", "match algorithm: rete, treat")
-	fs.IntVar(&o.workers, "workers", 4, "goroutines the fire phase runs on (parulel engine)")
 	fs.IntVar(&o.maxCycles, "max-cycles", 100000, "abort after this many cycles (0 = unlimited)")
 	fs.Var(&o.trace, "trace", "print a line per cycle; -trace=FILE.jsonl instead writes structured cycle events as JSONL")
 	fs.StringVar(&o.builtin, "builtin", "", "run an embedded program instead of a file")
@@ -173,7 +171,6 @@ func cmdRun(args []string, out, errW io.Writer) error {
 	cfg := parulel.Config{
 		Engine:    engine,
 		Matcher:   matcher,
-		Workers:   o.workers,
 		Output:    out,
 		MaxCycles: o.maxCycles,
 	}

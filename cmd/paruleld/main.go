@@ -41,7 +41,6 @@ func main() {
 	runSlice := flag.Int("run-slice", 0, "engine cycles per run-queue slot before requeueing (0 = run to quiescence in one slot)")
 	runTimeout := flag.Duration("run-timeout", 30*time.Second, "default per-run deadline")
 	maxRunTimeout := flag.Duration("max-run-timeout", 5*time.Minute, "cap on client-requested run deadlines")
-	workers := flag.Int("workers", 1, "default fire workers per session engine (match runs on one network)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs")
 	dataDir := flag.String("data-dir", "", "durability root: write-ahead logs + checkpoints under <dir>/sessions (empty = sessions are memory-only)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
@@ -112,7 +111,6 @@ func main() {
 		RunSlice:             *runSlice,
 		DefaultRunTimeout:    *runTimeout,
 		MaxRunTimeout:        *maxRunTimeout,
-		DefaultWorkers:       *workers,
 		DataDir:              *dataDir,
 		Fsync:                policy,
 		FsyncInterval:        *fsyncInterval,

@@ -18,7 +18,6 @@ func main() {
 	log.SetFlags(0)
 	pools := flag.Int("pools", 200, "number of mortgage pools")
 	orders := flag.Int("orders", 150, "number of buy orders")
-	workers := flag.Int("workers", 4, "parallel workers")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
@@ -27,10 +26,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("allocating %d pools to %d orders (%d workers)\n\n", *pools, *orders, *workers)
+	fmt.Printf("allocating %d pools to %d orders\n\n", *pools, *orders)
 
 	run := func(label string, p *parulel.Program) {
-		eng := parulel.NewEngine(p, parulel.Config{Workers: *workers, MaxCycles: 10000})
+		eng := parulel.NewEngine(p, parulel.Config{MaxCycles: 10000})
 		if err := workload.Alexsys(eng, *pools, *orders, *seed); err != nil {
 			log.Fatal(err)
 		}

@@ -20,13 +20,12 @@ func main() {
 	log.SetFlags(0)
 	width := flag.Int("width", 16, "wires per level")
 	depth := flag.Int("depth", 24, "circuit levels")
-	workers := flag.Int("workers", 4, "parallel workers")
 	contended := flag.Bool("contended", true, "generate contended nets (bus arbitration)")
 	seed := flag.Int64("seed", 1, "netlist seed")
 	flag.Parse()
 
 	c := workload.GenCircuit(*width, *depth, *contended, *seed)
-	fmt.Printf("evaluating %v (%d workers)\n\n", c, *workers)
+	fmt.Printf("evaluating %v\n\n", c)
 
 	for _, kind := range []parulel.EngineKind{parulel.Parulel, parulel.OPS5LEX} {
 		prog, err := parulel.LoadBuiltin(parulel.Circuit)
@@ -35,7 +34,6 @@ func main() {
 		}
 		eng := parulel.NewEngine(prog, parulel.Config{
 			Engine:    kind,
-			Workers:   *workers,
 			MaxCycles: 100000,
 		})
 		if err := c.Insert(eng); err != nil {

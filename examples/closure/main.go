@@ -19,7 +19,6 @@ func main() {
 	layers := flag.Int("layers", 8, "DAG layers")
 	width := flag.Int("width", 6, "nodes per layer")
 	fanout := flag.Int("fanout", 3, "arcs per node to the next layer")
-	workers := flag.Int("workers", 4, "parallel workers (parulel engine)")
 	seed := flag.Int64("seed", 1, "graph seed")
 	flag.Parse()
 
@@ -35,7 +34,6 @@ func main() {
 		}
 		eng := parulel.NewEngine(prog, parulel.Config{
 			Engine:    kind,
-			Workers:   *workers,
 			MaxCycles: 0,
 		})
 		if err := workload.LayeredDAG(eng, *layers, *width, *fanout, *seed); err != nil {

@@ -35,7 +35,6 @@ func main() {
 	w := flag.Int("w", 12, "grid width")
 	h := flag.Int("h", 10, "grid height")
 	gens := flag.Int("gens", 8, "generations to run")
-	workers := flag.Int("workers", 4, "parallel workers")
 	show := flag.Bool("show", true, "print each generation")
 	pattern := flag.String("pattern", "glider", "glider, blinker or random")
 	seed := flag.Int64("seed", 1, "seed for -pattern random")
@@ -62,7 +61,7 @@ func main() {
 	// fresh engine to generation g (the engine is deterministic, so this
 	// is equivalent to snapshotting one long run).
 	for g := 0; g <= *gens; g++ {
-		eng := parulel.NewEngine(prog, parulel.Config{Workers: *workers, MaxCycles: 10 * (*gens + 2)})
+		eng := parulel.NewEngine(prog, parulel.Config{MaxCycles: 10 * (*gens + 2)})
 		if err := workload.LifeGrid(eng, *w, *h, start, g); err != nil {
 			log.Fatal(err)
 		}

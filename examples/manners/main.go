@@ -19,7 +19,6 @@ func main() {
 	guests := flag.Int("guests", 24, "number of guests (even)")
 	hobbies := flag.Int("hobbies", 3, "extra hobbies per guest")
 	hobbyCount := flag.Int("hobby-count", 8, "size of the hobby universe")
-	workers := flag.Int("workers", 4, "parallel workers")
 	seed := flag.Int64("seed", 1, "party seed")
 	flag.Parse()
 
@@ -28,7 +27,6 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := parulel.NewEngine(prog, parulel.Config{
-		Workers:   *workers,
 		MaxCycles: 100 * (*guests + 2),
 	})
 	if err := workload.Manners(eng, *guests, *hobbies, *hobbyCount, *seed); err != nil {

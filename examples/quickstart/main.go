@@ -19,7 +19,6 @@ func main() {
 	}
 
 	eng := parulel.NewEngine(prog, parulel.Config{
-		Workers:   4,
 		Output:    os.Stdout, // (write …) actions print here
 		MaxCycles: 1000,
 	})

@@ -18,7 +18,6 @@ import (
 func main() {
 	log.SetFlags(0)
 	cubes := flag.Int("cubes", 100, "number of cubes in the scene")
-	workers := flag.Int("workers", 4, "parallel workers (parulel engine)")
 	flag.Parse()
 
 	fmt.Printf("labeling a %d-cube scene (%d junctions, %d edges)\n\n",
@@ -31,7 +30,6 @@ func main() {
 		}
 		eng := parulel.NewEngine(prog, parulel.Config{
 			Engine:    kind,
-			Workers:   *workers,
 			MaxCycles: 100 + *cubes*40,
 		})
 		if err := workload.WaltzScene(eng, *cubes); err != nil {

@@ -44,7 +44,7 @@ type Header struct {
 	// Program identity, sufficient to rebuild the engine.
 	Program   string `json:"program"`
 	Source    string `json:"source"`
-	Workers   int    `json:"workers"`
+	Workers   int    `json:"workers"` // ignored; copied from the create record
 	Matcher   string `json:"matcher"`
 	MaxCycles int    `json:"max_cycles"`
 	CreatedNS int64  `json:"created_ns,omitempty"`

@@ -35,7 +35,7 @@ func buildEngine(t testing.TB, jobs int) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(prog, core.Options{Workers: 2})
+	e := core.New(prog, core.Options{})
 	for i := 0; i < jobs; i++ {
 		if _, err := e.Insert("job", map[string]wm.Value{"n": wm.Int(int64(i)), "state": wm.Sym("ready")}); err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestWriteReadRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := core.New(prog, core.Options{Workers: 2, NoInitialFacts: true})
+	restored := core.New(prog, core.Options{NoInitialFacts: true})
 	if err := Restore(restored, h2, facts); err != nil {
 		t.Fatal(err)
 	}

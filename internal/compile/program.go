@@ -20,7 +20,7 @@ import (
 )
 
 // Program is a compiled PARULEL program, immutable after Compile and safe
-// to share across engines, matchers and fire goroutines.
+// to share across engines and matchers on any goroutines.
 type Program struct {
 	Schema    *wm.Schema
 	Rules     []*Rule

@@ -9,8 +9,9 @@ import (
 )
 
 // framePool recycles register frames too wide for the goroutine's stack;
-// match and fire workers evaluate expressions concurrently, so the pool is
-// the only shared state and each run owns its frame exclusively. Builtins
+// engines on different goroutines (a server's sessions) evaluate
+// expressions concurrently, so the pool is the only shared state and each
+// run owns its frame exclusively. Builtins
 // never re-enter the VM, so one frame per run suffices.
 var framePool = sync.Pool{
 	New: func() any {

@@ -23,7 +23,7 @@ const spinner = `
 
 func TestRunContextDeadline(t *testing.T) {
 	prog := compileOK(t, spinner)
-	e := New(prog, Options{Workers: 2})
+	e := New(prog, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	res, err := e.RunContext(ctx)

@@ -89,7 +89,7 @@ type outcome struct {
 func runOutcome(t *testing.T, prog *compile.Program, load func(workload.Inserter) error, f match.Factory) outcome {
 	t.Helper()
 	tr := &firingTracer{}
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, Tracer: tr})
+	e := core.New(prog, core.Options{MaxCycles: 1 << 20, Matcher: f, Tracer: tr})
 	if err := load(e); err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,18 @@
 //     (redact) instantiations that must not fire together. This replaces
 //     OPS5's built-in serial conflict resolution with programmable,
 //     set-oriented conflict resolution.
-//  3. FIRE: every surviving instantiation fires; right-hand sides are
-//     evaluated in parallel across the workers, with effects buffered.
+//  3. FIRE: every surviving instantiation fires; each right-hand side is
+//     evaluated against the cycle's starting state into a buffered effect.
 //  4. APPLY: the buffered effects are reconciled deterministically into
 //     one working-memory delta, write conflicts are counted, and the
 //     cycle repeats until quiescence or halt.
 //
 // The engine is deterministic: for a fixed program and initial working
-// memory, the result is identical for any worker count (a property the
-// tests check), because time tags, conflict resolution and output ordering
-// are all derived from the deterministic instantiation order, never from
-// goroutine scheduling.
+// memory, the result is identical on every run and under either matcher (a
+// property the tests check), because time tags, conflict resolution and
+// output ordering are all derived from the deterministic instantiation
+// order, never from map iteration or scheduling. An engine starts no
+// goroutine; a server runs many engines side by side, one per session.
 package core
 
 import (
@@ -39,9 +40,7 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the number of goroutines the fire phase evaluates
-	// right-hand sides on. Match runs on one network whatever the count.
-	// Values < 1 mean 1.
+	// Deprecated: ignored. Every phase runs on the caller's goroutine.
 	Workers int
 	// Matcher builds the engine's match network over every object rule. It
 	// reaches the object level only: meta-rules run on the one meta level
@@ -93,10 +92,11 @@ type Engine struct {
 	mem     *wm.Memory
 	opts    Options
 	matcher match.Matcher
-	// matchWork is the match phases' busy time across the run, and
-	// fireWork each fire goroutine's.
-	matchWork time.Duration
-	fireWork  []time.Duration
+	// matchWork and fireWork are the match and fire phases' busy time
+	// across the run.
+	matchWork, fireWork time.Duration
+	// frame is the fire phase's evaluation state, reused by every firing.
+	frame fireFrame
 
 	// cs is the conflict set: one entry per instantiation at the index the
 	// instantiation carries in its Slot. Entries are in no particular
@@ -147,9 +147,6 @@ type entry struct {
 // New creates an engine. Initial facts declared in `(wm …)` blocks are
 // queued for the first cycle.
 func New(prog *compile.Program, opts Options) *Engine {
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
 	if opts.Matcher == nil {
 		opts.Matcher = rete.New
 	}
@@ -161,7 +158,6 @@ func New(prog *compile.Program, opts Options) *Engine {
 		mem:         wm.NewMemory(prog.Schema),
 		opts:        opts,
 		matcher:     opts.Matcher(prog.Rules),
-		fireWork:    make([]time.Duration, opts.Workers),
 		fires:       make([]int, len(prog.Rules)),
 		traced:      make([]int, len(prog.Rules)),
 		rulesByName: append([]*compile.Rule(nil), prog.Rules...),
@@ -374,7 +370,7 @@ func (e *Engine) Step() (bool, error) {
 		return false, nil
 	}
 
-	// FIRE: evaluate all surviving RHSes in parallel.
+	// FIRE: evaluate every surviving RHS against the cycle's starting state.
 	t0 = time.Now()
 	effects, err := e.fireAll(survivors)
 	took[PhaseFire] = time.Since(t0)
@@ -572,13 +568,10 @@ func (e *Engine) MemStats() (object, meta match.MemStats) {
 	return object, meta
 }
 
-// WorkerWork returns the accumulated busy time of the match phases, one
-// entry because match runs on one network, and of each fire goroutine.
-// sum/max of the fire column is the firing parallelism's "potential
-// speedup" that experiment E2 reports, meaningful even on a single-core
-// host where wall-clock speedup cannot show.
+// WorkerWork returns the accumulated busy time of the match phases and of
+// the fire phases, one entry each: the engine runs both on one goroutine.
 func (e *Engine) WorkerWork() (matchWork, fireWork []time.Duration) {
-	return []time.Duration{e.matchWork}, slices.Clone(e.fireWork)
+	return []time.Duration{e.matchWork}, []time.Duration{e.fireWork}
 }
 
 // ConflictSet returns the current global conflict set in deterministic

@@ -59,7 +59,7 @@ func TestEngineParallelFiringSetSemantics(t *testing.T) {
   (src ^id 1) (src ^id 2) (src ^id 3) (src ^id 4) (src ^id 5)
   (src ^id 6) (src ^id 7) (src ^id 8) (src ^id 9) (src ^id 10))
 `)
-	e := New(prog, Options{Workers: 4})
+	e := New(prog, Options{})
 	res := runOK(t, e)
 	if res.Cycles != 1 {
 		t.Errorf("cycles = %d, want 1 (set-oriented firing)", res.Cycles)
@@ -410,52 +410,27 @@ const determinismProgram = `
   (order ^id 3 ^lo 85 ^hi 95 ^filled no))
 `
 
-func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
-	prog := compileOK(t, determinismProgram)
-	ref := finalState(t, prog, Options{Workers: 1, MaxCycles: 50})
-	for _, workers := range []int{2, 3, 4, 8} {
-		got := finalState(t, compileOK(t, determinismProgram), Options{Workers: workers, MaxCycles: 50})
-		if got != ref {
-			t.Errorf("workers=%d diverged:\nref:\n%s\ngot:\n%s", workers, ref, got)
-		}
-	}
-}
-
 // TestEngineBuildsOneNetwork holds the engine to one matcher over every
-// object rule whatever the worker count: Workers sizes the fire phase
-// only, which must spread waltz's larger cycles over several goroutines
-// and still commit what one goroutine does.
+// object rule.
 func TestEngineBuildsOneNetwork(t *testing.T) {
 	prog, err := programs.Load(programs.Waltz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (*Engine, int) {
-		built := 0
-		e := New(prog, Options{Workers: workers, MaxCycles: 50, Matcher: func(rules []*compile.Rule) match.Matcher {
-			if len(rules) != len(prog.Rules) {
-				t.Fatalf("matcher over %d rules, want all %d", len(rules), len(prog.Rules))
-			}
-			built++
-			return rete.New(rules)
-		}})
-		if err := workload.WaltzScene(e, 20); err != nil {
-			t.Fatal(err)
+	built := 0
+	e := New(prog, Options{MaxCycles: 50, Matcher: func(rules []*compile.Rule) match.Matcher {
+		if len(rules) != len(prog.Rules) {
+			t.Fatalf("matcher over %d rules, want all %d", len(rules), len(prog.Rules))
 		}
-		runOK(t, e)
-		return e, built
+		built++
+		return rete.New(rules)
+	}})
+	if err := workload.WaltzScene(e, 20); err != nil {
+		t.Fatal(err)
 	}
-	ref, _ := run(1)
-	e, built := run(4)
+	runOK(t, e)
 	if built != 1 {
-		t.Fatalf("built %d matchers at four workers, want one", built)
-	}
-	mw, fw := e.WorkerWork()
-	if len(mw) != 1 || len(fw) != 4 || fw[1] == 0 {
-		t.Errorf("WorkerWork: match %v, fire %v; want one match entry and a second fire goroutine that fired", mw, fw)
-	}
-	if got, want := wmText(e), wmText(ref); got != want {
-		t.Errorf("four workers committed another working memory than one:\n%s\nvs\n%s", got, want)
+		t.Fatalf("built %d matchers, want one", built)
 	}
 }
 
@@ -591,7 +566,7 @@ func TestEngineGensymBind(t *testing.T) {
   (make node ^id <id> ^src (+ <v> 100)))
 (wm (a ^x 1) (a ^x 2))
 `)
-	e := New(prog, Options{Workers: 2, MaxCycles: 5})
+	e := New(prog, Options{MaxCycles: 5})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -616,14 +591,14 @@ func TestEngineGensymBind(t *testing.T) {
 }
 
 func TestEngineGensymDeterministic(t *testing.T) {
-	run := func(workers int) string {
+	run := func() string {
 		prog := compileOK(t, `
 (literalize a x)
 (literalize node id)
 (rule r (a ^x <v>) --> (bind <id>) (make node ^id <id>))
 (wm (a ^x 1) (a ^x 2) (a ^x 3))
 `)
-		e := New(prog, Options{Workers: workers, MaxCycles: 5})
+		e := New(prog, Options{MaxCycles: 5})
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -633,8 +608,8 @@ func TestEngineGensymDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	if run(1) != run(4) {
-		t.Error("gensym values must be deterministic across worker counts")
+	if run() != run() {
+		t.Error("gensym values must be deterministic across runs")
 	}
 }
 
@@ -742,7 +717,7 @@ func TestStepAllocationBudget(t *testing.T) {
 			return nil
 		}, 8.8, 1080},
 	} {
-		e := New(tc.prog, Options{Workers: 1, MaxCycles: 1 << 12})
+		e := New(tc.prog, Options{MaxCycles: 1 << 12})
 		if err := tc.load(e); err != nil {
 			t.Fatal(err)
 		}
@@ -779,7 +754,7 @@ func TestMetaLevelByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(alexsys, Options{Workers: 1, MaxCycles: 1 << 12})
+	e := New(alexsys, Options{MaxCycles: 1 << 12})
 	if err := workload.Alexsys(e, 40, 32, 1); err != nil {
 		t.Fatal(err)
 	}

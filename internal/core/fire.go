@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"parulel/internal/compile"
@@ -11,8 +10,10 @@ import (
 	"parulel/internal/wm"
 )
 
-// effect is the buffered outcome of firing one instantiation. Effects are
-// computed in parallel but committed serially in deterministic order.
+// effect is the buffered outcome of firing one instantiation. Every
+// survivor is evaluated against the cycle's starting state, so no firing
+// sees another's effect; the effects are committed together, in survivor
+// order, at the cycle's barrier.
 type effect struct {
 	makes    []pendingMake
 	removes  []*wm.WME
@@ -47,11 +48,11 @@ func (e *ruleEnv) MetaTag(int) int64          { panic("core: object rule RHS has
 func (e *ruleEnv) MetaRuleName(int) string    { panic("core: object rule RHS has no meta context") }
 func (e *ruleEnv) MetaPrecedes(int, int) bool { panic("core: object rule RHS has no meta context") }
 
-// fireFrame is the per-worker evaluation state reused across firings: the
+// fireFrame is the engine's evaluation state reused across firings: the
 // binding environment, the locals buffer and the `(write …)` buffer are
-// constructed once per worker per fire phase and reset per firing, so the
-// inner action loop never rebuilds the environment (and, under the
-// bytecode backend, allocates nothing at all beyond the effects).
+// built once per engine and reset per firing, so the inner action loop
+// never rebuilds the environment (and, under the bytecode backend,
+// allocates nothing at all beyond the effects).
 type fireFrame struct {
 	env ruleEnv
 	out bytes.Buffer
@@ -74,49 +75,21 @@ func (f *fireFrame) reset(in *match.Instantiation) {
 	f.out.Reset()
 }
 
-// minFiresPerWorker is the fewest survivors worth a fire goroutine: starting
-// and waking one costs more than a few dozen cheap firings. On a two-vCPU
-// VM at four workers, a goroutine per survivor took the fire phase ×6.8 on
-// one-rule alexsys (two or three survivors a cycle) and ×3.8 on
-// ingest_mixed (about thirty); a floor of 32 still left ingest ×1.6, and
-// at 64 or 128 it fired as fast as on one. waltz's fire time did not move
-// with the floor.
-const minFiresPerWorker = 64
-
-// fireAll evaluates every survivor's RHS, on up to Options.Workers
-// goroutines of at least minFiresPerWorker survivors each. The returned
-// slice is indexed like survivors, so commit order is independent of
-// scheduling; it is the engine's scratch, for the caller to clear once
+// fireAll evaluates every survivor's RHS into a buffered effect. The
+// returned slice is indexed like survivors, so commit order is survivor
+// order; it is the engine's scratch, for the caller to clear once
 // committed.
 func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 	if cap(e.effects) < len(survivors) {
 		e.effects = make([]effect, len(survivors))
 	}
 	effects := e.effects[:len(survivors)]
-	nw := min(len(e.fireWork), len(survivors)/minFiresPerWorker)
-	if nw <= 1 {
-		t0 := time.Now()
-		frame := &fireFrame{}
-		for i, in := range survivors {
-			effects[i] = fireOne(in, frame)
-		}
-		e.fireWork[0] += time.Since(t0)
-	} else {
-		var wg sync.WaitGroup
-		for wk := 0; wk < nw; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				t0 := time.Now()
-				frame := &fireFrame{}
-				for i := wk; i < len(survivors); i += nw {
-					effects[i] = fireOne(survivors[i], frame)
-				}
-				e.fireWork[wk] += time.Since(t0)
-			}(wk)
-		}
-		wg.Wait()
+	t0 := time.Now()
+	for i, in := range survivors {
+		effects[i] = fireOne(in, &e.frame)
 	}
+	e.frame.env.inst = nil // hold no instantiation between cycles
+	e.fireWork += time.Since(t0)
 	for i := range effects {
 		if err := effects[i].err; err != nil {
 			clear(effects)
@@ -127,7 +100,7 @@ func (e *Engine) fireAll(survivors []*match.Instantiation) ([]effect, error) {
 }
 
 // fireOne evaluates one instantiation's RHS into a buffered effect, using
-// the worker's reusable frame for the environment and output buffer.
+// the engine's reusable frame for the environment and output buffer.
 func fireOne(in *match.Instantiation, f *fireFrame) effect {
 	var eff effect
 	f.reset(in)
@@ -163,8 +136,8 @@ func fireOne(in *match.Instantiation, f *fireFrame) effect {
 			}
 		case compile.ActBind:
 			if len(a.Exprs) == 0 {
-				// Gensym: unique per (instantiation, bind slot) and
-				// deterministic across worker counts.
+				// Gensym: unique per (instantiation, bind slot), so
+				// deterministic whatever else fires in the cycle.
 				env.locals[a.Local] = wm.Sym(fmt.Sprintf("g%s/%d", in.KeyString(), a.Local))
 				continue
 			}

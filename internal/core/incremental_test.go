@@ -33,7 +33,7 @@ func TestEngineIncrementalResume(t *testing.T) {
 -->
   (redact <j>))
 `)
-	e := New(prog, Options{Workers: 2, MaxCycles: 100})
+	e := New(prog, Options{MaxCycles: 100})
 	mustInsert := func(from, to int64) {
 		t.Helper()
 		if _, err := e.Insert("arc", map[string]wm.Value{"from": wm.Int(from), "to": wm.Int(to)}); err != nil {

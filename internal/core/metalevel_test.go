@@ -234,7 +234,7 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 	}
 	rng := rand.New(rand.NewSource(seed))
 	m := newMetaLevel(prog)
-	oracle := newOracle(prog, 1)
+	oracle := newOracle(prog)
 	mem := wm.NewMemory(prog.Schema)
 	var pool []*match.Instantiation
 	for _, r := range prog.Rules {
@@ -350,7 +350,7 @@ func TestMetaLevelChurn(t *testing.T) {
   (redact <j>))
 `)
 	m := newMetaLevel(prog)
-	oracle := newOracle(prog, 1)
+	oracle := newOracle(prog)
 	mem := wm.NewMemory(prog.Schema)
 	take := prog.Rules[0]
 	imgs := make(map[*match.Instantiation]*image)

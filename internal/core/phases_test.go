@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +38,8 @@ func TestEngineTraceOutput(t *testing.T) {
 // its wall time, so they sum to more than nothing and to no more than a
 // wall clock read around Run. (A benchmark row once showed 959 ms of redact
 // inside a 777 ms wall — by taking the two from different repetitions; the
-// engine's own timers must never be able to.)
+// engine's own timers must never be able to.) The "w1" in the names is
+// the engine's one fire loop.
 func TestPhasesWithinWall(t *testing.T) {
 	for _, tc := range []struct {
 		prog string
@@ -48,27 +48,25 @@ func TestPhasesWithinWall(t *testing.T) {
 		{programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 30, 1) }},
 		{programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 10) }},
 	} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", tc.prog, workers), func(t *testing.T) {
-				prog, err := programs.Load(tc.prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := core.New(prog, core.Options{Workers: workers, MaxCycles: 1 << 20})
-				if err := tc.load(e); err != nil {
-					t.Fatal(err)
-				}
-				start := time.Now()
-				res, err := e.Run()
-				wall := time.Since(start)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, r, f, a := res.Phases[core.PhaseMatch], res.Phases[core.PhaseRedact], res.Phases[core.PhaseFire], res.Phases[core.PhaseApply]
-				if phases := m + r + f + a; phases <= 0 || phases > wall {
-					t.Errorf("phases sum to %v (match %v, redact %v, fire %v, apply %v), wall is %v", phases, m, r, f, a, wall)
-				}
-			})
-		}
+		t.Run(tc.prog+"/w1", func(t *testing.T) {
+			prog, err := programs.Load(tc.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := core.New(prog, core.Options{MaxCycles: 1 << 20})
+			if err := tc.load(e); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			res, err := e.Run()
+			wall := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, r, f, a := res.Phases[core.PhaseMatch], res.Phases[core.PhaseRedact], res.Phases[core.PhaseFire], res.Phases[core.PhaseApply]
+			if phases := m + r + f + a; phases <= 0 || phases > wall {
+				t.Errorf("phases sum to %v (match %v, redact %v, fire %v, apply %v), wall is %v", phases, m, r, f, a, wall)
+			}
+		})
 	}
 }

@@ -46,10 +46,10 @@ var redactionInstances = []struct {
 }
 
 // BenchmarkRedactionBound runs each instance to quiescence on a bare engine
-// configured the way a server session is (RETE, per-rule profiling on) at
-// four workers and at one, and reports the per-phase times next to ns/op
-// and allocations. The oracle arm is the same engine at four workers with
-// the per-cycle joiner of redact_oracle_test.go in place of the meta level:
+// configured the way a server session is (RETE, per-rule profiling on),
+// and reports the per-phase times next to ns/op and allocations. The
+// oracle arm is the same engine with the per-cycle joiner of
+// redact_oracle_test.go in place of the meta level:
 // what redaction cost before it was incremental, and the bar for programs
 // whose conflict set turns over every cycle.
 func BenchmarkRedactionBound(b *testing.B) {
@@ -59,13 +59,12 @@ func BenchmarkRedactionBound(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, arm := range []struct {
-			name    string
-			workers int
-			oracle  bool
-		}{{"w4", 4, false}, {"w1", 1, false}, {"oracle", 4, true}} {
+			name   string
+			oracle bool
+		}{{"w1", false}, {"oracle", true}} {
 			b.Run(wl.name+"/"+arm.name, func(b *testing.B) {
 				var ph phaseSum
-				opts := Options{Workers: arm.workers, MaxCycles: 1 << 20, Tracer: &ph,
+				opts := Options{MaxCycles: 1 << 20, Tracer: &ph,
 					Matcher: rete.Factory(rete.Options{Profile: true})}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -27,9 +27,11 @@ var redactionMatchers = []struct {
 }
 
 // TestRedactionDifferentialBuiltins is the redaction axis of the engine's
-// differential grid: every builtin program, on both matchers, at one and
-// four workers, must fire per cycle exactly what the per-cycle joiner (the
-// oracle) keeps from the same eligible set.
+// differential grid: every builtin program, on both matchers, must fire
+// per cycle exactly what the per-cycle joiner (the oracle) keeps from the
+// same eligible set. The oracle here is the nested-loop one (E7's other
+// arm); the indexed one is what newOracleEngine and the fuzz target run.
+// The "w1" in the names is the engine's one fire loop.
 func TestRedactionDifferentialBuiltins(t *testing.T) {
 	cases := []struct {
 		prog string
@@ -51,19 +53,15 @@ func TestRedactionDifferentialBuiltins(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range redactionMatchers {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", tc.prog, m.name, workers), func(t *testing.T) {
-					e := New(prog, Options{Workers: workers, Matcher: m.factory, MaxCycles: 1 << 16})
-					if err := tc.load(e); err != nil {
-						t.Fatal(err)
-					}
-					oracle := newOracle(prog, workers)
-					// The nested-loop oracle (E7's other arm) must agree too;
-					// it is quadratic, so it rides on the small cases only.
-					oracle.noIndex = workers == 1
-					runAgainstOracle(t, e, oracle)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%s/w1", tc.prog, m.name), func(t *testing.T) {
+				e := New(prog, Options{Matcher: m.factory, MaxCycles: 1 << 16})
+				if err := tc.load(e); err != nil {
+					t.Fatal(err)
+				}
+				oracle := newOracle(prog)
+				oracle.noIndex = true
+				runAgainstOracle(t, e, oracle)
+			})
 		}
 	}
 }
@@ -153,8 +151,8 @@ func checkGenerated(t *testing.T, src string) (redactions int) {
 		t.Fatalf("generated program does not compile: %v\n%s", err, src)
 	}
 	for _, m := range redactionMatchers {
-		e := New(prog, Options{Workers: 2, Matcher: m.factory, MaxCycles: 1 << 12})
-		oracle := newOracle(prog, 1)
+		e := New(prog, Options{Matcher: m.factory, MaxCycles: 1 << 12})
+		oracle := newOracle(prog)
 		t.Run(m.name, func(t *testing.T) {
 			defer func() {
 				if t.Failed() {
@@ -269,7 +267,7 @@ func TestSequentialSparesWhatSynchronousOverKills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newOracleEngine(prog, Options{Workers: 2, MaxCycles: 1 << 12})
+		e := newOracleEngine(prog, Options{MaxCycles: 1 << 12})
 		e.oracle.sequential = sequential
 		if err := load(e); err != nil {
 			t.Fatal(err)
@@ -277,7 +275,7 @@ func TestSequentialSparesWhatSynchronousOverKills(t *testing.T) {
 		res := e.run(t)
 		// The engine itself is the synchronous one.
 		if !sequential {
-			eng := New(prog, Options{Workers: 2, MaxCycles: 1 << 12})
+			eng := New(prog, Options{MaxCycles: 1 << 12})
 			if err := load(eng); err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -25,12 +24,9 @@ import (
 // It also keeps the two ablations it carried: the nested-loop path without
 // the equality index (E7) and the sequential semantics (E8) — meta-rules
 // apply in declaration order with immediate effect, so a redacted
-// instantiation cannot justify later redactions. Sequential semantics is
-// inherently serial and always runs on one goroutine.
+// instantiation cannot justify later redactions.
 type oracleRedactor struct {
 	metas []*compile.MetaRule
-	// workers bounds the goroutines used for the synchronous pass.
-	workers int
 	// noIndex disables the equality-join hash index (ablation experiment
 	// E7) and forces nested-loop tuple enumeration.
 	noIndex bool
@@ -45,16 +41,9 @@ type oracleRedactor struct {
 
 // newOracle builds the synchronous, indexed oracle for a program; tests
 // flip noIndex and sequential on the result.
-func newOracle(prog *compile.Program, workers int) *oracleRedactor {
-	if workers < 1 {
-		workers = 1
-	}
-	return &oracleRedactor{metas: prog.MetaRules, workers: workers}
+func newOracle(prog *compile.Program) *oracleRedactor {
+	return &oracleRedactor{metas: prog.MetaRules}
 }
-
-// parallelThreshold is the pattern-0 candidate count below which striping
-// the enumeration is not worth the goroutine overhead.
-const parallelThreshold = 64
 
 // run computes the surviving instantiations, the number of rounds (0 or
 // 1), and the number of redacted instantiations.
@@ -85,38 +74,13 @@ func (r *oracleRedactor) kills(eligible []*match.Instantiation) map[match.Key]in
 		byRule[in.Rule] = append(byRule[in.Rule], in)
 	}
 	for _, m := range r.metas {
-		states := r.buildStates(m, byRule)
-		switch {
-		case r.sequential, r.workers == 1, len(states[0].cands) < parallelThreshold:
-			r.matchMeta(m, states, 0, 1, dead)
-		default:
-			// Stripe pattern-0 candidates across workers; each collects a
-			// local dead-set; the union is order-independent.
-			w := r.workers
-			locals := make([]map[match.Key]int, w)
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					locals[k] = make(map[match.Key]int)
-					r.matchMeta(m, states, k, w, locals[k])
-				}(k)
-			}
-			wg.Wait()
-			for _, l := range locals {
-				for key, n := range l {
-					dead[key] += n
-				}
-			}
-		}
+		r.matchMeta(m, r.buildStates(m, byRule), dead)
 	}
 	return dead
 }
 
 // patState holds one pattern's pre-filtered candidates and optional
-// equality-join index. States are built once per meta-rule and shared
-// read-only across the striped goroutines.
+// equality-join index. States are built once per meta-rule.
 type patState struct {
 	cands   []*match.Instantiation
 	eqTest  *compile.MetaJoinTest
@@ -160,13 +124,11 @@ func (r *oracleRedactor) buildStates(m *compile.MetaRule, byRule map[*compile.Ru
 }
 
 // matchMeta enumerates the tuples of distinct instantiations matching the
-// meta-rule's patterns whose pattern-0 candidate index ≡ stripe (mod
-// strides), counting redaction targets in dead. Under synchronous
-// semantics every match's targets are recorded but matching keeps using
-// the full set; under sequential semantics (always stripe 0 of 1) dead
-// instantiations are skipped and a completed match kills its targets
-// immediately.
-func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]int) {
+// meta-rule's patterns, counting redaction targets in dead. Under
+// synchronous semantics every match's targets are recorded but matching
+// keeps using the full set; under sequential semantics dead instantiations
+// are skipped and a completed match kills its targets immediately.
+func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, dead map[match.Key]int) {
 	tuple := make([]*match.Instantiation, len(m.Patterns))
 	used := make(map[match.Key]bool, len(m.Patterns))
 	var choose func(i int)
@@ -196,14 +158,6 @@ func (r *oracleRedactor) matchMeta(m *compile.MetaRule, states []patState, strip
 		st := &states[i]
 		p := m.Patterns[i]
 		cands := st.cands
-		if i == 0 && strides > 1 {
-			// Striped share of the outermost loop.
-			share := make([]*match.Instantiation, 0, len(cands)/strides+1)
-			for j := stripe; j < len(cands); j += strides {
-				share = append(share, cands[j])
-			}
-			cands = share
-		}
 		if st.eqTest != nil {
 			probe := tuple[st.eqTest.OtherPat].Binding(st.eqTest.OtherRef)
 			cands = st.index[probe]
@@ -423,7 +377,7 @@ type oracleEngine struct {
 func newOracleEngine(prog *compile.Program, opts Options) *oracleEngine {
 	e := New(prog, opts)
 	e.meta = nil
-	return &oracleEngine{Engine: e, oracle: newOracle(prog, opts.Workers)}
+	return &oracleEngine{Engine: e, oracle: newOracle(prog)}
 }
 
 func (e *oracleEngine) run(t testing.TB) Result {

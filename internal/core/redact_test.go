@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"parulel/internal/compile"
+	"parulel/internal/match"
+	"parulel/internal/match/rete"
+	"parulel/internal/match/treat"
 	"parulel/internal/wm"
 )
 
@@ -112,10 +115,13 @@ func TestSequentialRedactionMutualKeepsFirst(t *testing.T) {
 	}
 }
 
+// TestSequentialRedactionDeterministicAcrossWorkers: the sequential oracle
+// applies meta-rules in declaration order, so what survives must not
+// depend on the order the object level reports instantiations in.
 func TestSequentialRedactionDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
+	run := func(f match.Factory) string {
 		prog := compileOK(t, chainRedactionProgram)
-		e := sequentialEngine(prog, Options{Workers: workers, MaxCycles: 10})
+		e := sequentialEngine(prog, Options{Matcher: f, MaxCycles: 10})
 		e.run(t)
 		s := ""
 		for _, w := range e.Memory().Snapshot() {
@@ -123,8 +129,8 @@ func TestSequentialRedactionDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return s
 	}
-	if run(1) != run(4) {
-		t.Error("sequential redaction must stay deterministic across worker counts")
+	if run(rete.New) != run(treat.New) {
+		t.Error("sequential redaction must not depend on the object-level matcher")
 	}
 }
 
@@ -171,8 +177,9 @@ func TestRedactionConflictFreedomBothSemantics(t *testing.T) {
 }
 
 func TestRedactionIdenticalAcrossWorkers(t *testing.T) {
-	// The meta level sees the same eligible set whatever the worker
-	// count, so a conflict-heavy workload must redact identically.
+	// The meta level sees the same eligible set whatever order the object
+	// level reports it in, so a conflict-heavy workload must redact
+	// identically under either matcher.
 	load := func(e *Engine) {
 		for p := int64(0); p < 30; p++ {
 			if _, err := e.Insert("pool", map[string]wm.Value{"id": wm.Int(p), "state": wm.Sym("free")}); err != nil {
@@ -185,7 +192,7 @@ func TestRedactionIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	state := func(workers int) (string, Result) {
+	state := func(f match.Factory) (string, Result) {
 		prog := compileOK(t, `
 (literalize pool id state)
 (literalize order id)
@@ -203,7 +210,7 @@ func TestRedactionIdenticalAcrossWorkers(t *testing.T) {
 -->
   (redact <j>))
 `)
-		e := New(prog, Options{Workers: workers, MaxCycles: 1000})
+		e := New(prog, Options{Matcher: f, MaxCycles: 1000})
 		load(e)
 		res := runOK(t, e)
 		s := ""
@@ -212,15 +219,13 @@ func TestRedactionIdenticalAcrossWorkers(t *testing.T) {
 		}
 		return s, res
 	}
-	ref, refRes := state(1)
-	for _, w := range []int{2, 4, 8} {
-		got, res := state(w)
-		if got != ref {
-			t.Errorf("workers=%d: parallel redaction diverged", w)
-		}
-		if res.Redactions != refRes.Redactions || res.Firings != refRes.Firings {
-			t.Errorf("workers=%d: counters differ: %+v vs %+v", w, res, refRes)
-		}
+	ref, refRes := state(rete.New)
+	got, res := state(treat.New)
+	if got != ref {
+		t.Error("treat: redaction diverged from rete")
+	}
+	if res.Redactions != refRes.Redactions || res.Firings != refRes.Firings {
+		t.Errorf("treat: counters differ from rete: %+v vs %+v", res, refRes)
 	}
 	if refRes.Redactions == 0 {
 		t.Fatal("workload produced no redactions; the test is vacuous")

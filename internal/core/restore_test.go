@@ -64,9 +64,9 @@ func insertItems(t *testing.T, e *Engine, from, to int) {
 // transplant rebuilds an engine from another's replayable state, the way
 // checkpoint recovery does: fresh engine without initial facts, WMEs
 // restored under their original tags, then refraction keys and counters.
-func transplant(t *testing.T, src *Engine, prog *compile.Program, workers int) *Engine {
+func transplant(t *testing.T, src *Engine, prog *compile.Program) *Engine {
 	t.Helper()
-	return transplantWith(t, src, prog, Options{Workers: workers})
+	return transplantWith(t, src, prog, Options{})
 }
 
 func transplantWith(t *testing.T, src *Engine, prog *compile.Program, opts Options) *Engine {
@@ -128,14 +128,14 @@ func snapshotText(t *testing.T, e *Engine) string {
 func TestRestoreMidRunDeterministic(t *testing.T) {
 	prog := compileRestore(t)
 	for _, pause := range []int{0, 1, 2, 3} {
-		orig := New(prog, Options{Workers: 2})
+		orig := New(prog, Options{})
 		insertItems(t, orig, 0, 6)
 		for i := 0; i < pause; i++ {
 			if _, err := orig.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		restored := transplant(t, orig, prog, 3) // worker count may differ
+		restored := transplant(t, orig, prog)
 		sameRefraction(t, orig, restored)
 
 		if _, err := orig.Run(); err != nil {
@@ -158,7 +158,7 @@ func TestRestoreMidRunDeterministic(t *testing.T) {
 // recovery and diverge.
 func TestRestoreRefractionPreventsRefire(t *testing.T) {
 	prog := compileRestore(t)
-	orig := New(prog, Options{Workers: 1})
+	orig := New(prog, Options{})
 	insertItems(t, orig, 0, 3)
 	res, err := orig.Run()
 	if err != nil {
@@ -168,7 +168,7 @@ func TestRestoreRefractionPreventsRefire(t *testing.T) {
 		t.Fatal("workload fired nothing")
 	}
 
-	restored := transplant(t, orig, prog, 1)
+	restored := transplant(t, orig, prog)
 	res2, err := restored.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestRestoreRefractionPreventsRefire(t *testing.T) {
 
 	// Dropping the refraction set must be observable (the test would be
 	// vacuous if nothing in the conflict set had fired).
-	bad := New(prog, Options{Workers: 1, NoInitialFacts: true})
+	bad := New(prog, Options{NoInitialFacts: true})
 	for _, w := range orig.Memory().Snapshot() {
 		fields := make(map[string]wm.Value, len(w.Fields))
 		for i, attr := range w.Tmpl.Attrs {
@@ -223,7 +223,7 @@ func TestRestoreForgetsRefractionItDoesNotFind(t *testing.T) {
 	if len(orig.FiredKeys()) != 1 {
 		t.Fatalf("after the first cycle the refraction set is %v, want block's one instantiation", orig.FiredKeys())
 	}
-	restored := transplant(t, orig, prog, 1)
+	restored := transplant(t, orig, prog)
 	for i := 0; i < 4; i++ {
 		for _, e := range []*Engine{orig, restored} {
 			if _, err := e.Step(); err != nil {
@@ -240,14 +240,14 @@ func TestRestoreForgetsRefractionItDoesNotFind(t *testing.T) {
 // engine cannot commit as many cycles as the log recorded.
 func TestReplayStepsVerifiesCycleCount(t *testing.T) {
 	prog := compileRestore(t)
-	e := New(prog, Options{Workers: 1})
+	e := New(prog, Options{})
 	insertItems(t, e, 0, 2)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	replayed := New(prog, Options{Workers: 1})
+	replayed := New(prog, Options{})
 	insertItems(t, replayed, 0, 2)
 	if err := replayed.ReplaySteps(res.Cycles); err != nil {
 		t.Fatalf("faithful replay failed: %v", err)
@@ -325,7 +325,7 @@ func TestRestoreMidRunRebuildsRedactionState(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var whole cycleLog
-			ref := New(tc.prog, Options{Workers: 2, MaxCycles: 1 << 12, Tracer: &whole})
+			ref := New(tc.prog, Options{MaxCycles: 1 << 12, Tracer: &whole})
 			if err := tc.load(ref); err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +336,7 @@ func TestRestoreMidRunRebuildsRedactionState(t *testing.T) {
 			refracted := 0
 			for pause := 1; pause < want.Cycles; pause++ {
 				var head, tail cycleLog
-				orig := New(tc.prog, Options{Workers: 2, MaxCycles: 1 << 12, Tracer: &head})
+				orig := New(tc.prog, Options{MaxCycles: 1 << 12, Tracer: &head})
 				if err := tc.load(orig); err != nil {
 					t.Fatal(err)
 				}
@@ -346,7 +346,7 @@ func TestRestoreMidRunRebuildsRedactionState(t *testing.T) {
 					}
 				}
 				refracted += len(orig.FiredKeys())
-				restored := transplantWith(t, orig, tc.prog, Options{Workers: 3, Matcher: treat.New, MaxCycles: 1 << 12, Tracer: &tail})
+				restored := transplantWith(t, orig, tc.prog, Options{Matcher: treat.New, MaxCycles: 1 << 12, Tracer: &tail})
 				sameRefraction(t, orig, restored)
 				head.lines = head.lines[:pause] // the restored engine logs the step both took
 				got := runOK(t, restored)

@@ -27,7 +27,7 @@ import (
 func runTemporalOutcome(t *testing.T, prog *compile.Program, f match.Factory) (outcome, int, int64) {
 	t.Helper()
 	tr := &firingTracer{}
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, Tracer: tr})
+	e := core.New(prog, core.Options{MaxCycles: 1 << 20, Matcher: f, Tracer: tr})
 	m := temporal.New(prog, e)
 
 	var out outcome

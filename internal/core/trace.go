@@ -27,8 +27,8 @@ func (p Phase) String() string {
 }
 
 // Tracer receives structured engine events as each cycle executes. All
-// callbacks are invoked from the engine's own goroutine (never from the
-// match/fire workers), in a fixed order per cycle:
+// callbacks are invoked on the goroutine running the engine, in a fixed
+// order per cycle:
 //
 //	CycleStart
 //	PhaseEnd(PhaseMatch) InstantiationsFound

@@ -42,7 +42,7 @@ func TestTracerCallbackOrder(t *testing.T) {
 (wm (src ^id 1) (src ^id 2))
 `)
 	tr := &recordingTracer{}
-	e := New(prog, Options{Workers: 2, Tracer: tr})
+	e := New(prog, Options{Tracer: tr})
 	res := runOK(t, e)
 	if res.Cycles != 1 {
 		t.Fatalf("cycles = %d, want 1", res.Cycles)
@@ -119,7 +119,7 @@ func TestTracerHaltAndRuleOrder(t *testing.T) {
 
 func TestEngineRuleFiresAndProfiles(t *testing.T) {
 	prog := compileOK(t, determinismProgram)
-	e := New(prog, Options{MaxCycles: 50, Workers: 2})
+	e := New(prog, Options{MaxCycles: 50})
 	runOK(t, e)
 	fires := e.RuleFires()
 	if len(fires) == 0 || fires["propose"] == 0 {

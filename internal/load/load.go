@@ -90,7 +90,6 @@ type Config struct {
 	// 0 sends none (the template default applies). Default 0.
 	StreamTTL  int64         `json:"stream_ttl,omitempty"`
 	Source     string        `json:"-"` // program source; default DefaultSource (StreamSource when the mix streams)
-	Workers    int           `json:"workers,omitempty"`
 	RunTimeout time.Duration `json:"-"`
 	Seed       int64         `json:"seed"`
 	Client     *http.Client  `json:"-"`
@@ -630,9 +629,6 @@ func createSession(ctx context.Context, cfg Config, base string) (string, error)
 		ID string `json:"id"`
 	}
 	req := map[string]any{"source": cfg.Source}
-	if cfg.Workers > 0 {
-		req["workers"] = cfg.Workers
-	}
 	status, _, _, err := do(ctx, cfg.Client, http.MethodPost, base+"/api/v1/sessions", req, &out)
 	if err != nil {
 		return "", err

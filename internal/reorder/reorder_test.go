@@ -253,7 +253,7 @@ func TestReorderBuiltinProgramsStillWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s reordered does not compile: %v", name, err)
 		}
-		e := core.New(cp, core.Options{Workers: 2, MaxCycles: 1000})
+		e := core.New(cp, core.Options{MaxCycles: 1000})
 		switch name {
 		case programs.Waltz:
 			if err := workload.WaltzScene(e, 3); err != nil {

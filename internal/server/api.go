@@ -88,7 +88,7 @@ const servedMatcher = "rete"
 type createSessionRequest struct {
 	Program string `json:"program,omitempty"`
 	Source  string `json:"source,omitempty"`
-	Workers int    `json:"workers,omitempty"`
+	Workers int    `json:"workers,omitempty"` // accepted and ignored: engines fire on one goroutine
 	Matcher string `json:"matcher,omitempty"` // absent or servedMatcher
 	// MaxCycles caps the session's cumulative cycle count as a runaway
 	// guard; 0 uses the server default.
@@ -99,7 +99,6 @@ type createSessionRequest struct {
 type sessionInfo struct {
 	ID         string `json:"id"`
 	Program    string `json:"program"`
-	Workers    int    `json:"workers"`
 	Matcher    string `json:"matcher"`
 	CreatedAt  string `json:"created_at"`
 	LastUsedAt string `json:"last_used_at"`

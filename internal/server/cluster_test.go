@@ -262,7 +262,7 @@ func TestClusterStateStreamRoundTrip(t *testing.T) {
 		cfg.Cluster.Replication = cluster.ReplOff // the test drives the stream itself
 	})
 	n0, n1 := tc.servers["n0"], tc.servers["n1"]
-	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
 	url := tc.url("n0") + "/api/v1/sessions/" + info.ID
 	driveSession(t, url) // 5 mutations: a checkpoint plus a live WAL tail
 	wantSnap := exportSnapshot(t, url)
@@ -334,7 +334,7 @@ func TestClusterStateStreamRoundTrip(t *testing.T) {
 // marks the owner down, and serves the exact pre-kill state.
 func TestClusterReplicationFailover(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
-	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
 	url := tc.url("n0") + "/api/v1/sessions/" + info.ID
 	driveSession(t, url)
 	want := exportSnapshot(t, url)
@@ -381,7 +381,7 @@ func TestClusterReplicationFailover(t *testing.T) {
 // and routing converges cluster-wide to the new owner.
 func TestClusterAdminMove(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
-	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
 	url := tc.url("n0") + "/api/v1/sessions/" + info.ID
 	driveSession(t, url)
 	want := exportSnapshot(t, url)
@@ -688,7 +688,7 @@ func (tc *testCluster) assertMoved(id, from, to string) {
 // caught up, so the move is the hand-off alone.
 func TestClusterMoveToReplicaHolder(t *testing.T) {
 	tc := newTestCluster(t, 3, func(_ string, cfg *Config) { cfg.CheckpointEvery = 3 })
-	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tc.url("n0"), createSessionRequest{Source: recoverySrc})
 	url := tc.url("n0") + "/api/v1/sessions/" + info.ID
 	driveSession(t, url)
 	want := exportSnapshot(t, url)

@@ -432,16 +432,29 @@ func createVia(t testing.TB, s *Server, req createSessionRequest) string {
 }
 
 // measure reports the allocations and bytes of fn, averaged over runs
-// calls after one warm-up call.
-func measure(runs int, fn func()) (allocs, bytes float64) {
+// calls after one warm-up call. setup, when not nil, runs before each call
+// and is not counted. It runs on one P: the fact path draws its buffers
+// from sync.Pools, which keep them per P, and a call that moved to a P
+// whose pool is empty would make again buffers another P holds.
+func measure(runs int, setup, fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if setup != nil {
+		setup()
+	}
 	fn()
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	var mallocs, total uint64
 	for i := 0; i < runs; i++ {
+		if setup != nil {
+			setup()
+		}
+		runtime.ReadMemStats(&m0)
 		fn()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		total += m1.TotalAlloc - m0.TotalAlloc
 	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(runs), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+	return float64(mallocs) / float64(runs), float64(total) / float64(runs)
 }
 
 // mapAllocSites runs fn with every allocation profiled and returns the
@@ -530,8 +543,8 @@ func TestFactPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given back; the budget is for a warm pool")
 	}
-	// Ceilings per fact, with room over what is measured (about 2.3
-	// allocations and 0.4 KB in; 2.4 and 0.85 KB back, where a fresh
+	// Ceilings per fact, with room over what is measured (about 2.1
+	// allocations and 0.26 KB in; 2.1 and 0.77 KB back, where a fresh
 	// working memory's own maps grow from nothing) but far under the cost
 	// of a map or a reflective decode per fact.
 	const (
@@ -542,11 +555,22 @@ func TestFactPathAllocationBudget(t *testing.T) {
 	s := newDurableServer(t)
 	id := createVia(t, s, createSessionRequest{Program: programs.Waltz})
 	path := "/api/v1/sessions/" + id + "/batch"
+	// Every measured request meets the same working memory: the facts
+	// before it are retracted and the session run, outside the count. A
+	// working memory that grew across requests would put its maps' growth
+	// inside some measured windows and not others, and past a thousand
+	// entries where a map grows depends on its random hash seed.
+	settle := func() {
+		for _, tmpl := range []string{"junction", "edge"} {
+			serve(t, s, "POST", "/api/v1/sessions/"+id+"/retract", []byte(`{"template":"`+tmpl+`"}`))
+		}
+		serve(t, s, "POST", "/api/v1/sessions/"+id+"/run", nil)
+	}
 
 	perFact := map[int][2]float64{}
 	for _, n := range []int{64, 128, 256} {
 		body := batchBody(t, waltzFacts(t, n))
-		allocs, bytes := measure(8, func() { serve(t, s, "POST", path, body) })
+		allocs, bytes := measure(8, settle, func() { serve(t, s, "POST", path, body) })
 		perFact[n] = [2]float64{allocs, bytes}
 		t.Logf("%3d-fact batch: %.0f allocations, %.0f bytes a request", n, allocs, bytes)
 	}
@@ -587,7 +611,7 @@ func TestFactPathAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanReplay := func() {
-		sess := s.newSession("r", &wal.Record{Program: "waltz", Workers: 1}, prog, false)
+		sess := s.newSession("r", &wal.Record{Program: "waltz"}, prog, false)
 		res, err := wal.ScanFile(walPath)
 		if err != nil {
 			t.Fatal(err)
@@ -599,10 +623,10 @@ func TestFactPathAllocationBudget(t *testing.T) {
 		}
 	}
 	newOnly := func() {
-		s.newSession("r", &wal.Record{Program: "waltz", Workers: 1}, prog, false)
+		s.newSession("r", &wal.Record{Program: "waltz"}, prog, false)
 	}
-	allocs, bytes := measure(4, scanReplay)
-	baseAllocs, baseBytes := measure(4, newOnly)
+	allocs, bytes := measure(4, nil, scanReplay)
+	baseAllocs, baseBytes := measure(4, nil, newOnly)
 	allocs, bytes = (allocs-baseAllocs)/float64(facts), (bytes-baseBytes)/float64(facts)
 	t.Logf("scan → replay of %d facts: %.2f allocations, %.0f bytes a fact", facts, allocs, bytes)
 	if allocs > maxAllocsPerFact || bytes > maxBytesPerFactBack {
@@ -752,7 +776,7 @@ func BenchmarkFactPath(b *testing.B) {
 			m := factMeter{b: b}
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				sess := s.newSession("r", &wal.Record{Program: "p", Workers: 1}, prog, false)
+				sess := s.newSession("r", &wal.Record{Program: "p"}, prog, false)
 				m.start()
 				res, err := wal.ScanFile(walPath)
 				if err != nil {

@@ -187,7 +187,7 @@ func TestNewSessionAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &wal.Record{Op: wal.OpCreate, Workers: 1}
+	meta := &wal.Record{Op: wal.OpCreate}
 	var sess *session
 	var m0, m1 runtime.MemStats
 	runtime.GC()

@@ -111,7 +111,7 @@ func TestMetricsAndHealthHeaders(t *testing.T) {
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{TraceCycles: 64})
 	base := ts.URL
-	info := createSession(t, base, createSessionRequest{Source: boundedSrc, Workers: 2})
+	info := createSession(t, base, createSessionRequest{Source: boundedSrc})
 	sessURL := base + "/api/v1/sessions/" + info.ID
 
 	var tr traceResponse

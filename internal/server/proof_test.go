@@ -46,7 +46,7 @@ func fetchProof(t *testing.T, url, seq string) (int, wal.Proof, string) {
 func TestProofEndpoint(t *testing.T) {
 	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 4}
 	ts := startCrashable(t, cfg)
-	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc})
 	url := ts.URL + "/api/v1/sessions/" + info.ID
 	driveSession(t, url) // several appends; CheckpointEvery 4 forces checkpoints
 
@@ -114,8 +114,8 @@ func TestSpliceRejectedAtRecovery(t *testing.T) {
 	cfg := Config{DataDir: dataDir, Fsync: wal.PolicyAlways, CheckpointEvery: 1 << 20}
 
 	ts := startCrashable(t, cfg)
-	a := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
-	b := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	a := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc})
+	b := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc})
 	driveSession(t, ts.URL+"/api/v1/sessions/"+a.ID)
 	// Session b runs the same script over different facts, so its frames
 	// are valid but hash differently.
@@ -160,7 +160,7 @@ func TestSpliceRejectedAtRecovery(t *testing.T) {
 // rise exactly as much as the record count.
 func TestSessionAppendsEachPayOneFsync(t *testing.T) {
 	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 1 << 20})
-	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc})
 	url := ts.URL + "/api/v1/sessions/" + info.ID
 	task := func(n int) factPayload {
 		return factPayload{Template: "task", Fields: map[string]jsonValue{

@@ -123,7 +123,7 @@ func TestRecoveryAfterRestart(t *testing.T) {
 	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways}
 
 	tsA := startCrashable(t, cfg)
-	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc})
 	if !info.Durable {
 		t.Fatal("session not marked durable")
 	}
@@ -147,7 +147,7 @@ func TestRecoveryAfterRestart(t *testing.T) {
 
 	// The recovered session must evolve exactly like a control session
 	// that ran the same script without interruption.
-	control := createSession(t, tsB.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	control := createSession(t, tsB.URL, createSessionRequest{Source: recoverySrc})
 	controlURL := tsB.URL + "/api/v1/sessions/" + control.ID
 	driveSession(t, controlURL)
 	for _, u := range []string{urlB, controlURL} {
@@ -177,7 +177,7 @@ func TestRecoveryAfterRestart(t *testing.T) {
 func TestRecoveryAfterTimedOutRun(t *testing.T) {
 	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways}
 	tsA := startCrashable(t, cfg)
-	info := createSession(t, tsA.URL, createSessionRequest{Source: spinnerSrc, Workers: 1})
+	info := createSession(t, tsA.URL, createSessionRequest{Source: spinnerSrc})
 	urlA := tsA.URL + "/api/v1/sessions/" + info.ID
 
 	var timedOut struct {
@@ -239,7 +239,7 @@ func TestEvictionRehydratesTransparently(t *testing.T) {
 func TestCheckpointRecovery(t *testing.T) {
 	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 1}
 	tsA := startCrashable(t, cfg)
-	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc})
 	urlA := tsA.URL + "/api/v1/sessions/" + info.ID
 	driveSession(t, urlA)
 	wantSnap := exportSnapshot(t, urlA)
@@ -322,7 +322,7 @@ func TestRecoverMutateCrashRecover(t *testing.T) {
 	cfg := Config{DataDir: t.TempDir(), Fsync: wal.PolicyAlways, CheckpointEvery: 3}
 
 	tsA := startCrashable(t, cfg)
-	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc})
 	urlA := tsA.URL + "/api/v1/sessions/" + info.ID
 	for i := 0; i < 3; i++ { // three records: the third triggers the checkpoint
 		assertTasks(t, urlA, i, i+1)
@@ -613,7 +613,7 @@ func TestRecoveryOfTreatRecordedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.New(prog, core.Options{Workers: 2, Matcher: treat.Factory(treat.Options{})})
+	ref := core.New(prog, core.Options{Matcher: treat.Factory(treat.Options{})})
 	tasks := func(from, to int) {
 		for n := from; n < to; n++ {
 			if _, err := ref.Insert("task", map[string]wm.Value{"n": wm.Int(int64(n)), "state": wm.Sym("new")}); err != nil {
@@ -644,7 +644,7 @@ func TestRecoveryOfTreatRecordedSession(t *testing.T) {
 	// TREAT in its create record.
 	dirA := t.TempDir()
 	tsA := startCrashable(t, Config{DataDir: dirA, Fsync: wal.PolicyAlways})
-	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc, Workers: 2})
+	info := createSession(t, tsA.URL, createSessionRequest{Source: recoverySrc})
 	driveSession(t, tsA.URL+"/api/v1/sessions/"+info.ID)
 	tsA.Close()
 	scan, err := wal.ScanFile(filepath.Join(dirA, "sessions", info.ID, walFile))

@@ -75,9 +75,6 @@ type Config struct {
 	// MaxCycles is the default cumulative cycle cap per session (runaway
 	// guard). Default 10,000,000.
 	MaxCycles int
-	// DefaultWorkers is the per-engine fire worker count (core.Options.
-	// Workers) when the client names none. Default 1; clamped to [1, 64].
-	DefaultWorkers int
 	// MaxBodyBytes bounds request bodies. Default 4 MiB.
 	MaxBodyBytes int64
 	// MaxOutputBytes bounds captured `(write …)` output per run. Default 64 KiB.
@@ -158,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 10_000_000
-	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = 1
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
@@ -844,13 +838,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			"matcher %q is not served: sessions run %s (treat is an experiment arm of `parulel run -matcher`)", req.Matcher, servedMatcher))
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.DefaultWorkers
-	}
-	if workers > 64 {
-		workers = 64
-	}
 	maxCycles := req.MaxCycles
 	if maxCycles <= 0 || maxCycles > s.cfg.MaxCycles {
 		maxCycles = s.cfg.MaxCycles
@@ -882,7 +869,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	meta := wal.Record{
-		Op: wal.OpCreate, Program: name, Source: source, Workers: workers,
+		Op: wal.OpCreate, Program: name, Source: source,
 		Matcher: servedMatcher, MaxCycles: maxCycles, CreatedNS: time.Now().UnixNano(),
 	}
 	sess := s.newSession(id, &meta, prog, false)
@@ -908,7 +895,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.metrics.inc(&s.metrics.Sessions.Created)
 		s.log(r.Context()).Info("session created",
-			"session_id", id, "program", name, "workers", workers,
+			"session_id", id, "program", name,
 			"matcher", servedMatcher, "durable", sess.dur != nil)
 		writeJSON(w, http.StatusCreated, info)
 		return

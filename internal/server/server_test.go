@@ -120,7 +120,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("programs: status %d, %v", st, progs.Programs)
 	}
 
-	info := createSession(t, base, createSessionRequest{Program: "quickstart", Workers: 2})
+	info := createSession(t, base, createSessionRequest{Program: "quickstart"})
 	if info.ID == "" || info.Program != "quickstart" || info.WMSize != 1 {
 		t.Fatalf("bad session info: %+v", info)
 	}
@@ -187,6 +187,61 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestCreateIgnoresWorkers: a create request may still name `workers`,
+// which once sized a session's fire phase. It is accepted and changes
+// nothing: the session fires the same instantiations in the same cycles
+// and ends in the same working memory as one created without it.
+func TestCreateIgnoresWorkers(t *testing.T) {
+	const src = `
+(literalize item k n)
+(literalize out k n)
+(rule take (item ^k <k> ^n <n>) --> (remove 1) (make out ^k <k> ^n <n>))
+(metarule one-per-key
+  [<i> (take ^k <k> ^n <a>)]
+  [<j> (take ^k <k> ^n <b>)]
+  (test (< <a> <b>))
+-->
+  (redact <j>))
+(wm (item ^k 1 ^n 1) (item ^k 1 ^n 2) (item ^k 1 ^n 3) (item ^k 2 ^n 4) (item ^k 2 ^n 5))
+`
+	_, ts := newTestServer(t, Config{})
+	run := func(req createSessionRequest) (firings, snap string) {
+		sessURL := ts.URL + "/api/v1/sessions/" + createSession(t, ts.URL, req).ID
+		if st := call(t, "POST", sessURL+"/run", runRequest{}, nil); st != http.StatusOK {
+			t.Fatalf("run: status %d", st)
+		}
+		var tr traceResponse
+		if st := call(t, "GET", sessURL+"/trace", nil, &tr); st != http.StatusOK {
+			t.Fatalf("trace: status %d", st)
+		}
+		for i := range tr.Events {
+			ev := &tr.Events[i]
+			ev.MatchNS, ev.RedactNS, ev.FireNS, ev.ApplyNS = 0, 0, 0, 0
+		}
+		b, err := json.Marshal(tr.Events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _, snap := fetch(t, sessURL+"/snapshot")
+		if st != http.StatusOK {
+			t.Fatalf("snapshot: status %d", st)
+		}
+		return string(b), snap
+	}
+	firings, snap := run(createSessionRequest{Source: src})
+	firings4, snap4 := run(createSessionRequest{Source: src, Workers: 4})
+	// One item of each key fires a cycle, the lowest n first.
+	if !strings.Contains(firings, `"cycle":3,`) || !strings.Contains(firings, `"redacted":3,`) {
+		t.Fatalf("want three cycles, three redactions in the first: %s", firings)
+	}
+	if firings4 != firings {
+		t.Errorf("workers 4 fired\n%s\nwithout workers\n%s", firings4, firings)
+	}
+	if snap4 != snap {
+		t.Errorf("workers 4 left\n%s\nwithout workers\n%s", snap4, snap)
+	}
+}
+
 func TestUnknownProgramAndBadSource(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if st := call(t, "POST", ts.URL+"/api/v1/sessions", createSessionRequest{Program: "nope"}, nil); st != 400 {
@@ -218,7 +273,7 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 		return req
 	}
 	runOne := func(t *testing.T, n int) runResponse {
-		info := createSession(t, base, createSessionRequest{Program: "closure", Workers: 2})
+		info := createSession(t, base, createSessionRequest{Program: "closure"})
 		sessURL := base + "/api/v1/sessions/" + info.ID
 		if st := call(t, "POST", sessURL+"/facts", mkFacts(n), nil); st != 200 {
 			t.Fatalf("assert: status %d", st)
@@ -263,7 +318,7 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 func TestRunTimeout504AndSessionStillUsable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
-	info := createSession(t, base, createSessionRequest{Source: spinnerSrc, Workers: 1})
+	info := createSession(t, base, createSessionRequest{Source: spinnerSrc})
 	sessURL := base + "/api/v1/sessions/" + info.ID
 
 	var timeoutBody struct {
@@ -470,7 +525,7 @@ func TestMetricsHistogramsNonZero(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	base := ts.URL
-	info := createSession(t, base, createSessionRequest{Source: drainSrc, Workers: 1})
+	info := createSession(t, base, createSessionRequest{Source: drainSrc})
 	sessURL := base + "/api/v1/sessions/" + info.ID
 
 	runDone := make(chan runResponse, 1)

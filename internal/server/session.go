@@ -20,13 +20,12 @@ import (
 )
 
 // session is one hosted engine instance. All engine access is serialized
-// through the slot channel (a context-aware mutex): the PARULEL engine
-// parallelizes *within* a cycle, but a session processes one request at a
-// time, like one PARADISER client transaction stream.
+// through the slot channel (a context-aware mutex): a session processes one
+// request at a time, like one PARADISER client transaction stream, and the
+// server's parallelism is across sessions.
 type session struct {
 	id      string
 	program string
-	workers int
 	eng     *core.Engine
 	out     *capWriter
 	created time.Time
@@ -110,7 +109,6 @@ func (s *session) info(lastUsed time.Time) sessionInfo {
 	return sessionInfo{
 		ID:         s.id,
 		Program:    s.program,
-		Workers:    s.workers,
 		Matcher:    servedMatcher,
 		CreatedAt:  s.created.UTC().Format(time.RFC3339Nano),
 		LastUsedAt: lastUsed.UTC().Format(time.RFC3339Nano),
@@ -135,7 +133,6 @@ func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, 
 	out := &capWriter{limit: s.cfg.MaxOutputBytes}
 	trace := obs.NewRing(s.cfg.TraceCycles)
 	eng := core.New(prog, core.Options{
-		Workers: meta.Workers,
 		// Server sessions always run with per-rule profiling on: the timing
 		// cost is a few clock reads per delta, and /metrics per-rule
 		// attribution is the product surface.
@@ -152,7 +149,6 @@ func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, 
 	return &session{
 		id:       id,
 		program:  meta.Program,
-		workers:  meta.Workers,
 		eng:      eng,
 		out:      out,
 		trace:    trace,

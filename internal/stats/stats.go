@@ -9,9 +9,9 @@ import "time"
 // sample /metrics keeps per cycle of its engine.window.
 type Cycle struct {
 	// Phase wall-clock durations.
-	Match  time.Duration // matcher delta application (parallel section)
+	Match  time.Duration // matcher delta application
 	Redact time.Duration // meta-rule fixpoint
-	Fire   time.Duration // RHS evaluation (parallel section)
+	Fire   time.Duration // RHS evaluation of every survivor
 	Apply  time.Duration // working-memory delta reconciliation + commit
 
 	// Counters.

@@ -15,7 +15,7 @@ func newEngine(t *testing.T, src string) (*compile.Program, *core.Engine, *Manag
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(prog, core.Options{Workers: 1, MaxCycles: 1 << 16})
+	eng := core.New(prog, core.Options{MaxCycles: 1 << 16})
 	return prog, eng, New(prog, eng)
 }
 

@@ -75,7 +75,7 @@ type Record struct {
 	// OpCreate.
 	Program   string `json:"program,omitempty"`
 	Source    string `json:"source,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
+	Workers   int    `json:"workers,omitempty"` // ignored; older logs carry it
 	Matcher   string `json:"matcher,omitempty"`
 	MaxCycles int    `json:"max_cycles,omitempty"`
 	CreatedNS int64  `json:"created_ns,omitempty"`

@@ -12,7 +12,7 @@ import (
 // fresh tag.
 //
 // WMEs are never mutated after insertion, so they may be shared freely
-// between matchers and the goroutines of the fire phase.
+// between matchers and between goroutines.
 type WME struct {
 	// Time is the recency time tag, unique per WME and monotonically
 	// increasing across the life of a Memory.

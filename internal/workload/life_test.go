@@ -9,10 +9,10 @@ import (
 	"parulel/internal/programs"
 )
 
-func runLife(t *testing.T, w, h int, alive [][2]int, gens, workers int) (*core.Engine, core.Result) {
+func runLife(t *testing.T, w, h int, alive [][2]int, gens int) (*core.Engine, core.Result) {
 	t.Helper()
 	prog := loadOK(t, programs.Life)
-	e := core.New(prog, core.Options{Workers: workers, MaxCycles: 10 * (gens + 2)})
+	e := core.New(prog, core.Options{MaxCycles: 10 * (gens + 2)})
 	if err := LifeGrid(e, w, h, alive, gens); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func runLife(t *testing.T, w, h int, alive [][2]int, gens, workers int) (*core.E
 func TestLifeBlinkerOscillates(t *testing.T) {
 	start := LifeBlinker(2, 2)
 	// One generation: horizontal blinker becomes vertical.
-	e, res := runLife(t, 5, 5, start, 1, 2)
+	e, res := runLife(t, 5, 5, start, 1)
 	got := LifeBoard(e.Memory().OfTemplate("cell"))
 	want := map[[2]int]bool{{2, 1}: true, {2, 2}: true, {2, 3}: true}
 	if !reflect.DeepEqual(got, want) {
@@ -36,7 +36,7 @@ func TestLifeBlinkerOscillates(t *testing.T) {
 		t.Error("life should halt when generations are exhausted")
 	}
 	// Two generations: back to the original.
-	e2, _ := runLife(t, 5, 5, start, 2, 2)
+	e2, _ := runLife(t, 5, 5, start, 2)
 	got2 := LifeBoard(e2.Memory().OfTemplate("cell"))
 	want2 := map[[2]int]bool{{1, 2}: true, {2, 2}: true, {3, 2}: true}
 	if !reflect.DeepEqual(got2, want2) {
@@ -47,7 +47,7 @@ func TestLifeBlinkerOscillates(t *testing.T) {
 func TestLifeGliderTranslates(t *testing.T) {
 	// On a torus, a glider shifts by (+1,+1) every 4 generations.
 	start := LifeGlider(1, 1)
-	e, _ := runLife(t, 8, 8, start, 4, 4)
+	e, _ := runLife(t, 8, 8, start, 4)
 	got := LifeBoard(e.Memory().OfTemplate("cell"))
 	want := map[[2]int]bool{}
 	for _, p := range LifeGlider(2, 2) {
@@ -62,7 +62,7 @@ func TestLifeMatchesReferenceOnRandomBoards(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		const w, h, gens = 6, 6, 5
 		start := LifeRandom(w, h, 0.35, seed)
-		e, res := runLife(t, w, h, start, gens, 4)
+		e, res := runLife(t, w, h, start, gens)
 		got := LifeBoard(e.Memory().OfTemplate("cell"))
 		want := LifeReference(w, h, start, gens)
 		if !reflect.DeepEqual(got, want) {
@@ -82,8 +82,8 @@ func TestLifeCostTracksActivityNotGridSize(t *testing.T) {
 	// The same blinker on a bigger grid costs the same cycles AND the
 	// same firings: only changing cells produce instantiations, so the
 	// engine's work is delta-driven, not grid-driven.
-	_, small := runLife(t, 5, 5, LifeBlinker(2, 2), 3, 2)
-	_, big := runLife(t, 10, 10, LifeBlinker(4, 4), 3, 2)
+	_, small := runLife(t, 5, 5, LifeBlinker(2, 2), 3)
+	_, big := runLife(t, 10, 10, LifeBlinker(4, 4), 3)
 	if small.Cycles != big.Cycles {
 		t.Errorf("cycles: %d vs %d — generation cost must not depend on grid size", small.Cycles, big.Cycles)
 	}
@@ -92,7 +92,7 @@ func TestLifeCostTracksActivityNotGridSize(t *testing.T) {
 	}
 	// More simultaneous activity (two blinkers) means more firings but
 	// the same cycle count: that is set-oriented firing.
-	_, two := runLife(t, 10, 10, append(LifeBlinker(2, 2), LifeBlinker(7, 7)...), 3, 2)
+	_, two := runLife(t, 10, 10, append(LifeBlinker(2, 2), LifeBlinker(7, 7)...), 3)
 	if two.Cycles != small.Cycles {
 		t.Errorf("cycles: %d vs %d — parallel activity is free in cycles", two.Cycles, small.Cycles)
 	}

@@ -81,7 +81,7 @@ func checkManners(t *testing.T, mem *wm.Memory, guests int) {
 func TestMannersEndToEnd(t *testing.T) {
 	const guests = 16
 	prog := loadOK(t, programs.Manners)
-	e := core.New(prog, core.Options{Workers: 4, MaxCycles: 200})
+	e := core.New(prog, core.Options{MaxCycles: 200})
 	if err := Manners(e, guests, 3, 6, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,13 @@ func TestMannersSequentialBaseline(t *testing.T) {
 	checkManners(t, e.Memory(), guests)
 }
 
+// TestMannersDeterministicAcrossWorkers: the seating depends on nothing
+// but the program and its facts — not on scheduling or map order — so two
+// fresh engines seat every guest alike, time tags included.
 func TestMannersDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []string {
+	run := func() []string {
 		prog := loadOK(t, programs.Manners)
-		e := core.New(prog, core.Options{Workers: workers, MaxCycles: 200})
+		e := core.New(prog, core.Options{MaxCycles: 200})
 		if err := Manners(e, 12, 2, 5, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -133,17 +136,13 @@ func TestMannersDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return seats
 	}
-	ref := run(1)
-	for _, w := range []int{2, 8} {
-		got := run(w)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d seats vs %d", w, len(got), len(ref))
-		}
-		for i := range ref {
-			// Time tags may differ? They must not: determinism is exact.
-			if got[i] != ref[i] {
-				t.Errorf("workers=%d seat %d: %s vs %s", w, i, got[i], ref[i])
-			}
+	ref, got := run(), run()
+	if len(got) != len(ref) {
+		t.Fatalf("%d seats vs %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Errorf("seat %d: %s vs %s", i, got[i], ref[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,14 +11,13 @@ import (
 	"parulel/internal/programs"
 )
 
-// matrixConfigs samples the engine configuration space: worker counts
-// and object-level matchers.
+// matrixConfigs samples the engine configuration space: the object-level
+// matchers. Every engine fires on one goroutine, hence the "w1" in the
+// configuration names.
 func matrixConfigs() []core.Options {
 	return []core.Options{
-		{Workers: 1, Matcher: rete.New, MaxCycles: 1 << 16},
-		{Workers: 4, Matcher: treat.New, MaxCycles: 1 << 16},
-		{Workers: 4, Matcher: rete.New, MaxCycles: 1 << 16},
-		{Workers: 8, Matcher: treat.New, MaxCycles: 1 << 16},
+		{Matcher: rete.New, MaxCycles: 1 << 16},
+		{Matcher: treat.New, MaxCycles: 1 << 16},
 	}
 }
 
@@ -28,7 +26,7 @@ func configName(o core.Options) string {
 	if reflect.ValueOf(o.Matcher).Pointer() == reflect.ValueOf(match.Factory(treat.New)).Pointer() {
 		matcher = "treat"
 	}
-	return fmt.Sprintf("w%d-%s", o.Workers, matcher)
+	return "w1-" + matcher
 }
 
 // TestConfigurationMatrix runs every workload under every sampled

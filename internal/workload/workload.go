@@ -236,9 +236,9 @@ func Manners(ins Inserter, guests, hobbies, hobbyCount int, seed int64) error {
 	return nil
 }
 
-// HotRuleProgram is the single-hot-rule program of the fire-parallelism
-// experiment (E2): one rule whose match and firings dominate the run, all
-// of them in one cycle.
+// HotRuleProgram is the single-hot-rule program of the retired
+// fire-parallelism experiment (E2): one rule whose match and firings
+// dominate the run, all of them in one cycle.
 const HotRuleProgram = `
 (literalize task id region cost)
 (literalize res  id region cap)

@@ -39,7 +39,7 @@ func TestAllProgramsCompile(t *testing.T) {
 
 func TestQuickstartEndToEnd(t *testing.T) {
 	prog := loadOK(t, programs.Quickstart)
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 100})
+	e := core.New(prog, core.Options{MaxCycles: 100})
 	if err := People(e, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func checkAlexsys(t *testing.T, mem *wm.Memory) (sold int) {
 
 func TestAlexsysEndToEnd(t *testing.T) {
 	prog := loadOK(t, programs.Alexsys)
-	e := core.New(prog, core.Options{Workers: 4, MaxCycles: 500})
+	e := core.New(prog, core.Options{MaxCycles: 500})
 	if err := Alexsys(e, 40, 30, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestAlexsysWithoutMetaRulesOverAllocates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(prog, core.Options{Workers: 4, MaxCycles: 500})
+	e := core.New(prog, core.Options{MaxCycles: 500})
 	if err := Alexsys(e, 40, 30, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func checkWaltz(t *testing.T, mem *wm.Memory, cubes int) {
 
 func TestWaltzEndToEnd(t *testing.T) {
 	prog := loadOK(t, programs.Waltz)
-	e := core.New(prog, core.Options{Workers: 4, MaxCycles: 100})
+	e := core.New(prog, core.Options{MaxCycles: 100})
 	const cubes = 6 // includes two occluded cubes
 	if err := WaltzScene(e, cubes); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestWaltzEndToEnd(t *testing.T) {
 	}
 	// Constant cycle count regardless of scene size: compare with a
 	// bigger scene.
-	e2 := core.New(loadOK(t, programs.Waltz), core.Options{Workers: 4, MaxCycles: 100})
+	e2 := core.New(loadOK(t, programs.Waltz), core.Options{MaxCycles: 100})
 	if err := WaltzScene(e2, cubes*4); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestClosureEndToEnd(t *testing.T) {
 		{"layered", func(ins Inserter) error { return LayeredDAG(ins, 5, 4, 2, 3) }, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := core.New(loadOK(t, programs.Closure), core.Options{Workers: 4, MaxCycles: tc.maxCyc})
+			e := core.New(loadOK(t, programs.Closure), core.Options{MaxCycles: tc.maxCyc})
 			if err := tc.load(e); err != nil {
 				t.Fatal(err)
 			}
@@ -380,7 +380,7 @@ func TestHotRuleWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 10})
+	e := core.New(prog, core.Options{MaxCycles: 10})
 	if err := HotRuleFacts(e, 4, 5, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // session:
 //
 //	prog, err := parulel.Parse(src)           // PARULEL source text
-//	eng := parulel.NewEngine(prog, parulel.Config{Workers: 4})
+//	eng := parulel.NewEngine(prog, parulel.Config{})
 //	eng.Insert("pool", map[string]parulel.Value{"id": parulel.Int(1)})
 //	result, err := eng.Run()
 //
@@ -181,7 +181,6 @@ type Tracer = core.Tracer
 type Config struct {
 	Engine    EngineKind
 	Matcher   MatcherKind
-	Workers   int       // PARULEL only: goroutines firing in parallel; <1 means 1
 	Output    io.Writer // destination of (write …); default discard
 	MaxCycles int       // 0 = unlimited
 	Trace     io.Writer // optional per-cycle trace (PARULEL only)
@@ -238,7 +237,6 @@ func NewEngine(p *Program, cfg Config) *Engine {
 			}
 		}
 		return &Engine{par: core.New(p.compiled, core.Options{
-			Workers:   cfg.Workers,
 			Matcher:   cfg.factory(),
 			Output:    cfg.Output,
 			MaxCycles: cfg.MaxCycles,

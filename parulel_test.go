@@ -38,7 +38,7 @@ func TestFacadeParseAndRun(t *testing.T) {
 	if got := prog.MetaRules(); len(got) != 1 || got[0] != "one-at-a-time" {
 		t.Errorf("metarules: %v", got)
 	}
-	eng := NewEngine(prog, Config{Workers: 2, MaxCycles: 10})
+	eng := NewEngine(prog, Config{MaxCycles: 10})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestFacadeHashPartitionedRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewEngine(prog, Config{Workers: 4, MaxCycles: 5})
+		e := NewEngine(prog, Config{MaxCycles: 5})
 		for i := int64(0); i < 20; i++ {
 			if _, err := e.Insert("a", map[string]Value{"x": Int(i)}); err != nil {
 				t.Fatal(err)

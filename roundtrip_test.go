@@ -24,7 +24,7 @@ func TestSnapshotRoundTripAllBuiltins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngine(prog, Config{Workers: 2, MaxCycles: 200000})
+			eng := NewEngine(prog, Config{MaxCycles: 200000})
 			if _, err := eng.Run(); err != nil {
 				t.Fatalf("run: %v", err)
 			}
