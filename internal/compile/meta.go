@@ -1,7 +1,9 @@
 package compile
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -80,11 +82,14 @@ type MetaJoinTest struct {
 }
 
 // MetaLevel is the program's meta-rules lowered to what the engine's meta
-// level (internal/core/redact.go) runs. Every eligible instantiation of an
-// object rule that some meta-pattern names is reified as a WME of that
-// rule's image template, and every MetaRule becomes a Rule over those
-// templates: one condition element per instantiation pattern, carrying the
-// pattern's tests over image fields. The meta level matches them lazily —
+// level (internal/core/redact.go) runs. Every MetaRule becomes a Rule over
+// per-rule image templates: one condition element per instantiation
+// pattern, carrying the pattern's tests over image fields. A dominance
+// meta-rule (recogniseOrder) compiles to an Order as well, and the meta
+// level runs that instead: its lowered Rule has no patterns and no plans.
+// Every other one is a join-form meta-rule, which the meta level matches
+// lazily: every eligible instantiation of an object rule some join-form
+// meta-pattern names is reified as a WME of that rule's image template,
 // each pattern owns a memory of the images passing its alpha tests, and an
 // image that enters or leaves is joined against the other patterns'
 // memories by the plan compiled here (Pattern.Seed, join.go). The image
@@ -100,11 +105,14 @@ type MetaLevel struct {
 	// elements a match redacts stays on MetaRules[i].Redacts.
 	Rules []*Rule
 	// Images is indexed by object-rule Index; nil for rules no
-	// meta-pattern names, whose instantiations are never reified.
+	// meta-pattern names. Only a rule some join-form meta-rule names has
+	// its instantiations reified (Image.Patterns is not empty).
 	Images []*Image
-	// Patterns lists every pattern of every rule, in rule then pattern
-	// order; Patterns[i].ID == i.
+	// Patterns lists every pattern of every join-form rule, in rule then
+	// pattern order; Patterns[i].ID == i.
 	Patterns []*Pattern
+	// Orders lists the dominance meta-rules' orders in declaration order.
+	Orders []*Order
 }
 
 // Image is the reified form of one object rule's instantiations: a
@@ -113,9 +121,11 @@ type MetaLevel struct {
 // instantiation's recency tag, which `(tag …)` reads) and `.t0 … .tn` (its
 // time-tag vector, which `precedes` reads to order instantiations of one
 // rule). Variable names cannot start with a dot. Its layout lists the
-// patterns over the template.
+// join-form patterns over the template, and Orders the orders over the
+// rule, in declaration order (Order.Rank).
 type Image struct {
 	Layout
+	Orders []*Order
 	// vars[f] is the binding copied into field f.
 	vars       []VarRef
 	tag, times bool
@@ -209,6 +219,13 @@ func lowerMetaRules(p *Program) *MetaLevel {
 	for _, m := range p.MetaRules {
 		r := ml.lowerMetaRule(m)
 		ml.Rules = append(ml.Rules, r)
+		if o := recogniseOrder(m); o != nil {
+			im := ml.Images[o.Rule.Index]
+			o.Rank = len(im.Orders)
+			im.Orders = append(im.Orders, o)
+			ml.Orders = append(ml.Orders, o)
+			continue
+		}
 		planJoins(r, newPatterns(r, r.Index, &ml.Patterns, func(i int) *Layout { return &ml.image(m, i).Layout }), m)
 	}
 	for _, im := range ml.Images {
@@ -346,4 +363,209 @@ func (ml *MetaLevel) lowerMetaExpr(m *MetaRule, e *Expr, level *int) *Expr {
 	default:
 		return e
 	}
+}
+
+// Order is a dominance meta-rule compiled to the order it imposes on its
+// rule's instantiations: within a group — the instantiations that agree on
+// Group — one redacts another when it comes first by Keys, compared in
+// turn, or ties at every key and the order is not Strict. Under one-round
+// semantics the survivors of a group are therefore its minimum class when
+// the order is strict, and its minimum when that is alone otherwise.
+type Order struct {
+	// Meta is the meta-rule's index in MetaRules and MetaLevel.Rules, Rule
+	// the object rule both its patterns name and Rank the order's place in
+	// that rule's Image.Orders.
+	Meta, Rank int
+	Rule       *Rule
+	// Group lists the rule variables the meta-rule's join tests equate
+	// across the two instantiations, strictly (OpEq), once each.
+	Group []VarRef
+	// Keys are what the test compares, outermost first; none when the
+	// meta-rule has no test, and every pair ties.
+	Keys []OrderKey
+	// Strict says that a tie at every key redacts neither side: the test's
+	// last comparison is `<`, `>` or precedes, not `<=` or `>=`.
+	Strict bool
+	// victim is the pattern the meta-rule redacts.
+	victim int
+}
+
+// OrderKey is one comparison of an Order: the value of the rule variable
+// at Ref in each instantiation, or, for (precedes <i> <j>), their time-tag
+// vectors. Desc says the redactor is the greater.
+type OrderKey struct {
+	Ref        VarRef
+	Time, Desc bool
+}
+
+// recogniseOrder returns the order m imposes, or nil when m is not a
+// dominance meta-rule, which is exactly when one of these fails: it has
+// two patterns over one object rule; neither has a constant, disjunction or
+// intra-pattern test; its only join tests are OpEq between one rule
+// variable on both sides; it redacts one side; and its test is absent or
+// one test that is, or nests to, (or (< x_i x_j) (and (= x_i x_j) REST)),
+// or the `>` mirror of that, REST ending in `<`, `>`, `<=`, `>=` or
+// (precedes <i> <j>) between the two. Anything else stays a join-form
+// meta-rule.
+func recogniseOrder(m *MetaRule) *Order {
+	if len(m.Patterns) != 2 || m.Patterns[0].Rule != m.Patterns[1].Rule || len(m.Redacts) != 1 || len(m.Tests) > 1 {
+		return nil
+	}
+	o := &Order{Meta: m.Index, Rule: m.Patterns[0].Rule, victim: m.Redacts[0]}
+	for _, p := range m.Patterns {
+		if len(p.ConstTests)+len(p.DisjTests)+len(p.IntraTests) != 0 {
+			return nil
+		}
+		for _, t := range p.JoinTests {
+			if t.Op != OpEq || t.Ref != t.OtherRef {
+				return nil
+			}
+			if !slices.Contains(o.Group, t.Ref) {
+				o.Group = append(o.Group, t.Ref)
+			}
+		}
+	}
+	if len(m.Tests) == 1 && !o.nest(m.Tests[0]) {
+		return nil
+	}
+	return o
+}
+
+// nest reads e, the test from the next key on, into Keys and Strict.
+func (o *Order) nest(e *Expr) bool {
+	if e.Kind == ECall && e.Op == BOr && len(e.Args) == 2 {
+		k, op, ok := o.pair(e.Args[0])
+		and := e.Args[1]
+		if !ok || op != OpLt && op != OpGt || and.Kind != ECall || and.Op != BAnd || len(and.Args) != 2 {
+			return false
+		}
+		if eq, op, ok := o.pair(and.Args[0]); !ok || op != OpNumEq || eq.Ref != k.Ref {
+			return false
+		}
+		o.Keys = append(o.Keys, k)
+		return o.nest(and.Args[1])
+	}
+	if e.Kind == EMetaPrec && e.Pat != e.Pat2 {
+		o.Keys = append(o.Keys, OrderKey{Time: true, Desc: e.Pat == o.victim})
+		o.Strict = true
+		return true
+	}
+	k, op, ok := o.pair(e)
+	if !ok || op == OpNumEq {
+		return false
+	}
+	o.Keys = append(o.Keys, k)
+	o.Strict = op == OpLt || op == OpGt
+	return true
+}
+
+// pair reads e as a comparison of one rule variable across the two
+// instantiations, turned round to hold the redactor's value on the left:
+// the key and the operator then.
+func (o *Order) pair(e *Expr) (OrderKey, PredOp, bool) {
+	if e.Kind != ECall || len(e.Args) != 2 {
+		return OrderKey{}, 0, false
+	}
+	a, b := e.Args[0], e.Args[1]
+	if a.Kind != EMetaRef || b.Kind != EMetaRef || a.MetaVar != b.MetaVar || a.Pat == b.Pat {
+		return OrderKey{}, 0, false
+	}
+	switch e.Op {
+	case BEq, BLt, BGt, BLe, BGe:
+	default:
+		return OrderKey{}, 0, false
+	}
+	op := cmpPred(e.Op)
+	if a.Pat == o.victim {
+		switch op {
+		case OpLt:
+			op = OpGt
+		case OpGt:
+			op = OpLt
+		case OpLe:
+			op = OpGe
+		case OpGe:
+			op = OpLe
+		}
+	}
+	return OrderKey{Ref: a.MetaVar, Desc: op == OpGt || op == OpGe}, op, true
+}
+
+// Compare orders two instantiations of the rule, given their matched WME
+// vectors, lexicographically by Keys: each value pair in the relational
+// operators' order (predCompare, under which an int and a float compare
+// numerically), each time-tag vector pair as precedes compares them. It is
+// a total preorder while no key value is a float NaN (Regular), and then a
+// redacts b exactly when Compare(a, b) < 0, or == 0 and the order is not
+// Strict.
+func (o *Order) Compare(a, b []*wm.WME) int {
+	for _, k := range o.Keys {
+		var c int
+		if k.Time {
+			c = timeCompare(a, b)
+		} else if x, y := a[k.Ref.CE].Fields[k.Ref.Field], b[k.Ref.CE].Fields[k.Ref.Field]; x.Kind == wm.KindInt && y.Kind == wm.KindInt && exactInt(x.I) && exactInt(y.I) {
+			c = cmp.Compare(x.I, y.I) // what predCompare finds, without converting
+		} else {
+			c = predCompare(x, y)
+		}
+		if c != 0 {
+			if k.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// Regular reports whether no key value of the instantiation is a float
+// NaN, which the relational operators find equal to every number while `=`
+// finds it equal to none.
+func (o *Order) Regular(vec []*wm.WME) bool {
+	for _, k := range o.Keys {
+		if v := vec[k.Ref.CE].Fields[k.Ref.Field]; !k.Time && v.Kind == wm.KindFloat && math.IsNaN(v.F) {
+			return false
+		}
+	}
+	return true
+}
+
+// Redacts evaluates the meta-rule's test on a pair of the rule's
+// instantiations, a the redactor's side and b the victim's, the way the
+// compiled test does: comparison by comparison, with the operators it
+// names. It is what settles a group holding a NaN key, and what explain
+// counts.
+func (o *Order) Redacts(a, b []*wm.WME) bool {
+	for i, k := range o.Keys {
+		if k.Time && k.Desc {
+			return timeCompare(b, a) < 0
+		} else if k.Time {
+			return timeCompare(a, b) < 0
+		}
+		x, y := a[k.Ref.CE].Fields[k.Ref.Field], b[k.Ref.CE].Fields[k.Ref.Field]
+		lt, le := OpLt, OpLe
+		if k.Desc {
+			lt, le = OpGt, OpGe
+		}
+		switch {
+		case i == len(o.Keys)-1 && !o.Strict:
+			return le.Apply(x, y)
+		case lt.Apply(x, y):
+			return true
+		case i == len(o.Keys)-1 || !OpNumEq.Apply(x, y):
+			return false
+		}
+	}
+	return !o.Strict
+}
+
+// timeCompare orders two instantiations of one rule as precedes does:
+// lexicographically by the time tags of their matched WMEs.
+func timeCompare(a, b []*wm.WME) int {
+	for i := range a {
+		if c := cmp.Compare(a[i].Time, b[i].Time); c != 0 {
+			return c
+		}
+	}
+	return 0
 }

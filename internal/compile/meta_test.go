@@ -1,7 +1,9 @@
 package compile
 
 import (
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"parulel/internal/wm"
@@ -366,6 +368,190 @@ func TestImageReifiesReadVariablesOnly(t *testing.T) {
 		}
 		if got := p.Meta.Images[0].Tmpl.Attrs; !slices.Equal(got, tc.want) {
 			t.Errorf("%s: image fields %v, want %v", tc.metas, got, tc.want)
+		}
+	}
+}
+
+// bundledMetaRules compiles a builtin program's source and returns its
+// meta level and its meta-rules by name.
+func bundledMetaRules(t testing.TB, name string) (*Program, map[string]*MetaRule) {
+	t.Helper()
+	src, err := os.ReadFile("../programs/src/" + name + ".par")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]*MetaRule)
+	for _, m := range p.MetaRules {
+		byName[m.Name] = m
+	}
+	return p, byName
+}
+
+// orderOf returns the order compiled for m, nil when m stays a join-form
+// meta-rule, checking that the two lists agree.
+func orderOf(t *testing.T, p *Program, m *MetaRule) *Order {
+	t.Helper()
+	var found *Order
+	for _, o := range p.Meta.Orders {
+		if o.Meta == m.Index {
+			found = o
+		}
+	}
+	im := p.Meta.Images[m.Patterns[0].Rule.Index]
+	if found != nil && (im.Orders[found.Rank] != found || found.Rule != m.Patterns[0].Rule) {
+		t.Fatalf("%s: order %+v is not its rule's order %d", m.Name, found, found.Rank)
+	}
+	for _, pat := range p.Meta.Patterns {
+		if pat.Rule == m.Index && found != nil {
+			t.Fatalf("%s: an order, and a join plan too", m.Name)
+		}
+	}
+	return found
+}
+
+// describeOrder renders an order by its rule's variable names: the group,
+// then each key as name, "@time" for precedes, "-" before it when the
+// redactor is the greater, then "strict" or "ties".
+func describeOrder(o *Order) string {
+	names := make(map[VarRef]string)
+	for name, ref := range o.Rule.Bindings {
+		names[ref] = name
+	}
+	var b strings.Builder
+	b.WriteString("group")
+	for _, ref := range o.Group {
+		b.WriteString(" " + names[ref])
+	}
+	b.WriteString("; keys")
+	for _, k := range o.Keys {
+		b.WriteString(" ")
+		if k.Desc {
+			b.WriteString("-")
+		}
+		if k.Time {
+			b.WriteString("@time")
+		} else {
+			b.WriteString(names[k.Ref])
+		}
+	}
+	if o.Strict {
+		b.WriteString("; strict")
+	} else {
+		b.WriteString("; ties")
+	}
+	return b.String()
+}
+
+// TestRecogniseBundledOrders: eight of the thirteen bundled meta-rules are
+// dominance meta-rules and compile to orders with these groups, keys,
+// directions and tails; the other five stay join-form.
+func TestRecogniseBundledOrders(t *testing.T) {
+	want := map[string]map[string]string{
+		"alexsys": {
+			"one-award-per-pool":  "group p; keys o @time; strict",
+			"one-award-per-order": "group o; keys -a p; strict",
+		},
+		"manners": {
+			"start-one":  "group; keys g @time; strict",
+			"extend-one": "group; keys g2 @time; strict",
+		},
+		"circuit":    {"one-driver-per-wire": "group o; keys g; strict"},
+		"closure":    {"dedup-step": "group a c; keys @time; strict", "base-beats-step": ""},
+		"quickstart": {"one-count-per-cycle": "group; keys @time; strict"},
+		"waltz": {
+			"one-boundary-label": "group e; keys @time; strict",
+			"crossbar-pair":      "", "spread-race-e1": "", "spread-race-e2": "", "spread-race-e3": "",
+		},
+	}
+	orders, total := 0, 0
+	for prog, rules := range want {
+		p, byName := bundledMetaRules(t, prog)
+		if len(byName) != len(rules) {
+			t.Errorf("%s: %d meta-rules, want %d", prog, len(byName), len(rules))
+		}
+		for name, w := range rules {
+			m := byName[name]
+			if m == nil {
+				t.Fatalf("%s: no meta-rule %s", prog, name)
+			}
+			total++
+			o := orderOf(t, p, m)
+			got := ""
+			if o != nil {
+				got = describeOrder(o)
+				orders++
+			}
+			if got != w {
+				t.Errorf("%s %s: recognised as %q, want %q", prog, name, got, w)
+			}
+		}
+	}
+	if orders != 8 || total != 13 {
+		t.Errorf("%d orders among %d meta-rules, want 8 among 13", orders, total)
+	}
+}
+
+const orderRules = `
+(literalize item g a b)
+(rule r (item ^g <g> ^a <a> ^b <b>) --> (remove 1))
+(rule s (item ^g <g> ^a <a> ^b <b>) --> (remove 1))
+`
+
+// orderPair is two patterns over rule r that share ^g and bind ^a and ^b.
+const orderPair = "[<i> (r ^g <g> ^a <x> ^b <u>)] [<j> (r ^g <g> ^a <y> ^b <v>)]"
+
+// orderForms are meta-rules over orderRules with the order each compiles
+// to, described as describeOrder does: the forms the recogniser accepts,
+// written the ways a programmer might, and the near misses it must leave
+// to the join, which compile to none.
+var orderForms = []struct{ meta, want string }{
+	{orderPair + " (test (< <x> <y>)) --> (redact <j>)", "group g; keys a; strict"},
+	{orderPair + " (test (> <y> <x>)) --> (redact <j>)", "group g; keys a; strict"},
+	{orderPair + " (test (< <x> <y>)) --> (redact <i>)", "group g; keys -a; strict"},
+	{orderPair + " (test (<= <x> <y>)) --> (redact <j>)", "group g; keys a; ties"},
+	{orderPair + " (test (>= <x> <y>)) --> (redact <j>)", "group g; keys -a; ties"},
+	{orderPair + " --> (redact <j>)", "group g; keys; ties"},
+	{orderPair + " (test (precedes <j> <i>)) --> (redact <j>)", "group g; keys -@time; strict"},
+	{orderPair + " (test (or (> <x> <y>) (and (= <y> <x>) (<= <u> <v>)))) --> (redact <j>)", "group g; keys -a b; ties"},
+	{orderPair + " (test (or (< <x> <y>) (and (= <x> <y>) (or (> <u> <v>) (and (= <u> <v>) (precedes <i> <j>)))))) --> (redact <j>)",
+		"group g; keys a -b @time; strict"},
+	{"[<i> (r ^a <x>)] [<j> (r ^a <y>)] (test (< <x> <y>)) --> (redact <j>)", "group; keys a; strict"},
+	{"[<i> (r ^g <g> ^b <b>)] [<j> (r ^b <b> ^g <g>)] --> (redact <j>)", "group b g; keys; ties"},
+
+	// Near misses.
+	{orderPair + " (test (< <x> <y>)) --> (redact <i> <j>)", ""},
+	{"[<i> (r ^g <g> ^a <x>)] [<j> (r ^g <g> ^a <y> ^b 1)] (test (< <x> <y>)) --> (redact <j>)", ""},
+	{"[<i> (r ^g <g> ^a <x>)] [<j> (r ^b <g> ^a <y>)] (test (< <x> <y>)) --> (redact <j>)", ""},
+	{orderPair + " (test (<> <x> <y>)) --> (redact <j>)", ""},
+	{orderPair + " (test (< (tag <i>) (tag <j>))) --> (redact <j>)", ""},
+	{orderPair + " (test (or (< <x> <y>) (and (= <u> <v>) (precedes <i> <j>)))) --> (redact <j>)", ""},
+	{orderPair + " (test (or (<= <x> <y>) (and (= <x> <y>) (precedes <i> <j>)))) --> (redact <j>)", ""},
+	{orderPair + " (test (< <x> <v>)) --> (redact <j>)", ""},
+	{orderPair + " (test (< <x> <y>)) (test (< <u> <v>)) --> (redact <j>)", ""},
+	{orderPair + " (test (= <x> <y>)) --> (redact <j>)", ""},
+	{"[<i> (r ^g <g> ^a <x>)] [<j> (s ^g <g> ^a <y>)] (test (< <x> <y>)) --> (redact <j>)", ""},
+	{"[<i> (r ^g <g> ^a <x>)] [<j> (r ^g <g> ^a (> <x>))] --> (redact <j>)", ""},
+	{"[<i> (r ^g <g> ^a <x> ^b <x>)] [<j> (r ^g <g> ^a <y>)] (test (< <x> <y>)) --> (redact <j>)", ""},
+	{"[<i> (r ^g <g> ^a <x>)] [<j> (r ^g <g> ^a <y>)] [<k> (r ^g <g>)] (test (< <x> <y>)) --> (redact <j>)", ""},
+}
+
+// TestRecogniseOrderForms checks the recogniser on orderForms.
+func TestRecogniseOrderForms(t *testing.T) {
+	for _, tc := range orderForms {
+		p, err := CompileSource(orderRules + "(metarule m " + tc.meta + ")")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.meta, err)
+		}
+		got := ""
+		if o := orderOf(t, p, p.MetaRules[0]); o != nil {
+			got = describeOrder(o)
+		}
+		if got != tc.want {
+			t.Errorf("%s: recognised as %q, want %q", tc.meta, got, tc.want)
 		}
 	}
 }

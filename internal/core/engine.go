@@ -481,21 +481,18 @@ func (e *Engine) drop(in *match.Instantiation) {
 }
 
 // survivors syncs the meta level and returns the eligible instantiations
-// no tuple redacts, in table order, with the number redacted. The slice is
-// the engine's scratch, valid until the cycle commits.
+// no tuple or order redacts, in table order, with the number redacted. The
+// slice is the engine's scratch, valid until the cycle commits.
 func (e *Engine) survivors() ([]*match.Instantiation, int) {
 	e.meta.sync()
 	out := e.fireable[:0]
 	for i := range e.cs {
-		if s := &e.cs[i]; !s.fired && (s.img == nil || !s.img.Redacted()) {
+		if s := &e.cs[i]; !s.fired && (s.img == nil || !s.img.redacted()) {
 			out = append(out, s.in)
 		}
 	}
 	e.fireable = out
-	if e.meta == nil {
-		return out, 0
-	}
-	return out, e.meta.redacted
+	return out, len(e.cs) - e.refracted - len(out)
 }
 
 // RuleFires returns, per rule, how many instantiations fired over the run

@@ -679,8 +679,9 @@ func TestCommitOfMakesAllocatesNoClaims(t *testing.T) {
 
 // TestStepAllocationBudget holds a run to what it may allocate for each
 // instantiation entering the conflict set: the instantiation (the
-// matcher's), its meta-level image and field vector, its share of the
-// network's and the meta level's growth and of the firings' effects. The
+// matcher's), its meta-level image — and, where a join-form meta-rule names
+// its rule, its member and field vector — its share of the network's and the
+// meta level's growth and of the firings' effects. The
 // conflict-set table, the survivors and the effects are scratch the engine
 // keeps, so a fresh engine's run to quiescence pays for them once, in its
 // first cycles. A map keyed by instantiation on the cycle path grows with
@@ -702,7 +703,7 @@ func TestStepAllocationBudget(t *testing.T) {
 		load          func(workload.Inserter) error
 		allocs, bytes float64
 	}{
-		{"alexsys", alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 32, 1) }, 5.5, 1040},
+		{"alexsys", alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 40, 32, 1) }, 4.7, 562},
 		{"refracted", compileOK(t, `
 (literalize item n)
 (literalize out n)
@@ -715,7 +716,7 @@ func TestStepAllocationBudget(t *testing.T) {
 				}
 			}
 			return nil
-		}, 8.8, 1080},
+		}, 6.9, 846},
 	} {
 		e := New(tc.prog, Options{MaxCycles: 1 << 12})
 		if err := tc.load(e); err != nil {
@@ -744,12 +745,14 @@ func TestStepAllocationBudget(t *testing.T) {
 
 // TestMetaLevelByteBudget holds the meta level's resident state to a budget
 // per image on alexsys_run's instance, MemStats().Bytes over the images held
-// after the cycle that holds the most. An image is its member, field vector,
-// overflowing links and witness links, plus its share of the index tables;
-// anything kept per tuple, or per dependent beside the dependent's own
-// links, shows here. The budget is the figure measured with go1.24 plus 7%.
+// after the cycle that holds the most. Both of alexsys's meta-rules are
+// orders, so an image is itself and its ranks, plus its share of the groups;
+// a join-form meta-rule's would add its member, field vector, overflowing
+// links and witness links, and its share of the index tables. Anything kept
+// per tuple, or per dependent beside the dependent's own links, shows here.
+// The budget is the figure measured with go1.24 plus 7%.
 func TestMetaLevelByteBudget(t *testing.T) {
-	const budget = 547.0
+	const budget = 123.0
 	alexsys, err := programs.Load(programs.Alexsys)
 	if err != nil {
 		t.Fatal(err)

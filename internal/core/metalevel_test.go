@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -11,51 +12,59 @@ import (
 	"parulel/internal/compile"
 	"parulel/internal/lang"
 	"parulel/internal/match"
+	"parulel/internal/match/seeded"
 	"parulel/internal/wm"
 )
 
 // checkMetaLevel checks, between syncs, that the meta level's parts agree
 // with each other and with images, the images of the eligible
-// instantiations as their holder keeps them: every image is in exactly the
-// memories whose alpha tests it passes, and as the memories count no more
-// members than that, they hold no other; nothing is queued; every witness
-// holds eligible images only, and no image a witness names is gone; and the
-// redacted counter counts the images with a witness. How a memory links and
-// indexes its members, and how a witness is filed among its members'
-// dependents, is internal/match/seeded's, and its tests check it.
+// instantiations as their holder keeps them: every image is filed, and has
+// a member exactly when a join-form meta-rule names its rule; every member
+// is in exactly the memories whose alpha tests it passes, and as the
+// memories count no more members than that, they hold no other; nothing is
+// queued; every witness holds eligible images only, and no image a witness
+// names is gone; and the orders are what checkOrders says. How a memory
+// links and indexes its members, and how a witness is filed among its
+// members' dependents, is internal/match/seeded's, and its tests check it.
 func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	t.Helper()
-	if n := len(m.left) + len(m.entered); n != 0 {
+	if n := len(m.left) + len(m.entered) + len(m.lifted); n != 0 {
 		t.Fatalf("%d images still queued after a sync", n)
 	}
 	live := make(map[*image]bool, len(images))
+	members := make(map[*seeded.Member]bool, len(images))
 	for _, img := range images {
 		if live[img] {
-			t.Fatalf("image %v is held twice", img.In)
+			t.Fatalf("image %v is held twice", img.in)
 		}
 		live[img] = true
+		members[img.mb] = true
 	}
 	held := 0
 	for i := range m.w.Mems {
 		held += m.w.Mems[i].N
 	}
-	redacted, fits := 0, 0
+	fits := 0
 	for _, img := range images {
-		if !img.Laid() {
-			t.Fatalf("image %v: not laid out for the memories, or laid out no more", img.In)
+		mb := img.mb
+		if !img.filed || (mb != nil) != (len(m.pats[img.in.Rule.Index]) > 0) {
+			t.Fatalf("image %v: filed=%v, member %v: not filed, or retracted, or a member where no join-form pattern is", img.in, img.filed, mb)
 		}
-		if img.Redacted() {
-			redacted++
+		if mb == nil {
+			continue
 		}
-		img.Dependents(func(d *image, _ int) {
-			if !live[d] {
-				t.Fatalf("image %v: %v, which is not eligible, is still filed as its dependent", img.In, d.In)
+		if !mb.Laid() || mb.In != img.in || mb.Above != img.above {
+			t.Fatalf("image %v: member not laid out for the memories, or laid out no more, or another's, or %d orders redact it where the image counts %d", img.in, mb.Above, img.above)
+		}
+		mb.Dependents(func(d *seeded.Member, _ int) {
+			if !members[d] {
+				t.Fatalf("image %v: %v, which is not eligible, is still filed as its dependent", img.in, d.In)
 			}
 		})
-		for _, p := range m.patterns(img) {
-			fit := p.CE.MatchesAlpha(&img.W)
-			if fit != img.Held(p) {
-				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, held by its memory = %v", img.In, p.ID, fit, img.Held(p))
+		for _, p := range m.prog.Images[img.in.Rule.Index].Patterns {
+			fit := p.CE.MatchesAlpha(&mb.W)
+			if fit != mb.Held(p) {
+				t.Fatalf("image %v: passes pattern %d's alpha tests = %v, held by its memory = %v", img.in, p.ID, fit, mb.Held(p))
 			}
 			if fit {
 				fits++
@@ -65,12 +74,101 @@ func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 	if fits != held {
 		t.Fatalf("the memories hold %d images, the images fit %d patterns", held, fits)
 	}
-	if redacted != m.redacted {
-		t.Fatalf("%d images have a witness, the meta level counts %d", redacted, m.redacted)
-	}
 	for img, others := range witnesses(images) {
 		if slices.Contains(others, nil) {
-			t.Fatalf("image %v: its witness holds an image that is not eligible", img.In)
+			t.Fatalf("image %v: its witness holds an image that is not eligible", img.in)
+		}
+	}
+	checkOrders(t, m, images)
+}
+
+// checkOrders checks every order's groups against images: each image of an
+// order's rule is filed in the group of its group values, at the place its
+// rank says, unless one of them is a NaN; the groups hold nothing else; an
+// ordered group's class ties and comes before the rest; and
+// whether the order redacts a member is what evaluating the test on every
+// pair of the group finds, and how many orders do what the image counts.
+func checkOrders(t testing.TB, m *metaLevel, images []*image) {
+	t.Helper()
+	filed := 0
+	for _, img := range images {
+		above := int32(0)
+		for k, r := range m.orders[img.in.Rule.Index] {
+			rk := img.ranks[k]
+			if rk.redacted {
+				above++
+			}
+			h, ok := r.key(img.in.WMEs)
+			if !ok {
+				if rk != (rank{}) {
+					t.Fatalf("%v: a NaN group value, and a rank %+v under %s", img.in, rk, m.rules[r.o.Meta].Name)
+				}
+				continue
+			}
+			filed++
+			g := r.find(h, img.in.WMEs)
+			if g == nil || rk.g != g {
+				t.Fatalf("%v: rank %+v under %s, not in its group %p", img.in, rk, m.rules[r.o.Meta].Name, g)
+			}
+			in := g.rest
+			if rk.inMin {
+				in = g.min
+			}
+			if int(rk.at) >= len(in) || in[rk.at] != img {
+				t.Fatalf("%v: rank %+v under %s, not in its group %p", img.in, rk, m.rules[r.o.Meta].Name, g)
+			}
+			redacted := false
+			r.each(func(h *group, w *image) {
+				redacted = redacted || h == g && w != img && r.o.Redacts(w.in.WMEs, img.in.WMEs)
+			})
+			if rk.redacted != redacted {
+				t.Fatalf("%v: %s redacts it = %v, the test on every pair of its group says %v", img.in, m.rules[r.o.Meta].Name, rk.redacted, redacted)
+			}
+		}
+		if above != img.above {
+			t.Fatalf("%v: %d orders redact it, the image counts %d", img.in, above, img.above)
+		}
+	}
+	members := 0
+	for _, rs := range m.orders {
+		for _, r := range rs {
+			for _, g := range r.groups {
+				for ; g != nil; g = g.next {
+					checkGroup(t, r, g)
+					members += len(g.min) + len(g.rest)
+				}
+			}
+		}
+	}
+	if members != filed {
+		t.Fatalf("the groups hold %d images, %d are filed in one", members, filed)
+	}
+}
+
+// checkGroup checks one group's order: a class that ties and comes before
+// the rest, unless a member holds a NaN, and then no class.
+func checkGroup(t testing.TB, r *ranking, g *group) {
+	t.Helper()
+	nan := 0
+	for _, x := range append(slices.Clone(g.min), g.rest...) {
+		if !r.o.Regular(x.in.WMEs) {
+			nan++
+		}
+	}
+	if nan != g.nan || len(g.min)+len(g.rest) == 0 || nan > 0 && len(g.min) > 0 || nan == 0 && len(g.min) == 0 {
+		t.Fatalf("group of %d and %d: %d NaN members, counts %d", len(g.min), len(g.rest), nan, g.nan)
+	}
+	if nan > 0 {
+		return
+	}
+	for _, x := range g.min {
+		if c := r.o.Compare(x.in.WMEs, g.min[0].in.WMEs); c != 0 {
+			t.Fatalf("%v and %v share a class, compare %d", x.in, g.min[0].in, c)
+		}
+	}
+	for _, x := range g.rest {
+		if c := r.o.Compare(g.min[0].in.WMEs, x.in.WMEs); c >= 0 {
+			t.Fatalf("%v is in the rest, %v in the class, compare %d", x.in, g.min[0].in, c)
 		}
 	}
 }
@@ -80,9 +178,19 @@ func checkMetaLevel(t testing.TB, m *metaLevel, images []*image) {
 // the dependents of each image in images: a place an image outside images
 // fills stays nil, unless it is the last.
 func witnesses(images []*image) map[*image][]*image {
+	of := make(map[*seeded.Member]*image, len(images))
+	for _, x := range images {
+		if x.mb != nil {
+			of[x.mb] = x
+		}
+	}
 	out := make(map[*image][]*image)
 	for _, x := range images {
-		x.Dependents(func(d *image, at int) {
+		if x.mb == nil {
+			continue
+		}
+		x.mb.Dependents(func(dm *seeded.Member, at int) {
+			d := of[dm]
 			if others := out[d]; at >= len(others) {
 				out[d] = append(others, make([]*image, at+1-len(others))...)
 			}
@@ -94,13 +202,14 @@ func witnesses(images []*image) map[*image][]*image {
 
 // checkWitnesses checks every image against the oracle joiner over the same
 // eligible set: a redacted image's witness is a tuple of eligible
-// instantiations the oracle confirms redacts it; an image without one is
-// one no tuple redacts; explain has an account exactly for the redacted
-// ones and, while no meta-rule names a victim twice, counts the tuples the
-// oracle does; and the instantiations without a witness are the oracle's
-// survivors. imgs holds what enter returned for each eligible
-// instantiation. It returns how many tuples redact an image, counted once
-// per image a tuple redacts.
+// instantiations the oracle confirms redacts it, and an image an order
+// redacts has a member of its group the oracle confirms redacts it; an
+// image without either is one no tuple redacts; explain has an account
+// exactly for the redacted ones and, while no meta-rule names a victim
+// twice, counts the tuples the oracle does; and the instantiations not
+// redacted are the oracle's survivors. imgs holds what enter returned for
+// each eligible instantiation. It returns how many tuples redact an image,
+// counted once per image a tuple redacts.
 func checkWitnesses(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible []*match.Instantiation, imgs map[*match.Instantiation]*image) (tuples int) {
 	t.Helper()
 	want := oracle.kills(eligible)
@@ -116,9 +225,10 @@ func checkWitnesses(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible
 	}
 	wits := witnesses(held)
 	var got []*match.Instantiation
+	redacted := 0
 	for _, in := range eligible {
 		img := imgs[in]
-		if img == nil || img.In != in {
+		if img == nil || img.in != in {
 			t.Fatalf("%v: no image, or the image of an instantiation that has left", in)
 		}
 		tuples += want[in.Key()]
@@ -132,10 +242,17 @@ func checkWitnesses(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible
 		if explained > want[in.Key()] || mentionsOnce && explained != want[in.Key()] || (explained == 0) != (want[in.Key()] == 0) {
 			t.Fatalf("%v: explain accounts for %d tuples, a recount finds %d", in, explained, want[in.Key()])
 		}
-		if !img.Redacted() {
+		if !img.redacted() {
 			got = append(got, in)
 			if want[in.Key()] != 0 {
-				t.Fatalf("%v: no witness, but %d tuples redact it", in, want[in.Key()])
+				t.Fatalf("%v: not redacted, but %d tuples redact it", in, want[in.Key()])
+			}
+			continue
+		}
+		redacted++
+		if img.above > 0 {
+			if !orderRedacts(m, oracle, img) {
+				t.Fatalf("%v: an order redacts it, but no member of its group does by the oracle", in)
 			}
 			continue
 		}
@@ -144,17 +261,37 @@ func checkWitnesses(t *testing.T, m *metaLevel, oracle *oracleRedactor, eligible
 			if x == nil {
 				t.Fatalf("%v: its witness holds an instantiation that is not eligible", in)
 			}
-			others[i] = x.In
+			others[i] = x.in
 		}
 		if !witnessRedacts(oracle, m.rules, others, in) {
 			t.Fatalf("%v: no meta-rule redacts it by a tuple of it and %v, its witness", in, others)
 		}
 	}
 	keep, _, n := oracle.run(eligible)
-	if m.redacted != n || !sameInstantiations(got, keep) {
-		t.Fatalf("survivors %v (%d redacted), oracle keeps %v (%d)", got, m.redacted, keep, n)
+	if redacted != n || !sameInstantiations(got, keep) {
+		t.Fatalf("survivors %v (%d redacted), oracle keeps %v (%d)", got, redacted, keep, n)
 	}
 	return tuples
+}
+
+// orderRedacts reports whether, under some order that says it redacts img,
+// the oracle finds a member of img's group whose pair with img matches the
+// order's meta-rule and redacts img.
+func orderRedacts(m *metaLevel, oracle *oracleRedactor, img *image) bool {
+	for k, r := range m.orders[img.in.Rule.Index] {
+		rk := img.ranks[k]
+		if !rk.redacted {
+			continue
+		}
+		for _, part := range [][]*image{rk.g.min, rk.g.rest} {
+			for _, w := range part {
+				if w != img && witnessRedacts(oracle, m.rules[r.o.Meta:r.o.Meta+1], []*match.Instantiation{w.in}, img.in) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // witnessRedacts reports whether the oracle finds a meta-rule that redacts
@@ -215,8 +352,9 @@ const metaLevelRules = `
 // twice, an instantiation that leaves and comes back under the same key
 // within a sync, one that fires and stays in the conflict set, and
 // entrants a restored refraction set already names, which never become
-// eligible. It returns how many tuples the recounts found.
-func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples int) {
+// eligible. Fields hold values. It returns how many tuples the recounts
+// found.
+func driveMetaLevel(t *testing.T, src string, values []wm.Value, seed int64, rounds int) (tuples int) {
 	t.Helper()
 	ast, err := lang.Parse(src)
 	if err != nil {
@@ -236,13 +374,14 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 	m := newMetaLevel(prog)
 	oracle := newOracle(prog)
 	mem := wm.NewMemory(prog.Schema)
+	value := func() wm.Value { return values[rng.Intn(len(values))] }
 	var pool []*match.Instantiation
 	for _, r := range prog.Rules {
 		if prog.Meta.Images[r.Index] == nil {
 			continue
 		}
 		for i := 0; i < 9; i++ {
-			fields := []wm.Value{wm.Int(int64(rng.Intn(3))), wm.Int(int64(rng.Intn(3))), wm.Int(int64(rng.Intn(3)))}
+			fields := []wm.Value{value(), value(), value()}
 			pool = append(pool, match.NewInstantiation(r, []*wm.WME{mem.InsertFields(r.CEs[0].Tmpl, fields)}))
 		}
 	}
@@ -296,6 +435,15 @@ func driveMetaLevel(t *testing.T, src string, seed int64, rounds int) (tuples in
 	return tuples
 }
 
+// smallInts are the named cases' field values. mixedValues add, for the
+// generated programs and their orders, a float that ties with an int under
+// the relational operators, a symbol, which comes after every number, and a
+// NaN, which sends its group under an order to be settled pair by pair.
+var (
+	smallInts   = []wm.Value{wm.Int(0), wm.Int(1), wm.Int(2)}
+	mixedValues = []wm.Value{wm.Int(0), wm.Int(1), wm.Int(2), wm.Int(0), wm.Int(1), wm.Int(2), wm.Float(1), wm.Float(math.NaN()), wm.Sym("a")}
+)
+
 // TestMetaLevelKillCounts is the model-based test of the lazy meta level:
 // the model is the oracle joiner's count from scratch of the tuples that
 // redact each image, against which every witness is checked.
@@ -303,7 +451,7 @@ func TestMetaLevelKillCounts(t *testing.T) {
 	for i, tc := range metaLevelCases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
-				if driveMetaLevel(t, metaLevelRules+tc.metas, seed+int64(10*i), 60) == 0 {
+				if driveMetaLevel(t, metaLevelRules+tc.metas, smallInts, seed+int64(10*i), 60) == 0 {
 					t.Fatal("no tuple ever matched: the case tests nothing")
 				}
 			}
@@ -314,7 +462,7 @@ func TestMetaLevelKillCounts(t *testing.T) {
 		matching := 0
 		for seed := int64(1); seed <= seeds; seed++ {
 			src := genMetaProgram(rand.New(rand.NewSource(seed)))
-			if driveMetaLevel(t, src, seed, 25) > 0 {
+			if driveMetaLevel(t, src, mixedValues, seed, 25) > 0 {
 				matching++
 			}
 			if t.Failed() {
@@ -328,10 +476,12 @@ func TestMetaLevelKillCounts(t *testing.T) {
 }
 
 // TestMetaLevelChurn keeps one meta level alive through 100k rounds of an
-// instantiation entering and an old one leaving, over join keys that never
-// repeat, beside two images that stay and are redacted by whatever passes.
-// Memories, index tables and witnesses must come back to where they started
-// and no image may outlive its instantiation.
+// instantiation entering and an old one leaving, over join and group keys
+// that never repeat, beside two images that stay and are redacted by
+// whatever passes. Memories, index tables, groups and witnesses must come
+// back to where they started and no image may outlive its instantiation.
+// best-of-group is an order; best-of-group-by-tag redacts the same images
+// by a join, since it reads a tag.
 func TestMetaLevelChurn(t *testing.T) {
 	prog := compileOK(t, `
 (literalize item group rank)
@@ -340,6 +490,12 @@ func TestMetaLevelChurn(t *testing.T) {
   [<i> (take ^g <g> ^r <r1>)]
   [<j> (take ^g <g> ^r <r2>)]
   (test (< <r1> <r2>))
+-->
+  (redact <j>))
+(metarule best-of-group-by-tag
+  [<i> (take ^g <g> ^r <r1>)]
+  [<j> (take ^g <g> ^r <r2>)]
+  (test (and (< <r1> <r2>) (> (tag <i>) 0)))
 -->
   (redact <j>))
 (metarule outranked
@@ -380,7 +536,7 @@ func TestMetaLevelChurn(t *testing.T) {
 	m.sync()
 	base, baseImages := m.memStats(), m.bytes
 	// The second outranks the first, the first is the best of the group.
-	if !imgs[stay[0]].Redacted() || !imgs[stay[1]].Redacted() {
+	if !imgs[stay[0]].redacted() || !imgs[stay[1]].redacted() {
 		t.Fatal("the two that stay start without a witness each")
 	}
 
@@ -390,7 +546,7 @@ func TestMetaLevelChurn(t *testing.T) {
 		rounds = 5000
 	}
 	var live []*match.Instantiation
-	maxTables, maxHeld := 0, 0
+	maxTables, maxHeld, maxGroups := 0, 0, 0
 	for i := 0; i < rounds; i++ {
 		// Two to a group, so best-of-group matches; ranks pass the stayers'.
 		in := inst(1+i/2, i%9)
@@ -403,20 +559,21 @@ func TestMetaLevelChurn(t *testing.T) {
 			live = live[1:]
 		}
 		m.sync()
-		maxTables, maxHeld = max(maxTables, tables()), max(maxHeld, m.memStats().AlphaItems)
+		maxTables, maxHeld, maxGroups = max(maxTables, tables()), max(maxHeld, m.memStats().AlphaItems), max(maxGroups, len(m.orders[0][0].groups))
 		if i%997 == 0 {
 			eligible := append(append([]*match.Instantiation(nil), stay...), live...)
 			checkMetaLevel(t, m, images(eligible))
 			checkWitnesses(t, m, oracle, eligible, imgs)
 		}
 	}
-	// Three indexed memories (outranked joins on nothing), at most window+2
+	// Two indexed memories (outranked joins on nothing), at most window+2
 	// buckets each: 64 slots of 24 bytes.
-	if maxTables > 3*64*24 {
+	if maxTables > 2*64*24 {
 		t.Fatalf("index tables grew to %d bytes over %d live images", maxTables, window+2)
 	}
-	if maxHeld > 4*(window+3) {
-		t.Fatalf("the memories grew to %d images over %d live ones", maxHeld, window+2)
+	// Four memories and one order hold each image.
+	if maxHeld > 5*(window+3) || maxGroups > window/2+3 {
+		t.Fatalf("the memories and the order grew to %d images and %d groups over %d live ones", maxHeld, maxGroups, window+2)
 	}
 	for _, in := range live {
 		m.leave(imgs[in])
@@ -427,8 +584,8 @@ func TestMetaLevelChurn(t *testing.T) {
 		t.Fatalf("with the passers-by gone the meta level holds %+v (%d bytes of images), started with %+v (%d)", ms, m.bytes, base, baseImages)
 	}
 	for _, in := range stay {
-		if !imgs[in].Redacted() {
-			t.Fatalf("%v: no witness after the churn", in)
+		if !imgs[in].redacted() {
+			t.Fatalf("%v: not redacted after the churn", in)
 		}
 	}
 	for _, in := range stay {
@@ -436,8 +593,8 @@ func TestMetaLevelChurn(t *testing.T) {
 	}
 	m.sync()
 	checkMetaLevel(t, m, nil)
-	if ms := m.memStats(); ms != (match.MemStats{}) || tables() != 0 || m.redacted != 0 {
-		t.Fatalf("emptied meta level holds %+v, %d bytes of index tables, %d redacted", ms, tables(), m.redacted)
+	if ms := m.memStats(); ms != (match.MemStats{}) || tables() != 0 || len(m.orders[0][0].groups) != 0 {
+		t.Fatalf("emptied meta level holds %+v, %d bytes of index tables, %d groups", ms, tables(), len(m.orders[0][0].groups))
 	}
 }
 
@@ -463,8 +620,8 @@ func TestMetaLevelWitnessMemoryFlat(t *testing.T) {
 		in := inst(take, i)
 		img := m.enter(in)
 		m.sync()
-		if !img.Redacted() || lock.Dependent() != img {
-			t.Fatalf("passer %d: redacted=%v, the lock's dependent is %v", i, img.Redacted(), lock.Dependent())
+		if !img.redacted() || lock.mb.Dependent() != img.mb {
+			t.Fatalf("passer %d: redacted=%v, the lock's dependent is %v", i, img.redacted(), lock.mb.Dependent())
 		}
 		m.leave(img)
 		m.sync()
@@ -484,8 +641,8 @@ func TestMetaLevelWitnessMemoryFlat(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if lock.Dependent() != nil || m.redacted != 0 {
-		t.Fatalf("with every passer gone the lock keeps dependent %v and %d images are redacted", lock.Dependent(), m.redacted)
+	if lock.mb.Dependent() != nil {
+		t.Fatalf("with every passer gone the lock keeps dependent %v", lock.mb.Dependent())
 	}
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 256<<10 {
 		t.Fatalf("the live heap grew by %d bytes over %d passers", grew, passers)
@@ -493,7 +650,10 @@ func TestMetaLevelWitnessMemoryFlat(t *testing.T) {
 	runtime.KeepAlive(lock)
 }
 
-const equalityFreeProgram = `
+// equalityFreePrograms are one meta-rule with no equality join, as an
+// order and, since it reads a tag, as a join-form meta-rule.
+var equalityFreePrograms = []struct{ name, src string }{
+	{"order", `
 (literalize item n)
 (rule take (item ^n <n>) --> (remove 1))
 (metarule lowest
@@ -502,19 +662,37 @@ const equalityFreeProgram = `
   (test (< <a> <b>))
 -->
   (redact <j>))
-`
+`},
+	{"join", `
+(literalize item n)
+(rule take (item ^n <n>) --> (remove 1))
+(metarule lowest
+  [<i> (take ^n <a>)]
+  [<j> (take ^n <b>)]
+  (test (and (< <a> <b>) (> (tag <i>) 0)))
+-->
+  (redact <j>))
+`},
+}
 
 // TestMetaLevelAllocationBudget holds the meta level to what it may
 // allocate: a constant per image — the image, its WME and field vector, its
-// witness, and its share of the growth of the two memories and the queues
-// — and nothing per meta-match. Under a meta-rule with no equality join n
-// images match n(n-1)/2 tuples, so anything kept or allocated per tuple
-// shows as growth in the per-image figure from 64 to 256 images; 256 is the
-// instance that cost 8 MB while meta-matches were stored.
+// witness, and its share of the growth of the two memories and the queues,
+// or of its group — and nothing per meta-match. Under a meta-rule with no
+// equality join n images match n(n-1)/2 tuples, so anything kept or
+// allocated per tuple shows as growth in the per-image figure from 64 to
+// 256 images; 256 is the instance that cost 8 MB while meta-matches were
+// stored.
 func TestMetaLevelAllocationBudget(t *testing.T) {
-	prog := compileOK(t, equalityFreeProgram)
+	for _, tc := range equalityFreePrograms {
+		t.Run(tc.name, func(t *testing.T) { testMetaLevelAllocationBudget(t, compileOK(t, tc.src)) })
+	}
+}
+
+func testMetaLevelAllocationBudget(t *testing.T, prog *compile.Program) {
 	mem := wm.NewMemory(prog.Schema)
 	take := prog.Rules[0]
+	order := len(prog.Meta.Orders) > 0
 	var pool []*match.Instantiation
 	for i := 0; i < 256; i++ {
 		w := mem.InsertFields(take.CEs[0].Tmpl, []wm.Value{wm.Int(int64(i))})
@@ -528,9 +706,20 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 			imgs[i] = m.enter(in)
 		}
 		m.sync()
-		// One witness per image but the lowest, and no other tuple found.
-		if got := m.profs[0].insts; got != uint64(n-1) || m.redacted != n-1 {
-			t.Fatalf("%d images: %d tuples found and %d redacted, want %d and %d", n, got, m.redacted, n-1, n-1)
+		redacted := 0
+		for _, img := range imgs[:n] {
+			if img.redacted() {
+				redacted++
+			}
+		}
+		// One witness per image but the lowest, and no other tuple found;
+		// or one minimum, the first to enter.
+		want := uint64(n - 1)
+		if order {
+			want = 1
+		}
+		if got := m.profs[0].insts; got != want || redacted != n-1 {
+			t.Fatalf("%d images: %d tuples found or minimum changes and %d redacted, want %d and %d", n, got, redacted, want, n-1)
 		}
 		return m
 	}
@@ -559,10 +748,15 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > bytesPerImage*uint64(n) {
 			t.Errorf("%d images: %d bytes allocated, %d per image, budget %d", n, bytes, bytes/uint64(n), bytesPerImage)
 		}
-		// Resident state: every image in both patterns' memories, nothing
-		// else anywhere, and the images' bytes.
-		if ms := m.memStats(); ms != (match.MemStats{AlphaItems: 2 * n, Bytes: m.bytes}) || m.bytes < n*int(unsafe.Sizeof(image{})) {
-			t.Errorf("%d images: meta level holds %+v, want %d memory entries, at least %d bytes and nothing else", n, ms, 2*n, n*int(unsafe.Sizeof(image{})))
+		// Resident state: every image in both patterns' memories, or once
+		// in the order's one group; nothing else anywhere, and the images'
+		// bytes.
+		want := match.MemStats{AlphaItems: 2 * n, Bytes: m.bytes}
+		if order {
+			want = match.MemStats{AlphaItems: n, Bytes: m.bytes + m.orders[0][0].bytes()}
+		}
+		if ms := m.memStats(); ms != want || m.bytes < n*int(unsafe.Sizeof(image{})) {
+			t.Errorf("%d images: meta level holds %+v, want %+v and at least %d bytes of images", n, ms, want, n*int(unsafe.Sizeof(image{})))
 		}
 	}
 }
@@ -570,38 +764,43 @@ func TestMetaLevelAllocationBudget(t *testing.T) {
 // TestEngineMetaMemStatsLinear is the same bound seen from outside: after a
 // cycle on n eligible instantiations under an equality-free meta-rule the
 // engine reports at most 2n resident meta-level items — each image in the
-// memories of the two patterns — and no tokens or stored meta-matches.
+// memories of the two patterns, or once in the order — and no tokens or
+// stored meta-matches.
 func TestEngineMetaMemStatsLinear(t *testing.T) {
-	prog := compileOK(t, equalityFreeProgram)
-	for _, n := range []int{64, 128, 256} {
-		e := New(prog, Options{MaxCycles: 4})
-		for i := 0; i < n; i++ {
-			if _, err := e.Insert("item", map[string]wm.Value{"n": wm.Int(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if res := e.CurrentResult(); res.Firings != 1 || res.Redactions != n-1 {
-			t.Fatalf("n=%d: %+v, want one firing and the rest redacted", n, res)
-		}
-		_, meta := e.MemStats()
-		if meta.AlphaItems > 2*n || meta.BetaTokens != 0 || meta.ConflictSet != 0 {
-			t.Errorf("n=%d: meta level reports %+v, want at most %d images and nothing else", n, meta, 2*n)
-		}
-		var found, probes uint64
-		for _, p := range e.RuleProfiles() {
-			if p.Rule == "lowest" {
-				found, probes = p.Insts, p.Probes
-				if p.Tokens != 0 || p.MatchNS <= 0 {
-					t.Errorf("n=%d: meta row %+v, want no tokens and some match time", n, p)
+	for _, tc := range equalityFreePrograms {
+		prog := compileOK(t, tc.src)
+		for _, n := range []int{64, 128, 256} {
+			e := New(prog, Options{MaxCycles: 4})
+			for i := 0; i < n; i++ {
+				if _, err := e.Insert("item", map[string]wm.Value{"n": wm.Int(int64(i))}); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		// One witness for each redacted image, each found in a probe or more.
-		if want := uint64(n - 1); found != want || probes < want {
-			t.Errorf("n=%d: meta row counts %d tuples in %d probes, want %d tuples", n, found, probes, want)
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if res := e.CurrentResult(); res.Firings != 1 || res.Redactions != n-1 {
+				t.Fatalf("%s n=%d: %+v, want one firing and the rest redacted", tc.name, n, res)
+			}
+			_, meta := e.MemStats()
+			if meta.AlphaItems > 2*n || meta.BetaTokens != 0 || meta.ConflictSet != 0 {
+				t.Errorf("%s n=%d: meta level reports %+v, want at most %d images and nothing else", tc.name, n, meta, 2*n)
+			}
+			var found, probes uint64
+			for _, p := range e.RuleProfiles() {
+				if p.Rule == "lowest" {
+					found, probes = p.Insts, p.Probes
+					if p.Tokens != 0 || p.MatchNS <= 0 {
+						t.Errorf("%s n=%d: meta row %+v, want no tokens and some match time", tc.name, n, p)
+					}
+				}
+			}
+			// One witness for each redacted image, each found in a probe or
+			// more; or at least one minimum, and a comparison for each
+			// entrant but the first.
+			if want := uint64(n - 1); tc.name == "join" && found != want || tc.name == "order" && (found == 0 || found > uint64(n)) || probes < want {
+				t.Errorf("%s n=%d: meta row counts %d tuples or minimum changes in %d probes", tc.name, n, found, probes)
+			}
 		}
 	}
 }

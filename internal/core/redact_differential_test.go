@@ -72,8 +72,12 @@ func TestRedactionDifferentialBuiltins(t *testing.T) {
 // their computed forms), and 2- and 3-pattern meta-rules with and without
 // an equality join, constant, disjunction, predicate and intra-pattern
 // tests, and `tag` / `precedes` / `rulename` in their test expressions.
-// Each firing consumes its element, so redacted instantiations come back
-// in later cycles against a shrinking eligible set.
+// Then a dominance meta-rule (genDominance), which the meta level runs as
+// an order, and a join-form meta-rule that redacts instantiations of the
+// same rule, so that an image an order stops redacting must look for a
+// witness. Facts hold ints, floats and symbols. Each firing consumes its
+// element, so redacted instantiations come back in later cycles against a
+// shrinking eligible set.
 func genMetaProgram(rng *rand.Rand) string {
 	var b strings.Builder
 	b.WriteString("(literalize item k a b)\n(literalize part k a b)\n")
@@ -133,13 +137,61 @@ func genMetaProgram(rng *rand.Rand) string {
 		}
 		b.WriteString("))\n")
 	}
+	victim := rules[rng.Intn(2)]
+	genDominance(&b, rng, victim)
+	fmt.Fprintf(&b, "(metarule joined [<i> (%s ^a <a>)] [<j> (%s ^k <a> ^b (<> 2))] --> (redact <i>))\n", victim, rules[rng.Intn(2)])
 	b.WriteString("(wm")
+	values := []string{"0", "1", "2", "1.0", "1.5", "a", "b"}
 	for f, facts := 0, 6+rng.Intn(14); f < facts; f++ {
 		tmpl := []string{"item", "part"}[rng.Intn(2)]
-		fmt.Fprintf(&b, "\n  (%s ^k %d ^a %d ^b %d)", tmpl, rng.Intn(3), rng.Intn(3), rng.Intn(3))
+		fmt.Fprintf(&b, "\n  (%s ^k %s ^a %s ^b %s)", tmpl, values[rng.Intn(len(values))], values[rng.Intn(len(values))], values[rng.Intn(len(values))])
 	}
 	b.WriteString(")\n")
 	return b.String()
+}
+
+// genDominance writes a dominance meta-rule over rule in one of the forms
+// the recogniser accepts: with a group (^k) or without; keyed on one or two
+// of ^a and ^b, each by `<` or `>` written either way round, ending in a
+// strict or non-strict comparison or in `precedes` either way round, or by
+// `precedes` alone; or with no test at all, a mutual kill.
+func genDominance(b *strings.Builder, rng *rand.Rand, rule string) {
+	k := []string{"<k0>", "<k1>"}
+	if rng.Intn(2) == 0 {
+		k = []string{"<k>", "<k>"}
+	}
+	fmt.Fprintf(b, "(metarule dominates\n  [<i> (%s ^k %s ^a <a0> ^b <b0>)]\n  [<j> (%s ^k %s ^a <a1> ^b <b1>)]\n", rule, k[0], rule, k[1])
+	pick := func(of ...string) string { return of[rng.Intn(len(of))] }
+	compare := func(op, field string) string {
+		if rng.Intn(2) == 0 {
+			return fmt.Sprintf("(%s <%s0> <%s1>)", op, field, field)
+		}
+		mirror := map[string]string{"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}[op]
+		return fmt.Sprintf("(%s <%s1> <%s0>)", mirror, field, field)
+	}
+	fields := []string{"a", "b"}
+	rng.Shuffle(len(fields), func(i, j int) { fields[i], fields[j] = fields[j], fields[i] })
+	var test func(keys []string, tail int) string
+	test = func(keys []string, tail int) string {
+		switch {
+		case len(keys) == 0:
+			return pick("(precedes <i> <j>)", "(precedes <j> <i>)")
+		case len(keys) == 1 && tail == 1:
+			return compare(pick("<", ">"), keys[0])
+		case len(keys) == 1 && tail == 2:
+			return compare(pick("<=", ">="), keys[0])
+		}
+		return fmt.Sprintf("(or %s (and %s %s))", compare(pick("<", ">"), keys[0]), compare("=", keys[0]), test(keys[1:], tail))
+	}
+	switch tail := rng.Intn(4); tail {
+	case 3:
+		// No test: every pair of a group ties, and both die.
+	case 0:
+		fmt.Fprintf(b, "  (test %s)\n", test(fields[:rng.Intn(3)], tail))
+	default:
+		fmt.Fprintf(b, "  (test %s)\n", test(fields[:1+rng.Intn(2)], tail))
+	}
+	fmt.Fprintf(b, "-->\n  (redact %s))\n", pick("<i>", "<j>"))
 }
 
 // checkGenerated compiles one generated program and runs it against the
@@ -317,7 +369,7 @@ func TestNoMetaRulesNoMetaLevel(t *testing.T) {
 		}
 	}
 	// The same holds for what a program with meta-rules pays once they are
-	// stripped: the stripped program runs without reifying anything.
+	// stripped: the stripped program runs without an image of anything.
 	stripped, err := programs.LoadWithoutMetaRules(programs.Alexsys)
 	if err != nil {
 		t.Fatal(err)
@@ -332,14 +384,14 @@ func TestNoMetaRulesNoMetaLevel(t *testing.T) {
 			if err := workload.Alexsys(e, 6, 5, 1); err != nil {
 				t.Fatal(err)
 			}
-			// One match phase and no more: what differs is reification.
+			// One match phase and no more: what differs is the images.
 			e.applyDelta(e.takePending())
 			e.meta.sync()
 		})
 	}
 	without, with := build(stripped), build(full)
 	if with <= without {
-		t.Fatalf("reifying alexsys allocated %.0f, not more than the %.0f of the stripped program: the test measures nothing", with, without)
+		t.Fatalf("alexsys's images allocated %.0f, not more than the %.0f of the stripped program: the test measures nothing", with, without)
 	}
 	var noMeta *metaLevel
 	if extra := testing.AllocsPerRun(100, func() {
@@ -352,8 +404,9 @@ func TestNoMetaRulesNoMetaLevel(t *testing.T) {
 
 // TestOnlyNamedRulesAreReified: on waltz the meta-patterns name
 // boundary-edge, tee-crossbar-* and spread-*; corner-pair — the hot rule,
-// thousands of instantiations — and the rest must not be reified. Image
-// counts are checked exactly, and reification's allocations must scale
+// thousands of instantiations — and the rest must have no image (and
+// boundary-edge, which only an order names, images that reify nothing).
+// Image counts are checked exactly, and the images' allocations must scale
 // with the named rules' instantiations only.
 func TestOnlyNamedRulesAreReified(t *testing.T) {
 	prog, err := programs.Load(programs.Waltz)
@@ -398,8 +451,8 @@ func TestOnlyNamedRulesAreReified(t *testing.T) {
 				e.result.Cycles, len(images), eligibleNamed)
 		}
 		for _, img := range images {
-			if !named[img.W.Tmpl.Name] {
-				t.Fatalf("image of unnamed rule %s", img.W.Tmpl.Name)
+			if !named[img.in.Rule.Name] {
+				t.Fatalf("image of unnamed rule %s", img.in.Rule.Name)
 			}
 		}
 		checkMetaLevel(t, e.meta, images)

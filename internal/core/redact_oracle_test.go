@@ -308,7 +308,7 @@ func checkTable(t testing.TB, e *Engine) (images []*image) {
 		if s.fired {
 			refracted++
 		}
-		if want := !s.fired && e.meta.reifies(s.in); (s.img != nil) != want || s.img != nil && s.img.In != s.in {
+		if want := !s.fired && e.meta.reifies(s.in); (s.img != nil) != want || s.img != nil && s.img.in != s.in {
 			t.Fatalf("entry %d (%v, fired=%v): image %v, want one of its own: %v", i, s.in, s.fired, s.img, want)
 		}
 		if s.img != nil {

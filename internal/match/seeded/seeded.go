@@ -34,6 +34,10 @@ type Member struct {
 	// it has none. Its array is kept for the next witness.
 	In  *match.Instantiation
 	wit []link
+	// Above counts the orders (internal/core/order.go) that redact the
+	// image: a member so redacted needs no witness, as one with a witness
+	// needs no other.
+	Above int32
 	// deps chains the links, in other members' witnesses, that hold this
 	// one: the members that lose their witness when it leaves.
 	deps *link
@@ -57,16 +61,21 @@ type link struct {
 	pprev **link
 }
 
-// NewImage returns the meta level's member for in, allocated with the link
-// of a witness of two members — every builtin meta-rule's — so that its
+// Image is the meta level's member with the link of a witness of two
+// members — every builtin join-form meta-rule's — beside it, so that its
 // witnesses allocate nothing: on the builtin programs nearly every image
 // is redacted at some point, and a link allocated by its first witness
-// would be one allocation more for each.
-func NewImage(in *match.Instantiation) *Member {
-	img := &struct {
-		Member
-		one [1]link
-	}{Member: Member{In: in}}
+// would be one allocation more for each. The meta level allocates it
+// within its own record of the image.
+type Image struct {
+	Member
+	one [1]link
+}
+
+// Init makes the image's member the member for in, with no witness, and
+// returns it.
+func (img *Image) Init(in *match.Instantiation) *Member {
+	img.Member = Member{In: in}
 	img.wit = img.one[:0]
 	return &img.Member
 }
@@ -105,12 +114,16 @@ func (mb *Member) Bytes() int {
 	return n
 }
 
-// Redacted reports whether the member has a witness.
-func (mb *Member) Redacted() bool { return len(mb.wit) != 0 }
+// Redacted reports whether the member has a witness or an order redacts
+// it.
+func (mb *Member) Redacted() bool { return len(mb.wit) != 0 || mb.Above != 0 }
+
+// Witnessed reports whether the member has a witness.
+func (mb *Member) Witnessed() bool { return len(mb.wit) != 0 }
 
 // Witness makes tuple, a tuple of distinct members holding mb, mb's
 // witness, and files mb among the dependents of every other member of it.
-// mb has no witness. It returns how many bytes mb grew by.
+// mb is not redacted. It returns how many bytes mb grew by.
 func (mb *Member) Witness(tuple []*Member) (grew int) {
 	n := max(len(tuple)-1, 1)
 	if cap(mb.wit) < n {
@@ -134,8 +147,8 @@ func (mb *Member) Witness(tuple []*Member) (grew int) {
 	return grew
 }
 
-// Unwitness drops mb's witness, taking mb out of the dependents of the
-// members it held.
+// Unwitness drops mb's witness, if it has one, taking mb out of the
+// dependents of the members it held.
 func (mb *Member) Unwitness() {
 	for i := range mb.wit {
 		if l := &mb.wit[i]; l.pprev != nil {

@@ -125,7 +125,7 @@ func TestWitnessChurn(t *testing.T) {
 	mbs := make([]*Member, n)
 	for i := range mbs {
 		if mbs[i] = new(Member); i%2 == 0 {
-			mbs[i] = NewImage(nil)
+			mbs[i] = new(Image).Init(nil)
 		}
 	}
 	model := make(map[*Member][]*Member)

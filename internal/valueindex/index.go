@@ -3,7 +3,8 @@
 // users: the RETE network indexes its alpha memories and token memories
 // with it (internal/match/rete), and the seeded-join engine
 // (internal/match/seeded) the memories of TREAT's records and of the meta
-// level's images (internal/match/treat, internal/core/redact.go).
+// level's images (internal/match/treat, internal/core/redact.go). Its
+// Hash also files the meta level's order groups (internal/core/order.go).
 package valueindex
 
 import (
@@ -78,11 +79,11 @@ type Index[T comparable] struct {
 }
 
 type bucket[T comparable] struct {
-	hash uint64 // hashEmpty, hashTomb, or hashValue of the members' key
+	hash uint64 // hashEmpty, hashTomb, or Hash of the members' key
 	Chain[T]
 }
 
-// Slot states. hashValue never returns either.
+// Slot states. Hash never returns either.
 const (
 	hashEmpty = 0
 	hashTomb  = 1
@@ -93,12 +94,12 @@ const minSlots = 8
 
 var hashSeed = maphash.MakeSeed()
 
-// hashValue hashes v consistently with ==, the equality of an OpEq join
+// Hash hashes v consistently with ==, the equality of an OpEq join
 // test: +0.0 and -0.0 are equal and hash alike; values of different kinds
 // are never equal, whatever their payloads, and the kind is mixed in so
 // that Int 3, Float 3.0, Sym "3" and Str "3" do not pile up in one chain.
 // NaN is unequal to itself, so what it hashes to does not matter.
-func hashValue(v wm.Value) uint64 {
+func Hash(v wm.Value) uint64 {
 	var h uint64
 	switch v.Kind {
 	case wm.KindInt:
@@ -134,7 +135,7 @@ func (ix *Index[T]) Get(o Keyer[T], v wm.Value) (head T) {
 	if ix == nil || ix.live == 0 {
 		return head
 	}
-	h := hashValue(v)
+	h := Hash(v)
 	mask := len(ix.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		b := &ix.slots[i]
@@ -154,7 +155,7 @@ func (ix *Index[T]) Add(o Keyer[T], x T) (prev T) {
 		ix.rehash()
 	}
 	v := o.Key(x)
-	h := hashValue(v)
+	h := Hash(v)
 	mask := len(ix.slots) - 1
 	tomb := -1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
@@ -186,7 +187,7 @@ func (ix *Index[T]) Remove(o Keyer[T], x, prev, next T) {
 	if prev != zero && next != zero {
 		return
 	}
-	h := hashValue(o.Key(x))
+	h := Hash(o.Key(x))
 	mask := len(ix.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		if ix.live == 0 || ix.slots[i].hash == hashEmpty {

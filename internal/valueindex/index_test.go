@@ -134,7 +134,7 @@ func checkIndex(t *testing.T, step int, ix *Index[*member], mo *indexModel, prob
 // keyCases are the keys whose hashing and equality the Go map used to give
 // for free: the two zeros are one key, NaN is no key, and a number, its
 // float, its symbol and its string are four. Nil and Int -1 both hash to a
-// slot sentinel before hashValue steps off it.
+// slot sentinel before Hash steps off it.
 var keyCases = []wm.Value{
 	wm.Float(0), wm.Float(math.Copysign(0, -1)), wm.Float(math.NaN()),
 	wm.Int(3), wm.Float(3), wm.Sym("3"), wm.Str("3"),
@@ -237,16 +237,16 @@ func TestValueIndexAgainstMap(t *testing.T) {
 	empty()
 }
 
-// TestValueIndexKeyCases states the agreement between hashValue and ==
+// TestValueIndexKeyCases states the agreement between Hash and ==
 // that the index relies on.
 func TestValueIndexKeyCases(t *testing.T) {
 	posZero, negZero, nan := wm.Float(0), wm.Float(math.Copysign(0, -1)), wm.Float(math.NaN())
-	if posZero != negZero || hashValue(posZero) != hashValue(negZero) {
+	if posZero != negZero || Hash(posZero) != Hash(negZero) {
 		t.Fatal("+0.0 and -0.0 are == and must hash alike")
 	}
 	for _, v := range append(keyCases, wm.Int(math.MinInt64), wm.Int(math.MaxInt64), wm.Float(math.Inf(1))) {
-		if h := hashValue(v); h < hashMin {
-			t.Fatalf("hashValue(%v) = %d is a slot sentinel", v, h)
+		if h := Hash(v); h < hashMin {
+			t.Fatalf("Hash(%v) = %d is a slot sentinel", v, h)
 		}
 	}
 
