@@ -134,7 +134,7 @@ func Write(w io.Writer, h Header, mem *wm.Memory) error {
 	}
 	body.Write(hdr)
 	body.WriteByte('\n')
-	if err := snapshot.Write(&body, mem); err != nil {
+	if err := snapshot.WriteFacts(&body, snap); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if _, err := fmt.Fprintf(w, "%s v1 %d %d\n", magic, crc32.ChecksumIEEE(body.Bytes()), body.Len()); err != nil {

@@ -1062,9 +1062,16 @@ func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshotExport(w http.ResponseWriter, r *http.Request) {
 	s.withSession(w, r, func(sess *session) {
+		// A symbol with no literal form is refused before the first byte,
+		// so it still gets a status of its own; any later failure is the
+		// client's disconnect, and the headers are gone.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if err := snapshot.Write(w, sess.eng.Memory()); err != nil {
-			// Headers are gone; all we can do is log.
+			var se *snapshot.SymbolError
+			if errors.As(err, &se) {
+				writeError(w, http.StatusConflict, err.Error())
+				return
+			}
 			s.log(r.Context()).Error("snapshot export failed", "session_id", sess.id, "err", err)
 		}
 	})

@@ -240,6 +240,11 @@ func (d *durable) checkpoint(write func(w io.Writer, commit *checkpoint.LedgerCo
 	if d.closed {
 		return errLogClosed
 	}
+	// Success or failure, the next attempt waits another CheckpointEvery
+	// records: a state that cannot be written (a symbol with no literal
+	// form) would otherwise be retried, syncs and commit included, on
+	// every append.
+	d.records = 0
 	var commit *checkpoint.LedgerCommit
 	if d.led != nil {
 		// Flush staged ledger entries and commit the tree: the header
@@ -270,7 +275,6 @@ func (d *durable) checkpoint(write func(w io.Writer, commit *checkpoint.LedgerCo
 	if err := d.log.Reset(); err != nil {
 		return err
 	}
-	d.records = 0
 	if commit != nil {
 		d.lastCommit = commit
 	}
@@ -393,6 +397,14 @@ func (s *Server) checkpointSession(ctx context.Context, sess *session) error {
 	return nil
 }
 
+// tracedCheckpoint is checkpointSession under a span of its own, so a
+// request that paid for a checkpoint shows it beside its WAL append.
+func (s *Server) tracedCheckpoint(ctx context.Context, sess *session) error {
+	sp := s.startSpan(ctx, stageCheckpoint)
+	defer sp.End()
+	return s.checkpointSession(ctx, sess)
+}
+
 // persist logs one mutation record for sess, checkpointing when due. On
 // append failure it attempts an immediate checkpoint — a full state image
 // supersedes the lost record — and only if that also fails is the
@@ -414,7 +426,7 @@ func (s *Server) persist(ctx context.Context, sess *session, rec *wal.Record) bo
 		s.recordSpan(ctx, appendSp.ID(), stageWALFsync, fs)
 	}
 	if err == nil {
-		if d.due(s.cfg.CheckpointEvery) && s.checkpointSession(ctx, sess) == nil {
+		if d.due(s.cfg.CheckpointEvery) && s.tracedCheckpoint(ctx, sess) == nil {
 			// The checkpoint compacted rec into the state image and mirrored
 			// it to a live replica stream; a nil record just makes sure some
 			// replica holds that state (re-attaching if the mirror dropped).
@@ -423,7 +435,7 @@ func (s *Server) persist(ctx context.Context, sess *session, rec *wal.Record) bo
 		return s.replicate(ctx, sess, rec)
 	}
 	s.log(ctx).Error("wal append failed", "session_id", sess.id, "err", err)
-	if cerr := s.checkpointSession(ctx, sess); cerr != nil {
+	if cerr := s.tracedCheckpoint(ctx, sess); cerr != nil {
 		d.markFailed()
 		s.log(ctx).Error("durability disabled (append and checkpoint both failed)", "session_id", sess.id)
 		return false

@@ -35,6 +35,7 @@ const (
 	stageQueueWait   = "queue.wait"
 	stageWALAppend   = "wal.append"
 	stageWALFsync    = "wal.fsync"
+	stageCheckpoint  = "checkpoint"
 	stageReplAck     = "repl.ack"
 	stageReplApply   = "repl.apply"
 	stageEngineRun   = "engine.run"
@@ -56,6 +57,7 @@ var serverTimingTokens = []struct{ stage, token string }{
 	{stageQueueWait, "queue"},
 	{stageWALAppend, "wal"},
 	{stageWALFsync, "fsync"},
+	{stageCheckpoint, "checkpoint"},
 	{stageReplAck, "repl"},
 	{stageEngineRun, "run"},
 }

@@ -27,6 +27,13 @@ package wal
 // at the largest power of two below n. Record payloads are canonical —
 // encoding/json with typed fields and bit-pattern floats — so a leaf
 // hash is reproducible from a scanned record alone.
+//
+// A live tree commits from its frontier: the peaks of the leaves folded
+// so far, advanced leaf by leaf when State (or Reconcile's commit check)
+// asks, so each leaf is hashed into the tree once in the session's life
+// and a checkpoint's commit costs O(new leaves + log n), not O(n). The
+// root is the peaks folded right to left. Inclusion proofs and offline
+// audits still recurse over the stored leaves (rangeHash).
 
 import (
 	"bufio"
@@ -150,9 +157,57 @@ type merkleTree struct {
 	basePeaks [][sha256.Size]byte
 	leaves    [][sha256.Size]byte
 	seqs      []uint64 // wal sequence number per leaf, strictly increasing
+
+	// The frontier: peaks (largest first) summarize the first folded
+	// leaves, and only advance moves it, forward. folded < base means it
+	// has not started from basePeaks yet.
+	folded uint64
+	peaks  [][sha256.Size]byte
 }
 
 func (t *merkleTree) count() uint64 { return t.base + uint64(len(t.leaves)) }
+
+// advance folds leaves into the frontier until it covers the first n.
+// Appending leaf c merges one pair of equal-sized peaks per trailing
+// one bit of c. n must lie in [folded, count()].
+func (t *merkleTree) advance(n uint64) {
+	if t.folded < t.base {
+		t.folded = t.base
+		t.peaks = append(t.peaks[:0], t.basePeaks...)
+	}
+	for ; t.folded < n; t.folded++ {
+		t.peaks = append(t.peaks, t.leaves[t.folded-t.base])
+		for c := t.folded; c&1 == 1; c >>= 1 {
+			k := len(t.peaks)
+			t.peaks[k-2] = interiorHash(t.peaks[k-2], t.peaks[k-1])
+			t.peaks = t.peaks[:k-1]
+		}
+	}
+}
+
+// frontierRoot is the RFC 6962 root over the folded leaves: the peaks
+// folded right to left, H(p0, H(p1, … H(p_{k-2}, p_{k-1}))), since an
+// n-leaf range splits at its largest peak.
+func (t *merkleTree) frontierRoot() [sha256.Size]byte {
+	if len(t.peaks) == 0 {
+		return emptyRoot()
+	}
+	root := t.peaks[len(t.peaks)-1]
+	for i := len(t.peaks) - 2; i >= 0; i-- {
+		root = interiorHash(t.peaks[i], root)
+	}
+	return root
+}
+
+// rootFrom returns the root over the first n leaves, n in [base,
+// count()]: from the frontier, advanced to n, unless it has passed n.
+func (t *merkleTree) rootFrom(n uint64) ([sha256.Size]byte, error) {
+	if n < t.folded {
+		return t.rootAt(n)
+	}
+	t.advance(n)
+	return t.frontierRoot(), nil
+}
 
 // peakSpans returns the [start,end) ranges the base peaks cover:
 // base's binary decomposition, largest first, packed from index 0. Each
@@ -208,23 +263,6 @@ func (t *merkleTree) rootAt(n uint64) ([sha256.Size]byte, error) {
 		return emptyRoot(), nil
 	}
 	return t.rangeHash(0, n)
-}
-
-// peaksAt returns the peak decomposition of the first n leaves.
-func (t *merkleTree) peaksAt(n uint64) ([][sha256.Size]byte, error) {
-	var peaks [][sha256.Size]byte
-	var start uint64
-	for rem := n; rem > 0; {
-		size := uint64(1) << (bits.Len64(rem) - 1)
-		p, err := t.rangeHash(start, start+size)
-		if err != nil {
-			return nil, err
-		}
-		peaks = append(peaks, p)
-		start += size
-		rem -= size
-	}
-	return peaks, nil
 }
 
 // path builds the bottom-up inclusion path for leaf m within [lo, hi).
@@ -463,27 +501,17 @@ func (led *Ledger) syncAllLocked() error {
 	return nil
 }
 
-// State summarizes the current tree. An internal inconsistency (which
-// rangeHash would surface) is impossible for a live tree built through
-// observe, so errors here mean a programming bug; they are returned
-// rather than panicking because audits share the code path.
+// State summarizes the current tree from its frontier, folding in only
+// the leaves appended since the last call. A live tree's frontier never
+// runs past its leaves, so the error is always nil; it is kept so
+// callers handle State like the audit paths that can fail.
 func (led *Ledger) State() (LedgerState, error) {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	return led.stateLocked()
-}
-
-func (led *Ledger) stateLocked() (LedgerState, error) {
 	n := led.t.count()
-	root, err := led.t.rootAt(n)
-	if err != nil {
-		return LedgerState{}, err
-	}
-	peaks, err := led.t.peaksAt(n)
-	if err != nil {
-		return LedgerState{}, err
-	}
-	return LedgerState{Count: n, Root: hex.EncodeToString(root[:]), Peaks: encodePeaks(peaks)}, nil
+	led.t.advance(n)
+	root := led.t.frontierRoot()
+	return LedgerState{Count: n, Root: hex.EncodeToString(root[:]), Peaks: encodePeaks(led.t.peaks)}, nil
 }
 
 // Count returns the current leaf count (base included).
@@ -594,7 +622,10 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 			return fmt.Errorf("%w: commit covers %d leaves, ledger holds %d",
 				ErrLedgerGap, committed, led.t.count())
 		}
-		root, err := led.t.rootAt(committed)
+		// The ledger was just opened, so its frontier stands at the
+		// base: fold up to the commit once and leave it there for the
+		// next checkpoint to continue from.
+		root, err := led.t.rootFrom(committed)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,9 @@
 package wm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Memory is the working memory: the authoritative set of live WMEs. The
@@ -105,9 +106,11 @@ func (m *Memory) Snapshot() []*WME {
 	for _, w := range m.byTime {
 		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	slices.SortFunc(out, byTime)
 	return out
 }
+
+func byTime(a, b *WME) int { return cmp.Compare(a.Time, b.Time) }
 
 // OfTemplate returns the live WMEs of the named template ordered by time
 // tag.
@@ -120,7 +123,7 @@ func (m *Memory) OfTemplate(template string) []*WME {
 	for _, w := range m.byTmpl[t] {
 		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	slices.SortFunc(out, byTime)
 	return out
 }
 

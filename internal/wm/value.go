@@ -11,9 +11,9 @@
 package wm
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind discriminates the scalar value types of the rule language.
@@ -197,26 +197,38 @@ func (v Value) kindGroup() int {
 
 // String renders v in the rule-language's literal syntax.
 func (v Value) String() string {
+	if v.Kind == KindSym { // its own literal: no copy
+		return v.S
+	}
+	var buf [32]byte
+	return string(v.AppendLiteral(buf[:0]))
+}
+
+// AppendLiteral appends v's literal syntax, the text String returns, to
+// b. Snapshot and checkpoint writers use it to render values without an
+// intermediate string.
+func (v Value) AppendLiteral(b []byte) []byte {
 	switch v.Kind {
 	case KindNil:
-		return "nil"
+		return append(b, "nil"...)
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(b, v.I, 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
+		n := len(b)
+		b = strconv.AppendFloat(b, v.F, 'g', -1, 64)
 		// Keep the literal recognizably a float: integral values would
 		// otherwise print as "42" and re-parse as an int, changing the
 		// value's kind (Equal is strict on kind). The letter check skips
 		// Inf/NaN and exponent forms.
-		if !strings.ContainsAny(s, ".eEnN") {
-			s += ".0"
+		if !bytes.ContainsAny(b[n:], ".eEnN") {
+			b = append(b, ".0"...)
 		}
-		return s
+		return b
 	case KindSym:
-		return v.S
+		return append(b, v.S...)
 	case KindStr:
-		return strconv.Quote(v.S)
+		return strconv.AppendQuote(b, v.S)
 	default:
-		return fmt.Sprintf("?%d?", uint8(v.Kind))
+		return fmt.Appendf(b, "?%d?", uint8(v.Kind))
 	}
 }
