@@ -6,7 +6,9 @@
 //	parulel list                      list embedded programs
 //
 // Run flags select the engine (-engine parulel|ops5-lex|ops5-mea), the
-// matcher (-matcher rete|treat), cycle limit, and tracing.
+// matcher (-matcher rete|treat), cycle limit, and tracing. -trace is for
+// the parulel engine only: the OPS5 engines emit no cycle events, so run
+// refuses it with them rather than write an empty trace.
 package main
 
 import (
@@ -85,7 +87,7 @@ func runFlags(errW io.Writer) (*flag.FlagSet, *runOpts) {
 	fs.StringVar(&o.engine, "engine", "parulel", "engine: parulel, ops5-lex, ops5-mea")
 	fs.StringVar(&o.matcher, "matcher", "rete", "match algorithm: rete, treat")
 	fs.IntVar(&o.maxCycles, "max-cycles", 100000, "abort after this many cycles (0 = unlimited)")
-	fs.Var(&o.trace, "trace", "print a line per cycle; -trace=FILE.jsonl instead writes structured cycle events as JSONL")
+	fs.Var(&o.trace, "trace", "print a line per cycle; -trace=FILE.jsonl instead writes structured cycle events as JSONL (parulel engine only)")
 	fs.StringVar(&o.builtin, "builtin", "", "run an embedded program instead of a file")
 	fs.BoolVar(&o.noMeta, "no-meta", false, "strip meta-rules before running")
 	fs.BoolVar(&o.stats, "stats", true, "print run statistics")
@@ -163,6 +165,9 @@ func cmdRun(args []string, out, errW io.Writer) error {
 	engine, err := parulel.ParseEngineKind(o.engine)
 	if err != nil {
 		return err
+	}
+	if o.trace.enabled && engine != parulel.Parulel {
+		return fmt.Errorf("-trace is for the parulel engine only; -engine %s emits no cycle events", engine)
 	}
 	matcher, err := parulel.ParseMatcherKind(o.matcher)
 	if err != nil {

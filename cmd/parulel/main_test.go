@@ -83,6 +83,27 @@ func TestCLIRunTraceJSONL(t *testing.T) {
 	}
 }
 
+// TestCLIRunTraceRefusedUnderOPS5: the OPS5 engines emit no cycle events,
+// so both forms of -trace fail with them, name the flag, and create no
+// trace file.
+func TestCLIRunTraceRefusedUnderOPS5(t *testing.T) {
+	for _, engine := range []string{"ops5-lex", "ops5-mea"} {
+		path := t.TempDir() + "/trace.jsonl"
+		for _, trace := range []string{"-trace", "-trace=" + path} {
+			code, _, errOut := runCLI(t, "run", "-engine", engine, trace, "testdata/demo.par")
+			if code == 0 {
+				t.Errorf("-engine %s %s: exit 0", engine, trace)
+			}
+			if !strings.Contains(errOut, "-trace") {
+				t.Errorf("-engine %s %s: error does not name the flag: %q", engine, trace, errOut)
+			}
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-engine %s: trace file created: %v", engine, err)
+		}
+	}
+}
+
 func TestCLIPrintRoundTrip(t *testing.T) {
 	code, out, errOut := runCLI(t, "print", "testdata/demo.par")
 	if code != 0 {

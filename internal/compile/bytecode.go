@@ -7,13 +7,15 @@ import (
 	"parulel/internal/wm"
 )
 
-// Eval evaluates a root expression by value: an action expression or
-// meta-rule test Compile lowered (lowerProgram) runs its register bytecode
-// on the VM of vm.go; anything else — a leaf root, a filter (whose code is
-// condition code, for Holds), an expression built outside Compile or by
-// CompileUnlowered, or one past an encoding limit — goes to the tree walker,
-// the package-level Eval. The two agree on values and on error text, so
-// which one ran is invisible to callers.
+// Eval evaluates a root expression by value: an RHS action expression
+// Compile lowered (lowerProgram) runs its register bytecode on the VM of
+// vm.go; anything else — a leaf root, a filter (whose code is condition
+// code, for Holds), a meta-rule's source-form test (which only the tree
+// walker evaluates, under a MetaEnv), an expression built outside Compile
+// or by CompileUnlowered, or one past an encoding limit — goes to the tree
+// walker, the package-level Eval. Both backends compute every builtin that
+// evaluates its arguments first through Builtin.apply, so they agree on
+// values and on error text and which one ran is invisible to callers.
 func (e *Expr) Eval(env Env) (wm.Value, error) {
 	if e.code != nil && !e.code.cond {
 		return e.code.run(env)
@@ -36,36 +38,21 @@ func (e *Expr) Holds(env *VecEnv) bool {
 }
 
 // vmOp is a bytecode opcode. Instructions address up to three operands
-// (a, b, c); variadic builtins operate on a window of contiguous
-// registers, which the lowering guarantees by evaluating argument i of a
-// call into register base+i.
+// (a, b, c); a builtin call operates on a window of contiguous registers,
+// which the lowering guarantees by evaluating argument i of a call into
+// register base+i.
 type vmOp uint8
 
 const (
 	opConst      vmOp = iota // r[a] = consts[b]
 	opRef                    // r[a] = env.Ref(refs[b])
 	opLocal                  // r[a] = env.Local(b)
-	opMetaRef                // r[a] = env.MetaVal(b, refs[c])
-	opMetaTag                // r[a] = Int(env.MetaTag(b))
-	opMetaRule               // r[a] = Sym(env.MetaRuleName(b))
-	opMetaPrec               // r[a] = Bool(env.MetaPrecedes(b, c))
 	opRefPrec                // r[a] = Bool(the b fields from refs[c] precede the b from refs[c+1])
 	opJump                   // pc = c
 	opJumpFalsy              // if !r[a].Truthy() { pc = c }
 	opJumpTruthy             // if r[a].Truthy() { pc = c }
-	opNot                    // r[a] = Bool(!r[b].Truthy())
-	opHash                   // r[a] = Int(hashValue(r[b]))
-	opAbs                    // r[a] = |r[b]|, error on non-numeric
-	opCmp                    // r[a] = Bool(PredOp(c).Apply(r[b], r[b+1]))
-	opAdd                    // r[a] = fold over r[b:b+c] — the arith window
-	opSub                    // ops: semantics match evalArith exactly
-	opMul
-	opDiv
-	opMod
-	opMin
-	opMax
-	opSymcat // r[a] = symbol concat of r[b:b+c]
-	opRet    // return r[a]
+	opCall                   // Builtin(k).apply(&r[a], r[b:b+c])
+	opRet                    // return r[a]
 
 	// Condition code, run by holds: each branch compares its test's outcome
 	// with the sense in k's low bit and jumps to c when they agree. a and b
@@ -79,7 +66,7 @@ const (
 
 type inst struct {
 	op      vmOp
-	k       uint8 // condition code only: the branch's sense and PredOp
+	k       uint8 // opCall: the Builtin; a branch: its sense and PredOp
 	a, b, c uint16
 }
 
@@ -113,9 +100,11 @@ type code struct {
 const vmMaxOperand = 1<<16 - 1
 
 // lowerProgram attaches code to every root expression of a compiled
-// program: condition code to every filter, value code to every call-rooted
-// action expression and meta-rule test. Called once at the end of Compile,
-// so nothing is re-lowered per match/fire cycle.
+// program: condition code to every filter and value code to every
+// call-rooted RHS action expression. A meta-rule's source-form tests are
+// not lowered: the engine runs meta-rules as seeded joins over images,
+// whose filters are lowered here, or as orders. Called once at the end of
+// Compile, so nothing is re-lowered per match/fire cycle.
 func lowerProgram(p *Program) {
 	rules := p.Rules
 	if p.Meta != nil {
@@ -137,20 +126,15 @@ func lowerProgram(p *Program) {
 			}
 		}
 	}
-	for _, m := range p.MetaRules {
-		for _, t := range m.Tests {
-			t.code = lowerExpr(t)
-		}
-	}
 }
 
 // lowerExpr compiles one expression tree to value code, or returns nil when
-// the tree cannot be encoded (operand overflow or an unknown builtin) —
-// the caller then stays on the tree walker for that expression.
+// the tree cannot be encoded (operand overflow, or a node that reads a
+// MetaEnv) — the caller then stays on the tree walker for that expression.
 func lowerExpr(e *Expr) *code {
-	// Leaf roots (constants, references, meta lookups) are a single
-	// switch arm in the tree walker; the VM's register-frame setup can
-	// only lose there, so they stay on the tree walker.
+	// Leaf roots (constants, references) are a single switch arm in the
+	// tree walker; the VM's register-frame setup can only lose there, so
+	// they stay on the tree walker.
 	if e.Kind != ECall {
 		return nil
 	}
@@ -274,14 +258,6 @@ func (l *lowerer) lower(e *Expr, dst int) bool {
 		l.emit(opRef, d, l.refIdx(e.Ref), 0)
 	case ELocal:
 		l.emit(opLocal, d, l.operand(e.Local), 0)
-	case EMetaRef:
-		l.emit(opMetaRef, d, l.operand(e.Pat), l.refIdx(e.MetaVar))
-	case EMetaTag:
-		l.emit(opMetaTag, d, l.operand(e.Pat), 0)
-	case EMetaRule:
-		l.emit(opMetaRule, d, l.operand(e.Pat), 0)
-	case EMetaPrec:
-		l.emit(opMetaPrec, d, l.operand(e.Pat), l.operand(e.Pat2))
 	case ERefPrec:
 		// The two refs sit side by side in the table, so they are not
 		// interned.
@@ -341,35 +317,15 @@ func (l *lowerer) lowerCall(e *Expr, dst int) bool {
 		l.emit(opConst, d, l.constIdx(wm.Str("\n")), 0)
 	case BTabto:
 		l.emit(opConst, d, l.constIdx(wm.Str("\t")), 0)
-	case BNot:
-		if !l.lower(e.Args[0], dst) {
-			return false
-		}
-		l.emit(opNot, d, d, 0)
-	case BHash:
-		if !l.lower(e.Args[0], dst) {
-			return false
-		}
-		l.emit(opHash, d, d, 0)
-	case BAbs:
-		if !l.lower(e.Args[0], dst) {
-			return false
-		}
-		l.emit(opAbs, d, d, 0)
-	case BEq, BNe, BLt, BLe, BGt, BGe:
-		if !l.lower(e.Args[0], dst) || !l.lower(e.Args[1], dst+1) {
-			return false
-		}
-		l.emit(opCmp, d, d, uint16(cmpPred(e.Op)))
-	case BAdd, BSub, BMul, BDiv, BMod, BMin, BMax, BSymcat:
+	default:
+		// Every other builtin evaluates all its arguments, into the
+		// window from dst, and then applies.
 		for i, a := range e.Args {
 			if !l.lower(a, dst+i) {
 				return false
 			}
 		}
-		l.emit(arithOp(e.Op), d, d, l.operand(len(e.Args)))
-	default:
-		return false
+		l.ins = append(l.ins, inst{op: opCall, k: uint8(e.Op), a: d, b: d, c: l.operand(len(e.Args))})
 	}
 	return !l.failed
 }
@@ -460,26 +416,5 @@ func cmpPred(op Builtin) PredOp {
 		return OpGt
 	default:
 		return OpGe
-	}
-}
-
-func arithOp(op Builtin) vmOp {
-	switch op {
-	case BAdd:
-		return opAdd
-	case BSub:
-		return opSub
-	case BMul:
-		return opMul
-	case BDiv:
-		return opDiv
-	case BMod:
-		return opMod
-	case BMin:
-		return opMin
-	case BMax:
-		return opMax
-	default:
-		return opSymcat
 	}
 }

@@ -1,7 +1,6 @@
 package compile
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -34,12 +33,8 @@ func paletteAt(i int) wm.Value {
 	return vmPalette[i%len(vmPalette)]
 }
 
-func (vmEnv) Ref(r VarRef) wm.Value               { return paletteAt(r.CE*7 + r.Field) }
-func (vmEnv) Local(i int) wm.Value                { return paletteAt(i + 3) }
-func (vmEnv) MetaVal(pat int, r VarRef) wm.Value  { return paletteAt(pat*5 + r.CE + r.Field) }
-func (vmEnv) MetaTag(pat int) int64               { return int64(pat*10 + 3) }
-func (vmEnv) MetaRuleName(pat int) string         { return fmt.Sprintf("rule%d", pat) }
-func (vmEnv) MetaPrecedes(pat int, pat2 int) bool { return pat < pat2 }
+func (vmEnv) Ref(r VarRef) wm.Value { return paletteAt(r.CE*7 + r.Field) }
+func (vmEnv) Local(i int) wm.Value  { return paletteAt(i + 3) }
 
 // paletteVec is vmEnv's references as a matched WME vector, the environment
 // filters run in: field f of the WME at CE ce is vmEnv's Ref for it.
@@ -56,10 +51,9 @@ var paletteVec = func() *VecEnv {
 }()
 
 // readsVec reports whether e reads nothing a filter's VecEnv lacks: no RHS
-// local and no meta context.
+// local.
 func readsVec(e *Expr) bool {
-	switch e.Kind {
-	case ELocal, EMetaRef, EMetaTag, EMetaRule, EMetaPrec:
+	if e.Kind == ELocal {
 		return false
 	}
 	for _, a := range e.Args {
@@ -169,10 +163,6 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 		{"symcat-empty", call(BSymcat, c(wm.Str("")))},
 		{"crlf", call(BSymcat, c(s("a")), call(BCrlf))},
 		{"tabto", call(BSymcat, c(s("a")), call(BTabto))},
-		{"meta-ref", &Expr{Kind: EMetaRef, Pat: 1, MetaVar: VarRef{CE: 0, Field: 2}}},
-		{"meta-tag", &Expr{Kind: EMetaTag, Pat: 2}},
-		{"meta-rule", &Expr{Kind: EMetaRule, Pat: 1}},
-		{"meta-prec", &Expr{Kind: EMetaPrec, Pat: 0, Pat2: 1}},
 		// Palette runs: CE 0 from field 1 is 7 -3 2, CE 1 from field 15 is
 		// 7 -3 2 again (the palette has 21 entries), so the first differing
 		// pair decides and equal runs do not precede.
@@ -213,8 +203,9 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 
 // TestCompileAttachesBytecode verifies that every filter of a compiled
 // program carries condition code and every call-rooted action expression
-// and meta-rule test value code, so nothing Compile emits is interpreted
-// but leaf actions, and that CompileUnlowered's copy carries none.
+// value code, so nothing Compile emits is interpreted but leaf actions,
+// that no meta-rule's source-form test carries code, in the test program
+// or in any bundled one, and that CompileUnlowered's copy carries none.
 func TestCompileAttachesBytecode(t *testing.T) {
 	ast, err := lang.Parse(`
 (literalize item id score flag)
@@ -257,10 +248,18 @@ func TestCompileAttachesBytecode(t *testing.T) {
 				}
 			}
 		}
+	}
+	// metaTests calls check on every meta-rule's source-form test.
+	metaTests := func(prog *Program, check func(where string, x *Expr)) {
 		for _, m := range prog.MetaRules {
 			for _, x := range m.Tests {
-				check("metarule "+m.Name+" test", x, false)
+				check("metarule "+m.Name+" test", x)
 			}
+		}
+	}
+	unlowered := func(where string, x *Expr) {
+		if x.code != nil {
+			t.Errorf("%s: meta-rule test carries bytecode", where)
 		}
 	}
 	prog, err := Compile(ast)
@@ -289,6 +288,31 @@ func TestCompileAttachesBytecode(t *testing.T) {
 	})
 	if filters != 2 || calls == 0 {
 		t.Fatalf("%d filters and %d call roots — the program under test is wrong", filters, calls)
+	}
+	metaTests(prog, unlowered)
+	paths, err := filepath.Glob(filepath.Join("..", "programs", "src", "*.par"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bundled programs: %v", err)
+	}
+	callTests := 0
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundled, err := CompileSource(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		metaTests(bundled, func(where string, x *Expr) {
+			if x.Kind == ECall {
+				callTests++
+			}
+			unlowered(filepath.Base(path)+": "+where, x)
+		})
+	}
+	if callTests == 0 {
+		t.Fatal("no bundled meta-rule test is call-rooted — the check above proves nothing")
 	}
 	ref, err := CompileUnlowered(ast)
 	if err != nil {

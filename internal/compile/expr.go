@@ -84,21 +84,30 @@ type Expr struct {
 
 	// code is the lowered bytecode for this expression when it is a root,
 	// attached once by lowerProgram at the end of Compile: condition code
-	// for a filter, which the Holds method runs, and value code for an
-	// action expression or meta-rule test, which the Eval method runs. nil
-	// means "not lowered": both methods then go to the tree walker.
+	// for a filter, which the Holds method runs, and value code for an RHS
+	// action expression, which the Eval method runs. nil means "not
+	// lowered": both methods then go to the tree walker.
 	code *code
 }
 
-// Env supplies variable values during expression evaluation. Object-rule
-// contexts implement Ref and Local; meta-rule contexts implement the Meta*
-// methods. Implementations may panic for the methods that cannot occur in
-// their context (the compiler guarantees they are not reached).
+// Env supplies variable values during expression evaluation: the fields a
+// rule's positive condition elements bound and its RHS locals. It is all
+// that filters and RHS actions read, on either backend.
 type Env interface {
 	// Ref returns the value bound by a positive CE's field.
 	Ref(VarRef) wm.Value
 	// Local returns the value of a (bind …) slot.
 	Local(int) wm.Value
+}
+
+// MetaEnv is the context of a meta-rule's source-form test: the matched
+// instantiations its patterns name. Only the tree walker reads it, at the
+// EMeta* nodes; Compile lowers no meta-rule test, and the engine runs every
+// meta-rule as a seeded join over images or as an order, so only a test
+// oracle evaluates a source-form test. Evaluating an EMeta* node under a
+// plain Env panics.
+type MetaEnv interface {
+	Env
 	// MetaVal returns the value of an object-rule variable of the
 	// instantiation matched by meta pattern pat.
 	MetaVal(pat int, ref VarRef) wm.Value
@@ -113,9 +122,9 @@ type Env interface {
 }
 
 // VecEnv is the Env of LHS filter tests: references index a vector of
-// matched WMEs, one per positive condition element; there are no locals
-// and no meta context. It is used by pointer: a matcher keeps one per join
-// point and re-points Vec at each candidate, and Holds reads Vec directly.
+// matched WMEs, one per positive condition element; there are no locals.
+// It is used by pointer: a matcher keeps one per join point and re-points
+// Vec at each candidate, and Holds reads Vec directly.
 type VecEnv struct {
 	Vec []*wm.WME
 }
@@ -125,18 +134,6 @@ func (e *VecEnv) Ref(r VarRef) wm.Value { return e.Vec[r.CE].Fields[r.Field] }
 
 // Local panics: LHS tests cannot reference RHS locals.
 func (e *VecEnv) Local(int) wm.Value { panic("compile: LHS test referenced an RHS local") }
-
-// MetaVal panics: LHS tests have no meta context.
-func (e *VecEnv) MetaVal(int, VarRef) wm.Value { panic("compile: not a meta context") }
-
-// MetaTag panics: LHS tests have no meta context.
-func (e *VecEnv) MetaTag(int) int64 { panic("compile: not a meta context") }
-
-// MetaRuleName panics: LHS tests have no meta context.
-func (e *VecEnv) MetaRuleName(int) string { panic("compile: not a meta context") }
-
-// MetaPrecedes panics: LHS tests have no meta context.
-func (e *VecEnv) MetaPrecedes(int, int) bool { panic("compile: not a meta context") }
 
 // EvalError is an expression runtime error (type mismatch, division by
 // zero). It carries the failing operator for diagnosis.
@@ -159,13 +156,13 @@ func Eval(e *Expr, env Env) (wm.Value, error) {
 	case ELocal:
 		return env.Local(e.Local), nil
 	case EMetaRef:
-		return env.MetaVal(e.Pat, e.MetaVar), nil
+		return env.(MetaEnv).MetaVal(e.Pat, e.MetaVar), nil
 	case EMetaTag:
-		return wm.Int(env.MetaTag(e.Pat)), nil
+		return wm.Int(env.(MetaEnv).MetaTag(e.Pat)), nil
 	case EMetaRule:
-		return wm.Sym(env.MetaRuleName(e.Pat)), nil
+		return wm.Sym(env.(MetaEnv).MetaRuleName(e.Pat)), nil
 	case EMetaPrec:
-		return wm.Bool(env.MetaPrecedes(e.Pat, e.Pat2)), nil
+		return wm.Bool(env.(MetaEnv).MetaPrecedes(e.Pat, e.Pat2)), nil
 	case ERefPrec:
 		return wm.Bool(refsPrecede(env, e.Ref, e.MetaVar, e.Len)), nil
 	case ECall:
@@ -262,57 +259,59 @@ func evalCall(e *Expr, env Env) (wm.Value, error) {
 		args[i] = v
 	}
 
-	switch e.Op {
+	var v wm.Value
+	if err := e.Op.apply(&v, args); err != nil {
+		return wm.Value{}, err
+	}
+	return v, nil
+}
+
+// apply computes a builtin that evaluates all of its arguments first —
+// every builtin but the control forms and, or, if, crlf and tabto — from
+// their values into *dst. The tree walker and the VM's opCall both call it,
+// so each builtin's semantics, error texts included, are written once. The
+// VM's destination register is its window's first, so dst may alias
+// args[0]: every case reads all of args before it writes *dst. (Writing
+// through dst rather than returning the value keeps a 40-byte result from
+// being copied out through apply and arith at every arithmetic step.)
+func (op Builtin) apply(dst *wm.Value, args []wm.Value) error {
+	switch op {
 	case BNot:
-		return wm.Bool(!args[0].Truthy()), nil
+		*dst = wm.Bool(!args[0].Truthy())
 	case BHash:
-		return wm.Int(hashValue(args[0])), nil
+		*dst = wm.Int(hashValue(args[0]))
+	case BAbs:
+		switch v := &args[0]; {
+		case v.Kind == wm.KindInt && v.I < 0:
+			*dst = wm.Int(-v.I)
+		case v.Kind == wm.KindFloat && v.F < 0:
+			*dst = wm.Float(-v.F)
+		case v.IsNumeric():
+			*dst = *v
+		default:
+			return &EvalError{Op: "abs", Msg: fmt.Sprintf("non-numeric operand %s", *v)}
+		}
+	case BEq, BNe, BLt, BLe, BGt, BGe:
+		*dst = wm.Bool(cmpPred(op).Apply(args[0], args[1]))
+	case BAdd, BSub, BMul, BDiv, BMod, BMin, BMax:
+		return arith(op, dst, args)
 	case BSymcat:
 		var b strings.Builder
-		for _, a := range args {
-			if a.Kind == wm.KindSym || a.Kind == wm.KindStr {
+		for i := range args {
+			if a := &args[i]; a.Kind == wm.KindSym || a.Kind == wm.KindStr {
 				b.WriteString(a.S)
 			} else {
 				b.WriteString(a.String())
 			}
 		}
 		if b.Len() == 0 {
-			return wm.Value{}, &EvalError{Op: "symcat", Msg: "empty result"}
+			return &EvalError{Op: "symcat", Msg: "empty result"}
 		}
-		return wm.Sym(b.String()), nil
-	case BEq:
-		return wm.Bool(OpNumEq.Apply(args[0], args[1])), nil
-	case BNe:
-		return wm.Bool(OpNe.Apply(args[0], args[1])), nil
-	case BLt:
-		return wm.Bool(OpLt.Apply(args[0], args[1])), nil
-	case BLe:
-		return wm.Bool(OpLe.Apply(args[0], args[1])), nil
-	case BGt:
-		return wm.Bool(OpGt.Apply(args[0], args[1])), nil
-	case BGe:
-		return wm.Bool(OpGe.Apply(args[0], args[1])), nil
-	case BAdd, BSub, BMul, BDiv, BMod, BMin, BMax:
-		return evalArith(e.Op, args)
-	case BAbs:
-		v := args[0]
-		switch v.Kind {
-		case wm.KindInt:
-			if v.I < 0 {
-				return wm.Int(-v.I), nil
-			}
-			return v, nil
-		case wm.KindFloat:
-			if v.F < 0 {
-				return wm.Float(-v.F), nil
-			}
-			return v, nil
-		default:
-			return wm.Value{}, &EvalError{Op: "abs", Msg: fmt.Sprintf("non-numeric operand %s", v)}
-		}
+		*dst = wm.Sym(b.String())
 	default:
-		return wm.Value{}, &EvalError{Op: fmt.Sprint(e.Op), Msg: "unknown builtin"}
+		return &EvalError{Op: fmt.Sprint(op), Msg: "unknown builtin"}
 	}
+	return nil
 }
 
 // hashValue maps any value to a deterministic non-negative int64 (FNV-1a
@@ -346,26 +345,36 @@ func hashValue(v wm.Value) int64 {
 	return int64(h >> 1) // clear the sign bit
 }
 
-func evalArith(op Builtin, args []wm.Value) (wm.Value, error) {
-	name := map[Builtin]string{BAdd: "+", BSub: "-", BMul: "*", BDiv: "div", BMod: "mod", BMin: "min", BMax: "max"}[op]
+// arithNames names the arithmetic builtins in error messages.
+var arithNames = [...]string{BAdd: "+", BSub: "-", BMul: "*", BDiv: "div", BMod: "mod", BMin: "min", BMax: "max"}
+
+// arith folds an arithmetic builtin over its operands, read in place, into
+// *dst, which it writes last, for apply. The
+// int/float decision scans ALL operands first, so (div 7 2 2.0) is float
+// division throughout, 1.75, not int-then-float 1.5; a non-numeric operand
+// is reported before a missing one.
+func arith(op Builtin, dst *wm.Value, args []wm.Value) error {
 	allInt := true
-	for _, a := range args {
+	for i := range args {
+		a := &args[i]
 		if !a.IsNumeric() {
-			return wm.Value{}, &EvalError{Op: name, Msg: fmt.Sprintf("non-numeric operand %s", a)}
+			return &EvalError{Op: arithNames[op], Msg: fmt.Sprintf("non-numeric operand %s", *a)}
 		}
 		if a.Kind != wm.KindInt {
 			allInt = false
 		}
 	}
 	if len(args) == 0 {
-		return wm.Value{}, &EvalError{Op: name, Msg: "no operands"}
+		return &EvalError{Op: arithNames[op], Msg: "no operands"}
 	}
 	// Unary minus.
 	if op == BSub && len(args) == 1 {
 		if allInt {
-			return wm.Int(-args[0].I), nil
+			*dst = wm.Int(-args[0].I)
+		} else {
+			*dst = wm.Float(-args[0].AsFloat())
 		}
-		return wm.Float(-args[0].AsFloat()), nil
+		return nil
 	}
 	if allInt {
 		acc := args[0].I
@@ -379,12 +388,12 @@ func evalArith(op Builtin, args []wm.Value) (wm.Value, error) {
 				acc *= a.I
 			case BDiv:
 				if a.I == 0 {
-					return wm.Value{}, &EvalError{Op: name, Msg: "division by zero"}
+					return &EvalError{Op: arithNames[op], Msg: "division by zero"}
 				}
 				acc /= a.I
 			case BMod:
 				if a.I == 0 {
-					return wm.Value{}, &EvalError{Op: name, Msg: "division by zero"}
+					return &EvalError{Op: arithNames[op], Msg: "division by zero"}
 				}
 				acc %= a.I
 			case BMin:
@@ -397,7 +406,8 @@ func evalArith(op Builtin, args []wm.Value) (wm.Value, error) {
 				}
 			}
 		}
-		return wm.Int(acc), nil
+		*dst = wm.Int(acc)
+		return nil
 	}
 	acc := args[0].AsFloat()
 	for _, a := range args[1:] {
@@ -411,11 +421,11 @@ func evalArith(op Builtin, args []wm.Value) (wm.Value, error) {
 			acc *= f
 		case BDiv:
 			if f == 0 {
-				return wm.Value{}, &EvalError{Op: name, Msg: "division by zero"}
+				return &EvalError{Op: arithNames[op], Msg: "division by zero"}
 			}
 			acc /= f
 		case BMod:
-			return wm.Value{}, &EvalError{Op: name, Msg: "mod requires integer operands"}
+			return &EvalError{Op: arithNames[op], Msg: "mod requires integer operands"}
 		case BMin:
 			if f < acc {
 				acc = f
@@ -426,5 +436,6 @@ func evalArith(op Builtin, args []wm.Value) (wm.Value, error) {
 			}
 		}
 	}
-	return wm.Float(acc), nil
+	*dst = wm.Float(acc)
+	return nil
 }

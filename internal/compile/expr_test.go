@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,12 +14,19 @@ type fakeEnv struct {
 	locals []wm.Value
 }
 
-func (f *fakeEnv) Ref(r VarRef) wm.Value        { return f.refs[r] }
-func (f *fakeEnv) Local(i int) wm.Value         { return f.locals[i] }
-func (f *fakeEnv) MetaVal(int, VarRef) wm.Value { panic("not meta") }
-func (f *fakeEnv) MetaTag(int) int64            { panic("not meta") }
-func (f *fakeEnv) MetaRuleName(int) string      { panic("not meta") }
-func (f *fakeEnv) MetaPrecedes(int, int) bool   { panic("not meta") }
+func (f *fakeEnv) Ref(r VarRef) wm.Value { return f.refs[r] }
+func (f *fakeEnv) Local(i int) wm.Value  { return f.locals[i] }
+
+// fakeMetaEnv is a MetaEnv whose every answer is a pure function of its
+// arguments.
+type fakeMetaEnv struct{ fakeEnv }
+
+func (*fakeMetaEnv) MetaVal(pat int, r VarRef) wm.Value {
+	return wm.Int(int64(pat*100 + r.CE*10 + r.Field))
+}
+func (*fakeMetaEnv) MetaTag(pat int) int64           { return int64(pat*10 + 3) }
+func (*fakeMetaEnv) MetaRuleName(pat int) string     { return fmt.Sprintf("rule%d", pat) }
+func (*fakeMetaEnv) MetaPrecedes(pat, pat2 int) bool { return pat < pat2 }
 
 func c(v wm.Value) *Expr                   { return &Expr{Kind: EConst, Val: v} }
 func call(op Builtin, args ...*Expr) *Expr { return &Expr{Kind: ECall, Op: op, Args: args} }
@@ -191,5 +199,66 @@ func TestEvalIf(t *testing.T) {
 	}
 	if _, err := Eval(call(BIf, boom, c(wm.Int(1)), c(wm.Int(2))), env); err == nil {
 		t.Error("error in condition must propagate")
+	}
+}
+
+// TestEvalMetaLeaves covers the tree walker's meta leaves, the only
+// evaluator of a meta-rule's source-form test: each reads its MetaEnv, no
+// expression holding one is lowered, and under a plain Env each panics.
+func TestEvalMetaLeaves(t *testing.T) {
+	cases := []struct {
+		name string
+		e    *Expr
+		want wm.Value
+	}{
+		{"meta-ref", &Expr{Kind: EMetaRef, Pat: 1, MetaVar: VarRef{CE: 0, Field: 2}}, wm.Int(102)},
+		{"meta-tag", &Expr{Kind: EMetaTag, Pat: 2}, wm.Int(23)},
+		{"meta-rule", &Expr{Kind: EMetaRule, Pat: 1}, wm.Sym("rule1")},
+		{"meta-prec", &Expr{Kind: EMetaPrec, Pat: 0, Pat2: 1}, wm.Bool(true)},
+		{"meta-prec-reversed", &Expr{Kind: EMetaPrec, Pat: 1, Pat2: 0}, wm.Bool(false)},
+		{"meta-in-call", call(BAdd, &Expr{Kind: EMetaTag, Pat: 1}, c(wm.Int(1))), wm.Int(14)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &fakeMetaEnv{}
+			if got := evalOK(t, tc.e, env); got != tc.want {
+				t.Errorf("Eval = %v, want %v", got, tc.want)
+			}
+			if lowerExpr(tc.e) != nil || lowerCond(tc.e) != nil {
+				t.Error("an expression that reads a MetaEnv was lowered")
+			}
+			if got, err := tc.e.Eval(env); err != nil || got != tc.want {
+				t.Errorf("Eval method = %v, %v; want %v", got, err, tc.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic under a plain Env")
+				}
+			}()
+			Eval(tc.e, &fakeEnv{})
+		})
+	}
+}
+
+// TestEveryBuiltinApplies: every builtin the parser accepts but the control
+// forms computes its value through apply, which both backends call; the
+// control forms, which the walker and the lowerer handle themselves, are
+// exactly what apply does not know.
+func TestEveryBuiltinApplies(t *testing.T) {
+	control := map[Builtin]bool{BAnd: true, BOr: true, BIf: true, BCrlf: true, BTabto: true}
+	for name, op := range builtinNames {
+		if control[op] {
+			if err := op.apply(new(wm.Value), nil); err == nil || !strings.Contains(err.Error(), "unknown builtin") {
+				t.Errorf("%s: apply knows a control form: %v", name, err)
+			}
+			continue
+		}
+		args := []wm.Value{wm.Int(7), wm.Int(2)}
+		if op == BNot || op == BAbs || op == BHash {
+			args = args[:1]
+		}
+		if err := op.apply(new(wm.Value), args); err != nil {
+			t.Errorf("%s on %v: %v", name, args, err)
+		}
 	}
 }

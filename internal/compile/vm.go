@@ -2,11 +2,19 @@ package compile
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"parulel/internal/wm"
 )
+
+// The VM runs the two forms of code bytecode.go lowers: value code, the
+// call-rooted RHS action expressions that (*Expr).Eval runs (exec), and
+// condition code, the filters that (*Expr).Holds runs (holds). Every builtin
+// that evaluates its arguments first is one opCall into Builtin.apply, the
+// function the tree walker calls too; the VM itself knows only constants,
+// references, locals, jumps and the lowered precedes. No meta-rule
+// source-form test reaches it: those stay on the tree walker, under a
+// MetaEnv.
 
 // framePool recycles register frames too wide for the goroutine's stack;
 // engines on different goroutines (a server's sessions) evaluate
@@ -128,14 +136,6 @@ func (c *code) exec(r []wm.Value, env Env, pc int) (wm.Value, error) {
 			}
 		case opLocal:
 			r[in.a] = env.Local(int(in.b))
-		case opMetaRef:
-			r[in.a] = env.MetaVal(int(in.b), c.refs[in.c])
-		case opMetaTag:
-			r[in.a] = wm.Int(env.MetaTag(int(in.b)))
-		case opMetaRule:
-			r[in.a] = wm.Sym(env.MetaRuleName(int(in.b)))
-		case opMetaPrec:
-			r[in.a] = wm.Bool(env.MetaPrecedes(int(in.b), int(in.c)))
 		case opRefPrec:
 			r[in.a] = wm.Bool(refsPrecede(env, c.refs[in.c], c.refs[in.c+1], int(in.b)))
 		case opJump:
@@ -148,46 +148,10 @@ func (c *code) exec(r []wm.Value, env Env, pc int) (wm.Value, error) {
 			if r[in.a].Truthy() {
 				pc = int(in.c)
 			}
-		case opNot:
-			r[in.a] = wm.Bool(!r[in.b].Truthy())
-		case opHash:
-			r[in.a] = wm.Int(hashValue(r[in.b]))
-		case opAbs:
-			v := r[in.b]
-			switch v.Kind {
-			case wm.KindInt:
-				if v.I < 0 {
-					v = wm.Int(-v.I)
-				}
-			case wm.KindFloat:
-				if v.F < 0 {
-					v = wm.Float(-v.F)
-				}
-			default:
-				return wm.Value{}, &EvalError{Op: "abs", Msg: fmt.Sprintf("non-numeric operand %s", v)}
-			}
-			r[in.a] = v
-		case opCmp:
-			r[in.a] = wm.Bool(PredOp(in.c).Apply(r[in.b], r[in.b+1]))
-		case opAdd, opSub, opMul, opDiv, opMod, opMin, opMax:
-			v, err := vmArith(in.op, r[in.b:int(in.b)+int(in.c)])
-			if err != nil {
+		case opCall:
+			if err := Builtin(in.k).apply(&r[in.a], r[in.b:int(in.b)+int(in.c)]); err != nil {
 				return wm.Value{}, err
 			}
-			r[in.a] = v
-		case opSymcat:
-			var b strings.Builder
-			for _, a := range r[in.b : int(in.b)+int(in.c)] {
-				if a.Kind == wm.KindSym || a.Kind == wm.KindStr {
-					b.WriteString(a.S)
-				} else {
-					b.WriteString(a.String())
-				}
-			}
-			if b.Len() == 0 {
-				return wm.Value{}, &EvalError{Op: "symcat", Msg: "empty result"}
-			}
-			r[in.a] = wm.Sym(b.String())
 		case opRet:
 			return r[in.a], nil
 		default:
@@ -195,115 +159,4 @@ func (c *code) exec(r []wm.Value, env Env, pc int) (wm.Value, error) {
 		}
 	}
 	return wm.Value{}, &EvalError{Op: "?", Msg: "bytecode ran off the end"}
-}
-
-// vmArithName names an arithmetic opcode for error messages. Evaluated
-// only on error paths — unlike the interpreter, the hot path never
-// materializes the name (or the map holding it).
-func vmArithName(op vmOp) string {
-	switch op {
-	case opAdd:
-		return "+"
-	case opSub:
-		return "-"
-	case opMul:
-		return "*"
-	case opDiv:
-		return "div"
-	case opMod:
-		return "mod"
-	case opMin:
-		return "min"
-	case opMax:
-		return "max"
-	}
-	return "?"
-}
-
-// vmArith folds an arithmetic builtin over a register window. It must
-// agree with evalArith byte for byte: the int/float decision scans ALL
-// operands first (so (div 7 2 2.0) is float division throughout, 1.75,
-// not int-then-float 1.5), the unary-minus special case, the error
-// messages and their precedence order are identical. The fuzz target
-// FuzzBytecodeEval holds the two implementations to this contract.
-func vmArith(op vmOp, args []wm.Value) (wm.Value, error) {
-	allInt := true
-	for i := range args {
-		a := &args[i]
-		if !a.IsNumeric() {
-			return wm.Value{}, &EvalError{Op: vmArithName(op), Msg: fmt.Sprintf("non-numeric operand %s", *a)}
-		}
-		if a.Kind != wm.KindInt {
-			allInt = false
-		}
-	}
-	if len(args) == 0 {
-		return wm.Value{}, &EvalError{Op: vmArithName(op), Msg: "no operands"}
-	}
-	if op == opSub && len(args) == 1 {
-		if allInt {
-			return wm.Int(-args[0].I), nil
-		}
-		return wm.Float(-args[0].AsFloat()), nil
-	}
-	if allInt {
-		acc := args[0].I
-		for _, a := range args[1:] {
-			switch op {
-			case opAdd:
-				acc += a.I
-			case opSub:
-				acc -= a.I
-			case opMul:
-				acc *= a.I
-			case opDiv:
-				if a.I == 0 {
-					return wm.Value{}, &EvalError{Op: vmArithName(op), Msg: "division by zero"}
-				}
-				acc /= a.I
-			case opMod:
-				if a.I == 0 {
-					return wm.Value{}, &EvalError{Op: vmArithName(op), Msg: "division by zero"}
-				}
-				acc %= a.I
-			case opMin:
-				if a.I < acc {
-					acc = a.I
-				}
-			case opMax:
-				if a.I > acc {
-					acc = a.I
-				}
-			}
-		}
-		return wm.Int(acc), nil
-	}
-	acc := args[0].AsFloat()
-	for _, a := range args[1:] {
-		f := a.AsFloat()
-		switch op {
-		case opAdd:
-			acc += f
-		case opSub:
-			acc -= f
-		case opMul:
-			acc *= f
-		case opDiv:
-			if f == 0 {
-				return wm.Value{}, &EvalError{Op: vmArithName(op), Msg: "division by zero"}
-			}
-			acc /= f
-		case opMod:
-			return wm.Value{}, &EvalError{Op: vmArithName(op), Msg: "mod requires integer operands"}
-		case opMin:
-			if f < acc {
-				acc = f
-			}
-		case opMax:
-			if f > acc {
-				acc = f
-			}
-		}
-	}
-	return wm.Float(acc), nil
 }

@@ -41,12 +41,6 @@ type ruleEnv struct {
 
 func (e *ruleEnv) Ref(r compile.VarRef) wm.Value { return e.inst.Binding(r) }
 func (e *ruleEnv) Local(i int) wm.Value          { return e.locals[i] }
-func (e *ruleEnv) MetaVal(int, compile.VarRef) wm.Value {
-	panic("core: object rule RHS has no meta context")
-}
-func (e *ruleEnv) MetaTag(int) int64          { panic("core: object rule RHS has no meta context") }
-func (e *ruleEnv) MetaRuleName(int) string    { panic("core: object rule RHS has no meta context") }
-func (e *ruleEnv) MetaPrecedes(int, int) bool { panic("core: object rule RHS has no meta context") }
 
 // fireFrame is the engine's evaluation state reused across firings: the
 // binding environment, the locals buffer and the `(write …)` buffer are

@@ -244,7 +244,7 @@ func metaAlphaPasses(p *compile.InstPattern, in *match.Instantiation) bool {
 	return true
 }
 
-// metaEnv implements compile.Env for meta-rule test evaluation.
+// metaEnv implements compile.MetaEnv for meta-rule test evaluation.
 type metaEnv struct {
 	tuple []*match.Instantiation
 }

@@ -279,12 +279,6 @@ type env struct {
 
 func (v *env) Ref(r compile.VarRef) wm.Value { return v.inst.Binding(r) }
 func (v *env) Local(i int) wm.Value          { return v.locals[i] }
-func (v *env) MetaVal(int, compile.VarRef) wm.Value {
-	panic("ops5: RHS has no meta context")
-}
-func (v *env) MetaTag(int) int64          { panic("ops5: RHS has no meta context") }
-func (v *env) MetaRuleName(int) string    { panic("ops5: RHS has no meta context") }
-func (v *env) MetaPrecedes(int, int) bool { panic("ops5: RHS has no meta context") }
 
 // fire executes one instantiation's RHS, applying effects to working
 // memory immediately (sequential semantics) and accumulating the WM delta
