@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 
 	"parulel/internal/audit"
+	"parulel/internal/store"
 	"parulel/internal/wal"
 )
 
@@ -81,15 +82,19 @@ func verifyDataDir(dir, session string, strict, verbose bool) int {
 		err     error
 	)
 	if session != "" {
-		sdir := filepath.Join(dir, "sessions", session)
-		if _, serr := os.Stat(sdir); serr != nil {
-			sdir = filepath.Join(dir, session)
+		dirs, root, derr := store.SessionDirs(wal.OS, dir)
+		for _, d := range dirs {
+			if filepath.Base(d) == session {
+				reports = []*audit.Report{audit.VerifySessionDir(d)}
+			}
 		}
-		if _, serr := os.Stat(sdir); serr != nil {
-			fmt.Fprintf(os.Stderr, "parverify: %v\n", serr)
+		if reports == nil {
+			if derr == nil {
+				derr = fmt.Errorf("no session %s under %s", session, root)
+			}
+			fmt.Fprintf(os.Stderr, "parverify: %v\n", derr)
 			return 2
 		}
-		reports = []*audit.Report{audit.VerifySessionDir(sdir)}
 	} else {
 		reports, err = audit.VerifyDataDir(dir)
 		if err != nil {

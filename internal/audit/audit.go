@@ -23,11 +23,10 @@ package audit
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
-	"parulel/internal/checkpoint"
+	"parulel/internal/store"
 	"parulel/internal/wal"
 )
 
@@ -90,35 +89,23 @@ func (r *Report) Failed(strict bool) bool {
 }
 
 // VerifySessionDir audits one session directory.
-func VerifySessionDir(dir string) *Report {
+func VerifySessionDir(dir string) *Report { return VerifyImage(dir, store.ReadSession(wal.OS, dir)) }
+
+// VerifyImage audits what store.ReadSession read from session directory
+// dir.
+func VerifyImage(dir string, img *store.Image) *Report {
 	r := &Report{Session: filepath.Base(dir), Dir: dir}
-
-	var (
-		h        checkpoint.Header
-		haveCkpt bool
-	)
-	if f, err := os.Open(filepath.Join(dir, "checkpoint")); err == nil {
-		h, _, err = checkpoint.Read(f)
-		f.Close()
-		if err != nil {
-			// The CRC frame covers the whole header — a flipped bit in
-			// the committed root (or anything else) lands here.
-			r.add(Error, CodeCheckpointCorrupt, err.Error())
-		} else {
-			haveCkpt = true
-		}
-	} else if !os.IsNotExist(err) {
-		r.add(Error, CodeCheckpointCorrupt, err.Error())
+	if img.CheckpointErr != nil {
+		// The CRC frame covers the whole header — a flipped bit in the
+		// committed root (or anything else) lands here.
+		r.add(Error, CodeCheckpointCorrupt, img.CheckpointErr.Error())
 	}
-	var ckptSeq uint64
-	if haveCkpt {
-		ckptSeq = h.Seq
-		if h.Ledger != nil {
-			r.Committed = h.Ledger.Count
-		}
+	h, ckptSeq := img.Header, img.Seq()
+	if h != nil && h.Ledger != nil {
+		r.Committed = h.Ledger.Count
 	}
 
-	info, err := wal.InspectLedger(filepath.Join(dir, "merkle.log"))
+	info, err := img.Ledger, img.LedgerErr
 	if err != nil {
 		r.add(Error, CodeLedgerCorrupt, err.Error())
 	}
@@ -129,13 +116,12 @@ func VerifySessionDir(dir string) *Report {
 		r.add(Warn, CodeNoLedger, "no merkle ledger; nothing to attest frames against")
 	}
 
-	scanRes, err := wal.ScanFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		r.add(Error, CodeWALUnreadable, err.Error())
+	if img.WALErr != nil {
+		r.add(Error, CodeWALUnreadable, img.WALErr.Error())
 	}
-	r.Frames = len(scanRes.Records)
-	if scanRes.TruncatedBytes > 0 {
-		r.add(Warn, CodeWALTorn, fmt.Sprintf("%d torn/corrupt bytes past the last valid frame", scanRes.TruncatedBytes))
+	r.Frames = len(img.Records)
+	if img.TornBytes > 0 {
+		r.add(Warn, CodeWALTorn, fmt.Sprintf("%d torn/corrupt bytes past the last valid frame", img.TornBytes))
 	}
 
 	if info == nil {
@@ -154,7 +140,7 @@ func VerifySessionDir(dir string) *Report {
 	// Checkpoint commit: the committed prefix must reproduce the root it
 	// was signed under, and so must the previous checkpoint's through
 	// the chain.
-	if haveCkpt && h.Ledger != nil {
+	if h != nil && h.Ledger != nil {
 		c := h.Ledger
 		if c.Count > info.Count() {
 			r.add(Error, CodeLedgerGap,
@@ -186,8 +172,8 @@ func VerifySessionDir(dir string) *Report {
 	if n := len(info.Entries); n > 0 {
 		lastEntrySeq = info.Entries[n-1].Seq
 	}
-	for i := range scanRes.Records {
-		rec := &scanRes.Records[i]
+	for i := range img.Records {
+		rec := &img.Records[i]
 		leaf := wal.RecordLeafHex(rec)
 		if ei, ok := entryAt[rec.Seq]; ok {
 			if info.Entries[ei].Leaf != leaf {
@@ -208,9 +194,9 @@ func VerifySessionDir(dir string) *Report {
 	// ordering leaves a durable entry without a durable frame — the log
 	// was cut (perhaps by a corrupt frame truncating the valid prefix) or
 	// the ledger padded.
-	frameAt := make(map[uint64]bool, len(scanRes.Records))
-	for i := range scanRes.Records {
-		frameAt[scanRes.Records[i].Seq] = true
+	frameAt := make(map[uint64]bool, len(img.Records))
+	for i := range img.Records {
+		frameAt[img.Records[i].Seq] = true
 	}
 	for i, e := range info.Entries {
 		if e.Seq <= ckptSeq || frameAt[e.Seq] {
@@ -232,20 +218,13 @@ func VerifySessionDir(dir string) *Report {
 // (either the data dir itself — sessions live under <dir>/sessions — or
 // a sessions directory directly). Reports come back sorted by session id.
 func VerifyDataDir(dir string) ([]*Report, error) {
-	root := dir
-	if fi, err := os.Stat(filepath.Join(dir, "sessions")); err == nil && fi.IsDir() {
-		root = filepath.Join(dir, "sessions")
-	}
-	entries, err := os.ReadDir(root)
+	dirs, root, err := store.SessionDirs(wal.OS, dir)
 	if err != nil {
 		return nil, err
 	}
 	var reports []*Report
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		reports = append(reports, VerifySessionDir(filepath.Join(root, e.Name())))
+	for _, d := range dirs {
+		reports = append(reports, VerifySessionDir(d))
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Session < reports[j].Session })
 	if len(reports) == 0 {

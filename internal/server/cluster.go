@@ -24,12 +24,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -37,6 +36,7 @@ import (
 	"parulel/internal/checkpoint"
 	"parulel/internal/cluster"
 	"parulel/internal/obs"
+	"parulel/internal/store"
 	"parulel/internal/wal"
 )
 
@@ -48,13 +48,12 @@ const forwardedHeader = "X-Parulel-Forwarded"
 
 // clusterState is one node's runtime view of the cluster.
 type clusterState struct {
-	cfg      cluster.Config
-	members  map[string]cluster.Member
-	ring     *cluster.Ring
-	mship    *cluster.Membership
-	client   *cluster.Client
-	peerSrv  *cluster.PeerServer
-	replRoot string // <DataDir>/replicas
+	cfg     cluster.Config
+	members map[string]cluster.Member
+	ring    *cluster.Ring
+	mship   *cluster.Membership
+	client  *cluster.Client
+	peerSrv *cluster.PeerServer
 
 	mu        sync.Mutex
 	overrides map[string]cluster.Moved
@@ -77,7 +76,6 @@ func (s *Server) startCluster(cfg cluster.Config) error {
 		members:   make(map[string]cluster.Member, len(cfg.Members)),
 		mship:     cluster.NewMembership(cfg),
 		client:    cluster.NewClient(cfg.Node, cfg.IOTimeout),
-		replRoot:  filepath.Join(s.cfg.DataDir, "replicas"),
 		overrides: make(map[string]cluster.Moved),
 		replicas:  make(map[string]*serverReplica),
 	}
@@ -87,7 +85,7 @@ func (s *Server) startCluster(cfg cluster.Config) error {
 		names = append(names, m.Name)
 	}
 	cs.ring = cluster.NewRing(names, cfg.VNodes)
-	if err := os.MkdirAll(cs.replRoot, 0o755); err != nil {
+	if err := s.store.EnableReplicas(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	ln := cfg.PeerListener
@@ -265,37 +263,29 @@ func (s *Server) owns(id string) bool {
 	s.mu.Lock()
 	_, live := s.sessions[id]
 	s.mu.Unlock()
-	return live || s.store.has(id)
+	return live || s.store.Has(id)
 }
 
 // promoteReplica turns this node's replica of id into the session, owned
-// here under the claim mv: fence the handle, fsync, rename the directory to
-// sessions/<id> — the ordinary lazy-rehydration path does the rest — and
+// here under the claim mv: fence the handle, have the store promote the
+// directory — the ordinary lazy-rehydration path does the rest — and
 // record the claim. Failover runs it when the owner is dead, a hand-off
 // when the owner asks. False: nothing to promote (a promoter or Drop won).
 func (s *Server) promoteReplica(id string, mv cluster.Moved) (bool, error) {
 	cs := s.cluster
-	src := filepath.Join(cs.replRoot, id)
 	// Fence the replica handle first: a zombie replication stream from a
 	// presumed-dead primary must not append into the promoted session.
 	// Closing it also fsyncs the log.
 	cs.closeReplica(id)
 	cs.mu.Lock() // so that two concurrent requests promote once
-	if s.store.has(id) {
+	if s.store.Has(id) {
 		cs.mu.Unlock()
 		return false, nil
 	}
-	err := syncDir(src)
-	if err == nil {
-		err = os.Rename(src, s.store.dir(id))
-	}
-	if err == nil {
-		s.store.markKnown(id)
-		err = syncDir(s.store.root)
-	}
+	err := s.store.Promote(id)
 	cs.mu.Unlock()
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			err = nil // lost a race with a Drop
 		}
 		return false, err
@@ -316,7 +306,7 @@ func (s *Server) adoptIfNeeded(ctx context.Context, id string) error {
 	if s.owns(id) {
 		return nil
 	}
-	if _, err := os.Stat(filepath.Join(cs.replRoot, id)); err != nil {
+	if !s.store.HasReplica(id) {
 		return nil // no replica either; the handler 404s as usual
 	}
 	mv := cluster.Moved{Session: id, Target: cs.cfg.Node, Seq: cs.nextMoveSeq(id)}
@@ -495,7 +485,7 @@ func (s *Server) replicateCheckpoint(ctx context.Context, sess *session) {
 	if stream == nil || sess.dur == nil {
 		return
 	}
-	image, err := os.ReadFile(filepath.Join(sess.dur.dir, checkpointFile))
+	image, err := sess.dur.CheckpointImage()
 	if err == nil {
 		err = stream.SendCheckpoint(image)
 	}
@@ -507,17 +497,16 @@ func (s *Server) replicateCheckpoint(ctx context.Context, sess *session) {
 }
 
 // diskState snapshots a session's transferable state from its on-disk
-// files: the checkpoint image plus every WAL record behind it. Caller
+// files: the checkpoint image plus the WAL records past it. Caller
 // holds the session slot, so nothing appends concurrently; the open log
-// handle is unaffected by the read-only scan.
-func (s *Server) diskState(sess *session) (st cluster.SessionState, err error) {
-	dir := sess.dur.dir
-	if st.Checkpoint, err = os.ReadFile(filepath.Join(dir, checkpointFile)); err != nil && !os.IsNotExist(err) {
-		return st, err
+// handle is unaffected by the read-only read.
+func (s *Server) diskState(sess *session) (cluster.SessionState, error) {
+	img := sess.dur.Image()
+	err := img.WALErr
+	if img.Checkpoint == nil && img.CheckpointErr != nil {
+		err = img.CheckpointErr // unread; a corrupt image travels as it is
 	}
-	res, err := wal.ScanFile(filepath.Join(dir, walFile))
-	st.Tail = res.Records
-	return st, err
+	return cluster.SessionState{Checkpoint: img.Checkpoint, Tail: img.Tail()}, err
 }
 
 // ---- replica store (follower side) ----
@@ -530,12 +519,12 @@ func (s *Server) diskState(sess *session) (st cluster.SessionState, err error) {
 // than touch files a promotion or drop is about to take.
 type serverReplica struct {
 	s *Server
-	d *durable
+	d *store.Session
 }
 
 func (r *serverReplica) AppendRecord(rec *wal.Record, trace string) error {
 	t0 := time.Now()
-	_, err := r.d.append(rec, true)
+	_, err := r.d.Append(rec, true)
 	// The producing request's trace arrived with the record; record the
 	// follower-side apply into this node's span store so the assembled
 	// cluster trace shows both sides of the replication hop.
@@ -547,7 +536,7 @@ func (r *serverReplica) AppendRecord(rec *wal.Record, trace string) error {
 			StartUNN: t0.UnixNano(),
 			DurNS:    time.Since(t0).Nanoseconds(),
 			Attrs: map[string]string{
-				"session": r.d.id,
+				"session": r.d.ID(),
 				"seq":     strconv.FormatUint(rec.Seq, 10),
 			},
 		})
@@ -556,36 +545,36 @@ func (r *serverReplica) AppendRecord(rec *wal.Record, trace string) error {
 }
 
 func (r *serverReplica) PutCheckpoint(image []byte) error {
-	return r.d.checkpoint(func(w io.Writer, _ *checkpoint.LedgerCommit) error {
+	return r.d.Checkpoint(func(w io.Writer, _ *checkpoint.LedgerCommit) error {
 		_, err := w.Write(image)
 		return err
 	})
 }
 
-func (r *serverReplica) Sync() error { return r.d.sync() }
+func (r *serverReplica) Sync() error { return r.d.Sync() }
 
 func (r *serverReplica) Promote(mv cluster.Moved) error {
 	// A fenced handle's directory is someone else's to promote.
-	if err := r.d.sync(); err != nil {
+	if err := r.d.Sync(); err != nil {
 		return err
 	}
-	promoted, err := r.s.promoteReplica(r.d.id, mv)
+	promoted, err := r.s.promoteReplica(r.d.ID(), mv)
 	if err == nil && !promoted {
 		err = errors.New("no replica left to promote")
 	}
 	if err == nil {
 		r.s.metrics.inc(&r.s.metrics.Cluster.MigrationsIn)
-		r.s.cfg.Logger.Info("session migrated in", "session_id", r.d.id)
+		r.s.cfg.Logger.Info("session migrated in", "session_id", r.d.ID())
 	}
 	return err
 }
 
 func (r *serverReplica) Close() error {
-	err := r.d.close()
+	err := r.d.Close()
 	cs := r.s.cluster
 	cs.mu.Lock()
-	if cs.replicas[r.d.id] == r {
-		delete(cs.replicas, r.d.id)
+	if cs.replicas[r.d.ID()] == r {
+		delete(cs.replicas, r.d.ID())
 	}
 	cs.mu.Unlock()
 	return err
@@ -599,12 +588,6 @@ func (cs *clusterState) closeReplica(id string) {
 	if rep != nil {
 		rep.Close()
 	}
-}
-
-// replicaCount counts the replica directories currently held.
-func (cs *clusterState) replicaCount() int {
-	entries, _ := os.ReadDir(cs.replRoot) // nothing else is ever put there
-	return len(entries)
 }
 
 // ---- peer protocol backend ----
@@ -623,18 +606,11 @@ func (b *clusterBackend) OpenReplica(id string) (cluster.Replica, error) {
 	// A new stream always starts with a full state sync: fence and discard
 	// whatever a previous stream left.
 	cs.closeReplica(id)
-	dir := filepath.Join(cs.replRoot, id)
-	if err := os.RemoveAll(dir); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	l, _, err := wal.Open(filepath.Join(dir, walFile), s.store.walOpts)
+	d, err := s.store.OpenReplica(id)
 	if err != nil {
 		return nil, err
 	}
-	rep := &serverReplica{s: s, d: &durable{st: s.store, id: id, dir: dir, log: l}}
+	rep := &serverReplica{s: s, d: d}
 	cs.mu.Lock()
 	cs.replicas[id] = rep
 	cs.mu.Unlock()
@@ -661,9 +637,8 @@ func (b *clusterBackend) HandlePing(p cluster.Ping) {
 }
 
 func (b *clusterBackend) DropReplica(id string) error {
-	cs := b.s.cluster
-	cs.closeReplica(id)
-	return os.RemoveAll(filepath.Join(cs.replRoot, id))
+	b.s.cluster.closeReplica(id)
+	return b.s.store.DropReplica(id)
 }
 
 // ---- live migration ----
@@ -754,7 +729,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		"redirect":    cs.cfg.Redirect,
 		"members":     cs.mship.Snapshot(),
 		"overrides":   cs.snapshotOverrides(),
-		"replicas":    cs.replicaCount(),
+		"replicas":    s.store.ReplicaCount(),
 	}
 	if id := r.URL.Query().Get("session"); id != "" {
 		_, overridden := cs.override(id)

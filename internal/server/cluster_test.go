@@ -883,7 +883,7 @@ func TestClusterHandOffFailureKeepsSource(t *testing.T) {
 	for name, sabotage := range map[string]func(tc *testCluster, gate *handOffGate, id string){
 		"target refuses": func(tc *testCluster, _ *handOffGate, id string) {
 			// The target believes it owns the session already.
-			tc.servers["n1"].store.markKnown(id)
+			tc.servers["n1"].store.MarkKnown(id)
 		},
 		"ack lost": func(_ *testCluster, gate *handOffGate, _ string) { gate.armed.Store(true) },
 	} {

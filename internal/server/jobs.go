@@ -222,7 +222,7 @@ func (s *Server) appendJobMarker(ctx context.Context, sess *session, jobID, stat
 	if sess.dur == nil {
 		return
 	}
-	if _, err := sess.dur.append(&wal.Record{Op: wal.OpJob, Job: jobID, JobStatus: status}, false); err != nil {
+	if _, err := sess.dur.Append(&wal.Record{Op: wal.OpJob, Job: jobID, JobStatus: status}, false); err != nil {
 		s.log(ctx).Warn("job marker not logged", "session_id", sess.id, "job_id", jobID, "status", status, "err", err)
 	}
 }

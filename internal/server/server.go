@@ -35,6 +35,7 @@ import (
 	"parulel/internal/obs"
 	"parulel/internal/programs"
 	"parulel/internal/snapshot"
+	"parulel/internal/store"
 	"parulel/internal/wal"
 	"parulel/internal/wm"
 )
@@ -201,7 +202,7 @@ type Server struct {
 	jobs     *jobRegistry
 	metrics  *collector
 	start    time.Time
-	store    *store        // nil when durability is disabled
+	store    *store.Store  // nil when durability is disabled
 	cluster  *clusterState // nil when not in cluster mode
 	spans    *obs.SpanStore
 	flight   *obs.FlightRecorder
@@ -257,14 +258,14 @@ func New(cfg Config) (*Server, error) {
 			OnAppend: func(n int) { m.inc(&m.Durability.WALRecords); m.add(&m.Durability.WALBytes, uint64(n)) },
 			OnFsync:  m.fsyncObserved,
 		}
-		st, maxID, err := openStore(cfg.DataDir, walOpts, !cfg.DisableMerkle)
+		st, maxID, err := store.Open(cfg.DataDir, walOpts, !cfg.DisableMerkle)
 		if err != nil {
 			return nil, err
 		}
 		s.store = st
 		s.nextID = maxID // never reuse a recoverable session's id
-		m.Durability = &durabilityPayload{FoundOnBoot: st.count(), fsyncPayload: fsyncPayload(*newHist())}
-		if n := st.count(); n > 0 {
+		m.Durability = &durabilityPayload{FoundOnBoot: st.Count(), fsyncPayload: fsyncPayload(*newHist())}
+		if n := st.Count(); n > 0 {
 			cfg.Logger.Info("durability: recoverable sessions found", "count", n, "data_dir", cfg.DataDir)
 		}
 	}
@@ -465,7 +466,7 @@ func (s *Server) closeFiles(sess *session) {
 		stream.Close()
 	}
 	if sess.dur != nil {
-		if err := sess.dur.close(); err != nil {
+		if err := sess.dur.Close(); err != nil {
 			s.cfg.Logger.Error("closing wal", "session_id", sess.id, "err", err)
 		}
 	}
@@ -531,16 +532,16 @@ func (s *Server) dropLocalSession(ctx context.Context, id string) bool {
 		if sess.dur != nil {
 			// No fsync for a log about to be removed; the close in
 			// evictLocked is then a no-op.
-			if err := sess.dur.discard(); err != nil {
+			if err := sess.dur.Discard(); err != nil {
 				s.log(ctx).Error("closing wal", "session_id", id, "err", err)
 			}
 		}
 		s.evictLocked(sess)
 	}
 	s.mu.Unlock()
-	onDisk := s.store != nil && s.store.has(id)
+	onDisk := s.store != nil && s.store.Has(id)
 	if onDisk {
-		if err := s.store.remove(id); err != nil {
+		if err := s.store.Remove(id); err != nil {
 			s.log(ctx).Error("removing data dir", "session_id", id, "err", err)
 		}
 	}
@@ -608,7 +609,7 @@ func (s *Server) sessionByID(ctx context.Context, id string) (*session, error) {
 		if ok {
 			return sess, nil
 		}
-		if s.store == nil || draining || attempt > 0 || !s.store.has(id) {
+		if s.store == nil || draining || attempt > 0 || !s.store.Has(id) {
 			return nil, fmt.Errorf("%w %q", errNoSession, id)
 		}
 		if err := s.rehydrate(ctx, id); err != nil {
@@ -755,14 +756,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Admission.RunQueueLen, p.Admission.RunsInflight = s.runQueue.stats()
 	p.Jobs.Active = s.jobs.activeCount()
 	if p.Durability != nil {
-		p.Durability.SessionsOnDisk = s.store.count()
+		p.Durability.SessionsOnDisk = s.store.Count()
 	}
 	if cs := s.cluster; cs != nil {
 		cs.mu.Lock()
 		p.Cluster.RouteOverrides = len(cs.overrides)
 		cs.mu.Unlock()
 		p.Cluster.MembersTotal, p.Cluster.MembersUp = len(cs.members), cs.mship.UpCount()
-		p.Cluster.ReplicaSessions = cs.replicaCount()
+		p.Cluster.ReplicaSessions = s.store.ReplicaCount()
 	}
 	w.Header().Set("Cache-Control", "no-cache")
 	if format == "prometheus" {
@@ -874,7 +875,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	sess := s.newSession(id, &meta, prog, false)
 	if s.store != nil {
-		dur, err := s.store.create(id, meta)
+		dur, err := s.store.Create(id, meta)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "durability: "+err.Error())
 			return
@@ -889,7 +890,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			// Only now may lookups see the id: marking before insertion
 			// would let a concurrent request rehydrate from the OpCreate
 			// record and race this insert.
-			s.store.markKnown(id)
+			s.store.MarkKnown(id)
 		}
 		info := sess.info(sess.lastUsed)
 		s.mu.Unlock()
@@ -902,8 +903,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if sess.dur != nil {
-		sess.dur.close()
-		if rerr := s.store.remove(id); rerr != nil {
+		sess.dur.Close()
+		if rerr := s.store.Remove(id); rerr != nil {
 			s.log(r.Context()).Error("removing data dir", "session_id", id, "err", rerr)
 		}
 	}

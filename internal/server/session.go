@@ -14,6 +14,7 @@ import (
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/obs"
+	"parulel/internal/store"
 	"parulel/internal/temporal"
 	"parulel/internal/wal"
 	"parulel/internal/wm"
@@ -42,7 +43,7 @@ type session struct {
 
 	// dur is the session's durability handle; nil when the server runs
 	// without a data directory.
-	dur *durable
+	dur *store.Session
 
 	// repl is the live replication stream to this session's follower; nil
 	// when not in cluster mode, replication is off, or no stream is

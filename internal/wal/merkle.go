@@ -48,6 +48,7 @@ import (
 	"math/bits"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -297,10 +298,9 @@ func (t *merkleTree) path(m, lo, hi uint64) ([][sha256.Size]byte, error) {
 // it under the log mutex; the server reads proofs and state through its
 // own lock, so the two never contend on the log's.
 type Ledger struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	t    merkleTree
+	mu sync.Mutex
+	f  File
+	t  merkleTree
 
 	// pending are file entries staged in memory but not yet durable in
 	// the ledger file; SyncAll writes them after the WAL fsync covers
@@ -338,23 +338,21 @@ func decodePeaks(peaks []string) ([][sha256.Size]byte, error) {
 func peakCountFor(n uint64) int { return bits.OnesCount64(n) }
 
 // parseLedger reads a ledger stream: header, base peaks, entries. A
-// trailing partial entry (torn write) is reported, not an error; a
-// malformed header or short peak set is ErrLedgerCorrupt.
+// trailing partial entry, or a file that ends inside its header (a torn
+// creation), is reported as torn bytes, not an error; a malformed header
+// or short peak set is ErrLedgerCorrupt.
 func parseLedger(r io.Reader) (hdr ledgerHeader, seqs []uint64, leaves [][sha256.Size]byte, torn int64, err error) {
 	rd := bufio.NewReader(r)
 	magic, rerr := rd.ReadString('\n')
-	if rerr != nil {
-		if magic == "" {
-			return hdr, nil, nil, 0, nil // brand-new empty file
-		}
-		return hdr, nil, nil, 0, fmt.Errorf("%w: short magic", ErrLedgerCorrupt)
+	if rerr != nil && strings.HasPrefix(ledgerMagic, magic) {
+		return hdr, nil, nil, int64(len(magic)), nil // empty, or torn at creation
 	}
 	if magic != ledgerMagic+"\n" {
 		return hdr, nil, nil, 0, fmt.Errorf("%w: bad magic %q", ErrLedgerCorrupt, magic)
 	}
 	hline, rerr := rd.ReadString('\n')
 	if rerr != nil {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: short header", ErrLedgerCorrupt)
+		return hdr, nil, nil, int64(len(magic) + len(hline)), nil // torn at creation
 	}
 	if err := json.Unmarshal([]byte(hline), &hdr); err != nil {
 		return hdr, nil, nil, 0, fmt.Errorf("%w: header: %v", ErrLedgerCorrupt, err)
@@ -391,8 +389,11 @@ func parseLedger(r io.Reader) (hdr ledgerHeader, seqs []uint64, leaves [][sha256
 // scan; a malformed header or out-of-order entries fail with
 // ErrLedgerCorrupt rather than being repaired — the ledger is the
 // tamper-evidence layer, so it never guesses.
-func OpenLedger(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+func OpenLedger(path string) (*Ledger, error) { return OpenLedgerFS(OS, path) }
+
+// OpenLedgerFS is OpenLedger on fsys.
+func OpenLedgerFS(fsys FS, path string) (*Ledger, error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -421,9 +422,9 @@ func OpenLedger(path string) (*Ledger, error) {
 		f.Close()
 		return nil, err
 	}
-	led := &Ledger{path: path, f: f}
+	led := &Ledger{f: f}
 	led.t = merkleTree{base: hdr.Base, basePeaks: peaks, leaves: leaves, seqs: seqs}
-	if size == 0 {
+	if size == torn { // no header yet
 		if err := led.writeHeaderLocked(); err != nil {
 			f.Close()
 			return nil, err
@@ -528,29 +529,34 @@ func (led *Ledger) Count() uint64 {
 func (led *Ledger) Prove(seq uint64) (*Proof, error) {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	i := sort.Search(len(led.t.seqs), func(i int) bool { return led.t.seqs[i] >= seq })
-	if i >= len(led.t.seqs) || led.t.seqs[i] != seq {
-		if led.t.base > 0 && (len(led.t.seqs) == 0 || seq < led.t.seqs[0]) {
+	return led.t.prove(seq)
+}
+
+// prove builds the inclusion proof for the leaf of sequence number seq
+// against the root over every leaf.
+func (t *merkleTree) prove(seq uint64) (*Proof, error) {
+	i := sort.Search(len(t.seqs), func(i int) bool { return t.seqs[i] >= seq })
+	if i >= len(t.seqs) || t.seqs[i] != seq {
+		if t.base > 0 && (len(t.seqs) == 0 || seq < t.seqs[0]) {
 			return nil, fmt.Errorf("%w: seq %d", ErrProofPredates, seq)
 		}
 		return nil, fmt.Errorf("wal: no ledger entry for seq %d", seq)
 	}
-	index := led.t.base + uint64(i)
-	count := led.t.count()
-	path, err := led.t.path(index, 0, count)
+	index := t.base + uint64(i)
+	count := t.count()
+	path, err := t.path(index, 0, count)
 	if err != nil {
 		return nil, err
 	}
-	root, err := led.t.rootAt(count)
+	root, err := t.rootAt(count)
 	if err != nil {
 		return nil, err
 	}
-	leaf := led.t.leaves[i]
 	return &Proof{
 		Seq:   seq,
 		Index: index,
 		Count: count,
-		Leaf:  hex.EncodeToString(leaf[:]),
+		Leaf:  hex.EncodeToString(t.leaves[i][:]),
 		Path:  encodePeaks(path),
 		Root:  hex.EncodeToString(root[:]),
 	}, nil
@@ -767,8 +773,11 @@ type LedgerInfo struct {
 
 // InspectLedger loads the ledger at path without opening it for writing
 // or repairing anything. A missing file returns nil, nil.
-func InspectLedger(path string) (*LedgerInfo, error) {
-	f, err := os.Open(path)
+func InspectLedger(path string) (*LedgerInfo, error) { return InspectLedgerFS(OS, path) }
+
+// InspectLedgerFS is InspectLedger on fsys.
+func InspectLedgerFS(fsys FS, path string) (*LedgerInfo, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
@@ -810,30 +819,4 @@ func (info *LedgerInfo) Root() (string, error) { return info.RootAt(info.t.count
 
 // Prove builds an inclusion proof from the snapshot, same semantics as
 // Ledger.Prove.
-func (info *LedgerInfo) Prove(seq uint64) (*Proof, error) {
-	i := sort.Search(len(info.t.seqs), func(i int) bool { return info.t.seqs[i] >= seq })
-	if i >= len(info.t.seqs) || info.t.seqs[i] != seq {
-		if info.t.base > 0 && (len(info.t.seqs) == 0 || seq < info.t.seqs[0]) {
-			return nil, fmt.Errorf("%w: seq %d", ErrProofPredates, seq)
-		}
-		return nil, fmt.Errorf("wal: no ledger entry for seq %d", seq)
-	}
-	index := info.t.base + uint64(i)
-	count := info.t.count()
-	path, err := info.t.path(index, 0, count)
-	if err != nil {
-		return nil, err
-	}
-	root, err := info.t.rootAt(count)
-	if err != nil {
-		return nil, err
-	}
-	return &Proof{
-		Seq:   seq,
-		Index: index,
-		Count: count,
-		Leaf:  hex.EncodeToString(info.t.leaves[i][:]),
-		Path:  encodePeaks(path),
-		Root:  hex.EncodeToString(root[:]),
-	}, nil
-}
+func (info *LedgerInfo) Prove(seq uint64) (*Proof, error) { return info.t.prove(seq) }

@@ -10,6 +10,30 @@ import (
 	"time"
 )
 
+// faultFS is OS with every file's Sync replaced by sync, which is handed
+// the *os.File underneath: tests count, observe or fail fsyncs through it.
+func faultFS(sync func(*os.File) error) FS { return syncHookFS{OS, sync} }
+
+type syncHookFS struct {
+	FS
+	sync func(*os.File) error
+}
+
+func (h syncHookFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := h.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncHookFile{f.(*os.File), h.sync}, nil
+}
+
+type syncHookFile struct {
+	*os.File
+	sync func(*os.File) error
+}
+
+func (f syncHookFile) Sync() error { return f.sync(f.File) }
+
 // The appenders in these tests share one log, which a served session's
 // log never does; they exercise l.mu as the only thing ordering appends
 // and their fsyncs.
@@ -36,7 +60,7 @@ func TestWALAckImpliesDurable(t *testing.T) {
 			offsets = append(offsets, cum)
 			offMu.Unlock()
 		},
-		FsyncFn: func(f *os.File) error {
+		FS: faultFS(func(f *os.File) error {
 			fi, err := f.Stat()
 			if err != nil {
 				return err
@@ -53,7 +77,7 @@ func TestWALAckImpliesDurable(t *testing.T) {
 				}
 			}
 			return nil
-		},
+		}),
 	}
 	l, _ := openTemp(t, opts)
 
@@ -97,12 +121,12 @@ func TestWALFsyncFailure(t *testing.T) {
 	var calls atomic.Int64
 	opts := Options{
 		Policy: PolicyAlways,
-		FsyncFn: func(f *os.File) error {
+		FS: faultFS(func(f *os.File) error {
 			if calls.Add(1) >= 2 {
 				return boom
 			}
 			return f.Sync()
-		},
+		}),
 	}
 	l, _ := openTemp(t, opts)
 
@@ -155,7 +179,7 @@ func TestWALKillMidAppends(t *testing.T) {
 		imgMu sync.Mutex
 		image []byte
 	)
-	opts := Options{Policy: PolicyAlways, FsyncFn: func(f *os.File) error {
+	opts := Options{Policy: PolicyAlways, FS: faultFS(func(f *os.File) error {
 		data, rerr := os.ReadFile(path) // what the flush is about to make durable
 		if err := f.Sync(); err != nil {
 			return err
@@ -168,7 +192,7 @@ func TestWALKillMidAppends(t *testing.T) {
 			imgMu.Unlock()
 		}
 		return nil
-	}}
+	})}
 	l, res, err := Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +353,7 @@ func TestIntervalFsyncFailureLatches(t *testing.T) {
 			default:
 			}
 		},
-		FsyncFn: func(*os.File) error { return boom },
+		FS: faultFS(func(*os.File) error { return boom }),
 	}
 	l, _ := openTemp(t, opts)
 	// The first append is acknowledged optimistically (interval policy).
@@ -351,7 +375,7 @@ func TestIntervalFsyncFailureLatches(t *testing.T) {
 
 	// PolicyAlways latches too: the failing append reports the error and
 	// so does every append after it.
-	l2, _ := openTemp(t, Options{Policy: PolicyAlways, FsyncFn: func(*os.File) error { return boom }})
+	l2, _ := openTemp(t, Options{Policy: PolicyAlways, FS: faultFS(func(*os.File) error { return boom })})
 	if err := l2.Append(&Record{Op: OpRun}); !errors.Is(err, boom) {
 		t.Fatalf("always-policy append with failing fsync: %v", err)
 	}

@@ -81,9 +81,9 @@ type Options struct {
 	OnAppend func(bytes int)
 	// OnFsync observes the latency of every fsync issued.
 	OnFsync func(d time.Duration)
-	// FsyncFn replaces the file-sync call. Tests inject failing or
-	// bookkeeping syncs through it; nil means (*os.File).Sync.
-	FsyncFn func(*os.File) error
+	// FS is the filesystem the log lives on; nil means OS. Tests inject
+	// failing or bookkeeping writes and syncs through it.
+	FS FS
 }
 
 // ScanResult reports what Open found in an existing log file.
@@ -98,16 +98,17 @@ type ScanResult struct {
 // use; appends are serialized internally.
 type Log struct {
 	mu     sync.Mutex
-	f      *os.File
+	f      File
 	opts   Options
 	seq    uint64 // last sequence number assigned
 	dirty  bool
 	closed bool
 
-	// syncErr latches the first fsync failure permanently: once the
-	// kernel has dropped dirty pages on an fsync error, retrying cannot
-	// recover them, so every later append/sync must fail rather than
-	// silently acknowledge writes that may never reach the disk.
+	// syncErr latches the first fsync or write failure permanently: once
+	// the kernel has dropped dirty pages on an fsync error, retrying cannot
+	// recover them, and a frame after a partly written one is past the end
+	// a scan reaches. Every later append/sync must fail rather than
+	// silently acknowledge writes that may never be recovered.
 	syncErr error
 
 	// ledger, when set, mirrors every appended frame into a Merkle
@@ -131,7 +132,10 @@ func Open(path string, opts Options) (*Log, ScanResult, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 100 * time.Millisecond
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if opts.FS == nil {
+		opts.FS = OS
+	}
+	f, err := opts.FS.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, ScanResult{}, err
 	}
@@ -161,7 +165,7 @@ func Open(path string, opts Options) (*Log, ScanResult, error) {
 
 // scan reads every valid record, returning them plus the last sequence
 // number seen and the offset of the end of the valid prefix.
-func scan(f *os.File) (ScanResult, uint64, int64, error) {
+func scan(f File) (ScanResult, uint64, int64, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return ScanResult{}, 0, 0, err
@@ -245,7 +249,8 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		l.syncErr = fmt.Errorf("wal: append: %w", err)
+		return l.syncErr
 	}
 	if l.ledger != nil {
 		l.ledger.observe(rec.Seq, payload)
@@ -305,13 +310,6 @@ func (l *Log) AppendKeepSeq(rec *Record) error {
 	return err
 }
 
-func (l *Log) fsyncFile() error {
-	if l.opts.FsyncFn != nil {
-		return l.opts.FsyncFn(l.f)
-	}
-	return l.f.Sync()
-}
-
 // SetLedger attaches a Merkle ledger: every later append feeds it a
 // leaf, and each successful fsync flushes its staged entries. Attach
 // before the first append (the store wires it between Open and use);
@@ -322,19 +320,14 @@ func (l *Log) SetLedger(led *Ledger) {
 	l.mu.Unlock()
 }
 
-// Ledger returns the attached Merkle ledger, nil if none.
-func (l *Log) Ledger() *Ledger {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ledger
-}
-
 // ScanFile reads the valid record prefix of the log at path without
 // opening it for writing or truncating a torn tail. A missing file is an
-// empty log. The session-migration path uses it to snapshot the WAL tail
-// of a live session whose Log handle stays open.
-func ScanFile(path string) (ScanResult, error) {
-	f, err := os.Open(path)
+// empty log.
+func ScanFile(path string) (ScanResult, error) { return ScanFileFS(OS, path) }
+
+// ScanFileFS is ScanFile on fsys.
+func ScanFileFS(fsys FS, path string) (ScanResult, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return ScanResult{}, nil
@@ -387,7 +380,7 @@ func (l *Log) Sync() error {
 // of either latches permanently.
 func (l *Log) syncLocked() (time.Duration, error) {
 	t0 := time.Now()
-	err := l.fsyncFile()
+	err := l.f.Sync()
 	d := time.Since(t0)
 	if l.opts.OnFsync != nil {
 		l.opts.OnFsync(d)
