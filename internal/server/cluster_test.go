@@ -853,22 +853,29 @@ func (g *handOffGate) Accept() (net.Conn, error) {
 }
 
 // handOffConn is read and written by its one peer-server handler
-// goroutine. Live replication is one frame, one ack, so a read that
-// follows a write starts on a frame's type byte.
+// goroutine. Live replication is one frame, one ack, so the first read
+// that follows a write starts on a frame's type byte. Only that read
+// decides whether a hand-off frame is coming in, and the decision holds
+// until the next write: a frame that arrives in several reads keeps it.
 type handOffConn struct {
 	net.Conn
 	g       *handOffGate
+	decided bool // a read since the last write has set handOff
 	handOff bool
 }
 
 func (c *handOffConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.handOff = n > 0 && p[0] == 'M'
+	if n > 0 && !c.decided {
+		c.decided, c.handOff = true, p[0] == 'M'
+	}
 	return n, err
 }
 
 func (c *handOffConn) Write(p []byte) (int, error) {
-	if c.handOff && c.g.armed.CompareAndSwap(true, false) {
+	handOff := c.handOff
+	c.decided, c.handOff = false, false
+	if handOff && c.g.armed.CompareAndSwap(true, false) {
 		c.Conn.Close()
 		return 0, net.ErrClosed
 	}

@@ -6,10 +6,14 @@ package server
 // much if every cycle costs memory until the run ends.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"testing"
@@ -207,5 +211,67 @@ func TestNewSessionAllocation(t *testing.T) {
 func TestDefaultLoggerIsDisabled(t *testing.T) {
 	if (Config{}).withDefaults().Logger.Enabled(context.Background(), slog.LevelError) {
 		t.Error("the default logger reports error-level records enabled")
+	}
+}
+
+// TestSoakSessionMemoryIndependentOfAge streams records into one durable
+// session, whose working memory TTL expiry holds to a few facts, through
+// the handler (no TCP): a stream frame asserts one fact, ticks and runs,
+// and logs one record. By the 50,000th record the span store, a
+// fixed-size ring, is full; the heap after the last record must be within
+// 10% of the heap then: nothing the session or the server keeps grows with
+// how many records the session has logged. (While the ledger kept every
+// leaf in memory, 40 B a record, the heap grew by 6 MiB here, 180%.)
+func TestSoakSessionMemoryIndependentOfAge(t *testing.T) {
+	records, mark, perRequest := 200_000, 50_000, 100
+	if raceEnabled {
+		records, mark = records/8, mark/8
+	}
+	s, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	rec := serve("POST", "/api/v1/sessions", []byte(`{"source":"(literalize ev n) (ttl ev 2)"}`))
+	var info sessionInfo
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &info) != nil {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	path := "/api/v1/sessions/" + info.ID + "/stream"
+	var body []byte
+	var atMark uint64
+	markAt := 0 // the record the mark's sample followed
+	for n := 0; n < records; n += perRequest {
+		body = body[:0]
+		for i := n; i < n+perRequest; i++ {
+			body = fmt.Appendf(body, `{"facts":[{"template":"ev","fields":{"n":%d}}],"run":true}`+"\n", i)
+		}
+		if rec := serve("POST", path, body); rec.Code != http.StatusOK || bytes.Contains(rec.Body.Bytes(), []byte(`"error"`)) {
+			t.Fatalf("records %d…: status %d: %s", n, rec.Code, rec.Body)
+		}
+		if n < mark && n+perRequest >= mark {
+			if got, capacity := s.spans.Total(), s.spans.Capacity(); got < uint64(capacity) {
+				t.Fatalf("the span store holds %d of %d spans at the mark", got, capacity)
+			}
+			atMark, markAt = liveHeap(), n+perRequest
+		}
+	}
+	end := liveHeap()
+	t.Logf("heap %d KiB after record %d, %d KiB after record %d", atMark>>10, markAt, end>>10, records)
+	if grew := int64(end) - int64(atMark); grew > int64(atMark/10) {
+		t.Errorf("heap grew %d KiB (%.1f%%) between record %d and record %d", grew>>10, 100*float64(grew)/float64(atMark), markAt, records)
+	}
+	rec = serve("GET", "/api/v1/sessions/"+info.ID, nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.WMSize > 4 {
+		t.Errorf("working memory holds %d facts (%v); TTL expiry should hold it to a few", info.WMSize, err)
 	}
 }

@@ -6,6 +6,7 @@ package server
 // session.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parulel/internal/wal"
 	"parulel/internal/wm"
@@ -85,6 +87,41 @@ func TestProofEndpoint(t *testing.T) {
 	}
 	if p2.Leaf != p.Leaf || p2.Root != p.Root || p2.Count != p.Count {
 		t.Fatalf("recovery changed the attested history:\n before %+v\n after  %+v", p, p2)
+	}
+}
+
+// TestProofCoversDurableEntriesOnly: under the interval policy a record
+// whose frame has not been fsynced yet has no proof (404), and once the
+// log has synced the same request answers 200 with a proof that verifies.
+func TestProofCoversDurableEntriesOnly(t *testing.T) {
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), Fsync: wal.PolicyInterval,
+		FsyncInterval: time.Hour, CheckpointEvery: 1 << 20})
+	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc})
+	url := ts.URL + "/api/v1/sessions/" + info.ID
+	assertTasks(t, url, 0, 1) // seq 2
+	for _, seq := range []string{"1", "2"} {
+		if st, _, body := fetchProof(t, url, seq); st != http.StatusNotFound {
+			t.Fatalf("seq %s before the log synced: status %d, want 404: %s", seq, st, body)
+		}
+	}
+	sess, err := s.sessionByID(context.Background(), info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.dur.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []string{"1", "2"} {
+		st, p, body := fetchProof(t, url, seq)
+		if st != http.StatusOK {
+			t.Fatalf("seq %s after the log synced: status %d: %s", seq, st, body)
+		}
+		if err := wal.VerifyProof(&p); err != nil {
+			t.Fatalf("seq %s: served proof does not verify: %v", seq, err)
+		}
+		if p.Count != 2 {
+			t.Fatalf("seq %s: proof over %d leaves, want 2", seq, p.Count)
+		}
 	}
 }
 

@@ -362,10 +362,7 @@ func (d *runner) checkAlways(img *memFS) error {
 		}
 		s, rimg, err := st.Load(id)
 		if err != nil {
-			if d.created[id] {
-				return fmt.Errorf("session %s does not recover: %v", id, err)
-			}
-			continue // an unacknowledged create's debris
+			return fmt.Errorf("session %s does not recover: %v", id, err)
 		}
 		s.Close()
 		if err := d.holds(id, rimg); err != nil {

@@ -34,6 +34,7 @@ const (
 	LedgerFile     = "merkle.log"
 	sessionsDir    = "sessions"
 	replicasDir    = "replicas"
+	stagingDir     = "staging" // sessions being created; emptied at Open
 )
 
 var (
@@ -57,7 +58,8 @@ type Store struct {
 
 // Open scans a data directory (making it if absent), returning the store
 // and the largest numeric session id found, so freshly minted ids never
-// collide with recoverable ones.
+// collide with recoverable ones. What an interrupted create left in
+// staging/ is removed.
 func Open(dataDir string, opts wal.Options, merkle bool) (*Store, uint64, error) {
 	if opts.FS == nil {
 		opts.FS = wal.OS
@@ -65,7 +67,10 @@ func Open(dataDir string, opts wal.Options, merkle bool) (*Store, uint64, error)
 	st := &Store{fs: opts.FS, data: dataDir, sessions: filepath.Join(dataDir, sessionsDir),
 		opts: opts, merkle: merkle, known: make(map[string]bool)}
 	var entries []os.DirEntry
-	err := st.fs.MkdirAll(st.sessions, 0o755)
+	err := st.fs.RemoveAll(filepath.Join(dataDir, stagingDir))
+	if err == nil {
+		err = st.fs.MkdirAll(st.sessions, 0o755)
+	}
 	if err == nil {
 		err = st.syncDirs(dataDir)
 	}
@@ -132,36 +137,58 @@ func (st *Store) MarkKnown(id string) {
 
 func (st *Store) dir(id string) string { return filepath.Join(st.sessions, id) }
 
-// Create makes the session directory and its log and writes the OpCreate
-// record; under PolicyAlways the record and both directory entries are
-// durable on return. The id is NOT marked known: until the session is in
-// the caller's pool, a lookup must miss rather than rehydrate from the
-// fresh record and race the insert. The caller calls MarkKnown then.
+// Create builds the session's directory in staging/, writes its log's
+// OpCreate record and installs it as sessions/<id>, so a crash leaves
+// either no session or one whose create record was written. Under
+// PolicyAlways the record and both directory entries are durable on
+// return. The id is NOT marked known: until the session is in the
+// caller's pool, a lookup must miss rather than rehydrate from the fresh
+// record and race the insert. The caller calls MarkKnown then.
 func (st *Store) Create(id string, meta wal.Record) (*Session, error) {
-	dir := st.dir(id)
-	if err := st.fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	stage := filepath.Join(st.data, stagingDir, id)
+	d := &Session{st: st, id: id, dir: st.dir(id), meta: meta}
+	err := st.fs.MkdirAll(stage, 0o755)
+	if err == nil {
+		d.log, _, err = wal.Open(filepath.Join(stage, WALFile), st.opts)
 	}
-	l, _, err := wal.Open(filepath.Join(dir, WALFile), st.opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &Session{st: st, id: id, dir: dir, log: l, meta: meta}
-	if st.merkle {
-		if d.led, err = wal.OpenLedgerFS(st.fs, filepath.Join(dir, LedgerFile)); err != nil {
-			l.Close()
-			return nil, err
+	if err == nil && st.merkle {
+		if d.led, err = wal.OpenLedgerFS(st.fs, filepath.Join(stage, LedgerFile)); err == nil {
+			d.log.SetLedger(d.led) // before the OpCreate append so seq 1 is leaf 0
 		}
-		l.SetLedger(d.led) // before the OpCreate append so seq 1 is leaf 0
 	}
-	if err = l.Append(&d.meta); err == nil {
-		err = st.syncDirs(dir, st.sessions)
+	if err == nil {
+		err = d.log.Append(&d.meta)
+	}
+	if err == nil {
+		_, err = st.install(stage, id, st.opts.Policy == wal.PolicyAlways)
 	}
 	if err != nil {
-		d.Close()
+		if d.log != nil {
+			d.Discard()
+		}
+		st.fs.RemoveAll(stage) // a session renamed into sessions/ stays whole
 		return nil, err
 	}
 	return d, nil
+}
+
+// install renames a complete session directory to sessions/<id>,
+// reporting whether the rename happened. With durable set, the directory
+// is synced before the rename and sessions/ after it, so the session
+// survives a crash once install returns.
+func (st *Store) install(src, id string, durable bool) (installed bool, err error) {
+	if durable {
+		if err := st.fs.SyncDir(src); err != nil {
+			return false, err
+		}
+	}
+	if err := st.fs.Rename(src, st.dir(id)); err != nil {
+		return false, err
+	}
+	if durable {
+		err = st.fs.SyncDir(st.sessions)
+	}
+	return true, err
 }
 
 // Remove deletes a session's directory, durably under PolicyAlways.
@@ -265,20 +292,15 @@ func (st *Store) ReplicaCount() int {
 	return len(entries)
 }
 
-// Promote makes the replica of id session id: sync the replica directory,
-// rename it to sessions/<id>, mark it known, sync sessions/. The replica's
-// handle must be closed first. errors.Is(err, fs.ErrNotExist): no replica.
+// Promote makes the replica of id session id: install it as sessions/<id>
+// whatever the policy, and mark it known. The replica's handle must be
+// closed first. errors.Is(err, fs.ErrNotExist): no replica.
 func (st *Store) Promote(id string) error {
-	src := st.replicaDir(id)
-	err := st.fs.SyncDir(src)
-	if err == nil {
-		err = st.fs.Rename(src, st.dir(id))
+	installed, err := st.install(st.replicaDir(id), id, true)
+	if installed {
+		st.MarkKnown(id)
 	}
-	if err != nil {
-		return err
-	}
-	st.MarkKnown(id)
-	return st.fs.SyncDir(st.sessions)
+	return err
 }
 
 // SessionDirs lists the session directories on fsys under a data
@@ -468,18 +490,27 @@ func (d *Session) Append(rec *wal.Record, keepSeq bool) (fs time.Duration, err e
 	return fs, err
 }
 
-// Proof builds the inclusion proof for the record with sequence seq.
+// Proof builds the inclusion proof for the record with sequence seq from
+// the ledger file, the reader audits use: it covers durable entries only,
+// against the root over them, and costs a read of the file.
 func (d *Session) Proof(seq uint64) (*wal.Proof, error) {
 	d.mu.Lock()
-	led, closed := d.led, d.closed
+	merkle, closed := d.led != nil, d.closed
 	d.mu.Unlock()
 	if closed {
 		return nil, errClosed
 	}
-	if led == nil {
+	if !merkle {
 		return nil, ErrMerkleDisabled
 	}
-	p, err := led.Prove(seq)
+	info, err := wal.InspectLedgerFS(d.st.fs, filepath.Join(d.dir, LedgerFile))
+	if err == nil && info == nil {
+		err = fmt.Errorf("no ledger file in %s", d.dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p, err := info.Prove(seq)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func (t *merkleTree) peaksAt(n uint64) ([][sha256.Size]byte, error) {
 }
 
 // recursiveState is State computed the way audits compute it: range
-// recursion over the stored leaves and base peaks.
+// recursion over a ledger file's stored leaves and base peaks.
 func recursiveState(t *testing.T, tr *merkleTree) LedgerState {
 	t.Helper()
 	n := tr.count()
@@ -46,13 +47,12 @@ func recursiveState(t *testing.T, tr *merkleTree) LedgerState {
 }
 
 // TestFrontierMatchesRecursion: State() from the frontier equals the
-// recursive rootAt/peaksAt, and the root an independent RFC 6962 hash
-// over every leaf, at every prefix of random append runs. Runs start
-// fresh, resume from base peaks (Reconcile adopting a commit, which
-// resets the ledger), or reopen a ledger whose tail Reconcile re-staged
-// after checking a commit. Half the runs ask State after every append,
-// the rest at random gaps, so the frontier folds one leaf and long runs
-// of leaves at a time.
+// recursive rootAt/peaksAt over the ledger file, and the root an
+// independent RFC 6962 hash over every leaf, at every prefix of random
+// append runs. Runs start fresh, resume from base peaks (Reconcile
+// adopting a commit, which resets the ledger), or reopen a ledger whose
+// tail Reconcile re-staged after checking a commit. Half the runs ask
+// State after every append, the rest at random gaps.
 func TestFrontierMatchesRecursion(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for run := 0; run < 48; run++ {
@@ -65,20 +65,27 @@ func TestFrontierMatchesRecursion(t *testing.T) {
 				leaves[i] = LeafHash(recs[i].Seq, recs[i].AppendJSON(nil))
 			}
 			every := run%2 == 0
+			path := filepath.Join(t.TempDir(), "merkle.log")
 			check := func(led *Ledger) {
 				t.Helper()
+				if err := led.SyncAll(); err != nil {
+					t.Fatal(err)
+				}
 				got, err := led.State()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := recursiveState(t, &led.t); !reflect.DeepEqual(got, want) {
+				info, err := InspectLedger(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := recursiveState(t, &info.t); !reflect.DeepEqual(got, want) {
 					t.Fatalf("frontier state %+v, recursion %+v", got, want)
 				}
 				if ref := refMTH(leaves[:got.Count]); got.Root != hex.EncodeToString(ref[:]) {
 					t.Fatalf("root over %d leaves %s, reference %x", got.Count, got.Root, ref)
 				}
 			}
-			path := filepath.Join(t.TempDir(), "merkle.log")
 			led, err := OpenLedger(path)
 			if err != nil {
 				t.Fatal(err)
@@ -98,8 +105,12 @@ func TestFrontierMatchesRecursion(t *testing.T) {
 				if err := led.Reconcile(nil, uint64(k), &commit); err != nil {
 					t.Fatal(err)
 				}
-				if led.t.base != uint64(k) || led.t.folded != uint64(k) {
-					t.Fatalf("adopted base %d, frontier at %d, want both %d", led.t.base, led.t.folded, k)
+				info, err := InspectLedger(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Base != uint64(k) || led.Count() != uint64(k) {
+					t.Fatalf("adopted base %d, frontier at %d, want both %d", info.Base, led.Count(), k)
 				}
 				next = k
 			case 2: // reopened, commit checked, missed frames re-staged
@@ -130,8 +141,9 @@ func TestFrontierMatchesRecursion(t *testing.T) {
 				if err := led.Reconcile(recs[c:restaged], uint64(c), commit); err != nil {
 					t.Fatal(err)
 				}
-				if led.t.folded != uint64(c) {
-					t.Fatalf("after reconciling a commit over %d leaves the frontier is at %d", c, led.t.folded)
+				if led.opened != nil || led.Count() != uint64(restaged) {
+					t.Fatalf("after reconciling %d frames the frontier is at %d (parse kept: %v)",
+						restaged, led.Count(), led.opened != nil)
 				}
 				next = restaged
 				if next > 0 {
@@ -148,10 +160,53 @@ func TestFrontierMatchesRecursion(t *testing.T) {
 	}
 }
 
-// BenchmarkLedgerState times one State() after 256 appends on a ledger
-// of n leaves. Each iteration rewinds the tree to its n leaves outside
-// the timer, so every State() folds the same 256 leaves into a frontier
-// over n.
+// TestLedgerMemoryFlat: a ledger that takes 1,000,000 leaves, flushed and
+// committed every 256 as checkpoints do, holds no more at its last leaf
+// than at its 50,000th. The leaves live in the file; memory holds the
+// frontier and one interval's staged entries.
+func TestLedgerMemoryFlat(t *testing.T) {
+	const total, mark, every = 1_000_000, 50_000, 256
+	led, err := OpenLedger(filepath.Join(t.TempDir(), "merkle.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	payload := []byte(`{"seq":1,"op":"assert","facts":[{"template":"item","fields":{"k":1}}]}`)
+	var atMark uint64
+	for i := 1; i <= total; i++ {
+		led.observe(uint64(i), payload)
+		if i%every == 0 {
+			if err := led.SyncAll(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := led.State(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == mark {
+			atMark = heap()
+		}
+	}
+	grew := int64(heap()) - int64(atMark)
+	t.Logf("heap grew %d B between leaf %d and leaf %d", grew, mark, total)
+	if grew >= 1<<20 {
+		t.Fatalf("heap grew %d B between leaf %d and leaf %d", grew, mark, total)
+	}
+	if led.Count() != total {
+		t.Fatalf("count %d, want %d", led.Count(), total)
+	}
+}
+
+// BenchmarkLedgerState times one checkpoint interval of ledger work on a
+// ledger of n leaves: 256 appends, each folded into the frontier as it is
+// observed, then one State(). Each iteration rewinds the frontier to its n
+// leaves outside the timer.
 func BenchmarkLedgerState(b *testing.B) {
 	const appends = 256
 	for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
@@ -169,17 +224,16 @@ func BenchmarkLedgerState(b *testing.B) {
 			if _, err := led.State(); err != nil {
 				b.Fatal(err)
 			}
-			peaks := append([][sha256.Size]byte(nil), led.t.peaks...)
+			peaks := append([][sha256.Size]byte(nil), led.fr.peaks...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				led.t.leaves, led.t.seqs = led.t.leaves[:n], led.t.seqs[:n]
-				led.t.folded, led.t.peaks = uint64(n), append(led.t.peaks[:0], peaks...)
+				led.fr = frontier{n: uint64(n), peaks: append(led.fr.peaks[:0], peaks...)}
+				led.pending = led.pending[:0]
+				b.StartTimer()
 				for j := 1; j <= appends; j++ {
 					led.observe(uint64(n+j), payload)
 				}
-				led.pending = led.pending[:0]
-				b.StartTimer()
 				if _, err := led.State(); err != nil {
 					b.Fatal(err)
 				}

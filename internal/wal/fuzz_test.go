@@ -113,7 +113,8 @@ func FuzzTickRecord(f *testing.F) {
 // carry exactly the leaf the honest proof carried: no mutation can
 // substitute a different frame hash under the same root.
 func FuzzProofVerify(f *testing.F) {
-	led, err := OpenLedger(filepath.Join(f.TempDir(), "merkle.log"))
+	path := filepath.Join(f.TempDir(), "merkle.log")
+	led, err := OpenLedger(path)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -121,7 +122,10 @@ func FuzzProofVerify(f *testing.F) {
 	for i := 1; i <= 11; i++ {
 		led.observe(uint64(i), []byte{byte(i), 0x33})
 	}
-	honest, err := led.Prove(6)
+	if err := led.SyncAll(); err != nil {
+		f.Fatal(err)
+	}
+	honest, err := proveFile(path, 6)
 	if err != nil {
 		f.Fatal(err)
 	}

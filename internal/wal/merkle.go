@@ -28,12 +28,13 @@ package wal
 // encoding/json with typed fields and bit-pattern floats — so a leaf
 // hash is reproducible from a scanned record alone.
 //
-// A live tree commits from its frontier: the peaks of the leaves folded
-// so far, advanced leaf by leaf when State (or Reconcile's commit check)
-// asks, so each leaf is hashed into the tree once in the session's life
-// and a checkpoint's commit costs O(new leaves + log n), not O(n). The
-// root is the peaks folded right to left. Inclusion proofs and offline
-// audits still recurse over the stored leaves (rangeHash).
+// The file is the only store of the leaves. A live Ledger holds its
+// frontier (the leaf count and the O(log n) peaks, each leaf folded in as
+// it is observed) and the entries staged for the file, so its memory does
+// not grow with the session's age and a checkpoint's commit costs O(log n).
+// The root is the peaks folded right to left. Inclusion proofs and offline
+// audits read the file (InspectLedger) and recurse over its leaves
+// (rangeHash), so a proof covers durable entries only.
 
 import (
 	"bufio"
@@ -47,6 +48,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -150,64 +152,50 @@ func largestPow2Below(n uint64) uint64 {
 	return 1 << (bits.Len64(n-1) - 1)
 }
 
-// merkleTree holds the leaves from base upward plus the peak
-// decomposition of the first base leaves. All range arithmetic is over
-// global leaf indices [0, base+len(leaves)).
+// merkleTree is a ledger file as parsed: the peak decomposition of its
+// first base leaves and the stored leaves from base upward. All range
+// arithmetic is over global leaf indices [0, base+len(leaves)). Proofs and
+// audits recurse over it; a live Ledger keeps only a frontier.
 type merkleTree struct {
 	base      uint64
 	basePeaks [][sha256.Size]byte
 	leaves    [][sha256.Size]byte
 	seqs      []uint64 // wal sequence number per leaf, strictly increasing
-
-	// The frontier: peaks (largest first) summarize the first folded
-	// leaves, and only advance moves it, forward. folded < base means it
-	// has not started from basePeaks yet.
-	folded uint64
-	peaks  [][sha256.Size]byte
 }
 
 func (t *merkleTree) count() uint64 { return t.base + uint64(len(t.leaves)) }
 
-// advance folds leaves into the frontier until it covers the first n.
-// Appending leaf c merges one pair of equal-sized peaks per trailing
-// one bit of c. n must lie in [folded, count()].
-func (t *merkleTree) advance(n uint64) {
-	if t.folded < t.base {
-		t.folded = t.base
-		t.peaks = append(t.peaks[:0], t.basePeaks...)
-	}
-	for ; t.folded < n; t.folded++ {
-		t.peaks = append(t.peaks, t.leaves[t.folded-t.base])
-		for c := t.folded; c&1 == 1; c >>= 1 {
-			k := len(t.peaks)
-			t.peaks[k-2] = interiorHash(t.peaks[k-2], t.peaks[k-1])
-			t.peaks = t.peaks[:k-1]
-		}
-	}
+// frontier summarizes the first n leaves by their peaks (largest first):
+// all a tree needs to take its next leaf and name its root.
+type frontier struct {
+	n     uint64
+	peaks [][sha256.Size]byte
 }
 
-// frontierRoot is the RFC 6962 root over the folded leaves: the peaks
-// folded right to left, H(p0, H(p1, … H(p_{k-2}, p_{k-1}))), since an
-// n-leaf range splits at its largest peak.
-func (t *merkleTree) frontierRoot() [sha256.Size]byte {
-	if len(t.peaks) == 0 {
+// push appends one leaf. Appending leaf n merges one pair of equal-sized
+// peaks per trailing one bit of n.
+func (f *frontier) push(leaf [sha256.Size]byte) {
+	f.peaks = append(f.peaks, leaf)
+	for c := f.n; c&1 == 1; c >>= 1 {
+		k := len(f.peaks)
+		f.peaks[k-2] = interiorHash(f.peaks[k-2], f.peaks[k-1])
+		f.peaks = f.peaks[:k-1]
+	}
+	f.n++
+}
+
+// root is the RFC 6962 root over the n leaves: the peaks folded right to
+// left, H(p0, H(p1, … H(p_{k-2}, p_{k-1}))), since an n-leaf range splits
+// at its largest peak.
+func (f *frontier) root() [sha256.Size]byte {
+	if len(f.peaks) == 0 {
 		return emptyRoot()
 	}
-	root := t.peaks[len(t.peaks)-1]
-	for i := len(t.peaks) - 2; i >= 0; i-- {
-		root = interiorHash(t.peaks[i], root)
+	root := f.peaks[len(f.peaks)-1]
+	for i := len(f.peaks) - 2; i >= 0; i-- {
+		root = interiorHash(f.peaks[i], root)
 	}
 	return root
-}
-
-// rootFrom returns the root over the first n leaves, n in [base,
-// count()]: from the frontier, advanced to n, unless it has passed n.
-func (t *merkleTree) rootFrom(n uint64) ([sha256.Size]byte, error) {
-	if n < t.folded {
-		return t.rootAt(n)
-	}
-	t.advance(n)
-	return t.frontierRoot(), nil
 }
 
 // peakSpans returns the [start,end) ranges the base peaks cover:
@@ -294,18 +282,23 @@ func (t *merkleTree) path(m, lo, hi uint64) ([][sha256.Size]byte, error) {
 	return append(p, sib), nil
 }
 
-// Ledger is the live, file-backed tree attached to a Log. Appends feed
-// it under the log mutex; the server reads proofs and state through its
-// own lock, so the two never contend on the log's.
+// Ledger is the live ledger attached to a Log: the file, which holds every
+// durable leaf, the entries staged for it, and the frontier over both.
+// Appends feed it under the log mutex; the server reads its state through
+// its own lock, so the two never contend on the log's.
 type Ledger struct {
 	mu sync.Mutex
 	f  File
-	t  merkleTree
+	fr frontier
 
 	// pending are file entries staged in memory but not yet durable in
 	// the ledger file; SyncAll writes them after the WAL fsync covers
 	// their frames.
 	pending []byte
+
+	// opened is the file as parsed at open, kept only until Reconcile has
+	// checked it against the log and the checkpoint's commit.
+	opened *merkleTree
 }
 
 // ledgerHeader is the JSON second line of the file.
@@ -341,26 +334,31 @@ func peakCountFor(n uint64) int { return bits.OnesCount64(n) }
 // trailing partial entry, or a file that ends inside its header (a torn
 // creation), is reported as torn bytes, not an error; a malformed header
 // or short peak set is ErrLedgerCorrupt.
-func parseLedger(r io.Reader) (hdr ledgerHeader, seqs []uint64, leaves [][sha256.Size]byte, torn int64, err error) {
+func parseLedger(r io.Reader) (hdr ledgerHeader, t *merkleTree, torn int64, err error) {
+	t = &merkleTree{}
 	rd := bufio.NewReader(r)
 	magic, rerr := rd.ReadString('\n')
 	if rerr != nil && strings.HasPrefix(ledgerMagic, magic) {
-		return hdr, nil, nil, int64(len(magic)), nil // empty, or torn at creation
+		return hdr, t, int64(len(magic)), nil // empty, or torn at creation
 	}
 	if magic != ledgerMagic+"\n" {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: bad magic %q", ErrLedgerCorrupt, magic)
+		return hdr, nil, 0, fmt.Errorf("%w: bad magic %q", ErrLedgerCorrupt, magic)
 	}
 	hline, rerr := rd.ReadString('\n')
 	if rerr != nil {
-		return hdr, nil, nil, int64(len(magic) + len(hline)), nil // torn at creation
+		return hdr, t, int64(len(magic) + len(hline)), nil // torn at creation
 	}
 	if err := json.Unmarshal([]byte(hline), &hdr); err != nil {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: header: %v", ErrLedgerCorrupt, err)
+		return hdr, nil, 0, fmt.Errorf("%w: header: %v", ErrLedgerCorrupt, err)
 	}
 	if peakCountFor(hdr.Base) != len(hdr.Peaks) {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: base %d wants %d peaks, header has %d",
+		return hdr, nil, 0, fmt.Errorf("%w: base %d wants %d peaks, header has %d",
 			ErrLedgerCorrupt, hdr.Base, peakCountFor(hdr.Base), len(hdr.Peaks))
 	}
+	if t.basePeaks, err = decodePeaks(hdr.Peaks); err != nil {
+		return hdr, nil, 0, err
+	}
+	t.base = hdr.Base
 	var (
 		entry   [ledgerEntrySize]byte
 		lastSeq uint64
@@ -368,27 +366,26 @@ func parseLedger(r io.Reader) (hdr ledgerHeader, seqs []uint64, leaves [][sha256
 	for {
 		n, rerr := io.ReadFull(rd, entry[:])
 		if rerr != nil {
-			torn = int64(n)
-			break
+			return hdr, t, int64(n), nil
 		}
 		seq := binary.LittleEndian.Uint64(entry[:8])
 		if seq <= lastSeq {
-			return hdr, nil, nil, 0, fmt.Errorf("%w: entry seq %d after %d", ErrLedgerCorrupt, seq, lastSeq)
+			return hdr, nil, 0, fmt.Errorf("%w: entry seq %d after %d", ErrLedgerCorrupt, seq, lastSeq)
 		}
 		lastSeq = seq
 		var leaf [sha256.Size]byte
 		copy(leaf[:], entry[8:])
-		seqs = append(seqs, seq)
-		leaves = append(leaves, leaf)
+		t.seqs = append(t.seqs, seq)
+		t.leaves = append(t.leaves, leaf)
 	}
-	return hdr, seqs, leaves, torn, nil
 }
 
 // OpenLedger opens (creating if absent) the ledger at path for
 // appending. A torn trailing entry is truncated away, mirroring the WAL
 // scan; a malformed header or out-of-order entries fail with
 // ErrLedgerCorrupt rather than being repaired — the ledger is the
-// tamper-evidence layer, so it never guesses.
+// tamper-evidence layer, so it never guesses. The stored leaves are folded
+// into the frontier and the parse is kept for Reconcile.
 func OpenLedger(path string) (*Ledger, error) { return OpenLedgerFS(OS, path) }
 
 // OpenLedgerFS is OpenLedger on fsys.
@@ -397,46 +394,34 @@ func OpenLedgerFS(fsys FS, path string) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr, seqs, leaves, torn, err := parseLedger(f)
+	_, t, torn, err := parseLedger(f)
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekEnd)
+	}
+	if err == nil && torn > 0 {
+		if err = f.Truncate(size - torn); err == nil {
+			_, err = f.Seek(size-torn, io.SeekStart)
+		}
+	}
+	if err == nil && size == torn { // no header yet
+		err = writeHeader(f, t.base, t.basePeaks)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if torn > 0 {
-		if err := f.Truncate(size - torn); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(size-torn, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	peaks, err := decodePeaks(hdr.Peaks)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	led := &Ledger{f: f}
-	led.t = merkleTree{base: hdr.Base, basePeaks: peaks, leaves: leaves, seqs: seqs}
-	if size == torn { // no header yet
-		if err := led.writeHeaderLocked(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	led := &Ledger{f: f, fr: frontier{n: t.base, peaks: slices.Clone(t.basePeaks)}, opened: t}
+	for _, leaf := range t.leaves {
+		led.fr.push(leaf)
 	}
 	return led, nil
 }
 
-// writeHeaderLocked writes the magic and header lines for the current
-// base at the current file position (start of an empty file).
-func (led *Ledger) writeHeaderLocked() error {
-	hb, err := json.Marshal(ledgerHeader{Base: led.t.base, Peaks: encodePeaks(led.t.basePeaks)})
+// writeHeader writes the magic and header lines for base at the current
+// file position (start of an empty file).
+func writeHeader(f File, base uint64, peaks [][sha256.Size]byte) error {
+	hb, err := json.Marshal(ledgerHeader{Base: base, Peaks: encodePeaks(peaks)})
 	if err != nil {
 		return err
 	}
@@ -444,7 +429,7 @@ func (led *Ledger) writeHeaderLocked() error {
 	buf.WriteString(ledgerMagic + "\n")
 	buf.Write(hb)
 	buf.WriteByte('\n')
-	if _, err := led.f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("wal: ledger header: %w", err)
 	}
 	return nil
@@ -460,9 +445,9 @@ func (led *Ledger) resetTo(base uint64, peaks [][sha256.Size]byte) error {
 	if _, err := led.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	led.t = merkleTree{base: base, basePeaks: peaks}
+	led.fr = frontier{n: base, peaks: slices.Clone(peaks)}
 	led.pending = nil
-	if err := led.writeHeaderLocked(); err != nil {
+	if err := writeHeader(led.f, base, peaks); err != nil {
 		return err
 	}
 	return led.f.Sync()
@@ -474,6 +459,16 @@ func (led *Ledger) observe(seq uint64, payload []byte) {
 	led.mu.Lock()
 	led.observeLocked(seq, payload)
 	led.mu.Unlock()
+}
+
+// observeLocked is observe for callers already holding led.mu.
+func (led *Ledger) observeLocked(seq uint64, payload []byte) {
+	leaf := LeafHash(seq, payload)
+	led.fr.push(leaf)
+	var entry [ledgerEntrySize]byte
+	binary.LittleEndian.PutUint64(entry[:8], seq)
+	copy(entry[8:], leaf[:])
+	led.pending = append(led.pending, entry[:]...)
 }
 
 // SyncAll writes every staged entry and fsyncs the ledger file. Each
@@ -502,34 +497,21 @@ func (led *Ledger) syncAllLocked() error {
 	return nil
 }
 
-// State summarizes the current tree from its frontier, folding in only
-// the leaves appended since the last call. A live tree's frontier never
-// runs past its leaves, so the error is always nil; it is kept so
-// callers handle State like the audit paths that can fail.
+// State summarizes the tree, staged entries included, from its frontier.
+// The error is always nil; it is kept so callers handle State like the
+// audit paths that can fail.
 func (led *Ledger) State() (LedgerState, error) {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	n := led.t.count()
-	led.t.advance(n)
-	root := led.t.frontierRoot()
-	return LedgerState{Count: n, Root: hex.EncodeToString(root[:]), Peaks: encodePeaks(led.t.peaks)}, nil
+	root := led.fr.root()
+	return LedgerState{Count: led.fr.n, Root: hex.EncodeToString(root[:]), Peaks: encodePeaks(led.fr.peaks)}, nil
 }
 
-// Count returns the current leaf count (base included).
+// Count returns the current leaf count (base and staged entries included).
 func (led *Ledger) Count() uint64 {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	return led.t.count()
-}
-
-// Prove builds the inclusion proof for the frame with sequence number
-// seq against the current root. Sequence numbers summarized into the
-// base (a promoted replica's pre-checkpoint history) fail with
-// ErrProofPredates; unknown ones with a plain not-found error.
-func (led *Ledger) Prove(seq uint64) (*Proof, error) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	return led.t.prove(seq)
+	return led.fr.n
 }
 
 // prove builds the inclusion proof for the leaf of sequence number seq
@@ -577,10 +559,11 @@ func (led *Ledger) Close() error {
 	return err
 }
 
-// Reconcile aligns the ledger with reality at session-open time: the
+// Reconcile aligns the ledger with reality right after OpenLedger: the
 // scanned WAL records, the checkpoint's sequence horizon and its ledger
 // commit (nil when the session has never checkpointed or predates the
-// ledger feature). It
+// ledger feature). It works from the entries parsed at open, and drops
+// them: afterwards the ledger holds no per-record state. It
 //
 //   - adopts the commit's base/peaks when the ledger file is brand new
 //     but history is not (promotion, migration);
@@ -600,8 +583,13 @@ func (led *Ledger) Close() error {
 func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState) error {
 	led.mu.Lock()
 	defer led.mu.Unlock()
+	t := led.opened
+	led.opened = nil
+	if t == nil { // not just opened: no parse is left to check against
+		t = &merkleTree{base: led.fr.n, basePeaks: led.fr.peaks}
+	}
 
-	if commit != nil && commit.Count > 0 && led.t.count() == 0 && led.t.base == 0 {
+	if commit != nil && commit.Count > 0 && t.count() == 0 {
 		peaks, err := decodePeaks(commit.Peaks)
 		if err != nil {
 			return err
@@ -613,6 +601,7 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 		if err := led.resetTo(commit.Count, peaks); err != nil {
 			return err
 		}
+		t = &merkleTree{base: commit.Count, basePeaks: peaks}
 	}
 
 	var committed uint64
@@ -620,20 +609,20 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 		committed = commit.Count
 	}
 	if committed > 0 {
-		if committed < led.t.base {
+		if committed < t.base {
 			return fmt.Errorf("%w: commit covers %d leaves, ledger base is %d",
-				ErrLedgerCorrupt, committed, led.t.base)
+				ErrLedgerCorrupt, committed, t.base)
 		}
-		if committed > led.t.count() {
+		if committed > t.count() {
 			return fmt.Errorf("%w: commit covers %d leaves, ledger holds %d",
-				ErrLedgerGap, committed, led.t.count())
+				ErrLedgerGap, committed, t.count())
 		}
-		// The ledger was just opened, so its frontier stands at the
-		// base: fold up to the commit once and leave it there for the
-		// next checkpoint to continue from.
-		root, err := led.t.rootFrom(committed)
-		if err != nil {
-			return err
+		root := led.fr.root()
+		if committed < led.fr.n {
+			var err error
+			if root, err = t.rootAt(committed); err != nil {
+				return err
+			}
 		}
 		if hex.EncodeToString(root[:]) != commit.Root {
 			return fmt.Errorf("%w: over %d leaves: ledger %x, checkpoint %s",
@@ -645,21 +634,19 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 	// below the checkpoint horizon that the ledger already covers must
 	// match; frames past the last entry are re-staged.
 	lastEntrySeq := uint64(0)
-	if n := len(led.t.seqs); n > 0 {
-		lastEntrySeq = led.t.seqs[n-1]
+	if n := len(t.seqs); n > 0 {
+		lastEntrySeq = t.seqs[n-1]
 	}
-	matched := 0 // entries confirmed against a frame or the commit
 	var payload []byte
 	for ri := range recs {
 		rec := &recs[ri]
-		i := sort.Search(len(led.t.seqs), func(i int) bool { return led.t.seqs[i] >= rec.Seq })
+		i := sort.Search(len(t.seqs), func(i int) bool { return t.seqs[i] >= rec.Seq })
 		switch {
-		case i < len(led.t.seqs) && led.t.seqs[i] == rec.Seq:
+		case i < len(t.seqs) && t.seqs[i] == rec.Seq:
 			payload = rec.AppendJSON(payload[:0])
-			if LeafHash(rec.Seq, payload) != led.t.leaves[i] {
+			if LeafHash(rec.Seq, payload) != t.leaves[i] {
 				return fmt.Errorf("%w: seq %d", ErrLedgerMismatch, rec.Seq)
 			}
-			matched++
 		case rec.Seq > lastEntrySeq:
 			payload = rec.AppendJSON(payload[:0])
 			led.observeLocked(rec.Seq, payload)
@@ -678,7 +665,7 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 	if len(recs) > 0 {
 		walEnd = recs[len(recs)-1].Seq
 	}
-	for _, seq := range led.t.seqs {
+	for _, seq := range t.seqs {
 		if seq > ckptSeq && seq > walEnd {
 			return fmt.Errorf("%w: entry seq %d (wal ends at %d, checkpoint horizon %d)",
 				ErrLedgerAhead, seq, walEnd, ckptSeq)
@@ -688,17 +675,6 @@ func (led *Ledger) Reconcile(recs []Record, ckptSeq uint64, commit *LedgerState)
 	// already durable in the log; flush them now so the invariant
 	// (ledger covers every durable frame) holds before serving resumes.
 	return led.syncAllLocked()
-}
-
-// observeLocked is observe for callers already holding led.mu.
-func (led *Ledger) observeLocked(seq uint64, payload []byte) {
-	leaf := LeafHash(seq, payload)
-	led.t.leaves = append(led.t.leaves, leaf)
-	led.t.seqs = append(led.t.seqs, seq)
-	var entry [ledgerEntrySize]byte
-	binary.LittleEndian.PutUint64(entry[:8], seq)
-	copy(entry[8:], leaf[:])
-	led.pending = append(led.pending, entry[:]...)
 }
 
 // VerifyProof checks a self-contained proof: it recomputes the root from
@@ -785,19 +761,14 @@ func InspectLedgerFS(fsys FS, path string) (*LedgerInfo, error) {
 		return nil, err
 	}
 	defer f.Close()
-	hdr, seqs, leaves, torn, err := parseLedger(f)
+	hdr, t, torn, err := parseLedger(f)
 	if err != nil {
 		return nil, err
 	}
-	peaks, err := decodePeaks(hdr.Peaks)
-	if err != nil {
-		return nil, err
-	}
-	info := &LedgerInfo{Base: hdr.Base, BasePeaks: hdr.Peaks, TornBytes: torn}
-	info.t = merkleTree{base: hdr.Base, basePeaks: peaks, leaves: leaves, seqs: seqs}
-	info.Entries = make([]LedgerEntry, len(seqs))
-	for i := range seqs {
-		info.Entries[i] = LedgerEntry{Seq: seqs[i], Leaf: hex.EncodeToString(leaves[i][:])}
+	info := &LedgerInfo{Base: t.base, BasePeaks: hdr.Peaks, TornBytes: torn, t: *t}
+	info.Entries = make([]LedgerEntry, len(t.seqs))
+	for i, seq := range t.seqs {
+		info.Entries[i] = LedgerEntry{Seq: seq, Leaf: hex.EncodeToString(t.leaves[i][:])}
 	}
 	return info, nil
 }
@@ -817,6 +788,8 @@ func (info *LedgerInfo) RootAt(n uint64) (string, error) {
 // Root recomputes the root over everything stored.
 func (info *LedgerInfo) Root() (string, error) { return info.RootAt(info.t.count()) }
 
-// Prove builds an inclusion proof from the snapshot, same semantics as
-// Ledger.Prove.
+// Prove builds the inclusion proof for the frame with sequence number seq
+// against the root over every stored leaf. Sequence numbers summarized into
+// the base (a promoted replica's pre-checkpoint history) fail with
+// ErrProofPredates; unknown ones with a plain not-found error.
 func (info *LedgerInfo) Prove(seq uint64) (*Proof, error) { return info.t.prove(seq) }

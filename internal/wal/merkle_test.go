@@ -92,8 +92,8 @@ func TestMerkleBaseResume(t *testing.T) {
 	}
 }
 
-// proveIn builds a proof directly from a tree, mirroring Ledger.Prove
-// without the file plumbing.
+// proveIn builds a proof directly from a tree, mirroring merkleTree.prove
+// without its search.
 func proveIn(tr *merkleTree, seq uint64) (*Proof, error) {
 	for i, s := range tr.seqs {
 		if s == seq {
@@ -120,6 +120,15 @@ func proveIn(tr *merkleTree, seq uint64) (*Proof, error) {
 	return nil, errors.New("no entry")
 }
 
+// proveFile proves seq from the ledger file at path, as a served proof is.
+func proveFile(path string, seq uint64) (*Proof, error) {
+	info, err := InspectLedger(path)
+	if err != nil {
+		return nil, err
+	}
+	return info.Prove(seq)
+}
+
 func openTestLedger(t *testing.T, n int) (*Ledger, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "merkle.log")
@@ -139,9 +148,9 @@ func openTestLedger(t *testing.T, n int) (*Ledger, string) {
 
 func TestProofRoundTripAndMutations(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 8, 33} {
-		led, _ := openTestLedger(t, n)
+		_, path := openTestLedger(t, n)
 		for seq := 1; seq <= n; seq++ {
-			p, err := led.Prove(uint64(seq))
+			p, err := proveFile(path, uint64(seq))
 			if err != nil {
 				t.Fatalf("n=%d Prove(%d): %v", n, seq, err)
 			}
@@ -150,7 +159,7 @@ func TestProofRoundTripAndMutations(t *testing.T) {
 			}
 		}
 		// Every mutation of a valid proof must fail verification.
-		p, err := led.Prove(uint64((n + 1) / 2))
+		p, err := proveFile(path, uint64((n+1)/2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +189,7 @@ func TestProofRoundTripAndMutations(t *testing.T) {
 			}
 		}
 		// Unknown and out-of-range sequence numbers.
-		if _, err := led.Prove(uint64(n + 100)); err == nil {
+		if _, err := proveFile(path, uint64(n+100)); err == nil {
 			t.Fatalf("n=%d: proof for unappended seq succeeded", n)
 		}
 	}
@@ -344,7 +353,6 @@ func TestReconcile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer led.Close()
 		for _, r := range []int{0, 1, 3, 4} {
 			payload, _ := json.Marshal(&recs[r])
 			led.observe(recs[r].Seq, payload)
@@ -352,6 +360,8 @@ func TestReconcile(t *testing.T) {
 		if err := led.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
+		led.Close()
+		led = reopen(t, path)
 		if err := led.Reconcile(recs, 0, nil); !errors.Is(err, ErrLedgerGap) {
 			t.Fatalf("got %v, want ErrLedgerGap", err)
 		}
@@ -516,7 +526,7 @@ func TestLogFeedsLedger(t *testing.T) {
 	}
 	// Proofs verify for both pre- and post-checkpoint frames.
 	for _, seq := range []uint64{1, 6} {
-		p, err := led.Prove(seq)
+		p, err := proveFile(filepath.Join(dir, "merkle.log"), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
