@@ -141,3 +141,55 @@ func TestRetract(t *testing.T) {
 		t.Fatalf("conflict set size = %d, want 0 after retracting the only src", got)
 	}
 }
+
+// TestRetractPendingStaysCompact: a stream of inserts each retracted
+// before any run leaves the pending delta holding its live inserts only,
+// in insertion order, and the index still finds them after compactions.
+func TestRetractPendingStaysCompact(t *testing.T) {
+	prog := compileOK(t, `
+(literalize src id)
+(literalize sink id)
+(rule expand
+  (src ^id <i>)
+-->
+  (make sink ^id <i>))
+`)
+	e := New(prog, Options{})
+	var keep []*wm.WME
+	for i := 0; i < 200_000; i++ {
+		w, err := e.Insert("src", map[string]wm.Value{"id": wm.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%50_000 == 0 {
+			keep = append(keep, w) // survives the stream
+			continue
+		}
+		if !e.Retract(w.Time) {
+			t.Fatalf("retract %d of a pending insert failed", i)
+		}
+	}
+	if c := cap(e.pending.Added); c >= 1024 {
+		t.Fatalf("pending inserts hold %d slots after 200,000 insert-retract pairs, want under 1,024", c)
+	}
+	var live []*wm.WME
+	for _, w := range e.pending.Added {
+		if w != nil {
+			live = append(live, w)
+		}
+	}
+	if len(live) != len(keep) {
+		t.Fatalf("%d live pending inserts, want %d", len(live), len(keep))
+	}
+	for i := range keep {
+		if live[i] != keep[i] {
+			t.Fatalf("pending insert %d is tag %d, want %d (insertion order)", i, live[i].Time, keep[i].Time)
+		}
+	}
+	if !e.Retract(keep[1].Time) {
+		t.Fatal("retract of a surviving pending insert failed")
+	}
+	if res := runOK(t, e); res.Firings != len(keep)-1 {
+		t.Fatalf("firings = %d, want %d", res.Firings, len(keep)-1)
+	}
+}

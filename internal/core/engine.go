@@ -115,7 +115,9 @@ type Engine struct {
 	// pending grows (pendingIdxLen marks how far it has been built) and
 	// reset when the pending delta is consumed. Retract replaces a pending
 	// entry with a nil tombstone so indexed positions stay stable;
-	// pendingTombs counts them for the pre-match compaction.
+	// pendingTombs counts them, and once they are over half the slice
+	// Retract drops them and the index (as the match phase does), so a
+	// stream that never runs holds its live inserts only.
 	pendingAddIdx map[int64]int
 	pendingIdxLen int
 	pendingTombs  int
@@ -219,6 +221,10 @@ func (e *Engine) Retract(timeTag int64) bool {
 		e.pendingTombs++
 		delete(e.pendingAddIdx, timeTag)
 		e.mem.Remove(timeTag)
+		if 2*e.pendingTombs > len(e.pending.Added) {
+			e.dropTombs()
+			e.pendingAddIdx, e.pendingIdxLen = nil, 0
+		}
 		return true
 	}
 	if w, ok := e.mem.Remove(timeTag); ok {
@@ -244,23 +250,29 @@ func (e *Engine) RetractBatch(tags []int64) int {
 	return n
 }
 
+// dropTombs removes Retract's tombstones from the pending inserts in
+// place, keeping the survivors' order.
+func (e *Engine) dropTombs() {
+	live := e.pending.Added[:0]
+	for _, w := range e.pending.Added {
+		if w != nil {
+			live = append(live, w)
+		}
+	}
+	clear(e.pending.Added[len(live):])
+	e.pending.Added, e.pendingTombs = live, 0
+}
+
 // takePending consumes the pending delta for the match phase, compacting
 // out any tombstones Retract left and resetting the retract index.
 func (e *Engine) takePending() wm.Delta {
-	delta := e.pending
 	if e.pendingTombs > 0 {
-		live := delta.Added[:0]
-		for _, w := range delta.Added {
-			if w != nil {
-				live = append(live, w)
-			}
-		}
-		delta.Added = live
+		e.dropTombs()
 	}
+	delta := e.pending
 	e.pending = wm.Delta{}
 	e.pendingAddIdx = nil
 	e.pendingIdxLen = 0
-	e.pendingTombs = 0
 	return delta
 }
 

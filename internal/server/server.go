@@ -87,10 +87,11 @@ type Config struct {
 	// Empty (the default) keeps sessions memory-only.
 	DataDir string
 	// Fsync selects when WAL appends reach stable storage: wal.PolicyAlways
-	// (every append), wal.PolicyInterval (background flusher, the default)
-	// or wal.PolicyNever (the OS decides).
+	// (every append), wal.PolicyInterval (the store's one flusher, the
+	// default) or wal.PolicyNever (the OS decides).
 	Fsync wal.Policy
-	// FsyncInterval is the flush period under wal.PolicyInterval. Default 100ms.
+	// FsyncInterval is the flusher's period: a machine crash loses the
+	// records, creates and deletes of one interval plus one flush. Default 100ms.
 	FsyncInterval time.Duration
 	// DisableMerkle turns off the per-session Merkle ledger (merkle.log,
 	// chained checkpoint commits, the /proof endpoint). The zero value
@@ -268,10 +269,13 @@ func New(cfg Config) (*Server, error) {
 		if n := st.Count(); n > 0 {
 			cfg.Logger.Info("durability: recoverable sessions found", "count", n, "data_dir", cfg.DataDir)
 		}
+		for _, id := range st.SetAside() {
+			cfg.Logger.Warn("durability: not serving a session directory with no byte on disk", "session_id", id, "data_dir", cfg.DataDir)
+		}
 	}
 	if cfg.Cluster != nil {
 		if err := s.startCluster(*cfg.Cluster); err != nil {
-			return nil, err
+			return nil, errors.Join(err, s.store.Close()) // cluster mode requires DataDir
 		}
 	}
 	s.routes()
@@ -443,19 +447,14 @@ func (s *Server) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("server: drain interrupted with runs in flight: %w", ctx.Err())
 	}
-	s.closeLogs()
-	s.stopCluster()
-	return err
-}
-
-// closeLogs flushes and closes every live session's log, so a graceful
-// shutdown leaves nothing in the page cache regardless of fsync policy.
-func (s *Server) closeLogs() {
+	// Close every live log, then the store: nothing stays in the page cache.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, sess := range s.sessions {
 		s.closeFiles(sess)
 	}
+	s.mu.Unlock()
+	s.stopCluster()
+	return errors.Join(err, s.store.Close())
 }
 
 // closeFiles closes a session's replication stream and its log, keeping

@@ -2,11 +2,12 @@ package store_test
 
 // The crash matrix: seeded store-level op lists run on a memFS, and at
 // every mutating filesystem operation the disk a crash would leave there
-// is recovered and checked — once as everything completed so far, once as
-// only what was synced. The crash model is that of Pillai et al., "All
-// File Systems Are Not Created Equal" (OSDI 2014): a file holds what it
-// held at its last fsync, and a create, rename or remove survives only if
-// its directory was synced after it.
+// is recovered and checked — as everything completed so far, as only what
+// was synced, and as directory entries completed over file bytes synced.
+// The crash model is that of Pillai et al., "All File Systems Are Not
+// Created Equal" (OSDI 2014): a file holds what it held at its last fsync,
+// and a create, rename or remove survives only if its directory was synced
+// after it.
 
 import (
 	"bytes"
@@ -43,6 +44,11 @@ type runner struct {
 	drop    map[string]bool              // deletes begun
 	synced  map[string]bool              // replicas whose barrier was acknowledged
 	pending uint64                       // the seq whose append is in flight
+
+	// What the last Flush made durable under PolicyInterval: the creates,
+	// deletes and records acknowledged before it.
+	flushedCreates, flushedDeletes map[string]bool
+	flushedAcks                    map[string][]uint64
 }
 
 func newRunner(fsys *memFS, policy wal.Policy, every int) *runner {
@@ -50,7 +56,8 @@ func newRunner(fsys *memFS, policy wal.Policy, every int) *runner {
 		opts: wal.Options{Policy: policy, Interval: time.Hour, FS: fsys},
 		live: map[string]*store.Session{}, hist: map[string]map[uint64][]byte{},
 		acked: map[string][]uint64{}, created: map[string]bool{}, deleted: map[string]bool{},
-		drop: map[string]bool{}, synced: map[string]bool{}}
+		drop: map[string]bool{}, synced: map[string]bool{},
+		flushedCreates: map[string]bool{}, flushedDeletes: map[string]bool{}, flushedAcks: map[string][]uint64{}}
 	return d
 }
 
@@ -189,6 +196,23 @@ func (d *runner) replicaSync(id string) error {
 	return nil
 }
 
+// flush is one tick of the store's flusher, run by hand.
+func (d *runner) flush() error {
+	if err := d.st.Flush(); err != nil {
+		return err
+	}
+	for id := range d.created {
+		d.flushedCreates[id] = true
+	}
+	for id := range d.deleted {
+		d.flushedDeletes[id] = true
+	}
+	for id, seqs := range d.acked {
+		d.flushedAcks[id] = append([]uint64(nil), seqs...)
+	}
+	return nil
+}
+
 func (d *runner) promote(id string) error {
 	if err := d.live[id].Close(); err != nil {
 		return err
@@ -301,6 +325,20 @@ func churnList(seed int64) []step {
 	return steps
 }
 
+// withFlushes puts a flush after about one step in four of steps, at
+// points seeded by seed.
+func withFlushes(seed int64, steps []step) []step {
+	r := rand.New(rand.NewSource(seed))
+	out := steps[:1:1] // nothing to flush before the boot
+	for _, s := range steps[1:] {
+		out = append(out, s)
+		if r.Intn(4) == 0 {
+			out = append(out, step{"flush", (*runner).flush})
+		}
+	}
+	return out
+}
+
 // run executes an op list, stopping at the first failure, which it
 // returns with the failing step's index.
 func (d *runner) run(steps []step) (int, error) {
@@ -323,6 +361,7 @@ func (d *runner) checkAlways(img *memFS) error {
 	if err != nil {
 		return fmt.Errorf("store does not open: %v", err)
 	}
+	defer st.Close()
 	dirs, _, _ := store.SessionDirs(img, dataDir)
 	repls, _ := img.ReadDir(filepath.Join(dataDir, "replicas"))
 	for _, e := range repls {
@@ -391,18 +430,23 @@ func (d *runner) holds(id string, img *store.Image) error {
 }
 
 // checkInterval holds a crash image to PolicyInterval's promise: it
-// recovers, and each session's history is a prefix of what was appended.
+// recovers, each session's history is a prefix of what was appended, and
+// what was acknowledged before the last Flush — creates, deletes, records
+// — is there.
 func (d *runner) checkInterval(img *memFS) error {
 	st, _, err := store.Open(dataDir, wal.Options{Policy: wal.PolicyInterval, Interval: time.Hour, FS: img}, true)
 	if err != nil {
 		return fmt.Errorf("store does not open: %v", err)
 	}
+	defer st.Close()
 	for id := range d.hist {
-		if !st.Has(id) {
+		switch has := st.Has(id); {
+		case has && d.flushedDeletes[id]:
+			return fmt.Errorf("session %s, deleted before the last flush, came back", id)
+		case !has && d.flushedCreates[id] && !d.drop[id]:
+			return fmt.Errorf("session %s, created before the last flush, is gone", id)
+		case !has:
 			continue
-		}
-		if raw := store.ReadSession(img, filepath.Join(dataDir, "sessions", id)); raw.Header == nil && len(raw.Records) == 0 {
-			continue // nothing of the session reached the disk
 		}
 		s, rimg, err := st.Load(id)
 		if err != nil {
@@ -417,6 +461,13 @@ func (d *runner) checkInterval(img *memFS) error {
 				return fmt.Errorf("session %s: record %d is not the one appended as %d", id, rec.Seq, want)
 			}
 		}
+		if last := rimg.Seq() + uint64(len(rimg.Tail())); !d.drop[id] {
+			for _, seq := range d.flushedAcks[id] {
+				if seq > last {
+					return fmt.Errorf("session %s: record %d, acknowledged before the last flush, is lost (history ends at %d)", id, seq, last)
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -424,8 +475,8 @@ func (d *runner) checkInterval(img *memFS) error {
 // ---- the matrix ----
 
 // crashEvery runs steps once under policy, and before every mutating FS
-// operation recovers and checks both crash images of the disk so far. It
-// returns the number of operations.
+// operation recovers and checks the three crash images of the disk so far.
+// It returns the number of operations.
 func crashEvery(t *testing.T, steps []step, policy wal.Policy, every int) int {
 	fsys := newMemFS(dataDir)
 	d := newRunner(fsys, policy, every)
@@ -438,10 +489,10 @@ func crashEvery(t *testing.T, steps []step, policy wal.Policy, every int) int {
 		if o.k%stride != 0 {
 			return nil
 		}
-		for _, durableOnly := range []bool{true, false} {
-			if err := check(fsys.image(durableOnly)); err != nil && failures < 5 {
+		for _, c := range crashes {
+			if err := check(fsys.image(c)); err != nil && failures < 5 {
 				failures++
-				t.Errorf("crash before op %d (%s %s), durable-only=%v: %v", o.k, o.kind, o.path, durableOnly, err)
+				t.Errorf("crash before op %d (%s %s), %v: %v", o.k, o.kind, o.path, c, err)
 			}
 		}
 		return nil
@@ -450,22 +501,24 @@ func crashEvery(t *testing.T, steps []step, policy wal.Policy, every int) int {
 		t.Fatalf("step %d: %v", i, err)
 	}
 	fsys.hook = nil
-	for _, durableOnly := range []bool{true, false} {
-		if err := check(fsys.image(durableOnly)); err != nil {
-			t.Errorf("crash after the last op, durable-only=%v: %v", durableOnly, err)
+	for _, c := range crashes {
+		if err := check(fsys.image(c)); err != nil {
+			t.Errorf("crash after the last op, %v: %v", c, err)
 		}
 	}
 	for _, s := range d.live {
 		s.Close()
 	}
+	d.st.Close()
 	return fsys.ops
 }
 
 const ingestSeed, churnSeed = 1, 2
 
-// TestCrashMatrix crashes both op lists before every mutating FS
-// operation, under PolicyAlways (acked ⇒ durable) and PolicyInterval
-// (a prefix survives).
+// TestCrashMatrix crashes both op lists, with flushes at seeded points,
+// before every mutating FS operation, under PolicyAlways (acked ⇒
+// durable) and PolicyInterval (a prefix survives, and all that was
+// acknowledged before the last flush).
 func TestCrashMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -473,14 +526,14 @@ func TestCrashMatrix(t *testing.T) {
 		policy wal.Policy
 		every  int
 	}{
-		{"ingest/always", ingestList(ingestSeed, 300), wal.PolicyAlways, 20},
-		{"ingest/interval", ingestList(ingestSeed, 300), wal.PolicyInterval, 20},
-		{"churn/always", churnList(churnSeed), wal.PolicyAlways, 3},
-		{"churn/interval", churnList(churnSeed), wal.PolicyInterval, 3},
+		{"ingest/always", withFlushes(ingestSeed, ingestList(ingestSeed, 300)), wal.PolicyAlways, 20},
+		{"ingest/interval", withFlushes(ingestSeed, ingestList(ingestSeed, 300)), wal.PolicyInterval, 20},
+		{"churn/always", withFlushes(churnSeed, churnList(churnSeed)), wal.PolicyAlways, 3},
+		{"churn/interval", withFlushes(churnSeed, churnList(churnSeed)), wal.PolicyInterval, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := crashEvery(t, tc.steps, tc.policy, tc.every)
-			t.Logf("%d crash boundaries, two images each", n)
+			t.Logf("%d crash boundaries, three images each", n)
 		})
 	}
 }
@@ -500,7 +553,7 @@ func TestCrashBetweenCheckpointAndReset(t *testing.T) {
 			return nil
 		}
 		windows++
-		img := fsys.image(true)
+		img := fsys.image(durableOnly)
 		dir := filepath.Join(dataDir, "sessions", "s1")
 		walPath := filepath.Join(dir, store.WALFile)
 		w := img.lookup(walPath)
@@ -518,6 +571,7 @@ func TestCrashBetweenCheckpointAndReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer st.Close()
 		s, rimg, err := st.Load("s1")
 		if err != nil {
 			t.Fatalf("window %d: recovery fails: %v", windows, err)
@@ -616,9 +670,9 @@ func faultAt(t *testing.T, steps []step, k int, inject error) error {
 		}
 	}
 	fsys.hook = nil
-	for _, durableOnly := range []bool{true, false} {
-		if err := d.checkAlways(fsys.image(durableOnly)); err != nil {
-			return fmt.Errorf("crash after the fault, durable-only=%v: %v", durableOnly, err)
+	for _, c := range crashes {
+		if err := d.checkAlways(fsys.image(c)); err != nil {
+			return fmt.Errorf("crash after the fault, %v: %v", c, err)
 		}
 	}
 	return nil

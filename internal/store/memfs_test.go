@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"parulel/internal/wal"
 )
@@ -67,32 +68,46 @@ func split(p string) []string {
 	return strings.Split(p, "/")
 }
 
-// image returns the disk a crash now leaves: everything completed so far
-// (durableOnly false), or only what was synced (true). The copy holds its
-// state durably and has no hook.
-func (m *memFS) image(durableOnly bool) *memFS {
-	return &memFS{root: clone(m.root, durableOnly)}
+// crash is a state a crash may leave the disk in; the crash model allows
+// all three.
+type crash int
+
+const (
+	completed   crash = iota // everything completed so far
+	durableOnly              // only what was synced
+	mixed                    // directory entries as completed, file bytes as synced
+)
+
+var crashes = []crash{completed, durableOnly, mixed}
+
+func (c crash) String() string { return [...]string{"completed", "durable-only", "mixed"}[c] }
+
+// image returns the disk a crash in state c leaves now. The copy holds its
+// state durably and has no hook. A hook may call it (m.mu is held then);
+// anyone else must keep the filesystem idle meanwhile.
+func (m *memFS) image(c crash) *memFS {
+	return &memFS{root: clone(m.root, c)}
 }
 
-func clone(n *node, durableOnly bool) *node {
+func clone(n *node, c crash) *node {
 	if !n.dir {
-		b := n.data
-		if durableOnly {
-			b = n.durable
+		b := n.durable
+		if c == completed {
+			b = n.data
 		}
 		b = append([]byte(nil), b...)
 		return &node{data: b, durable: b}
 	}
 	from := n.entries
-	if durableOnly {
+	if c == durableOnly {
 		from = n.synced
 	}
-	c := newDir()
+	d := newDir()
 	for name, child := range from {
-		c.entries[name] = clone(child, durableOnly)
-		c.synced[name] = c.entries[name]
+		d.entries[name] = clone(child, c)
+		d.synced[name] = d.entries[name]
 	}
-	return c
+	return d
 }
 
 // mutate runs the hook for one operation; the caller holds m.mu.
@@ -243,7 +258,7 @@ func (m *memFS) ReadDir(name string) ([]os.DirEntry, error) {
 	}
 	out := make([]os.DirEntry, 0, len(n.entries))
 	for child, c := range n.entries {
-		out = append(out, dirEntry{child, c.dir})
+		out = append(out, dirEntry{child, c.dir, int64(len(c.data))})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out, nil
@@ -266,9 +281,11 @@ func (m *memFS) SyncDir(name string) error {
 	return nil
 }
 
+// dirEntry is also its own fs.FileInfo.
 type dirEntry struct {
 	name string
 	dir  bool
+	size int64
 }
 
 func (e dirEntry) Name() string { return e.name }
@@ -279,7 +296,11 @@ func (e dirEntry) Type() fs.FileMode {
 	}
 	return 0
 }
-func (e dirEntry) Info() (fs.FileInfo, error) { return nil, errors.ErrUnsupported }
+func (e dirEntry) Info() (fs.FileInfo, error) { return e, nil }
+func (e dirEntry) Size() int64                { return e.size }
+func (e dirEntry) Mode() fs.FileMode          { return e.Type() }
+func (e dirEntry) ModTime() time.Time         { return time.Time{} }
+func (e dirEntry) Sys() any                   { return nil }
 
 // memFile is an open file: it keeps its node across renames and removes,
 // as a descriptor does.

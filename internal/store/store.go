@@ -5,19 +5,22 @@
 // session lives in replicas/<id>/ under the primary's sequence numbers, so
 // promotion is a rename. A file is replaced by temp file, sync, rename,
 // directory sync; a checkpoint goes WAL sync → ledger flush → commit →
-// replace → log reset. All file I/O goes through the wal.FS of
-// wal.Options.FS. The store returns what a directory holds (Image);
-// replaying it into an engine is the caller's.
+// replace → log reset. The store alone decides when a log, a ledger or a
+// directory is synced: inline under wal.PolicyAlways, by its one flusher
+// (Flush) under wal.PolicyInterval. All file I/O goes through the wal.FS
+// of wal.Options.FS. The store returns what a directory holds (Image).
 package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,25 +57,35 @@ type Store struct {
 
 	mu    sync.Mutex
 	known map[string]bool // session ids with an on-disk directory
+	aside []string        // session ids whose directory Open left unserved
+	open  []*Session      // the handles whose logs Flush syncs
+	dirs  []string        // what Flush syncs next under PolicyInterval
+	err   error           // a failed directory sync, latched
+	halt  func()          // stops the flusher and waits for it; once
 }
 
 // Open scans a data directory (making it if absent), returning the store
 // and the largest numeric session id found, so freshly minted ids never
 // collide with recoverable ones. What an interrupted create left in
-// staging/ is removed.
+// staging/ is removed. Unless under PolicyAlways, a session directory
+// holding only empty files (a create a crash took before its Flush) is
+// left where it is, unserved and listed by SetAside.
 func Open(dataDir string, opts wal.Options, merkle bool) (*Store, uint64, error) {
 	if opts.FS == nil {
 		opts.FS = wal.OS
 	}
+	if opts.Interval <= 0 {
+		opts.Interval = 100 * time.Millisecond
+	}
 	st := &Store{fs: opts.FS, data: dataDir, sessions: filepath.Join(dataDir, sessionsDir),
-		opts: opts, merkle: merkle, known: make(map[string]bool)}
+		opts: opts, merkle: merkle, known: make(map[string]bool), halt: func() {}}
 	var entries []os.DirEntry
 	err := st.fs.RemoveAll(filepath.Join(dataDir, stagingDir))
 	if err == nil {
 		err = st.fs.MkdirAll(st.sessions, 0o755)
 	}
 	if err == nil {
-		err = st.syncDirs(dataDir)
+		err = st.syncDir(dataDir)
 	}
 	if err == nil {
 		entries, err = st.fs.ReadDir(st.sessions)
@@ -86,7 +99,6 @@ func Open(dataDir string, opts wal.Options, merkle bool) (*Store, uint64, error)
 			continue
 		}
 		id := e.Name()
-		st.known[id] = true
 		// Ids are "s<n>" single-node or "s-<node>-<n>" in cluster mode;
 		// either way the counter is the trailing number.
 		num := strings.TrimPrefix(id, "s")
@@ -96,20 +108,104 @@ func Open(dataDir string, opts wal.Options, merkle bool) (*Store, uint64, error)
 		if n, err := strconv.ParseUint(num, 10, 64); err == nil && n > maxID {
 			maxID = n
 		}
+		if opts.Policy != wal.PolicyAlways && st.traceless(st.dir(id)) {
+			st.aside = append(st.aside, id)
+		} else {
+			st.known[id] = true
+		}
+	}
+	if opts.Policy == wal.PolicyInterval {
+		stop, done := make(chan struct{}), make(chan struct{})
+		st.halt = sync.OnceFunc(func() { close(stop); <-done })
+		go st.flusher(stop, done)
 	}
 	return st, maxID, nil
 }
 
-// syncDirs syncs each directory under PolicyAlways: its acked operations
-// survive a crash, directory entries included.
-func (st *Store) syncDirs(dirs ...string) error {
-	if st.opts.Policy != wal.PolicyAlways {
+// flusher runs Flush every interval until stop closes.
+func (st *Store) flusher(stop, done chan struct{}) {
+	defer close(done)
+	t := time.NewTicker(st.opts.Interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			st.Flush() // failures latch where Flush puts them
+		}
+	}
+}
+
+// traceless: dir holds nothing but empty files, so no byte of any record
+// or ledger entry, torn or whole, reached it.
+func (st *Store) traceless(dir string) bool {
+	entries, err := st.fs.ReadDir(dir)
+	for _, e := range entries {
+		if info, ierr := e.Info(); ierr != nil || e.IsDir() || info.Size() > 0 {
+			return false
+		}
+	}
+	return err == nil
+}
+
+// SetAside lists the session directories Open left unserved.
+func (st *Store) SetAside() []string { return st.aside }
+
+// Flush syncs every open dirty log (each flushes its ledger after its
+// frames), then the directories syncDir marked since the last Flush,
+// longest path first (a session's before sessions/), skipping one since
+// removed. A failure latches: a log's in the log, a directory's in the
+// store, and Create and Remove return it.
+func (st *Store) Flush() (err error) {
+	st.mu.Lock()
+	open := slices.Clone(st.open)
+	dirs := st.dirs
+	st.dirs = nil
+	st.mu.Unlock()
+	for _, d := range open {
+		err = errors.Join(err, d.log.Sync())
+	}
+	slices.SortFunc(dirs, func(a, b string) int { return cmp.Or(len(b)-len(a), strings.Compare(a, b)) })
+	dirs = slices.Compact(dirs)
+	var derr error
+	for _, dir := range dirs {
+		if e := st.fs.SyncDir(dir); !errors.Is(e, fs.ErrNotExist) {
+			derr = errors.Join(derr, e)
+		}
+	}
+	st.mu.Lock()
+	st.err = cmp.Or(st.err, derr)
+	st.mu.Unlock()
+	return errors.Join(err, derr)
+}
+
+// Close stops the flusher and runs a last Flush; a nil Store has none.
+func (st *Store) Close() error {
+	if st == nil {
 		return nil
 	}
-	for _, d := range dirs {
-		if err := st.fs.SyncDir(d); err != nil {
-			return err
-		}
+	st.halt()
+	return st.Flush()
+}
+
+// register adds d's log to those Flush syncs.
+func (st *Store) register(d *Session) {
+	st.mu.Lock()
+	st.open = append(st.open, d)
+	st.mu.Unlock()
+}
+
+// syncDir makes dir's entries durable as the policy promises: at once
+// under PolicyAlways, at the next Flush under PolicyInterval.
+func (st *Store) syncDir(dir string) error {
+	switch st.opts.Policy {
+	case wal.PolicyAlways:
+		return st.fs.SyncDir(dir)
+	case wal.PolicyInterval:
+		st.mu.Lock()
+		st.dirs = append(st.dirs, dir)
+		st.mu.Unlock()
 	}
 	return nil
 }
@@ -141,13 +237,20 @@ func (st *Store) dir(id string) string { return filepath.Join(st.sessions, id) }
 // OpCreate record and installs it as sessions/<id>, so a crash leaves
 // either no session or one whose create record was written. Under
 // PolicyAlways the record and both directory entries are durable on
-// return. The id is NOT marked known: until the session is in the
-// caller's pool, a lookup must miss rather than rehydrate from the fresh
-// record and race the insert. The caller calls MarkKnown then.
+// return, under PolicyInterval after the next Flush. The id is NOT marked
+// known: until the session is in the caller's pool, a lookup must miss
+// rather than rehydrate from the fresh record and race the insert. The
+// caller calls MarkKnown then.
 func (st *Store) Create(id string, meta wal.Record) (*Session, error) {
 	stage := filepath.Join(st.data, stagingDir, id)
 	d := &Session{st: st, id: id, dir: st.dir(id), meta: meta}
-	err := st.fs.MkdirAll(stage, 0o755)
+	durable := st.opts.Policy == wal.PolicyAlways
+	st.mu.Lock()
+	err := st.err // a directory sync Flush latched
+	st.mu.Unlock()
+	if err == nil {
+		err = st.fs.MkdirAll(stage, 0o755)
+	}
 	if err == nil {
 		d.log, _, err = wal.Open(filepath.Join(stage, WALFile), st.opts)
 	}
@@ -159,8 +262,11 @@ func (st *Store) Create(id string, meta wal.Record) (*Session, error) {
 	if err == nil {
 		err = d.log.Append(&d.meta)
 	}
+	if err == nil && durable {
+		err = d.log.Sync()
+	}
 	if err == nil {
-		_, err = st.install(stage, id, st.opts.Policy == wal.PolicyAlways)
+		_, err = st.install(stage, id, durable)
 	}
 	if err != nil {
 		if d.log != nil {
@@ -169,13 +275,15 @@ func (st *Store) Create(id string, meta wal.Record) (*Session, error) {
 		st.fs.RemoveAll(stage) // a session renamed into sessions/ stays whole
 		return nil, err
 	}
+	st.register(d)
 	return d, nil
 }
 
 // install renames a complete session directory to sessions/<id>,
 // reporting whether the rename happened. With durable set, the directory
 // is synced before the rename and sessions/ after it, so the session
-// survives a crash once install returns.
+// survives a crash once install returns; otherwise syncDir has both as
+// the policy says.
 func (st *Store) install(src, id string, durable bool) (installed bool, err error) {
 	if durable {
 		if err := st.fs.SyncDir(src); err != nil {
@@ -185,21 +293,23 @@ func (st *Store) install(src, id string, durable bool) (installed bool, err erro
 	if err := st.fs.Rename(src, st.dir(id)); err != nil {
 		return false, err
 	}
-	if durable {
-		err = st.fs.SyncDir(st.sessions)
+	if !durable {
+		return true, errors.Join(st.syncDir(st.dir(id)), st.syncDir(st.sessions))
 	}
-	return true, err
+	return true, st.fs.SyncDir(st.sessions)
 }
 
-// Remove deletes a session's directory, durably under PolicyAlways.
+// Remove deletes a session's directory, durably under PolicyAlways and
+// under PolicyInterval after the next Flush.
 func (st *Store) Remove(id string) error {
 	st.mu.Lock()
 	delete(st.known, id)
+	err := st.err
 	st.mu.Unlock()
 	if err := st.fs.RemoveAll(st.dir(id)); err != nil {
 		return err
 	}
-	return st.syncDirs(st.sessions)
+	return cmp.Or(err, st.syncDir(st.sessions))
 }
 
 // Load opens session id's files for appending and returns them with the
@@ -244,6 +354,7 @@ func (st *Store) Load(id string) (*Session, *Image, error) {
 			d.records++
 		}
 	}
+	st.register(d)
 	return d, img, nil
 }
 
@@ -274,7 +385,9 @@ func (st *Store) OpenReplica(id string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{st: st, id: id, dir: dir, log: l}, nil
+	d := &Session{st: st, id: id, dir: dir, log: l}
+	st.register(d)
+	return d, nil
 }
 
 // DropReplica removes session id's replica directory.
@@ -430,9 +543,7 @@ func replaceFile(fsys wal.FS, dir, name string, write func(io.Writer) error) err
 	if err == nil {
 		err = f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	err = cmp.Or(err, f.Close())
 	if err == nil {
 		err = fsys.Rename(tmp, filepath.Join(dir, name))
 	}
@@ -482,7 +593,12 @@ func (d *Session) Append(rec *wal.Record, keepSeq bool) (fs time.Duration, err e
 	case keepSeq:
 		err = d.log.AppendKeepSeq(rec)
 	default:
-		fs, err = d.log.AppendSynced(rec)
+		err = d.log.Append(rec)
+	}
+	if err == nil && d.st.opts.Policy == wal.PolicyAlways {
+		t0 := time.Now()
+		err = d.log.Sync()
+		fs = time.Since(t0)
 	}
 	if err == nil {
 		d.records++
@@ -511,11 +627,10 @@ func (d *Session) Proof(seq uint64) (*wal.Proof, error) {
 		return nil, err
 	}
 	p, err := info.Prove(seq)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.Session = d.id
 	}
-	p.Session = d.id
-	return p, nil
+	return p, err
 }
 
 // Due reports whether every records were logged since the last checkpoint.
@@ -593,14 +708,7 @@ func (d *Session) Sync() error {
 	if d.closed {
 		return errClosed
 	}
-	err := d.log.Sync()
-	if err == nil {
-		err = d.st.fs.SyncDir(d.dir)
-	}
-	if err == nil {
-		err = d.st.fs.SyncDir(filepath.Dir(d.dir))
-	}
-	return err
+	return errors.Join(d.log.Sync(), d.st.fs.SyncDir(d.dir), d.st.fs.SyncDir(filepath.Dir(d.dir)))
 }
 
 // MarkFailed refuses every later append.
@@ -624,11 +732,12 @@ func (d *Session) shut(closeLog func() error) error {
 		return nil
 	}
 	d.closed = true
+	d.st.mu.Lock()
+	d.st.open = slices.DeleteFunc(d.st.open, func(o *Session) bool { return o == d })
+	d.st.mu.Unlock()
 	err := closeLog()
 	if d.led != nil {
-		if lerr := d.led.Close(); err == nil {
-			err = lerr
-		}
+		err = cmp.Or(err, d.led.Close())
 	}
 	return err
 }

@@ -506,7 +506,10 @@ func TestLogFeedsLedger(t *testing.T) {
 	if led.Count() != 5 {
 		t.Fatalf("ledger count = %d, want 5", led.Count())
 	}
-	// Under PolicyAlways every entry is already durable.
+	// Once the log syncs, every entry is durable.
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	info, err := InspectLedger(filepath.Join(dir, "merkle.log"))
 	if err != nil || len(info.Entries) != 5 {
 		t.Fatalf("durable entries = %d (err=%v), want 5", len(info.Entries), err)
@@ -519,6 +522,9 @@ func TestLogFeedsLedger(t *testing.T) {
 		t.Fatalf("ledger count after reset = %d, want 5", led.Count())
 	}
 	if err := l.Append(&Record{Op: OpRun, Cycles: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if led.Count() != 6 {

@@ -39,9 +39,19 @@ func (f syncHookFile) Sync() error { return f.sync(f.File) }
 // and their fsyncs.
 const appenders = 8
 
+// appendSync is an append acknowledged under PolicyAlways, as the store
+// makes it: the record is written, then the log is synced.
+func appendSync(l *Log, rec *Record) error {
+	if err := l.Append(rec); err != nil {
+		return err
+	}
+	return l.Sync()
+}
+
 // TestWALAckImpliesDurable is the PolicyAlways contract under -race: when
-// AppendSynced returns nil, the bytes of that record were already covered
-// by a completed fsync. The fsync hook records how many bytes the file
+// appendSync returns nil, the bytes of that record were already covered
+// by a completed fsync — its own, or one another appender's Sync issued
+// after the frame was written. The fsync hook records how many bytes the file
 // held when each flush was issued; an acked append whose frame lies
 // beyond that watermark would be an ack racing ahead of its flush.
 func TestWALAckImpliesDurable(t *testing.T) {
@@ -89,7 +99,7 @@ func TestWALAckImpliesDurable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				rec := Record{Op: OpRun, Cycles: g<<16 | i}
-				if _, err := l.AppendSynced(&rec); err != nil {
+				if err := appendSync(l, &rec); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -107,13 +117,13 @@ func TestWALAckImpliesDurable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsyncs.Load(); got != appenders*perG {
-		t.Fatalf("%d fsyncs for %d appends, want one each", got, appenders*perG)
+	if got := fsyncs.Load(); got < 1 || got > appenders*perG {
+		t.Fatalf("%d fsyncs for %d appends, want one each at most", got, appenders*perG)
 	}
 }
 
-// TestWALFsyncFailure: a failed fsync fails the append that issued it and
-// every append waiting behind it, and latches permanently — later
+// TestWALFsyncFailure: a failed fsync fails the sync that issued it and
+// every append and sync waiting behind it, and latches permanently — later
 // appends, syncs and resets report the same error instead of being
 // silently acknowledged.
 func TestWALFsyncFailure(t *testing.T) {
@@ -137,7 +147,7 @@ func TestWALFsyncFailure(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if err := l.Append(&Record{Op: OpRun, Cycles: i}); err != nil {
+				if err := appendSync(l, &Record{Op: OpRun, Cycles: i}); err != nil {
 					if !errors.Is(err, boom) {
 						t.Errorf("append failed with %v, want the injected fsync error", err)
 					}
@@ -149,9 +159,11 @@ func TestWALFsyncFailure(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if acked.Load() != 1 || failed.Load() != appenders {
-		t.Fatalf("%d appends acked and %d appenders failed, want 1 and %d (only the first fsync succeeds)",
-			acked.Load(), failed.Load(), appenders)
+	// Only the first fsync succeeds; it covers every frame written before
+	// it, one at most per appender.
+	if acked.Load() < 1 || acked.Load() > appenders || failed.Load() != appenders {
+		t.Fatalf("%d appends acked and %d appenders failed, want 1 to %d and %d",
+			acked.Load(), failed.Load(), appenders, appenders)
 	}
 	// The error is sticky: fresh appends and explicit syncs keep failing.
 	if err := l.Append(&Record{Op: OpRun}); !errors.Is(err, boom) {
@@ -218,7 +230,7 @@ func TestWALKillMidAppends(t *testing.T) {
 				default:
 				}
 				rec := Record{Op: OpRun, Cycles: g<<16 | i}
-				if err := l.Append(&rec); err != nil {
+				if err := appendSync(l, &rec); err != nil {
 					return
 				}
 				ackMu.Lock()
@@ -285,7 +297,7 @@ func TestWALKillMidAppends(t *testing.T) {
 
 // TestWALFlushesLedger: under PolicyAlways an acknowledged append has its
 // Merkle ledger entry durable too — the log flushes the ledger right
-// after the fsync that covered the frame, before the append returns.
+// after the fsync that covered the frame, before Sync returns.
 func TestWALFlushesLedger(t *testing.T) {
 	dir := t.TempDir()
 	ledPath := filepath.Join(dir, "merkle.log")
@@ -309,7 +321,7 @@ func TestWALFlushesLedger(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				rec := Record{Op: OpRun, Cycles: i}
-				if err := l.Append(&rec); err != nil {
+				if err := appendSync(l, &rec); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -337,50 +349,21 @@ func TestWALFlushesLedger(t *testing.T) {
 	}
 }
 
-// TestIntervalFsyncFailureLatches is the regression test for silent
-// fsync-error swallowing: a background flush that fails must poison the
-// log so the next append reports it, rather than the failure vanishing
-// into a discarded error value.
-func TestIntervalFsyncFailureLatches(t *testing.T) {
+// TestSyncFailureLatches is the regression test for silent fsync-error
+// swallowing: the sync that fails reports the error, and so does every
+// append and sync after it. (The store's flusher, which makes the syncs
+// under PolicyInterval, is tested in internal/store.)
+func TestSyncFailureLatches(t *testing.T) {
 	boom := errors.New("disk gone")
-	flushed := make(chan struct{}, 1)
-	opts := Options{
-		Policy:   PolicyInterval,
-		Interval: time.Millisecond,
-		OnFsync: func(time.Duration) {
-			select {
-			case flushed <- struct{}{}:
-			default:
-			}
-		},
-		FS: faultFS(func(*os.File) error { return boom }),
-	}
-	l, _ := openTemp(t, opts)
-	// The first append is acknowledged optimistically (interval policy).
-	if err := l.Append(&Record{Op: OpRun}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-flushed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("background flusher never ran")
+	l, _ := openTemp(t, Options{Policy: PolicyAlways, FS: faultFS(func(*os.File) error { return boom })})
+	if err := appendSync(l, &Record{Op: OpRun}); !errors.Is(err, boom) {
+		t.Fatalf("append and sync with failing fsync: %v", err)
 	}
 	if err := l.Append(&Record{Op: OpRun}); !errors.Is(err, boom) {
-		t.Fatalf("append after failed background fsync: %v, want the fsync error", err)
+		t.Fatalf("append after latched failure: %v", err)
 	}
 	if err := l.Sync(); !errors.Is(err, boom) {
-		t.Fatalf("sync after failed background fsync: %v", err)
+		t.Fatalf("sync after latched failure: %v", err)
 	}
 	l.Close()
-
-	// PolicyAlways latches too: the failing append reports the error and
-	// so does every append after it.
-	l2, _ := openTemp(t, Options{Policy: PolicyAlways, FS: faultFS(func(*os.File) error { return boom })})
-	if err := l2.Append(&Record{Op: OpRun}); !errors.Is(err, boom) {
-		t.Fatalf("always-policy append with failing fsync: %v", err)
-	}
-	if err := l2.Append(&Record{Op: OpRun}); !errors.Is(err, boom) {
-		t.Fatalf("append after latched always-policy failure: %v", err)
-	}
-	l2.Close()
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,12 +31,15 @@ const maxRecordBytes = 64 << 20
 // one unusually large record does not stay pinned for the log's lifetime.
 const maxKeptFrame = 256 << 10
 
-// Policy selects when appended records are fsynced to stable storage.
+// Policy selects when appended records are fsynced to stable storage. A
+// Log does not read it: internal/store, which owns a data directory's
+// fsyncs, is its only reader.
 type Policy uint8
 
 const (
-	// PolicyInterval (the default) syncs dirty logs on a background
-	// ticker: bounded data loss (one interval) at near-PolicyNever cost.
+	// PolicyInterval (the default) syncs dirty logs and new directory
+	// entries on one background ticker: bounded data loss (one interval)
+	// at near-PolicyNever cost.
 	PolicyInterval Policy = iota
 	// PolicyAlways syncs after every append: no committed operation is
 	// ever lost, at one fsync per request.
@@ -74,8 +78,9 @@ func ParsePolicy(s string) (Policy, error) {
 // Options tunes a Log. The callbacks feed the server's /metrics
 // aggregation; nil callbacks are skipped.
 type Options struct {
-	Policy Policy
-	// Interval is the flush period under PolicyInterval. Default 100ms.
+	// Policy and Interval (the flush period under PolicyInterval, default
+	// 100ms) are read by internal/store alone; a Log syncs only when told.
+	Policy   Policy
 	Interval time.Duration
 	// OnAppend observes every appended record's framed size in bytes.
 	OnAppend func(bytes int)
@@ -119,9 +124,6 @@ type Log struct {
 	// frame is the buffer every append encodes into, header first; nothing
 	// keeps a reference past appendLocked (the ledger hashes at once).
 	frame []byte
-
-	flushStop chan struct{}
-	flushDone chan struct{}
 }
 
 // Open opens (creating if absent) the log at path for appending. An
@@ -129,9 +131,6 @@ type Log struct {
 // torn or corrupt tail is truncated away, so the returned log is always
 // positioned at the end of the valid prefix.
 func Open(path string, opts Options) (*Log, ScanResult, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 100 * time.Millisecond
-	}
 	if opts.FS == nil {
 		opts.FS = OS
 	}
@@ -140,27 +139,19 @@ func Open(path string, opts Options) (*Log, ScanResult, error) {
 		return nil, ScanResult{}, err
 	}
 	res, lastSeq, validEnd, err := scan(f)
+	if err == nil && res.TruncatedBytes > 0 {
+		if err = f.Truncate(validEnd); err != nil {
+			err = fmt.Errorf("wal: truncating torn tail: %w", err)
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(validEnd, io.SeekStart)
+	}
 	if err != nil {
 		f.Close()
 		return nil, ScanResult{}, err
 	}
-	if res.TruncatedBytes > 0 {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, ScanResult{}, fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, ScanResult{}, err
-	}
-	l := &Log{f: f, opts: opts, seq: lastSeq}
-	if opts.Policy == PolicyInterval {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flusher()
-	}
-	return l, res, nil
+	return &Log{f: f, opts: opts, seq: lastSeq}, res, nil
 }
 
 // scan reads every valid record, returning them plus the last sequence
@@ -227,9 +218,9 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 		return errors.New("wal: log is closed")
 	}
 	if l.syncErr != nil {
-		// A background fsync failed after an earlier append was
-		// acknowledged optimistically; surface it now instead of
-		// accepting writes that may never reach the disk.
+		// An fsync failed after an earlier append was acknowledged;
+		// surface it now instead of accepting writes that may never
+		// reach the disk.
 		return l.syncErr
 	}
 	if assign {
@@ -262,35 +253,13 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 	return nil
 }
 
-// settleLocked makes the appended record durable per the log's policy
-// and reports how long this append waited on stable storage: the inline
-// fsync under PolicyAlways, zero under the batched policies. The caller
-// holds l.mu.
-func (l *Log) settleLocked() (time.Duration, error) {
-	if l.opts.Policy != PolicyAlways {
-		return 0, nil
-	}
-	return l.syncLocked()
-}
-
 // Append frames, checksums and writes one record, assigning it the next
-// sequence number (stored into rec.Seq). Under PolicyAlways the record
-// is on stable storage when Append returns.
+// sequence number (stored into rec.Seq). It does not fsync: the record is
+// on stable storage once a later Sync returns.
 func (l *Log) Append(rec *Record) error {
-	_, err := l.AppendSynced(rec)
-	return err
-}
-
-// AppendSynced is Append plus the time this append spent waiting on
-// stable storage, so callers can attribute fsync latency to the request
-// that paid for it.
-func (l *Log) AppendSynced(rec *Record) (time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(rec, true); err != nil {
-		return 0, err
-	}
-	return l.settleLocked()
+	return l.appendLocked(rec, true)
 }
 
 // AppendKeepSeq writes one record preserving the sequence number it
@@ -303,11 +272,7 @@ func (l *Log) AppendSynced(rec *Record) (time.Duration, error) {
 func (l *Log) AppendKeepSeq(rec *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(rec, false); err != nil {
-		return err
-	}
-	_, err := l.settleLocked()
-	return err
+	return l.appendLocked(rec, false)
 }
 
 // SetLedger attaches a Merkle ledger: every later append feeds it a
@@ -365,38 +330,33 @@ func (l *Log) AdvanceSeq(n uint64) {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.syncErr != nil {
+	if l.syncErr != nil || l.closed || !l.dirty {
 		return l.syncErr
 	}
-	if l.closed || !l.dirty {
-		return nil
-	}
-	_, err := l.syncLocked()
-	return err
+	return l.syncLocked()
 }
 
 // syncLocked fsyncs inline under l.mu and then flushes the ledger, whose
 // staged entries all describe frames that fsync just covered; a failure
 // of either latches permanently.
-func (l *Log) syncLocked() (time.Duration, error) {
+func (l *Log) syncLocked() error {
 	t0 := time.Now()
 	err := l.f.Sync()
-	d := time.Since(t0)
 	if l.opts.OnFsync != nil {
-		l.opts.OnFsync(d)
+		l.opts.OnFsync(time.Since(t0))
 	}
 	if err != nil {
 		l.syncErr = fmt.Errorf("wal: fsync: %w", err)
-		return d, l.syncErr
+		return l.syncErr
 	}
 	l.dirty = false
 	if l.ledger != nil {
 		if err := l.ledger.SyncAll(); err != nil {
 			l.syncErr = err
-			return d, err
+			return err
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // Reset discards every record in the file — they are covered by a
@@ -420,8 +380,7 @@ func (l *Log) Reset() error {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
-	_, err := l.syncLocked()
-	return err
+	return l.syncLocked()
 }
 
 // Close flushes and closes the log. Safe to call more than once.
@@ -435,42 +394,14 @@ func (l *Log) Discard() error { return l.close(false) }
 
 func (l *Log) close(flush bool) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
 	var err error
 	if flush && l.dirty && l.syncErr == nil {
-		if _, serr := l.syncLocked(); serr != nil {
-			err = serr
-		}
+		err = l.syncLocked()
 	}
-	if cerr := l.f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	stop := l.flushStop
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.flushDone
-	}
-	return err
-}
-
-// flusher periodically syncs a dirty log under PolicyInterval. A failed
-// sync latches into the log's sticky error, so the next Append reports
-// it instead of silently acknowledging an unsyncable write.
-func (l *Log) flusher() {
-	defer close(l.flushDone)
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-t.C:
-			_ = l.Sync() // failure latches; the next Append surfaces it
-		}
-	}
+	return cmp.Or(err, l.f.Close())
 }

@@ -262,58 +262,34 @@ func TestValueCodecExact(t *testing.T) {
 	}
 }
 
+// TestFsyncPoliciesAndCallbacks: a log ignores the policy (the store
+// decides when to sync): under each one an append issues no fsync, a Sync
+// of a dirty log one, of a clean log none, and Close flushes only a dirty
+// log. The callbacks see every appended byte and every fsync.
 func TestFsyncPoliciesAndCallbacks(t *testing.T) {
-	var appended, syncs int
-	opts := Options{
-		Policy:   PolicyAlways,
-		OnAppend: func(n int) { appended += n },
-		OnFsync:  func(time.Duration) { syncs++ },
-	}
-	l, _ := openTemp(t, opts)
-	rec := Record{Op: OpRun, Cycles: 1}
-	if err := l.Append(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if appended == 0 || syncs != 1 {
-		t.Fatalf("always: appended=%d syncs=%d", appended, syncs)
-	}
-
-	// Interval: the flusher syncs a dirty log without explicit Sync calls.
-	var mu chan struct{} = make(chan struct{}, 1)
-	intervalSyncs := 0
-	l2, _ := openTemp(t, Options{Policy: PolicyInterval, Interval: 5 * time.Millisecond,
-		OnFsync: func(time.Duration) {
-			select {
-			case mu <- struct{}{}:
-			default:
+	for _, p := range []Policy{PolicyAlways, PolicyInterval, PolicyNever} {
+		var appended, syncs int
+		l, _ := openTemp(t, Options{Policy: p,
+			OnAppend: func(n int) { appended += n },
+			OnFsync:  func(time.Duration) { syncs++ }})
+		step := func(what string, do func() error, want int) {
+			t.Helper()
+			if err := do(); err != nil {
+				t.Fatalf("%v: %s: %v", p, what, err)
 			}
-			intervalSyncs++
-		}})
-	rec2 := Record{Op: OpRun, Cycles: 1}
-	if err := l2.Append(&rec2); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-mu:
-	case <-time.After(5 * time.Second):
-		t.Fatal("interval flusher never synced")
-	}
-
-	// Never: no fsync on append; Close still flushes buffered state.
-	neverSyncs := 0
-	l3, _ := openTemp(t, Options{Policy: PolicyNever, OnFsync: func(time.Duration) { neverSyncs++ }})
-	rec3 := Record{Op: OpRun, Cycles: 1}
-	if err := l3.Append(&rec3); err != nil {
-		t.Fatal(err)
-	}
-	if neverSyncs != 0 {
-		t.Fatalf("never policy issued %d fsyncs on append", neverSyncs)
-	}
-	if err := l3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if neverSyncs != 1 {
-		t.Fatalf("close should fsync once, got %d", neverSyncs)
+			if syncs != want {
+				t.Fatalf("%v: after %s, %d fsyncs, want %d", p, what, syncs, want)
+			}
+		}
+		step("append", func() error { return l.Append(&Record{Op: OpRun, Cycles: 1}) }, 0)
+		step("sync", l.Sync, 1)
+		step("a second sync", l.Sync, 1)
+		step("append", func() error { return l.Append(&Record{Op: OpRun, Cycles: 2}) }, 1)
+		step("close", l.Close, 2)
+		step("a second close", l.Close, 2)
+		if appended == 0 {
+			t.Fatalf("%v: OnAppend saw nothing", p)
+		}
 	}
 }
 
