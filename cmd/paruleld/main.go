@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"parulel/internal/cluster"
+	"parulel/internal/obs"
 	"parulel/internal/server"
 	"parulel/internal/wal"
 )
@@ -47,10 +48,10 @@ func main() {
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
 	merkle := flag.Bool("merkle", true, "keep a tamper-evident merkle ledger per session (merkle.log, chained checkpoint roots, /proof endpoint)")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "checkpoint a session after this many WAL records")
-	traceCycles := flag.Int("trace-cycles", 512, "per-session cycle-trace ring size served at /sessions/{id}/trace")
-	spanCapacity := flag.Int("span-capacity", 0, "per-node span ring size served at /debug/spans (0 = default 4096)")
+	traceCycles := flag.Int("trace-cycles", obs.DefaultRingCapacity, "per-session cycle-trace ring size served at /sessions/{id}/trace")
+	spanCapacity := flag.Int("span-capacity", obs.DefaultSpanCapacity, "per-node span ring size served at /debug/spans")
 	slowRequest := flag.Duration("slow-request", time.Second, "capture requests at least this slow into the flight recorder (negative = disabled)")
-	flightSize := flag.Int("flight-recorder", 0, "slow-request flight-recorder ring size (0 = default 64)")
+	flightSize := flag.Int("flight-recorder", obs.DefaultFlightRecorderCapacity, "slow-request flight-recorder ring size")
 	clusterNode := flag.String("cluster-node", "", "this node's name in -cluster-peers; empty = single-node mode")
 	clusterPeers := flag.String("cluster-peers", "", "full static member list: name=peerAddr=publicURL,... (must include this node)")
 	peerAddr := flag.String("peer-addr", "", "peer-protocol listen address (empty = this node's address from -cluster-peers)")

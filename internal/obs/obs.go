@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"parulel/internal/core"
@@ -109,89 +108,40 @@ func (b *builder) Commit(deltaSize, writeConflicts int, halted bool) {
 	b.emit(b.pending)
 }
 
-// Ring is a bounded cycle-event tracer: it keeps the most recent capacity
-// events and counts everything ever recorded. Unlike most tracers it is
-// safe to *read* concurrently with the engine goroutine that feeds it —
-// the trace HTTP endpoint snapshots a session's ring while a run is in
-// flight — so the buffer is mutex-protected. The buffer grows with the
-// events recorded, up to capacity: a ring that has seen no cycle holds
-// room for ringStart of them.
+// Ring is a bounded cycle-event tracer: a Buffer of the newest events,
+// fed by the engine goroutine and safe to read meanwhile — the trace
+// HTTP endpoint snapshots a session's ring while a run is in flight.
 type Ring struct {
 	builder
+	*Buffer[Event]
 	// OnRecord, when set, observes every recorded event (the server folds
 	// the run in progress from it). Called outside the ring lock on the
 	// goroutine that feeds the ring, the only one that may set it.
 	OnRecord func(Event)
-
-	mu       sync.Mutex
-	capacity int
-	buf      []Event // all of it live; wraps at start once len reaches capacity
-	start    int     // index of the oldest event
-	total    uint64
 }
 
 var _ core.Tracer = (*Ring)(nil)
 
-// DefaultRingCapacity is used when NewRing is given a non-positive
-// capacity.
+// DefaultRingCapacity is NewRing's capacity when given a non-positive one.
 const DefaultRingCapacity = 512
-
-// ringStart is the room a new ring has: most runs are a dozen cycles, and
-// theirs should not be the ones that pay for growing it.
-const ringStart = 16
 
 // NewRing returns a ring tracer holding the last capacity events.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	r := &Ring{capacity: capacity, buf: make([]Event, 0, min(capacity, ringStart))}
-	r.builder.emit = r.record
+	r := &Ring{Buffer: NewBuffer[Event](capacity)}
+	r.builder.emit = func(e Event) {
+		r.Push(e)
+		if r.OnRecord != nil {
+			r.OnRecord(e)
+		}
+	}
 	return r
 }
 
-func (r *Ring) record(e Event) {
-	r.mu.Lock()
-	if len(r.buf) < r.capacity {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.start] = e
-		r.start = (r.start + 1) % r.capacity
-	}
-	r.total++
-	r.mu.Unlock()
-	if r.OnRecord != nil {
-		r.OnRecord(e)
-	}
-}
-
-// Events returns up to limit of the most recent events, oldest first.
-// limit <= 0 means all retained events.
-func (r *Ring) Events(limit int) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]Event, n)
-	first := r.start + (len(r.buf) - n) // skip the oldest beyond limit
-	for i := range out {
-		out[i] = r.buf[(first+i)%len(r.buf)]
-	}
-	return out
-}
-
-// Total returns the number of events ever recorded, including those that
-// have been overwritten.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Capacity returns the ring's fixed size.
-func (r *Ring) Capacity() int { return r.capacity }
+// Events returns the newest limit events (all if limit <= 0), oldest first.
+func (r *Ring) Events(limit int) []Event { return r.Items(limit) }
 
 // NewTextWriter returns a tracer that prints the one-line summary of
 // `parulel run -trace` for each committed cycle that fired something (a

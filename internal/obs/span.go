@@ -15,7 +15,6 @@ import (
 	"encoding/hex"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -133,26 +132,19 @@ func isHex(s string) bool {
 	return true
 }
 
-// DefaultSpanCapacity is used when NewSpanStore is given a non-positive
-// capacity.
+// DefaultSpanCapacity is NewSpanStore's capacity when given a non-positive one.
 const DefaultSpanCapacity = 4096
 
-// SpanStore is a node's bounded ring of recent spans. Writers (request
+// SpanStore is a node's Buffer of recent spans. Writers (request
 // handlers, replication streams) and readers (/debug/spans, the cluster
-// trace assembler) run concurrently, so the buffer is mutex-protected;
-// when full, recording evicts the oldest span.
+// trace assembler) run concurrently; spans enter through Record.
 type SpanStore struct {
+	*Buffer[Span]
 	node string
 	// OnRecord, when set before the store is shared, observes every
 	// completed span (the server feeds per-stage latency histograms from
 	// it). Called outside the store lock.
 	OnRecord func(Span)
-
-	mu    sync.Mutex
-	buf   []Span
-	start int // index of the oldest span
-	n     int
-	total uint64
 }
 
 // NewSpanStore returns a store tagging spans with node, holding the
@@ -161,16 +153,11 @@ func NewSpanStore(node string, capacity int) *SpanStore {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanStore{node: node, buf: make([]Span, capacity)}
+	return &SpanStore{Buffer: NewBuffer[Span](capacity), node: node}
 }
 
 // Node returns the node name spans are tagged with.
-func (st *SpanStore) Node() string {
-	if st == nil {
-		return ""
-	}
-	return st.node
-}
+func (st *SpanStore) Node() string { return st.node }
 
 // Record inserts a completed span, filling SpanID and Node when empty,
 // and returns the span id. Nil-safe.
@@ -184,16 +171,7 @@ func (st *SpanStore) Record(sp Span) string {
 	if sp.Node == "" {
 		sp.Node = st.node
 	}
-	st.mu.Lock()
-	if st.n < len(st.buf) {
-		st.buf[(st.start+st.n)%len(st.buf)] = sp
-		st.n++
-	} else {
-		st.buf[st.start] = sp
-		st.start = (st.start + 1) % len(st.buf)
-	}
-	st.total++
-	st.mu.Unlock()
+	st.Push(sp)
 	if st.OnRecord != nil {
 		st.OnRecord(sp)
 	}
@@ -203,49 +181,26 @@ func (st *SpanStore) Record(sp Span) string {
 // Query returns retained spans matching every given filter, oldest
 // first: trace and stage match exactly when non-empty, minDur keeps
 // spans at least that long, limit > 0 keeps the most recent matches.
+// Only a nil store answers nil.
 func (st *SpanStore) Query(trace, stage string, minDur time.Duration, limit int) []Span {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var out []Span
-	for i := 0; i < st.n; i++ {
-		sp := st.buf[(st.start+i)%len(st.buf)]
-		if trace != "" && sp.TraceID != trace {
-			continue
+	out := []Span{}
+	st.View(func(older, newer []Span) {
+		for _, run := range [2][]Span{older, newer} {
+			for _, sp := range run {
+				if (trace == "" || sp.TraceID == trace) && (stage == "" || sp.Stage == stage) &&
+					(minDur <= 0 || sp.DurNS >= minDur.Nanoseconds()) {
+					out = append(out, sp)
+				}
+			}
 		}
-		if stage != "" && sp.Stage != stage {
-			continue
-		}
-		if minDur > 0 && sp.DurNS < minDur.Nanoseconds() {
-			continue
-		}
-		out = append(out, sp)
-	}
+	})
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}
 	return out
-}
-
-// Total returns the number of spans ever recorded, including evicted
-// ones.
-func (st *SpanStore) Total() uint64 {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.total
-}
-
-// Capacity returns the ring's fixed size.
-func (st *SpanStore) Capacity() int {
-	if st == nil {
-		return 0
-	}
-	return len(st.buf)
 }
 
 // Start opens a live span under trace/parent. It returns nil — and
@@ -318,8 +273,7 @@ func (a *ActiveSpan) EndWith(d time.Duration) {
 	a.store.Record(a.sp)
 }
 
-// DefaultFlightRecorderCapacity bounds the slow-request ring when the
-// configured size is non-positive.
+// DefaultFlightRecorderCapacity is NewFlightRecorder's when given a non-positive one.
 const DefaultFlightRecorderCapacity = 64
 
 // FlightRecord is one slow request captured with its span tree.
@@ -333,16 +287,9 @@ type FlightRecord struct {
 	Spans       []Span `json:"spans"`
 }
 
-// FlightRecorder is a bounded ring of slow-request captures — the
-// "black box" dumped on demand (GET /debug/flightrecorder) or on
-// SIGQUIT. Safe for concurrent use.
-type FlightRecorder struct {
-	mu    sync.Mutex
-	buf   []FlightRecord
-	start int
-	n     int
-	total uint64
-}
+// FlightRecorder is the Buffer of slow-request captures — the "black
+// box" dumped on demand (GET /debug/flightrecorder) or on SIGQUIT.
+type FlightRecorder = Buffer[FlightRecord]
 
 // NewFlightRecorder returns a recorder holding the most recent capacity
 // captures.
@@ -350,54 +297,5 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightRecorderCapacity
 	}
-	return &FlightRecorder{buf: make([]FlightRecord, capacity)}
-}
-
-// Record captures one slow request. Nil-safe.
-func (f *FlightRecorder) Record(rec FlightRecord) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n < len(f.buf) {
-		f.buf[(f.start+f.n)%len(f.buf)] = rec
-		f.n++
-	} else {
-		f.buf[f.start] = rec
-		f.start = (f.start + 1) % len(f.buf)
-	}
-	f.total++
-}
-
-// Records returns the retained captures, oldest first. Nil-safe.
-func (f *FlightRecorder) Records() []FlightRecord {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FlightRecord, f.n)
-	for i := 0; i < f.n; i++ {
-		out[i] = f.buf[(f.start+i)%len(f.buf)]
-	}
-	return out
-}
-
-// Total returns the number of captures ever recorded. Nil-safe.
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
-}
-
-// Capacity returns the ring's fixed size. Nil-safe.
-func (f *FlightRecorder) Capacity() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.buf)
+	return NewBuffer[FlightRecord](capacity)
 }

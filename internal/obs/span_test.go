@@ -149,13 +149,16 @@ func TestActiveSpanEndIdempotent(t *testing.T) {
 func TestFlightRecorderRing(t *testing.T) {
 	fr := NewFlightRecorder(2)
 	for i := 0; i < 3; i++ {
-		fr.Record(FlightRecord{TraceID: fmt.Sprintf("t%d", i), DurNS: int64(i)})
+		fr.Push(FlightRecord{TraceID: fmt.Sprintf("t%d", i), DurNS: int64(i)})
 	}
 	if fr.Total() != 3 || fr.Capacity() != 2 {
 		t.Fatalf("total %d cap %d, want 3/2", fr.Total(), fr.Capacity())
 	}
-	recs := fr.Records()
+	recs := fr.Items(0)
 	if len(recs) != 2 || recs[0].TraceID != "t1" || recs[1].TraceID != "t2" {
 		t.Fatalf("retained %+v, want t1,t2 oldest-first", recs)
+	}
+	if c := NewFlightRecorder(0).Capacity(); c != DefaultFlightRecorderCapacity {
+		t.Fatalf("NewFlightRecorder(0) keeps %d, want the default %d", c, DefaultFlightRecorderCapacity)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"parulel/internal/match"
+	"parulel/internal/obs"
 	"parulel/internal/stats"
 )
 
@@ -202,15 +203,12 @@ var phaseNames = [4]string{"match", "redact", "fire", "apply"}
 type collector struct {
 	mu sync.Mutex
 	metricsPayload
-	// window is the newest metricsWindow cycle samples, for engine.window:
-	// once full it is a ring whose oldest sample is at windowAt.
-	window   []stats.Cycle
-	windowAt int
-	rules    map[string]*ruleSeries // engine.rules by rule name
+	window *obs.Buffer[stats.Cycle] // the newest cycle samples, for engine.window
+	rules  map[string]*ruleSeries   // engine.rules by rule name
 }
 
 func newCollector() *collector {
-	c := &collector{rules: make(map[string]*ruleSeries)}
+	c := &collector{window: obs.NewBuffer[stats.Cycle](metricsWindow), rules: make(map[string]*ruleSeries)}
 	for _, b := range stats.HistBounds {
 		c.Engine.HistBoundsNS = append(c.Engine.HistBoundsNS, b.Nanoseconds())
 	}
@@ -245,13 +243,8 @@ func (c *collector) observe(cycles []stats.Cycle) {
 		for i, d := range [4]time.Duration{cyc.Match, cyc.Redact, cyc.Fire, cyc.Apply} {
 			e.Phases[phaseNames[i]].observe(d)
 		}
-		if len(c.window) < metricsWindow {
-			c.window = append(c.window, cyc)
-		} else {
-			c.window[c.windowAt] = cyc
-			c.windowAt = (c.windowAt + 1) % metricsWindow
-		}
 	}
+	c.window.Push(cycles...)
 }
 
 // stageObserved folds one completed span into its stage's histogram (the
@@ -309,7 +302,7 @@ func (c *collector) snapshot() metricsPayload {
 	defer c.mu.Unlock()
 	p := c.metricsPayload
 	p.Engine.Phases, p.Stages = cloneHists(p.Engine.Phases), cloneHists(p.Stages)
-	p.Engine.Window = stats.Summarize(c.window)
+	c.window.View(func(older, newer []stats.Cycle) { p.Engine.Window = stats.Summarize(older, newer) })
 	p.Engine.Rules = make([]ruleSeries, 0, len(c.rules))
 	for _, agg := range c.rules {
 		p.Engine.Rules = append(p.Engine.Rules, *agg)

@@ -6,20 +6,26 @@ package server
 // and replay of every mutation kind (assert, retract, run, import).
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"parulel/internal/checkpoint"
 	"parulel/internal/compile"
 	"parulel/internal/core"
 	"parulel/internal/match/treat"
 	"parulel/internal/snapshot"
+	"parulel/internal/store"
 	"parulel/internal/wal"
 	"parulel/internal/wm"
 )
@@ -438,6 +444,60 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	_, ts2 := newTestServer(t, cfg)
 	if st := call(t, "GET", ts2.URL+"/api/v1/sessions/"+info.ID, nil, nil); st != http.StatusNotFound {
 		t.Fatalf("deleted session recovered after restart: status %d", st)
+	}
+}
+
+// failingRemoveFS is the OS filesystem with a RemoveAll that fails
+// while fail is set.
+type failingRemoveFS struct {
+	wal.FS
+	fail atomic.Bool
+}
+
+func (f *failingRemoveFS) RemoveAll(name string) error {
+	if f.fail.Load() {
+		return &fs.PathError{Op: "removeall", Path: name, Err: syscall.EIO}
+	}
+	return f.FS.RemoveAll(name)
+}
+
+// TestDeleteFailureAnswers500: a DELETE whose files could not be removed
+// says so, and the session stays served, so a retry can delete it.
+func TestDeleteFailureAnswers500(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{DataDir: dir, Fsync: wal.PolicyAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := &failingRemoveFS{FS: wal.OS}
+	s.store.Close()
+	if s.store, _, err = store.Open(dir, wal.Options{Policy: wal.PolicyAlways, FS: fsys}, true); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	info := createSession(t, ts.URL, createSessionRequest{Source: recoverySrc})
+	url := ts.URL + "/api/v1/sessions/" + info.ID
+
+	fsys.fail.Store(true)
+	var e errorResponse
+	if st := call(t, "DELETE", url, nil, &e); st != http.StatusInternalServerError || !strings.Contains(e.Error, syscall.EIO.Error()) {
+		t.Fatalf("delete with a failing RemoveAll: status %d %q, want 500 naming the error", st, e.Error)
+	}
+	fsys.fail.Store(false)
+	if st := call(t, "GET", url, nil, nil); st != http.StatusOK {
+		t.Fatalf("get after the failed delete: status %d, want the session served", st)
+	}
+	if st := call(t, "DELETE", url, nil, nil); st != http.StatusOK {
+		t.Fatalf("retried delete: status %d", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sessions", info.ID)); !os.IsNotExist(err) {
+		t.Fatalf("session directory survived the retried delete: %v", err)
 	}
 }
 

@@ -45,11 +45,9 @@ type Config struct {
 	// MaxSessions bounds the session pool; creating one more evicts the
 	// least-recently-used session. Default 64.
 	MaxSessions int
-	// IdleTTL expires sessions unused for this long. Default 30m.
+	// IdleTTL expires sessions unused for this long, checked every
+	// IdleTTL/4 clamped to [100ms, 1m]. Default 30m.
 	IdleTTL time.Duration
-	// SweepInterval is the expiry check period. Default IdleTTL/4,
-	// clamped to [100ms, 1m].
-	SweepInterval time.Duration
 	// MaxConcurrentRuns caps engines running simultaneously server-wide;
 	// excess run requests wait for a slot (bounded by their deadline).
 	// Default 8.
@@ -76,10 +74,6 @@ type Config struct {
 	// MaxCycles is the default cumulative cycle cap per session (runaway
 	// guard). Default 10,000,000.
 	MaxCycles int
-	// MaxBodyBytes bounds request bodies. Default 4 MiB.
-	MaxBodyBytes int64
-	// MaxOutputBytes bounds captured `(write …)` output per run. Default 64 KiB.
-	MaxOutputBytes int
 	// DataDir enables the durability subsystem: every session gets a
 	// write-ahead log and periodic checkpoints under DataDir/sessions/<id>,
 	// and sessions are recovered from disk lazily — after a restart or an
@@ -101,17 +95,17 @@ type Config struct {
 	// after this many WAL records. Default 256.
 	CheckpointEvery int
 	// TraceCycles bounds each session's in-memory cycle-trace ring served
-	// at GET /api/v1/sessions/{id}/trace. Default 512.
+	// at GET /api/v1/sessions/{id}/trace. Default obs.DefaultRingCapacity.
 	TraceCycles int
 	// SpanCapacity bounds the node's distributed-tracing span store
-	// served at GET /debug/spans. Default 4096.
+	// served at GET /debug/spans. Default obs.DefaultSpanCapacity.
 	SpanCapacity int
 	// SlowRequestThreshold is the latency beyond which a request's full
 	// span tree is captured into the flight recorder (GET
 	// /debug/flightrecorder, dumped on SIGQUIT by cmd/paruleld). Default
 	// 1s; negative disables capture.
 	SlowRequestThreshold time.Duration
-	// FlightRecorderSize bounds the flight-recorder ring. Default 64.
+	// FlightRecorderSize bounds the flight-recorder ring. Default obs.DefaultFlightRecorderCapacity.
 	FlightRecorderSize int
 	// Cluster, when non-nil, joins this node to a static cluster: the
 	// consistent-hash ring shards the session-id keyspace across members,
@@ -131,15 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.IdleTTL <= 0 {
 		c.IdleTTL = 30 * time.Minute
 	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.IdleTTL / 4
-		if c.SweepInterval < 100*time.Millisecond {
-			c.SweepInterval = 100 * time.Millisecond
-		}
-		if c.SweepInterval > time.Minute {
-			c.SweepInterval = time.Minute
-		}
-	}
 	if c.MaxConcurrentRuns <= 0 {
 		c.MaxConcurrentRuns = 8
 	}
@@ -158,26 +143,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 10_000_000
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
-	}
-	if c.MaxOutputBytes <= 0 {
-		c.MaxOutputBytes = 64 << 10
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 256
 	}
-	if c.TraceCycles <= 0 {
-		c.TraceCycles = 512
-	}
-	if c.SpanCapacity <= 0 {
-		c.SpanCapacity = obs.DefaultSpanCapacity
-	}
 	if c.SlowRequestThreshold == 0 {
 		c.SlowRequestThreshold = time.Second
-	}
-	if c.FlightRecorderSize <= 0 {
-		c.FlightRecorderSize = obs.DefaultFlightRecorderCapacity
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
@@ -343,6 +313,9 @@ func (sw *statusWriter) Flush() {
 // Unwrap lets http.NewResponseController reach the underlying writer.
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 4 << 20
+
 // ServeHTTP implements http.Handler. Every request is assigned an id
 // and a trace context — both adopted from the X-Parulel-Trace header
 // when a peer or trace-aware client sent one, so a proxied request logs
@@ -365,7 +338,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ti := &traceInfo{trace: tc.TraceID, parent: ingress.ID(), timings: &reqTimings{}}
 	ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
 	r = r.WithContext(context.WithValue(ctx, ctxKeyTrace, ti))
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, timings: ti.timings}
 	// Echo the trace on the response so clients (and the smoke tests)
 	// learn the trace id, and so a client following a 307 redirect can
@@ -377,7 +350,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ingress.SetAttr("status", strconv.Itoa(sw.status))
 	ingress.EndWith(dur)
 	if thr := s.cfg.SlowRequestThreshold; thr > 0 && dur >= thr {
-		s.flight.Record(obs.FlightRecord{
+		s.flight.Push(obs.FlightRecord{
 			TraceID:     tc.TraceID,
 			Method:      r.Method,
 			Path:        r.URL.Path,
@@ -474,7 +447,7 @@ func (s *Server) closeFiles(sess *session) {
 // janitor periodically expires idle sessions.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
-	t := time.NewTicker(s.cfg.SweepInterval)
+	t := time.NewTicker(min(max(s.cfg.IdleTTL/4, 100*time.Millisecond), time.Minute))
 	defer t.Stop()
 	for {
 		select {
@@ -523,8 +496,9 @@ func (s *Server) evictLocked(sess *session) {
 // dropLocalSession discards this node's copy of a session — pool entry,
 // on-disk state, jobs — because a client deleted it or its ownership moved
 // elsewhere (the new owner's copy is then the session; these bytes are
-// stale). It reports whether there was anything to discard.
-func (s *Server) dropLocalSession(ctx context.Context, id string) bool {
+// stale). It reports whether there was anything to discard, and why its
+// files are still there when removing them failed (it logs that too).
+func (s *Server) dropLocalSession(ctx context.Context, id string) (found bool, err error) {
 	s.mu.Lock()
 	sess, live := s.sessions[id]
 	if live {
@@ -540,12 +514,12 @@ func (s *Server) dropLocalSession(ctx context.Context, id string) bool {
 	s.mu.Unlock()
 	onDisk := s.store != nil && s.store.Has(id)
 	if onDisk {
-		if err := s.store.Remove(id); err != nil {
+		if err = s.store.Remove(id); err != nil {
 			s.log(ctx).Error("removing data dir", "session_id", id, "err", err)
 		}
 	}
 	s.jobs.dropSession(id)
-	return live || onDisk
+	return live || onDisk, err
 }
 
 // recoverableNote annotates eviction log lines with the session's fate:
@@ -935,7 +909,11 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// An evicted-but-recoverable session is deletable too: its files go.
-	if !s.dropLocalSession(r.Context(), id) {
+	switch found, err := s.dropLocalSession(r.Context(), id); {
+	case err != nil: // the files stay, and so does the session: a retry may remove them
+		writeError(w, http.StatusInternalServerError, "removing session files: "+err.Error())
+		return
+	case !found:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}

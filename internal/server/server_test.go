@@ -386,7 +386,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestIdleExpiry(t *testing.T) {
-	_, ts := newTestServer(t, Config{IdleTTL: 50 * time.Millisecond, SweepInterval: 10 * time.Millisecond})
+	_, ts := newTestServer(t, Config{IdleTTL: 50 * time.Millisecond})
 	base := ts.URL
 	info := createSession(t, base, createSessionRequest{Program: "quickstart"})
 	deadline := time.Now().Add(5 * time.Second)

@@ -131,7 +131,7 @@ func (s *session) info(lastUsed time.Time) sessionInfo {
 // facts: a checkpointed working memory already contains them under their
 // original time tags.
 func (s *Server) newSession(id string, meta *wal.Record, prog *compile.Program, restore bool) *session {
-	out := &capWriter{limit: s.cfg.MaxOutputBytes}
+	out := &capWriter{}
 	trace := obs.NewRing(s.cfg.TraceCycles)
 	eng := core.New(prog, core.Options{
 		// Server sessions always run with per-rule profiling on: the timing
@@ -283,17 +283,19 @@ func (s *session) retractMatching(template string, fields wal.Fields) (int, erro
 	return n, nil
 }
 
-// capWriter buffers `(write …)` output up to a byte limit, recording
+// maxOutputBytes bounds the `(write …)` output a run captures.
+const maxOutputBytes = 64 << 10
+
+// capWriter buffers `(write …)` output up to maxOutputBytes, recording
 // whether anything was dropped. The engine writes only while the slot
 // holder runs it, so no locking is needed.
 type capWriter struct {
 	buf       []byte
-	limit     int
 	truncated bool
 }
 
 func (w *capWriter) Write(p []byte) (int, error) {
-	if room := w.limit - len(w.buf); room > 0 {
+	if room := maxOutputBytes - len(w.buf); room > 0 {
 		if len(p) <= room {
 			w.buf = append(w.buf, p...)
 		} else {

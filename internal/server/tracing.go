@@ -240,9 +240,6 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	spans := s.spans.Query(q.Get("trace"), q.Get("stage"), minDur, limit)
-	if spans == nil {
-		spans = []obs.Span{}
-	}
 	w.Header().Set("Cache-Control", "no-cache")
 	writeJSON(w, http.StatusOK, spansResponse{
 		Node:     s.spans.Node(),
@@ -254,10 +251,7 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 
 // handleFlightRecorder dumps the slow-request ring.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
-	recs := s.flight.Records()
-	if recs == nil {
-		recs = []obs.FlightRecord{}
-	}
+	recs := s.flight.Items(0)
 	w.Header().Set("Cache-Control", "no-cache")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"threshold_ms": s.cfg.SlowRequestThreshold.Milliseconds(),
@@ -271,7 +265,7 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
 // first — the programmatic face of GET /debug/flightrecorder, used by
 // the SIGQUIT dump in cmd/paruleld.
 func (s *Server) FlightRecords() []obs.FlightRecord {
-	return s.flight.Records()
+	return s.flight.Items(0)
 }
 
 // clusterTraceResponse is the GET /cluster/trace/{trace} body: every
@@ -342,9 +336,6 @@ func (s *Server) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		return resp.Spans[i].SpanID < resp.Spans[j].SpanID
 	})
-	if resp.Spans == nil {
-		resp.Spans = []obs.Span{}
-	}
 	w.Header().Set("Cache-Control", "no-cache")
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -91,23 +91,27 @@ type Summary struct {
 	Apply  PhaseStats `json:"apply"`
 }
 
-// Summarize computes the aggregate view of the cycles, in any order.
-func Summarize(cycles []Cycle) Summary {
-	n := len(cycles)
-	match := make([]time.Duration, n)
-	redact := make([]time.Duration, n)
-	fire := make([]time.Duration, n)
-	apply := make([]time.Duration, n)
-	conflict := make([]int, n)
-	s := Summary{Cycles: n}
-	for i, c := range cycles {
-		match[i], redact[i], fire[i], apply[i] = c.Match, c.Redact, c.Fire, c.Apply
-		conflict[i] = c.ConflictSize
-		s.Fired += c.Fired
-		s.Redacted += c.Redacted
-		s.DeltaTotal += c.DeltaSize
-		if c.ConflictSize > s.MaxConflict {
-			s.MaxConflict = c.ConflictSize
+// Summarize computes the aggregate view of the cycles, in any order and
+// in as many runs as they come in.
+func Summarize(runs ...[]Cycle) Summary {
+	var s Summary
+	for _, run := range runs {
+		s.Cycles += len(run)
+	}
+	match := make([]time.Duration, 0, s.Cycles)
+	redact := make([]time.Duration, 0, s.Cycles)
+	fire := make([]time.Duration, 0, s.Cycles)
+	apply := make([]time.Duration, 0, s.Cycles)
+	conflict := make([]int, 0, s.Cycles)
+	for _, run := range runs {
+		for _, c := range run {
+			match, redact = append(match, c.Match), append(redact, c.Redact)
+			fire, apply = append(fire, c.Fire), append(apply, c.Apply)
+			conflict = append(conflict, c.ConflictSize)
+			s.Fired += c.Fired
+			s.Redacted += c.Redacted
+			s.DeltaTotal += c.DeltaSize
+			s.MaxConflict = max(s.MaxConflict, c.ConflictSize)
 		}
 	}
 	s.ConflictP50 = QuantileInts(conflict, 0.50)

@@ -100,6 +100,33 @@ func TestStoreFlushDirFailureLatches(t *testing.T) {
 	}
 }
 
+// TestRemoveFailureKeepsSession: when RemoveAll fails the session is
+// still there, so the store still knows it, and a retry removes it.
+func TestRemoveFailureKeepsSession(t *testing.T) {
+	fsys := newMemFS(dataDir)
+	st, _, err := store.Open(dataDir, wal.Options{Policy: wal.PolicyAlways, FS: fsys}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mustCreate(t, st, "s1").Close()
+	dir := filepath.Join(dataDir, "sessions", "s1")
+	fsys.hook = failing("remove", "s1")
+	if err := st.Remove("s1"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("remove with a failing RemoveAll: %v, want EIO", err)
+	}
+	fsys.hook = nil
+	if !st.Has("s1") || fsys.lookup(dir) == nil {
+		t.Fatalf("after a failed remove: Has(s1)=%v, directory there=%v; want both", st.Has("s1"), fsys.lookup(dir) != nil)
+	}
+	if err := st.Remove("s1"); err != nil {
+		t.Fatalf("retried remove: %v", err)
+	}
+	if st.Has("s1") || fsys.lookup(dir) != nil {
+		t.Fatalf("after the retry: Has(s1)=%v, directory there=%v; want neither", st.Has("s1"), fsys.lookup(dir) != nil)
+	}
+}
+
 // TestStoreFlushFsyncsDirtyLogsOnly: a Flush issues one fsync per dirty
 // log, a replica's included, and none for a clean one.
 func TestStoreFlushFsyncsDirtyLogsOnly(t *testing.T) {
@@ -389,18 +416,27 @@ func TestBootKeepsDamagedSession(t *testing.T) {
 			w.durable = append([]byte(nil), w.data...)
 			before := fsys.image(completed)
 
+			unchanged := func(when string) {
+				t.Helper()
+				for _, name := range []string{store.WALFile, store.LedgerFile} {
+					was, is := before.lookup(filepath.Join(dir, name)), fsys.lookup(filepath.Join(dir, name))
+					if is == nil || string(is.data) != string(was.data) {
+						t.Fatalf("%s changed %s", name, when)
+					}
+				}
+			}
 			st = reopen(t, fsys, policy)
 			if !st.Has("s1") || len(st.SetAside()) != 0 {
 				t.Fatalf("after two restarts: Has(s1)=%v, set aside %v; want it counted", st.Has("s1"), st.SetAside())
 			}
-			for _, name := range []string{store.WALFile, store.LedgerFile} {
-				was, is := before.lookup(filepath.Join(dir, name)), fsys.lookup(filepath.Join(dir, name))
-				if is == nil || string(is.data) != string(was.data) {
-					t.Fatalf("%s changed across two restarts", name)
+			unchanged("across two restarts")
+			// A Load that refuses the session writes nothing either, however
+			// often it is asked.
+			for _, when := range []string{"after a refused Load", "after a second refused Load"} {
+				if _, _, err := st.Load("s1"); err == nil {
+					t.Fatal("a session with no readable create record loaded")
 				}
-			}
-			if _, _, err := st.Load("s1"); err == nil {
-				t.Fatal("a session with no readable create record loaded")
+				unchanged(when)
 			}
 		})
 	}

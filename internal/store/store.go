@@ -300,13 +300,15 @@ func (st *Store) install(src, id string, durable bool) (installed bool, err erro
 }
 
 // Remove deletes a session's directory, durably under PolicyAlways and
-// under PolicyInterval after the next Flush.
+// under PolicyInterval after the next Flush. A directory that stays is
+// known again, so a retry can remove it.
 func (st *Store) Remove(id string) error {
 	st.mu.Lock()
 	delete(st.known, id)
 	err := st.err
 	st.mu.Unlock()
 	if err := st.fs.RemoveAll(st.dir(id)); err != nil {
+		st.MarkKnown(id)
 		return err
 	}
 	return cmp.Or(err, st.syncDir(st.sessions))
@@ -344,6 +346,9 @@ func (st *Store) Load(id string) (*Session, *Image, error) {
 			err = fmt.Errorf("merkle ledger: %w", err)
 		}
 		d.log.SetLedger(d.led)
+	}
+	if err == nil { // served: the tail recovery reported dropped goes now
+		err = d.log.CutTail()
 	}
 	if err != nil {
 		d.Close()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -10,8 +11,8 @@ import (
 )
 
 // FuzzReplay feeds arbitrary bytes to the recovery scanner: it must never
-// panic, and whatever it accepts must survive a second scan unchanged
-// (recovery is idempotent: after one truncating scan the file is clean).
+// panic, opening and closing the log must leave every byte in place, and
+// once CutTail has run the file is the clean prefix the scan accepted.
 func FuzzReplay(f *testing.F) {
 	frame := func(payload string) []byte {
 		b := make([]byte, frameHeader+len(payload))
@@ -48,16 +49,27 @@ func FuzzReplay(f *testing.F) {
 			return // I/O-level failure is acceptable; panicking is not
 		}
 		l.Close()
-		l2, res2, err := Open(path, Options{})
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("opening and closing the log changed the file (err %v)", err)
+		}
+		l2, _, err := Open(path, Options{})
 		if err != nil {
-			t.Fatalf("second open failed after truncating scan: %v", err)
+			t.Fatalf("second open failed: %v", err)
 		}
-		defer l2.Close()
-		if res2.TruncatedBytes != 0 {
-			t.Fatalf("second scan still truncated %d bytes", res2.TruncatedBytes)
+		if err := l2.CutTail(); err != nil {
+			t.Fatalf("cutting the tail: %v", err)
 		}
-		if len(res2.Records) != len(res.Records) {
-			t.Fatalf("second scan saw %d records, first saw %d", len(res2.Records), len(res.Records))
+		l2.Close()
+		l3, res3, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("open after the cut failed: %v", err)
+		}
+		defer l3.Close()
+		if res3.TruncatedBytes != 0 {
+			t.Fatalf("scan after the cut still finds %d torn bytes", res3.TruncatedBytes)
+		}
+		if len(res3.Records) != len(res.Records) {
+			t.Fatalf("scan after the cut saw %d records, the first saw %d", len(res3.Records), len(res.Records))
 		}
 	})
 }

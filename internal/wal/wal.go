@@ -108,6 +108,7 @@ type Log struct {
 	seq    uint64 // last sequence number assigned
 	dirty  bool
 	closed bool
+	torn   bool // Open left a torn or corrupt tail after the position, for cutTail
 
 	// syncErr latches the first fsync or write failure permanently: once
 	// the kernel has dropped dirty pages on an fsync error, retrying cannot
@@ -127,9 +128,9 @@ type Log struct {
 }
 
 // Open opens (creating if absent) the log at path for appending. An
-// existing file is scanned first: valid records are returned and any
-// torn or corrupt tail is truncated away, so the returned log is always
-// positioned at the end of the valid prefix.
+// existing file is scanned first: valid records are returned and the log
+// is positioned at the end of their prefix. A torn or corrupt tail stays
+// until CutTail or the first write: an unwritten log changes no byte.
 func Open(path string, opts Options) (*Log, ScanResult, error) {
 	if opts.FS == nil {
 		opts.FS = OS
@@ -139,11 +140,6 @@ func Open(path string, opts Options) (*Log, ScanResult, error) {
 		return nil, ScanResult{}, err
 	}
 	res, lastSeq, validEnd, err := scan(f)
-	if err == nil && res.TruncatedBytes > 0 {
-		if err = f.Truncate(validEnd); err != nil {
-			err = fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-	}
 	if err == nil {
 		_, err = f.Seek(validEnd, io.SeekStart)
 	}
@@ -151,7 +147,25 @@ func Open(path string, opts Options) (*Log, ScanResult, error) {
 		f.Close()
 		return nil, ScanResult{}, err
 	}
-	return &Log{f: f, opts: opts, seq: lastSeq}, res, nil
+	return &Log{f: f, opts: opts, seq: lastSeq, torn: res.TruncatedBytes > 0}, res, nil
+}
+
+// CutTail truncates the torn or corrupt tail Open found, if any.
+func (l *Log) CutTail() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.cutTail()
+}
+
+func (l *Log) cutTail() (err error) {
+	if l.torn {
+		var end int64
+		if end, err = l.f.Seek(0, io.SeekCurrent); err == nil {
+			err = l.f.Truncate(end)
+		}
+		l.torn = err != nil
+	}
+	return err
 }
 
 // scan reads every valid record, returning them plus the last sequence
@@ -222,6 +236,9 @@ func (l *Log) appendLocked(rec *Record, assign bool) error {
 		// surface it now instead of accepting writes that may never
 		// reach the disk.
 		return l.syncErr
+	}
+	if err := l.cutTail(); err != nil {
+		return err
 	}
 	if assign {
 		l.seq++
@@ -377,6 +394,7 @@ func (l *Log) Reset() error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
+	l.torn = false
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}

@@ -122,12 +122,20 @@ func TestTornTailTruncated(t *testing.T) {
 		if res.TruncatedBytes == 0 {
 			t.Fatalf("%s: no truncation reported", name)
 		}
-		// The file itself must be truncated back to the valid prefix so a
-		// subsequent append produces a clean log again.
-		if info, err := os.Stat(dirty); err != nil || info.Size() != cleanSize {
-			t.Fatalf("%s: file size %d after recovery, want %d (err=%v)", name, info.Size(), cleanSize, err)
+		// Opening leaves the tail in the file; the first append cuts it
+		// back to the valid prefix, so the log is clean again.
+		if info, err := os.Stat(dirty); err != nil || info.Size() != cleanSize+res.TruncatedBytes {
+			t.Fatalf("%s: file size %d after open, want it unchanged at %d (err=%v)", name, info.Size(), cleanSize+res.TruncatedBytes, err)
+		}
+		if err := l2.Append(&Record{Op: OpRun, Cycles: 1}); err != nil {
+			t.Fatalf("%s: append: %v", name, err)
 		}
 		l2.Close()
+		_, res, err = Open(dirty, Options{})
+		if err != nil || res.TruncatedBytes != 0 || len(res.Records) != len(recs)+1 {
+			t.Fatalf("%s: after the append the log reads %d records, %d torn bytes (err=%v); want %d, none",
+				name, len(res.Records), res.TruncatedBytes, err, len(recs)+1)
+		}
 	}
 }
 
