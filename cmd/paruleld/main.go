@@ -55,7 +55,7 @@ func main() {
 	clusterNode := flag.String("cluster-node", "", "this node's name in -cluster-peers; empty = single-node mode")
 	clusterPeers := flag.String("cluster-peers", "", "full static member list: name=peerAddr=publicURL,... (must include this node)")
 	peerAddr := flag.String("peer-addr", "", "peer-protocol listen address (empty = this node's address from -cluster-peers)")
-	clusterRepl := flag.String("cluster-repl", "sync", "WAL replication to the follower node: sync, async or off")
+	clusterRepl := flag.String("cluster-repl", "sync", "WAL replication to the follower node: sync or off")
 	clusterRedirect := flag.Bool("cluster-redirect", false, "answer requests for remote sessions with 307 redirects instead of proxying")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")

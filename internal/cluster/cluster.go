@@ -47,9 +47,6 @@ const (
 	// ReplSync acknowledges a mutation to the client only after the
 	// replica node applied it: a node death loses no acked mutation.
 	ReplSync = "sync"
-	// ReplAsync streams WAL records to the replica without waiting;
-	// a node death may lose the records still in flight.
-	ReplAsync = "async"
 	// ReplOff disables replication; failover serves only what migration
 	// moved explicitly.
 	ReplOff = "off"
@@ -69,7 +66,7 @@ type Config struct {
 	// (test and embedding hook).
 	PeerListener net.Listener
 	// Replication selects the WAL streaming ack policy: ReplSync (the
-	// default), ReplAsync or ReplOff.
+	// default) or ReplOff.
 	Replication string
 	// Redirect answers requests for remote sessions with 307 redirects
 	// instead of proxying them to the owner.
@@ -136,9 +133,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: node %q is not in the member list", c.Node)
 	}
 	switch c.Replication {
-	case ReplSync, ReplAsync, ReplOff:
+	case ReplSync, ReplOff:
 	default:
-		return fmt.Errorf("cluster: unknown replication policy %q (want sync, async or off)", c.Replication)
+		return fmt.Errorf("cluster: unknown replication policy %q (want sync or off)", c.Replication)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,6 +131,12 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: invalid config accepted: %+v", i, c)
 		}
+	}
+	// async acked before the follower did and is gone: the error names
+	// the two policies there are.
+	err := Config{Node: "a", Members: members, Replication: "async"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), `"async"`) || !strings.Contains(err.Error(), "want sync or off") {
+		t.Fatalf("async: got %v, want an error naming sync and off", err)
 	}
 }
 

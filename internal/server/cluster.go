@@ -382,69 +382,61 @@ func (cs *clusterState) announce(mv cluster.Moved) {
 
 // ---- replication (primary side) ----
 
-// replicate makes rec durable on the session's replica. A nil rec means
-// the record is already folded into the on-disk state (a checkpoint just
-// compacted it) and only a caught-up replica is required. Under ReplSync
-// a false return fails the request: the mutation is locally durable but
-// not replicated, and acking it would break the no-acked-loss contract.
-// Under ReplAsync failures are only counted. With every other member down
-// the node proceeds unreplicated — a lone survivor must not refuse all
+// replicate makes rec durable on the session's replica: it sends rec on
+// the session's live replication stream, attaching one (full state sync)
+// when none exists, and re-targeting once when the stream or the attach
+// fails. An attach counts as delivery: the state sync reads the local
+// disk, which already holds rec. A nil rec means the record is already
+// folded into the on-disk state (a checkpoint just compacted it) and only
+// a caught-up replica is required. A false return fails the request: the
+// mutation is locally durable but not replicated, and acking it would
+// break the no-acked-loss contract. With every other member down the
+// node proceeds unreplicated — a lone survivor must not refuse all
 // writes. Caller holds the session slot.
 func (s *Server) replicate(ctx context.Context, sess *session, rec *wal.Record) bool {
 	cs := s.cluster
 	if cs == nil || cs.cfg.Replication == cluster.ReplOff || sess.dur == nil {
 		return true
 	}
-	return s.replicateRecord(ctx, sess, rec) || cs.cfg.Replication == cluster.ReplAsync
-}
-
-// replicateRecord sends rec on the session's live replication stream,
-// attaching one (full state sync) when none exists, and re-targeting once
-// when the stream or the attach fails. An attach counts as delivery: the
-// state sync reads the local disk, which already holds rec.
-func (s *Server) replicateRecord(ctx context.Context, sess *session, rec *wal.Record) bool {
-	cs := s.cluster
 	failed := make(map[string]bool)
 	ackSp := s.startSpan(ctx, stageReplAck)
 	defer ackSp.End()
 	for attempt := 0; attempt < 2; attempt++ {
 		stream := sess.repl.Load()
-		if stream == nil {
-			if sess.closed.Load() {
-				return false // deleted, or moved away, under us: no replica should outlive it
+		switch {
+		case stream != nil && rec == nil:
+			// The live stream already mirrored the state (checkpoint push
+			// succeeded before this call).
+			return true
+		case stream != nil:
+			if err := stream.SendRecord(rec, s.traceString(ctx, ackSp.ID())); err != nil {
+				name := stream.Target.Name
+				failed[name] = true
+				cs.mship.ReportFailure(name)
+				s.metrics.inc(&s.metrics.Cluster.ReplFailures)
+				s.log(ctx).Warn("replication send failed", "session_id", sess.id, "target", name, "err", err)
+				sess.dropRepl(stream)
+				continue
 			}
+		case sess.closed.Load():
+			return false // deleted, or moved away, under us: no replica should outlive it
+		default:
 			target, ok := cs.replicaTarget(sess.id, failed)
 			if !ok {
 				s.metrics.inc(&s.metrics.Cluster.ReplUnprotected)
 				s.log(ctx).Warn("no live replica target; proceeding unreplicated", "session_id", sess.id)
 				return true
 			}
-			if _, err := s.attachRepl(sess, target); err != nil {
+			var err error
+			if stream, err = s.attachRepl(sess, target); err != nil {
 				failed[target.Name] = true
 				s.log(ctx).Warn("replica attach failed", "session_id", sess.id, "target", target.Name, "err", err)
 				continue
 			}
-			s.metrics.inc(&s.metrics.Cluster.ReplRecords)
-			ackSp.SetAttr("target", target.Name)
 			ackSp.SetAttr("attach", "1")
-			return true
-		}
-		if rec == nil {
-			// The live stream already mirrored the state (checkpoint push
-			// succeeded before this call).
-			return true
-		}
-		name := stream.Target.Name
-		if err := stream.SendRecord(rec, s.traceString(ctx, ackSp.ID())); err != nil {
-			failed[name] = true
-			cs.mship.ReportFailure(name)
-			s.metrics.inc(&s.metrics.Cluster.ReplFailures)
-			s.log(ctx).Warn("replication send failed", "session_id", sess.id, "target", name, "err", err)
-			sess.dropRepl(stream)
-			continue
 		}
 		s.metrics.inc(&s.metrics.Cluster.ReplRecords)
-		ackSp.SetAttr("target", name)
+		ackSp.SetAttr("target", stream.Target.Name)
 		return true
 	}
 	return false

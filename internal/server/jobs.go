@@ -150,11 +150,8 @@ func (r *jobRegistry) forSession(sessID string) []*job {
 // activeFor lists the session's non-terminal job ids, used to re-log their
 // queued markers after a checkpoint truncates the WAL.
 func (r *jobRegistry) activeFor(sessID string) []string {
-	r.mu.Lock()
-	list := append([]*job(nil), r.bySession[sessID]...)
-	r.mu.Unlock()
-	ids := make([]string, 0, len(list))
-	for _, j := range list {
+	var ids []string
+	for _, j := range r.forSession(sessID) {
 		if !j.terminal() {
 			ids = append(ids, j.id)
 		}
@@ -163,14 +160,8 @@ func (r *jobRegistry) activeFor(sessID string) []string {
 }
 
 func (r *jobRegistry) activeCount() int {
-	r.mu.Lock()
-	list := make([]*job, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		list = append(list, j)
-	}
-	r.mu.Unlock()
 	n := 0
-	for _, j := range list {
+	for _, j := range r.all() {
 		if !j.terminal() {
 			n++
 		}
@@ -200,20 +191,20 @@ func (r *jobRegistry) dropSession(sessID string) {
 
 // ---- server plumbing ----
 
-// cancelAllJobs fires every live job's context; by records who asked so
-// the runner can distinguish client cancels from server drain.
-func (s *Server) cancelAllJobs(by string) {
-	for _, j := range s.jobs.all() {
-		j.mu.Lock()
-		cancel := j.cancel
-		if cancel != nil && j.cancelBy == "" {
-			j.cancelBy = by
-		}
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+// cancelAs fires a live job's context and reports whether the job was
+// live. by records who asked first ("client" or "drain"), so the runner
+// can tell a client's cancel from the server's drain.
+func (j *job) cancelAs(by string) bool {
+	j.mu.Lock()
+	cancel := j.cancel // nil once terminal
+	if cancel != nil && j.cancelBy == "" {
+		j.cancelBy = by
 	}
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	return cancel != nil
 }
 
 // appendJobMarker best-effort logs a job lifecycle record. Marker loss is
@@ -398,19 +389,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	if j.status != jobQueued && j.status != jobRunning {
-		j.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Sprintf("job %s already finished (%s)", j.id, j.status))
+	if !j.cancelAs("client") {
+		writeError(w, http.StatusConflict, fmt.Sprintf("job %s already finished (%s)", j.id, j.view().Status))
 		return
-	}
-	if j.cancelBy == "" {
-		j.cancelBy = "client"
-	}
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
 	}
 	s.log(r.Context()).Info("job cancel requested", "job_id", j.id, "session_id", j.session)
 	writeJSON(w, http.StatusOK, j.view())

@@ -1,8 +1,8 @@
 package server
 
-// runQueue is the server-wide engine-run scheduler: a counted set of
-// engine slots (MaxConcurrentRuns) behind an admission gate
-// (MaxInflightRuns) and a fairness-aware wait queue.
+// runQueue is the server-wide engine-run scheduler: MaxConcurrentRuns
+// engine slots, the tokens of a buffered channel, behind an admission gate
+// (MaxInflightRuns).
 //
 // Admission and slot acquisition are deliberately separate. A run is
 // *admitted* once per request/job — when the admitted population (running
@@ -12,161 +12,94 @@ package server
 // and re-acquires between slices, so the queue drains fairly even under
 // multi-second runs.
 //
-// Fairness contract: when a slot frees up and the next waiter in FIFO
-// order belongs to the session granted the previous slot, a waiter from a
-// different session (the first such) is granted instead. No session holds
-// the run semaphore for consecutive grants while another session waits.
-//
-// The mutex is never held across a wait: waiting happens on the waiter's
-// own channel, so /metrics sampling of queue lengths can never block
-// behind a saturated queue.
+// Fairness: a run waiting for a slot blocks sending on the channel, and a
+// freed slot goes to the longest-blocked sender, so waiters are served
+// first in, first out. driveRun is the only caller of acquire and holds
+// the session slot, so a session has at most one run waiting; a run that
+// gives its slot back between slices queues behind every run already
+// waiting. No session takes consecutive grants while another waits.
 
 import (
 	"context"
 	"errors"
-	"sync"
+	"sync/atomic"
 )
 
 // errSaturated is returned by admit when the inflight cap is reached; the
 // handlers translate it to 429 + Retry-After.
 var errSaturated = errors.New("run queue full")
 
-type runWaiter struct {
-	session string
-	ready   chan struct{}
-	granted bool // guarded by runQueue.mu; true once ready is closed
-}
-
 type runQueue struct {
-	mu       sync.Mutex
-	slots    int // free engine slots
-	inflight int // admitted runs (holding a slot or queued for one)
-	max      int // admission cap; <= 0 means unlimited
-	waiters  []*runWaiter
-	last     string // session granted the most recent slot
+	slots    chan struct{} // a token per engine slot in use
+	max      int64         // admission cap; <= 0 means unlimited
+	inflight atomic.Int64  // admitted runs (holding a slot or queued for one)
+	queued   atomic.Int64  // admitted runs waiting for a slot
 }
 
 func newRunQueue(slots, maxInflight int) *runQueue {
-	return &runQueue{slots: slots, max: maxInflight}
+	return &runQueue{slots: make(chan struct{}, slots), max: int64(maxInflight)}
 }
 
 // admit registers a run against the inflight cap. The returned ticket
 // must be closed with done(); a nil ticket means the server is saturated.
-func (q *runQueue) admit(session string) (*runTicket, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.max > 0 && q.inflight >= q.max {
-		return nil, errSaturated
+func (q *runQueue) admit() (*runTicket, error) {
+	for {
+		n := q.inflight.Load()
+		if q.max > 0 && n >= q.max {
+			return nil, errSaturated
+		}
+		if q.inflight.CompareAndSwap(n, n+1) {
+			return &runTicket{q: q}, nil
+		}
 	}
-	q.inflight++
-	return &runTicket{q: q, session: session}, nil
 }
 
-// admitForce registers a run bypassing the cap. Used for run ops inside
-// an already-accepted batch: the batch was admitted at the mutation layer,
-// and failing one of its ops mid-flight would break its all-or-nothing
-// response contract.
-func (q *runQueue) admitForce(session string) *runTicket {
-	q.mu.Lock()
-	q.inflight++
-	q.mu.Unlock()
-	return &runTicket{q: q, session: session}
+// admitForce registers a run bypassing the cap, for a run op inside an
+// already accepted request (see runOp).
+func (q *runQueue) admitForce() *runTicket {
+	q.inflight.Add(1)
+	return &runTicket{q: q}
 }
 
 // stats samples the queue for /metrics: queued waiters and admitted runs.
 func (q *runQueue) stats() (queued, inflight int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.waiters), q.inflight
-}
-
-// dispatch grants free slots to waiters, preferring a different session
-// than the previous grant when one is waiting. Caller holds q.mu.
-func (q *runQueue) dispatch() {
-	for q.slots > 0 && len(q.waiters) > 0 {
-		pick := 0
-		if q.waiters[0].session == q.last {
-			for i := 1; i < len(q.waiters); i++ {
-				if q.waiters[i].session != q.last {
-					pick = i
-					break
-				}
-			}
-		}
-		w := q.waiters[pick]
-		q.waiters = append(q.waiters[:pick], q.waiters[pick+1:]...)
-		q.slots--
-		q.last = w.session
-		w.granted = true
-		close(w.ready)
-	}
+	return int(q.queued.Load()), int(q.inflight.Load())
 }
 
 // runTicket is one admitted run's handle on the queue.
 type runTicket struct {
 	q       *runQueue
-	session string
 	holding bool
 }
 
-// acquire obtains an engine slot, waiting fairly until ctx ends.
+// acquire obtains an engine slot, waiting in turn until ctx ends.
 func (t *runTicket) acquire(ctx context.Context) error {
-	q := t.q
-	q.mu.Lock()
-	if q.slots > 0 && len(q.waiters) == 0 {
-		q.slots--
-		q.last = t.session
-		q.mu.Unlock()
-		t.holding = true
-		return nil
-	}
-	w := &runWaiter{session: t.session, ready: make(chan struct{})}
-	q.waiters = append(q.waiters, w)
-	q.mu.Unlock()
-
 	select {
-	case <-w.ready:
-		t.holding = true
-		return nil
-	case <-ctx.Done():
-		q.mu.Lock()
-		if w.granted {
-			// The grant raced the cancellation; the slot is ours to give
-			// back before reporting the cancel.
-			q.slots++
-			q.dispatch()
-			q.mu.Unlock()
+	case t.q.slots <- struct{}{}:
+	default:
+		t.q.queued.Add(1)
+		defer t.q.queued.Add(-1)
+		select {
+		case t.q.slots <- struct{}{}:
+		case <-ctx.Done():
 			return ctx.Err()
 		}
-		for i, other := range q.waiters {
-			if other == w {
-				q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-				break
-			}
-		}
-		q.mu.Unlock()
-		return ctx.Err()
 	}
+	t.holding = true
+	return nil
 }
 
-// release returns the held slot, granting it onward.
+// release returns the held slot to the next waiter.
 func (t *runTicket) release() {
-	if !t.holding {
-		return
+	if t.holding {
+		t.holding = false
+		<-t.q.slots
 	}
-	t.holding = false
-	t.q.mu.Lock()
-	t.q.slots++
-	t.q.dispatch()
-	t.q.mu.Unlock()
 }
 
 // done retires the ticket: any held slot is released and the admission
-// count drops. Idempotent via the holding flag plus a nil guard is not
-// needed — done must be called exactly once per admitted ticket.
+// count drops. done must be called exactly once per admitted ticket.
 func (t *runTicket) done() {
 	t.release()
-	t.q.mu.Lock()
-	t.q.inflight--
-	t.q.mu.Unlock()
+	t.q.inflight.Add(-1)
 }

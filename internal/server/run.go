@@ -41,7 +41,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Admission: beyond MaxInflightRuns admitted runs the server fast-fails
 	// rather than queueing without bound.
-	ticket, err := s.runQueue.admit(sess.id)
+	ticket, err := s.runQueue.admit()
 	if err != nil {
 		s.endWork()
 		s.metrics.inc(&s.metrics.Admission.RunsRejected)
@@ -114,8 +114,9 @@ func writePartial(w http.ResponseWriter, status int, msg string, resp runRespons
 }
 
 // recordSink receives the WAL records a run produces. The immediate sink
-// persists each as its own frame; the batch handler's sink collects them
-// into one OpBatch frame instead. A false return marks durability lost.
+// persists each as its own frame; inside apply, factScanner.collect
+// gathers them for the request to log. A false return marks durability
+// lost.
 type recordSink func(*wal.Record) bool
 
 func (s *Server) immediateSink(ctx context.Context, sess *session) recordSink {
@@ -263,15 +264,15 @@ func (s *Server) countRunOutcome(out runOutcome) {
 	}
 }
 
-// runOp is a run inside a request that already holds the session slot —
-// a batch op or a stream frame — with its records going to the request's
-// sink. admitForce, not admit: the request as a whole passed admission at
-// the mutation layer; rejecting one of its ops mid-flight would break the
-// applied-prefix contract.
+// runOp is a run op inside apply — a batch op or a stream frame's run —
+// under the request's session slot, with its records going to the
+// request's sink. admitForce, not admit: the request as a whole passed
+// admission at the mutation layer; rejecting one of its ops mid-flight
+// would break the applied-prefix contract.
 func (s *Server) runOp(ctx context.Context, sess *session, timeoutMS int64, sink recordSink) runOutcome {
 	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(timeoutMS))
 	defer cancel()
-	ticket := s.runQueue.admitForce(sess.id)
+	ticket := s.runQueue.admitForce()
 	defer ticket.done()
 	s.metrics.inc(&s.metrics.Runs.Started)
 	out := s.driveRun(ctx, sess, ticket, sink)

@@ -36,10 +36,11 @@ import (
 // op of a /batch, or one /stream frame. Which members are meaningful
 // depends on where it came from.
 type scanOp struct {
-	kind      string     // batch: the "op" member
+	kind      string     // the "op" member of a batch op; set by the handler otherwise
 	facts     []wal.Fact // a run of the scanner's flat fact array
 	template  string     // retract
 	fields    wal.Fields // retract
+	pos       []int      // retract: fields' attribute positions, resolved by apply
 	timeoutMS int64
 	ticks     int64
 	hasTicks  bool // stream: "ticks" was given (absent means 1)
@@ -113,15 +114,16 @@ func (set keySet) lookup(key []byte) (keyID, error) {
 // path would otherwise allocate per request; handlers borrow one from
 // scanners for the life of a request.
 type factScanner struct {
-	lex    jsonlex.Lexer
-	names  jsonlex.Interner
-	body   bytes.Buffer
-	fields []wal.Field // every fact's pairs; a fact holds a capped sub-slice
-	facts  []wal.Fact  // every op's facts; an op holds a capped sub-slice
-	ops    []scanOp
-	staged []stagedFact // session.stage's output
-	recs   []wal.Record // a batch's nested records
-	out    []byte       // response bytes
+	lex     jsonlex.Lexer
+	names   jsonlex.Interner
+	body    bytes.Buffer
+	fields  []wal.Field // every fact's pairs; a fact holds a capped sub-slice
+	facts   []wal.Fact  // every op's facts; an op holds a capped sub-slice
+	ops     []scanOp
+	staged  []stagedFact    // session.stage's output
+	recs    []wal.Record    // the records apply collected
+	results []batchOpResult // apply's per-op results
+	out     []byte          // response bytes
 }
 
 var scanners = sync.Pool{New: func() any { return new(factScanner) }}
@@ -157,8 +159,9 @@ func (sc *factScanner) reset(data []byte) {
 	clear(sc.ops)
 	clear(sc.staged)
 	clear(sc.recs)
+	clear(sc.results)
 	sc.fields, sc.facts, sc.ops = sc.fields[:0], sc.facts[:0], sc.ops[:0]
-	sc.staged, sc.recs = sc.staged[:0], sc.recs[:0]
+	sc.staged, sc.recs, sc.results = sc.staged[:0], sc.recs[:0], sc.results[:0]
 }
 
 // release returns the scanner to the pool with nothing reachable from it
@@ -185,44 +188,14 @@ func (sc *factScanner) scanOne(allowed keySet) (*scanOp, error) {
 	return op, sc.op(allowed, op)
 }
 
-// scanBatch reads a /batch body into sc.ops.
+// scanBatch reads a /batch body, an object whose one key, "ops", lists
+// the op objects, into sc.ops.
 func (sc *factScanner) scanBatch() error {
-	l := &sc.lex
-	if l.Next(); l.Pos == len(l.Data) || l.Null() {
+	var body scanOp // has no member of its own
+	if sc.lex.Next(); sc.lex.Pos == len(sc.lex.Data) {
 		return nil
 	}
-	if err := l.Expect('{'); err != nil {
-		return err
-	}
-	for first := true; ; first = false {
-		key, more, err := l.Key(first)
-		if err != nil || !more {
-			return err
-		}
-		if _, err := batchKeys.lookup(key); err != nil {
-			return err
-		}
-		sc.ops = sc.ops[:0]
-		if l.Null() {
-			continue
-		}
-		if err := l.Expect('['); err != nil {
-			return err
-		}
-		for firstOp := true; ; firstOp = false {
-			more, err := l.Elem(firstOp)
-			if err != nil {
-				return err
-			}
-			if !more {
-				break
-			}
-			sc.ops = append(sc.ops, scanOp{})
-			if err := sc.op(batchOpKeys, &sc.ops[len(sc.ops)-1]); err != nil {
-				return err
-			}
-		}
-	}
+	return sc.op(batchKeys, &body)
 }
 
 // op reads one op object (or null, the empty op) at the cursor.
@@ -244,6 +217,8 @@ func (sc *factScanner) op(allowed keySet, op *scanOp) error {
 			return err
 		}
 		switch id {
+		case kOps:
+			err = sc.opList()
 		case kOp:
 			err = sc.optString(&op.kind)
 		case kFacts:
@@ -274,6 +249,28 @@ func (sc *factScanner) op(allowed keySet, op *scanOp) error {
 			}
 		}
 		if err != nil {
+			return err
+		}
+	}
+}
+
+// opList reads a batch's "ops" array (or null, no ops) into sc.ops.
+func (sc *factScanner) opList() error {
+	l := &sc.lex
+	sc.ops = sc.ops[:0]
+	if l.Null() {
+		return nil
+	}
+	if err := l.Expect('['); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		more, err := l.Elem(first)
+		if err != nil || !more {
+			return err
+		}
+		sc.ops = append(sc.ops, scanOp{})
+		if err := sc.op(batchOpKeys, &sc.ops[len(sc.ops)-1]); err != nil {
 			return err
 		}
 	}

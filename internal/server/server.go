@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -299,18 +298,9 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the wrapped writer so streaming handlers (the NDJSON
-// /stream endpoint) can push each response line out while the request is
-// still in flight; without this the wrapper would hide the underlying
-// Flusher and per-frame results would sit in the buffer until the whole
-// stream ended.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.NewResponseController reach the underlying writer.
+// Unwrap lets http.NewResponseController reach the underlying writer, so
+// the NDJSON /stream endpoint and the cluster proxy can flush and go full
+// duplex through the wrapper.
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // maxBodyBytes bounds request bodies.
@@ -384,8 +374,8 @@ func (s *Server) routes() {
 	// non-owner proxies or redirects to the owner (no-op single-node).
 	s.mux.HandleFunc("GET /api/v1/sessions/{id}", s.routed(s.handleGetSession))
 	s.mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.routed(s.handleDeleteSession))
-	s.mux.HandleFunc("POST /api/v1/sessions/{id}/facts", s.routed(s.handleAssert))
-	s.mux.HandleFunc("POST /api/v1/sessions/{id}/retract", s.routed(s.handleRetract))
+	s.mux.HandleFunc("POST /api/v1/sessions/{id}/facts", s.routed(s.handleOp("assert", "facts asserted in memory but not durably logged")))
+	s.mux.HandleFunc("POST /api/v1/sessions/{id}/retract", s.routed(s.handleOp("retract", "facts retracted in memory but not durably logged")))
 	s.mux.HandleFunc("POST /api/v1/sessions/{id}/run", s.routed(s.handleRun))
 	s.mux.HandleFunc("POST /api/v1/sessions/{id}/batch", s.routed(s.handleBatch))
 	s.mux.HandleFunc("POST /api/v1/sessions/{id}/stream", s.routed(s.handleStream))
@@ -396,7 +386,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/sessions/{id}/wm", s.routed(s.handleWM))
 	s.mux.HandleFunc("GET /api/v1/sessions/{id}/proof", s.routed(s.handleProof))
 	s.mux.HandleFunc("GET /api/v1/sessions/{id}/snapshot", s.routed(s.handleSnapshotExport))
-	s.mux.HandleFunc("POST /api/v1/sessions/{id}/snapshot", s.routed(s.handleSnapshotImport))
+	s.mux.HandleFunc("POST /api/v1/sessions/{id}/snapshot", s.routed(s.handleOp("import", "facts imported in memory but not durably logged")))
 }
 
 // Close drains the server: new runs are rejected, live async jobs are
@@ -412,7 +402,9 @@ func (s *Server) Close(ctx context.Context) error {
 		}
 	}
 	s.mu.Unlock()
-	s.cancelAllJobs("drain")
+	for _, j := range s.jobs.all() {
+		j.cancelAs("drain")
+	}
 	<-s.janitorDone
 	var err error
 	select {
@@ -756,14 +748,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	limit := 0
-	if ls := r.URL.Query().Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit")
-			return
-		}
-		limit = n
+	limit, ok := queryLimit(w, r)
+	if !ok {
+		return
 	}
 	events := sess.trace.Events(limit)
 	writeJSON(w, http.StatusOK, traceResponse{
@@ -779,12 +766,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	var (
-		prog   *compile.Program
-		name   string
-		source string // the resolved text, logged for recovery
-		err    error
-	)
+	// source is the resolved text, logged for recovery.
+	name, source, err := "uploaded", req.Source, error(nil)
 	switch {
 	case req.Program != "" && req.Source != "":
 		writeError(w, http.StatusBadRequest, "give either program or source, not both")
@@ -792,16 +775,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	case req.Program != "":
 		name = req.Program
 		source, err = programs.Source(req.Program)
-		if err == nil {
-			prog, err = compile.CompileSource(source)
-		}
-	case req.Source != "":
-		name = "uploaded"
-		source = req.Source
-		prog, err = compile.CompileSource(req.Source)
-	default:
+	case req.Source == "":
 		writeError(w, http.StatusBadRequest, "one of program or source is required")
 		return
+	}
+	var prog *compile.Program
+	if err == nil {
+		prog, err = compile.CompileSource(source)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -925,85 +905,12 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
 }
 
-func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
-	sc, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	defer sc.release()
-	op, err := sc.scanOne(assertKeys)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	s.withSession(w, r, func(sess *session) {
-		s.assertFacts(w, r, sess, sc, op.facts, &wal.Record{Op: wal.OpAssert, Facts: op.facts},
-			"facts asserted in memory but not durably logged")
-	})
-}
-
-// assertFacts is the body of the two endpoints that only add facts,
-// /facts and snapshot import: stage everything, insert everything, log
-// rec, answer with the count. A fact that does not resolve is a 400 with
-// nothing inserted and nothing logged. Caller holds the slot.
-func (s *Server) assertFacts(w http.ResponseWriter, r *http.Request, sess *session, sc *factScanner, facts []wal.Fact, rec *wal.Record, lostMsg string) {
-	staged, bad, err := sess.stage(sc.staged[:0], facts)
-	sc.staged = staged
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("fact %d: %v", bad, err))
-		return
-	}
-	sess.insert(staged)
-	if len(facts) > 0 && !s.persist(r.Context(), sess, rec) {
-		writeError(w, http.StatusInternalServerError, lostMsg)
-		return
-	}
-	writeJSON(w, http.StatusOK, countResponse{Count: len(facts), WMSize: sess.eng.Memory().Len()})
-}
-
-func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
-	sc, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	defer sc.release()
-	op, err := sc.scanOne(retractKeys)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if op.template == "" {
-		writeError(w, http.StatusBadRequest, "template is required")
-		return
-	}
-	s.withSession(w, r, func(sess *session) {
-		n, err := sess.retractMatching(op.template, op.fields)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if n > 0 {
-			rec := wal.Record{Op: wal.OpRetract, Template: op.template, Fields: op.fields, Count: n}
-			if !s.persist(r.Context(), sess, &rec) {
-				writeError(w, http.StatusInternalServerError, "facts retracted in memory but not durably logged")
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, countResponse{Count: n, WMSize: sess.eng.Memory().Len()})
-	})
-}
-
 func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) {
 	s.withSession(w, r, func(sess *session) {
 		template := r.URL.Query().Get("template")
-		limit := 0
-		if ls := r.URL.Query().Get("limit"); ls != "" {
-			n, err := strconv.Atoi(ls)
-			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, "bad limit")
-				return
-			}
-			limit = n
+		limit, ok := queryLimit(w, r)
+		if !ok {
+			return
 		}
 		mem := sess.eng.Memory()
 		var wmes []*wm.WME
@@ -1055,41 +962,6 @@ func (s *Server) handleSnapshotExport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSnapshotImport(w http.ResponseWriter, r *http.Request) {
-	sc, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	defer sc.release()
-	// Parse into the scanner's staging form first: like every other way in,
-	// an import that names an unknown template inserts nothing.
-	text := sc.body.String()
-	if _, err := snapshot.Read(strings.NewReader(text), stager{sc}); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.withSession(w, r, func(sess *session) {
-		s.assertFacts(w, r, sess, sc, sc.facts, &wal.Record{Op: wal.OpImport, Text: text, Count: len(sc.facts)},
-			"facts imported in memory but not durably logged")
-	})
-}
-
-// stager implements snapshot.Inserter by collecting the parsed facts in a
-// scanner, in the form a scanned request body takes, without touching
-// working memory.
-type stager struct{ sc *factScanner }
-
-func (st stager) Insert(template string, fields map[string]wm.Value) (*wm.WME, error) {
-	sc := st.sc
-	lo := len(sc.fields)
-	for name, v := range fields {
-		sc.fields = append(sc.fields, wal.Field{Name: name, Value: v})
-	}
-	run := wal.Canonical(sc.fields[lo:])
-	sc.facts = append(sc.facts, wal.Fact{Template: template, Fields: run[:len(run):len(run)]})
-	return nil, nil
-}
-
 // ---- plumbing ----
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -1102,6 +974,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
+}
+
+// queryLimit reads the ?limit= of a listing, 0 (no limit) when absent. A
+// false return means the 400 has been written.
+func queryLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	n, err := 0, error(nil)
+	if ls := r.URL.Query().Get("limit"); ls != "" {
+		n, err = strconv.Atoi(ls)
+	}
+	if err != nil || n < 0 {
+		writeError(w, http.StatusBadRequest, "bad limit")
+		return 0, false
+	}
+	return n, true
 }
 
 // readJSON decodes a request body, tolerating an empty body (all request

@@ -259,28 +259,23 @@ func (s *session) retractPositions(template string, fields wal.Fields) ([]int, e
 	return pos, nil
 }
 
-// retractMatching removes every live WME of the template whose fields
-// strictly equal all given values; attributes not listed are wildcards.
-// Caller holds the slot.
-func (s *session) retractMatching(template string, fields wal.Fields) (int, error) {
-	pos, err := s.retractPositions(template, fields)
-	if err != nil {
-		return 0, err
-	}
+// retractMatching removes every live WME of the template whose fields at
+// pos, as retractPositions resolved them, strictly equal the given values;
+// attributes not listed are wildcards. Caller holds the slot.
+func (s *session) retractMatching(template string, pos []int, fields wal.Fields) int {
 	n := 0
+next:
 	for _, w := range s.eng.Memory().OfTemplate(template) {
-		matchAll := true
 		for i, p := range pos {
 			if !w.Fields[p].Equal(fields[i].Value) {
-				matchAll = false
-				break
+				continue next
 			}
 		}
-		if matchAll && s.eng.Retract(w.Time) {
+		if s.eng.Retract(w.Time) {
 			n++
 		}
 	}
-	return n, nil
+	return n
 }
 
 // maxOutputBytes bounds the `(write …)` output a run captures.

@@ -284,11 +284,11 @@ func replay(sess *session, rec *wal.Record) error {
 		sess.insert(staged)
 		return nil
 	case wal.OpRetract:
-		n, err := sess.retractMatching(rec.Template, rec.Fields)
+		pos, err := sess.retractPositions(rec.Template, rec.Fields)
 		if err != nil {
 			return err
 		}
-		if n != rec.Count {
+		if n := sess.retractMatching(rec.Template, pos, rec.Fields); n != rec.Count {
 			return fmt.Errorf("retracted %d facts, log recorded %d", n, rec.Count)
 		}
 		return nil

@@ -167,13 +167,11 @@ func (sp *reqSpan) SetAttr(k, v string) {
 }
 
 // End records the span with its elapsed duration.
-func (sp *reqSpan) End() time.Duration {
+func (sp *reqSpan) End() {
 	if sp == nil {
-		return 0
+		return
 	}
-	d := sp.a.End()
-	sp.ti.timings.add(sp.stage, d)
-	return d
+	sp.ti.timings.add(sp.stage, sp.a.End())
 }
 
 // EndWith records the span with an externally measured duration.
@@ -230,14 +228,9 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 		}
 		minDur = time.Duration(f * float64(time.Millisecond))
 	}
-	limit := 0
-	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit")
-			return
-		}
-		limit = n
+	limit, ok := queryLimit(w, r)
+	if !ok {
+		return
 	}
 	spans := s.spans.Query(q.Get("trace"), q.Get("stage"), minDur, limit)
 	w.Header().Set("Cache-Control", "no-cache")

@@ -389,54 +389,91 @@ func reopen(t *testing.T, fsys *memFS, policy wal.Policy) *store.Store {
 
 // TestBootKeepsDamagedSession: a session whose first frame was altered
 // has no create record left to read, but its later frames and its ledger
-// are the evidence an audit reports; two restarts leave the directory
-// where it was, byte for byte, under every policy that could write it.
+// are the evidence an audit reports; two restarts and two refused Loads
+// leave the directory where it was, byte for byte, under every policy
+// that could write it — whether its ledger is intact, has a torn tail,
+// does not parse or is absent.
 func TestBootKeepsDamagedSession(t *testing.T) {
+	ledgers := []struct {
+		name   string
+		damage func(fsys *memFS, path string)
+	}{
+		{"intact", func(*memFS, string) {}},
+		{"torn-ledger", func(fsys *memFS, path string) {
+			n := fsys.lookup(path)
+			n.data = append(n.data, 0x0a, 0x00, 0x00) // a partial entry
+			n.durable = append([]byte(nil), n.data...)
+		}},
+		{"unparseable-ledger", func(fsys *memFS, path string) {
+			n := fsys.lookup(path)
+			n.data[0] ^= 0xff // the magic line
+			n.durable = append([]byte(nil), n.data...)
+		}},
+		{"no-ledger", func(fsys *memFS, path string) {
+			if err := fsys.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
 	for _, policy := range []wal.Policy{wal.PolicyAlways, wal.PolicyInterval} {
 		t.Run(policy.String(), func(t *testing.T) {
-			fsys := newMemFS(dataDir)
-			st, _, err := store.Open(dataDir, wal.Options{Policy: policy, Interval: time.Hour, FS: fsys}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := st.Create("s1", createRec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < 10; i++ {
-				if _, err := s.Append(&wal.Record{Op: wal.OpRun, Cycles: i}, false); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.Close()
-			st.Close()
-			dir := filepath.Join(dataDir, "sessions", "s1")
-			w := fsys.lookup(filepath.Join(dir, store.WALFile))
-			w.data[12] ^= 0x20 // inside the create record's payload
-			w.durable = append([]byte(nil), w.data...)
-			before := fsys.image(completed)
-
-			unchanged := func(when string) {
-				t.Helper()
-				for _, name := range []string{store.WALFile, store.LedgerFile} {
-					was, is := before.lookup(filepath.Join(dir, name)), fsys.lookup(filepath.Join(dir, name))
-					if is == nil || string(is.data) != string(was.data) {
-						t.Fatalf("%s changed %s", name, when)
+			for _, led := range ledgers {
+				t.Run(led.name, func(t *testing.T) {
+					fsys := newMemFS(dataDir)
+					st, _, err := store.Open(dataDir, wal.Options{Policy: policy, Interval: time.Hour, FS: fsys}, true)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
-			st = reopen(t, fsys, policy)
-			if !st.Has("s1") || len(st.SetAside()) != 0 {
-				t.Fatalf("after two restarts: Has(s1)=%v, set aside %v; want it counted", st.Has("s1"), st.SetAside())
-			}
-			unchanged("across two restarts")
-			// A Load that refuses the session writes nothing either, however
-			// often it is asked.
-			for _, when := range []string{"after a refused Load", "after a second refused Load"} {
-				if _, _, err := st.Load("s1"); err == nil {
-					t.Fatal("a session with no readable create record loaded")
-				}
-				unchanged(when)
+					s, err := st.Create("s1", createRec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 1; i < 10; i++ {
+						if _, err := s.Append(&wal.Record{Op: wal.OpRun, Cycles: i}, false); err != nil {
+							t.Fatal(err)
+						}
+					}
+					s.Close()
+					st.Close()
+					dir := filepath.Join(dataDir, "sessions", "s1")
+					w := fsys.lookup(filepath.Join(dir, store.WALFile))
+					w.data[12] ^= 0x20 // inside the create record's payload
+					w.durable = append([]byte(nil), w.data...)
+					led.damage(fsys, filepath.Join(dir, store.LedgerFile))
+					files := func() string {
+						t.Helper()
+						entries, err := fsys.ReadDir(dir)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out := ""
+						for _, e := range entries {
+							out += fmt.Sprintf("%s %q\n", e.Name(), fsys.lookup(filepath.Join(dir, e.Name())).data)
+						}
+						return out
+					}
+					before := files()
+
+					unchanged := func(when string) {
+						t.Helper()
+						if now := files(); now != before {
+							t.Fatalf("the session directory changed %s:\n%s\nwas\n%s", when, now, before)
+						}
+					}
+					st = reopen(t, fsys, policy)
+					if !st.Has("s1") || len(st.SetAside()) != 0 {
+						t.Fatalf("after two restarts: Has(s1)=%v, set aside %v; want it counted", st.Has("s1"), st.SetAside())
+					}
+					unchanged("across two restarts")
+					// A Load that refuses the session writes nothing either, however
+					// often it is asked.
+					for _, when := range []string{"after a refused Load", "after a second refused Load"} {
+						if _, _, err := st.Load("s1"); err == nil {
+							t.Fatal("a session with no readable create record loaded")
+						}
+						unchanged(when)
+					}
+				})
 			}
 		})
 	}

@@ -317,14 +317,16 @@ func (st *Store) Remove(id string) error {
 // Load opens session id's files for appending and returns them with the
 // image recovery replays: the log's torn tail cut, the ledger reconciled
 // with the log and the checkpoint's commit (started afresh from that
-// commit when it does not read; img.LedgerErr says why).
+// commit when it does not read or is absent; img.LedgerErr says why).
+// Nothing in the directory changes before the session has a create record
+// or a checkpoint, so one refused for want of them keeps every byte.
 func (st *Store) Load(id string) (*Session, *Image, error) {
 	dir := st.dir(id)
-	img, err := read(st.fs, dir, &st.opts, st.merkle)
+	img, err := read(st.fs, dir, &st.opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &Session{st: st, id: id, dir: dir, log: img.log, led: img.led}
+	d := &Session{st: st, id: id, dir: dir, log: img.log}
 	switch h := img.Header; {
 	case h != nil:
 		// The checkpoint emptied the log: without its sequence point,
@@ -335,6 +337,21 @@ func (st *Store) Load(id string) (*Session, *Image, error) {
 		d.meta = img.Records[0]
 	default:
 		err = errors.New("no checkpoint and no create record")
+	}
+	// The ledger is opened only past that check: opening cuts a torn tail
+	// and makes an absent ledger.
+	if ledPath := filepath.Join(dir, LedgerFile); err == nil && st.merkle {
+		if d.led, img.LedgerErr = wal.OpenLedgerFS(st.fs, ledPath); img.LedgerErr != nil {
+			// A ledger that does not parse attests to nothing: restart it
+			// from the checkpoint's commit rather than refuse to serve. An
+			// offline audit of the original still reports it.
+			if err = st.fs.Remove(ledPath); err == nil {
+				d.led, err = wal.OpenLedgerFS(st.fs, ledPath)
+			}
+			if err != nil {
+				err = fmt.Errorf("resetting merkle ledger: %w", err)
+			}
+		}
 	}
 	// A failed Reconcile means the history was altered: serve none of it.
 	if err == nil && d.led != nil {
@@ -455,7 +472,6 @@ type Image struct {
 	LedgerErr     error
 
 	log *wal.Log // opening reads
-	led *wal.Ledger
 }
 
 // Seq is the checkpoint's sequence point (records up to it are folded
@@ -479,15 +495,15 @@ func (img *Image) Tail() []wal.Record {
 
 // ReadSession reads session directory dir on fsys and changes nothing.
 func ReadSession(fsys wal.FS, dir string) *Image {
-	img, _ := read(fsys, dir, nil, false)
+	img, _ := read(fsys, dir, nil)
 	return img
 }
 
-// read is the one reader of a session directory. With open nil it changes
-// nothing: it keeps the checkpoint's bytes, scans the log and inspects the
-// ledger. Otherwise it opens the log for appending under open, cutting a
-// torn tail, and with merkle the ledger (recreated when it does not read).
-func read(fsys wal.FS, dir string, open *wal.Options, merkle bool) (*Image, error) {
+// read is the one reader of a session directory, and changes nothing in
+// it. With open nil it keeps the checkpoint's bytes, scans the log and
+// inspects the ledger; otherwise it opens the log for appending under
+// open, leaving a torn tail in place, and leaves the ledger to Load.
+func read(fsys wal.FS, dir string, open *wal.Options) (*Image, error) {
 	img := &Image{}
 	if f, err := fsys.OpenFile(filepath.Join(dir, CheckpointFile), os.O_RDONLY, 0); err == nil {
 		var r io.Reader = f
@@ -517,21 +533,6 @@ func read(fsys wal.FS, dir string, open *wal.Options, merkle bool) (*Image, erro
 		return nil, fmt.Errorf("opening wal: %w", err)
 	}
 	img.log, img.Records, img.TornBytes = l, res.Records, res.TruncatedBytes
-	if !merkle {
-		return img, nil
-	}
-	if img.led, img.LedgerErr = wal.OpenLedgerFS(fsys, ledPath); img.LedgerErr != nil {
-		// A ledger that does not parse attests to nothing: restart it from
-		// the checkpoint's commit rather than refuse to serve. An offline
-		// audit of the original still reports it.
-		if err = fsys.Remove(ledPath); err == nil {
-			img.led, err = wal.OpenLedgerFS(fsys, ledPath)
-		}
-		if err != nil {
-			l.Close()
-			return nil, fmt.Errorf("resetting merkle ledger: %w", err)
-		}
-	}
 	return img, nil
 }
 
